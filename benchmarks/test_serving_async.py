@@ -3,10 +3,10 @@
 Not a paper figure — the paper stops at one synchronous query loop;
 this measures the asyncio serving layer the ROADMAP's "heavy traffic"
 north star asks for.  Expected shape: below saturation the p50 sits
-near the coalescing flush window (queueing is negligible and the batch
-executes in well under a millisecond per request), and as the arrival
-rate crosses what the executor sustains, queue depth — and therefore
-p95/p99 — grows sharply while achieved throughput flattens.  That
+near the engine's own execution time (dispatch is work-conserving: a
+request that finds a read server idle ships at once, alone), and as
+the arrival rate crosses what the executor sustains, queue depth — and
+therefore p95/p99 — grows sharply while achieved throughput flattens.  That
 knee, not the mean, is the serving capacity of the index; the recorded
 table (`results/serving_async_latency.txt`) pins it for a K=4 sharded
 TIGER index under a 10%-write mixed workload.
@@ -34,7 +34,6 @@ def test_async_latency_percentiles_vs_rate(benchmark, record_table):
         requests=REQUESTS,
         write_frac=0.1,
         max_batch=64,
-        flush_ms=2.0,
         max_pending_reads=256,
         max_pending_writes=64,
         admission="reject",

@@ -355,13 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="most requests coalesced into one batch",
     )
     serve_async.add_argument(
-        "--flush-ms",
-        dest="flush_ms",
-        type=float,
-        default=2.0,
-        help="max milliseconds a queued read waits before a partial batch ships",
-    )
-    serve_async.add_argument(
         "--max-queue-reads",
         dest="max_pending_reads",
         type=int,
@@ -832,7 +825,6 @@ def main(argv: list[str] | None = None) -> int:
             requests=args.requests,
             write_frac=write_frac,
             max_batch=args.max_batch,
-            flush_ms=args.flush_ms,
             max_pending_reads=args.max_pending_reads,
             max_pending_writes=args.max_pending_writes,
             admission=args.admission,

@@ -651,7 +651,6 @@ def serve_async_bench(
     requests: int = 500,
     write_frac: float = 0.1,
     max_batch: int = 64,
-    flush_ms: float = 2.0,
     max_pending_reads: int = 256,
     max_pending_writes: int = 64,
     admission: str = "reject",
@@ -764,7 +763,7 @@ def serve_async_bench(
                 title=(
                     f"serve-async: open-loop sweep, {requests} requests/rate "
                     f"({write_frac:.0%} writes), max_batch={max_batch}, "
-                    f"flush={flush_ms:g}ms, admission={admission}"
+                    f"admission={admission}"
                     + (f", {tree.n_shards} shards" if sharded else "")
                     + (", mmap" if mmap else "")
                 ),
@@ -779,7 +778,6 @@ def serve_async_bench(
                 service = AsyncQueryService(
                     tree,
                     max_batch=max_batch,
-                    flush_interval=flush_ms / 1000.0,
                     max_pending_reads=max_pending_reads,
                     max_pending_writes=max_pending_writes,
                     admission=admission,
@@ -907,7 +905,6 @@ def durability_bench(
     requests: int = 400,
     write_frac: float = 0.25,
     max_batch: int = 64,
-    flush_ms: float = 2.0,
     executor_workers: int = 4,
     variant: str = "PR",
     dataset: str = "tiger-east",
@@ -968,7 +965,6 @@ def durability_bench(
             service = AsyncQueryService(
                 tree,
                 max_batch=max_batch,
-                flush_interval=flush_ms / 1000.0,
                 admission="backpressure",
                 executor_workers=executor_workers,
                 **knobs,
@@ -1046,7 +1042,6 @@ def trace_capture(
     slow_ms: float | None = None,
     metrics: str | pathlib.Path | None = None,
     max_batch: int = 64,
-    flush_ms: float = 2.0,
     executor_workers: int = 4,
     cache_pages: int = 256,
     variant: str = "PR",
@@ -1073,7 +1068,6 @@ def trace_capture(
         requests=requests,
         write_frac=write_frac,
         max_batch=max_batch,
-        flush_ms=flush_ms,
         executor_workers=executor_workers,
         cache_pages=cache_pages,
         variant=variant,
@@ -1099,7 +1093,6 @@ def profile_capture(
     write_frac: float = 0.1,
     trace: str | pathlib.Path | None = None,
     max_batch: int = 64,
-    flush_ms: float = 2.0,
     executor_workers: int = 4,
     cache_pages: int = 256,
     variant: str = "PR",
@@ -1128,7 +1121,6 @@ def profile_capture(
         requests=requests,
         write_frac=write_frac,
         max_batch=max_batch,
-        flush_ms=flush_ms,
         executor_workers=executor_workers,
         cache_pages=cache_pages,
         variant=variant,

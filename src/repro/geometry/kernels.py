@@ -41,7 +41,7 @@ goes through it.
 from __future__ import annotations
 
 import os
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.obs.profiler import pop_phase, push_phase
 
@@ -52,6 +52,7 @@ __all__ = [
     "coord_table",
     "table_len",
     "table_row",
+    "table_rows",
     "table_column",
     # scalar kernels
     "intersects",
@@ -130,6 +131,13 @@ def table_row(table, i: int) -> tuple[float, ...]:
     if HAVE_NUMPY and isinstance(table, np.ndarray):
         return tuple(table[i].tolist())
     return table[i]
+
+
+def table_rows(table, rows: Sequence[int]) -> Iterable[tuple[float, ...]]:
+    """Rows ``rows`` as tuples of Python floats, in one gather."""
+    if HAVE_NUMPY and isinstance(table, np.ndarray):
+        return map(tuple, table[rows].tolist())
+    return [table[i] for i in rows]
 
 
 def table_column(table, k: int) -> list[float]:

@@ -138,10 +138,7 @@ class PointQueryEngine(TraversalEngine):
                     recorder.note_matched(block_id, len(rows))
                 entries = node.cached_entries()
                 if entries is None:
-                    for i in rows:
-                        matches.append(
-                            (frame.rect(i), tree.objects.get(frame.ptrs[i]))
-                        )
+                    matches += frame.report(rows, tree.objects)
                 else:
                     # Report existing Rect objects when the node has a
                     # materialized entry list (identical values).

@@ -210,10 +210,7 @@ class QueryEngine(TraversalEngine):
             if frame.is_leaf:
                 entries = node.cached_entries()
                 if entries is None:
-                    for i in rows:
-                        matches.append(
-                            (frame.rect(i), tree.objects.get(frame.ptrs[i]))
-                        )
+                    matches += frame.report(rows, tree.objects)
                 else:
                     # In-memory nodes already hold the Rect objects;
                     # reporting them directly skips the per-row
@@ -278,10 +275,7 @@ class QueryEngine(TraversalEngine):
                     if rows:
                         matches = all_matches[q]
                         if entries is None:
-                            for i in rows:
-                                matches.append(
-                                    (frame.rect(i), tree.objects.get(frame.ptrs[i]))
-                                )
+                            matches += frame.report(rows, tree.objects)
                         else:
                             for i in rows:
                                 rect, pointer = entries[i]

@@ -652,7 +652,7 @@ class QueryServer:
             def run(entries: list) -> list:
                 ordered = (
                     sorted(entries, key=lambda e: self._locality_key(e[1]))
-                    if self.reorder
+                    if self.reorder and len(entries) > 1
                     else entries
                 )
                 if self._batchable_windows(ordered):

@@ -7,10 +7,12 @@ in front of the same stack so *many concurrent clients* each submit
 individual requests and await individual responses, while the service
 recovers the batch efficiencies underneath:
 
-* **Coalescing.**  Accepted requests queue in two priority lanes
-  (reads vs writes) and are shipped as batches when one fills to
-  ``max_batch`` or the oldest queued request has waited
-  ``flush_interval`` seconds — the classic size-or-time window.
+* **Work-conserving coalescing.**  Accepted requests queue in two
+  priority lanes (reads vs writes).  The dispatcher takes an idle read
+  server *first* and then ships whatever is queued (at most
+  ``max_batch``): reads coalesce only while every read server is busy,
+  so batches grow with load by themselves and an idle service answers
+  a lone request at once; there is no flush timer.
 * **Overlapping reads, ordered writes.**  Read batches execute on a
   thread-pool executor, each on its own warm
   :class:`~repro.server.QueryServer` from a fixed pool, so several
@@ -182,11 +184,9 @@ class AsyncQueryService:
         handles are shared by every pool server (the paged read path is
         locked).
     max_batch:
-        Most requests coalesced into one batch.
-    flush_interval:
-        Seconds the oldest queued read may wait before a partial batch
-        ships anyway.  Writes always ship at the next dispatch round —
-        they are latency-critical for read-your-writes clients.
+        Most requests coalesced into one batch.  Reads ship as soon as
+        a read server is idle, writes at the next dispatch round — they
+        are latency-critical for read-your-writes clients.
     max_pending_reads / max_pending_writes:
         Admission bound per lane: the most requests that may be queued
         (not yet batched) before admission control engages.
@@ -277,7 +277,6 @@ class AsyncQueryService:
         self,
         indexes: RTree | ShardedTree | Mapping[str, Any],
         max_batch: int = 64,
-        flush_interval: float = 0.002,
         max_pending_reads: int = 1024,
         max_pending_writes: int = 256,
         admission: str = "reject",
@@ -298,8 +297,6 @@ class AsyncQueryService:
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if flush_interval < 0:
-            raise ValueError("flush_interval must be >= 0")
         if max_pending_reads < 1 or max_pending_writes < 1:
             raise ValueError("admission bounds must be >= 1")
         if admission not in ("reject", "backpressure"):
@@ -325,7 +322,6 @@ class AsyncQueryService:
                 "group commit (sync_every_n/sync_interval_s) replaces it"
             )
         self.max_batch = max_batch
-        self.flush_interval = flush_interval
         self.max_pending_reads = max_pending_reads
         self.max_pending_writes = max_pending_writes
         self.admission = admission
@@ -430,8 +426,7 @@ class AsyncQueryService:
             return
         self._closing = True
         self._wakeup.set()
-        async with self._space:
-            self._space.notify_all()
+        await self._notify_space()
         if self._dispatcher is not None:
             await self._dispatcher
             self._dispatcher = None
@@ -590,11 +585,16 @@ class AsyncQueryService:
                     )
                 continue
 
-            batch = await self._coalesce_reads()
-            await self._notify_space()
-            if not batch:
-                continue
+            # Work-conserving: take an idle server first, then ship
+            # everything that queued while all of them were busy.
             server = await self._acquire_server()
+            if self._writes:
+                # A write arrived during the wait: it runs first, the
+                # reads stay queued behind it.
+                self._idle_servers.appendleft(server)
+                continue
+            batch = self._drain(self._reads)
+            await self._notify_space()
             task = asyncio.get_running_loop().create_task(
                 self._run_batch(server, batch, write=False)
             )
@@ -613,33 +613,16 @@ class AsyncQueryService:
         self.stats.note_queue_depth(self.queue_depth)
         return batch
 
-    async def _coalesce_reads(self) -> list[_Pending]:
-        """Wait for the read batch to fill or its flush window to lapse.
-
-        Returns early (shipping a partial batch) when a write arrives —
-        the write lane has priority and the dispatcher must get back to
-        it — or when the service starts closing.
-        """
-        deadline = self._reads[0].enqueued_at + self.flush_interval
-        while (
-            len(self._reads) < self.max_batch
-            and not self._writes
-            and not self._closing
-        ):
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
-            self._wakeup.clear()
-            try:
-                await asyncio.wait_for(self._wakeup.wait(), remaining)
-            except asyncio.TimeoutError:
-                break
-        return self._drain(self._reads)
-
     async def _notify_space(self) -> None:
-        """Wake backpressure waiters after a lane drained."""
-        async with self._space:
-            self._space.notify_all()
+        """Wake backpressure waiters after a lane drained.
+
+        Only ``"backpressure"`` admission ever waits on the condition,
+        and only a drain (or closing) can make a waiter's predicate
+        true.
+        """
+        if self.admission == "backpressure":
+            async with self._space:
+                self._space.notify_all()
 
     async def _quiesce(self) -> None:
         """Wait until no read batch is in flight."""
@@ -779,8 +762,6 @@ class AsyncQueryService:
                 for name in {request.index for request in requests}:
                     for member in self._read_pool:
                         member.invalidate(name)
-            async with self._space:
-                self._space.notify_all()
 
         done = time.perf_counter()
         self.stats.batches += 1

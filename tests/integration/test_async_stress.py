@@ -149,7 +149,6 @@ class TestConcurrentClientsMatchSerialOracle:
             async with AsyncQueryService(
                 handle,
                 max_batch=16,
-                flush_interval=0.001,
                 executor_workers=3,
             ) as service:
                 oracles = await asyncio.gather(
@@ -202,7 +201,6 @@ class TestAdmissionAtTinyBound:
             async with AsyncQueryService(
                 handle,
                 max_batch=4,
-                flush_interval=0.05,
                 max_pending_reads=5,
                 max_pending_writes=2,
                 admission="reject",

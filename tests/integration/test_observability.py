@@ -131,7 +131,6 @@ class TestEndToEndTracing:
             service = AsyncQueryService(
                 tree,
                 max_batch=32,
-                flush_interval=0.002,
                 admission="backpressure",
                 executor_workers=4,
                 tracer=tracer,

@@ -1,6 +1,7 @@
 """Unit tests for the asyncio serving layer over an in-memory tree."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -35,6 +36,71 @@ def tree(data):
 
 def run(coro):
     return asyncio.run(coro)
+
+
+EVERYTHING = Rect((0.0, 0.0), (1.0, 1.0))
+
+
+class Gate:
+    """Holds a read server busy until the test opens it.
+
+    Index ``"gate"`` of the :func:`gated` catalog is a packed tree whose
+    ``values=`` callable blocks on a :class:`threading.Event`, so a read
+    of it occupies its server (and the executor thread) for exactly as
+    long as the test wants.  With ``executor_workers=1`` that is the
+    only read server: everything submitted meanwhile stays queued, with
+    no sleep and no timer involved.
+    """
+
+    def __init__(self):
+        self._open = threading.Event()
+        self._loop = None
+        self.entered = None
+
+    def value(self, oid):
+        self._loop.call_soon_threadsafe(self.entered.set)
+        if not self._open.wait(timeout=10.0):
+            raise TimeoutError("the test never opened the gate")
+        return oid
+
+    def open(self):
+        self._open.set()
+
+    async def hold(self, service):
+        """Put one gated read in flight; returns its pending task."""
+        self._loop = asyncio.get_running_loop()
+        self.entered = asyncio.Event()
+        task = asyncio.ensure_future(
+            service.submit(WindowRequest(EVERYTHING, index="gate"))
+        )
+        await asyncio.wait_for(self.entered.wait(), timeout=10.0)
+        return task
+
+
+@pytest.fixture
+def gated(tmp_path, tree):
+    """``(catalog, gate)``: ``tree`` as ``"default"`` beside a gated index."""
+    from repro.storage import PagedTree, pack_tree
+
+    gate = Gate()
+    path = tmp_path / "gate.pack"
+    small = build_prtree(BlockStore(), random_rects(20, seed=3), fanout=16)
+    pack_tree(small, path)
+    paged = PagedTree.open(path, values=gate.value, readonly=True)
+    try:
+        yield {"default": tree, "gate": paged}, gate
+    finally:
+        gate.open()
+        paged.close()
+
+
+async def queue_up(service, requests):
+    """Submit without awaiting; every request is in its lane on return."""
+    depth = service.queue_depth
+    tasks = [asyncio.ensure_future(service.submit(r)) for r in requests]
+    await asyncio.sleep(0)  # one loop turn: each submit runs to its await
+    assert service.queue_depth == depth + len(requests)
+    return tasks
 
 
 def read_mix(count=30, seed=5):
@@ -78,9 +144,7 @@ class TestReads:
 
     def test_coalescing_batches_concurrent_clients(self, tree):
         async def main():
-            async with AsyncQueryService(
-                tree, max_batch=64, flush_interval=0.02
-            ) as service:
+            async with AsyncQueryService(tree, max_batch=64) as service:
                 responses = await service.submit_many(read_mix(20))
                 assert service.stats.batches < 20  # riders shared batches
                 return responses
@@ -101,6 +165,96 @@ class TestReads:
         counts = {s.kind: s.count for s in stats.kind_summaries()}
         assert counts["count"] == 4
         assert counts["knn"] == 4
+
+
+class TestDispatch:
+    """Work-conserving read dispatch: a batch ships when a server is idle.
+
+    Deterministic by construction — the :class:`Gate` holds the only
+    read server, so what is queued when it frees is exactly what the
+    test queued.
+    """
+
+    def test_lone_read_on_idle_service_ships_alone(self, tree):
+        async def main():
+            async with AsyncQueryService(tree, executor_workers=1) as service:
+                response = await service.submit(CountRequest(EVERYTHING))
+                assert response.batch_size == 1
+                assert service.stats.batches == 1
+
+        run(main())
+
+    @pytest.mark.parametrize(
+        "queued, sizes", [(5, [5]), (8, [8]), (11, [8, 3]), (19, [8, 8, 3])]
+    )
+    def test_reads_queued_behind_a_busy_server_ship_together(
+        self, gated, queued, sizes
+    ):
+        catalog, gate = gated
+
+        async def main():
+            async with AsyncQueryService(
+                catalog, max_batch=8, executor_workers=1
+            ) as service:
+                held = await gate.hold(service)
+                tasks = await queue_up(service, read_mix(queued))
+                assert service.stats.batches == 0  # nothing shipped yet
+                gate.open()
+                responses = await asyncio.gather(*tasks)
+                assert (await held).batch_size == 1
+                assert service.stats.batches == 1 + len(sizes)
+                return responses
+
+        responses = run(main())
+        # FIFO: the first max_batch requests share the first batch.
+        expected = [size for size in sizes for _ in range(size)]
+        assert [r.batch_size for r in responses] == expected
+
+    def test_write_runs_before_reads_queued_ahead_of_it(self, gated, tree):
+        catalog, gate = gated
+        rect = Rect((0.41, 0.41), (0.42, 0.42))
+        probe = CountRequest(rect)
+        before = QueryServer(tree).submit([probe]).values()[0]
+
+        async def main():
+            async with AsyncQueryService(
+                catalog, max_batch=8, executor_workers=1
+            ) as service:
+                held = await gate.hold(service)
+                reads = await queue_up(service, [probe] * 3)
+                (write,) = await queue_up(
+                    service, [InsertRequest(rect, "late")]
+                )
+                gate.open()
+                await held
+                return await asyncio.gather(write, *reads)
+
+        write, *reads = run(main())
+        assert isinstance(write.value, int)
+        # The reads were admitted first but executed after the write.
+        assert [r.value for r in reads] == [before + 1] * 3
+
+    def test_close_answers_reads_queued_behind_a_busy_server(self, gated):
+        catalog, gate = gated
+        requests = read_mix(12)
+
+        async def main():
+            service = AsyncQueryService(catalog, executor_workers=1)
+            held = await gate.hold(service)
+            tasks = await queue_up(service, requests)
+            closing = asyncio.ensure_future(service.aclose())
+            await asyncio.sleep(0)  # aclose runs up to awaiting the drain
+            with pytest.raises(ServiceClosed):
+                await service.submit(CountRequest(EVERYTHING))
+            assert not closing.done()
+            gate.open()
+            await closing
+            assert service.closed and held.done()
+            return await asyncio.gather(*tasks)
+
+        responses = run(main())
+        expected = QueryServer(catalog).submit(requests).values()
+        assert [r.value for r in responses] == expected
 
 
 class TestWrites:
@@ -162,30 +316,37 @@ class TestWrites:
 
 
 class TestAdmission:
-    def test_reject_mode_fast_fails(self, tree):
+    def test_reject_mode_fast_fails(self, gated):
+        catalog, gate = gated
+
         async def main():
             async with AsyncQueryService(
-                tree,
+                catalog,
                 max_batch=4,
-                flush_interval=0.05,
                 max_pending_reads=3,
                 admission="reject",
+                executor_workers=1,
             ) as service:
+                held = await gate.hold(service)
                 tasks = [
                     asyncio.ensure_future(service.submit(request))
                     for request in read_mix(40)
                 ]
+                await asyncio.sleep(0)  # every submit admitted or refused
+                assert service.queue_depth == 3
+                gate.open()
                 results = await asyncio.gather(
                     *tasks, return_exceptions=True
                 )
+                await held
                 rejected = [
                     r for r in results if isinstance(r, AdmissionError)
                 ]
                 completed = [
                     r for r in results if not isinstance(r, Exception)
                 ]
-                assert rejected, "tiny bound must shed load"
-                assert len(rejected) + len(completed) == 40
+                # The lane held exactly its bound; the rest was shed.
+                assert len(completed) == 3 and len(rejected) == 37
                 assert service.stats.rejected_reads == len(rejected)
                 assert all(e.lane == "read" for e in rejected)
                 # The service stays serviceable after shedding.
@@ -201,7 +362,6 @@ class TestAdmission:
             async with AsyncQueryService(
                 tree,
                 max_pending_writes=1,
-                flush_interval=0.05,
                 admission="reject",
             ) as service:
                 rect = Rect((0.5, 0.5), (0.51, 0.51))
@@ -229,7 +389,6 @@ class TestAdmission:
             async with AsyncQueryService(
                 tree,
                 max_batch=4,
-                flush_interval=0.0,
                 max_pending_reads=3,
                 admission="backpressure",
             ) as service:
@@ -243,34 +402,30 @@ class TestAdmission:
 
 
 class TestCancellation:
-    def test_cancelled_client_does_not_break_batch_mates(self, tree):
+    def test_cancelled_client_does_not_break_batch_mates(self, gated):
         # A client that times out while queued cancels its future; the
         # batch must still complete for everyone else — including
         # write batches, whose completion runs inline in the
         # dispatcher.
+        catalog, gate = gated
+
         async def main():
             async with AsyncQueryService(
-                tree, max_batch=8, flush_interval=0.05
+                catalog, max_batch=8, executor_workers=1
             ) as service:
-                doomed = asyncio.ensure_future(
-                    service.submit(WindowRequest(Rect((0.0, 0.0), (1.0, 1.0))))
+                held = await gate.hold(service)
+                doomed, write, *mates = await queue_up(
+                    service,
+                    [
+                        WindowRequest(EVERYTHING),
+                        InsertRequest(Rect((0.9, 0.9), (0.91, 0.91)), "c"),
+                    ]
+                    + [CountRequest(EVERYTHING)] * 4,
                 )
-                write = asyncio.ensure_future(
-                    service.submit(
-                        InsertRequest(Rect((0.9, 0.9), (0.91, 0.91)), "c")
-                    )
-                )
-                mates = [
-                    asyncio.ensure_future(
-                        service.submit(
-                            CountRequest(Rect((0.0, 0.0), (1.0, 1.0)))
-                        )
-                    )
-                    for _ in range(4)
-                ]
-                await asyncio.sleep(0)  # everyone enqueued
                 doomed.cancel()
                 write.cancel()
+                gate.open()
+                await held
                 responses = await asyncio.wait_for(
                     asyncio.gather(*mates), timeout=5.0
                 )
@@ -301,7 +456,7 @@ class TestLifecycle:
 
     def test_close_drains_admitted_requests(self, tree):
         async def main():
-            service = AsyncQueryService(tree, flush_interval=0.05)
+            service = AsyncQueryService(tree)
             service_started = False
             async with service:
                 service_started = True
@@ -330,8 +485,6 @@ class TestLifecycle:
     def test_invalid_parameters(self, tree):
         with pytest.raises(ValueError):
             AsyncQueryService(tree, max_batch=0)
-        with pytest.raises(ValueError):
-            AsyncQueryService(tree, flush_interval=-1.0)
         with pytest.raises(ValueError):
             AsyncQueryService(tree, max_pending_reads=0)
         with pytest.raises(ValueError):
@@ -381,7 +534,7 @@ class TestGroupCommit:
 
         async def main(paged):
             service = AsyncQueryService(
-                paged, max_batch=4, flush_interval=0.0, sync_every_n=2
+                paged, max_batch=4, sync_every_n=2
             )
             async with service:
                 for i in range(4):  # awaited singly: four write batches
@@ -411,7 +564,7 @@ class TestGroupCommit:
 
         async def main(paged):
             service = AsyncQueryService(
-                paged, max_batch=4, flush_interval=0.0, sync_every_n=100
+                paged, max_batch=4, sync_every_n=100
             )
             async with service:
                 for i in range(3):
@@ -437,7 +590,6 @@ class TestGroupCommit:
             service = AsyncQueryService(
                 paged,
                 max_batch=4,
-                flush_interval=0.0,
                 sync_interval_s=0.05,
             )
             async with service:
@@ -465,7 +617,7 @@ class TestGroupCommit:
 
         async def main(paged):
             service = AsyncQueryService(
-                paged, max_batch=8, flush_interval=0.0, sync_every_n=1
+                paged, max_batch=8, sync_every_n=1
             )
             async with service:
                 for i in range(3):

@@ -33,6 +33,22 @@ class TestNodeFrame:
         with pytest.raises(AttributeError):
             rect.lo = (0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "rows", [[], [4], [0, 3, 11], list(range(12)), [11, 2, 7, 2] * 3]
+    )
+    def test_report_equals_per_row_materialization(self, entries, rows):
+        # Below and above the gather threshold, and for unsorted and
+        # repeated rows: the same (Rect, value) pairs, in row order.
+        frame = NodeFrame.from_entries(True, entries)
+        values = {pointer: f"v{pointer}" for _, pointer in entries[:-1]}
+        got = frame.report(rows, values)
+        assert got == [
+            (frame.rect(i), values.get(frame.ptrs[i])) for i in rows
+        ]
+        for rect, _ in got:
+            assert type(rect.lo) is tuple and type(rect.hi) is tuple
+            assert all(type(c) is float for c in rect.lo + rect.hi)
+
     def test_mbr_matches_mbr_of(self, entries):
         frame = NodeFrame.from_entries(True, entries)
         assert frame.mbr() == mbr_of(rect for rect, _ in entries)

@@ -46,6 +46,7 @@ _NEUTRAL = {
     "blocks", "n_blocks", "offered", "requests", "executed", "ops",
     "size", "rate_rps", "budget_pages", "k", "queries", "area", "panel",
     "dataset", "shards", "workers", "updates", "dims", "run",
+    "expected_min",
 }
 
 #: Deterministic lower-is-better counters.
