@@ -73,6 +73,12 @@ class NodeCodec:
         self.fanout = fanout_for_block(block_size, dim)
         self._entry_format = "<" + "d" * (2 * dim) + "I"
         self._entry_size = struct.calcsize(self._entry_format)
+        #: One on-disk entry as a packed numpy record (numpy backend only).
+        self._record_dtype = (
+            kernels.np.dtype([("coords", "<f8", (2 * dim,)), ("ptr", "<u4")])
+            if kernels.HAVE_NUMPY
+            else None
+        )
 
     def encode(self, is_leaf: bool, entries: list[tuple[Rect, int]]) -> bytes:
         """Pack a node into exactly one block of bytes.
@@ -95,6 +101,43 @@ class NodeCodec:
             )
         encoded = b"".join(parts)
         return encoded.ljust(self.block_size, b"\x00")
+
+    def encode_arrays(self, is_leaf: bool, lo, hi, ptrs: list[int]) -> bytes:
+        """Pack a node held as coordinate tables into one block.
+
+        The inverse of :meth:`decode_arrays` and byte-for-byte what
+        :meth:`encode` produces for the same rows — the write-back path
+        of a page that was decoded (and updated) as a frame, so flushing
+        it never builds a ``Rect``.
+        """
+        count = len(ptrs)
+        if count > self.fanout:
+            raise ValueError(
+                f"{count} entries exceed block fan-out {self.fanout}"
+            )
+        dim = self.dim
+        header = struct.pack(HEADER_FORMAT, 1 if is_leaf else 0, count)
+        if kernels.HAVE_NUMPY and isinstance(lo, kernels.np.ndarray):
+            if count and lo.shape[1] != dim:
+                raise ValueError(
+                    f"rows have dimension {lo.shape[1]}, codec expects {dim}"
+                )
+            raw = kernels.np.empty(count, dtype=self._record_dtype)
+            if count:
+                raw["coords"][:, :dim] = lo
+                raw["coords"][:, dim:] = hi
+                raw["ptr"] = ptrs
+            body = raw.tobytes()
+        else:
+            if count and len(lo[0]) != dim:
+                raise ValueError(
+                    f"rows have dimension {len(lo[0])}, codec expects {dim}"
+                )
+            body = b"".join(
+                struct.pack(self._entry_format, *lo[i], *hi[i], ptrs[i])
+                for i in range(count)
+            )
+        return (header + body).ljust(self.block_size, b"\x00")
 
     def decode(self, block: bytes) -> tuple[bool, list[tuple[Rect, int]]]:
         """Inverse of :meth:`encode`."""
@@ -135,9 +178,7 @@ class NodeCodec:
             np = kernels.np
             raw = np.frombuffer(
                 block,
-                dtype=np.dtype(
-                    [("coords", "<f8", (2 * dim,)), ("ptr", "<u4")]
-                ),
+                dtype=self._record_dtype,
                 count=count,
                 offset=HEADER_BYTES,
             )

@@ -30,9 +30,13 @@ updates erode it.  It is the trigger input the ROADMAP's
 degradation-triggered re-pack needs: cheap (one walk, no queries),
 monotone under structural decay, and comparable across index sizes.
 
-All arithmetic is plain Python floats over
-:func:`~repro.geometry.kernels.table_row` rows, so the numbers are
-bit-identical between the numpy and pure-Python kernel backends.
+Per-node sums run on the frame's coordinate tables through
+:mod:`repro.geometry.kernels` — the sibling-overlap term is O(B^2) per
+node and was most of ``pack_tree``'s time as an interpreter loop.  Every
+kernel adds its terms one at a time in entry order (pairs in row-major
+``i < j`` order), so each field is the float the entry-at-a-time walk
+kept as the oracle in ``tests/unit/test_health.py`` produces, under
+either kernel backend: stored baselines do not move.
 
 This module deliberately imports nothing from :mod:`repro.storage`
 (which imports :mod:`repro.obs`): trees, stores and shard families are
@@ -125,32 +129,6 @@ class TreeQuality:
         return math.sqrt(var) / mean
 
 
-def _row(table, i: int) -> tuple[float, ...]:
-    return tuple(float(c) for c in kernels.table_row(table, i))
-
-
-def _area(lo: tuple, hi: tuple) -> float:
-    out = 1.0
-    for a, b in zip(lo, hi):
-        out *= b - a
-    return out
-
-
-def _margin(lo: tuple, hi: tuple) -> float:
-    return sum(b - a for a, b in zip(lo, hi))
-
-
-def _intersection_area(a_lo, a_hi, b_lo, b_hi) -> float:
-    out = 1.0
-    for al, ah, bl, bh in zip(a_lo, a_hi, b_lo, b_hi):
-        lo = al if al > bl else bl
-        hi = ah if ah < bh else bh
-        if hi <= lo:
-            return 0.0
-        out *= hi - lo
-    return out
-
-
 class _LevelAcc:
     __slots__ = ("nodes", "entries", "area", "overlap", "dead", "perimeter", "leaf")
 
@@ -199,31 +177,18 @@ def tree_quality(tree) -> TreeQuality:
         acc.nodes += 1
         acc.entries += n
         acc.leaf = bool(frame.is_leaf)
-        rects = [(_row(frame.lo, i), _row(frame.hi, i)) for i in range(n)]
+        lo, hi = frame.lo, frame.hi
         covered = 0.0
-        node_lo: list[float] = []
-        node_hi: list[float] = []
-        for lo, hi in rects:
-            covered += _area(lo, hi)
-            acc.perimeter += _margin(lo, hi)
-            if not node_lo:
-                node_lo, node_hi = list(lo), list(hi)
-            else:
-                for k in range(len(lo)):
-                    if lo[k] < node_lo[k]:
-                        node_lo[k] = lo[k]
-                    if hi[k] > node_hi[k]:
-                        node_hi[k] = hi[k]
+        for entry_area in kernels.frame_areas(lo, hi):
+            covered += entry_area
+        for margin in kernels.frame_margins(lo, hi):
+            acc.perimeter += margin
         acc.area += covered
-        if node_lo:
-            dead = _area(tuple(node_lo), tuple(node_hi)) - covered
+        if n:
+            dead = kernels.area(*kernels.frame_mbr(lo, hi)) - covered
             if dead > 0.0:
                 acc.dead += dead
-        for i in range(n):
-            a_lo, a_hi = rects[i]
-            for j in range(i + 1, n):
-                b_lo, b_hi = rects[j]
-                acc.overlap += _intersection_area(a_lo, a_hi, b_lo, b_hi)
+        acc.overlap = kernels.frame_overlap_sum(lo, hi, acc.overlap)
         if not frame.is_leaf:
             child_level = level + 1
             for i in range(n):

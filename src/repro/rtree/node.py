@@ -10,12 +10,13 @@ paper's "pointer to the original data").
 Two representations, one node
 -----------------------------
 
-The read path wants geometry as contiguous arrays — a
-:class:`NodeFrame` holds the node's ``lo``/``hi`` coordinates as two
-``(n, d)`` tables plus a pointer list, so the vectorized kernels in
-:mod:`repro.geometry.kernels` evaluate a whole node (or a whole batch of
-queries against it) in one operation.  The write path and the builders
-want a mutable ``list[(Rect, int)]``.  :class:`Node` keeps both:
+The read path *and* the Guttman write path want geometry as contiguous
+arrays — a :class:`NodeFrame` holds the node's ``lo``/``hi`` coordinates
+as two ``(n, d)`` tables plus a pointer list, so the kernels in
+:mod:`repro.geometry.kernels` evaluate a whole node (a window test,
+ChooseLeaf, FindLeaf, a quadratic split) in one operation.  The
+builders, the R* update path and custom splitters want a mutable
+``list[(Rect, int)]``.  :class:`Node` keeps both:
 
 * ``Node(is_leaf, entries)`` — the classic constructor; the frame is
   materialized lazily on first kernel access and cached.
@@ -23,11 +24,19 @@ want a mutable ``list[(Rect, int)]``.  :class:`Node` keeps both:
   the entry list is materialized lazily on first entry-level access
   (``Rect`` objects are only ever created for entries somebody reads).
 
-``node.entries`` stays a real mutable list (append, ``del``, slice
-assignment, ``sort`` — everything the Guttman/R* update paths do), but
-it is a :class:`_TrackedEntries` list that invalidates the cached frame
-on any mutation, so builders and :mod:`repro.rtree.update` run unchanged
-and can never observe a stale frame.
+A node is edited in one of two ways, and either keeps the views
+coherent:
+
+* **Whole-node edits** — :meth:`Node.add`, :meth:`Node.replace`,
+  :meth:`Node.extend_entry`, :meth:`Node.remove_at`,
+  :meth:`Node.split_off`, what :mod:`repro.rtree.update` uses — apply
+  to every representation the node holds.  A page decoded from disk is
+  inserted into, split and written back as a frame without one
+  ``Rect`` being built; an in-memory node keeps its cached frame.
+* **List edits** — ``node.entries`` stays a real mutable list (append,
+  ``del``, slice assignment, ``sort``), a :class:`_TrackedEntries`
+  that drops the cached frame on any mutation, so code written against
+  the entry list can never observe a stale frame.
 """
 
 from __future__ import annotations
@@ -66,8 +75,9 @@ class NodeFrame:
     ``lo``/``hi`` are coordinate tables (``(n, d)`` float64 arrays under
     numpy, tuples of row tuples under the pure-Python fallback — see
     :func:`repro.geometry.kernels.coord_table`), ``ptrs`` is the plain
-    Python pointer list.  Frames are read-only by convention: mutation
-    happens on the entry list, which drops its cached frame.
+    Python pointer list.  Frames are never edited in place: the edit
+    methods below return a new frame, so one handed out earlier stays
+    valid.
     """
 
     __slots__ = ("is_leaf", "lo", "hi", "ptrs")
@@ -129,6 +139,47 @@ class NodeFrame:
         """Tight bounding box of all rows, computed on the tables."""
         lo, hi = kernels.frame_mbr(self.lo, self.hi)
         return _trusted_rect(lo, hi)
+
+    # -- edits (each returns a new frame; see kernels.table_append) -----
+
+    def appended(self, rect: Rect, pointer: int) -> "NodeFrame":
+        """This frame plus one row at the end."""
+        return NodeFrame(
+            self.is_leaf,
+            kernels.table_append(self.lo, rect.lo),
+            kernels.table_append(self.hi, rect.hi),
+            self.ptrs + [pointer],
+        )
+
+    def replaced(self, i: int, rect: Rect, pointer: int) -> "NodeFrame":
+        """This frame with row ``i`` set to ``(rect, pointer)``."""
+        ptrs = list(self.ptrs)
+        ptrs[i] = pointer
+        return NodeFrame(
+            self.is_leaf,
+            kernels.table_replace(self.lo, i, rect.lo),
+            kernels.table_replace(self.hi, i, rect.hi),
+            ptrs,
+        )
+
+    def without(self, i: int) -> "NodeFrame":
+        """This frame minus row ``i``."""
+        return NodeFrame(
+            self.is_leaf,
+            kernels.table_delete(self.lo, i),
+            kernels.table_delete(self.hi, i),
+            self.ptrs[:i] + self.ptrs[i + 1 :],
+        )
+
+    def take(self, rows: Sequence[int]) -> "NodeFrame":
+        """A frame of rows ``rows``, in that order (one side of a split)."""
+        ptrs = self.ptrs
+        return NodeFrame(
+            self.is_leaf,
+            kernels.table_take(self.lo, rows),
+            kernels.table_take(self.hi, rows),
+            [ptrs[i] for i in rows],
+        )
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else "internal"
@@ -206,10 +257,11 @@ class Node:
 
     Nodes are plain mutable containers; all structure maintenance lives in
     the builders and :mod:`repro.rtree.update`.  The geometry is served
-    two ways — :attr:`entries` for the entry-at-a-time write path and
-    :meth:`frame` for the vectorized read path — and the two views are
-    kept coherent automatically (mutating the entries invalidates the
-    cached frame; a frame-built node materializes entries on demand).
+    two ways — :attr:`entries` for entry-at-a-time code and :meth:`frame`
+    for the whole-node kernels — and the two views are kept coherent
+    automatically (the whole-node edits update both; mutating the entry
+    list invalidates the cached frame; a frame-built node materializes
+    entries on demand).
     """
 
     __slots__ = ("is_leaf", "_entries", "_frame")
@@ -269,7 +321,7 @@ class Node:
             )
         return frame
 
-    # -- entry-level API (unchanged) -----------------------------------
+    # -- entry-level API ------------------------------------------------
 
     def mbr(self) -> Rect:
         """Minimal bounding box of all entries (the node's outward face)."""
@@ -282,9 +334,72 @@ class Node:
             raise ValueError("empty node has no bounding box")
         return mbr_of(rect for rect, _ in self._entries)
 
+    def entry(self, i: int) -> Entry:
+        """Entry ``i`` without materializing the rest of a decoded page."""
+        if self._entries is not None:
+            return self._entries[i]
+        return self._frame.entry(i)
+
+    # -- whole-node edits (the write path) -----------------------------
+    #
+    # Each applies to whichever representation the node currently holds
+    # — both, when both are materialized — so a page decoded from disk
+    # is updated without ever building a ``Rect`` list, and a cached
+    # frame survives the edit instead of being rebuilt from entries.
+
     def add(self, rect: Rect, pointer: int) -> None:
         """Append one entry."""
-        self.entries.append((rect, pointer))
+        if self._entries is not None:
+            list.append(self._entries, (rect, pointer))
+        if self._frame is not None:
+            self._frame = self._frame.appended(rect, pointer)
+
+    def replace(self, i: int, rect: Rect, pointer: int) -> None:
+        """Set entry ``i`` to ``(rect, pointer)``."""
+        if self._entries is not None:
+            list.__setitem__(self._entries, i, (rect, pointer))
+        if self._frame is not None:
+            self._frame = self._frame.replaced(i, rect, pointer)
+
+    def extend_entry(self, i: int, rect: Rect) -> None:
+        """Grow entry ``i``'s box just enough to also cover ``rect``.
+
+        AdjustTree above a child that took ``rect`` without splitting:
+        the child's new bounding box is exactly its old one (this
+        entry, by the tight-box invariant) united with ``rect`` — no
+        need to scan the child.
+        """
+        box, pointer = self.entry(i)
+        lo = tuple(a if a <= c else c for a, c in zip(box.lo, rect.lo))
+        hi = tuple(b if b >= d else d for b, d in zip(box.hi, rect.hi))
+        if lo != box.lo or hi != box.hi:
+            self.replace(i, _trusted_rect(lo, hi), pointer)
+
+    def remove_at(self, i: int) -> None:
+        """Delete entry ``i``."""
+        if self._entries is not None:
+            list.__delitem__(self._entries, i)
+        if self._frame is not None:
+            self._frame = self._frame.without(i)
+
+    def split_off(self, keep: Sequence[int], move: Sequence[int]) -> "Node":
+        """Keep entries ``keep`` here; return a new node holding ``move``.
+
+        Both in the given order — a splitter's two groups as row lists.
+        """
+        sibling = Node.__new__(Node)
+        sibling.is_leaf = self.is_leaf
+        entries, frame = self._entries, self._frame
+        sibling._entries = sibling._frame = None
+        if entries is not None:
+            sibling._entries = _TrackedEntries(
+                sibling, [entries[i] for i in move]
+            )
+            self._entries = _TrackedEntries(self, [entries[i] for i in keep])
+        if frame is not None:
+            sibling._frame = frame.take(move)
+            self._frame = frame.take(keep)
+        return sibling
 
     def remove(self, rect: Rect, pointer: int) -> bool:
         """Remove the first entry equal to ``(rect, pointer)``.

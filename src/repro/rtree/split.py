@@ -7,12 +7,19 @@ updated in O(log_B N) I/Os using the standard R-tree updating algorithms")
 is exactly these algorithms applied unchanged.
 
 Both splitters guarantee each side receives at least ``min_fill`` entries.
+
+The quadratic algorithm — the default, and O(B^2) per split — lives in
+:func:`repro.geometry.kernels.quadratic_split` as a whole-node kernel
+over coordinate tables (numpy, with the bit-identical pure-Python
+fallback); this module keeps its entry-list face and the linear
+splitter, which is O(B) and stays entry-at-a-time.
 """
 
 from __future__ import annotations
 
+from repro.geometry import kernels
 from repro.geometry.rect import mbr_of
-from repro.rtree.node import Entry
+from repro.rtree.node import Entry, NodeFrame
 
 
 def quadratic_split(
@@ -24,122 +31,16 @@ def quadratic_split(
     are assigned one at a time, always the entry with the strongest
     preference, to the group whose bounding box grows least.
 
-    The hot loops run on raw coordinate tuples instead of
-    :class:`~repro.geometry.rect.Rect` operations: splitting a full
-    B=113 node costs O(B^2) union-area evaluations, and constructing a
-    ``Rect`` per evaluation made one split cost ~100 ms — a stall the
-    async serving layer's exclusive write batches turn into a
-    service-wide pause.  The arithmetic (and every tie-break) is
-    operation-for-operation identical to the ``Rect`` formulation, so
-    the produced groups are exactly the same.
+    The algorithm itself is :func:`repro.geometry.kernels.quadratic_split`
+    — O(B^2) union-area evaluations per split, run as whole-node array
+    operations — and this is its entry-list face: pack the rectangles
+    into coordinate tables, split the rows, hand back the entries.
+    :mod:`repro.rtree.update` skips the packing and calls the kernel on
+    the node's frame directly.
     """
-    if len(entries) < 2:
-        raise ValueError("cannot split fewer than 2 entries")
-    if min_fill < 1 or 2 * min_fill > len(entries):
-        raise ValueError(
-            f"min_fill {min_fill} infeasible for {len(entries)} entries"
-        )
-
-    n = len(entries)
-    los = [entry[0].lo for entry in entries]
-    his = [entry[0].hi for entry in entries]
-    areas = [entry[0].area() for entry in entries]
-
-    def union_area(box_lo: tuple, box_hi: tuple, k: int) -> float:
-        acc = 1.0
-        for a, b, c, d in zip(box_lo, box_hi, los[k], his[k]):
-            acc *= (b if b >= d else d) - (a if a <= c else c)
-        return acc
-
-    # PickSeeds: the most wasteful pair.
-    worst = -1.0
-    seed_a = 0
-    seed_b = 1
-    for i in range(n):
-        lo_i, hi_i, area_i = los[i], his[i], areas[i]
-        for j in range(i + 1, n):
-            waste = union_area(lo_i, hi_i, j) - area_i - areas[j]
-            if waste > worst:
-                worst = waste
-                seed_a, seed_b = i, j
-
-    group_a = [entries[seed_a]]
-    group_b = [entries[seed_b]]
-    box_a_lo, box_a_hi, box_a_area = los[seed_a], his[seed_a], areas[seed_a]
-    box_b_lo, box_b_hi, box_b_area = los[seed_b], his[seed_b], areas[seed_b]
-    remaining = [k for k in range(n) if k != seed_a and k != seed_b]
-    # Enlargements are cached per group box and only recomputed when
-    # that box actually grew — cached values are bit-identical to fresh
-    # ones, so PickNext's choices cannot drift.
-    enl_a = {
-        k: union_area(box_a_lo, box_a_hi, k) - box_a_area for k in remaining
-    }
-    enl_b = {
-        k: union_area(box_b_lo, box_b_hi, k) - box_b_area for k in remaining
-    }
-
-    while remaining:
-        # If one group must absorb everything to reach min_fill, do so.
-        if len(group_a) + len(remaining) <= min_fill:
-            group_a.extend(entries[k] for k in remaining)
-            break
-        if len(group_b) + len(remaining) <= min_fill:
-            group_b.extend(entries[k] for k in remaining)
-            break
-        # PickNext: strongest preference first.
-        best_pos = 0
-        best_diff = -1.0
-        for pos, k in enumerate(remaining):
-            diff = abs(enl_a[k] - enl_b[k])
-            if diff > best_diff:
-                best_diff = diff
-                best_pos = pos
-        k = remaining.pop(best_pos)
-        grow_a = enl_a.pop(k)
-        grow_b = enl_b.pop(k)
-        if grow_a < grow_b:
-            choose_a = True
-        elif grow_b < grow_a:
-            choose_a = False
-        elif box_a_area != box_b_area:
-            choose_a = box_a_area < box_b_area
-        else:
-            choose_a = len(group_a) <= len(group_b)
-        if choose_a:
-            group_a.append(entries[k])
-            new_lo = tuple(
-                a if a <= c else c for a, c in zip(box_a_lo, los[k])
-            )
-            new_hi = tuple(
-                b if b >= d else d for b, d in zip(box_a_hi, his[k])
-            )
-            if new_lo != box_a_lo or new_hi != box_a_hi:
-                box_a_lo, box_a_hi = new_lo, new_hi
-                box_a_area = 1.0
-                for a, b in zip(new_lo, new_hi):
-                    box_a_area *= b - a
-                for kk in remaining:
-                    enl_a[kk] = (
-                        union_area(box_a_lo, box_a_hi, kk) - box_a_area
-                    )
-        else:
-            group_b.append(entries[k])
-            new_lo = tuple(
-                a if a <= c else c for a, c in zip(box_b_lo, los[k])
-            )
-            new_hi = tuple(
-                b if b >= d else d for b, d in zip(box_b_hi, his[k])
-            )
-            if new_lo != box_b_lo or new_hi != box_b_hi:
-                box_b_lo, box_b_hi = new_lo, new_hi
-                box_b_area = 1.0
-                for a, b in zip(new_lo, new_hi):
-                    box_b_area *= b - a
-                for kk in remaining:
-                    enl_b[kk] = (
-                        union_area(box_b_lo, box_b_hi, kk) - box_b_area
-                    )
-    return group_a, group_b
+    frame = NodeFrame.from_entries(False, entries)
+    rows_a, rows_b = kernels.quadratic_split(frame.lo, frame.hi, min_fill)
+    return [entries[k] for k in rows_a], [entries[k] for k in rows_b]
 
 
 def linear_split(

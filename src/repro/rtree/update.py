@@ -14,18 +14,34 @@ updating algorithms, but without maintaining its query efficiency"
 
 All node reads/writes go through the tree's counted accessors, so update
 I/O cost is measurable just like query cost.
+
+Every per-node decision runs on the node's frame through
+:mod:`repro.geometry.kernels` — ChooseLeaf (``frame_enlargement`` plus
+the area tie-break), FindLeaf (``frame_containing_rect`` /
+``frame_equal_to``), the quadratic split, and the bounding boxes
+AdjustTree/CondenseTree propagate — and every edit goes through
+:class:`~repro.rtree.node.Node`'s whole-node methods, so a page decoded
+from disk is updated without its entry list ever existing.  Choices,
+tie-breaks and floats are those of the entry-at-a-time formulation
+(kept verbatim as the oracle in
+``tests/integration/test_vectorized_differential.py``): the same
+operations produce the same tree, block for block.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.rtree.node import Entry, Node
 from repro.rtree.split import quadratic_split
 from repro.rtree.tree import RTree
 
 Splitter = Callable[[list[Entry], int], tuple[list[Entry], list[Entry]]]
+
+#: One step of a root-to-node path: (block id, node, chosen child index).
+PathStep = tuple[int, Node, int]
 
 
 # ----------------------------------------------------------------------
@@ -47,17 +63,14 @@ def insert(
 
 def _choose_subtree(node: Node, rect: Rect) -> int:
     """Index of the child entry needing least enlargement (ties: area)."""
-    best_idx = 0
-    best_growth = float("inf")
-    best_area = float("inf")
-    for idx, (box, _) in enumerate(node.entries):
-        growth = box.enlargement(rect)
-        area = box.area()
-        if growth < best_growth or (growth == best_growth and area < best_area):
-            best_idx = idx
-            best_growth = growth
-            best_area = area
-    return best_idx
+    frame = node.frame()
+    growth = kernels.frame_enlargement(frame.lo, frame.hi, rect.lo, rect.hi)
+    least = min(growth)
+    ties = [idx for idx, grown in enumerate(growth) if grown == least]
+    if len(ties) == 1:
+        return ties[0]
+    areas = kernels.frame_areas(frame.lo, frame.hi)
+    return min(ties, key=areas.__getitem__)
 
 
 def _insert_at_level(
@@ -68,64 +81,78 @@ def _insert_at_level(
     Used both for data inserts (level 0) and for CondenseTree's
     reinsertion of orphaned subtrees at their original level.
     """
-    # Descend, recording the path as (block_id, node, chosen child index).
-    path: list[tuple[int, Node, int]] = []
+    path: list[PathStep] = []
     block_id = tree.root_id
     node = tree.read_node(block_id)
     level = tree.height - 1
     while level > target_level:
         child_idx = _choose_subtree(node, rect)
         path.append((block_id, node, child_idx))
-        block_id = node.entries[child_idx][1]
+        block_id = node.frame().ptrs[child_idx]
         node = tree.read_node(block_id)
         level -= 1
 
     node.add(rect, pointer)
-    _propagate_up(tree, path, block_id, node, splitter)
+    _propagate_up(tree, path, block_id, node, rect, splitter)
+
+
+def _split_overfull(
+    tree: RTree, node: Node, splitter: Splitter
+) -> tuple[Rect, int] | None:
+    """Split ``node`` if it overflowed; returns the new sibling's entry.
+
+    The default splitter runs as a whole-node kernel on the frame and
+    hands back row lists, so a decoded page splits without its entries
+    ever materializing; any other splitter gets the entry list it was
+    written against.
+    """
+    if len(node) <= tree.fanout:
+        return None
+    if splitter is quadratic_split:
+        frame = node.frame()
+        keep, move = kernels.quadratic_split(frame.lo, frame.hi, tree.min_fill)
+        sibling = node.split_off(keep, move)
+    else:
+        group_a, group_b = splitter(node.entries, tree.min_fill)
+        node.entries = group_a
+        sibling = Node(node.is_leaf, group_b)
+    return sibling.mbr(), tree.store.allocate(sibling)
 
 
 def _propagate_up(
     tree: RTree,
-    path: list[tuple[int, Node, int]],
+    path: list[PathStep],
     block_id: int,
     node: Node,
+    rect: Rect,
     splitter: Splitter,
 ) -> None:
-    """AdjustTree: write back, split overflowing nodes, grow the root."""
-    split_sibling: tuple[Rect, int] | None = None
+    """AdjustTree: write back, split overflowing nodes, grow the root.
 
-    if len(node) > tree.fanout:
-        group_a, group_b = splitter(node.entries, tree.min_fill)
-        node.entries = group_a
-        sibling = Node(node.is_leaf, group_b)
-        sibling_id = tree.store.allocate(sibling)
-        split_sibling = (sibling.mbr(), sibling_id)
+    ``rect`` is the box just added to ``node``.  Above a node that did
+    not split, the parent entry only has to grow to cover ``rect``;
+    above one that did, it is recomputed from what the node kept.
+    """
+    sibling = _split_overfull(tree, node, splitter)
     tree.write_node(block_id, node)
-
-    child_mbr = node.mbr()
-    child_id = block_id
+    child_id, child = block_id, node
 
     for parent_id, parent, child_idx in reversed(path):
-        parent.entries[child_idx] = (child_mbr, child_id)
-        if split_sibling is not None:
-            parent.add(*split_sibling)
-            split_sibling = None
-        if len(parent) > tree.fanout:
-            group_a, group_b = splitter(parent.entries, tree.min_fill)
-            parent.entries = group_a
-            sibling = Node(parent.is_leaf, group_b)
-            sibling_id = tree.store.allocate(sibling)
-            split_sibling = (sibling.mbr(), sibling_id)
+        if sibling is None:
+            parent.extend_entry(child_idx, rect)
+        else:
+            parent.replace(child_idx, child.mbr(), child_id)
+            parent.add(*sibling)
+        sibling = _split_overfull(tree, parent, splitter)
         tree.write_node(parent_id, parent)
-        child_mbr = parent.mbr()
-        child_id = parent_id
+        child_id, child = parent_id, parent
 
-    if split_sibling is not None:
+    if sibling is not None:
         # The root itself split: grow the tree by one level.
         old_root = tree.store.peek(tree.root_id)
         new_root = Node(
             is_leaf=False,
-            entries=[(old_root.mbr(), tree.root_id), split_sibling],
+            entries=[(old_root.mbr(), tree.root_id), sibling],
         )
         tree.root_id = tree.store.allocate(new_root)
         tree.height += 1
@@ -150,8 +177,8 @@ def delete(tree: RTree, rect: Rect, value: Any) -> bool:
     if found is None:
         return False
     path, leaf_id, leaf, entry_idx = found
-    oid = leaf.entries[entry_idx][1]
-    del leaf.entries[entry_idx]
+    oid = leaf.frame().ptrs[entry_idx]
+    leaf.remove_at(entry_idx)
     _condense_tree(tree, path, leaf_id, leaf)
     # Bookkeeping last: a condense that fails must not leave the size
     # or object table claiming the entry was removed.
@@ -162,30 +189,44 @@ def delete(tree: RTree, rect: Rect, value: Any) -> bool:
 
 def _find_leaf(
     tree: RTree, rect: Rect, value: Any
-) -> tuple[list[tuple[int, Node, int]], int, Node, int] | None:
+) -> tuple[list[PathStep], int, Node, int] | None:
     """Locate a leaf containing ``(rect, value)``.
 
     Returns ``(path, leaf_block_id, leaf, entry_index)`` where path lists
     ``(block_id, node, child_index)`` from the root down.  Depth-first
-    search over all subtrees whose boxes contain ``rect``.
+    search over all subtrees whose boxes contain ``rect``.  Pending
+    subtrees share their ancestors through parent links; only the path
+    to the leaf that matched is ever built.
     """
-    stack: list[tuple[int, list[tuple[int, Node, int]]]] = [(tree.root_id, [])]
+    q_lo = kernels.as_coords(rect.lo)
+    q_hi = kernels.as_coords(rect.hi)
+    stack: list[tuple[int, tuple | None]] = [(tree.root_id, None)]
     while stack:
-        block_id, path = stack.pop()
+        block_id, link = stack.pop()
         node = tree.read_node(block_id)
-        if node.is_leaf:
-            for idx, (box, oid) in enumerate(node.entries):
-                if box == rect and tree.objects.get(oid) == value:
+        frame = node.frame()
+        ptrs = frame.ptrs
+        if frame.is_leaf:
+            for idx in kernels.frame_equal_to(frame.lo, frame.hi, q_lo, q_hi):
+                if tree.objects.get(ptrs[idx]) == value:
+                    path: list[PathStep] = []
+                    while link is not None:
+                        parent_id, parent, child_idx, link = link
+                        path.append((parent_id, parent, child_idx))
+                    path.reverse()
                     return path, block_id, node, idx
         else:
-            for child_idx, (box, child_id) in enumerate(node.entries):
-                if box.contains_rect(rect):
-                    stack.append((child_id, path + [(block_id, node, child_idx)]))
+            for child_idx in kernels.frame_containing_rect(
+                frame.lo, frame.hi, q_lo, q_hi
+            ):
+                stack.append(
+                    (ptrs[child_idx], (block_id, node, child_idx, link))
+                )
     return None
 
 
 def _condense_tree(
-    tree: RTree, path: list[tuple[int, Node, int]], block_id: int, node: Node
+    tree: RTree, path: list[PathStep], block_id: int, node: Node
 ) -> None:
     """CondenseTree: dissolve underfull nodes, tighten boxes, reinsert."""
     # (entries, level) pairs orphaned by eliminated nodes.
@@ -195,12 +236,12 @@ def _condense_tree(
 
     for parent_id, parent, child_idx in reversed(path):
         if len(current) < tree.min_fill:
-            del parent.entries[child_idx]
-            if current.entries:
+            parent.remove_at(child_idx)
+            if len(current):
                 orphans.append((list(current.entries), level))
             tree.store.free(current_id)
         else:
-            parent.entries[child_idx] = (current.mbr(), current_id)
+            parent.replace(child_idx, current.mbr(), current_id)
             tree.write_node(current_id, current)
         current_id, current = parent_id, parent
         level += 1
@@ -211,7 +252,7 @@ def _condense_tree(
     # subtree dissolved; restart from an empty leaf root so reinsertion
     # has somewhere to descend.
     root = tree.store.peek(tree.root_id)
-    if not root.is_leaf and not root.entries:
+    if not root.is_leaf and not len(root):
         tree.store.free(tree.root_id)
         tree.root_id = tree.store.allocate(Node(is_leaf=True))
         tree.height = 1
@@ -232,7 +273,7 @@ def _condense_tree(
         if root.is_leaf or len(root) != 1:
             break
         old_root_id = tree.root_id
-        tree.root_id = root.entries[0][1]
+        tree.root_id = root.child_ids()[0]
         tree.store.free(old_root_id)
         tree.height -= 1
 

@@ -314,7 +314,10 @@ class PagedNodeStore:
         self, block_id: BlockId, node: Node, tap: IOTap | None = None
     ) -> None:
         """Encode one dirty page and physically write it (uncounted)."""
-        encoded = self.codec.encode(node.is_leaf, node.entries)
+        frame = node.frame()
+        encoded = self.codec.encode_arrays(
+            frame.is_leaf, frame.lo, frame.hi, frame.ptrs
+        )
         self.file_store.write_back(block_id, encoded)
         self.stats.flushes += 1
         if tap is not None:

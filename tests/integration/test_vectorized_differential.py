@@ -21,6 +21,7 @@ re-executes it with ``REPRO_NO_NUMPY=1``.
 
 import heapq
 import math
+import random
 import tempfile
 import pathlib
 
@@ -31,13 +32,18 @@ from hypothesis import strategies as st
 from repro.bulk.hilbert import build_hilbert, build_hilbert4
 from repro.bulk.str_pack import build_str
 from repro.bulk.tgs import build_tgs
-from repro.geometry.rect import Rect
+from repro.geometry import kernels
+from repro.geometry.rect import Rect, mbr_of
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
 from repro.queries.join import JoinStats, SpatialJoinEngine, sweep_pairs, sweep_order
 from repro.queries.knn import KNNEngine, Neighbor, _dist_sq
 from repro.queries.point import PointQueryEngine
+from repro.rtree.node import Node
 from repro.rtree.query import QueryEngine, QueryStats
+from repro.rtree.split import quadratic_split
+from repro.rtree.tree import RTree
+from repro.rtree.update import _choose_subtree
 from repro.queries.base import TraversalEngine
 from repro.storage import PagedTree, pack_tree
 
@@ -532,3 +538,555 @@ class TestPagedTreeDifferential:
             assert (
                 vec_tree.page_stats.misses <= sca_tree.page_stats.misses
             )
+
+
+# ----------------------------------------------------------------------
+# Write path: Guttman insert/delete on whole-node kernels vs the
+# pre-refactor entry-at-a-time code.
+#
+# The oracles are verbatim copies of ``rtree/update.py`` and
+# ``rtree/split.py::quadratic_split`` as they stood before the write
+# path moved onto frames (``Rect`` calls over ``node.entries``, scalar
+# ``mbr_of`` boxes, ``path + [...]`` per pushed child), with one
+# deliberate difference shared by every implementation: PickSeeds
+# starts from ``-inf`` instead of ``-1.0``.
+# ----------------------------------------------------------------------
+
+
+def oracle_mbr(node):
+    """``Node.mbr`` as it was: a scalar scan over the entry list."""
+    if not node.entries:
+        raise ValueError("empty node has no bounding box")
+    return mbr_of(rect for rect, _ in node.entries)
+
+
+def oracle_quadratic_split(entries, min_fill):
+    if len(entries) < 2:
+        raise ValueError("cannot split fewer than 2 entries")
+    if min_fill < 1 or 2 * min_fill > len(entries):
+        raise ValueError(
+            f"min_fill {min_fill} infeasible for {len(entries)} entries"
+        )
+
+    n = len(entries)
+    los = [entry[0].lo for entry in entries]
+    his = [entry[0].hi for entry in entries]
+    areas = [entry[0].area() for entry in entries]
+
+    def union_area(box_lo, box_hi, k):
+        acc = 1.0
+        for a, b, c, d in zip(box_lo, box_hi, los[k], his[k]):
+            acc *= (b if b >= d else d) - (a if a <= c else c)
+        return acc
+
+    # PickSeeds: the most wasteful pair.
+    worst = float("-inf")
+    seed_a = 0
+    seed_b = 1
+    for i in range(n):
+        lo_i, hi_i, area_i = los[i], his[i], areas[i]
+        for j in range(i + 1, n):
+            waste = union_area(lo_i, hi_i, j) - area_i - areas[j]
+            if waste > worst:
+                worst = waste
+                seed_a, seed_b = i, j
+
+    group_a = [entries[seed_a]]
+    group_b = [entries[seed_b]]
+    box_a_lo, box_a_hi, box_a_area = los[seed_a], his[seed_a], areas[seed_a]
+    box_b_lo, box_b_hi, box_b_area = los[seed_b], his[seed_b], areas[seed_b]
+    remaining = [k for k in range(n) if k != seed_a and k != seed_b]
+    enl_a = {
+        k: union_area(box_a_lo, box_a_hi, k) - box_a_area for k in remaining
+    }
+    enl_b = {
+        k: union_area(box_b_lo, box_b_hi, k) - box_b_area for k in remaining
+    }
+
+    while remaining:
+        if len(group_a) + len(remaining) <= min_fill:
+            group_a.extend(entries[k] for k in remaining)
+            break
+        if len(group_b) + len(remaining) <= min_fill:
+            group_b.extend(entries[k] for k in remaining)
+            break
+        best_pos = 0
+        best_diff = -1.0
+        for pos, k in enumerate(remaining):
+            diff = abs(enl_a[k] - enl_b[k])
+            if diff > best_diff:
+                best_diff = diff
+                best_pos = pos
+        k = remaining.pop(best_pos)
+        grow_a = enl_a.pop(k)
+        grow_b = enl_b.pop(k)
+        if grow_a < grow_b:
+            choose_a = True
+        elif grow_b < grow_a:
+            choose_a = False
+        elif box_a_area != box_b_area:
+            choose_a = box_a_area < box_b_area
+        else:
+            choose_a = len(group_a) <= len(group_b)
+        if choose_a:
+            group_a.append(entries[k])
+            new_lo = tuple(
+                a if a <= c else c for a, c in zip(box_a_lo, los[k])
+            )
+            new_hi = tuple(
+                b if b >= d else d for b, d in zip(box_a_hi, his[k])
+            )
+            if new_lo != box_a_lo or new_hi != box_a_hi:
+                box_a_lo, box_a_hi = new_lo, new_hi
+                box_a_area = 1.0
+                for a, b in zip(new_lo, new_hi):
+                    box_a_area *= b - a
+                for kk in remaining:
+                    enl_a[kk] = (
+                        union_area(box_a_lo, box_a_hi, kk) - box_a_area
+                    )
+        else:
+            group_b.append(entries[k])
+            new_lo = tuple(
+                a if a <= c else c for a, c in zip(box_b_lo, los[k])
+            )
+            new_hi = tuple(
+                b if b >= d else d for b, d in zip(box_b_hi, his[k])
+            )
+            if new_lo != box_b_lo or new_hi != box_b_hi:
+                box_b_lo, box_b_hi = new_lo, new_hi
+                box_b_area = 1.0
+                for a, b in zip(new_lo, new_hi):
+                    box_b_area *= b - a
+                for kk in remaining:
+                    enl_b[kk] = (
+                        union_area(box_b_lo, box_b_hi, kk) - box_b_area
+                    )
+    return group_a, group_b
+
+
+def oracle_insert(tree, rect, value):
+    oid = tree.register_object(value)
+    _oracle_insert_at_level(tree, rect, oid, target_level=0)
+    tree.size += 1
+    return oid
+
+
+def oracle_choose_subtree(node, rect):
+    best_idx = 0
+    best_growth = float("inf")
+    best_area = float("inf")
+    for idx, (box, _) in enumerate(node.entries):
+        growth = box.enlargement(rect)
+        area = box.area()
+        if growth < best_growth or (growth == best_growth and area < best_area):
+            best_idx = idx
+            best_growth = growth
+            best_area = area
+    return best_idx
+
+
+def _oracle_insert_at_level(tree, rect, pointer, target_level):
+    path = []
+    block_id = tree.root_id
+    node = tree.read_node(block_id)
+    level = tree.height - 1
+    while level > target_level:
+        child_idx = oracle_choose_subtree(node, rect)
+        path.append((block_id, node, child_idx))
+        block_id = node.entries[child_idx][1]
+        node = tree.read_node(block_id)
+        level -= 1
+
+    node.entries.append((rect, pointer))
+    _oracle_propagate_up(tree, path, block_id, node)
+
+
+def _oracle_propagate_up(tree, path, block_id, node):
+    split_sibling = None
+
+    if len(node) > tree.fanout:
+        group_a, group_b = oracle_quadratic_split(node.entries, tree.min_fill)
+        node.entries = group_a
+        sibling = Node(node.is_leaf, group_b)
+        sibling_id = tree.store.allocate(sibling)
+        split_sibling = (oracle_mbr(sibling), sibling_id)
+    tree.write_node(block_id, node)
+
+    child_mbr = oracle_mbr(node)
+    child_id = block_id
+
+    for parent_id, parent, child_idx in reversed(path):
+        parent.entries[child_idx] = (child_mbr, child_id)
+        if split_sibling is not None:
+            parent.entries.append(split_sibling)
+            split_sibling = None
+        if len(parent) > tree.fanout:
+            group_a, group_b = oracle_quadratic_split(
+                parent.entries, tree.min_fill
+            )
+            parent.entries = group_a
+            sibling = Node(parent.is_leaf, group_b)
+            sibling_id = tree.store.allocate(sibling)
+            split_sibling = (oracle_mbr(sibling), sibling_id)
+        tree.write_node(parent_id, parent)
+        child_mbr = oracle_mbr(parent)
+        child_id = parent_id
+
+    if split_sibling is not None:
+        old_root = tree.store.peek(tree.root_id)
+        new_root = Node(
+            is_leaf=False,
+            entries=[(oracle_mbr(old_root), tree.root_id), split_sibling],
+        )
+        tree.root_id = tree.store.allocate(new_root)
+        tree.height += 1
+
+
+def oracle_delete(tree, rect, value):
+    found = oracle_find_leaf(tree, rect, value)
+    if found is None:
+        return False
+    path, leaf_id, leaf, entry_idx = found
+    oid = leaf.entries[entry_idx][1]
+    del leaf.entries[entry_idx]
+    _oracle_condense_tree(tree, path, leaf_id, leaf)
+    tree.objects.pop(oid, None)
+    tree.size -= 1
+    return True
+
+
+def oracle_find_leaf(tree, rect, value):
+    stack = [(tree.root_id, [])]
+    while stack:
+        block_id, path = stack.pop()
+        node = tree.read_node(block_id)
+        if node.is_leaf:
+            for idx, (box, oid) in enumerate(node.entries):
+                if box == rect and tree.objects.get(oid) == value:
+                    return path, block_id, node, idx
+        else:
+            for child_idx, (box, child_id) in enumerate(node.entries):
+                if box.contains_rect(rect):
+                    stack.append((child_id, path + [(block_id, node, child_idx)]))
+    return None
+
+
+def _oracle_condense_tree(tree, path, block_id, node):
+    orphans = []
+    level = 0
+    current_id, current = block_id, node
+
+    for parent_id, parent, child_idx in reversed(path):
+        if len(current) < tree.min_fill:
+            del parent.entries[child_idx]
+            if current.entries:
+                orphans.append((list(current.entries), level))
+            tree.store.free(current_id)
+        else:
+            parent.entries[child_idx] = (oracle_mbr(current), current_id)
+            tree.write_node(current_id, current)
+        current_id, current = parent_id, parent
+        level += 1
+
+    tree.write_node(current_id, current)
+
+    root = tree.store.peek(tree.root_id)
+    if not root.is_leaf and not root.entries:
+        tree.store.free(tree.root_id)
+        tree.root_id = tree.store.allocate(Node(is_leaf=True))
+        tree.height = 1
+
+    for entries, entry_level in orphans:
+        for rect, pointer in entries:
+            _oracle_reinsert(tree, rect, pointer, entry_level)
+
+    while True:
+        root = tree.store.peek(tree.root_id)
+        if root.is_leaf or len(root) != 1:
+            break
+        old_root_id = tree.root_id
+        tree.root_id = root.entries[0][1]
+        tree.store.free(old_root_id)
+        tree.height -= 1
+
+
+def _oracle_reinsert(tree, rect, pointer, level):
+    if level <= tree.height - 1:
+        _oracle_insert_at_level(tree, rect, pointer, level)
+        return
+    node = tree.read_node(pointer)
+    children = list(node.entries)
+    tree.store.free(pointer)
+    for child_rect, child_pointer in children:
+        _oracle_reinsert(tree, child_rect, child_pointer, level - 1)
+
+
+def tree_image(tree):
+    """Everything the write path can change, block for block."""
+    blocks = {
+        block_id: (
+            node.is_leaf,
+            [(rect.lo, rect.hi, pointer) for rect, pointer in node.entries],
+        )
+        for block_id, node, _ in tree.iter_nodes()
+    }
+    return (
+        tree.root_id,
+        tree.height,
+        tree.size,
+        blocks,
+        dict(tree.objects),
+        tree.store.counters.snapshot(),
+    )
+
+
+@st.composite
+def update_scripts(draw, dim=2, max_ops=40, scale=1.0):
+    """A seed dataset plus a list of insert / delete-the-k-th-live ops.
+
+    A third of the inserted boxes are points drawn from a short list of
+    coordinates, so duplicates, zero-area boxes and exact enlargement
+    ties all occur; ``scale`` > 1 leaves the unit square, where nested
+    boxes waste less than -1.
+    """
+    grid = [0.0, 0.25 * scale, 0.5 * scale, scale]
+
+    def box():
+        if draw(st.integers(min_value=0, max_value=2)) == 0:
+            point = [draw(st.sampled_from(grid)) for _ in range(dim)]
+            return Rect(point, point)
+        lo = [draw(unit) * scale for _ in range(dim)]
+        side = st.floats(min_value=0.0, max_value=0.3 * scale)
+        return Rect(lo, [c + draw(side) for c in lo])
+
+    data = [(box(), i) for i in range(draw(st.integers(0, 50)))]
+    ops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_ops))):
+        if draw(st.booleans()):
+            ops.append(("insert", box()))
+        else:
+            ops.append(("delete", draw(st.integers(min_value=0, max_value=10**6))))
+    return data, ops
+
+
+def run_script(tree, ops, data, do_insert, do_delete):
+    """Apply ``ops``; deletes pick the k-th live entry (mod the count)."""
+    live = list(data)
+    results = []
+    for i, (kind, arg) in enumerate(ops):
+        if kind == "insert":
+            value = 1_000_000 + i
+            results.append(do_insert(tree, arg, value))
+            live.append((arg, value))
+        elif live:
+            rect, value = live.pop(arg % len(live))
+            results.append(do_delete(tree, rect, value))
+    return results
+
+
+def assert_same_updates(build, data, ops):
+    kernel_tree = build()
+    oracle_tree = build()
+    assert tree_image(kernel_tree) == tree_image(oracle_tree)
+    got = run_script(
+        kernel_tree, ops, data,
+        lambda tree, rect, value: tree.insert(rect, value),
+        lambda tree, rect, value: tree.delete(rect, value),
+    )
+    want = run_script(oracle_tree, ops, data, oracle_insert, oracle_delete)
+    assert got == want
+    assert tree_image(kernel_tree) == tree_image(oracle_tree)
+    return kernel_tree, oracle_tree
+
+
+class TestUpdateDifferential:
+    """Kernel-driven and scalar-oracle trees stay block-for-block equal."""
+
+    @pytest.mark.parametrize("builder", ALL_BUILDERS, ids=BUILDER_IDS)
+    @settings(max_examples=25, deadline=None)
+    @given(update_scripts(), st.integers(min_value=4, max_value=16))
+    def test_update_sequences_identical(self, builder, script, fanout):
+        data, ops = script
+        assert_same_updates(
+            lambda: builder(BlockStore(), data, fanout), data, ops
+        )
+
+    @pytest.mark.parametrize("builder", ALL_BUILDERS, ids=BUILDER_IDS)
+    @settings(max_examples=10, deadline=None)
+    @given(update_scripts(scale=40.0), st.integers(min_value=4, max_value=16))
+    def test_outside_the_unit_square(self, builder, script, fanout):
+        data, ops = script
+        assert_same_updates(
+            lambda: builder(BlockStore(), data, fanout), data, ops
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(update_scripts(dim=3), st.integers(min_value=4, max_value=9))
+    def test_three_dimensions(self, script, fanout):
+        data, ops = script
+        assert_same_updates(
+            lambda: build_prtree(BlockStore(), data, fanout), data, ops
+        )
+
+    @pytest.mark.parametrize("builder", ALL_BUILDERS, ids=BUILDER_IDS)
+    def test_paper_fanout(self, builder):
+        """B = 113, enough churn to split and condense at both levels."""
+        data = random_rects(1500, seed=61)
+        rng = random.Random(62)
+        ops = []
+        for _ in range(600):
+            if rng.random() < 0.5:
+                ops.append(("delete", rng.randrange(10**6)))
+            else:
+                lo = [rng.random() * 0.95, rng.random() * 0.95]
+                if rng.random() < 0.3:
+                    ops.append(("insert", Rect(lo, lo)))
+                else:
+                    ops.append(
+                        ("insert", Rect(lo, [c + rng.random() * 0.05 for c in lo]))
+                    )
+        assert_same_updates(
+            lambda: builder(BlockStore(), data, 113), data, ops
+        )
+
+    def test_grown_from_empty(self):
+        data = random_rects(400, seed=63)
+        ops = [("insert", rect) for rect, _ in data]
+        ops += [("delete", 7 * i) for i in range(350)]
+        kernel_tree, _ = assert_same_updates(
+            lambda: RTree.create_empty(BlockStore(), dim=2, fanout=6), [], ops
+        )
+        assert kernel_tree.size == 50
+
+
+class TestPagedUpdateDifferential:
+    """Decoded pages never hold entry lists on the kernel side; the
+    oracle materializes them.  Trees, page traffic and the bytes on disk
+    must still agree."""
+
+    @pytest.mark.parametrize("cache_pages", [0, 6, 400])
+    def test_paged_updates_identical(self, tmp_path, cache_pages):
+        data = random_rects(900, seed=64)
+        source = build_prtree(BlockStore(), data, 16)
+        values = dict(source.objects)
+        rng = random.Random(65)
+        ops = []
+        for _ in range(300):
+            if rng.random() < 0.5:
+                ops.append(("delete", rng.randrange(10**6)))
+            else:
+                lo = [rng.random() * 0.95, rng.random() * 0.95]
+                ops.append(("insert", Rect(lo, [c + rng.random() * 0.05 for c in lo])))
+        images = []
+        for name, do_insert, do_delete in (
+            ("kernel", lambda t, r, v: t.insert(r, v), lambda t, r, v: t.delete(r, v)),
+            ("oracle", oracle_insert, oracle_delete),
+        ):
+            path = tmp_path / f"{name}.pack"
+            pack_tree(source, path, block_size=1024)
+            with PagedTree.open(
+                path, values=dict(values), cache_pages=cache_pages
+            ) as tree:
+                results = run_script(tree, ops, data, do_insert, do_delete)
+                tree.sync()
+                images.append(
+                    (results, tree_image(tree), tree.page_stats)
+                )
+            images[-1] += (path.read_bytes(),)
+        assert images[0] == images[1]
+
+
+class TestWriteKernels:
+    """Direct cases for the kernels the write path added."""
+
+    @staticmethod
+    def tables(rects):
+        dim = rects[0].dim
+        return (
+            kernels.coord_table([r.lo for r in rects], dim),
+            kernels.coord_table([r.hi for r in rects], dim),
+        )
+
+    def split_both_ways(self, rects, min_fill):
+        entries = [(rect, i) for i, rect in enumerate(rects)]
+        want_a, want_b = oracle_quadratic_split(entries, min_fill)
+        got_a, got_b = kernels.quadratic_split(*self.tables(rects), min_fill)
+        assert got_a == [p for _, p in want_a]
+        assert got_b == [p for _, p in want_b]
+        via_entries = quadratic_split(entries, min_fill)
+        assert via_entries == (want_a, want_b)
+        return got_a, got_b
+
+    def test_seeds_below_minus_one(self):
+        rects = [
+            Rect((0, 0), (10, 10)),
+            Rect((0, 0), (10, 5)),
+            Rect((1, 1), (3, 3)),
+            Rect((2, 2), (3, 3)),
+        ]
+        group_a, group_b = self.split_both_ways(rects, 1)
+        assert (group_a[0], group_b[0]) == (0, 3)
+
+    def test_all_duplicates(self):
+        rects = [Rect((0.5, 0.5), (0.5, 0.5))] * 9
+        group_a, group_b = self.split_both_ways(rects, 3)
+        assert (group_a[0], group_b[0]) == (0, 1)
+        assert sorted(group_a + group_b) == list(range(9))
+
+    def test_zero_area_lines_and_points(self):
+        rects = [Rect((x / 8, 0.0), (x / 8, 1.0)) for x in range(6)]
+        rects += [Rect((0.25, y / 4), (0.25, y / 4)) for y in range(5)]
+        self.split_both_ways(rects, 4)
+
+    def test_min_fill_absorb_branch(self):
+        # One far outlier: everything prefers the big cluster's group,
+        # so the outlier's group must absorb the tail to reach min_fill.
+        rects = [Rect((x / 100, 0.0), (x / 100 + 0.01, 0.01)) for x in range(9)]
+        rects.append(Rect((50.0, 50.0), (51.0, 51.0)))
+        group_a, group_b = self.split_both_ways(rects, 5)
+        assert len(group_a) >= 5 and len(group_b) >= 5
+
+    def test_three_dimensions(self):
+        rects = [rect for rect, _ in random_rects(40, seed=66, dim=3)]
+        self.split_both_ways(rects, 16)
+
+    @settings(max_examples=60, deadline=None)
+    @given(update_scripts(max_ops=1), st.integers(min_value=1, max_value=20))
+    def test_random_nodes(self, script, min_fill):
+        rects = [rect for rect, _ in script[0]]
+        if len(rects) < 2:
+            return
+        self.split_both_ways(rects, min(min_fill, len(rects) // 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(update_scripts(max_ops=1), update_scripts(max_ops=1))
+    def test_choose_subtree_and_find_rows(self, script, queries):
+        rects = [rect for rect, _ in script[0]]
+        if not rects:
+            return
+        node = Node(False, [(rect, i) for i, rect in enumerate(rects)])
+        lo, hi = self.tables(rects)
+        for query, _ in queries[0] + script[0][:5]:
+            assert _choose_subtree(node, query) == oracle_choose_subtree(
+                node, query
+            )
+            assert kernels.frame_containing_rect(lo, hi, query.lo, query.hi) == [
+                i for i, rect in enumerate(rects) if rect.contains_rect(query)
+            ]
+            assert kernels.frame_equal_to(lo, hi, query.lo, query.hi) == [
+                i for i, rect in enumerate(rects) if rect == query
+            ]
+
+    def test_choose_subtree_ties_break_on_area_then_order(self):
+        # The query lies inside all four boxes: zero enlargement each.
+        boxes = [
+            Rect((0, 0), (4, 4)),
+            Rect((1, 1), (3, 3)),
+            Rect((0, 0), (2, 8)),
+            Rect((1, 1), (3, 3)),
+        ]
+        node = Node(False, [(box, i) for i, box in enumerate(boxes)])
+        query = Rect((1.5, 1.5), (2, 2))
+        assert oracle_choose_subtree(node, query) == 1
+        assert _choose_subtree(node, query) == 1

@@ -140,3 +140,48 @@ class TestDecodeArrays:
             frame = NodeFrame(flag, lo, hi, ptrs)
             assert frame.entries() == entries
             assert codec.encode(flag, frame.entries()) == block
+
+
+class TestEncodeArrays:
+    """``encode_arrays`` writes what ``encode`` writes, from tables."""
+
+    @pytest.mark.parametrize(
+        "is_leaf, entries, sha256",
+        [
+            (True, GOLDEN_LEAF_ENTRIES, GOLDEN_LEAF_SHA256),
+            (False, GOLDEN_INTERNAL_ENTRIES, GOLDEN_INTERNAL_SHA256),
+        ],
+    )
+    def test_golden_blocks(self, codec, is_leaf, entries, sha256):
+        frame = NodeFrame.from_entries(is_leaf, entries)
+        block = codec.encode_arrays(is_leaf, frame.lo, frame.hi, frame.ptrs)
+        assert block == codec.encode(is_leaf, entries)
+        assert hashlib.sha256(block).hexdigest() == sha256
+
+    def test_inverse_of_decode_arrays(self, codec):
+        for n in (0, 1, 60, codec.fanout):
+            block = codec.encode(True, random_rects(n, seed=34))
+            assert codec.encode_arrays(*codec.decode_arrays(block)) == block
+
+    def test_tuple_tables_encode_under_either_backend(self, codec):
+        entries = random_rects(9, seed=35)
+        lo = tuple(rect.lo for rect, _ in entries)
+        hi = tuple(rect.hi for rect, _ in entries)
+        ptrs = [pointer for _, pointer in entries]
+        assert codec.encode_arrays(False, lo, hi, ptrs) == codec.encode(
+            False, entries
+        )
+
+    def test_other_dimensions(self):
+        for dim in (1, 3, 4):
+            codec = NodeCodec(dim=dim, block_size=4096)
+            block = codec.encode(True, random_rects(20, seed=36, dim=dim))
+            assert codec.encode_arrays(*codec.decode_arrays(block)) == block
+
+    def test_rejects_overfull_and_wrong_dimension(self, codec):
+        frame = NodeFrame.from_entries(True, random_rects(codec.fanout + 1))
+        with pytest.raises(ValueError, match="exceed block fan-out"):
+            codec.encode_arrays(True, frame.lo, frame.hi, frame.ptrs)
+        frame = NodeFrame.from_entries(True, random_rects(3, dim=3))
+        with pytest.raises(ValueError, match="dimension 3"):
+            codec.encode_arrays(True, frame.lo, frame.hi, frame.ptrs)

@@ -57,7 +57,98 @@ def hand_tree() -> RTree:
     return RTree(store, root_id, dim=2, fanout=4, height=2, size=4)
 
 
+def scalar_level_sums(tree):
+    """Per-level (area, overlap, dead, perimeter) by the entry-at-a-time
+    walk ``tree_quality`` used before its per-node sums moved onto the
+    frame kernels — verbatim, kept as the oracle: every sibling pair
+    through a Python ``_intersection_area``, every sum accumulated one
+    term at a time in entry order."""
+
+    def _area(lo, hi):
+        out = 1.0
+        for a, b in zip(lo, hi):
+            out *= b - a
+        return out
+
+    def _margin(lo, hi):
+        return sum(b - a for a, b in zip(lo, hi))
+
+    def _intersection_area(a_lo, a_hi, b_lo, b_hi):
+        out = 1.0
+        for al, ah, bl, bh in zip(a_lo, a_hi, b_lo, b_hi):
+            lo = al if al > bl else bl
+            hi = ah if ah < bh else bh
+            if hi <= lo:
+                return 0.0
+            out *= hi - lo
+        return out
+
+    levels = {}
+    stack = [(tree.root_id, 0)]
+    while stack:
+        block_id, level = stack.pop()
+        node = tree.store.peek(block_id)
+        acc = levels.setdefault(
+            level, {"area": 0.0, "overlap": 0.0, "dead": 0.0, "perimeter": 0.0}
+        )
+        rects = [(rect.lo, rect.hi) for rect, _ in node.entries]
+        n = len(rects)
+        covered = 0.0
+        node_lo = []
+        node_hi = []
+        for lo, hi in rects:
+            covered += _area(lo, hi)
+            acc["perimeter"] += _margin(lo, hi)
+            if not node_lo:
+                node_lo, node_hi = list(lo), list(hi)
+            else:
+                for k in range(len(lo)):
+                    if lo[k] < node_lo[k]:
+                        node_lo[k] = lo[k]
+                    if hi[k] > node_hi[k]:
+                        node_hi[k] = hi[k]
+        acc["area"] += covered
+        if node_lo:
+            dead = _area(tuple(node_lo), tuple(node_hi)) - covered
+            if dead > 0.0:
+                acc["dead"] += dead
+        for i in range(n):
+            a_lo, a_hi = rects[i]
+            for j in range(i + 1, n):
+                b_lo, b_hi = rects[j]
+                acc["overlap"] += _intersection_area(a_lo, a_hi, b_lo, b_hi)
+        if not node.is_leaf:
+            for _, child in node.entries:
+                stack.append((child, level + 1))
+    return [levels[level] for level in sorted(levels)]
+
+
 class TestTreeQuality:
+    @pytest.mark.parametrize("dim, fanout", [(2, 5), (2, 16), (2, 113), (3, 9)])
+    def test_level_sums_equal_the_scalar_walk_exactly(self, dim, fanout):
+        # Coordinates up to 10 with a sprinkling of points and duplicates:
+        # areas above 1, zero-area boxes, boxes that only touch.
+        data = [
+            (rect.scaled(10.0), value)
+            for rect, value in random_rects(1500, seed=fanout, dim=dim, max_side=0.3)
+        ]
+        data += [(Rect(rect.lo, rect.lo), 5000 + i) for i, (rect, _) in enumerate(data[:200])]
+        data += [(rect, 9000 + i) for i, (rect, _) in enumerate(data[:100])]
+        tree = build_prtree(BlockStore(), data, fanout)
+        for i, (rect, _) in enumerate(data[:150]):  # leave some half-full nodes
+            tree.insert(rect.translated((0.5,) * dim), 20_000 + i)
+        quality = tree_quality(tree)
+        want = scalar_level_sums(tree)
+        assert len(quality.levels) == len(want)
+        for level, sums in zip(quality.levels, want):
+            got = {
+                "area": level.area,
+                "overlap": level.overlap,
+                "dead": level.dead,
+                "perimeter": level.perimeter,
+            }
+            assert got == sums, level.level
+
     def test_hand_built_numbers_exact(self):
         q = tree_quality(hand_tree())
         assert q.height == 2 and q.size == 4 and q.fanout == 4

@@ -161,6 +161,44 @@ class TestFrameKernels:
         )
         assert (got_lo, got_hi) == (want.lo, want.hi)
 
+    def test_find_leaf_row_kernels_match_scalar(self, tables):
+        _, lo_rows, hi_rows, lo, hi = tables
+        inside = (lo_rows[7], [lo_rows[7][0] + 1e-3, lo_rows[7][1] + 1e-3])
+        for q_lo, q_hi in (QUERY, inside, (lo_rows[3], hi_rows[3])):
+            assert kernels.frame_containing_rect(lo, hi, q_lo, q_hi) == [
+                i
+                for i in range(len(lo_rows))
+                if kernels.contains(lo_rows[i], hi_rows[i], q_lo, q_hi)
+            ]
+            assert kernels.frame_equal_to(lo, hi, q_lo, q_hi) == [
+                i
+                for i in range(len(lo_rows))
+                if (lo_rows[i], hi_rows[i]) == (list(q_lo), list(q_hi))
+            ]
+        assert kernels.frame_equal_to(lo, hi, lo_rows[3], hi_rows[3]) == [3]
+
+    def test_frame_areas_and_margins_bit_identical(self, tables):
+        _, lo_rows, hi_rows, lo, hi = tables
+        rects = [Rect(lo_rows[i], hi_rows[i]) for i in range(len(lo_rows))]
+        assert kernels.frame_areas(lo, hi) == [r.area() for r in rects]
+        assert kernels.frame_margins(lo, hi) == [r.margin() for r in rects]
+
+    def test_frame_overlap_sum_is_the_sequential_double_loop(self, tables):
+        _, lo_rows, hi_rows, lo, hi = tables
+        want = 0.125
+        for i in range(len(lo_rows)):
+            for j in range(i + 1, len(lo_rows)):
+                want += kernels.intersection_area(
+                    lo_rows[i], hi_rows[i], lo_rows[j], hi_rows[j]
+                )
+        assert kernels.frame_overlap_sum(lo, hi, 0.125) == want
+        assert kernels.frame_overlap_sum(lo[:1], hi[:1], 0.5) == 0.5
+
+    def test_intersection_area_touching_boxes_share_nothing(self):
+        assert kernels.intersection_area((0, 0), (2, 2), (1, 1), (3, 3)) == 1.0
+        assert kernels.intersection_area((0, 0), (1, 1), (1, 0), (2, 1)) == 0.0
+        assert kernels.intersection_area((0, 0), (1, 1), (5, 5), (6, 6)) == 0.0
+
     def test_empty_frames(self):
         for kind in BACKENDS:
             lo = make_table([], 2, kind)
@@ -172,6 +210,11 @@ class TestFrameKernels:
             assert kernels.frame_dist_sq_to_point(lo, hi, (0, 0)) == []
             assert kernels.frame_dist_sq_to_rect(lo, hi, (0, 0), (1, 1)) == []
             assert kernels.frame_enlargement(lo, hi, (0, 0), (1, 1)) == []
+            assert kernels.frame_containing_rect(lo, hi, (0, 0), (1, 1)) == []
+            assert kernels.frame_equal_to(lo, hi, (0, 0), (1, 1)) == []
+            assert kernels.frame_areas(lo, hi) == []
+            assert kernels.frame_margins(lo, hi) == []
+            assert kernels.frame_overlap_sum(lo, hi) == 0.0
             with pytest.raises(ValueError):
                 kernels.frame_mbr(lo, hi)
 
@@ -257,6 +300,28 @@ class TestTables:
             assert isinstance(kernels.table_row(table, 0)[0], float)
             assert kernels.table_column(table, 0) == [0.25, 0.75]
 
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_row_edits_return_new_tables(self, kind):
+        rows = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        table = make_table(rows, 2, kind)
+
+        def as_rows(t):
+            return [list(kernels.table_row(t, i)) for i in range(len(t))]
+
+        assert as_rows(kernels.table_append(table, (6.0, 7.0))) == rows + [
+            [6.0, 7.0]
+        ]
+        assert as_rows(kernels.table_replace(table, 1, (9.0, 9.0))) == [
+            rows[0], [9.0, 9.0], rows[2]
+        ]
+        assert as_rows(kernels.table_delete(table, 0)) == rows[1:]
+        assert as_rows(kernels.table_delete(table, 2)) == rows[:2]
+        assert as_rows(kernels.table_take(table, [2, 0])) == [rows[2], rows[0]]
+        assert as_rows(table) == rows  # the source is never edited in place
+        # An empty node's table has no width until its first row.
+        empty = kernels.coord_table([], 0)
+        assert as_rows(kernels.table_append(empty, (1.0, 2.0))) == [[1.0, 2.0]]
+
     def test_coord_table_uses_active_backend(self):
         table = kernels.coord_table([(0.0, 1.0)], 2)
         if kernels.HAVE_NUMPY:
@@ -338,6 +403,19 @@ class TestCrossBackendBitIdentity:
         assert kernels.frame_mbr(lo_np, hi_np) == kernels.frame_mbr(
             lo_py, hi_py
         )
+        assert kernels.frame_areas(lo_np, hi_np) == kernels.frame_areas(
+            lo_py, hi_py
+        )
+        assert kernels.frame_margins(lo_np, hi_np) == kernels.frame_margins(
+            lo_py, hi_py
+        )
+        assert kernels.frame_overlap_sum(
+            lo_np, hi_np, 0.3
+        ) == kernels.frame_overlap_sum(lo_py, hi_py, 0.3)
+        for min_fill in (1, 20, 32):
+            assert kernels.quadratic_split(
+                lo_np, hi_np, min_fill
+            ) == kernels.quadratic_split(lo_py, hi_py, min_fill)
 
     def test_predicates_and_distances_vs_math(self):
         # Sanity: the shared arithmetic really is the textbook formulas.

@@ -163,3 +163,101 @@ class TestNodeFromFrame:
             Node(True).mbr()
         with pytest.raises(ValueError):
             Node.from_frame(NodeFrame.from_entries(True, [])).mbr()
+
+
+def _nodes(entries):
+    """The same node in each state the write path can meet it in."""
+    both = Node(True, entries)
+    both.frame()
+    return {
+        "entries only": Node(True, entries),
+        "frame only": Node.from_frame(NodeFrame.from_entries(True, entries)),
+        "both": both,
+    }
+
+
+def _assert_coherent(node, want):
+    """Whatever the node holds matches ``want``, and the views agree."""
+    held = node.cached_entries()
+    if held is not None:
+        assert list(held) == want
+    assert node.frame().entries() == want
+    assert len(node) == len(want)
+    assert list(node.entries) == want
+
+
+def _assert_coherent_without_materializing(node, want, had_entries):
+    """A frame-only node stays frame-only through an edit."""
+    assert (node.cached_entries() is not None) == had_entries
+    if had_entries:
+        assert list(node.cached_entries()) == want
+    if node._frame is not None:
+        assert node._frame.entries() == want
+    assert len(node) == len(want)
+
+
+class TestWholeNodeEdits:
+    """``add``/``replace``/``extend_entry``/``remove_at``/``split_off``
+    edit every representation the node holds and build neither anew."""
+
+    def test_edits_apply_to_every_representation(self, entries):
+        extra = (Rect((0.0, 0.0), (0.5, 0.5)), 123)
+        other = (Rect((0.25, 0.25), (0.75, 0.75)), 456)
+        for state, node in _nodes(entries).items():
+            had_entries = node.cached_entries() is not None
+            want = list(entries)
+            node.add(*extra)
+            want.append(extra)
+            _assert_coherent_without_materializing(node, want, had_entries)
+            node.replace(2, *other)
+            want[2] = other
+            _assert_coherent_without_materializing(node, want, had_entries)
+            node.remove_at(0)
+            del want[0]
+            _assert_coherent_without_materializing(node, want, had_entries)
+            assert node.entry(1) == want[1]
+            _assert_coherent(node, want)
+
+    def test_a_cached_frame_survives_edits(self, entries):
+        node = Node(True, entries)
+        before = node.frame()
+        node.add(Rect((0.0, 0.0), (0.5, 0.5)), 99)
+        assert node._frame is not None and node._frame is not before
+        # Frames are never edited in place: the old one still reads as it did.
+        assert before.entries() == entries
+
+    def test_extend_entry_grows_the_box_minimally(self, entries):
+        for node in _nodes(entries).values():
+            box, pointer = entries[4]
+            inside = Rect(box.lo, box.lo)
+            node.extend_entry(4, inside)
+            assert node.entry(4) == (box, pointer)
+            outside = Rect((2.0, -1.0), (3.0, -0.5))
+            node.extend_entry(4, outside)
+            assert node.entry(4) == (box.union(outside), pointer)
+            want = list(entries)
+            want[4] = (box.union(outside), pointer)
+            _assert_coherent(node, want)
+
+    def test_split_off_keeps_and_moves_rows_in_order(self, entries):
+        keep, move = [5, 0, 7], [11, 1, 2, 3, 4, 6, 8, 9, 10]
+        for state, node in _nodes(entries).items():
+            had_entries = node.cached_entries() is not None
+            sibling = node.split_off(keep, move)
+            assert sibling.is_leaf == node.is_leaf
+            for part, rows in ((node, keep), (sibling, move)):
+                _assert_coherent_without_materializing(
+                    part, [entries[i] for i in rows], had_entries
+                )
+                _assert_coherent(part, [entries[i] for i in rows])
+            # The two halves are independent nodes.
+            sibling.add(Rect((0, 0), (1, 1)), 77)
+            assert len(node) == len(keep)
+
+    def test_add_to_an_empty_node(self):
+        first = (Rect((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 5)
+        for node in (Node(True), Node.from_frame(NodeFrame.from_entries(True, []))):
+            node.frame()
+            node.add(*first)
+            _assert_coherent(node, [first])
+            assert node.mbr() == first[0]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.rtree.split import linear_split, quadratic_split
 
@@ -89,6 +90,29 @@ class TestQuadraticSpecifics:
         assert ("far_b" in pointers_a) != ("far_b" in pointers_b)
         assert not ({"far_a", "far_b"} <= pointers_a)
         assert not ({"far_a", "far_b"} <= pointers_b)
+
+
+    def test_seeds_when_every_pair_wastes_less_than_minus_one(self):
+        # Nested boxes with areas > 1 (data not normalised to the unit
+        # square): every pair's waste is <= -1.  PickSeeds used to start
+        # its search at -1.0 and silently fall back to entries 0 and 1
+        # (waste -50) instead of the least-bad pair 0 and 3 (waste -1).
+        entries = [
+            (Rect((0, 0), (10, 10)), "outer"),
+            (Rect((0, 0), (10, 5)), "half"),
+            (Rect((1, 1), (3, 3)), "small"),
+            (Rect((2, 2), (3, 3)), "tiny"),
+        ]
+        a, b = quadratic_split(entries, min_fill=1)
+        assert a[0][1] == "outer" and b[0][1] == "tiny"
+
+    def test_min_fill_validated_by_row_kernel(self):
+        lo = kernels.coord_table([(0, 0), (1, 1), (2, 2)], 2)
+        with pytest.raises(ValueError):
+            kernels.quadratic_split(lo, lo, 2)
+        with pytest.raises(ValueError):
+            kernels.quadratic_split(lo[:1], lo[:1], 1)
+        assert kernels.quadratic_split(lo, lo, 1) == ([0, 1], [2])
 
 
 class TestLinearSpecifics:
