@@ -5,20 +5,25 @@ bottom-up level-by-level" family (paper Section 1.1, [10, 15, 18]) shares
 one packing step: given data in final leaf order, chunk it into full
 leaves, then repeatedly chunk node bounding boxes into full internal
 nodes until a single root remains.  Both Hilbert loaders and STR reduce to
-:func:`pack_ordered` after their respective sorts; the PR-tree builder
-reuses :func:`pack_leaf_level`'s node-materialization conventions.
+:func:`pack_ordered` after their respective sorts.
+
+A level is packed as one coordinate table (:func:`pack_level`): its rows
+are laid out once, every node is a run of ``fanout`` rows cut out of it —
+stored with that frame already attached — and its box is one
+:func:`~repro.geometry.kernels.frame_mbr`.  :func:`pack_leaf_level` is
+the entry-list face of the same step.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
-from repro.geometry.rect import Rect, mbr_of
+from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore
 from repro.iomodel.counters import IOSnapshot
-from repro.rtree.node import Node
+from repro.rtree.node import Node, NodeFrame
 from repro.rtree.tree import RTree
 
 
@@ -37,20 +42,45 @@ class BuildStats:
     levels: int
 
 
+def require_dim(rects: Iterable[Rect], dim: int) -> None:
+    """Raise ``ValueError`` unless every rectangle is ``dim``-dimensional."""
+    for rect in rects:
+        if len(rect.lo) != dim:
+            raise ValueError(f"rect of dim {rect.dim} in a dim-{dim} load")
+
+
+def pack_level(
+    store: BlockStore,
+    level: NodeFrame,
+    fanout: int,
+    entries: Sequence[tuple[Rect, int]] | None = None,
+) -> list[tuple[Rect, int]]:
+    """Chunk one level's ordered rows into full nodes.
+
+    Returns the ``(mbr, block_id)`` entries of the level above.  Every
+    node except possibly the last receives exactly ``fanout`` rows — the
+    near-100 % utilization all the paper's loaders target.  ``entries``
+    is the same level as an entry list, when the caller holds one: each
+    node then keeps its run of it beside the frame.
+    """
+    above: list[tuple[Rect, int]] = []
+    for start in range(0, len(level), fanout):
+        stop = min(start + fanout, len(level))
+        frame = level.take(range(start, stop))
+        node = Node.from_frame(
+            frame, None if entries is None else entries[start:stop]
+        )
+        above.append((frame.mbr(), store.allocate(node)))
+    return above
+
+
 def pack_leaf_level(
     store: BlockStore, entries: Sequence[tuple[Rect, int]], fanout: int, is_leaf: bool
 ) -> list[tuple[Rect, int]]:
-    """Chunk ordered entries into full nodes; return (mbr, block_id) pairs.
-
-    Every node except possibly the last receives exactly ``fanout``
-    entries — the near-100 % utilization all the paper's loaders target.
-    """
-    level: list[tuple[Rect, int]] = []
-    for start in range(0, len(entries), fanout):
-        chunk = list(entries[start : start + fanout])
-        block_id = store.allocate(Node(is_leaf, chunk))
-        level.append((mbr_of(r for r, _ in chunk), block_id))
-    return level
+    """:func:`pack_level` over an entry list; returns (mbr, block_id) pairs."""
+    return pack_level(
+        store, NodeFrame.from_entries(is_leaf, entries), fanout, entries
+    )
 
 
 def pack_ordered(
@@ -74,11 +104,8 @@ def pack_ordered(
         height=1,
         size=len(data),
     )
-    entries: list[tuple[Rect, int]] = []
-    for rect, value in data:
-        if rect.dim != dim:
-            raise ValueError(f"rect of dim {rect.dim} in a dim-{dim} load")
-        entries.append((rect, tree.register_object(value)))
+    require_dim((rect for rect, _ in data), dim)
+    entries = [(rect, tree.register_object(value)) for rect, value in data]
 
     if not entries:
         tree.root_id = store.allocate(Node(is_leaf=True))

@@ -9,7 +9,11 @@ plus DMR-XPath-style set-at-a-time variants that evaluate a **batch of
 query windows against one frame** in a single ``(m, n)`` broadcast.
 The write path runs on the same frames: ChooseLeaf, FindLeaf, the
 quadratic node split (:func:`quadratic_split`) and the pairwise sibling
-overlap of the index-health walk are kernels here too.
+overlap of the index-health walk are kernels here too.  So does
+construction: the bulk loaders lay a level out as one table
+(:func:`batch_windows`), cut nodes out of it (:func:`table_take`) and
+box them with :func:`frame_mbr`; ``shard_pack`` gathers leaf frames
+back into one (:func:`table_concat`).
 
 Three tiers, one source of truth:
 
@@ -58,6 +62,7 @@ __all__ = [
     "table_row",
     "table_rows",
     "table_column",
+    "table_concat",
     "table_take",
     "table_append",
     "table_replace",
@@ -170,6 +175,13 @@ def _is_array(table) -> bool:
 # The write path edits a node's tables one row at a time.  Tables are
 # never mutated in place — every helper returns a new table — so a frame
 # handed to a reader stays valid whatever the owning node does next.
+
+
+def table_concat(tables: Sequence):
+    """A new table: the rows of every table in ``tables``, in order."""
+    if _is_array(tables[0]):
+        return np.concatenate(tables)
+    return tuple(row for table in tables for row in table)
 
 
 def table_take(table, rows: Sequence[int]):
@@ -540,12 +552,35 @@ def frame_overlap_sum(lo, hi, start: float = 0.0) -> float:
     return start
 
 
+def _first_zeros(table, bound: list[float]) -> tuple[float, ...]:
+    """``bound`` with every zero given the sign of its column's first zero.
+
+    ``-0.0 == 0.0``, so an array ``min``/``max`` may return either; the
+    scalar scan keeps the first row that reached the bound.  The column
+    is searched as a list: ``argmax`` and friends drop the GIL whatever
+    the size, and a root box is taken per request and shard — with other
+    threads waiting that is a context switch each time.
+    """
+    for k, value in enumerate(bound):
+        if value == 0.0:
+            column = table[:, k].tolist()
+            bound[k] = column[column.index(0.0)]
+    return tuple(bound)
+
+
 def frame_mbr(lo, hi) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Tight bounding box of every row: ``(lo, hi)`` coordinate tuples."""
+    """Tight bounding box of every row: ``(lo, hi)`` coordinate tuples.
+
+    Among equal coordinates the first row's wins (it matters only for
+    the sign of a zero), as in :func:`repro.geometry.rect.mbr_of`.
+    """
     if len(lo) == 0:
         raise ValueError("empty frame has no bounding box")
     if _is_array(lo):
-        return tuple(lo.min(axis=0).tolist()), tuple(hi.max(axis=0).tolist())
+        return (
+            _first_zeros(lo, lo.min(axis=0).tolist()),
+            _first_zeros(hi, hi.max(axis=0).tolist()),
+        )
     out_lo = list(lo[0])
     out_hi = list(hi[0])
     for i in range(1, len(lo)):

@@ -182,8 +182,7 @@ def _build_pseudo_external(
             items, capacity=capacity, dim=dim, snap_splits=snap_splits
         )
         for leaf in pseudo.leaves():
-            block_id = store.allocate(Node(is_leaf, list(leaf.items)))
-            level_writer.append((leaf.mbr, block_id))
+            level_writer.append((leaf.mbr, store.allocate(leaf.node(is_leaf))))
         return
 
     priority, claimed = _extract_priority(streams, capacity)

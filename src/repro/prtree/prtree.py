@@ -14,6 +14,13 @@ one block, which is then the root of the PR-tree."
 The result has all leaves on one level and fan-out Θ(B), is queried by the
 standard engine, and inherits the pseudo-PR-tree's query bound
 (Theorem 1): O((N/B)^(1-1/d) + T/B) I/Os per window query.
+
+Each stage's pseudo-PR-tree is built on one corner table
+(:mod:`repro.prtree.pseudo` says how, and how ties are resolved), and a
+pseudo-leaf becomes its node with the rows it was cut from attached as
+the node's frame (:meth:`~repro.prtree.pseudo.PseudoLeaf.node`), so
+neither the loader nor a later ``pack_tree`` converts a node between its
+entry list and its coordinate tables.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
-from repro.geometry.rect import Rect, mbr_of
+from repro.bulk.base import require_dim
+from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.pseudo import Item, PseudoPRTree
 from repro.rtree.node import Node
@@ -59,6 +67,7 @@ def build_prtree(
     """
     dim = data[0][0].dim if data else 2
     tree = RTree(store, root_id=-1, dim=dim, fanout=fanout, height=1, size=len(data))
+    require_dim((rect for rect, _ in data), dim)
     items: list[Item] = [(rect, tree.register_object(value)) for rect, value in data]
     if not items:
         tree.root_id = store.allocate(Node(is_leaf=True))
@@ -79,8 +88,7 @@ def build_prtree(
         )
         next_level: list[Item] = []
         for leaf in pseudo.leaves():
-            block_id = store.allocate(Node(is_leaf, list(leaf.items)))
-            next_level.append((leaf.mbr, block_id))
+            next_level.append((leaf.mbr, store.allocate(leaf.node(is_leaf))))
         level_items = next_level
         is_leaf = False
         height += 1

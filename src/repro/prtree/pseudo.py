@@ -33,13 +33,45 @@ index is snapped to a multiple of B ("we can make slightly unbalanced
 divisions, so that we have a multiple of B points on one side of each
 dividing hyperplane") — every leaf except at most one per subtree is
 full.
+
+Ties
+----
+
+"The B rectangles with minimal xmin" is not a set when coordinates
+repeat, so every selection orders by ``(coordinate, pointer)``: equal
+coordinates (``-0.0`` equals ``0.0``) break on the pointer, ascending
+for the min-axes and the kd split, descending for the max-axes.  A
+priority leaf lists its rectangles in that order, most extreme first; a
+normal leaf lists them in the order of the last selection that produced
+it (its parent's kd split — or, for the remainder of a node too small to
+split, the last max-axis).
+
+Two constructions, one structure
+--------------------------------
+
+:meth:`PseudoPRTree._build` is the definition spelled out — a full
+``list.sort`` by that key per selection.  With numpy it is used only
+when the pointers cannot break ties in a column (they are not distinct
+machine integers); otherwise :class:`_TableBuild` makes the same
+selections on one ``(n, 2d)`` corner table plus a pointer column:
+``argpartition`` finds the pivot coordinate, one exact pass over the
+rows tied on it takes those the pointer order admits, and only the rows
+kept are ever sorted.  Same leaves, same items in the same order, same
+boxes (``tests/integration/test_vectorized_differential.py`` holds the
+sort-based body as the oracle); its leaves also carry their rows of the
+table, so the R-tree node each becomes (:meth:`PseudoLeaf.node`) is
+stored with its frame attached.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
+from repro.bulk.base import require_dim
+from repro.geometry import kernels
+from repro.geometry.kernels import np
 from repro.geometry.rect import Rect, mbr_of
+from repro.rtree.node import Node, NodeFrame
 
 #: A working item: (rectangle, opaque pointer).
 Item = tuple[Rect, int]
@@ -52,7 +84,7 @@ class PseudoLeaf:
     in corner-axis direction k, ``"normal"`` for a recursion-bottom leaf.
     """
 
-    __slots__ = ("items", "kind", "_mbr")
+    __slots__ = ("items", "kind", "_mbr", "_tables")
 
     def __init__(self, items: list[Item], kind: str):
         if not items:
@@ -60,11 +92,32 @@ class PseudoLeaf:
         self.items = items
         self.kind = kind
         self._mbr = mbr_of(rect for rect, _ in items)
+        self._tables = None
+
+    @classmethod
+    def from_tables(cls, items: list[Item], kind: str, lo, hi) -> "PseudoLeaf":
+        """A leaf whose construction already holds the items' ``lo`` /
+        ``hi`` coordinate tables (at least one row)."""
+        leaf = cls.__new__(cls)
+        leaf.items = items
+        leaf.kind = kind
+        leaf._mbr = Rect(*kernels.frame_mbr(lo, hi))
+        leaf._tables = (lo, hi)
+        return leaf
 
     @property
     def mbr(self) -> Rect:
         """Minimal bounding box of the leaf's rectangles."""
         return self._mbr
+
+    def node(self, is_leaf: bool) -> Node:
+        """The R-tree node this leaf becomes on one level of a PR-tree."""
+        entries = list(self.items)
+        if self._tables is None:
+            return Node(is_leaf, entries)
+        lo, hi = self._tables
+        frame = NodeFrame(is_leaf, lo, hi, [pointer for _, pointer in entries])
+        return Node.from_frame(frame, entries)
 
     @property
     def is_priority(self) -> bool:
@@ -163,9 +216,16 @@ class PseudoPRTree:
         if self.priority_size < 1:
             raise ValueError("priority_size must be >= 1")
         self.dim = dim if dim is not None else items[0][0].dim
+        require_dim((rect for rect, _ in items), self.dim)
         self.snap_splits = snap_splits
         self.size = len(items)
-        self.root = self._build(items, depth=0)
+        pointers = _pointer_column(items) if kernels.HAVE_NUMPY else None
+        if pointers is None:
+            self.root = self._build(items, depth=0)
+        else:
+            self.root = _TableBuild(self, items, pointers).build(
+                np.arange(len(items)), depth=0
+            )
 
     # ------------------------------------------------------------------
     # Construction
@@ -208,15 +268,20 @@ class PseudoPRTree:
                 remaining.sort(
                     key=lambda item: (item[0].corner_coord(split_axis), item[1])
                 )
-                half = n_rest // 2
-                if self.snap_splits:
-                    half = _snap_to_multiple(half, b, 1, n_rest - 1)
+                half = self._split_size(n_rest)
                 # The median split: each side gets at most half the
                 # remainder (plus snapping slack), preserving the kd-tree
                 # depth argument of Lemma 2.
                 subtrees.append(self._build(remaining[:half], depth + 1))
                 subtrees.append(self._build(remaining[half:], depth + 1))
         return PseudoNode(priority_leaves, subtrees, split_axis)
+
+    def _split_size(self, n_rest: int) -> int:
+        """Rows on the low side of the kd split of ``n_rest`` rows."""
+        half = n_rest // 2
+        if self.snap_splits:
+            half = _snap_to_multiple(half, self.capacity, 1, n_rest - 1)
+        return half
 
     # ------------------------------------------------------------------
     # Traversal
@@ -276,6 +341,129 @@ class PseudoPRTree:
 
     def __repr__(self) -> str:
         return f"PseudoPRTree(size={self.size}, B={self.capacity}, d={self.dim})"
+
+
+# ----------------------------------------------------------------------
+# The same construction on one corner table (numpy backend)
+# ----------------------------------------------------------------------
+
+
+def _pointer_column(items: list[Item]):
+    """The pointers as an integer column, or None when a column cannot
+    break ties the way the tuple sort does: they are not machine
+    integers, or not distinct (equal keys then fall back on the order
+    the previous sort left, which only a full sort tracks)."""
+    try:
+        column = np.asarray([pointer for _, pointer in items])
+    except (ValueError, TypeError):
+        return None
+    if column.ndim != 1 or column.dtype.kind != "i":
+        return None
+    if len(np.unique(column)) != len(column):
+        return None
+    return column
+
+
+def _extreme_mask(column, pointers, k: int, largest: bool):
+    """Mask of the ``k`` first rows by ``(column, pointers)``.
+
+    Ascending order, or descending with ``largest``; ``0 < k < n`` and
+    the pointers are distinct.  ``argpartition`` settles every row off
+    the pivot coordinate; of the rows tied on it, the pointer order
+    admits exactly as many as are still missing.
+    """
+    n = len(column)
+    if largest:
+        pivot = column[np.argpartition(column, n - k)[n - k]]
+        mask = column > pivot
+    else:
+        pivot = column[np.argpartition(column, k - 1)[k - 1]]
+        mask = column < pivot
+    tied = np.flatnonzero(column == pivot)
+    missing = k - np.count_nonzero(mask)
+    if missing < len(tied):
+        by_pointer = np.argsort(pointers[tied])
+        tied = tied[by_pointer[-missing:] if largest else by_pointer[:missing]]
+    mask[tied] = True
+    return mask
+
+
+class _TableBuild:
+    """:meth:`PseudoPRTree._build` over row numbers of one corner table."""
+
+    def __init__(self, tree: "PseudoPRTree", items: list[Item], pointers) -> None:
+        self.tree = tree
+        self.items = items
+        self.pointers = pointers
+        dim = tree.dim
+        self.lo, self.hi = kernels.batch_windows([rect for rect, _ in items], dim)
+        #: Corner axis k as a column: ``columns[k][rows]``.
+        self.columns = [self.lo[:, k] for k in range(dim)] + [
+            self.hi[:, k] for k in range(dim)
+        ]
+
+    def _ordered(self, rows, axis: int, descending: bool):
+        """``rows`` sorted by ``(corner coordinate, pointer)``."""
+        order = np.lexsort((self.pointers[rows], self.columns[axis][rows]))
+        return rows[order[::-1] if descending else order]
+
+    def _take(self, rows, axis: int, k: int, largest: bool):
+        """Split ``rows`` into its ``k`` extreme rows on ``axis`` (all of
+        them when there are no more) and the rest, neither ordered."""
+        if len(rows) <= k:
+            return rows, rows[:0]
+        mask = _extreme_mask(
+            self.columns[axis][rows], self.pointers[rows], k, largest
+        )
+        return rows[mask], rows[~mask]
+
+    def _leaf(self, rows, kind: str) -> PseudoLeaf:
+        items = self.items
+        return PseudoLeaf.from_tables(
+            [items[i] for i in rows.tolist()], kind, self.lo[rows], self.hi[rows]
+        )
+
+    def build(self, rows, depth: int, order=None) -> PseudoNode | PseudoLeaf:
+        """Subtree on ``rows``.  ``order`` is the ``(axis, descending)``
+        sort the scalar construction would hand them over in; it matters
+        only if they become one leaf."""
+        tree = self.tree
+        b = tree.capacity
+        if len(rows) <= b:
+            if order is not None:
+                rows = self._ordered(rows, *order)
+            return self._leaf(rows, "normal")
+
+        dim = tree.dim
+        axes = 2 * dim
+        priority_leaves: list[PseudoLeaf] = []
+        for axis in range(axes):
+            if not len(rows):
+                break
+            largest = axis >= dim
+            extreme, rows = self._take(rows, axis, tree.priority_size, largest)
+            priority_leaves.append(
+                self._leaf(
+                    self._ordered(extreme, axis, largest), f"priority:{axis}"
+                )
+            )
+
+        split_axis = depth % axes
+        subtrees: list[PseudoNode | PseudoLeaf] = []
+        n_rest = len(rows)
+        if n_rest:
+            if n_rest <= b:
+                # Left in the order of the last priority extraction.
+                subtrees.append(
+                    self._leaf(self._ordered(rows, axes - 1, True), "normal")
+                )
+            else:
+                below, above = self._take(
+                    rows, split_axis, tree._split_size(n_rest), False
+                )
+                subtrees.append(self.build(below, depth + 1, (split_axis, False)))
+                subtrees.append(self.build(above, depth + 1, (split_axis, False)))
+        return PseudoNode(priority_leaves, subtrees, split_axis)
 
 
 class PseudoQueryStats:

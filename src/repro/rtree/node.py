@@ -23,6 +23,10 @@ builders, the R* update path and custom splitters want a mutable
 * ``Node.from_frame(frame)`` — what the codec's array decoder builds;
   the entry list is materialized lazily on first entry-level access
   (``Rect`` objects are only ever created for entries somebody reads).
+* ``Node.from_frame(frame, entries)`` — what the bulk loaders build:
+  they cut each node's rows out of one coordinate table per level and
+  already hold the input ``Rect`` objects, so neither view is ever
+  converted from the other.
 
 A node is edited in one of two ways, and either keeps the views
 coherent:
@@ -274,11 +278,20 @@ class Node:
         self._frame: NodeFrame | None = None
 
     @classmethod
-    def from_frame(cls, frame: NodeFrame) -> "Node":
-        """Wrap a decoded frame without materializing any ``Rect``."""
+    def from_frame(
+        cls, frame: NodeFrame, entries: Iterable[Entry] | None = None
+    ) -> "Node":
+        """Wrap a frame without materializing any ``Rect``.
+
+        ``entries`` is the same rows as an entry list, for a caller that
+        already holds one (the bulk loaders): the node then starts with
+        both views.
+        """
         node = cls.__new__(cls)
         node.is_leaf = frame.is_leaf
-        node._entries = None
+        node._entries = (
+            None if entries is None else _TrackedEntries(node, entries)
+        )
         node._frame = frame
         return node
 

@@ -51,7 +51,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro.iomodel.blockstore import DEFAULT_BLOCK_SIZE
 from repro.iomodel.codec import NodeCodec
@@ -70,6 +70,9 @@ from repro.storage.filestore import (
     RecoveryInfo,
     StorageError,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.obs.health import TreeQuality
 
 __all__ = [
     "PageCacheStats",
@@ -545,6 +548,7 @@ def pack_tree(
     path: str | os.PathLike | None,
     block_size: int = DEFAULT_BLOCK_SIZE,
     baseline: bool = True,
+    quality: "TreeQuality | None" = None,
 ) -> PackStats:
     """Write a tree to an index file in dense preorder.
 
@@ -554,10 +558,17 @@ def pack_tree(
     sequential sweep of writes — the access pattern the paper's bulk
     loaders end with.
 
+    Nodes are encoded from their frames
+    (:meth:`~repro.iomodel.codec.NodeCodec.encode_arrays`), which a
+    bulk-loaded or decoded node already holds, so packing builds no
+    ``Rect``.
+
     ``baseline=True`` (the default) records the pack-time tree-quality
     baseline (:mod:`repro.obs.health`) in the descriptor's trailing
     bytes, the reference :func:`~repro.obs.health.degradation_score`
-    judges later updates against.
+    judges later updates against.  ``quality`` is ``tree``'s
+    :func:`~repro.obs.health.tree_quality` for a caller that has
+    already walked it (``shard_pack``); it is computed here otherwise.
 
     Raises :class:`~repro.rtree.persist.PersistError` when the tree's
     fan-out physically cannot fit the requested block size.
@@ -582,7 +593,9 @@ def pack_tree(
         # importable without the storage layer (no cycle).
         from repro.obs.health import encode_baseline, quality_baseline, tree_quality
 
-        baseline_blob = encode_baseline(quality_baseline(tree_quality(tree)))
+        if quality is None:
+            quality = tree_quality(tree)
+        baseline_blob = encode_baseline(quality_baseline(quality))
 
     meta = struct.pack(
         _TREE_META,
@@ -596,13 +609,13 @@ def pack_tree(
     ) + baseline_blob
     with FileBlockStore.create(path, block_size, meta=meta) as file_store:
         for _, node in order:
-            if node.is_leaf:
-                entries = node.entries
-            else:
-                entries = [
-                    (rect, index_of[child]) for rect, child in node.entries
-                ]
-            file_store.allocate(codec.encode(node.is_leaf, entries))
+            frame = node.frame()
+            ptrs = frame.ptrs
+            if not node.is_leaf:
+                ptrs = [index_of[child] for child in ptrs]
+            file_store.allocate(
+                codec.encode_arrays(node.is_leaf, frame.lo, frame.hi, ptrs)
+            )
         n_blocks = file_store.allocated_ever
         file_store.flush()  # commit, so the file size below is final
         file_bytes = file_store.file_bytes()

@@ -57,9 +57,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.bulk.base import pack_leaf_level
-from repro.geometry.hilbert import DEFAULT_ORDER, hilbert_key_for_center
-from repro.geometry.rect import Rect, mbr_of
+from repro.bulk.base import pack_leaf_level, pack_level
+from repro.geometry import kernels
+from repro.geometry.hilbert import (
+    DEFAULT_ORDER,
+    hilbert_key_for_center,
+    hilbert_keys_for_centers,
+)
+from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore, DEFAULT_BLOCK_SIZE
 from repro.iomodel.counters import IOSnapshot
 from repro.obs import health
@@ -69,7 +74,7 @@ from repro.obs.trace import current_trace
 from repro.queries.join import JoinStats, SpatialJoinEngine
 from repro.queries.knn import KNNEngine, Neighbor
 from repro.queries.point import PointQueryEngine
-from repro.rtree.node import Node
+from repro.rtree.node import Node, NodeFrame
 from repro.rtree.query import QueryEngine, QueryStats
 from repro.rtree.tree import RTree
 from repro.storage.faults import FaultInjector, SimulatedCrash
@@ -244,50 +249,60 @@ def shard_pack(
     if shards < 1:
         raise ValueError("shards must be >= 1")
     manifest_path = pathlib.Path(path)
-    bounds = tree.root().mbr() if tree.root().entries else None
+    bounds = tree.root().mbr() if len(tree.root()) else None
 
-    entries: list[tuple[int, Rect, int]] = []
-    for _, leaf in tree.iter_leaves():
-        for rect, oid in leaf.entries:
-            entries.append(
-                (hilbert_key_for_center(rect, bounds, order), rect, oid)
-            )
+    # Every leaf row in one frame, keyed in one column.
+    frames = [leaf.frame() for _, leaf in tree.iter_leaves()]
+    oids = [oid for frame in frames for oid in frame.ptrs]
+    n = len(oids)
+    leaves: NodeFrame | None = None
+    keys: list[int] = []
+    if n:
+        leaves = NodeFrame(
+            True,
+            kernels.table_concat([frame.lo for frame in frames]),
+            kernels.table_concat([frame.hi for frame in frames]),
+            oids,
+        )
+        keys = hilbert_keys_for_centers(leaves.lo, leaves.hi, bounds, order)
     # Hilbert order with (key, oid) ties broken deterministically.
-    entries.sort(key=lambda item: (item[0], item[2]))
+    rank = sorted(range(n), key=list(zip(keys, oids)).__getitem__)
 
-    k = max(1, min(shards, len(entries)))
+    k = max(1, min(shards, n))
     next_oid = max(tree._next_oid, tree.size)
 
     infos: list[ShardInfo] = []
     per_shard: list[PackStats] = []
     shard_qualities = []
-    base, extra = divmod(len(entries), k)
+    base, extra = divmod(n, k)
     start = 0
     for i in range(k):
         stop = start + base + (1 if i < extra else 0)
-        chunk = entries[start:stop]
+        rows = rank[start:stop]
         start = stop
         file_name = _shard_file_name(manifest_path, i, k)
         shard_tree = _pack_preserving_oids(
-            [(rect, oid) for _, rect, oid in chunk],
-            tree,
-            next_oid,
+            leaves.take(rows) if rows else None, tree, next_oid
         )
-        # Each shard file also carries its own single-tree baseline (via
-        # pack_tree); the manifest records the family-level aggregate.
-        shard_qualities.append(health.tree_quality(shard_tree))
+        # One walk serves both the shard file's own single-tree baseline
+        # and the family-level aggregate the manifest records.
+        quality = health.tree_quality(shard_tree)
+        shard_qualities.append(quality)
         stats = pack_tree(
-            shard_tree, manifest_path.with_name(file_name), block_size
+            shard_tree,
+            manifest_path.with_name(file_name),
+            block_size,
+            quality=quality,
         )
         per_shard.append(stats)
         infos.append(
             ShardInfo(
                 file=file_name,
-                size=len(chunk),
+                size=len(rows),
                 height=shard_tree.height,
-                mbr=mbr_of(rect for _, rect, _ in chunk) if chunk else None,
-                hilbert_lo=chunk[0][0] if chunk else 0,
-                hilbert_hi=chunk[-1][0] if chunk else 0,
+                mbr=shard_tree.root().mbr() if rows else None,
+                hilbert_lo=keys[rows[0]] if rows else 0,
+                hilbert_hi=keys[rows[-1]] if rows else 0,
                 n_blocks=stats.n_blocks,
                 epoch=stats.commit_epoch,
             )
@@ -299,7 +314,7 @@ def shard_pack(
         fanout=tree.fanout,
         block_size=block_size,
         order=order,
-        size=len(entries),
+        size=n,
         next_oid=next_oid,
         bounds=bounds,
         infos=infos,
@@ -310,42 +325,45 @@ def shard_pack(
     return ShardPackStats(
         manifest=str(manifest_path),
         shards=k,
-        size=len(entries),
+        size=n,
         per_shard=tuple(per_shard),
     )
 
 
 def _pack_preserving_oids(
-    entries: list[tuple[Rect, int]], source: RTree, next_oid: int
+    leaf_level: NodeFrame | None, source: RTree, next_oid: int
 ) -> RTree:
-    """Bottom-up pack of ordered ``(rect, oid)`` entries, keeping oids.
+    """Bottom-up pack of one ordered leaf level, keeping its oids.
 
-    Unlike :func:`~repro.bulk.base.pack_ordered`, leaf pointers are the
-    *source tree's* object ids, so one global oid → value mapping serves
-    every shard of the family.  ``next_oid`` (the family-wide high-water
-    id) is recorded in each shard's descriptor so no reopened shard can
-    re-issue an id a sibling's live entry still points at.
+    ``leaf_level`` is every data row of the shard as one frame (None for
+    an empty shard).  Unlike :func:`~repro.bulk.base.pack_ordered`, leaf
+    pointers are the *source tree's* object ids, so one global oid →
+    value mapping serves every shard of the family.  ``next_oid`` (the
+    family-wide high-water id) is recorded in each shard's descriptor so
+    no reopened shard can re-issue an id a sibling's live entry still
+    points at.
     """
     store = BlockStore()
+    oids = leaf_level.ptrs if leaf_level is not None else []
     shard = RTree(
         store,
         root_id=-1,
         dim=source.dim,
         fanout=source.fanout,
         height=1,
-        size=len(entries),
+        size=len(oids),
     )
-    if not entries:
+    if leaf_level is None:
         shard.root_id = store.allocate(Node(is_leaf=True))
     else:
-        level = pack_leaf_level(store, entries, source.fanout, is_leaf=True)
+        level = pack_level(store, leaf_level, source.fanout)
         height = 1
         while len(level) > 1:
             level = pack_leaf_level(store, level, source.fanout, is_leaf=False)
             height += 1
         shard.root_id = level[0][1]
         shard.height = height
-    shard.objects = {oid: source.objects.get(oid) for _, oid in entries}
+    shard.objects = {oid: source.objects.get(oid) for oid in oids}
     shard._next_oid = next_oid
     return shard
 

@@ -66,6 +66,22 @@ class TestBuildPRTree:
         window = Rect((0.25,), (0.5,))
         assert_same_matches(tree.query(window), brute_force_query(data, window))
 
+    @pytest.mark.parametrize("fanout", [8, 64])
+    @pytest.mark.parametrize("odd_at", [0, 25, 50])
+    def test_mixed_dimensions_rejected(self, store, fanout, odd_at):
+        # Fifty 2-d rectangles and one 3-d one used to die inside mbr_of
+        # with an IndexError — or, when the odd one led a leaf, store a
+        # truncated box silently.
+        data = random_rects(50, seed=6)
+        data.insert(odd_at, (Rect((0, 0, 0), (1, 1, 1)), 50))
+        dim = data[0][0].dim
+        odd = 5 - dim
+        with pytest.raises(
+            ValueError, match=f"rect of dim {odd} in a dim-{dim} load"
+        ):
+            build_prtree(store, data, fanout)
+        assert store.allocated_ever == 0
+
     def test_stage_sets_shrink_geometrically(self):
         sizes = stage_sets([None] * 10_000, fanout=10)
         assert sizes[0] == 10_000

@@ -26,6 +26,15 @@ class TestStructure:
         with pytest.raises(ValueError):
             PseudoPRTree([], capacity=8)
 
+    @pytest.mark.parametrize("odd_at", [0, 7, 50])
+    def test_mixed_dimensions_rejected(self, odd_at):
+        items = items_of(random_rects(50, seed=2))
+        items.insert(odd_at, (Rect((0, 0, 0), (1, 1, 1)), 50))
+        with pytest.raises(ValueError, match="rect of dim . in a dim-. load"):
+            PseudoPRTree(items, capacity=8)
+        with pytest.raises(ValueError, match="rect of dim 3 in a dim-2 load"):
+            PseudoPRTree(items, capacity=8, dim=2)
+
     def test_all_items_in_exactly_one_leaf(self):
         items = items_of(random_rects(500, seed=2))
         tree = PseudoPRTree(items, capacity=8)
