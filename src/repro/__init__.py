@@ -32,7 +32,7 @@ from repro.external.stream import BlockStream, StreamWriter
 from repro.external.sort import external_sort
 from repro.rtree.tree import RTree
 from repro.rtree.node import Node
-from repro.rtree.query import QueryEngine, QueryStats
+from repro.rtree.query import Matches, QueryEngine, QueryStats
 from repro.rtree.update import insert, delete
 from repro.rtree.rstar import rstar_insert, rstar_split
 from repro.rtree.persist import serialize_tree, deserialize_tree
@@ -89,6 +89,7 @@ __all__ = [
     "Node",
     "QueryEngine",
     "QueryStats",
+    "Matches",
     "insert",
     "delete",
     "rstar_insert",

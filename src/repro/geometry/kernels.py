@@ -60,7 +60,7 @@ __all__ = [
     "coord_table",
     "table_len",
     "table_row",
-    "table_rows",
+    "table_tuples",
     "table_column",
     "table_concat",
     "table_take",
@@ -154,11 +154,12 @@ def table_row(table, i: int) -> tuple[float, ...]:
     return table[i]
 
 
-def table_rows(table, rows: Sequence[int]) -> Iterable[tuple[float, ...]]:
-    """Rows ``rows`` as tuples of Python floats, in one gather."""
+def table_tuples(table) -> Iterable[tuple[float, ...]]:
+    """Every row as a tuple of Python floats (one ``tolist``; zipping
+    the columns builds the tuples with no list per row in between)."""
     if HAVE_NUMPY and isinstance(table, np.ndarray):
-        return map(tuple, table[rows].tolist())
-    return [table[i] for i in rows]
+        return zip(*table.T.tolist())
+    return table
 
 
 def table_column(table, k: int) -> list[float]:

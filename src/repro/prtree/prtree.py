@@ -59,13 +59,21 @@ def build_prtree(
     priority_size:
         Override the priority-leaf capacity (defaults to ``fanout``).
         Setting it to 1 recovers the structure of Agarwal et al. [2],
-        which the ablation benchmark compares against.
+        which the ablation benchmark compares against; it needs
+        ``fanout > 2 * dim`` (``ValueError`` otherwise).
 
     Footnote 3 of the paper notes the leaf and internal fan-outs may
     differ by a constant; this implementation uses the same B for both,
     which the paper says "does not matter" for the analysis.
     """
     dim = data[0][0].dim if data else 2
+    if priority_size == 1 and fanout <= 2 * dim:
+        # fanout + 1 entries become 2d singleton priority leaves plus
+        # the rest: as many nodes as entries, at every later stage too.
+        raise ValueError(
+            f"priority_size=1 needs fanout > 2 * dim = {2 * dim}, got "
+            f"fanout={fanout}: the stages would stop shrinking"
+        )
     tree = RTree(store, root_id=-1, dim=dim, fanout=fanout, height=1, size=len(data))
     require_dim((rect for rect, _ in data), dim)
     items: list[Item] = [(rect, tree.register_object(value)) for rect, value in data]

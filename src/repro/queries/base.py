@@ -18,6 +18,6 @@ all just block-resident R-trees, queried "exactly as on an R-tree"
 (paper Section 2.2).
 """
 
-from repro.rtree.query import QueryStats, TraversalEngine
+from repro.rtree.query import Matches, QueryStats, TraversalEngine
 
-__all__ = ["TraversalEngine", "QueryStats"]
+__all__ = ["TraversalEngine", "QueryStats", "Matches"]

@@ -21,11 +21,12 @@ shares a single warm internal-node pool across all three operators.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
-from repro.queries.base import QueryStats, TraversalEngine
+from repro.queries.base import Matches, QueryStats, TraversalEngine
+from repro.rtree.query import on_window
 
 __all__ = [
     "PointQueryEngine",
@@ -42,7 +43,7 @@ class PointQueryEngine(TraversalEngine):
 
     def point_query(
         self, point: Sequence[float]
-    ) -> tuple[list[tuple[Rect, Any]], QueryStats]:
+    ) -> tuple[Matches, QueryStats]:
         """All stored rectangles containing ``point`` (stabbing query)."""
         point = tuple(float(c) for c in point)
         if len(point) != self.tree.dim:
@@ -60,25 +61,19 @@ class PointQueryEngine(TraversalEngine):
 
     def containment_query(
         self, window: Rect
-    ) -> tuple[list[tuple[Rect, Any]], QueryStats]:
+    ) -> tuple[Matches, QueryStats]:
         """All stored rectangles lying entirely inside ``window``."""
         if window.dim != self.tree.dim:
             raise ValueError(
                 f"{window.dim}-d window against a {self.tree.dim}-d tree"
             )
-        q_lo = kernels.as_coords(window.lo)
-        q_hi = kernels.as_coords(window.hi)
         # Pruning still uses intersection (a child box need not be
         # contained for its rectangles to be); reporting checks full
         # containment.
-        return self._run(
-            descend_rows=lambda frame: kernels.frame_intersecting(
-                frame.lo, frame.hi, q_lo, q_hi
-            ),
-            report_rows=lambda frame: kernels.frame_contained_in(
-                frame.lo, frame.hi, q_lo, q_hi
-            ),
+        intersecting, contained = on_window(
+            window, kernels.frame_intersecting, kernels.frame_contained_in
         )
+        return self._run(descend_rows=intersecting, report_rows=contained)
 
     def count(self, window: Rect) -> tuple[int, QueryStats]:
         """Number of stored rectangles intersecting ``window``.
@@ -90,73 +85,14 @@ class PointQueryEngine(TraversalEngine):
             raise ValueError(
                 f"{window.dim}-d window against a {self.tree.dim}-d tree"
             )
-        q_lo = kernels.as_coords(window.lo)
-        q_hi = kernels.as_coords(window.hi)
-        _, stats = self._run(
-            descend_rows=lambda frame: kernels.frame_intersecting(
-                frame.lo, frame.hi, q_lo, q_hi
-            ),
-            report_rows=None,
-            count_rows=lambda frame: kernels.frame_count_intersecting(
-                frame.lo, frame.hi, q_lo, q_hi
-            ),
+        intersecting, counting = on_window(
+            window, kernels.frame_intersecting, kernels.frame_count_intersecting
         )
+        _, stats = self._run(intersecting, report_rows=None, count_rows=counting)
         return stats.reported, stats
 
-    def _run(
-        self,
-        descend_rows: Callable[..., list[int]],
-        report_rows: Callable[..., list[int]] | None,
-        count_rows: Callable[..., int] | None = None,
-    ) -> tuple[list[tuple[Rect, Any]], QueryStats]:
-        """Depth-first traversal with whole-frame evaluation.
 
-        ``descend_rows(frame)`` returns the internal rows to push,
-        ``report_rows(frame)`` the leaf rows to materialize; a count-only
-        operator passes ``count_rows`` instead so leaves never build an
-        index list (or a ``Rect``) at all.
-        """
-        tree = self.tree
-        recorder = self._recorder
-        stats = QueryStats(queries=1)
-        matches: list[tuple[Rect, Any]] = []
-        stack = [tree.root_id]
-        while stack:
-            block_id = stack.pop()
-            node = self._read(block_id, stats)
-            frame = node.frame()
-            if frame.is_leaf:
-                if report_rows is None:
-                    kept = count_rows(frame)
-                    stats.reported += kept
-                    if recorder is not None:
-                        recorder.note_matched(block_id, kept)
-                    continue
-                rows = report_rows(frame)
-                stats.reported += len(rows)
-                if recorder is not None:
-                    recorder.note_matched(block_id, len(rows))
-                entries = node.cached_entries()
-                if entries is None:
-                    matches += frame.report(rows, tree.objects)
-                else:
-                    # Report existing Rect objects when the node has a
-                    # materialized entry list (identical values).
-                    for i in rows:
-                        rect, pointer = entries[i]
-                        matches.append((rect, tree.objects.get(pointer)))
-            else:
-                ptrs = frame.ptrs
-                rows = descend_rows(frame)
-                if recorder is not None:
-                    recorder.note_matched(block_id, len(rows))
-                for i in rows:
-                    stack.append(ptrs[i])
-        self.totals.merge(stats)
-        return matches, stats
-
-
-def point_query(tree, point: Sequence[float]) -> list[tuple[Rect, Any]]:
+def point_query(tree, point: Sequence[float]) -> Matches:
     """One-off stabbing query returning ``(rect, value)`` matches.
 
     For measured experiments construct a :class:`PointQueryEngine`
@@ -167,7 +103,7 @@ def point_query(tree, point: Sequence[float]) -> list[tuple[Rect, Any]]:
     return matches
 
 
-def containment_query(tree, window: Rect) -> list[tuple[Rect, Any]]:
+def containment_query(tree, window: Rect) -> Matches:
     """One-off containment query returning ``(rect, value)`` matches."""
     matches, _ = PointQueryEngine(tree).containment_query(window)
     return matches

@@ -45,18 +45,15 @@ coherent:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from collections import deque
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect, mbr_of
 
 #: One node entry: (bounding rectangle, child block id or data object id).
 Entry = tuple[Rect, int]
-
-
-#: Below this many rows a gather's fixed cost (two fancy-index copies,
-#: ~2 us each) exceeds what it saves over per-row materialization.
-_GATHER_MIN_ROWS = 8
 
 
 def _trusted_rect(lo: tuple[float, ...], hi: tuple[float, ...]) -> Rect:
@@ -71,6 +68,19 @@ def _trusted_rect(lo: tuple[float, ...], hi: tuple[float, ...]) -> Rect:
     object.__setattr__(rect, "lo", lo)
     object.__setattr__(rect, "hi", hi)
     return rect
+
+
+def rects_of(lo, hi) -> list[Rect]:
+    """One trusted :class:`Rect` per row of two coordinate tables.
+
+    The bulk :func:`_trusted_rect`: one ``tolist`` per table, and three
+    ``map`` passes allocate the objects and fill their slots without
+    re-entering the interpreter loop per row.
+    """
+    rects = list(map(Rect.__new__, repeat(Rect, len(lo))))
+    deque(map(Rect.lo.__set__, rects, kernels.table_tuples(lo)), maxlen=0)
+    deque(map(Rect.hi.__set__, rects, kernels.table_tuples(hi)), maxlen=0)
+    return rects
 
 
 class NodeFrame:
@@ -114,30 +124,9 @@ class NodeFrame:
         """Materialize row ``i`` as a classic ``(Rect, pointer)`` entry."""
         return self.rect(i), self.ptrs[i]
 
-    def report(self, rows: Sequence[int], objects) -> list[tuple[Rect, Any]]:
-        """``(Rect, value)`` result pairs for leaf rows ``rows``, in order.
-
-        Past a handful of rows, one table gather per side replaces two
-        :func:`~repro.geometry.kernels.table_row` calls per row: on
-        paged trees materializing the results, not missing pages, is
-        most of a large window's cost.
-        """
-        ptrs = self.ptrs
-        get = objects.get
-        if len(rows) < _GATHER_MIN_ROWS:
-            return [(self.rect(i), get(ptrs[i])) for i in rows]
-        return [
-            (_trusted_rect(lo, hi), get(ptrs[i]))
-            for i, lo, hi in zip(
-                rows,
-                kernels.table_rows(self.lo, rows),
-                kernels.table_rows(self.hi, rows),
-            )
-        ]
-
     def entries(self) -> list[Entry]:
         """Materialize every row (the codec's encode path)."""
-        return [self.entry(i) for i in range(len(self.ptrs))]
+        return list(zip(rects_of(self.lo, self.hi), self.ptrs))
 
     def mbr(self) -> Rect:
         """Tight bounding box of all rows, computed on the tables."""
@@ -308,17 +297,6 @@ class Node:
     def entries(self, value: Iterable[Entry]) -> None:
         self._entries = _TrackedEntries(self, value)
         self._frame = None
-
-    def cached_entries(self) -> list[Entry] | None:
-        """The already-materialized entry list, or None.
-
-        Read paths use this to report matches from existing ``Rect``
-        objects instead of rebuilding them row by row from the frame;
-        for disk-decoded nodes it stays None so a query touching three
-        rows of a 113-entry page never materializes the other 110.
-        Callers must not mutate the returned list.
-        """
-        return self._entries
 
     def frame(self) -> NodeFrame:
         """The structure-of-arrays view (built from the entries if needed).

@@ -18,12 +18,14 @@ by default) and counts leaf reads individually; construct with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.iomodel.cache import LRUCache
+from repro.rtree.node import NodeFrame, rects_of
 from repro.rtree.tree import RTree
 
 
@@ -75,6 +77,114 @@ class QueryStats:
         self.queries += other.queries
 
 
+class Matches(Sequence):
+    """A window, point or containment query's result: an immutable
+    sequence of ``(rect, value)`` pairs held as columns.
+
+    Per visited leaf the engines record the leaf's frame and its
+    matching rows (frames are never edited in place, so this is a
+    snapshot no later write can change) and resolve the rows' values.
+    ``len()``, :attr:`values`, :attr:`ids`, :attr:`lo` and :attr:`hi`
+    read those columns; iterating, indexing and ``==`` (against any
+    sequence of pairs) build the pairs — in traversal order, all at
+    once, the first time — and keep them.  A retained result keeps its
+    leaves' frames alive.
+    """
+
+    __slots__ = ("_parts", "_values", "_dim", "_pairs")
+
+    def __init__(
+        self,
+        parts: Iterable[tuple[NodeFrame, list[int]]] = (),
+        values: Iterable[Any] = (),
+        dim: int = 0,
+    ) -> None:
+        self._parts = tuple(parts)
+        self._values = tuple(values)
+        self._dim = dim
+        self._pairs: list[tuple[Rect, Any]] | None = None
+
+    @classmethod
+    def concat(cls, results: Iterable["Matches"], dim: int = 0) -> "Matches":
+        """The rows of every result in ``results``, in order; no pair is
+        materialized (how a sharded family merges its shards' answers)."""
+        results = list(results)
+        if len(results) == 1:
+            return results[0]  # immutable, so the lone shard's answer is shared
+        return cls(
+            [part for result in results for part in result._parts],
+            [value for result in results for value in result._values],
+            dim,
+        )
+
+    @property
+    def values(self) -> tuple[Any, ...]:
+        """The matched rows' values, in result order."""
+        return self._values
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        """The matched rows' object ids (leaf pointers), in result order."""
+        return tuple(
+            frame.ptrs[i] for frame, rows in self._parts for i in rows
+        )
+
+    @property
+    def lo(self):
+        """Lower corners as one ``(len, dim)`` coordinate table."""
+        return self._table("lo")
+
+    @property
+    def hi(self):
+        """Upper corners as one ``(len, dim)`` coordinate table."""
+        return self._table("hi")
+
+    def _table(self, side: str):
+        tables = [
+            kernels.table_take(getattr(frame, side), rows)
+            for frame, rows in self._parts
+        ]
+        if not tables:
+            return kernels.coord_table([], self._dim)
+        return kernels.table_concat(tables)
+
+    def _materialized(self) -> list[tuple[Rect, Any]]:
+        pairs = self._pairs
+        if pairs is None:
+            pairs = self._pairs = list(
+                zip(rects_of(self.lo, self.hi), self._values)
+            )
+        return pairs
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, index):
+        return self._materialized()[index]
+
+    def __iter__(self) -> Iterator[tuple[Rect, Any]]:
+        return iter(self._materialized())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._materialized() == list(other)
+
+    def __repr__(self) -> str:
+        return f"Matches({len(self._values)} rows from {len(self._parts)} leaves)"
+
+
+def on_window(window: Rect, *frame_kernels: Callable) -> list[Callable]:
+    """``frame -> kernel(frame.lo, frame.hi, q_lo, q_hi)`` per kernel, for
+    one query window whose corners are converted for the kernels once."""
+    q_lo = kernels.as_coords(window.lo)
+    q_hi = kernels.as_coords(window.hi)
+    return [
+        lambda frame, kernel=kernel: kernel(frame.lo, frame.hi, q_lo, q_hi)
+        for kernel in frame_kernels
+    ]
+
+
 class TraversalEngine:
     """Shared plumbing for every query operator: one tree, one internal-node
     pool, accumulated totals.
@@ -108,53 +218,35 @@ class TraversalEngine:
         self.cache_internal = cache_internal
         self._cache = LRUCache(tree.store, capacity=cache_capacity if cache_internal else 0)
         self.totals = QueryStats()
-        # Opt-in EXPLAIN plan capture (repro.queries.explain); None on
-        # the hot path costs one attribute load + branch per node.
+        # Opt-in EXPLAIN plan capture (repro.queries.explain).
         self._recorder = None
 
     def _read(self, block_id: int, stats: QueryStats):
-        if self._recorder is not None:
-            return self._read_recorded(block_id, stats)
-        # A warm internal node is answered from the engine's own pool
-        # without touching the store at all — the store-level peek below
-        # would otherwise cost a physical decode on paged stores whose
-        # page cache no longer holds the block.
-        if self.cache_internal and block_id in self._cache:
-            stats.internal_visits += 1
-            return self._cache.get(block_id)
-        # The root's leafness is known from tree height; for everything else
-        # the parent knew whether its children are leaves only implicitly, so
-        # peek at the node kind first (metadata, not a counted access) and
-        # route the counted read appropriately.
-        node = self.tree.store.peek(block_id)
-        if node.is_leaf:
-            stats.leaf_reads += 1
-            # Count the actual disk read.
-            return self.tree.store.read(block_id)
-        stats.internal_visits += 1
-        if self.cache_internal:
-            before = self._cache.misses
-            node = self._cache.get(block_id)
-            stats.internal_reads += self._cache.misses - before
-            return node
-        stats.internal_reads += 1
-        return self.tree.store.read(block_id)
+        """Fetch one node, counting it the paper's way.
 
-    def _read_recorded(self, block_id: int, stats: QueryStats):
-        """The :meth:`_read` branches with per-node plan attribution.
-
-        A separate method so the explain-off hot path stays one branch;
-        accounting is identical.  Physical reads are attributed from the
-        page store's miss counter around the access (0 for stores with
-        no physical layer, e.g. the in-memory simulator).
+        With an EXPLAIN recorder armed, the node is also attributed to
+        its plan level, with the physical reads it caused: the page
+        store's miss counter around the access (0 for stores with no
+        physical layer, e.g. the in-memory simulator).  Disarmed, that
+        costs two ``None`` checks per node.
         """
         recorder = self._recorder
-        pstats = getattr(self.tree.store, "stats", None)
-        before_misses = pstats.misses if pstats is not None else 0
+        if recorder is not None:
+            pstats = getattr(self.tree.store, "stats", None)
+            before_misses = pstats.misses if pstats is not None else 0
         if self.cache_internal and block_id in self._cache:
+            # A warm internal node is answered from the engine's own
+            # pool without touching the store at all — the store-level
+            # peek below would otherwise cost a physical decode on paged
+            # stores whose page cache no longer holds the block.
             stats.internal_visits += 1
             node = self._cache.get(block_id)
         else:
+            # The root's leafness is known from tree height; for
+            # everything else the parent knew whether its children are
+            # leaves only implicitly, so peek at the node kind first
+            # (metadata, not a counted access) and route the counted
+            # read appropriately.
             node = self.tree.store.peek(block_id)
             if node.is_leaf:
                 stats.leaf_reads += 1
@@ -168,9 +260,56 @@ class TraversalEngine:
                 else:
                     stats.internal_reads += 1
                     node = self.tree.store.read(block_id)
-        physical = (pstats.misses - before_misses) if pstats is not None else 0
-        recorder.on_node(block_id, node, physical)
+        if recorder is not None:
+            physical = pstats.misses - before_misses if pstats is not None else 0
+            recorder.on_node(block_id, node, physical)
         return node
+
+    def _run(
+        self,
+        descend_rows: Callable[[NodeFrame], list[int]],
+        report_rows: Callable[[NodeFrame], list[int]] | None,
+        count_rows: Callable[[NodeFrame], int] | None = None,
+    ) -> tuple[Matches, QueryStats]:
+        """The depth-first reporting traversal every window, point and
+        containment query is, with whole-frame evaluation.
+
+        ``descend_rows(frame)`` returns the internal rows to push,
+        ``report_rows(frame)`` the leaf rows to report; a count-only
+        operator passes ``count_rows`` instead so leaves never build an
+        index list at all.  A visited leaf contributes its frame and
+        row list to the result, never a pair.
+        """
+        tree = self.tree
+        recorder = self._recorder
+        get = tree.objects.get
+        stats = QueryStats(queries=1)
+        parts: list[tuple[NodeFrame, list[int]]] = []
+        values: list[Any] = []
+        stack = [tree.root_id]
+        while stack:
+            block_id = stack.pop()
+            frame = self._read(block_id, stats).frame()
+            ptrs = frame.ptrs
+            if not frame.is_leaf:
+                rows = descend_rows(frame)
+                matched = len(rows)
+                for i in rows:
+                    stack.append(ptrs[i])
+            elif report_rows is None:
+                matched = count_rows(frame)
+                stats.reported += matched
+            else:
+                rows = report_rows(frame)
+                matched = len(rows)
+                if rows:
+                    parts.append((frame, rows))
+                    values += [get(ptrs[i]) for i in rows]
+                    stats.reported += matched
+            if recorder is not None:
+                recorder.note_matched(block_id, matched)
+        self.totals.merge(stats)
+        return Matches(parts, values, tree.dim), stats
 
     def invalidate(self, block_id: int) -> None:
         """Drop a block from the internal pool after an update touched it."""
@@ -187,48 +326,19 @@ class QueryEngine(TraversalEngine):
     Construction parameters are inherited from :class:`TraversalEngine`.
     """
 
-    def query(self, window: Rect) -> tuple[list[tuple[Rect, Any]], QueryStats]:
+    def query(self, window: Rect) -> tuple[Matches, QueryStats]:
         """Run one window query.
 
-        Returns the matching ``(rect, value)`` pairs and this query's
-        statistics; the engine's :attr:`totals` accumulate across calls.
+        Returns the matching ``(rect, value)`` pairs as a
+        :class:`Matches` and this query's statistics; the engine's
+        :attr:`totals` accumulate across calls.
         """
-        tree = self.tree
-        recorder = self._recorder
-        stats = QueryStats(queries=1)
-        matches: list[tuple[Rect, Any]] = []
-        q_lo = kernels.as_coords(window.lo)
-        q_hi = kernels.as_coords(window.hi)
-        stack = [self.tree.root_id]
-        while stack:
-            block_id = stack.pop()
-            node = self._read(block_id, stats)
-            frame = node.frame()
-            rows = kernels.frame_intersecting(frame.lo, frame.hi, q_lo, q_hi)
-            if recorder is not None:
-                recorder.note_matched(block_id, len(rows))
-            if frame.is_leaf:
-                entries = node.cached_entries()
-                if entries is None:
-                    matches += frame.report(rows, tree.objects)
-                else:
-                    # In-memory nodes already hold the Rect objects;
-                    # reporting them directly skips the per-row
-                    # materialization (identical values either way).
-                    for i in rows:
-                        rect, pointer = entries[i]
-                        matches.append((rect, tree.objects.get(pointer)))
-                stats.reported += len(rows)
-            else:
-                ptrs = frame.ptrs
-                for i in rows:
-                    stack.append(ptrs[i])
-        self.totals.merge(stats)
-        return matches, stats
+        (intersecting,) = on_window(window, kernels.frame_intersecting)
+        return self._run(descend_rows=intersecting, report_rows=intersecting)
 
     def query_batch(
         self, windows: Sequence[Rect]
-    ) -> tuple[list[list[tuple[Rect, Any]]], list[QueryStats]]:
+    ) -> tuple[list[Matches], list[QueryStats]]:
         """Run a batch of window queries in one shared traversal.
 
         Set-at-a-time evaluation: the batch walks the tree once, and at
@@ -249,11 +359,12 @@ class QueryEngine(TraversalEngine):
         deduplicated read count.
         """
         tree = self.tree
+        get = tree.objects.get
         n = len(windows)
-        all_matches: list[list[tuple[Rect, Any]]] = [[] for _ in range(n)]
+        columns: list[tuple[list, list]] = [([], []) for _ in range(n)]
         all_stats = [QueryStats(queries=1) for _ in range(n)]
         if n == 0:
-            return all_matches, all_stats
+            return [], all_stats
         q_lo, q_hi = kernels.batch_windows(windows, tree.dim)
         stack: list[tuple[int, list[int]]] = [
             (tree.root_id, list(range(n)))
@@ -261,27 +372,20 @@ class QueryEngine(TraversalEngine):
         while stack:
             block_id, active = stack.pop()
             shared = QueryStats()
-            node = self._read(block_id, shared)
-            frame = node.frame()
+            frame = self._read(block_id, shared).frame()
             hits = kernels.batch_intersecting(
                 frame.lo, frame.hi, q_lo, q_hi, active
             )
             if frame.is_leaf:
-                entries = node.cached_entries()
+                ptrs = frame.ptrs
                 for q in active:
                     stats = all_stats[q]
                     stats.leaf_reads += 1
                     rows = hits.get(q)
                     if rows:
-                        matches = all_matches[q]
-                        if entries is None:
-                            matches += frame.report(rows, tree.objects)
-                        else:
-                            for i in rows:
-                                rect, pointer = entries[i]
-                                matches.append(
-                                    (rect, tree.objects.get(pointer))
-                                )
+                        parts, values = columns[q]
+                        parts.append((frame, rows))
+                        values += [get(ptrs[i]) for i in rows]
                         stats.reported += len(rows)
             else:
                 for q in active:
@@ -300,7 +404,7 @@ class QueryEngine(TraversalEngine):
                     stack.append((ptrs[i], per_child[i]))
         for stats in all_stats:
             self.totals.merge(stats)
-        return all_matches, all_stats
+        return [Matches(*column, tree.dim) for column in columns], all_stats
 
 
 def brute_force_query(

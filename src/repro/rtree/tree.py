@@ -14,11 +14,14 @@ packed Hilbert tree and a dynamically grown Guttman tree are all just
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.geometry.rect import Rect
 from repro.iomodel.store import BlockId, BlockStoreProtocol
 from repro.rtree.node import Node
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.rtree.query import Matches
 
 
 class RTree:
@@ -171,7 +174,7 @@ class RTree:
     # Convenience querying
     # ------------------------------------------------------------------
 
-    def query(self, window: Rect) -> list[tuple[Rect, Any]]:
+    def query(self, window: Rect) -> Matches:
         """One-off window query returning ``(rect, value)`` matches.
 
         For measured experiments use :class:`repro.rtree.query.QueryEngine`

@@ -189,11 +189,13 @@ class RequestResult:
     request:
         The request this result answers.
     value:
-        The operator's payload: ``(rect, value)`` matches for
-        window/containment/point, an ``int`` for count, a list of
+        The operator's payload: a :class:`~repro.rtree.query.Matches`
+        for window/containment/point (``(rect, value)`` pairs held as
+        columns; the pairs are built only if the caller iterates or
+        indexes), an ``int`` for count, a list of
         :class:`~repro.queries.knn.Neighbor` for knn, a list of pairs
         for join, the assigned object id for insert, and a found
-        ``bool`` for delete.
+        ``bool`` for delete.  Duplicates share one payload object.
     stats:
         The operator's own statistics object
         (:class:`~repro.rtree.query.QueryStats` or

@@ -256,7 +256,7 @@ class QueryServer:
         efficiency against the leaf-I/O lower bound.  Disables window
         batching (a shared traversal has no per-query plan); sharded
         facades execute normally but produce no plan.  Default off —
-        the disabled path costs one branch per node.
+        the disabled path costs a ``None`` check or two per node.
     """
 
     def __init__(
@@ -381,7 +381,7 @@ class QueryServer:
     def _index_bounds(self, name: str) -> Rect | None:
         if name not in self._bounds:
             root = self._tree(name).root()
-            self._bounds[name] = root.mbr() if root.entries else None
+            self._bounds[name] = root.mbr() if len(root) else None
         return self._bounds[name]
 
     def _locality_key(self, request: Request) -> int:

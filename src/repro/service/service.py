@@ -257,7 +257,7 @@ class AsyncQueryService:
         captures a :mod:`repro.queries.explain` plan, attached to slow
         log entries in summary form and aggregated into the
         ``repro_explain_*`` metric families.  Off (default) keeps the
-        traversal hot path at one branch per node.
+        traversal hot path at a ``None`` check or two per node.
     health_interval:
         Seconds between **index-health snapshots**: every cadence tick
         of the metrics loop past this interval walks each index

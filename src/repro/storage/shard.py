@@ -75,7 +75,7 @@ from repro.queries.join import JoinStats, SpatialJoinEngine
 from repro.queries.knn import KNNEngine, Neighbor
 from repro.queries.point import PointQueryEngine
 from repro.rtree.node import Node, NodeFrame
-from repro.rtree.query import QueryEngine, QueryStats
+from repro.rtree.query import Matches, QueryEngine, QueryStats
 from repro.rtree.tree import RTree
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.filestore import StorageError
@@ -732,7 +732,7 @@ class ShardedTree:
                 f"manifest promises {info.size}"
             )
         root = shard.root()
-        actual = root.mbr() if root.entries else None
+        actual = root.mbr() if len(root) else None
         if actual != info.mbr:
             raise ShardError(
                 f"{where}: shard MBR mismatch — file has {actual}, "
@@ -772,7 +772,7 @@ class ShardedTree:
         inserted since the last sync are never missed.
         """
         root = self.shards[i].root()
-        return root.mbr() if root.entries else None
+        return root.mbr() if len(root) else None
 
     def root(self) -> Node:
         """A synthetic internal node with one entry per non-empty shard.
@@ -990,7 +990,7 @@ class ShardedTree:
 
     # -- convenience query surface ------------------------------------
 
-    def query(self, window: Rect) -> list[tuple[Rect, Any]]:
+    def query(self, window: Rect) -> Matches:
         """One-off window query over the whole family.
 
         For measured experiments construct a :class:`ShardedQueryEngine`
@@ -1005,12 +1005,12 @@ class ShardedTree:
         count, _ = ShardedPointEngine(self).count(window)
         return count
 
-    def point_query(self, point: Sequence[float]) -> list[tuple[Rect, Any]]:
+    def point_query(self, point: Sequence[float]) -> Matches:
         """One-off stabbing query over the whole family."""
         matches, _ = ShardedPointEngine(self).point_query(point)
         return matches
 
-    def containment_query(self, window: Rect) -> list[tuple[Rect, Any]]:
+    def containment_query(self, window: Rect) -> Matches:
         """One-off containment query over the whole family."""
         matches, _ = ShardedPointEngine(self).containment_query(window)
         return matches
@@ -1169,6 +1169,14 @@ class _ShardedFanout:
         self.totals.merge(merged)
         return merged
 
+    def _merge(self, parts: list) -> tuple[Matches, QueryStats]:
+        """Per-shard ``(matches, stats)`` as one answer, in shard order;
+        the rows are concatenated as columns, none is materialized."""
+        return (
+            Matches.concat((found for found, _ in parts), self.sharded.dim),
+            self._merge_stats([stats for _, stats in parts]),
+        )
+
     def per_shard_totals(self) -> list[QueryStats]:
         """Each shard sub-engine's accumulated totals, in shard order.
 
@@ -1202,17 +1210,14 @@ class ShardedQueryEngine(_ShardedFanout):
             QueryEngine(shard, cache_internal) for shard in sharded.shards
         ]
 
-    def query(self, window: Rect) -> tuple[list[tuple[Rect, Any]], QueryStats]:
+    def query(self, window: Rect) -> tuple[Matches, QueryStats]:
         if window.dim != self.sharded.dim:
             raise ValueError(
                 f"{window.dim}-d window against a {self.sharded.dim}-d index"
             )
         indices = self._intersecting(window.intersects)
         parts = self._fan_out(indices, lambda i: self._subs[i].query(window))
-        matches: list[tuple[Rect, Any]] = []
-        for found, _ in parts:
-            matches.extend(found)
-        return matches, self._merge_stats([stats for _, stats in parts])
+        return self._merge(parts)
 
 
 class ShardedPointEngine(_ShardedFanout):
@@ -1232,7 +1237,7 @@ class ShardedPointEngine(_ShardedFanout):
 
     def point_query(
         self, point: Sequence[float]
-    ) -> tuple[list[tuple[Rect, Any]], QueryStats]:
+    ) -> tuple[Matches, QueryStats]:
         point = tuple(float(c) for c in point)
         if len(point) != self.sharded.dim:
             raise ValueError(
@@ -1242,14 +1247,11 @@ class ShardedPointEngine(_ShardedFanout):
         parts = self._fan_out(
             indices, lambda i: self._subs[i].point_query(point)
         )
-        matches: list[tuple[Rect, Any]] = []
-        for found, _ in parts:
-            matches.extend(found)
-        return matches, self._merge_stats([stats for _, stats in parts])
+        return self._merge(parts)
 
     def containment_query(
         self, window: Rect
-    ) -> tuple[list[tuple[Rect, Any]], QueryStats]:
+    ) -> tuple[Matches, QueryStats]:
         if window.dim != self.sharded.dim:
             raise ValueError(
                 f"{window.dim}-d window against a {self.sharded.dim}-d index"
@@ -1258,10 +1260,7 @@ class ShardedPointEngine(_ShardedFanout):
         parts = self._fan_out(
             indices, lambda i: self._subs[i].containment_query(window)
         )
-        matches: list[tuple[Rect, Any]] = []
-        for found, _ in parts:
-            matches.extend(found)
-        return matches, self._merge_stats([stats for _, stats in parts])
+        return self._merge(parts)
 
     def count(self, window: Rect) -> tuple[int, QueryStats]:
         if window.dim != self.sharded.dim:

@@ -1554,8 +1554,8 @@ def exact_tree_image(tree):
         rows = [
             (exact(Rect(lo, hi)), pointer)
             for lo, hi, pointer in zip(
-                kernels.table_rows(frame.lo, range(len(frame))),
-                kernels.table_rows(frame.hi, range(len(frame))),
+                kernels.table_tuples(frame.lo),
+                kernels.table_tuples(frame.hi),
                 frame.ptrs,
             )
         ]
@@ -1676,7 +1676,7 @@ class TestPseudoPRTreeDifferential:
             node = leaf.node(is_leaf=True)
             assert node.entries == leaf.items
             assert node.mbr() == leaf.mbr
-            assert node.cached_entries() is not None
+            assert node._entries is not None
             assert node.frame().ptrs == [pointer for _, pointer in leaf.items]
 
 
@@ -1960,3 +1960,470 @@ class TestSeededMutations:
         monkeypatch.setattr(pseudo, "_snap_to_multiple", mutant_half_off_by_one)
         with pytest.raises(AssertionError):
             self.check()
+
+
+# ----------------------------------------------------------------------
+# Query results: the columnar ``Matches`` vs the list of pairs it
+# replaced.
+#
+# The oracles are verbatim copies of the report paths as they stood
+# before results became columns: ``QueryEngine.query`` / ``query_batch``
+# and ``PointQueryEngine._run`` with their ``cached_entries()`` fork
+# (an in-memory node reports its existing ``Rect`` objects, a decoded
+# page goes through ``NodeFrame.report``), ``NodeFrame.report`` with its
+# gather threshold, ``kernels.table_rows``, and the sharded facades'
+# ``matches.extend(found)`` merge.  A result must read pair for pair,
+# in order, as the oracle's list; ``QueryStats``, ``IOCounters`` and the
+# page-cache statistics must be equal.
+# ----------------------------------------------------------------------
+
+from repro.rtree.node import _trusted_rect
+from repro.rtree.query import Matches
+from repro.storage import open_index
+from repro.storage.shard import ShardedPointEngine, ShardedQueryEngine
+
+_ORACLE_GATHER_MIN_ROWS = 8
+
+
+def oracle_table_rows(table, rows):
+    if kernels.HAVE_NUMPY and isinstance(table, kernels.np.ndarray):
+        return map(tuple, table[rows].tolist())
+    return [table[i] for i in rows]
+
+
+def oracle_report(frame, rows, objects):
+    ptrs = frame.ptrs
+    get = objects.get
+    if len(rows) < _ORACLE_GATHER_MIN_ROWS:
+        return [(frame.rect(i), get(ptrs[i])) for i in rows]
+    return [
+        (_trusted_rect(lo, hi), get(ptrs[i]))
+        for i, lo, hi in zip(
+            rows,
+            oracle_table_rows(frame.lo, rows),
+            oracle_table_rows(frame.hi, rows),
+        )
+    ]
+
+
+class OracleQueryEngine(TraversalEngine):
+    """``QueryEngine`` as it reported before ``Matches``."""
+
+    def query(self, window):
+        tree = self.tree
+        recorder = self._recorder
+        stats = QueryStats(queries=1)
+        matches = []
+        q_lo = kernels.as_coords(window.lo)
+        q_hi = kernels.as_coords(window.hi)
+        stack = [self.tree.root_id]
+        while stack:
+            block_id = stack.pop()
+            node = self._read(block_id, stats)
+            frame = node.frame()
+            rows = kernels.frame_intersecting(frame.lo, frame.hi, q_lo, q_hi)
+            if recorder is not None:
+                recorder.note_matched(block_id, len(rows))
+            if frame.is_leaf:
+                entries = node._entries
+                if entries is None:
+                    matches += oracle_report(frame, rows, tree.objects)
+                else:
+                    for i in rows:
+                        rect, pointer = entries[i]
+                        matches.append((rect, tree.objects.get(pointer)))
+                stats.reported += len(rows)
+            else:
+                ptrs = frame.ptrs
+                for i in rows:
+                    stack.append(ptrs[i])
+        self.totals.merge(stats)
+        return matches, stats
+
+    def query_batch(self, windows):
+        tree = self.tree
+        n = len(windows)
+        all_matches = [[] for _ in range(n)]
+        all_stats = [QueryStats(queries=1) for _ in range(n)]
+        if n == 0:
+            return all_matches, all_stats
+        q_lo, q_hi = kernels.batch_windows(windows, tree.dim)
+        stack = [(tree.root_id, list(range(n)))]
+        while stack:
+            block_id, active = stack.pop()
+            shared = QueryStats()
+            node = self._read(block_id, shared)
+            frame = node.frame()
+            hits = kernels.batch_intersecting(
+                frame.lo, frame.hi, q_lo, q_hi, active
+            )
+            if frame.is_leaf:
+                entries = node._entries
+                for q in active:
+                    stats = all_stats[q]
+                    stats.leaf_reads += 1
+                    rows = hits.get(q)
+                    if rows:
+                        matches = all_matches[q]
+                        if entries is None:
+                            matches += oracle_report(frame, rows, tree.objects)
+                        else:
+                            for i in rows:
+                                rect, pointer = entries[i]
+                                matches.append(
+                                    (rect, tree.objects.get(pointer))
+                                )
+                        stats.reported += len(rows)
+            else:
+                for q in active:
+                    all_stats[q].internal_visits += 1
+                all_stats[active[0]].internal_reads += shared.internal_reads
+                per_child = {}
+                for q, rows in hits.items():
+                    for i in rows:
+                        per_child.setdefault(i, []).append(q)
+                ptrs = frame.ptrs
+                for i in sorted(per_child):
+                    stack.append((ptrs[i], per_child[i]))
+        for stats in all_stats:
+            self.totals.merge(stats)
+        return all_matches, all_stats
+
+
+class OraclePointEngine(PointQueryEngine):
+    """``PointQueryEngine`` with the ``_run`` it had before ``Matches``
+    (the three operators only choose its kernels)."""
+
+    def _run(self, descend_rows, report_rows, count_rows=None):
+        tree = self.tree
+        recorder = self._recorder
+        stats = QueryStats(queries=1)
+        matches = []
+        stack = [tree.root_id]
+        while stack:
+            block_id = stack.pop()
+            node = self._read(block_id, stats)
+            frame = node.frame()
+            if frame.is_leaf:
+                if report_rows is None:
+                    kept = count_rows(frame)
+                    stats.reported += kept
+                    if recorder is not None:
+                        recorder.note_matched(block_id, kept)
+                    continue
+                rows = report_rows(frame)
+                stats.reported += len(rows)
+                if recorder is not None:
+                    recorder.note_matched(block_id, len(rows))
+                entries = node._entries
+                if entries is None:
+                    matches += oracle_report(frame, rows, tree.objects)
+                else:
+                    for i in rows:
+                        rect, pointer = entries[i]
+                        matches.append((rect, tree.objects.get(pointer)))
+            else:
+                ptrs = frame.ptrs
+                rows = descend_rows(frame)
+                if recorder is not None:
+                    recorder.note_matched(block_id, len(rows))
+                for i in rows:
+                    stack.append(ptrs[i])
+        self.totals.merge(stats)
+        return matches, stats
+
+
+def _oracle_merge(engine, parts):
+    matches = []
+    for found, _ in parts:
+        matches.extend(found)
+    return matches, engine._merge_stats([stats for _, stats in parts])
+
+
+class OracleShardedQueryEngine(ShardedQueryEngine):
+    """The facade's routing over oracle sub-engines, merged by ``extend``."""
+
+    def __init__(self, sharded):
+        super().__init__(sharded)
+        self._subs = [OracleQueryEngine(shard) for shard in sharded.shards]
+
+    def query(self, window):
+        indices = self._intersecting(window.intersects)
+        parts = self._fan_out(indices, lambda i: self._subs[i].query(window))
+        return _oracle_merge(self, parts)
+
+
+class OracleShardedPointEngine(ShardedPointEngine):
+    def __init__(self, sharded):
+        super().__init__(sharded)
+        self._subs = [OraclePointEngine(shard) for shard in sharded.shards]
+
+    def point_query(self, point):
+        point = tuple(float(c) for c in point)
+        indices = self._intersecting(lambda mbr: mbr.contains_point(point))
+        parts = self._fan_out(
+            indices, lambda i: self._subs[i].point_query(point)
+        )
+        return _oracle_merge(self, parts)
+
+    def containment_query(self, window):
+        indices = self._intersecting(window.intersects)
+        parts = self._fan_out(
+            indices, lambda i: self._subs[i].containment_query(window)
+        )
+        return _oracle_merge(self, parts)
+
+
+def assert_same_result(got, want):
+    """One ``(Matches, stats)`` answer against the oracle's ``(list,
+    stats)``: pair for pair, in order, through every way of reading it."""
+    (got_matches, got_stats), (want_matches, want_stats) = got, want
+    assert type(got_matches) is Matches
+    assert got_stats == want_stats
+    assert len(got_matches) == len(want_matches)
+    assert got_matches.values == tuple(value for _, value in want_matches)
+    for side in ("lo", "hi"):
+        assert [
+            tuple(row)
+            for row in kernels.table_tuples(getattr(got_matches, side))
+        ] == [getattr(rect, side) for rect, _ in want_matches]
+    assert list(got_matches) == want_matches
+    assert [exact(rect) for rect, _ in got_matches] == [
+        exact(rect) for rect, _ in want_matches
+    ]
+    assert got_matches == want_matches and want_matches == got_matches
+
+
+def result_probes(dim, seed, count=8):
+    """Windows (some far outside the data: empty answers; one covering
+    everything) and stabbing points for a ``dim``-d unit-cube data set."""
+    windows = random_windows(count, seed=seed, dim=dim, side=0.3)
+    windows.append(Rect([5.0] * dim, [6.0] * dim))
+    windows.append(Rect([-1.0] * dim, [2.0] * dim))
+    windows.append(Rect([0.5] * dim, [0.5] * dim))
+    points = [w.center() for w in windows]
+    return windows, points
+
+
+def assert_same_results(got_tree, want_tree, seed, sharded=False):
+    """Every reporting operator over two handles on the same index."""
+    if sharded:
+        window_engine = ShardedQueryEngine(got_tree)
+        window_oracle = OracleShardedQueryEngine(want_tree)
+        point_engine = ShardedPointEngine(got_tree)
+        point_oracle = OracleShardedPointEngine(want_tree)
+    else:
+        window_engine = QueryEngine(got_tree)
+        window_oracle = OracleQueryEngine(want_tree)
+        point_engine = PointQueryEngine(got_tree)
+        point_oracle = OraclePointEngine(want_tree)
+    windows, points = result_probes(got_tree.dim, seed)
+    reported = 0
+    for window in windows:
+        got = window_engine.query(window)
+        assert_same_result(got, window_oracle.query(window))
+        assert_same_result(
+            point_engine.containment_query(window),
+            point_oracle.containment_query(window),
+        )
+        assert point_engine.count(window) == point_oracle.count(window)
+        reported += len(got[0])
+    for point in points:
+        assert_same_result(
+            point_engine.point_query(point), point_oracle.point_query(point)
+        )
+    if not sharded:
+        got_all, got_stats = window_engine.query_batch(windows)
+        want_all, want_stats = window_oracle.query_batch(windows)
+        assert len(got_all) == len(want_all)
+        for got in zip(got_all, got_stats):
+            assert_same_result(got, (want_all.pop(0), want_stats.pop(0)))
+        assert window_engine.query_batch([]) == ([], [])
+    assert window_engine.totals == window_oracle.totals
+    assert point_engine.totals == point_oracle.totals
+    assert got_tree.store.counters.snapshot() == want_tree.store.counters.snapshot()
+    if hasattr(got_tree, "page_stats"):
+        assert got_tree.page_stats == want_tree.page_stats
+    # The convenience wrappers hand the engines' result through.
+    assert list(got_tree.query(windows[0])) == window_oracle.query(windows[0])[0]
+    return reported
+
+
+def assert_same_results_on_disk(fanout_tree, directory, cache_pages, shards, seed):
+    """Pack ``fanout_tree`` (one file or a K-shard family), open it
+    twice — each side its own page cache — and compare."""
+    values = dict(fanout_tree.objects)
+    if shards == 1:
+        path = pathlib.Path(directory) / "index.pack"
+        pack_tree(fanout_tree, path, block_size=1024)
+    else:
+        path = pathlib.Path(directory) / "index.manifest"
+        shard_pack(fanout_tree, path, shards=shards, block_size=1024)
+    with open_index(
+        path, values=values, cache_pages=cache_pages, readonly=True
+    ) as got_tree, open_index(
+        path, values=dict(values), cache_pages=cache_pages, readonly=True
+    ) as want_tree:
+        return assert_same_results(got_tree, want_tree, seed, sharded=shards > 1)
+
+
+class TestResultsDifferential:
+    """``Matches`` reads as the list of pairs the engines used to build."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("builder", [build_prtree, build_hilbert], ids=["PR", "H"])
+    def test_in_memory(self, builder, dim):
+        data = random_rects(500, seed=60 + dim, dim=dim)
+        got_tree = builder(BlockStore(), data, 8)
+        want_tree = builder(BlockStore(), data, 8)
+        assert assert_same_results(got_tree, want_tree, seed=61) > 500
+
+    def test_single_row_leaves(self):
+        # priority_size=1: every priority leaf holds exactly one row, so
+        # most parts of a result are one-row gathers.
+        data = random_rects(200, seed=62)
+        trees = [
+            build_prtree(BlockStore(), data, 8, priority_size=1)
+            for _ in range(2)
+        ]
+        singles = sum(len(leaf) == 1 for _, leaf in trees[0].iter_leaves())
+        assert singles > 50
+        assert_same_results(*trees, seed=63)
+
+    def test_after_updates(self):
+        # Nodes edited by the write path hold a frame, an entry list or
+        # both; whichever it is, the result is the same.
+        data = random_rects(300, seed=64)
+        trees = [build_prtree(BlockStore(), data, 8) for _ in range(2)]
+        for tree in trees:
+            for i, (rect, value) in enumerate(random_rects(60, seed=65)):
+                tree.insert(rect, f"new{value}")
+            for rect, value in data[:40]:
+                assert tree.delete(rect, value)
+        assert_same_results(*trees, seed=66)
+
+    def test_tiny_and_empty_trees(self):
+        for data in ([], random_rects(1, seed=67), random_rects(3, seed=67)):
+            trees = [build_prtree(BlockStore(), data, 8) for _ in range(2)]
+            assert_same_results(*trees, seed=68)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("cache_pages", [0, 32, 1024])
+    def test_paged(self, tmp_path, cache_pages, dim):
+        data = random_rects(900, seed=70 + dim, dim=dim)
+        tree = build_prtree(BlockStore(), data, 16)
+        reported = assert_same_results_on_disk(
+            tree, tmp_path, cache_pages, shards=1, seed=71
+        )
+        assert reported > 900
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("cache_pages", [0, 32])
+    def test_sharded_family(self, tmp_path, cache_pages, dim):
+        data = random_rects(900, seed=80 + dim, dim=dim)
+        tree = build_prtree(BlockStore(), data, 16)
+        reported = assert_same_results_on_disk(
+            tree, tmp_path, cache_pages, shards=4, seed=81
+        )
+        assert reported > 900
+
+    @settings(max_examples=25)
+    @given(data=rect_datasets(max_size=80), window=windows())
+    def test_property(self, data, window):
+        trees = [build_prtree(BlockStore(), data, 4) for _ in range(2)]
+        assert_same_result(
+            QueryEngine(trees[0]).query(window),
+            OracleQueryEngine(trees[1]).query(window),
+        )
+        assert_same_result(
+            PointQueryEngine(trees[0]).containment_query(window),
+            OraclePointEngine(trees[1]).containment_query(window),
+        )
+
+
+# -- seeded mutations of the result path: each must be caught ------------
+
+
+_matches_init = Matches.__init__
+_matches_table = Matches._table
+_matches_concat = Matches.concat.__func__
+
+
+def mutant_values_shifted(self, parts=(), values=(), dim=0):
+    """The values column one row out of step with the coordinates."""
+    values = list(values)
+    _matches_init(self, parts, values[1:] + values[:1], dim)
+
+
+def mutant_parts_reversed(self, side):
+    """The coordinate tables gathered last leaf first."""
+    parts = self._parts
+    self._parts = parts[::-1]
+    try:
+        return _matches_table(self, side)
+    finally:
+        self._parts = parts
+
+
+def mutant_shards_reversed(cls, results, dim=0):
+    """A family's answers merged last shard first."""
+    return _matches_concat(cls, list(results)[::-1], dim)
+
+
+def mutant_empty_part_ends_merge(cls, results, dim=0):
+    """A shard with nothing to report ending the merge early."""
+    kept = []
+    for result in results:
+        if not len(result):
+            break
+        kept.append(result)
+    return _matches_concat(cls, kept, dim)
+
+
+class TestResultMutations:
+    """The results check fails on each plausible mis-step."""
+
+    def check(self, directory):
+        data = random_rects(900, seed=82)
+        tree = build_prtree(BlockStore(), data, 16)
+        other = build_prtree(BlockStore(), data, 16)
+        assert_same_results(tree, other, seed=81)
+        assert_same_results_on_disk(
+            tree, directory, cache_pages=32, shards=4, seed=81
+        )
+
+    def test_unmutated_code_passes(self, tmp_path):
+        self.check(tmp_path)
+
+    @pytest.mark.parametrize(
+        "name,mutant",
+        [
+            ("__init__", mutant_values_shifted),
+            ("_table", mutant_parts_reversed),
+            ("concat", classmethod(mutant_shards_reversed)),
+            ("concat", classmethod(mutant_empty_part_ends_merge)),
+        ],
+        ids=["values-shifted", "parts-reversed", "shards-reversed", "empty-part"],
+    )
+    def test_mutant_caught(self, tmp_path, monkeypatch, name, mutant):
+        monkeypatch.setattr(Matches, name, mutant)
+        with pytest.raises(AssertionError):
+            self.check(tmp_path)
+
+    def test_the_family_workload_has_an_empty_shard_before_a_full_one(self, tmp_path):
+        # What makes the empty-part mutant observable.
+        data = random_rects(900, seed=82)
+        tree = build_prtree(BlockStore(), data, 16)
+        shard_pack(tree, tmp_path / "index.manifest", shards=4, block_size=1024)
+        with open_index(tmp_path / "index.manifest", readonly=True) as family:
+            engine = ShardedQueryEngine(family)
+            windows, _ = result_probes(2, seed=81)
+            seen = False
+            for window in windows:
+                sizes = [
+                    len(engine._subs[i].query(window)[0])
+                    for i in engine._intersecting(window.intersects)
+                ]
+                empties = [i for i, size in enumerate(sizes) if not size]
+                seen |= bool(empties) and any(sizes[empties[0]:])
+            assert seen

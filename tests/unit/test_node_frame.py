@@ -33,19 +33,8 @@ class TestNodeFrame:
         with pytest.raises(AttributeError):
             rect.lo = (0.0, 0.0)
 
-    @pytest.mark.parametrize(
-        "rows", [[], [4], [0, 3, 11], list(range(12)), [11, 2, 7, 2] * 3]
-    )
-    def test_report_equals_per_row_materialization(self, entries, rows):
-        # Below and above the gather threshold, and for unsorted and
-        # repeated rows: the same (Rect, value) pairs, in row order.
-        frame = NodeFrame.from_entries(True, entries)
-        values = {pointer: f"v{pointer}" for _, pointer in entries[:-1]}
-        got = frame.report(rows, values)
-        assert got == [
-            (frame.rect(i), values.get(frame.ptrs[i])) for i in rows
-        ]
-        for rect, _ in got:
+    def test_entries_are_python_float_tuples(self, entries):
+        for rect, _ in NodeFrame.from_entries(True, entries).entries():
             assert type(rect.lo) is tuple and type(rect.hi) is tuple
             assert all(type(c) is float for c in rect.lo + rect.hi)
 
@@ -178,7 +167,7 @@ def _nodes(entries):
 
 def _assert_coherent(node, want):
     """Whatever the node holds matches ``want``, and the views agree."""
-    held = node.cached_entries()
+    held = node._entries
     if held is not None:
         assert list(held) == want
     assert node.frame().entries() == want
@@ -188,9 +177,9 @@ def _assert_coherent(node, want):
 
 def _assert_coherent_without_materializing(node, want, had_entries):
     """A frame-only node stays frame-only through an edit."""
-    assert (node.cached_entries() is not None) == had_entries
+    assert (node._entries is not None) == had_entries
     if had_entries:
-        assert list(node.cached_entries()) == want
+        assert list(node._entries) == want
     if node._frame is not None:
         assert node._frame.entries() == want
     assert len(node) == len(want)
@@ -204,7 +193,7 @@ class TestWholeNodeEdits:
         extra = (Rect((0.0, 0.0), (0.5, 0.5)), 123)
         other = (Rect((0.25, 0.25), (0.75, 0.75)), 456)
         for state, node in _nodes(entries).items():
-            had_entries = node.cached_entries() is not None
+            had_entries = node._entries is not None
             want = list(entries)
             node.add(*extra)
             want.append(extra)
@@ -242,7 +231,7 @@ class TestWholeNodeEdits:
     def test_split_off_keeps_and_moves_rows_in_order(self, entries):
         keep, move = [5, 0, 7], [11, 1, 2, 3, 4, 6, 8, 9, 10]
         for state, node in _nodes(entries).items():
-            had_entries = node.cached_entries() is not None
+            had_entries = node._entries is not None
             sibling = node.split_off(keep, move)
             assert sibling.is_leaf == node.is_leaf
             for part, rows in ((node, keep), (sibling, move)):

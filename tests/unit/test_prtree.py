@@ -1,7 +1,10 @@
 """Unit tests for the PR-tree builder and the dynamic logarithmic method."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -49,6 +52,43 @@ class TestBuildPRTree:
     def test_priority_size_override(self, store, medium_data):
         tree = build_prtree(store, medium_data, 16, priority_size=4)
         validate_rtree(tree, expect_size=len(medium_data))
+
+    @pytest.mark.parametrize(
+        "dim,fanout", [(1, 2), (2, 4), (2, 3), (3, 6)]
+    )
+    def test_priority_size_one_rejects_a_fanout_that_cannot_shrink(
+        self, dim, fanout
+    ):
+        # At fanout <= 2d a stage of fanout + 1 entries yields as many
+        # nodes as entries and the stage loop used to spin for ever; the
+        # build runs in a child so the old behaviour fails by timeout.
+        script = (
+            "import random\n"
+            "from repro.geometry.rect import Rect\n"
+            "from repro.iomodel.blockstore import BlockStore\n"
+            "from repro.prtree.prtree import build_prtree\n"
+            "rng = random.Random(1)\n"
+            f"corners = [[rng.random() for _ in range({dim})] for _ in range(40)]\n"
+            "data = [(Rect(c, c), i) for i, c in enumerate(corners)]\n"
+            "try:\n"
+            f"    build_prtree(BlockStore(), data, {fanout}, priority_size=1)\n"
+            "except ValueError as error:\n"
+            "    print(error)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=30, check=True,
+        )
+        assert "priority_size=1" in done.stdout
+        assert f"fanout={fanout}" in done.stdout
+
+    @pytest.mark.parametrize("dim,fanout", [(1, 3), (2, 5), (3, 7)])
+    def test_priority_size_one_builds_above_that_fanout(self, dim, fanout):
+        for n in (fanout + 1, 2 * dim + fanout + 1, 150):
+            data = random_rects(n, seed=n, dim=dim)
+            tree = build_prtree(BlockStore(), data, fanout, priority_size=1)
+            validate_rtree(tree, expect_size=n)
 
     def test_3d_build(self, store):
         data = random_rects(600, seed=3, dim=3)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bulk.hilbert import build_hilbert
+from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
@@ -23,7 +24,7 @@ from repro.server import (
     WindowRequest,
 )
 from repro.rtree.validate import validate_rtree
-from repro.storage import PagedTree, pack_tree
+from repro.storage import PagedTree, open_index, pack_tree, shard_pack
 
 from tests.conftest import assert_same_matches, random_rects, random_windows
 
@@ -159,6 +160,35 @@ class TestDedup:
         assert all(r.deduped for r in rest)
         assert all(r.value is first.value for r in rest)
 
+    def test_a_client_cannot_change_its_twins_reply(self, server):
+        # Two identical requests share one payload; while that was a
+        # list, one client editing its reply edited the other's.
+        window = random_windows(1, seed=36)[0]
+        report = server.submit([WindowRequest(window, index="a")] * 2)
+        mine, theirs = (result.value for result in report.results)
+        assert mine is theirs and len(theirs) > 0
+        before = list(theirs)
+        for edit in (
+            lambda reply: reply.append(before[0]),
+            lambda reply: reply.clear(),
+            lambda reply: reply.sort(),
+            lambda reply: reply.__setitem__(0, before[-1]),
+            lambda reply: reply.__delitem__(0),
+        ):
+            with pytest.raises((AttributeError, TypeError)):
+                edit(mine)
+        # The columns are immutable or the caller's own copy.
+        with pytest.raises(TypeError):
+            mine.values[0] = None
+        if kernels.HAVE_NUMPY:
+            mine.lo[:] = 0.0
+        list(mine)[:] = []
+        mine[:].clear()
+        assert list(theirs) == before
+        assert [rect.lo for rect, _ in before] == [
+            tuple(row) for row in kernels.table_tuples(theirs.lo)
+        ]
+
     def test_dedup_disabled_runs_every_occurrence(self, trees):
         a, _ = trees
         server = QueryServer({"a": a}, dedup=False)
@@ -233,6 +263,34 @@ class TestLocalityAndStats:
         assert second.internal_reads == 0
         assert first.internal_reads >= second.internal_reads
         assert server.batches_served == 2
+
+
+class TestIndexBounds:
+    """Learning an index's bounds reads the root's frame: no entry list
+    (a ``Rect`` per child) is built and left on the cached root page —
+    and a write batch drops the bounds, so it happens again each time."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_bounds_build_no_entry_list(self, tmp_path, shards):
+        data = random_rects(900, seed=47)
+        tree = build_prtree(BlockStore(), data, 16)
+        if shards == 1:
+            path = tmp_path / "one.pack"
+            pack_tree(tree, path)
+        else:
+            path = tmp_path / "index.manifest"
+            shard_pack(tree, path, shards=shards)
+        with open_index(path, values=dict(tree.objects)) as index:
+            server = QueryServer(index)
+            for _ in range(2):
+                assert server._index_bounds("default") == tree.root().mbr()
+                server.submit([InsertRequest(Rect((0.5, 0.5), (0.6, 0.6)), "w")])
+                assert "default" not in server._bounds
+            # Reads order by the bounds and prune shards by their boxes.
+            server.submit([WindowRequest(w) for w in random_windows(5, seed=48)])
+            assert "default" in server._bounds
+            for shard in getattr(index, "shards", [index]):
+                assert shard.root()._entries is None
 
 
 class TestWrites:
@@ -436,7 +494,4 @@ class TestWorkers:
             threaded = QueryServer(paged, workers=4).submit(requests)
             assert serial.leaf_ios == threaded.leaf_ios
             for s, t in zip(serial.results, threaded.results):
-                if isinstance(s.value, list):
-                    assert len(s.value) == len(t.value)
-                else:
-                    assert s.value == t.value
+                assert s.value == t.value
