@@ -37,7 +37,6 @@ def test_async_latency_percentiles_vs_rate(benchmark, record_table):
         max_pending_reads=256,
         max_pending_writes=64,
         admission="reject",
-        executor_workers=4,
         n=N,
         shards=SHARDS,
         mmap=True,

@@ -11,7 +11,7 @@ measure the scatter/gather layer on top of it.  Expected shapes:
   spreading the physical reads across K files.
 * **balance**: a uniform workload over a Hilbert-range split lands
   evenly — no shard should carry more than 2x the mean leaf I/O, the
-  property that makes per-shard parallelism worth having.
+  property that would make per-shard (process) parallelism worth having.
 """
 
 import tempfile
@@ -53,7 +53,7 @@ def _throughput_experiment() -> Table:
     table = Table(
         title="sharded serving: K=1 vs K=4/8 on a uniform mixed workload",
         headers=[
-            "shards", "workers", "requests", "leaf_ios",
+            "shards", "requests", "leaf_ios",
             "physical_reads", "latency_ms", "req_per_s",
         ],
     )
@@ -62,29 +62,27 @@ def _throughput_experiment() -> Table:
     with tempfile.TemporaryDirectory(prefix="repro-shardbench-") as tmpdir:
         paths = _pack_families(Path(tmpdir), tree)
         for k in SHARD_COUNTS:
-            for workers in (1, 4) if k > 1 else (1,):
-                with ShardedTree.open(
-                    paths[k], cache_pages=TOTAL_CACHE_PAGES // k
-                ) as family:
-                    server = QueryServer(family, workers=workers)
-                    bounds = family.root().mbr()
-                    stream = mixed_requests(bounds, count=REQUESTS, seed=1)
-                    leaf = phys = 0
-                    latency = 0.0
-                    for b in range(0, len(stream), BATCH):
-                        report = server.submit(stream[b : b + BATCH])
-                        leaf += report.leaf_ios
-                        phys += report.physical_reads
-                        latency += report.latency_s
-                    table.add_row(
-                        k,
-                        workers,
-                        REQUESTS,
-                        leaf,
-                        phys,
-                        latency * 1000.0,
-                        REQUESTS / latency if latency > 0 else 0.0,
-                    )
+            with ShardedTree.open(
+                paths[k], cache_pages=TOTAL_CACHE_PAGES // k
+            ) as family:
+                server = QueryServer(family)
+                bounds = family.root().mbr()
+                stream = mixed_requests(bounds, count=REQUESTS, seed=1)
+                leaf = phys = 0
+                latency = 0.0
+                for b in range(0, len(stream), BATCH):
+                    report = server.submit(stream[b : b + BATCH])
+                    leaf += report.leaf_ios
+                    phys += report.physical_reads
+                    latency += report.latency_s
+                table.add_row(
+                    k,
+                    REQUESTS,
+                    leaf,
+                    phys,
+                    latency * 1000.0,
+                    REQUESTS / latency if latency > 0 else 0.0,
+                )
     table.add_note(
         f"PR over {N} uniform rects, fanout {FANOUT}, {REQUESTS} mixed "
         f"requests in batches of {BATCH}; equal total memory per K "
@@ -101,18 +99,18 @@ def test_sharded_throughput(benchmark, record_table):
     table = run_once(benchmark, _throughput_experiment)
     record_table(table, "storage_sharding_throughput")
 
-    rows = {(row[0], row[1]): row for row in table.rows}
-    leaf_k1 = rows[(1, 1)][3]
+    rows = {row[0]: row for row in table.rows}
+    leaf_k1 = rows[1][2]
     for k in SHARD_COUNTS:
         if k == 1:
             continue
         # The paper's metric barely moves when the index is split: the
         # shards hold the same entries, only leaf boundaries shift.
-        assert abs(rows[(k, 1)][3] - leaf_k1) <= 0.15 * leaf_k1
+        assert abs(rows[k][2] - leaf_k1) <= 0.15 * leaf_k1
         # The fan-out layer must not cost more than 3x K=1 throughput.
-        assert rows[(k, 1)][6] * 3 >= rows[(1, 1)][6]
+        assert rows[k][5] * 3 >= rows[1][5]
     for row in table.rows:
-        assert row[6] > 0
+        assert row[5] > 0
 
 
 def _balance_experiment() -> Table:

@@ -57,9 +57,7 @@ def main() -> None:
                     f"[{info.hilbert_lo}..{info.hilbert_hi}]"
                 )
 
-            server = QueryServer(
-                {"single": single, "family": family}, workers=4
-            )
+            server = QueryServer({"single": single, "family": family})
 
             side = bounds.side(0) * 0.08
             window = Rect(

@@ -9,7 +9,7 @@ Usage (installed or from a checkout)::
     python -m repro pack index.pack --variant PR --n 50000
     python -m repro pack index.manifest --shards 4 --n 50000
     python -m repro serve-bench --index index.pack --requests 1000
-    python -m repro serve-bench --shards 4 --workers 4 --requests 1000
+    python -m repro serve-bench --shards 4 --requests 1000
     python -m repro serve-async --shards 4 --rates 200,1000,4000 --mmap
     python -m repro serve-async --trace out.jsonl --metrics out.prom
     python -m repro trace out.jsonl --requests 200 --rate 500
@@ -299,9 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests per batch",
     )
     serve.add_argument(
-        "--workers", type=int, default=1, help="request-group threads"
-    )
-    serve.add_argument(
         "--batch-windows",
         dest="batch_windows",
         action="store_true",
@@ -375,13 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="behaviour at the admission bound",
     )
     serve_async.add_argument(
-        "--executor-workers",
-        dest="executor_workers",
-        type=int,
-        default=4,
-        help="thread-pool width = concurrently executing read batches",
-    )
-    serve_async.add_argument(
         "--sync-every-n",
         dest="sync_every_n",
         type=int,
@@ -389,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "group commit: sync mutated indexes after every N write "
-            "batches, off the exclusive write window (docs/durability.md)"
+            "batches, on the commit thread (docs/durability.md)"
         ),
     )
     serve_async.add_argument(
@@ -523,9 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=250,
         help="requests per batch",
-    )
-    cache.add_argument(
-        "--workers", type=int, default=1, help="request-group threads"
     )
     _add_serving_index_args(cache, obs=False, metrics=False)
 
@@ -777,7 +764,6 @@ def main(argv: list[str] | None = None) -> int:
             requests=args.requests,
             batch_size=args.batch_size,
             cache_pages=args.cache_pages,
-            workers=args.workers,
             variant=args.variant,
             dataset=args.dataset,
             n=args.n,
@@ -828,7 +814,6 @@ def main(argv: list[str] | None = None) -> int:
             max_pending_reads=args.max_pending_reads,
             max_pending_writes=args.max_pending_writes,
             admission=args.admission,
-            executor_workers=args.executor_workers,
             sync_every_n=args.sync_every_n,
             sync_interval_s=(
                 args.sync_interval_ms / 1000.0
@@ -915,7 +900,6 @@ def main(argv: list[str] | None = None) -> int:
             requests=args.requests,
             batch_size=args.batch_size,
             cache_pages=args.cache_pages,
-            workers=args.workers,
             variant=args.variant,
             dataset=args.dataset,
             n=args.n,

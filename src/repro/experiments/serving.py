@@ -347,7 +347,6 @@ def serve_bench(
     requests: int = 1000,
     batch_size: int = 250,
     cache_pages: int = 256,
-    workers: int = 1,
     variant: str = "PR",
     dataset: str = "tiger-east",
     n: int = 20_000,
@@ -433,10 +432,7 @@ def serve_bench(
             cache_analytics=cache_analytics,
         ) as tree:
             server = QueryServer(
-                tree,
-                workers=workers,
-                batch_windows=batch_windows,
-                explain=explain,
+                tree, batch_windows=batch_windows, explain=explain
             )
             bounds = tree.root().mbr()
             stream = mixed_requests(bounds, count=requests, seed=seed + 1)
@@ -654,7 +650,6 @@ def serve_async_bench(
     max_pending_reads: int = 256,
     max_pending_writes: int = 64,
     admission: str = "reject",
-    executor_workers: int = 4,
     sync_every_n: int | None = None,
     sync_interval_s: float | None = None,
     cache_pages: int = 256,
@@ -781,7 +776,6 @@ def serve_async_bench(
                     max_pending_reads=max_pending_reads,
                     max_pending_writes=max_pending_writes,
                     admission=admission,
-                    executor_workers=executor_workers,
                     sync_every_n=sync_every_n,
                     sync_interval_s=sync_interval_s,
                     tracer=tracer,
@@ -905,7 +899,6 @@ def durability_bench(
     requests: int = 400,
     write_frac: float = 0.25,
     max_batch: int = 64,
-    executor_workers: int = 4,
     variant: str = "PR",
     dataset: str = "tiger-east",
     n: int = 20_000,
@@ -922,20 +915,20 @@ def durability_bench(
     * ``none`` — ``sync_writes=False``, no group commit: writes are
       never committed until ``aclose()``.  The write-latency baseline.
     * ``group`` — ``sync_every_n=N``: commit every N write batches,
-      off the exclusive write window (``docs/durability.md``).
+      on the commit thread beside reads (``docs/durability.md``).
     * ``interval`` — ``sync_interval_s=T``: commit on a wall-clock
       cadence, even while idle.
-    * ``sync-writes`` — ``sync_writes=True``: every write batch pays a
-      full ``sync()`` inside the exclusive write window.
+    * ``sync-writes`` — ``sync_writes=True``: every write batch is
+      answered only after its own full ``sync()``.
 
     The row records what each mode paid (write-request p50/p95 —
-    end-to-end, so a commit stalling the write window shows up here —
+    end-to-end, so a commit a write has to wait for shows up here —
     plus overall p95 and achieved throughput) and what it bought
     (commits that reached the disk *during* the run, batches they
     covered, the store's committed epoch after close).  The acceptance
     bar: group commit's write p95 must not exceed the ``none``
     baseline's beyond noise — its commits happen concurrently with
-    reads, never inside the write window.
+    reads; a write waits only when it catches one in flight.
     """
     with tempfile.TemporaryDirectory(prefix="repro-durability-") as tmp:
         tmpdir = pathlib.Path(tmp)
@@ -966,7 +959,6 @@ def durability_bench(
                 tree,
                 max_batch=max_batch,
                 admission="backpressure",
-                executor_workers=executor_workers,
                 **knobs,
             )
             bounds = tree.root().mbr()
@@ -1018,15 +1010,16 @@ def durability_bench(
                 )
         table.add_note(
             "write_p50/p95 are end-to-end write-request latencies: a "
-            "commit inside the exclusive write window (sync-writes) "
-            "stalls them, a group commit (docs/durability.md) does not"
+            "per-batch commit (sync-writes) is inside every one of them, "
+            "a group commit (docs/durability.md) only where a write "
+            "batch catches it in flight"
         )
         table.add_note(
             f"group commits every {sync_every_n} write batches; interval "
             f"commits every {sync_interval_ms:g}ms; 'commits' counts the "
             "service's group commits (including its final one at close); "
             "'epoch' is the store's committed epoch after the owner's "
-            "close — sync-writes commits per batch through the server, "
+            "close — sync-writes commits per batch, "
             "outside the service's commit counters"
         )
         return table
@@ -1042,7 +1035,6 @@ def trace_capture(
     slow_ms: float | None = None,
     metrics: str | pathlib.Path | None = None,
     max_batch: int = 64,
-    executor_workers: int = 4,
     cache_pages: int = 256,
     variant: str = "PR",
     dataset: str = "tiger-east",
@@ -1068,7 +1060,6 @@ def trace_capture(
         requests=requests,
         write_frac=write_frac,
         max_batch=max_batch,
-        executor_workers=executor_workers,
         cache_pages=cache_pages,
         variant=variant,
         dataset=dataset,
@@ -1093,7 +1084,6 @@ def profile_capture(
     write_frac: float = 0.1,
     trace: str | pathlib.Path | None = None,
     max_batch: int = 64,
-    executor_workers: int = 4,
     cache_pages: int = 256,
     variant: str = "PR",
     dataset: str = "tiger-east",
@@ -1121,7 +1111,6 @@ def profile_capture(
         requests=requests,
         write_frac=write_frac,
         max_batch=max_batch,
-        executor_workers=executor_workers,
         cache_pages=cache_pages,
         variant=variant,
         dataset=dataset,
@@ -1141,7 +1130,6 @@ def cache_report(
     requests: int = 2000,
     batch_size: int = 250,
     cache_pages: int = 256,
-    workers: int = 1,
     variant: str = "PR",
     dataset: str = "tiger-east",
     n: int = 20_000,
@@ -1194,7 +1182,7 @@ def cache_report(
             mmap=mmap,
             cache_analytics=True,
         ) as tree:
-            server = QueryServer(tree, workers=workers)
+            server = QueryServer(tree)
             bounds = tree.root().mbr()
             stream = mixed_requests(bounds, count=requests, seed=seed + 1)
             for b in range(0, len(stream), batch_size):

@@ -21,11 +21,12 @@ reproduces the shared counters byte-for-byte
 
 Concurrency discipline: a tap's increments are plain integer adds and
 are **not** thread-safe — each executing thread must own its tap.
-Thread hops therefore install a fresh tap via :func:`scoped_tap`
-(which folds into the parent, under the parent's lock, on exit) and
-carry the parent context across the hop with
-``contextvars.copy_context()``.  The query server, the sharded fan-out
-pool and the async service all follow this pattern.
+Nothing in this package hops threads with a tap installed (batches
+execute on the service's event loop, shards fan out serially); a
+caller that does must carry its context across the hop with
+``contextvars.copy_context()`` and open a fresh tap via
+:func:`scoped_tap` on the far side (it folds into the parent, under
+the parent's lock, on exit).
 
 When no tap is installed the per-I/O cost is a single
 ``ContextVar.get`` returning ``None`` — the disabled path the
@@ -163,10 +164,12 @@ def install_tap(tap: IOTap | None) -> Iterator[IOTap | None]:
 def scoped_tap(trace: "Trace | None" = None) -> Iterator[IOTap]:
     """A fresh tap for this scope, folded into the enclosing tap on exit.
 
-    The thread-hop idiom: the hopping task copies its context, and the
-    first thing it does on the far side is open a scoped tap — giving
-    the new thread a tap it exclusively owns, while the totals still
-    roll up to the parent (batch, request trace) when the scope closes.
+    The nesting idiom — a request inside a batch, a shard inside a
+    request — and the thread-hop one: a task that copied its context to
+    another thread opens a scoped tap first thing on the far side,
+    giving that thread a tap it exclusively owns, while the totals
+    still roll up to the parent (batch, request trace) when the scope
+    closes.
     """
     parent = _TAP.get()
     child = IOTap(trace=trace if trace is not None else (parent.trace if parent else None))

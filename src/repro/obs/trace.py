@@ -2,17 +2,16 @@
 
 A :class:`Trace` follows one request through the serving stack and
 collects **spans** — named, timestamped intervals (admission → queue →
-coalesce/quiesce → execute, with the engine's execution and per-shard
+coalesce/commit-wait → execute, with the engine's execution and per-shard
 fan-out nested inside) — plus instant events and an exact I/O ledger
 (:class:`~repro.obs.tap.IOTap`) attributed by the storage layers at
 each counted I/O.  Spans partition the request's end-to-end latency,
 so "where did the time go" is answerable per request, not per batch.
 
 Propagation is by :mod:`contextvars`: the server activates a request's
-trace (and its tap) in whatever thread executes it — the asyncio →
-thread-pool hop included — so :func:`current_trace` works from the
-engines and the page/file stores without any layer passing the trace
-explicitly.
+trace (and its tap) around that request's execution, so
+:func:`current_trace` works from the engines and the page/file stores
+without any layer passing the trace explicitly.
 
 Sampling follows two rules (``docs/observability.md``):
 
@@ -70,9 +69,9 @@ def current_trace() -> "Trace | None":
 def activate_trace(trace: "Trace | None") -> Iterator["Trace | None"]:
     """Make ``trace`` current for the ``with`` body.
 
-    This is the thread-hop entry point: the server calls it in the
-    executor thread around a request's execution, so deeper layers (the
-    sharded fan-out, the slow log) reach the trace via
+    The server calls it around a request's execution — one batch holds
+    many traces, each current only while its request runs — so deeper
+    layers (the sharded fan-out, the slow log) reach the trace via
     :func:`current_trace`.  I/O attribution is separate — open a
     :func:`~repro.obs.tap.scoped_tap` with the trace, and the scope's
     totals fold into ``trace.io`` (under its lock) on exit; the trace's

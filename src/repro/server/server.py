@@ -36,11 +36,8 @@ every batch's :class:`BatchReport` carries a per-shard
 logical/physical-I/O and busy-time breakdown
 (:attr:`BatchReport.shard_loads`).
 
-Execution is single-threaded by default (deterministic accounting);
-``workers > 1`` runs independent request groups on a thread pool — safe
-over paged trees because the :class:`~repro.storage.paged.PagedNodeStore`
-read path is locked, with each group owning its engine — and
-additionally fans a single sharded request out across its shards.
+Execution is single-threaded (deterministic accounting; a thread pool
+never won a recorded table — ``docs/architecture.md`` has the rule).
 Every batch returns a :class:`BatchReport` with per-request payloads
 *in the original order* plus the batch's latency, logical I/O, and
 physical page reads — ``docs/io-accounting.md`` defines how those
@@ -49,10 +46,8 @@ columns relate to the store- and page-layer counters they aggregate.
 
 from __future__ import annotations
 
-import contextvars
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -223,12 +218,6 @@ class QueryServer:
     reorder:
         Sort each request group along the Hilbert curve of the query
         centers for page-cache locality (default).
-    workers:
-        Thread count for executing independent request groups.  1
-        (default) is serial and gives deterministic counter interleaving;
-        more workers need the thread-safe paged read path.  Sharded
-        indexes additionally fan a *single* request out across their
-        shards on ``workers`` threads.
     sync_writes:
         After a batch's writes are applied, ``sync()`` every mutated
         index that supports it (paged trees flush their dirty pages and
@@ -264,19 +253,15 @@ class QueryServer:
         indexes: RTree | Mapping[str, RTree],
         dedup: bool = True,
         reorder: bool = True,
-        workers: int = 1,
         sync_writes: bool = True,
         batch_windows: bool = False,
         explain: bool = False,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if isinstance(indexes, (RTree, ShardedTree)):
             indexes = {DEFAULT_INDEX: indexes}
         self.indexes: dict[str, RTree | ShardedTree] = dict(indexes)
         self.dedup = dedup
         self.reorder = reorder
-        self.workers = workers
         self.sync_writes = sync_writes
         self.batch_windows = batch_windows
         self.explain = explain
@@ -292,20 +277,6 @@ class QueryServer:
         """Register (or replace) a named index."""
         self.indexes[name] = tree
         self._invalidate(name)
-
-    def invalidate(self, name: str | None = None) -> None:
-        """Drop warm engines/bounds for ``name`` (or every index).
-
-        Call after an index was mutated *outside* this server — e.g. the
-        async service applies a write batch on one pool member and
-        invalidates the read-only members, whose warm engines still
-        pool pre-update internal nodes.
-        """
-        if name is not None:
-            self._invalidate(name)
-            return
-        self._engines.clear()
-        self._bounds.clear()
 
     def _invalidate(self, name: str) -> None:
         """Drop warm engines and cached bounds that observed ``name``.
@@ -344,27 +315,20 @@ class QueryServer:
                 if isinstance(left_tree, ShardedTree) or isinstance(
                     right_tree, ShardedTree
                 ):
-                    engine = ShardedJoinEngine(
-                        left_tree, right_tree, workers=self.workers
-                    )
+                    engine = ShardedJoinEngine(left_tree, right_tree)
                 else:
                     engine = SpatialJoinEngine(left_tree, right_tree)
             else:
                 _, index, kind = key
                 tree = self._tree(index)
                 if isinstance(tree, ShardedTree):
-                    # One request fans out across the family's shards
-                    # (on `workers` threads when allowed).
+                    # One request fans out across the family's shards.
                     if kind == "window":
-                        engine = ShardedQueryEngine(
-                            tree, workers=self.workers
-                        )
+                        engine = ShardedQueryEngine(tree)
                     elif kind == "knn":
                         engine = ShardedKNNEngine(tree)
                     else:  # point / containment / count
-                        engine = ShardedPointEngine(
-                            tree, workers=self.workers
-                        )
+                        engine = ShardedPointEngine(tree)
                 elif kind == "window":
                     engine = QueryEngine(tree)
                 elif kind == "knn":
@@ -479,9 +443,9 @@ class QueryServer:
                 request=request, value=value, stats=stats, latency_s=latency,
                 plan=plan,
             )
-        # Traced: activate the trace in this (possibly executor) thread
-        # and attribute the engine's I/O to both the trace's ledger and
-        # the enclosing batch tap via the scoped tap's fold-on-exit.
+        # Traced: activate the trace and attribute the engine's I/O to
+        # both the trace's ledger and the enclosing batch tap via the
+        # scoped tap's fold-on-exit.
         with activate_trace(trace), scoped_tap(trace) as tap, \
                 profile_phase(f"engine:{request.kind}"):
             start = time.perf_counter()
@@ -571,9 +535,8 @@ class QueryServer:
         ``traces`` optionally aligns one
         :class:`~repro.obs.trace.Trace` (or None) with each request:
         traced requests get engine/write spans with per-request I/O
-        attribution, recorded in the thread that executes them.  A
-        deduplicated repeat's trace gets a ``dedup-hit`` instant event
-        instead of spans.
+        attribution.  A deduplicated repeat's trace gets a
+        ``dedup-hit`` instant event instead of spans.
         """
         start = time.perf_counter()
         report = BatchReport(requests=len(requests))
@@ -590,30 +553,32 @@ class QueryServer:
             name: tree.shard_loads() for name, tree in sharded.items()
         }
 
-        # Everything the batch does — writes, sync, reads on any number
-        # of worker threads — attributes to this tap, so the report's
-        # physical/logical numbers are exactly this batch's traffic even
-        # with other batches in flight on the same handles.  The
-        # profiler phase mirrors the async service's "execute" span
-        # (inner engine:*/write:*/shard:* phases refine it; pool worker
-        # threads re-enter their own phases in _execute_one).
+        # Everything the batch does — writes, sync, reads — attributes
+        # to this tap, so the report's physical/logical numbers are
+        # exactly this batch's traffic even with other batches in flight
+        # on the same handles.  The profiler phase mirrors the async
+        # service's "execute" span (inner engine:*/write:*/shard:*
+        # phases refine it).
         with scoped_tap() as batch_tap, profile_phase("execute"):
             # Phase 1: writes, strictly in submission order, never
             # deduped.
             write_results: dict[int, RequestResult] = {}
             mutated: set[str] = set()
-            for i, request in enumerate(requests):
-                if isinstance(request, _WRITE_KINDS):
-                    write_results[i] = self._execute_write(
-                        request, traces[i] if traces else None
-                    )
-                    mutated.add(request.index)
-            for name in mutated:
-                # Warm engines hold pre-update nodes; rebuild lazily.
-                self._invalidate(name)
-                if self.sync_writes:
-                    tree = self._tree(name)
-                    sync = getattr(tree, "sync", None)
+            try:
+                for i, request in enumerate(requests):
+                    if isinstance(request, _WRITE_KINDS):
+                        mutated.add(request.index)
+                        write_results[i] = self._execute_write(
+                            request, traces[i] if traces else None
+                        )
+            finally:
+                # Warm engines hold pre-update nodes; rebuild lazily —
+                # also when a write raised after earlier ones applied.
+                for name in mutated:
+                    self._invalidate(name)
+            if self.sync_writes:
+                for name in mutated:
+                    sync = getattr(self._tree(name), "sync", None)
                     if callable(sync):
                         sync()
 
@@ -663,28 +628,9 @@ class QueryServer:
                     for key, request, trace in ordered
                 ]
 
-            def run_scoped(entries: list) -> list:
-                # Worker threads own a fresh tap (plain increments are
-                # single-threaded) that folds into the batch tap on exit.
-                with scoped_tap():
-                    return run(entries)
-
             executed: dict[Any, RequestResult] = {}
-            if self.workers > 1 and len(groups) > 1:
-                # The pool's threads do not inherit this context — ship
-                # it (batch tap included) with each group explicitly.
-                jobs = [
-                    (contextvars.copy_context(), entries)
-                    for entries in groups.values()
-                ]
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    for chunk in pool.map(
-                        lambda job: job[0].run(run_scoped, job[1]), jobs
-                    ):
-                        executed.update(chunk)
-            else:
-                for entries in groups.values():
-                    executed.update(run(entries))
+            for entries in groups.values():
+                executed.update(run(entries))
 
         # Reassemble in submission order; repeats of an executed read
         # share its payload and cost nothing further.

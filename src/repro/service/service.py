@@ -8,27 +8,34 @@ individual requests and await individual responses, while the service
 recovers the batch efficiencies underneath:
 
 * **Work-conserving coalescing.**  Accepted requests queue in two
-  priority lanes (reads vs writes).  The dispatcher takes an idle read
-  server *first* and then ships whatever is queued (at most
-  ``max_batch``): reads coalesce only while every read server is busy,
-  so batches grow with load by themselves and an idle service answers
-  a lone request at once; there is no flush timer.
-* **Overlapping reads, ordered writes.**  Read batches execute on a
-  thread-pool executor, each on its own warm
-  :class:`~repro.server.QueryServer` from a fixed pool, so several
-  read batches are in flight at once.  Write batches are *exclusive*:
-  the dispatcher quiesces in-flight reads, applies the writes in
-  admission (FIFO) order on a dedicated writer server, invalidates the
-  read servers' warm engines for the mutated indexes, and only then
-  lets reads resume — so writes retain submission order globally and a
-  client that awaited its write always reads its own writes.
+  priority lanes (reads vs writes).  The dispatcher ships whatever is
+  queued (at most ``max_batch``) as soon as the previous batch is done:
+  requests coalesce only while a batch is executing, so batches grow
+  with load by themselves and an idle service answers a lone request at
+  once; there is no flush timer.
+* **One thread runs the engine.**  The dispatcher executes every batch
+  itself, on the event-loop thread, on one warm
+  :class:`~repro.server.QueryServer` — the engines are pure Python plus
+  small-array numpy under one GIL, so a worker thread could never run
+  beside the loop, only take turns with it (``docs/architecture.md``
+  has the rule and the rows that bought it).  A write batch is simply
+  the next batch, applied in admission (FIFO) order and ahead of queued
+  reads: nothing is in flight beside it, writes retain submission order
+  globally and a client that awaited its write always reads its own
+  writes.  After every batch the dispatcher yields to the loop once, so
+  submitters, timers and cancelled clients get their turn: the loop is
+  held for at most one ``max_batch`` batch.
 * **Group commit.**  With ``sync_every_n``/``sync_interval_s`` the
   service turns durability into a background cadence: every N write
   batches (or every T seconds), all mutated indexes ``sync()`` on the
-  executor *concurrently with reads* — the atomic header-slot commit
-  of the storage layer (``docs/durability.md``) means readers never
-  see a half-published state — and the dispatcher only stalls a write
-  batch that catches an in-flight commit.
+  one *commit thread* — ``fsync`` genuinely blocks in the kernel, the
+  only kind of call a thread exists around here.  Read batches keep
+  executing on the loop while a commit is in flight (the atomic
+  header-slot commit of the storage layer, ``docs/durability.md``,
+  means readers never see a half-published state); a write batch never
+  mutates under one: the dispatcher awaits the commit first, and since
+  it is the only dispatcher, every read admitted behind that write
+  batch waits with it.
 * **Admission control.**  Each lane has a queue-depth bound.  Past it,
   ``admission="reject"`` fails fast with :class:`AdmissionError`
   (load-shedding, the open-loop benchmark's mode) and
@@ -41,23 +48,23 @@ service-wide :class:`~repro.service.stats.ServiceStats` maintains
 streaming p50/p95/p99 per request kind, throughput, queue depth and
 rejection counts.  ``docs/async-serving.md`` walks through the model.
 
-Thread-safety contract (audited in ``storage/``): the paged read path
+Thread-safety contract: two threads ever touch the trees.  The loop
+thread runs every read and every write; the commit thread runs
+``sync()`` and nothing else.  That overlap — a commit beside *reads* —
+is why the paged read path
 (:class:`~repro.storage.paged.PagedNodeStore`) and the file layer
-(:class:`~repro.storage.filestore.FileBlockStore`) are fully locked, so
-any number of pool servers may read one shared tree handle
-concurrently.  A :class:`~repro.server.QueryServer` *instance* is
-single-batch — warm engines accumulate per-query statistics — which is
-exactly why the pool hands each in-flight batch its own server.  Tree
-mutation (``insert``/``delete``/``sync``) is not safe against
-concurrent readers — an update can split pages mid-descent — which is
-why write batches run with the read lanes quiesced.
+(:class:`~repro.storage.filestore.FileBlockStore`) stay locked.  Tree
+mutation (``insert``/``delete``) is not safe against a concurrent
+``sync()``, which is why a write batch waits for an in-flight commit.
+The cost of the model is stated in ``docs/architecture.md``: a page
+miss that goes to a real disk holds the loop (admission, time-outs) for
+its duration, not just the engine.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -174,18 +181,17 @@ class _Pending:
 
 
 class AsyncQueryService:
-    """Asyncio front end over a pool of batched query servers.
+    """Asyncio front end over one batched query server.
 
     Parameters
     ----------
     indexes:
         One tree or a name → tree mapping, exactly as
-        :class:`~repro.server.QueryServer` accepts.  The same tree
-        handles are shared by every pool server (the paged read path is
-        locked).
+        :class:`~repro.server.QueryServer` accepts.
     max_batch:
-        Most requests coalesced into one batch.  Reads ship as soon as
-        a read server is idle, writes at the next dispatch round — they
+        Most requests coalesced into one batch — and so the longest the
+        event loop is held between two yields.  A batch ships as soon
+        as the previous one is done, writes ahead of queued reads: they
         are latency-critical for read-your-writes clients.
     max_pending_reads / max_pending_writes:
         Admission bound per lane: the most requests that may be queued
@@ -195,48 +201,47 @@ class AsyncQueryService:
         bound; ``"backpressure"`` suspends the submitter until space
         frees.
     executor_workers:
-        Thread-pool width *and* read-server pool size — the number of
-        read batches that can be in flight at once.
+        Validated and otherwise ignored: one thread runs every batch.
     dedup / reorder:
-        Passed through to the underlying servers (see
+        Passed through to the underlying server (see
         :class:`~repro.server.QueryServer`).
     sync_writes:
         Unlike the batch server, the service defaults to **False**:
         syncing every write batch (dirty-page flush on every mutated
         index plus, for a sharded family, an atomic manifest rewrite)
-        puts filesystem latency on the serving path while reads are
-        quiesced — measured spikes of 100 ms stall every lane.  With
-        write-back deferred, readers still observe every write
-        immediately (dirty pages are served from the page cache, under
-        its lock); durability points are the index owner's ``sync()`` /
-        ``close()``.  Set True to make every write batch a consistency
-        point, accepting the tail.
+        puts filesystem latency on the serving path — measured spikes
+        of 100 ms during which no batch runs.  With write-back
+        deferred, readers still observe every write immediately (dirty
+        pages are served from the page cache); durability points are
+        the index owner's ``sync()`` / ``close()``.  Set True to make
+        every write batch a consistency point, accepting the tail: the
+        batch is applied on the loop, committed on the commit thread
+        (no ``fsync`` ever runs on the loop) and answered only once the
+        commit has returned.
     sync_every_n / sync_interval_s:
         **Group commit** — the middle ground the all-or-nothing
         ``sync_writes`` lacks.  After every ``sync_every_n``-th
         un-synced write batch (or once ``sync_interval_s`` seconds
         have passed since the last commit, whichever is configured and
         fires first), the service ``sync()``s every mutated index *off
-        the exclusive write window*: the commit runs as an executor
-        task concurrent with read batches (the flush path is fully
-        locked and one atomic header-slot flip publishes it — see
+        the loop*: the commit runs on the commit thread while read
+        batches keep executing (the flush path is fully locked and one
+        atomic header-slot flip publishes it — see
         ``docs/durability.md``), never concurrent with writes — the
         dispatcher awaits an in-flight commit before the next write
-        batch mutates the trees.  Un-synced batches still pending at
+        batch mutates the trees, and whatever is queued behind that
+        batch waits with it.  Un-synced batches still pending at
         :meth:`aclose` get one final commit.  Mutually exclusive with
         ``sync_writes=True``.
-    server_workers:
-        ``workers`` for each pool server: >1 additionally fans one
-        sharded request across its shards.
     batch_windows:
-        Passed through to the pool servers: each coalesced batch's
+        Passed through to the server: each coalesced batch's
         co-located window-query groups execute as one set-at-a-time
         batch×page traversal (see :class:`~repro.server.QueryServer`).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When set, every
         request the tracer's sampling keeps (or that turns out slow)
-        records admission/queue/coalesce-or-quiesce/execute spans plus
-        the engine/shard spans the lower layers add, with exact
+        records admission/queue/coalesce-or-commit-wait/execute spans
+        plus the engine/shard spans the lower layers add, with exact
         per-request I/O attribution.  ``None`` (default) is the no-op
         fast path.
     metrics:
@@ -253,7 +258,7 @@ class AsyncQueryService:
         queue/engine split and attributed I/O (plus the compact EXPLAIN
         summary when ``explain`` is on).
     explain:
-        Passed through to every pool server: each executed read
+        Passed through to the server: each executed read
         captures a :mod:`repro.queries.explain` plan, attached to slow
         log entries in summary form and aggregated into the
         ``repro_explain_*`` metric families.  Off (default) keeps the
@@ -286,7 +291,6 @@ class AsyncQueryService:
         sync_writes: bool = False,
         sync_every_n: int | None = None,
         sync_interval_s: float | None = None,
-        server_workers: int = 1,
         batch_windows: bool = False,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
@@ -325,7 +329,7 @@ class AsyncQueryService:
         self.max_pending_reads = max_pending_reads
         self.max_pending_writes = max_pending_writes
         self.admission = admission
-        self.executor_workers = executor_workers
+        self.sync_writes = sync_writes
         self.sync_every_n = sync_every_n
         self.sync_interval_s = sync_interval_s
         self.stats = ServiceStats()
@@ -336,41 +340,24 @@ class AsyncQueryService:
         self.explain = explain
         self.health_interval = health_interval
 
-        self._writer = QueryServer(
+        # The server never syncs: with sync_writes the service commits
+        # each write batch itself, on the commit thread.
+        self._server = QueryServer(
             indexes,
             dedup=dedup,
             reorder=reorder,
-            workers=server_workers,
-            sync_writes=sync_writes,
+            sync_writes=False,
             batch_windows=batch_windows,
             explain=explain,
         )
-        # Read pool members share the writer's (normalized) catalog and
-        # tree handles; each in-flight read batch owns one member, so
-        # warm engines are never shared between concurrent batches.
-        self._read_pool = [
-            QueryServer(
-                self._writer.indexes,
-                dedup=dedup,
-                reorder=reorder,
-                workers=server_workers,
-                sync_writes=sync_writes,
-                batch_windows=batch_windows,
-                explain=explain,
-            )
-            for _ in range(executor_workers)
-        ]
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers,
-            thread_name_prefix="repro-service",
+        #: The commit thread — the one call that blocks in the kernel.
+        self._committer = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-service-commit"
         )
 
         self._reads: deque[_Pending] = deque()
         self._writes: deque[_Pending] = deque()
-        self._inflight: set[asyncio.Task] = set()
-        self._idle_servers: deque[QueryServer] = deque(self._read_pool)
         self._wakeup = asyncio.Event()
-        self._server_freed = asyncio.Event()
         self._space = asyncio.Condition()
         self._dispatcher: asyncio.Task | None = None
         self._metrics_task: asyncio.Task | None = None
@@ -380,8 +367,7 @@ class AsyncQueryService:
         #: one registry and the counters accumulate across all of them
         #: instead of regressing when a fresh service starts from zero.
         self._exported_totals: dict[tuple[str, ...], float] = {}
-        #: EXPLAIN aggregates per request kind (resolved in the event
-        #: loop after each batch, so plain mutation is safe):
+        #: EXPLAIN aggregates per request kind:
         #: kind → [plans, nodes visited, summed pruning efficiency].
         self._explain_totals: dict[str, list[float]] = {}
         #: Wall clock of the last index-health walk (0.0 = never; the
@@ -417,7 +403,7 @@ class AsyncQueryService:
             )
 
     async def aclose(self) -> None:
-        """Drain queued requests, stop the dispatcher, free the executor.
+        """Drain queued requests, stop the dispatcher and the commit thread.
 
         Requests already admitted are still answered; new submissions
         raise :class:`ServiceClosed`.  Idempotent.
@@ -431,7 +417,7 @@ class AsyncQueryService:
             await self._dispatcher
             self._dispatcher = None
         # Group commit: whatever the cadence left un-synced becomes
-        # durable now, before the executor goes away.
+        # durable now, before the commit thread goes away.
         await self._await_sync()
         if self._unsynced_batches:
             await self._commit()
@@ -445,7 +431,7 @@ class AsyncQueryService:
             # last partial interval.
             self.snapshot_metrics()
         self._closed = True
-        self._executor.shutdown(wait=True)
+        self._committer.shutdown(wait=True)
 
     async def __aenter__(self) -> "AsyncQueryService":
         self.start()
@@ -504,8 +490,8 @@ class AsyncQueryService:
         if self.tracer is not None:
             # The trace covers admission → response; its spans then
             # partition that window exactly (admission/queue/coalesce-
-            # or-quiesce/execute), so per-span time accounts for the
-            # reported end-to-end latency.
+            # or-commit-wait/execute), so per-span time accounts for
+            # the reported end-to-end latency.
             trace = self.tracer.begin(
                 request.kind, request.kind, start_s=admitted_from
             )
@@ -541,11 +527,12 @@ class AsyncQueryService:
     # ------------------------------------------------------------------
 
     async def _dispatch(self) -> None:
-        """The single dispatcher: forms batches and schedules them.
+        """The single dispatcher: forms batches and executes them, here.
 
-        Being the only task that launches batches is what makes write
-        exclusivity cheap: a write batch is simply awaited inline after
-        the in-flight reads drain, so no lock protects the tree.
+        Being the only task that runs batches — on the loop thread — is
+        what makes write exclusivity free: a write batch is simply the
+        next batch, nothing can be in flight beside it, so no lock
+        protects the tree from the engine.
         """
         while True:
             self._maybe_schedule_sync()
@@ -553,55 +540,36 @@ class AsyncQueryService:
                 if self._closing:
                     break
                 self._wakeup.clear()
-                # Re-check after clear: a submit between the check and
-                # the clear must not be lost.
-                if not self._reads and not self._writes and not self._closing:
-                    timeout = self._sync_wait_timeout()
-                    if timeout is None:
-                        await self._wakeup.wait()
-                    else:
-                        # Un-synced batches and an interval cadence:
-                        # wake at the commit deadline even when idle.
-                        with contextlib.suppress(asyncio.TimeoutError):
-                            await asyncio.wait_for(
-                                self._wakeup.wait(), timeout
-                            )
+                timeout = self._sync_wait_timeout()
+                if timeout is None:
+                    await self._wakeup.wait()
+                else:
+                    # Un-synced batches and an interval cadence: wake
+                    # at the commit deadline even when idle.
+                    with contextlib.suppress(asyncio.TimeoutError):
+                        await asyncio.wait_for(self._wakeup.wait(), timeout)
                 continue
 
-            if self._writes:
-                batch = self._drain(self._writes)
-                await self._notify_space()
-                # Never mutate under an in-flight group commit: the
-                # commit captures a consistent tree, so the next write
-                # batch waits for the header flips (and the manifest
-                # rename) to land.
-                await self._await_sync()
-                await self._quiesce()
-                await self._run_batch(self._writer, batch, write=True)
-                if self._group_commit:
-                    self._unsynced_batches += 1
-                    self._unsynced_indexes.update(
-                        pending.request.index for pending in batch
-                    )
-                continue
-
-            # Work-conserving: take an idle server first, then ship
-            # everything that queued while all of them were busy.
-            server = await self._acquire_server()
-            if self._writes:
-                # A write arrived during the wait: it runs first, the
-                # reads stay queued behind it.
-                self._idle_servers.appendleft(server)
-                continue
-            batch = self._drain(self._reads)
+            # Writes first: reads queued ahead of a write stay queued
+            # behind it.
+            write = bool(self._writes)
+            batch = self._drain(self._writes if write else self._reads)
             await self._notify_space()
-            task = asyncio.get_running_loop().create_task(
-                self._run_batch(server, batch, write=False)
-            )
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
-
-        await self._quiesce()
+            if write:
+                # Never mutate under an in-flight group commit: the
+                # commit captures a consistent tree, so the write batch
+                # waits for the header flips (and the manifest rename)
+                # to land.
+                await self._await_sync()
+            await self._run_batch(batch, write)
+            if write and self._group_commit:
+                self._unsynced_batches += 1
+                self._unsynced_indexes.update(
+                    pending.request.index for pending in batch
+                )
+            # One turn of the loop per batch: submitters, timers and
+            # cancelled clients run before the next batch holds it.
+            await asyncio.sleep(0)
 
     def _drain(self, lane: deque) -> list[_Pending]:
         batch = []
@@ -623,11 +591,6 @@ class AsyncQueryService:
         if self.admission == "backpressure":
             async with self._space:
                 self._space.notify_all()
-
-    async def _quiesce(self) -> None:
-        """Wait until no read batch is in flight."""
-        while self._inflight:
-            await asyncio.gather(*list(self._inflight))
 
     # ------------------------------------------------------------------
     # Group commit
@@ -683,9 +646,9 @@ class AsyncQueryService:
     async def _commit(self) -> None:
         """One group commit: sync every index mutated since the last.
 
-        Runs on the executor so the event loop (and the read lanes)
-        keep serving.  A failed commit re-queues its batches — the next
-        cadence point retries them.
+        Runs on the commit thread so the event loop (and with it the
+        read lane) keeps serving.  A failed commit re-queues its
+        batches — the next cadence point retries them.
         """
         batches = self._unsynced_batches
         names = sorted(self._unsynced_indexes)
@@ -693,10 +656,7 @@ class AsyncQueryService:
         self._unsynced_indexes.clear()
         started = time.perf_counter()
         try:
-            await asyncio.get_running_loop().run_in_executor(
-                self._executor,
-                functools.partial(self._sync_indexes, names),
-            )
+            await self._sync_off_loop(names)
         except Exception:
             self.stats.commit_failures += 1
             self._unsynced_batches += batches
@@ -708,39 +668,37 @@ class AsyncQueryService:
         finally:
             self._last_sync = time.perf_counter()
 
-    def _sync_indexes(self, names: list[str]) -> None:
-        for name in names:
-            sync = getattr(self._writer.indexes.get(name), "sync", None)
-            if sync is not None:
-                sync()
+    async def _sync_off_loop(self, names: Sequence[str]) -> None:
+        """``sync()`` the named indexes on the commit thread."""
 
-    async def _acquire_server(self) -> QueryServer:
-        """Take an idle read server, waiting for one to free up."""
-        while not self._idle_servers:
-            self._server_freed.clear()
-            if self._idle_servers:  # freed between check and clear
-                break
-            await self._server_freed.wait()
-        return self._idle_servers.popleft()
+        def sync_all() -> None:
+            for name in names:
+                sync = getattr(self._server.indexes.get(name), "sync", None)
+                if sync is not None:
+                    sync()
 
-    async def _run_batch(
-        self, server: QueryServer, batch: list[_Pending], write: bool
-    ) -> None:
-        """Execute one batch on the executor and resolve its futures."""
+        await asyncio.get_running_loop().run_in_executor(
+            self._committer, sync_all
+        )
+
+    async def _run_batch(self, batch: list[_Pending], write: bool) -> None:
+        """Execute one batch on this (the loop's) thread and resolve its
+        futures; only a ``sync_writes`` commit is awaited off it."""
         started = time.perf_counter()
         requests = [pending.request for pending in batch]
-        # Traces ride along explicitly: run_in_executor does not carry
-        # this task's contextvars, and one batch holds many traces — the
-        # server activates each request's trace in the thread (and at
-        # the moment) that request actually executes.
+        # One batch holds many traces: the server activates each
+        # request's trace at the moment that request executes.
         traces: list[Trace | None] | None = None
         if any(pending.trace is not None for pending in batch):
             traces = [pending.trace for pending in batch]
         try:
-            report = await asyncio.get_running_loop().run_in_executor(
-                self._executor,
-                functools.partial(server.submit, requests, traces),
-            )
+            report = self._server.submit(requests, traces)
+            if write and self.sync_writes:
+                # Applied, then committed: the batch is answered only
+                # once its commit has returned.
+                await self._sync_off_loop(
+                    sorted({request.index for request in requests})
+                )
         except Exception as exc:
             for pending in batch:
                 if not pending.future.done():
@@ -751,17 +709,6 @@ class AsyncQueryService:
                     )
                     self.tracer.finish(pending.trace)
             return
-        finally:
-            if not write:
-                self._idle_servers.append(server)
-                self._server_freed.set()
-            elif requests:
-                # The tree (possibly partially, on an error) mutated
-                # under servers that did not execute the batch: their
-                # warm engines pool pre-update nodes.
-                for name in {request.index for request in requests}:
-                    for member in self._read_pool:
-                        member.invalidate(name)
 
         done = time.perf_counter()
         self.stats.batches += 1
@@ -789,7 +736,7 @@ class AsyncQueryService:
                     lane="write" if write else "read",
                 )
                 trace.add_span(
-                    "write-quiesce" if write else "coalesce",
+                    "commit-wait" if write else "coalesce",
                     pending.drained_at,
                     started,
                     cat="service",
@@ -901,7 +848,7 @@ class AsyncQueryService:
         )
         export(
             registry.counter(
-                "repro_batches_total", "Batches handed to the executor"
+                "repro_batches_total", "Batches executed"
             ).labels(),
             ("batches",),
             stats.batches,
@@ -972,7 +919,7 @@ class AsyncQueryService:
             "Logical block reads per shard",
             ("index", "shard"),
         )
-        for name, tree in self._writer.indexes.items():
+        for name, tree in self._server.indexes.items():
             snapshot = tree.store.counters.snapshot()
             logical.labels(name, "read").set_total(snapshot.reads)
             logical.labels(name, "write").set_total(snapshot.writes)
@@ -1076,7 +1023,7 @@ class AsyncQueryService:
                 "repro_health_nodes", "Total tree nodes", ("index",),
             ),
         }
-        for name, tree in self._writer.indexes.items():
+        for name, tree in self._server.indexes.items():
             quality, _ = health.index_quality(tree)
             gauges["leaf_occupancy"].labels(name).set(quality.leaf_occupancy)
             gauges["overlap_ratio"].labels(name).set(quality.overlap_ratio)
@@ -1117,7 +1064,7 @@ class AsyncQueryService:
             "Uncommitted physical blocks discarded by rollback at open",
             ("index", "shard"),
         )
-        for name, tree in self._writer.indexes.items():
+        for name, tree in self._server.indexes.items():
             for shard, store in _page_stores(tree):
                 info = getattr(store.file_store, "recovery", None)
                 if info is None:
@@ -1162,7 +1109,7 @@ class AsyncQueryService:
             "Distinct blocks ever touched (tracker view)",
             ("index", "shard"),
         )
-        for name, tree in self._writer.indexes.items():
+        for name, tree in self._server.indexes.items():
             for shard, store in _page_stores(tree):
                 stats = store.stats
                 events.labels(name, shard, "hit").set_total(stats.hits)
@@ -1188,6 +1135,5 @@ class AsyncQueryService:
     def __repr__(self) -> str:
         return (
             f"AsyncQueryService(queued={self.queue_depth}, "
-            f"inflight={len(self._inflight)}, "
             f"admission={self.admission!r}, {self.stats!r})"
         )

@@ -167,7 +167,7 @@ class ServiceStats:
     #: Requests refused by admission control, per lane.
     rejected_reads: int = 0
     rejected_writes: int = 0
-    #: Batches handed to the executor.
+    #: Batches executed (each on the loop thread, one at a time).
     batches: int = 0
     #: Live queued-request count across lanes, and its high-water mark.
     queue_depth: int = 0
@@ -182,12 +182,13 @@ class ServiceStats:
     cache_misses: int = 0
     #: Group commits executed (``sync_every_n``/``sync_interval_s``
     #: cadence plus the final commit at close) and the write batches
-    #: they made durable; ``sync_writes=True`` commits inline instead
-    #: and leaves these at zero.
+    #: they made durable; ``sync_writes=True`` commits per write batch
+    #: instead and leaves these at zero.
     commits: int = 0
     committed_batches: int = 0
-    #: Seconds spent inside group commits, total — off the write
-    #: window, so this is concurrent-with-reads time, not stall.
+    #: Seconds spent inside group commits, total — on the commit
+    #: thread, so this is concurrent-with-reads time; it stalls the
+    #: lanes only where a write batch catches a commit in flight.
     commit_seconds: float = 0.0
     #: Group commits that raised (the dirty batches stay pending and
     #: the next cadence point retries).

@@ -38,9 +38,9 @@ story).  ``docs/io-accounting.md`` lays the whole logical-vs-physical
 vocabulary out in one place.
 
 The read path is thread-safe (one lock over the page table, the file
-store has its own), which is what lets the batched
-:class:`~repro.server.QueryServer` share one handle across workers;
-writes are serialized by the server before a batch's reads run.
+store has its own), which is what lets the async service's commit
+thread ``sync()`` a handle while the loop thread reads it; writes never
+overlap a ``sync()`` (``docs/async-serving.md``).
 """
 
 from __future__ import annotations

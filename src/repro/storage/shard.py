@@ -45,15 +45,12 @@ from.
 
 from __future__ import annotations
 
-import contextvars
 import heapq
 import json
 import math
 import os
 import pathlib
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, Sequence
 
@@ -590,10 +587,6 @@ class ShardedTree:
         self._route_his = [info.hilbert_hi for info in infos]
         self.store = _ShardedStoreView(self)
         self.shard_busy_s = [0.0] * len(shards)
-        self._busy_lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_workers = 0
-        self._pool_lock = threading.Lock()
         self._closed = False
 
     # -- construction --------------------------------------------------
@@ -805,37 +798,8 @@ class ShardedTree:
         return loads
 
     def _note_shard_time(self, i: int, seconds: float) -> None:
-        """Engines report their per-shard execution time here.
-
-        Locked: with ``workers > 1`` two engines (e.g. the window and
-        point groups of one batch) can report for the same shard
-        concurrently, and a bare ``+=`` on the list element would drop
-        one of the updates.
-        """
-        with self._busy_lock:
-            self.shard_busy_s[i] += seconds
-
-    def fanout_pool(self, workers: int) -> ThreadPoolExecutor:
-        """A persistent thread pool for multi-shard fan-out.
-
-        Created lazily on first use and shut down by :meth:`close`, so
-        engines do not pay thread creation per query.  The pool grows
-        (is replaced) if a later caller asks for more workers; it is
-        never shrunk.  Tasks must not submit back into the pool.
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        with self._pool_lock:
-            if self._pool is None or self._pool_workers < workers:
-                old = self._pool
-                self._pool = ThreadPoolExecutor(
-                    max_workers=workers,
-                    thread_name_prefix=f"shard-fanout-{self.path.name}",
-                )
-                self._pool_workers = workers
-                if old is not None:
-                    old.shutdown(wait=False)
-            return self._pool
+        """Engines report their per-shard execution time here."""
+        self.shard_busy_s[i] += seconds
 
     def all_data(self) -> Iterator[tuple[Rect, Any]]:
         """Every stored (rectangle, value) pair, shard by shard (uncounted)."""
@@ -974,10 +938,6 @@ class ShardedTree:
         crashed = self._injector is not None and self._injector.crashed
         if not self._readonly and not crashed:
             self.sync()
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
         for shard in self.shards:
             shard.page_store.file_store.close()
         self._closed = True
@@ -1081,22 +1041,23 @@ def open_index(
 
 
 class _ShardedFanout:
-    """Shared plumbing of the sharded engines: shard selection, optional
-    thread-pool fan-out, deterministic merge order, per-shard timing.
-
-    ``workers > 1`` executes a multi-shard fan-out on a thread pool —
-    safe because each shard has its own sub-engine (own internal-node
-    pool) and the paged read path is locked per shard.  Results always
-    merge in shard order, so answers and statistics are independent of
-    scheduling.
+    """Shared plumbing of the sharded engines: shard selection, serial
+    fan-out in shard order (each shard on its own sub-engine with its own
+    internal-node pool), merge, per-shard timing.
     """
 
-    def __init__(self, sharded: ShardedTree, workers: int = 1) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+    #: The single-tree engine each shard gets.
+    _SUB_ENGINE: type
+
+    def __init__(
+        self, sharded: ShardedTree, cache_internal: bool = True
+    ) -> None:
         self.sharded = sharded
-        self.workers = workers
         self.totals = QueryStats()
+        self._subs = [
+            self._SUB_ENGINE(shard, cache_internal)
+            for shard in sharded.shards
+        ]
 
     def _intersecting(self, predicate: Callable[[Rect], bool]) -> list[int]:
         """Shard indices whose live MBR satisfies ``predicate``."""
@@ -1110,14 +1071,12 @@ class _ShardedFanout:
     def _fan_out(
         self, indices: list[int], task: Callable[[int], Any]
     ) -> list[Any]:
-        """Run ``task`` per shard, in parallel when allowed; results in
-        ``indices`` order.
+        """Run ``task`` per shard; results in ``indices`` order.
 
         When the calling context is traced (or carries an attribution
         tap), each shard task runs under its own scoped tap — folded
         into the caller's on exit, so batch/request I/O totals stay
-        exact across the pool hop — and records a per-shard span on its
-        own trace track (parallel shards must not share a Perfetto row).
+        exact — and records a per-shard span on its own trace track.
         """
         trace = current_trace()
         observed = trace is not None or active_tap() is not None
@@ -1146,16 +1105,6 @@ class _ShardedFanout:
                     i, time.perf_counter() - start
                 )
 
-        if self.workers > 1 and len(indices) > 1:
-            pool = self.sharded.fanout_pool(self.workers)
-            if observed:
-                # Pool threads do not inherit this context: ship a copy
-                # (active tap and trace) with every shard task.
-                jobs = [(contextvars.copy_context(), i) for i in indices]
-                return list(
-                    pool.map(lambda job: job[0].run(timed, job[1]), jobs)
-                )
-            return list(pool.map(timed, indices))
         return [timed(i) for i in indices]
 
     def _merge_stats(self, parts: list[QueryStats]) -> QueryStats:
@@ -1199,16 +1148,7 @@ class ShardedQueryEngine(_ShardedFanout):
     matches in shard order.
     """
 
-    def __init__(
-        self,
-        sharded: ShardedTree,
-        cache_internal: bool = True,
-        workers: int = 1,
-    ) -> None:
-        super().__init__(sharded, workers)
-        self._subs = [
-            QueryEngine(shard, cache_internal) for shard in sharded.shards
-        ]
+    _SUB_ENGINE = QueryEngine
 
     def query(self, window: Rect) -> tuple[Matches, QueryStats]:
         if window.dim != self.sharded.dim:
@@ -1223,17 +1163,7 @@ class ShardedQueryEngine(_ShardedFanout):
 class ShardedPointEngine(_ShardedFanout):
     """Point / containment / count queries over a sharded family."""
 
-    def __init__(
-        self,
-        sharded: ShardedTree,
-        cache_internal: bool = True,
-        workers: int = 1,
-    ) -> None:
-        super().__init__(sharded, workers)
-        self._subs = [
-            PointQueryEngine(shard, cache_internal)
-            for shard in sharded.shards
-        ]
+    _SUB_ENGINE = PointQueryEngine
 
     def point_query(
         self, point: Sequence[float]
@@ -1288,20 +1218,9 @@ class ShardedKNNEngine(_ShardedFanout):
     of the heap, so shards that cannot contribute to the global top-k
     are never read at all.  Neighbors pop in globally nondecreasing
     distance order, exactly like the single-tree engine.
-
-    The merge is inherently sequential, so ``workers`` is ignored here.
     """
 
-    def __init__(
-        self,
-        sharded: ShardedTree,
-        cache_internal: bool = True,
-        workers: int = 1,
-    ) -> None:
-        super().__init__(sharded, workers)
-        self._subs = [
-            KNNEngine(shard, cache_internal) for shard in sharded.shards
-        ]
+    _SUB_ENGINE = KNNEngine
 
     def nearest(self, target) -> Iterator[Neighbor]:
         """Incrementally yield family-wide neighbors by distance."""
@@ -1393,8 +1312,7 @@ class ShardedJoinEngine:
     the statistics in pair order.  Because shards partition their
     side's data, every intersecting data pair is reported exactly once.
     Component-pair engines are cached, so repeated joins keep their
-    internal-node pools warm; ``workers > 1`` fans component pairs out
-    on a thread pool.
+    internal-node pools warm.
     """
 
     def __init__(
@@ -1402,10 +1320,7 @@ class ShardedJoinEngine:
         left: RTree | ShardedTree,
         right: RTree | ShardedTree,
         cache_internal: bool = True,
-        workers: int = 1,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if left.dim != right.dim:
             raise ValueError(
                 f"cannot join a {left.dim}-d index with a {right.dim}-d index"
@@ -1413,7 +1328,6 @@ class ShardedJoinEngine:
         self._left = left
         self._right = right
         self._cache_internal = cache_internal
-        self.workers = workers
         self._engines: dict[tuple[int, int], SpatialJoinEngine] = {}
         self.totals = JoinStats()
 
@@ -1460,35 +1374,9 @@ class ShardedJoinEngine:
                 elif isinstance(self._right, ShardedTree):
                     self._right._note_shard_time(ri, elapsed)
 
-        if self.workers > 1 and len(tasks) > 1:
-            owner = (
-                self._left
-                if isinstance(self._left, ShardedTree)
-                else self._right
-            )
-            pool = owner.fanout_pool(self.workers)
-            if current_trace() is not None or active_tap() is not None:
-                # Keep attribution exact across the pool hop: each task
-                # carries a copy of this context and its own scoped tap.
-                def run_attributed(job):
-                    ctx, task = job
-                    def scoped():
-                        with scoped_tap():
-                            return run(task)
-                    return ctx.run(scoped)
-
-                jobs = [
-                    (contextvars.copy_context(), task) for task in tasks
-                ]
-                parts = list(pool.map(run_attributed, jobs))
-            else:
-                parts = list(pool.map(run, tasks))
-        else:
-            parts = [run(task) for task in tasks]
-
         out: list = []
         stats = JoinStats(joins=1)
-        for pairs, part in parts:
+        for pairs, part in map(run, tasks):
             out.extend(pairs)
             stats.left.merge(part.left)
             stats.right.merge(part.right)

@@ -146,11 +146,7 @@ class TestConcurrentClientsMatchSerialOracle:
 
         async def main():
             failures: list[str] = []
-            async with AsyncQueryService(
-                handle,
-                max_batch=16,
-                executor_workers=3,
-            ) as service:
+            async with AsyncQueryService(handle, max_batch=16) as service:
                 oracles = await asyncio.gather(
                     *(
                         _client(service, c, data, failures)
@@ -204,7 +200,6 @@ class TestAdmissionAtTinyBound:
                 max_pending_reads=5,
                 max_pending_writes=2,
                 admission="reject",
-                executor_workers=2,
             ) as service:
                 requests = [CountRequest(window) for _ in range(60)]
                 requests += [

@@ -42,10 +42,10 @@ def sharded_index():
         yield index
 
 
-def run_overlapping_batches(tree, workers: int, batches: int = 6) -> None:
+def run_overlapping_batches(tree, batches: int = 6) -> None:
     """Mixed batches whose query regions deliberately revisit earlier
-    ones (consecutive seeds share windows), through a threaded server."""
-    server = QueryServer(tree, workers=workers)
+    ones (consecutive seeds share windows)."""
+    server = QueryServer(tree)
     bounds = tree.root().mbr()
     for i in range(batches):
         batch = mixed_requests(bounds, count=150, seed=10 + i // 2)
@@ -61,7 +61,7 @@ class TestTrackerMatchesRealCache:
             cache_analytics=True,
         ) as tree:
             assert isinstance(tree, ShardedTree)
-            run_overlapping_batches(tree, workers=2)
+            run_overlapping_batches(tree)
             for shard in tree.shards:
                 store = shard.page_store
                 tracker = store.tracker
@@ -89,7 +89,7 @@ class TestTrackerMatchesRealCache:
                 shard.page_store.tracker = ReuseDistanceTracker(
                     capacity=CACHE_PAGES, keep_log=True
                 )
-            run_overlapping_batches(tree, workers=2)
+            run_overlapping_batches(tree)
             for shard in tree.shards:
                 tracker = shard.page_store.tracker
                 assert tracker.log, "no accesses logged"
@@ -115,7 +115,7 @@ class TestTrackerMatchesRealCache:
             readonly=True,
             cache_analytics=True,
         ) as tree:
-            run_overlapping_batches(tree, workers=1, batches=2)
+            run_overlapping_batches(tree, batches=2)
             leaf = internal = 0
             for shard in tree.shards:
                 for band in shard.page_store.tracker.frequency_histogram():
@@ -132,7 +132,6 @@ class TestServingEntrypoints:
             index=sharded_index,
             requests=400,
             cache_pages=CACHE_PAGES,
-            workers=2,
         )
         starred = [
             row for row in table.rows if str(row[0]) == f"{CACHE_PAGES}*"
@@ -154,7 +153,6 @@ class TestServingEntrypoints:
             requests=300,
             batch_size=100,
             cache_pages=CACHE_PAGES,
-            workers=2,
             profile=out,
             cache_analytics=True,
         )

@@ -12,7 +12,7 @@ packed index:
   (the regression the per-batch tap fixed: boundary deltas on shared
   counters credited other batches' traffic).
 * **Spans tell the whole story** — every traced request's service
-  spans (admission/queue/coalesce-or-quiesce/execute) sum to at least
+  spans (admission/queue/coalesce-or-commit-wait/execute) sum to at least
   95% of its end-to-end latency, and the exported Chrome-trace file
   parses with clean nesting.
 """
@@ -44,7 +44,7 @@ N = 6_000
 SEED = 0
 
 #: The service spans that partition a request's end-to-end window.
-SERVICE_SPANS = {"admission", "queue", "coalesce", "write-quiesce", "execute"}
+SERVICE_SPANS = {"admission", "queue", "coalesce", "commit-wait", "execute"}
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +132,6 @@ class TestEndToEndTracing:
                 tree,
                 max_batch=32,
                 admission="backpressure",
-                executor_workers=4,
                 tracer=tracer,
                 metrics=registry,
                 slow_log=slow_log,

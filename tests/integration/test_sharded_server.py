@@ -147,22 +147,6 @@ def test_sharded_family_stays_consistent_after_batch(stack):
         validate_rtree(shard)
 
 
-def test_worker_fanout_matches_serial(stack):
-    single, sharded, tree, _ = stack
-    bounds = tree.root().mbr()
-    requests = [
-        r
-        for r in mixed_requests(bounds, count=300, seed=23, index="sharded")
-        if not isinstance(r, KNNRequest)
-    ]
-    serial = QueryServer({"sharded": sharded}, workers=1).submit(requests)
-    threaded = QueryServer({"sharded": sharded}, workers=4).submit(requests)
-    assert [r.value for r in serial.results] == [
-        r.value for r in threaded.results
-    ]
-    assert serial.leaf_ios == threaded.leaf_ios
-
-
 def test_page_caches_stay_bounded(stack):
     _, sharded, _, _ = stack
     for shard in sharded.shards:

@@ -1,6 +1,7 @@
 """Unit tests for the asyncio serving layer over an in-memory tree."""
 
 import asyncio
+import os
 import threading
 
 import pytest
@@ -41,61 +42,31 @@ def run(coro):
 EVERYTHING = Rect((0.0, 0.0), (1.0, 1.0))
 
 
-class Gate:
-    """Holds a read server busy until the test opens it.
-
-    Index ``"gate"`` of the :func:`gated` catalog is a packed tree whose
-    ``values=`` callable blocks on a :class:`threading.Event`, so a read
-    of it occupies its server (and the executor thread) for exactly as
-    long as the test wants.  With ``executor_workers=1`` that is the
-    only read server: everything submitted meanwhile stays queued, with
-    no sleep and no timer involved.
-    """
-
-    def __init__(self):
-        self._open = threading.Event()
-        self._loop = None
-        self.entered = None
-
-    def value(self, oid):
-        self._loop.call_soon_threadsafe(self.entered.set)
-        if not self._open.wait(timeout=10.0):
-            raise TimeoutError("the test never opened the gate")
-        return oid
-
-    def open(self):
-        self._open.set()
-
-    async def hold(self, service):
-        """Put one gated read in flight; returns its pending task."""
-        self._loop = asyncio.get_running_loop()
-        self.entered = asyncio.Event()
-        task = asyncio.ensure_future(
-            service.submit(WindowRequest(EVERYTHING, index="gate"))
-        )
-        await asyncio.wait_for(self.entered.wait(), timeout=10.0)
-        return task
+def far_insert(i):
+    """An insert well outside the unit square the data lives in."""
+    return InsertRequest(Rect((2.0 + i, 2.0), (2.1 + i, 2.1)), 9_000 + i)
 
 
 @pytest.fixture
-def gated(tmp_path, tree):
-    """``(catalog, gate)``: ``tree`` as ``"default"`` beside a gated index."""
-    from repro.storage import PagedTree, pack_tree
+def packed(tmp_path, data):
+    """``(path, values)``: ``data`` packed as one index file."""
+    from repro.storage import pack_tree
 
-    gate = Gate()
-    path = tmp_path / "gate.pack"
-    small = build_prtree(BlockStore(), random_rects(20, seed=3), fanout=16)
-    pack_tree(small, path)
-    paged = PagedTree.open(path, values=gate.value, readonly=True)
-    try:
-        yield {"default": tree, "gate": paged}, gate
-    finally:
-        gate.open()
-        paged.close()
+    oracle = build_prtree(BlockStore(), data, fanout=16)
+    path = tmp_path / "gc.pack"
+    pack_tree(oracle, path)
+    return path, dict(oracle.objects)
 
 
 async def queue_up(service, requests):
-    """Submit without awaiting; every request is in its lane on return."""
+    """Submit without awaiting; every request is in its lane on return.
+
+    Same-turn submission: the dispatcher executes batches on the loop,
+    so everything submitted before its next turn is queued when that
+    turn comes — one ``sleep(0)`` runs each submit up to its await and
+    returns here *before* the dispatcher (woken by the first of them)
+    is scheduled.  No thread, sleep or timer is involved.
+    """
     depth = service.queue_depth
     tasks = [asyncio.ensure_future(service.submit(r)) for r in requests]
     await asyncio.sleep(0)  # one loop turn: each submit runs to its await
@@ -168,16 +139,15 @@ class TestReads:
 
 
 class TestDispatch:
-    """Work-conserving read dispatch: a batch ships when a server is idle.
+    """Work-conserving dispatch: a batch is whatever is queued, up to
+    ``max_batch``, when the dispatcher's turn comes.
 
-    Deterministic by construction — the :class:`Gate` holds the only
-    read server, so what is queued when it frees is exactly what the
-    test queued.
+    Deterministic by construction — see :func:`queue_up`.
     """
 
     def test_lone_read_on_idle_service_ships_alone(self, tree):
         async def main():
-            async with AsyncQueryService(tree, executor_workers=1) as service:
+            async with AsyncQueryService(tree) as service:
                 response = await service.submit(CountRequest(EVERYTHING))
                 assert response.batch_size == 1
                 assert service.stats.batches == 1
@@ -187,22 +157,13 @@ class TestDispatch:
     @pytest.mark.parametrize(
         "queued, sizes", [(5, [5]), (8, [8]), (11, [8, 3]), (19, [8, 8, 3])]
     )
-    def test_reads_queued_behind_a_busy_server_ship_together(
-        self, gated, queued, sizes
-    ):
-        catalog, gate = gated
-
+    def test_reads_queued_together_ship_together(self, tree, queued, sizes):
         async def main():
-            async with AsyncQueryService(
-                catalog, max_batch=8, executor_workers=1
-            ) as service:
-                held = await gate.hold(service)
+            async with AsyncQueryService(tree, max_batch=8) as service:
                 tasks = await queue_up(service, read_mix(queued))
                 assert service.stats.batches == 0  # nothing shipped yet
-                gate.open()
                 responses = await asyncio.gather(*tasks)
-                assert (await held).batch_size == 1
-                assert service.stats.batches == 1 + len(sizes)
+                assert service.stats.batches == len(sizes)
                 return responses
 
         responses = run(main())
@@ -210,23 +171,16 @@ class TestDispatch:
         expected = [size for size in sizes for _ in range(size)]
         assert [r.batch_size for r in responses] == expected
 
-    def test_write_runs_before_reads_queued_ahead_of_it(self, gated, tree):
-        catalog, gate = gated
+    def test_write_runs_before_reads_queued_ahead_of_it(self, tree):
         rect = Rect((0.41, 0.41), (0.42, 0.42))
         probe = CountRequest(rect)
         before = QueryServer(tree).submit([probe]).values()[0]
 
         async def main():
-            async with AsyncQueryService(
-                catalog, max_batch=8, executor_workers=1
-            ) as service:
-                held = await gate.hold(service)
-                reads = await queue_up(service, [probe] * 3)
-                (write,) = await queue_up(
-                    service, [InsertRequest(rect, "late")]
+            async with AsyncQueryService(tree, max_batch=8) as service:
+                *reads, write = await queue_up(
+                    service, [probe] * 3 + [InsertRequest(rect, "late")]
                 )
-                gate.open()
-                await held
                 return await asyncio.gather(write, *reads)
 
         write, *reads = run(main())
@@ -234,27 +188,48 @@ class TestDispatch:
         # The reads were admitted first but executed after the write.
         assert [r.value for r in reads] == [before + 1] * 3
 
-    def test_close_answers_reads_queued_behind_a_busy_server(self, gated):
-        catalog, gate = gated
+    def test_close_answers_what_is_queued(self, tree):
         requests = read_mix(12)
 
         async def main():
-            service = AsyncQueryService(catalog, executor_workers=1)
-            held = await gate.hold(service)
+            service = AsyncQueryService(tree, max_batch=4)
             tasks = await queue_up(service, requests)
             closing = asyncio.ensure_future(service.aclose())
-            await asyncio.sleep(0)  # aclose runs up to awaiting the drain
+            # One loop turn: the dispatcher ships the first batch and
+            # yields, aclose runs up to awaiting the drain.
+            await asyncio.sleep(0)
+            assert service.queue_depth == 8 and not closing.done()
             with pytest.raises(ServiceClosed):
                 await service.submit(CountRequest(EVERYTHING))
-            assert not closing.done()
-            gate.open()
             await closing
-            assert service.closed and held.done()
+            assert service.closed
+            assert all(task.done() for task in tasks)
             return await asyncio.gather(*tasks)
 
         responses = run(main())
-        expected = QueryServer(catalog).submit(requests).values()
+        expected = QueryServer(tree).submit(requests).values()
         assert [r.value for r in responses] == expected
+
+    def test_every_batch_yields_to_the_loop(self, tree):
+        # Fairness: the loop is held for at most one max_batch batch.
+        # With ten batches queued, a coroutine that only ever yields
+        # gets a turn between any two of them.
+        async def main():
+            async with AsyncQueryService(tree, max_batch=4) as service:
+                tasks = await queue_up(service, read_mix(40))
+                seen = []
+
+                async def bystander():
+                    while service.stats.batches < 10:
+                        seen.append(service.stats.batches)
+                        await asyncio.sleep(0)
+
+                await asyncio.gather(bystander(), *tasks)
+                return seen
+
+        seen = run(main())
+        assert seen[0] <= 1 and seen[-1] == 9
+        assert all(b - a <= 1 for a, b in zip(seen, seen[1:]))
 
 
 class TestWrites:
@@ -316,29 +291,23 @@ class TestWrites:
 
 
 class TestAdmission:
-    def test_reject_mode_fast_fails(self, gated):
-        catalog, gate = gated
-
+    def test_reject_mode_fast_fails(self, tree):
         async def main():
             async with AsyncQueryService(
-                catalog,
+                tree,
                 max_batch=4,
                 max_pending_reads=3,
                 admission="reject",
-                executor_workers=1,
             ) as service:
-                held = await gate.hold(service)
                 tasks = [
                     asyncio.ensure_future(service.submit(request))
                     for request in read_mix(40)
                 ]
                 await asyncio.sleep(0)  # every submit admitted or refused
                 assert service.queue_depth == 3
-                gate.open()
                 results = await asyncio.gather(
                     *tasks, return_exceptions=True
                 )
-                await held
                 rejected = [
                     r for r in results if isinstance(r, AdmissionError)
                 ]
@@ -402,18 +371,12 @@ class TestAdmission:
 
 
 class TestCancellation:
-    def test_cancelled_client_does_not_break_batch_mates(self, gated):
+    def test_cancelled_client_does_not_break_batch_mates(self, tree):
         # A client that times out while queued cancels its future; the
-        # batch must still complete for everyone else — including
-        # write batches, whose completion runs inline in the
-        # dispatcher.
-        catalog, gate = gated
-
+        # batch must still complete for everyone else, write batches
+        # included.
         async def main():
-            async with AsyncQueryService(
-                catalog, max_batch=8, executor_workers=1
-            ) as service:
-                held = await gate.hold(service)
+            async with AsyncQueryService(tree, max_batch=8) as service:
                 doomed, write, *mates = await queue_up(
                     service,
                     [
@@ -424,11 +387,8 @@ class TestCancellation:
                 )
                 doomed.cancel()
                 write.cancel()
-                gate.open()
-                await held
-                responses = await asyncio.wait_for(
-                    asyncio.gather(*mates), timeout=5.0
-                )
+                responses = await asyncio.gather(*mates)
+                assert doomed.cancelled() and write.cancelled()
                 assert all(isinstance(r.value, int) for r in responses)
                 # The dispatcher survived; later requests still served.
                 later = await service.submit(
@@ -498,24 +458,13 @@ class TestGroupCommit:
 
     ``sync_writes=True`` stalls every write batch on an fsync;
     ``sync_every_n`` / ``sync_interval_s`` instead commit the mutated
-    indexes off the exclusive write window (docs/durability.md).  These
+    indexes on the commit thread, beside reads (docs/durability.md).  These
     tests pin the cadence, the final commit at close, and the knobs'
     mutual exclusion — against a real file-backed index, whose
     ``commit_epoch`` counts exactly the commits that reached disk.
     """
 
-    @pytest.fixture
-    def packed(self, tmp_path, data):
-        from repro.storage import pack_tree
-
-        oracle = build_prtree(BlockStore(), data, fanout=16)
-        path = tmp_path / "gc.pack"
-        pack_tree(oracle, path)
-        return path, dict(oracle.objects)
-
-    @staticmethod
-    def _insert(i):
-        return InsertRequest(Rect((2.0 + i, 2.0), (2.1 + i, 2.1)), 9_000 + i)
+    _insert = staticmethod(far_insert)
 
     def test_sync_writes_excludes_group_commit(self, tree):
         with pytest.raises(ValueError, match="group commit"):
@@ -610,26 +559,184 @@ class TestGroupCommit:
         assert stats.committed_batches == 1
 
     def test_reads_are_never_stalled_by_cadence(self, packed):
+        # The overlap that remains: with the commit thread parked inside
+        # sync(), reads are answered; the next write batch waits for the
+        # commit, and so does a read admitted behind that write.
         from repro.storage import PagedTree
 
         path, values = packed
-        window = Rect((0.0, 0.0), (1.0, 1.0))
+        release = threading.Event()
+        order = []
 
         async def main(paged):
-            service = AsyncQueryService(
-                paged, max_batch=8, sync_every_n=1
-            )
+            loop = asyncio.get_running_loop()
+            entered = asyncio.Event()
+            sync, insert = paged.sync, paged.insert
+
+            def parked_sync():
+                loop.call_soon_threadsafe(entered.set)
+                if not release.wait(timeout=10.0):
+                    raise TimeoutError("the test never released the commit")
+                flushed = sync()
+                order.append("sync")
+                return flushed
+
+            def noted_insert(rect, value):
+                order.append("insert")
+                return insert(rect, value)
+
+            paged.sync, paged.insert = parked_sync, noted_insert
+            service = AsyncQueryService(paged, max_batch=8, sync_every_n=1)
             async with service:
-                for i in range(3):
-                    await service.submit(self._insert(i))
-                    response = await service.submit(WindowRequest(window))
+                await service.submit(self._insert(0))
+                await asyncio.wait_for(entered.wait(), timeout=10.0)
+                for response in await service.submit_many(
+                    [WindowRequest(EVERYTHING)] * 3
+                ):
                     assert len(response.value) == len(values)
+                assert service.stats.commits == 0  # still parked
+
+                (write,) = await queue_up(service, [self._insert(1)])
+                while service.queue_depth:
+                    await asyncio.sleep(0)  # until the write is drained
+                (behind,) = await queue_up(
+                    service, [CountRequest(EVERYTHING)]
+                )
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                assert not write.done() and not behind.done()
+                assert service.queue_depth == 1 and order == ["insert"]
+
+                release.set()
+                await write
+                assert (await behind).value == len(values)
+            del paged.sync, paged.insert  # close() syncs after the loop
             return service.stats
 
         paged = PagedTree.open(path, values=values)
         try:
             stats = run(main(paged))
         finally:
+            release.set()
             paged.close()
-        assert stats.commits == 3
-        assert stats.completed == 6
+        # The second insert landed only after the parked commit returned.
+        assert order[:3] == ["insert", "sync", "insert"]
+        assert stats.commits == 2 and stats.completed == 6
+
+
+class TestThreads:
+    """One thread runs the engine; only commits leave it."""
+
+    @pytest.fixture(params=["paged", "family"])
+    def index(self, request, tmp_path, data):
+        """``(open, values)`` over a PagedTree or a K=4 family."""
+        from repro.storage import PagedTree, ShardedTree, pack_tree, shard_pack
+
+        oracle = build_prtree(BlockStore(), data, fanout=16)
+        if request.param == "paged":
+            path, opener = tmp_path / "t.pack", PagedTree.open
+            pack_tree(oracle, path)
+        else:
+            path, opener = tmp_path / "t.manifest", ShardedTree.open
+            shard_pack(oracle, path, shards=4)
+        return (lambda **kw: opener(path, **kw)), dict(oracle.objects)
+
+    @staticmethod
+    def _spy(obj, name, seen):
+        method = getattr(obj, name)
+
+        def spied(*args):
+            seen.add(threading.get_ident())
+            return method(*args)
+
+        setattr(obj, name, spied)
+
+    def test_engine_on_the_loop_sync_on_one_other(self, index):
+        open_index, values = index
+        here = threading.get_ident()  # asyncio.run: the loop runs here
+        reads, writes, syncs = set(), set(), set()
+
+        def value(oid):
+            reads.add(threading.get_ident())
+            return values[oid]
+
+        async def serve(tree, requests, **kwargs):
+            async with AsyncQueryService(tree, max_batch=4, **kwargs) as service:
+                for request in requests:  # awaited singly: many batches
+                    await service.submit(request)
+                return service.stats
+
+        with open_index(values=value, readonly=True) as tree:
+            run(serve(tree, [WindowRequest(EVERYTHING)] + read_mix(12)))
+        assert reads == {here}
+
+        updates = [far_insert(i) for i in range(6)]
+        updates += [DeleteRequest(r.rect, r.value) for r in updates[:3]]
+        with open_index(values=values) as tree:
+            self._spy(tree, "insert", writes)
+            self._spy(tree, "delete", writes)
+            self._spy(tree, "sync", syncs)
+            stats = run(serve(tree, updates, sync_every_n=2))
+            committing = set(syncs)  # close() syncs again, on this thread
+        assert writes == {here}
+        assert stats.commits == 5  # four on the cadence, one at close
+        assert len(committing) == 1 and here not in committing
+
+    def test_sync_writes_never_fsyncs_on_the_loop(
+        self, index, monkeypatch
+    ):
+        open_index, values = index
+        here = threading.get_ident()
+        release = threading.Event()
+        fsyncs = []
+
+        async def main(tree):
+            loop = asyncio.get_running_loop()
+            entered = asyncio.Event()
+
+            def parked_fsync(fd):
+                fsyncs.append(threading.get_ident())
+                loop.call_soon_threadsafe(entered.set)
+                if not release.wait(timeout=10.0):
+                    raise TimeoutError("the test never released the fsync")
+
+            monkeypatch.setattr(os, "fsync", parked_fsync)
+            async with AsyncQueryService(tree, sync_writes=True) as service:
+                write = asyncio.ensure_future(service.submit(far_insert(0)))
+                await asyncio.wait_for(entered.wait(), timeout=10.0)
+                # Applied, not yet answered — and the loop is free.
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                assert not write.done()
+                release.set()
+                assert isinstance((await write).value, int)
+                assert service.stats.commits == 0  # not a group commit
+            monkeypatch.undo()
+
+        with open_index(values=values) as tree:
+            try:
+                run(main(tree))
+            finally:
+                release.set()
+        assert fsyncs and here not in fsyncs
+
+    def test_one_thread_beside_the_loop(self, packed):
+        from repro.storage import PagedTree
+
+        path, values = packed
+
+        async def main(paged):
+            baseline = threading.active_count()
+            async with AsyncQueryService(paged, sync_every_n=1) as service:
+                assert threading.active_count() == baseline
+                await service.submit_many(read_mix(20))
+                assert threading.active_count() == baseline
+                await service.submit(far_insert(0))
+                # The second write waits for the first one's commit.
+                await service.submit(far_insert(1))
+                assert service.stats.commits >= 1
+                assert threading.active_count() == baseline + 1
+            assert threading.active_count() == baseline
+
+        with PagedTree.open(path, values=values) as paged:
+            run(main(paged))

@@ -114,7 +114,7 @@ class TestPackAndServe:
         capsys.readouterr()
         assert main([
             "serve-bench", "--index", str(out), "--requests", "40",
-            "--batch-size", "20", "--cache-pages", "16", "--workers", "2",
+            "--batch-size", "20", "--cache-pages", "16",
         ]) == 0
         text = capsys.readouterr().out
         assert "3 shards" in text
@@ -183,7 +183,7 @@ class TestServeAsync:
     def test_serve_async_sweep_prints_percentiles(self, capsys):
         assert main([
             "serve-async", "--rates", "400", "--requests", "40",
-            "--n", "1500", "--max-batch", "16", "--executor-workers", "2",
+            "--n", "1500", "--max-batch", "16",
         ]) == 0
         out = capsys.readouterr().out
         assert "p50_ms" in out and "p99_ms" in out
@@ -193,7 +193,6 @@ class TestServeAsync:
         assert main([
             "serve-async", "--rates", "600", "--requests", "30",
             "--n", "1500", "--shards", "2", "--mmap",
-            "--executor-workers", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "2 shards" in out and "mmap" in out
@@ -235,7 +234,7 @@ class TestServeAsync:
         before = {f.name: f.read_bytes() for f in files}
         assert main([
             "serve-async", "--index", str(index), "--rates", "800",
-            "--requests", "30", "--executor-workers", "2",
+            "--requests", "30",
         ]) == 0
         capsys.readouterr()
         assert {f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())} == before
@@ -314,7 +313,7 @@ class TestHealthAndExplain:
         prom = tmp_path / "health.prom"
         assert main([
             "serve-async", "--index", str(index), "--rates", "800",
-            "--requests", "40", "--executor-workers", "2",
+            "--requests", "40",
             "--explain", "--health-interval", "30",
             "--metrics", str(prom),
         ]) == 0

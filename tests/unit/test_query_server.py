@@ -64,10 +64,6 @@ class TestCatalog:
         )
         assert report.results[0].value == a.size
 
-    def test_invalid_workers(self, trees):
-        with pytest.raises(ValueError):
-            QueryServer(trees[0], workers=0)
-
     def test_index_named_join_is_not_special(self, trees):
         a, _ = trees
         server = QueryServer({"join": a})
@@ -476,22 +472,33 @@ class TestWrites:
                     [InsertRequest(Rect((0, 0), (1, 1)), "nope")]
                 )
 
-
-class TestWorkers:
-    def test_threaded_matches_serial(self, tmp_path):
-        data = random_rects(2000, seed=45)
+    def test_failed_write_batch_still_invalidates_warm_engines(
+        self, tmp_path
+    ):
+        # A write that raises after earlier writes of its batch applied
+        # must not leave the warm engines pooling pre-update internal
+        # nodes: the same server reads next (the async service runs
+        # reads and writes on one server).  A tiny page cache makes the
+        # pooled nodes diverge from the re-decoded pages.
+        data = random_rects(3000, seed=63)
         tree = build_prtree(BlockStore(), data, 16)
-        path = tmp_path / "w.pack"
+        path = tmp_path / "partial.pack"
         pack_tree(tree, path)
-        windows = random_windows(30, seed=46)
-        requests = []
-        for w in windows:
-            requests.append(WindowRequest(w))
-            requests.append(CountRequest(w))
-            requests.append(KNNRequest(tuple(w.center()), k=4))
-        with PagedTree.open(path, values=dict(tree.objects)) as paged:
-            serial = QueryServer(paged, workers=1).submit(requests)
-            threaded = QueryServer(paged, workers=4).submit(requests)
-            assert serial.leaf_ios == threaded.leaf_ios
-            for s, t in zip(serial.results, threaded.results):
-                assert s.value == t.value
+        far = Rect((2.0, 2.0), (3.0, 3.0))
+        probes = [CountRequest(far), CountRequest(Rect((0, 0), (3, 3)))]
+        with PagedTree.open(
+            path, values=dict(tree.objects), cache_pages=4
+        ) as paged:
+            server = QueryServer(paged, sync_writes=False)
+            assert server.submit(probes).values() == [0, 3000]  # warm
+            fresh = [
+                InsertRequest(
+                    Rect((2.0 + i * 0.01, 2.0), (2.1 + i * 0.01, 2.1)), i
+                )
+                for i in range(40)
+            ]
+            bad = InsertRequest(Rect((0, 0, 0), (1, 1, 1)), "3-d")
+            with pytest.raises(ValueError, match="dim 3"):
+                server.submit(fresh + [bad])
+            assert server.submit(probes).values() == [40, 3040]
+

@@ -333,13 +333,6 @@ class TestShardedEngines:
                 sorted((a[1], b[1]) for a, b in pairs) == self_expected
             )
 
-    def test_parallel_fanout_matches_serial(self, manifest, tree, data):
-        window = Rect((0.1, 0.1), (0.9, 0.9))
-        with open_family(manifest, tree) as family:
-            serial, _ = ShardedQueryEngine(family, workers=1).query(window)
-            threaded, _ = ShardedQueryEngine(family, workers=4).query(window)
-            assert serial == threaded  # shard-order merge is deterministic
-
     def test_dimension_mismatch_raises(self, manifest, tree):
         with open_family(manifest, tree) as family:
             bad = Rect((0, 0, 0), (1, 1, 1))
