@@ -13,10 +13,8 @@ entry-at-a-time Python loop.  Expected shapes:
   scalar oracle below), at **identical leaf I/O** — the layout is
   invisible to the paper's metric.
 * **batch x page**: co-located window batches evaluated set-at-a-time
-  read fewer pages than solo execution, and the server's
-  ``batch_windows`` mode inherits the saving; the serve-async
-  saturation knee moves right accordingly (see
-  ``benchmarks/results/serving_async_latency.txt``).
+  read fewer pages than solo execution.  The server executes requests
+  one at a time in arrival order, so its row reads what ``solo`` reads.
 """
 
 import tempfile
@@ -185,21 +183,20 @@ def _batch_experiment(queries: int = 64, cache_pages: int = 64) -> Table:
         engine.query_batch(windows)
         return engine.totals.leaf_reads
 
-    def run_server(tree, windows, **kwargs):
-        server = QueryServer(tree, **kwargs)
+    def run_server(tree, windows):
+        server = QueryServer(tree)
         return server.submit([WindowRequest(w) for w in windows]).leaf_ios
 
     configs = [
-        ("solo", run_solo, {}),
-        ("batch", run_batch, {}),
-        ("server", run_server, {}),
-        ("server+batch", run_server, {"batch_windows": True}),
+        ("solo", run_solo),
+        ("batch", run_batch),
+        ("server", run_server),
     ]
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmpdir:
         path = Path(tmpdir) / "index.pack"
         pack_index(path, variant="PR", dataset="uniform", n=N, seed=13)
         base_us = None
-        for name, fn, kwargs in configs:
+        for name, fn in configs:
             # A fresh handle per run: every pass starts from the same
             # cold page cache, so the physical read counts compare the
             # strategies, not the leftover LRU state of the previous
@@ -214,7 +211,7 @@ def _batch_experiment(queries: int = 64, cache_pages: int = 64) -> Table:
                         )
                     )
                     start = time.perf_counter()
-                    leaf = fn(tree, windows, **kwargs)
+                    leaf = fn(tree, windows)
                     elapsed = min(elapsed, time.perf_counter() - start)
                     delta = tree.page_stats
             if base_us is None:
@@ -256,7 +253,5 @@ def test_batch_page_evaluation(benchmark, record_table):
     rows = {row[0]: row for row in table.rows}
     # As-if-solo logical accounting: per-query leaf I/O sums match.
     assert rows["batch"][1] == rows["solo"][1]
-    assert rows["server+batch"][1] == rows["server"][1]
     # The batch traversal fetches shared pages once.
     assert rows["batch"][2] <= rows["solo"][2]
-    assert rows["server+batch"][2] <= rows["server"][2]

@@ -299,20 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests per batch",
     )
     serve.add_argument(
-        "--batch-windows",
-        dest="batch_windows",
-        action="store_true",
-        help=(
-            "evaluate each batch's co-located window queries "
-            "set-at-a-time per decoded page (docs/query-engine.md)"
-        ),
-    )
-    serve.add_argument(
         "--explain",
         action="store_true",
         help=(
             "arm per-request plan capture: footnotes digest mean "
-            "pruning efficiency per kind (disables --batch-windows)"
+            "pruning efficiency per kind"
         ),
     )
     _add_serving_index_args(serve, profile=True)
@@ -401,15 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "serve the live registry over HTTP at /metrics for the "
             "duration of the sweep (0 picks a free port; 127.0.0.1 only)"
-        ),
-    )
-    serve_async.add_argument(
-        "--batch-windows",
-        dest="batch_windows",
-        action="store_true",
-        help=(
-            "evaluate coalesced window queries set-at-a-time per "
-            "decoded page in the read servers (docs/query-engine.md)"
         ),
     )
     serve_async.add_argument(
@@ -777,7 +759,6 @@ def main(argv: list[str] | None = None) -> int:
             slow_ms=args.slow_ms,
             profile=args.profile,
             cache_analytics=args.cache_analytics,
-            batch_windows=args.batch_windows,
             explain=args.explain,
         )
         print(table.render())
@@ -835,7 +816,6 @@ def main(argv: list[str] | None = None) -> int:
             profile=args.profile,
             cache_analytics=args.cache_analytics,
             metrics_port=args.metrics_port,
-            batch_windows=args.batch_windows,
             explain=args.explain,
             health_interval=args.health_interval,
         )

@@ -361,7 +361,6 @@ def serve_bench(
     slow_ms: float | None = None,
     profile: str | pathlib.Path | None = None,
     cache_analytics: bool = False,
-    batch_windows: bool = False,
     explain: bool = False,
 ) -> Table:
     """Drive a mixed batched workload through a paged index file.
@@ -392,16 +391,10 @@ def serve_bench(
     tracker to every page store and footnotes the miss-ratio curve
     (``repro cache-report`` gives the full table).
 
-    ``batch_windows=True`` lets the server evaluate each batch's
-    co-located window queries set-at-a-time against every decoded page
-    (``docs/query-engine.md``) — results and per-request logical I/O
-    stats are identical to solo execution.
-
     ``explain=True`` arms per-request plan capture
     (``repro.queries.explain``): every executed request carries a
     :class:`~repro.queries.explain.QueryPlan` and the footnotes digest
-    the mean pruning efficiency per kind.  Explain disables window
-    batching (a shared traversal has no per-query plan).
+    the mean pruning efficiency per kind.
     """
     tmpdir: tempfile.TemporaryDirectory | None = None
     writer, tracer = _make_tracer(trace, sample_rate, slow_ms)
@@ -431,9 +424,7 @@ def serve_bench(
             mmap=mmap,
             cache_analytics=cache_analytics,
         ) as tree:
-            server = QueryServer(
-                tree, batch_windows=batch_windows, explain=explain
-            )
+            server = QueryServer(tree, explain=explain)
             bounds = tree.root().mbr()
             stream = mixed_requests(bounds, count=requests, seed=seed + 1)
 
@@ -668,7 +659,6 @@ def serve_async_bench(
     profile: str | pathlib.Path | None = None,
     cache_analytics: bool = False,
     metrics_port: int | None = None,
-    batch_windows: bool = False,
     explain: bool = False,
     health_interval: float | None = None,
 ) -> Table:
@@ -701,11 +691,6 @@ def serve_async_bench(
     writes collapsed stacks; ``cache_analytics=True`` attaches the
     ghost-LRU tracker to each page store (curves in the footnotes and,
     with metrics on, the ``repro_cache_*`` families).
-
-    ``batch_windows=True`` turns on set-at-a-time window evaluation in
-    the service's read servers (``docs/query-engine.md``) — coalesced
-    window queries share each decoded page's kernel pass instead of
-    re-traversing per request.
 
     ``explain=True`` arms per-request plan capture in every engine —
     the ``repro_explain_*`` families land in the metrics dump and slow
@@ -781,7 +766,6 @@ def serve_async_bench(
                     tracer=tracer,
                     metrics=registry,
                     slow_log=slow_log,
-                    batch_windows=batch_windows,
                     explain=explain,
                     health_interval=health_interval,
                 )

@@ -26,9 +26,9 @@ Three tiers, one source of truth:
   of a coordinate table at once and return matching row indices (or a
   per-row value array).
 * **Batch kernels** (``batch_*``) evaluate ``m`` queries against the
-  same table in one broadcast — the compute layout matching the query
-  server's Hilbert locality reordering, which already lands co-located
-  windows on the same pages.
+  same table in one broadcast — the compute layout of
+  :meth:`~repro.rtree.query.QueryEngine.query_batch`, where co-located
+  windows share the pages they land on.
 
 Every kernel has a pure-Python fallback used when numpy is absent (or
 disabled with ``REPRO_NO_NUMPY=1``), operating on tuple-of-rows tables;

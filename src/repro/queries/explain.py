@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 from repro.geometry import kernels
+from repro.queries.join import SpatialJoinEngine
 
 __all__ = [
     "LevelPlan",
@@ -266,9 +267,8 @@ def install(engine):
     engines without the single-tree traversal shape (the sharded
     facades), which simply produce no plan.
     """
-    left = getattr(engine, "_left", None)
-    right = getattr(engine, "_right", None)
-    if left is not None and right is not None:
+    if isinstance(engine, SpatialJoinEngine):
+        left, right = engine._left, engine._right
         pair = (PlanRecorder(left.tree), PlanRecorder(right.tree))
         left._recorder, right._recorder = pair
         return pair

@@ -345,9 +345,10 @@ class QueryEngine(TraversalEngine):
         every page the active queries are evaluated against the whole
         frame in a single :func:`~repro.geometry.kernels.batch_intersecting`
         broadcast.  A node is read once per batch no matter how many
-        queries need it, so batches of co-located windows (what the
-        server's Hilbert reordering produces) cost fewer logical I/Os
-        than running the queries back to back.
+        queries need it, so batches of co-located windows cost fewer
+        logical I/Os than running the queries back to back.  An engine
+        API: the query server executes requests one at a time and does
+        not call it.
 
         Results are **bit-identical** to running :meth:`query` per
         window, in the same per-query order.  Per-query statistics are

@@ -4,10 +4,10 @@ The storage engine (:mod:`repro.storage`) makes an index file queryable
 without holding the tree in memory; this package adds the serving layer
 on top: a :class:`~repro.server.server.QueryServer` that fronts a
 catalog of named trees and executes *batches* of mixed
-window/point/containment/count/kNN/join/insert/delete requests — deduplicated,
-reordered along the Hilbert curve for page-cache locality, executed
-over shared warm engines, and reported with per-batch latency, logical
-I/O, and physical page reads.
+window/point/containment/count/kNN/join/insert/delete requests — writes
+first, then each unique read once in arrival order over shared warm
+engines — and reports per-batch latency, logical I/O, and physical page
+reads.
 """
 
 from repro.server.requests import (

@@ -19,10 +19,10 @@ insert       :func:`repro.rtree.update.insert` (write; never deduped)
 delete       :func:`repro.rtree.update.delete` (write; never deduped)
 ===========  ==========================================================
 
-The two *write* kinds are exempt from batch deduplication and locality
-reordering: two identical inserts mean two entries, and write order is
-semantics.  Within a batch, all writes are applied in submission order
-before any read executes (reads observe the post-write state).
+The two *write* kinds are exempt from batch deduplication: two
+identical inserts mean two entries, and write order is semantics.
+Within a batch, all writes are applied in submission order before any
+read executes (reads observe the post-write state).
 """
 
 from __future__ import annotations

@@ -2,26 +2,26 @@
 
 Serving heavy query traffic is its own engineering problem beyond a
 correct index (cf. the SIGMOD 2014 programming-contest analyses): real
-workloads arrive as *batches* of heterogeneous requests with repeats
-and spatial locality that a naive one-at-a-time loop wastes.  The
-:class:`QueryServer` fronts a catalog of named trees (typically
+workloads arrive as *batches* of heterogeneous requests with repeats.
+The :class:`QueryServer` fronts a catalog of named trees (typically
 :class:`~repro.storage.paged.PagedTree` handles over index files) and
-executes each batch with three optimizations:
+executes each batch in the order it arrives, with two savings:
 
 * **Deduplication** — identical requests in a batch run once and share
   the result (requests are frozen, hashable dataclasses).
-* **Locality reordering** — within each (index, operator) group,
-  requests are sorted by the Hilbert value of their query's center, so
-  consecutive queries touch neighbouring leaves and the paged store's
-  LRU page cache (and the engines' internal-node pools) stay hot.
 * **Shared warm engines** — one engine per (index, operator) lives
   across batches, keeping internal nodes cached exactly like the
   paper's repeated-query setup.
 
+Reads run in arrival order: the paper charges a query the leaves it
+visits, so execution order never changes a query's cost, and at the
+batch sizes the async service forms a locality sort bought no physical
+reads either (``docs/server.md`` states the price and when to revisit).
+
 Batches may also carry *writes* (:class:`~repro.server.requests.InsertRequest`
 / :class:`~repro.server.requests.DeleteRequest`): they are applied in
-submission order before any read executes, never deduplicated or
-reordered, and — over a paged tree's dirty-page write-back store — cost
+submission order before any read executes, never deduplicated, and —
+over a paged tree's dirty-page write-back store — cost
 one physical page write per distinct dirty page rather than one per
 logical write I/O.  Each batch reports its logical write I/O and the
 pages physically flushed (:attr:`BatchReport.write_ios` /
@@ -47,17 +47,14 @@ columns relate to the store- and page-layer counters they aggregate.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.geometry import kernels
-from repro.geometry.hilbert import hilbert_key_for_center
 from repro.obs.profiler import phase as profile_phase
 from repro.obs.tap import scoped_tap
 from repro.obs.trace import Trace, activate_trace
 from repro.queries import explain as explain_mod
-from repro.geometry.rect import Rect, point_rect
 from repro.queries.join import SpatialJoinEngine
 from repro.queries.knn import KNNEngine
 from repro.queries.point import PointQueryEngine
@@ -97,8 +94,8 @@ class BatchReport:
     """What one batch did and what it cost.
 
     ``results`` aligns one-to-one with the submitted requests, in their
-    original order — reordering and deduplication are invisible to the
-    caller except through the statistics.
+    original order — deduplication is invisible to the caller except
+    through the statistics.
     """
 
     results: list[RequestResult] = field(default_factory=list)
@@ -193,7 +190,7 @@ class BatchReport:
         )
 
 
-def _group_key(request: Request) -> tuple:
+def _engine_key(request: Request) -> tuple:
     """Engine-affinity key.  The first element tags the key shape so an
     index literally named "join" cannot collide with join keys."""
     if isinstance(request, JoinRequest):
@@ -215,59 +212,37 @@ class QueryServer:
         per-shard breakdown in every :class:`BatchReport`.
     dedup:
         Execute identical requests within a batch once (default).
-    reorder:
-        Sort each request group along the Hilbert curve of the query
-        centers for page-cache locality (default).
     sync_writes:
         After a batch's writes are applied, ``sync()`` every mutated
         index that supports it (paged trees flush their dirty pages and
         rewrite the tree descriptor), so each batch is a consistency
         point on disk.  Disable to let dirty pages accumulate across
         batches (fewer physical writes, sync on close).
-    batch_windows:
-        Execute each group of co-located window queries as **one**
-        set-at-a-time traversal
-        (:meth:`~repro.rtree.query.QueryEngine.query_batch`): every page
-        the group touches is read once and evaluated against all active
-        windows in a single batch×page kernel broadcast.  Results are
-        bit-identical to per-request execution and per-request statistics
-        stay as-if-solo; pages shared between windows cost one logical
-        read instead of one per query, so ``leaf_ios`` (the sum of
-        per-query costs) can exceed the batch's attributed ``io`` reads.
-        Applies to untraced plain-tree window requests; traced requests,
-        sharded indexes, and the other operators keep per-request
-        execution.  Default off — the paper's per-query accounting.
     explain:
         Capture an EXPLAIN plan (:mod:`repro.queries.explain`) for every
         executed read and attach it as
         :attr:`~repro.server.requests.RequestResult.plan`: per-level
         nodes visited / entries pruned, physical reads, and the pruning
-        efficiency against the leaf-I/O lower bound.  Disables window
-        batching (a shared traversal has no per-query plan); sharded
-        facades execute normally but produce no plan.  Default off —
-        the disabled path costs a ``None`` check or two per node.
+        efficiency against the leaf-I/O lower bound.  Sharded facades
+        execute normally but produce no plan.  Default off — the
+        disabled path costs a ``None`` check or two per node.
     """
 
     def __init__(
         self,
         indexes: RTree | Mapping[str, RTree],
         dedup: bool = True,
-        reorder: bool = True,
         sync_writes: bool = True,
-        batch_windows: bool = False,
         explain: bool = False,
     ) -> None:
         if isinstance(indexes, (RTree, ShardedTree)):
             indexes = {DEFAULT_INDEX: indexes}
         self.indexes: dict[str, RTree | ShardedTree] = dict(indexes)
         self.dedup = dedup
-        self.reorder = reorder
         self.sync_writes = sync_writes
-        self.batch_windows = batch_windows
         self.explain = explain
         self.batches_served = 0
         self._engines: dict[tuple, Any] = {}
-        self._bounds: dict[str, Rect | None] = {}
 
     # ------------------------------------------------------------------
     # Catalog
@@ -279,12 +254,11 @@ class QueryServer:
         self._invalidate(name)
 
     def _invalidate(self, name: str) -> None:
-        """Drop warm engines and cached bounds that observed ``name``.
+        """Drop warm engines that observed ``name``.
 
         Called after writes: the engines' internal-node pools hold
         decoded nodes from before the update and must be rebuilt.
         """
-        self._bounds.pop(name, None)
         stale = [
             k
             for k in self._engines
@@ -303,7 +277,7 @@ class QueryServer:
             ) from None
 
     # ------------------------------------------------------------------
-    # Engines (one per group, warm across batches)
+    # Engines (one per (index, operator), warm across batches)
     # ------------------------------------------------------------------
 
     def _engine(self, key: tuple) -> Any:
@@ -337,38 +311,6 @@ class QueryServer:
                     engine = PointQueryEngine(tree)
             self._engines[key] = engine
         return engine
-
-    # ------------------------------------------------------------------
-    # Locality ordering
-    # ------------------------------------------------------------------
-
-    def _index_bounds(self, name: str) -> Rect | None:
-        if name not in self._bounds:
-            root = self._tree(name).root()
-            self._bounds[name] = root.mbr() if len(root) else None
-        return self._bounds[name]
-
-    def _locality_key(self, request: Request) -> int:
-        if isinstance(request, JoinRequest):
-            return 0
-        bounds = self._index_bounds(request.index)
-        if bounds is None:
-            return 0
-        if isinstance(request, (WindowRequest, ContainmentRequest, CountRequest)):
-            rect = request.window
-        elif isinstance(request, PointRequest):
-            rect = point_rect(request.point)
-        elif isinstance(request, KNNRequest):
-            rect = (
-                request.target
-                if isinstance(request.target, Rect)
-                else point_rect(request.target)
-            )
-        else:  # pragma: no cover - future request kinds sort first
-            return 0
-        if rect.dim != bounds.dim:
-            return 0  # dimension errors surface in the engine, not here
-        return hilbert_key_for_center(rect, bounds)
 
     # ------------------------------------------------------------------
     # Execution
@@ -428,10 +370,10 @@ class QueryServer:
     def _execute_one(
         self, request: Request, trace: Trace | None = None
     ) -> RequestResult:
-        engine = self._engine(_group_key(request))
-        # Plan capture is armed per executed request: within one batch a
-        # group's requests run serially on the group's own engine, so
-        # the recorder never observes another request's traversal.
+        engine = self._engine(_engine_key(request))
+        # Plan capture is armed per executed request: requests run one
+        # at a time, so the recorder never observes another request's
+        # traversal.
         recorder = explain_mod.install(engine) if self.explain else None
         if trace is None:
             with profile_phase(f"engine:{request.kind}"):
@@ -466,49 +408,6 @@ class QueryServer:
             plan=plan,
         )
 
-    def _execute_window_batch(self, engine: QueryEngine, entries: list) -> list:
-        """Run one group of window requests as a single batch traversal.
-
-        ``entries`` are locality-ordered ``(key, request, None)`` rows of
-        one (index, window) group; the group becomes one
-        :meth:`~repro.rtree.query.QueryEngine.query_batch` call.
-        Per-request latency is the batch's wall clock split evenly —
-        individual attribution is meaningless inside a shared traversal.
-        """
-        windows = [request.window for _, request, _ in entries]
-        with profile_phase("engine:window"):
-            start = time.perf_counter()
-            all_matches, all_stats = engine.query_batch(windows)
-            latency = time.perf_counter() - start
-        per_request = latency / len(entries)
-        return [
-            (
-                key,
-                RequestResult(
-                    request=request,
-                    value=all_matches[i],
-                    stats=all_stats[i],
-                    latency_s=per_request,
-                ),
-            )
-            for i, (key, request, _) in enumerate(entries)
-        ]
-
-    def _batchable_windows(self, entries: list) -> bool:
-        """True when a locality-ordered group can run set-at-a-time."""
-        if not self.batch_windows or self.explain or len(entries) < 2:
-            return False
-        if not all(
-            isinstance(request, WindowRequest) and trace is None
-            for _, request, trace in entries
-        ):
-            return False
-        dims = {request.window.dim for _, request, _ in entries}
-        if len(dims) != 1:
-            return False  # mixed dims surface their errors per request
-        engine = self._engine(_group_key(entries[0][1]))
-        return type(engine) is QueryEngine
-
     def _batch_names(self, requests: Iterable[Request]) -> set[str]:
         """Names of every index this batch addresses."""
         names: set[str] = set()
@@ -527,10 +426,11 @@ class QueryServer:
         """Execute one batch and report results in submission order.
 
         Writes (insert/delete) are applied first, in submission order
-        and exempt from dedup/reordering; the batch's reads then
-        observe the post-write state.  When :attr:`sync_writes` is set,
-        every mutated index that supports ``sync()`` is flushed before
-        the reads run.
+        and exempt from dedup; the batch's reads then observe the
+        post-write state.  When :attr:`sync_writes` is set, every
+        mutated index that supports ``sync()`` is flushed before the
+        reads run.  Each unique read then executes once, in
+        first-occurrence order.
 
         ``traces`` optionally aligns one
         :class:`~repro.obs.trace.Trace` (or None) with each request:
@@ -582,81 +482,32 @@ class QueryServer:
                     if callable(sync):
                         sync()
 
-            # Phase 2: reads — deduplicate while preserving
-            # first-occurrence order (a repeat rides on the first
-            # occurrence's execution, trace included).
-            reads = [
-                (i, request)
-                for i, request in enumerate(requests)
-                if i not in write_results
-            ]
-            to_run: list[tuple[Any, Request, Trace | None]]
-            if self.dedup:
-                unique: "OrderedDict[Request, Trace | None]" = OrderedDict()
-                for i, request in reads:
-                    if request not in unique:
-                        unique[request] = traces[i] if traces else None
-                to_run = [
-                    (request, request, trace)
-                    for request, trace in unique.items()
-                ]
-            else:
-                # Keyed by position so repeats execute individually.
-                to_run = [
-                    (i, request, traces[i] if traces else None)
-                    for i, request in reads
-                ]
-
-            # Group for engine affinity and locality sorting.
-            groups: "OrderedDict[tuple, list]" = OrderedDict()
-            for key, request, trace in to_run:
-                groups.setdefault(_group_key(request), []).append(
-                    (key, request, trace)
-                )
-
-            def run(entries: list) -> list:
-                ordered = (
-                    sorted(entries, key=lambda e: self._locality_key(e[1]))
-                    if self.reorder and len(entries) > 1
-                    else entries
-                )
-                if self._batchable_windows(ordered):
-                    engine = self._engine(_group_key(ordered[0][1]))
-                    return self._execute_window_batch(engine, ordered)
-                return [
-                    (key, self._execute_one(request, trace))
-                    for key, request, trace in ordered
-                ]
-
+            # Phase 2: reads, in submission order, and the results
+            # reassembled alongside.  A repeat is answered from its
+            # first occurrence (payload, stats and trace) and never
+            # re-executed; without dedup, reads key by position.
             executed: dict[Any, RequestResult] = {}
-            for entries in groups.values():
-                executed.update(run(entries))
-
-        # Reassemble in submission order; repeats of an executed read
-        # share its payload and cost nothing further.
-        emitted: set = set()
-        for i, request in enumerate(requests):
-            if i in write_results:
-                report.results.append(write_results[i])
-                continue
-            key = request if self.dedup else i
-            done = executed[key]
-            if key in emitted:
-                report.results.append(
-                    RequestResult(
-                        request=request,
-                        value=done.value,
-                        stats=done.stats,
-                        latency_s=0.0,
-                        deduped=True,
-                    )
-                )
-                report.dedup_hits += 1
-                if traces is not None and traces[i] is not None:
-                    traces[i].event("dedup-hit", kind=request.kind)
-            else:
-                emitted.add(key)
-                report.results.append(done)
+            for i, request in enumerate(requests):
+                result = write_results.get(i)
+                if result is None:
+                    key = request if self.dedup else i
+                    first = executed.get(key)
+                    if first is None:
+                        result = executed[key] = self._execute_one(
+                            request, traces[i] if traces else None
+                        )
+                    else:
+                        result = RequestResult(
+                            request=request,
+                            value=first.value,
+                            stats=first.stats,
+                            latency_s=0.0,
+                            deduped=True,
+                        )
+                        report.dedup_hits += 1
+                        if traces is not None and traces[i] is not None:
+                            traces[i].event("dedup-hit", kind=request.kind)
+                report.results.append(result)
 
         report.executed = len(executed) + len(write_results)
         report.writes = len(write_results)

@@ -202,7 +202,7 @@ class AsyncQueryService:
         frees.
     executor_workers:
         Validated and otherwise ignored: one thread runs every batch.
-    dedup / reorder:
+    dedup:
         Passed through to the underlying server (see
         :class:`~repro.server.QueryServer`).
     sync_writes:
@@ -233,10 +233,6 @@ class AsyncQueryService:
         batch waits with it.  Un-synced batches still pending at
         :meth:`aclose` get one final commit.  Mutually exclusive with
         ``sync_writes=True``.
-    batch_windows:
-        Passed through to the server: each coalesced batch's
-        co-located window-query groups execute as one set-at-a-time
-        batch×page traversal (see :class:`~repro.server.QueryServer`).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When set, every
         request the tracer's sampling keeps (or that turns out slow)
@@ -287,11 +283,9 @@ class AsyncQueryService:
         admission: str = "reject",
         executor_workers: int = 4,
         dedup: bool = True,
-        reorder: bool = True,
         sync_writes: bool = False,
         sync_every_n: int | None = None,
         sync_interval_s: float | None = None,
-        batch_windows: bool = False,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         metrics_interval: float = 1.0,
@@ -343,12 +337,7 @@ class AsyncQueryService:
         # The server never syncs: with sync_writes the service commits
         # each write batch itself, on the commit thread.
         self._server = QueryServer(
-            indexes,
-            dedup=dedup,
-            reorder=reorder,
-            sync_writes=False,
-            batch_windows=batch_windows,
-            explain=explain,
+            indexes, dedup=dedup, sync_writes=False, explain=explain
         )
         #: The commit thread — the one call that blocks in the kernel.
         self._committer = ThreadPoolExecutor(

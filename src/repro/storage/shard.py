@@ -9,8 +9,8 @@ can contribute.
 
 :func:`shard_pack` partitions a bulk-loaded tree's *leaf entries* by the
 Hilbert rank of their centers into K contiguous ranges — the same
-locality order the packed Hilbert loader and the server's batch
-reordering already use — packs each range as an independent index file
+locality order the packed Hilbert loader already uses — packs each
+range as an independent index file
 (reusing :func:`~repro.storage.paged.pack_tree`), and writes a JSON
 *shard manifest* describing the family: per-shard file, entry count,
 MBR, Hilbert key range and block count (byte-for-byte layout in
@@ -1350,14 +1350,16 @@ class ShardedJoinEngine:
     def join(self) -> tuple[list, JoinStats]:
         """Report every intersecting (left, right) data-rectangle pair."""
         tasks: list[tuple[int, RTree, int, RTree]] = []
+        # ``len(root)`` reads the frame: testing ``root.entries`` would
+        # build an entry list and leave it on every shard's cached root.
         for li, ltree in self._components(self._left):
             lroot = ltree.root()
-            if not lroot.entries:
+            if not len(lroot):
                 continue
             lmbr = lroot.mbr()
             for ri, rtree in self._components(self._right):
                 rroot = rtree.root()
-                if not rroot.entries:
+                if not len(rroot):
                     continue
                 if lmbr.intersects(rroot.mbr()):
                     tasks.append((li, ltree, ri, rtree))

@@ -1,8 +1,9 @@
-"""Documentation integrity: links resolve, runnable snippets execute.
+"""Documentation integrity: links resolve, runnable snippets execute,
+documented CLI flags exist.
 
 Drives ``tools/check_docs.py`` — the same checks the CI docs job runs —
-so a broken intra-repo link or a docs example that stopped working
-fails the tier-1 suite locally too.
+so a broken intra-repo link, a docs example that stopped working or a
+flag the CLI no longer accepts fails the tier-1 suite locally too.
 """
 
 import pathlib
@@ -75,6 +76,35 @@ def test_runnable_snippet_executes(snippet, tmp_path):
     )
     assert proc.returncode == 0, (
         f"{path.name} snippet #{index} failed:\n{proc.stderr}"
+    )
+
+
+def test_documented_cli_flags_exist():
+    assert check_docs.check_cli_flags() == []
+
+
+def test_cli_flag_check_catches_a_deleted_flag(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "README.md").write_text(
+        "Run `repro serve-bench --requests 10` or `serve-async --rates 5`.\n"
+        "```console\n"
+        "$ python -m repro serve-async --max-batch 8 \\\n"
+        "    --explain | tail  # --not-a-flag\n"
+        "```\n"
+    )
+    assert check_docs.check_cli_flags(tmp_path) == []
+    (tmp_path / "docs" / "serving.md").write_text(
+        "Set-at-a-time windows: `serve-bench\n--batch-windows`.\n"
+        "```console\n"
+        "$ python -m repro serve-async --rates 5 \\\n"
+        "    --batch-windows\n"
+        "```\n"
+    )
+    errors = check_docs.check_cli_flags(tmp_path)
+    assert len(errors) == 2
+    assert all(
+        error.startswith("docs/serving.md: ") and "--batch-windows" in error
+        for error in errors
     )
 
 

@@ -15,6 +15,7 @@ from repro.queries.point import PointQueryEngine
 from repro.rtree.query import QueryEngine
 from repro.server import (
     CountRequest,
+    JoinRequest,
     KNNRequest,
     PointRequest,
     QueryServer,
@@ -240,20 +241,27 @@ class TestServerExplain:
         report = server.submit(self.requests())
         assert all(result.plan is None for result in report.results)
 
-    def test_explain_disables_window_batching(self, paged):
-        batching = QueryServer(paged, batch_windows=True)
-        explained = QueryServer(paged, batch_windows=True, explain=True)
-        windows = [
-            WindowRequest(Rect((x / 10, 0.1), (x / 10 + 0.2, 0.4)))
-            for x in range(5)
-        ]
-        want = batching.submit(list(windows))
-        got = explained.submit(list(windows))
-        for a, b in zip(got.results, want.results):
-            assert a.plan is not None
-            assert sorted(v for _, v in a.value) == sorted(
-                v for _, v in b.value
-            )
+    def test_join_touching_a_sharded_index_has_no_plan(self, tmp_path):
+        # A sharded join engine's ``_left`` / ``_right`` are trees, not
+        # traversal engines: plan capture must skip it, not crash.
+        data = random_rects(400, seed=52)
+        tree = build_prtree(BlockStore(), data, 16)
+        plain = build_prtree(
+            BlockStore(), random_rects(200, seed=53, max_side=0.1), 16
+        )
+        manifest = tmp_path / "fam.manifest"
+        shard_pack(tree, manifest, shards=4, block_size=1024)
+        with open_index(manifest, readonly=True) as family:
+            indexes = {"fam": family, "plain": plain}
+            join = [JoinRequest("fam", "plain"), JoinRequest("plain", "fam")]
+            want = QueryServer(indexes).submit(join)
+            got = QueryServer(indexes, explain=True).submit(join)
+            for a, b in zip(got.results, want.results):
+                assert a.plan is None
+                assert sorted(map(repr, a.value)) == sorted(
+                    map(repr, b.value)
+                )
+            assert got.results[0].value
 
     def test_sharded_index_has_no_plan(self, tmp_path):
         data = random_rects(400, seed=51)

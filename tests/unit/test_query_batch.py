@@ -1,10 +1,12 @@
-"""Set-at-a-time window batches: ``query_batch`` and the server path.
+"""Window batches: ``QueryEngine.query_batch`` and the server path.
 
 The contract under test (``docs/query-engine.md``): a batch traversal
 returns **bit-identical** results to running each window solo, per-query
 ``leaf_reads``/``internal_visits``/``reported`` equal the solo run
 (as-if-solo accounting), and the store sees *fewer* logical reads
-because shared pages are fetched once per batch.
+because shared pages are fetched once per batch. The server executes a
+batch of windows one request at a time, in arrival order, and must
+answer each exactly as a batch of one would.
 """
 
 import pytest
@@ -99,35 +101,38 @@ class TestQueryBatch:
 
 
 class TestServerBatchWindows:
+    """A server batch of window requests runs one request at a time, in
+    arrival order; ``query_batch`` has no serving caller."""
+
     def _window_batch(self, windows):
         return [WindowRequest(w) for w in windows]
 
     def test_results_match_per_request_execution(self, tree, windows):
-        plain = QueryServer(tree)
-        batched = QueryServer(tree, batch_windows=True)
+        server = QueryServer(tree)
         requests = self._window_batch(windows)
-        want = plain.submit(list(requests))
-        got = batched.submit(list(requests))
-        for a, b in zip(got.results, want.results):
+        got = server.submit(list(requests))
+        want = [server.submit([r]).results[0] for r in requests]
+        for a, b in zip(got.results, want):
             assert a.value == b.value
             assert a.stats.leaf_reads == b.stats.leaf_reads
             assert a.stats.internal_visits == b.stats.internal_visits
             assert a.stats.reported == b.stats.reported
-        assert got.leaf_ios == want.leaf_ios
+        assert got.leaf_ios == sum(r.stats.leaf_reads for r in want)
 
     def test_batch_path_reduces_store_reads(self, tree, windows):
+        # The price of arrival order: the server fetches a page once per
+        # query that visits it, ``query_batch`` once per batch.
         counters = tree.store.counters
-        requests = self._window_batch(windows)
         before = counters.reads
-        QueryServer(tree).submit(list(requests))
-        plain_reads = counters.reads - before
+        QueryServer(tree).submit(self._window_batch(windows))
+        server_reads = counters.reads - before
         before = counters.reads
-        QueryServer(tree, batch_windows=True).submit(list(requests))
+        QueryEngine(tree).query_batch(windows)
         batch_reads = counters.reads - before
-        assert batch_reads < plain_reads
+        assert batch_reads < server_reads
 
     def test_dedup_still_applies(self, tree, windows):
-        server = QueryServer(tree, batch_windows=True)
+        server = QueryServer(tree)
         repeated = self._window_batch(windows) + self._window_batch(windows)
         report = server.submit(repeated)
         assert report.dedup_hits == len(windows)
@@ -135,7 +140,7 @@ class TestServerBatchWindows:
             assert result.value == report.results[i % len(windows)].value
 
     def test_mixed_batches_fall_back_per_request(self, tree, windows):
-        server = QueryServer(tree, batch_windows=True)
+        server = QueryServer(tree)
         requests = [
             WindowRequest(windows[0]),
             CountRequest(windows[1]),
@@ -147,12 +152,12 @@ class TestServerBatchWindows:
         count = report.results[1].value
         want_count, _ = QueryEngine(tree).query(windows[1])
         assert count == len(want_count)
+        want_w2, _ = QueryEngine(tree).query(windows[2])
+        assert report.results[2].value == want_w2
 
     def test_single_window_runs_solo(self, tree, windows):
-        server = QueryServer(tree, batch_windows=True)
+        server = QueryServer(tree)
         report = server.submit([WindowRequest(windows[0])])
         want, _ = QueryEngine(tree).query(windows[0])
         assert report.results[0].value == want
 
-    def test_default_is_off(self, tree):
-        assert QueryServer(tree).batch_windows is False

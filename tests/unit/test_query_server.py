@@ -201,33 +201,63 @@ class TestDedup:
         assert many.leaf_ios == once.leaf_ios
 
 
+def spy_dispatch(server):
+    """Record every request the server hands to an engine, in order."""
+    dispatched = []
+    dispatch = server._dispatch
+
+    def spy(engine, request):
+        dispatched.append(request)
+        return dispatch(engine, request)
+
+    server._dispatch = spy
+    return dispatched
+
+
+class TestArrivalOrder:
+    def test_unique_reads_execute_in_first_occurrence_order(self, server):
+        # Kinds interleaved and neighbours on the Hilbert curve far apart
+        # in the batch: grouping by kind or sorting along the curve would
+        # both change the order the engines see.
+        point = PointRequest((0.05, 0.05), index="a")
+        requests = [
+            point,
+            WindowRequest(Rect((0.9, 0.9), (0.95, 0.95)), index="a"),
+            CountRequest(Rect((0.05, 0.9), (0.1, 0.95)), index="a"),
+            point,
+            KNNRequest((0.9, 0.05), k=3, index="a"),
+            WindowRequest(Rect((0.1, 0.1), (0.15, 0.15)), index="a"),
+            PointRequest((0.95, 0.95), index="a"),
+        ]
+        dispatched = spy_dispatch(server)
+        report = server.submit(requests)
+        assert dispatched == requests[:3] + requests[4:]
+        repeat = report.results[3]
+        assert repeat.deduped and repeat.value is report.results[0].value
+        assert [r.request for r in report.results] == requests
+
+    def test_without_dedup_every_read_executes_in_order(self, trees):
+        a, _ = trees
+        server = QueryServer({"a": a}, dedup=False)
+        windows = random_windows(3, seed=41)
+        requests = [WindowRequest(w, index="a") for w in windows] * 2
+        dispatched = spy_dispatch(server)
+        server.submit(requests)
+        assert dispatched == requests
+
+
 class TestLocalityAndStats:
-    def test_reorder_improves_page_cache_on_tiny_cache(self, tmp_path):
-        data = random_rects(3000, seed=39)
-        tree = build_prtree(BlockStore(), data, 8)
-        path = tmp_path / "t.pack"
-        pack_tree(tree, path, block_size=512)
-        windows = random_windows(120, seed=40, side=0.08)
-        requests = [WindowRequest(w) for w in windows]
-
-        def physical(reorder):
-            paged = PagedTree.open(
-                path, values=dict(tree.objects), cache_pages=24
-            )
-            try:
-                server = QueryServer(paged, reorder=reorder)
-                return server.submit(requests).physical_reads
-            finally:
-                paged.close()
-
-        assert physical(True) <= physical(False)
-
     def test_logical_ios_independent_of_reorder(self, trees):
+        # A query is charged the leaves it visits, so the order a batch
+        # runs in never changes its logical I/O: a caller that sorts its
+        # batch along x gets the same totals as arrival order.
         a, _ = trees
         windows = random_windows(20, seed=41)
         requests = [WindowRequest(w, index="a") for w in windows]
-        plain = QueryServer({"a": a}, reorder=False).submit(requests)
-        sorted_ = QueryServer({"a": a}, reorder=True).submit(requests)
+        by_x = sorted(requests, key=lambda r: r.window.center())
+        assert by_x != requests
+        plain = QueryServer({"a": a}).submit(requests)
+        sorted_ = QueryServer({"a": a}).submit(by_x)
         assert plain.leaf_ios == sorted_.leaf_ios
         assert plain.reported == sorted_.reported
 
@@ -261,13 +291,12 @@ class TestLocalityAndStats:
         assert server.batches_served == 2
 
 
-class TestIndexBounds:
-    """Learning an index's bounds reads the root's frame: no entry list
-    (a ``Rect`` per child) is built and left on the cached root page —
-    and a write batch drops the bounds, so it happens again each time."""
+class TestRootEntryList:
+    """Serving reads the roots' frames: no entry list (a ``Rect`` per
+    child) is built and left on a cached root page."""
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_bounds_build_no_entry_list(self, tmp_path, shards):
+    @staticmethod
+    def _open(tmp_path, shards):
         data = random_rects(900, seed=47)
         tree = build_prtree(BlockStore(), data, 16)
         if shards == 1:
@@ -276,16 +305,27 @@ class TestIndexBounds:
         else:
             path = tmp_path / "index.manifest"
             shard_pack(tree, path, shards=shards)
-        with open_index(path, values=dict(tree.objects)) as index:
+        return open_index(path, values=dict(tree.objects))
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_serving_builds_no_root_entry_list(self, tmp_path, shards):
+        with self._open(tmp_path, shards) as index:
             server = QueryServer(index)
             for _ in range(2):
-                assert server._index_bounds("default") == tree.root().mbr()
                 server.submit([InsertRequest(Rect((0.5, 0.5), (0.6, 0.6)), "w")])
-                assert "default" not in server._bounds
-            # Reads order by the bounds and prune shards by their boxes.
-            server.submit([WindowRequest(w) for w in random_windows(5, seed=48)])
-            assert "default" in server._bounds
+                server.submit(
+                    [WindowRequest(w) for w in random_windows(5, seed=48)]
+                )
             for shard in getattr(index, "shards", [index]):
+                assert shard.root()._entries is None
+
+    def test_sharded_join_builds_no_root_entry_list(self, tmp_path, trees):
+        _, b = trees
+        with self._open(tmp_path, 4) as family:
+            server = QueryServer({"fam": family, "b": b})
+            report = server.submit([JoinRequest("fam", "b")])
+            assert report.results[0].value
+            for shard in family.shards:
                 assert shard.root()._entries is None
 
 

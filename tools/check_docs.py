@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Documentation checks: link integrity and runnable snippets.
+"""Documentation checks: link integrity, runnable snippets, CLI flags.
 
-Two checks over ``README.md`` and ``docs/*.md`` (stdlib only, used both
-by the CI docs job and by ``tests/unit/test_docs.py``):
+Three checks over ``README.md`` and ``docs/*.md`` (stdlib plus the
+checkout's own ``src/``, used both by the CI docs job and by
+``tests/unit/test_docs.py``):
 
 * **Links** — every intra-repo Markdown link (``[text](relative/path)``)
   must resolve to an existing file or directory, after stripping any
@@ -12,10 +13,16 @@ by the CI docs job and by ``tests/unit/test_docs.py``):
   executed in a subprocess with ``PYTHONPATH=src`` from a temporary
   working directory; a non-zero exit fails the check.  Tag a block
   plain ``python`` to keep it illustrative-only.
+* **CLI flags** — every ``--flag`` written after a ``repro`` subcommand
+  must be accepted by that subcommand in
+  ``repro.experiments.cli.build_parser()``.  Checked on every line of a
+  fenced block that runs ``repro <subcommand>`` and on every inline code
+  span that starts with ``repro`` or with a subcommand name, so a
+  deleted flag cannot live on in the docs.
 
 Run from the repository root::
 
-    python tools/check_docs.py            # both checks
+    python tools/check_docs.py            # all three checks
     python tools/check_docs.py --links    # links only (fast)
 """
 
@@ -38,6 +45,13 @@ _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 _RUNNABLE = re.compile(r"```python run\n(.*?)```", re.DOTALL)
 #: Schemes that are not intra-repo files.
 _EXTERNAL = ("http://", "https://", "mailto:")
+#: Any fenced block, and inline code spans outside of them (a span may
+#: wrap onto the next line, as Markdown allows).
+_FENCE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+_SPAN = re.compile(r"`([^`]+)`")
+#: Shell tokens that end the command a flag could belong to (a comment,
+#: any token starting with "#", ends it too).
+_SHELL_STOP = {"|", "||", "&&", ";", ">", ">>"}
 
 
 def markdown_files(root: pathlib.Path = REPO_ROOT) -> list[pathlib.Path]:
@@ -102,6 +116,78 @@ def check_snippets(root: pathlib.Path = REPO_ROOT) -> list[str]:
     return errors
 
 
+def subcommand_flags() -> dict[str, set[str]]:
+    """Subcommand name -> the option strings it accepts."""
+    src = str(REPO_ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from repro.experiments.cli import build_parser
+
+    parser = build_parser()
+    (sub,) = (
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: {
+            option
+            for action in subparser._actions
+            for option in action.option_strings
+        }
+        for name, subparser in sub.choices.items()
+    }
+
+
+def _commands(text: str) -> list[tuple[str, bool]]:
+    """(command line, is inline span) for every candidate in ``text``."""
+    lines = [
+        (line, False)
+        for block in _FENCE.findall(text)
+        for line in block.replace("\\\n", " ").splitlines()
+    ]
+    spans = _SPAN.findall(_FENCE.sub("", text))
+    return lines + [(span, True) for span in spans]
+
+
+def cli_flag_errors(text: str, flags: dict[str, set[str]]) -> list[str]:
+    """One error per ``repro <subcommand> --flag`` the parser rejects."""
+    errors = []
+    for command, inline in _commands(text):
+        tokens = command.split()
+        if inline and tokens and tokens[0] in flags:
+            at = 0
+        else:
+            at = next(
+                (
+                    i + 1
+                    for i, token in enumerate(tokens[:-1])
+                    if token == "repro" and tokens[i + 1] in flags
+                ),
+                None,
+            )
+            if at is None:
+                continue
+        name = tokens[at]
+        for token in tokens[at + 1 :]:
+            if token in _SHELL_STOP or token.startswith("#"):
+                break
+            flag = token.split("=", 1)[0]
+            if flag.startswith("--") and flag not in flags[name]:
+                errors.append(f"`{name}` has no {flag}: {' '.join(tokens)}")
+    return errors
+
+
+def check_cli_flags(root: pathlib.Path = REPO_ROOT) -> list[str]:
+    """Return one error per documented flag its subcommand rejects."""
+    flags = subcommand_flags()
+    return [
+        f"{path.relative_to(root)}: {error}"
+        for path in markdown_files(root)
+        for error in cli_flag_errors(path.read_text(), flags)
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -113,6 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     errors = check_links()
     snippets = 0
     if not args.links:
+        errors += check_cli_flags()
         snippets = len(runnable_snippets())
         errors += check_snippets()
 
