@@ -6,8 +6,7 @@ page is evaluated as one vectorized predicate instead of an
 entry-at-a-time Python loop.  Expected shapes:
 
 * **per-node kernels**: the numpy frame path beats the per-entry scalar
-  loop by an order of magnitude at paper fanout (113 entries); the pure
-  Python frame fallback stays within ~2x of the scalar loop.
+  loop by an order of magnitude at paper fanout (113 entries).
 * **fig12-class traversal**: end-to-end window queries over a PR-tree
   spend >=3x less CPU than the pre-refactor per-entry traversal (the
   scalar oracle below), at **identical leaf I/O** — the layout is
@@ -76,30 +75,17 @@ def _time_per_call(fn, repeats: int) -> float:
 def _node_kernel_rows(table: Table, entries: int, repeats: int) -> None:
     data = uniform_rects(entries, seed=7)
     rects = [rect for rect, _ in data]
-    lo_rows = [rect.lo for rect in rects]
-    hi_rows = [rect.hi for rect in rects]
+    np_lo = kernels.coord_table([rect.lo for rect in rects], 2)
+    np_hi = kernels.coord_table([rect.hi for rect in rects], 2)
     window = Rect((0.2, 0.2), (0.7, 0.7))
 
     def scalar():
         return [i for i, rect in enumerate(rects) if rect.intersects(window)]
 
-    # The frame kernels dispatch on the table type, so both the numpy
-    # path and the pure-Python fallback are measurable in one process.
-    py_lo, py_hi = tuple(lo_rows), tuple(hi_rows)
+    def frame_numpy():
+        return kernels.frame_intersecting(np_lo, np_hi, window.lo, window.hi)
 
-    def frame_python():
-        return kernels.frame_intersecting(py_lo, py_hi, window.lo, window.hi)
-
-    paths = [("entry-scalar", scalar), ("frame-python", frame_python)]
-    if kernels.HAVE_NUMPY:
-        np_lo = kernels.coord_table(lo_rows, 2)
-        np_hi = kernels.coord_table(hi_rows, 2)
-
-        def frame_numpy():
-            return kernels.frame_intersecting(np_lo, np_hi, window.lo, window.hi)
-
-        paths.append(("frame-numpy", frame_numpy))
-
+    paths = [("entry-scalar", scalar), ("frame-numpy", frame_numpy)]
     want = scalar()
     base_us = None
     for name, fn in paths:
@@ -156,8 +142,8 @@ def _kernels_experiment() -> Table:
         vector_totals.leaf_reads, scalar_s / vector_s,
     )
     table.add_note(
-        f"backend={kernels.BACKEND}; node rows time one intersection kernel "
-        "call (best of 3x2000); fig12 rows time 300 window queries "
+        "node rows time one intersection kernel call (best of 3x2000); "
+        "fig12 rows time 300 window queries "
         f"(0.25% area) over a PR-tree, n={N}, fanout={FANOUT}"
     )
     table.add_note(
@@ -234,11 +220,10 @@ def test_node_kernels(benchmark, record_table):
 
     rows = {(row[0], row[1]): row for row in table.rows}
     speedup = rows[("fig12-traversal", "frame-kernels")][4]
-    if kernels.HAVE_NUMPY:
-        # The acceptance target is >=3x; gate loosely so shared CI
-        # runners with noisy clocks cannot flake the suite.
-        assert speedup >= 2.0
-        assert rows[("node113", "frame-numpy")][4] > rows[("node16", "frame-numpy")][4] * 0.5
+    # The acceptance target is >=3x; gate loosely so shared CI runners
+    # with noisy clocks cannot flake the suite.
+    assert speedup >= 2.0
+    assert rows[("node113", "frame-numpy")][4] > rows[("node16", "frame-numpy")][4] * 0.5
     # Identical logical I/O between the two traversal rows.
     assert (
         rows[("fig12-traversal", "frame-kernels")][3]

@@ -23,17 +23,18 @@ Three layers are provided:
   dataset;
 * the same keys as one column for every row of a coordinate table —
   :func:`hilbert_keys_for_centers` and :func:`hilbert_keys_for_corners`,
-  what the bulk loaders and ``shard_pack`` sort by.  With numpy, and
-  while an index fits a machine word, Skilling's loops run once over
-  ``uint64`` columns instead of once per rectangle; the keys are equal
-  to the per-rectangle ones, key for key.
+  what the bulk loaders and ``shard_pack`` sort by.  While an index fits
+  a machine word, Skilling's loops run once over ``uint64`` columns
+  instead of once per rectangle; the keys are equal to the
+  per-rectangle ones, key for key.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.geometry import kernels
+import numpy as np
+
 from repro.geometry.rect import Rect
 
 #: Default bits of precision per axis used by the bulk loaders.  16 bits per
@@ -243,44 +244,34 @@ def hilbert_key_for_corners(
 # Key columns: the same keys for every row of a coordinate table
 # ----------------------------------------------------------------------
 #
-# The bulk loaders and ``shard_pack`` key a whole dataset at once.  Under
-# numpy, and while an index fits a machine word (``dim * order <= 64``),
-# Skilling's transform runs on ``uint64`` columns — every ``if`` of the
-# scalar loops becomes a ``where`` over all rows, the float quantization
-# is the same IEEE-754 operations in the same order — and is equal to the
-# scalar route key for key.  Wider indexes, and the pure-Python backend,
-# take the scalar route row by row.
+# The bulk loaders and ``shard_pack`` key a whole dataset at once.  While
+# an index fits a machine word (``dim * order <= 64``), Skilling's
+# transform runs on ``uint64`` columns — every ``if`` of the scalar loops
+# becomes a ``where`` over all rows, the float quantization is the same
+# IEEE-754 operations in the same order — and is equal to the scalar
+# route key for key.  Wider indexes (3-d H4 is 96 bits) take the scalar
+# route row by row.
 
 
 def hilbert_keys_for_centers(
     lo, hi, bounds: Rect, order: int = DEFAULT_ORDER
 ) -> list[int]:
     """:func:`hilbert_key_for_center` of every row of a ``lo``/``hi`` table."""
-    if kernels.HAVE_NUMPY and isinstance(lo, kernels.np.ndarray):
-        points = (lo + hi) / 2.0
-    else:
-        points = [
-            tuple((a + b) / 2.0 for a, b in zip(row_lo, row_hi))
-            for row_lo, row_hi in zip(lo, hi)
-        ]
-    return _point_keys(points, bounds.lo, _square_side(bounds), order)
+    return _point_keys((lo + hi) / 2.0, bounds.lo, _square_side(bounds), order)
 
 
 def hilbert_keys_for_corners(
     lo, hi, bounds: Rect, order: int = DEFAULT_ORDER
 ) -> list[int]:
     """:func:`hilbert_key_for_corners` of every row of a ``lo``/``hi`` table."""
-    if kernels.HAVE_NUMPY and isinstance(lo, kernels.np.ndarray):
-        points = kernels.np.hstack((lo, hi))
-    else:
-        points = [row_lo + row_hi for row_lo, row_hi in zip(lo, hi)]
-    return _point_keys(points, bounds.lo * 2, _square_side(bounds), order)
+    return _point_keys(
+        np.hstack((lo, hi)), bounds.lo * 2, _square_side(bounds), order
+    )
 
 
 def _point_keys(points, anchors, side: float, order: int) -> list[int]:
-    """:func:`_point_key` of every row of ``points``."""
-    columnar = kernels.HAVE_NUMPY and isinstance(points, kernels.np.ndarray)
-    if columnar and len(anchors) * order <= 64:
+    """:func:`_point_key` of every row of the float table ``points``."""
+    if len(anchors) * order <= 64:
         if order < 1:
             raise ValueError("order must be >= 1")
         columns = [
@@ -291,8 +282,7 @@ def _point_keys(points, anchors, side: float, order: int) -> list[int]:
             return _interleave_columns(
                 _axes_to_transpose_columns(columns, order), order
             )
-    rows = points.tolist() if columnar else points
-    return [_point_key(point, anchors, side, order) for point in rows]
+    return [_point_key(point, anchors, side, order) for point in points.tolist()]
 
 
 def _quantize_column(values, lo: float, hi: float, order: int):
@@ -301,7 +291,6 @@ def _quantize_column(values, lo: float, hi: float, order: int):
     None when a quotient is not finite (bounds with a subnormal side):
     the scalar route then raises what ``int()`` raises.
     """
-    np = kernels.np
     if hi <= lo:
         return np.zeros(len(values), dtype=np.uint64)
     cells = 1 << order
@@ -318,7 +307,6 @@ def _quantize_column(values, lo: float, hi: float, order: int):
 
 def _axes_to_transpose_columns(columns: list, order: int) -> list:
     """:func:`_axes_to_transpose` with one ``uint64`` column per axis."""
-    np = kernels.np
     x = list(columns)
     n = len(x)
     zero = np.uint64(0)
@@ -347,7 +335,6 @@ def _axes_to_transpose_columns(columns: list, order: int) -> list:
 
 def _interleave_columns(transposed: list, order: int) -> list[int]:
     """:func:`_transpose_to_index` over columns, as Python ints."""
-    np = kernels.np
     one = np.uint64(1)
     index = np.zeros(len(transposed[0]), dtype=np.uint64)
     for bit in range(order - 1, -1, -1):

@@ -30,32 +30,30 @@ Three tiers, one source of truth:
   :meth:`~repro.rtree.query.QueryEngine.query_batch`, where co-located
   windows share the pages they land on.
 
-Every kernel has a pure-Python fallback used when numpy is absent (or
-disabled with ``REPRO_NO_NUMPY=1``), operating on tuple-of-rows tables;
-dispatch is by table type, so frames built under either backend always
-evaluate correctly.  Fallback results are **bit-identical** to the numpy
-path: both compute the same IEEE-754 operations in the same order (axis
-order for sums/products, entry order for scans), which the differential
-suite in ``tests/integration/test_vectorized_differential.py`` verifies
-against the scalar oracle for every engine.
+numpy is the only backend.  Frame and batch results are
+**bit-identical** to the scalar kernels: both compute the same IEEE-754
+operations in the same order (axis order for sums/products, entry order
+for scans).  ``tests/unit/test_kernels.py`` checks every frame kernel
+row by row against its scalar twin, and the differential suite in
+``tests/integration/test_vectorized_differential.py`` checks every
+engine against verbatim scalar oracles.
 
 ``coord_table`` is the canonical constructor: it turns a list of
-coordinate rows into whichever representation the active backend wants,
-and everything downstream (``NodeFrame``, the codec's array decoder)
-goes through it.
+coordinate rows into a C-contiguous ``(n, dim)`` float64 array, and
+everything downstream (``NodeFrame``, the codec's array decoder) goes
+through it.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.obs.profiler import pop_phase, push_phase
 
 __all__ = [
-    "HAVE_NUMPY",
-    "BACKEND",
     "np",
     "coord_table",
     "table_len",
@@ -98,18 +96,10 @@ __all__ = [
     "quadratic_split",
 ]
 
-if os.environ.get("REPRO_NO_NUMPY"):
-    np = None
-else:
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-        np = None
-
-#: True when the vectorized backend is active.
-HAVE_NUMPY = np is not None
-#: Human-readable backend tag, reported in trace span notes and tables.
-BACKEND = "numpy" if HAVE_NUMPY else "python"
+# numpy is the only backend; both constants stay only because
+# ``bench/stack.py`` still reads them.
+HAVE_NUMPY = True
+BACKEND = "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -118,16 +108,9 @@ BACKEND = "numpy" if HAVE_NUMPY else "python"
 
 
 def coord_table(rows: Sequence[Sequence[float]], dim: int):
-    """Build a coordinate table from ``n`` rows of ``dim`` floats.
-
-    Returns a C-contiguous ``(n, dim)`` float64 array under numpy, or a
-    tuple of float tuples under the fallback — the two table shapes
-    every kernel below dispatches between.
-    """
-    if HAVE_NUMPY:
-        out = np.array(rows, dtype=np.float64)
-        return out.reshape(len(rows), dim) if len(rows) else out.reshape(0, dim)
-    return tuple(tuple(float(c) for c in row) for row in rows)
+    """Build a C-contiguous ``(n, dim)`` float64 table from ``n`` rows of
+    ``dim`` floats."""
+    return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
 def table_len(table) -> int:
@@ -136,41 +119,29 @@ def table_len(table) -> int:
 
 
 def as_coords(coords):
-    """One coordinate row in the active backend's preferred form.
+    """One coordinate row as a float64 array.
 
     Engines convert a query's ``lo``/``hi`` once per query and hand the
     result to every frame kernel, so the per-node calls skip the
-    tuple-to-array conversion under numpy.
+    tuple-to-array conversion.
     """
-    if HAVE_NUMPY:
-        return np.asarray(coords, dtype=np.float64)
-    return coords
+    return np.asarray(coords, dtype=np.float64)
 
 
 def table_row(table, i: int) -> tuple[float, ...]:
     """Row ``i`` as a tuple of Python floats (for Rect materialization)."""
-    if HAVE_NUMPY and isinstance(table, np.ndarray):
-        return tuple(table[i].tolist())
-    return table[i]
+    return tuple(table[i].tolist())
 
 
 def table_tuples(table) -> Iterable[tuple[float, ...]]:
     """Every row as a tuple of Python floats (one ``tolist``; zipping
     the columns builds the tuples with no list per row in between)."""
-    if HAVE_NUMPY and isinstance(table, np.ndarray):
-        return zip(*table.T.tolist())
-    return table
+    return zip(*table.T.tolist())
 
 
 def table_column(table, k: int) -> list[float]:
     """Column ``k`` as a list of Python floats (the join's sweep keys)."""
-    if HAVE_NUMPY and isinstance(table, np.ndarray):
-        return table[:, k].tolist()
-    return [row[k] for row in table]
-
-
-def _is_array(table) -> bool:
-    return HAVE_NUMPY and isinstance(table, np.ndarray)
+    return table[:, k].tolist()
 
 
 # The write path edits a node's tables one row at a time.  Tables are
@@ -180,47 +151,37 @@ def _is_array(table) -> bool:
 
 def table_concat(tables: Sequence):
     """A new table: the rows of every table in ``tables``, in order."""
-    if _is_array(tables[0]):
-        return np.concatenate(tables)
-    return tuple(row for table in tables for row in table)
+    return np.concatenate(tables)
 
 
 def table_take(table, rows: Sequence[int]):
     """A new table holding rows ``rows`` of ``table``, in that order."""
-    if _is_array(table):
-        return table[rows]
-    return tuple(table[i] for i in rows)
+    return table[rows]
 
 
 def table_append(table, row: Sequence[float]):
     """A new table: ``table`` plus ``row`` at the end."""
-    if _is_array(table):
-        # Sized by the row: an empty node's table has no width yet.
-        out = np.empty((len(table) + 1, len(row)), dtype=np.float64)
-        if len(table):
-            out[:-1] = table
-        out[-1] = row
-        return out
-    return table + (tuple(row),)
+    # Sized by the row: an empty node's table has no width yet.
+    out = np.empty((len(table) + 1, len(row)), dtype=np.float64)
+    if len(table):
+        out[:-1] = table
+    out[-1] = row
+    return out
 
 
 def table_replace(table, i: int, row: Sequence[float]):
     """A new table: ``table`` with row ``i`` replaced by ``row``."""
-    if _is_array(table):
-        out = table.copy()
-        out[i] = row
-        return out
-    return table[:i] + (tuple(row),) + table[i + 1 :]
+    out = table.copy()
+    out[i] = row
+    return out
 
 
 def table_delete(table, i: int):
     """A new table: ``table`` without row ``i``."""
-    if _is_array(table):
-        out = np.empty((len(table) - 1, table.shape[1]), dtype=np.float64)
-        out[:i] = table[:i]
-        out[i:] = table[i + 1 :]
-        return out
-    return table[:i] + table[i + 1 :]
+    out = np.empty((len(table) - 1, table.shape[1]), dtype=np.float64)
+    out[:i] = table[:i]
+    out[i:] = table[i + 1 :]
+    return out
 
 
 def _kernel_phase(fn):
@@ -369,14 +330,8 @@ def frame_intersecting(lo, hi, q_lo, q_hi) -> list[int]:
     """Row indices whose box intersects the query box, ascending."""
     if len(lo) == 0:
         return []
-    if _is_array(lo):
-        mask = ((hi >= q_lo) & (lo <= q_hi)).all(axis=1)
-        return np.nonzero(mask)[0].tolist()
-    return [
-        i
-        for i in range(len(lo))
-        if intersects(lo[i], hi[i], q_lo, q_hi)
-    ]
+    mask = ((hi >= q_lo) & (lo <= q_hi)).all(axis=1)
+    return np.nonzero(mask)[0].tolist()
 
 
 @_kernel_phase
@@ -384,13 +339,9 @@ def frame_containing_point(lo, hi, point) -> list[int]:
     """Row indices whose box contains ``point`` (stabbing), ascending."""
     if len(lo) == 0:
         return []
-    if _is_array(lo):
-        p = np.asarray(point, dtype=np.float64)
-        mask = ((lo <= p) & (hi >= p)).all(axis=1)
-        return np.nonzero(mask)[0].tolist()
-    return [
-        i for i in range(len(lo)) if contains_point(lo[i], hi[i], point)
-    ]
+    p = np.asarray(point, dtype=np.float64)
+    mask = ((lo <= p) & (hi >= p)).all(axis=1)
+    return np.nonzero(mask)[0].tolist()
 
 
 @_kernel_phase
@@ -398,14 +349,8 @@ def frame_contained_in(lo, hi, q_lo, q_hi) -> list[int]:
     """Row indices whose box lies entirely inside the query box."""
     if len(lo) == 0:
         return []
-    if _is_array(lo):
-        mask = ((lo >= q_lo) & (hi <= q_hi)).all(axis=1)
-        return np.nonzero(mask)[0].tolist()
-    return [
-        i
-        for i in range(len(lo))
-        if contains(q_lo, q_hi, lo[i], hi[i])
-    ]
+    mask = ((lo >= q_lo) & (hi <= q_hi)).all(axis=1)
+    return np.nonzero(mask)[0].tolist()
 
 
 @_kernel_phase
@@ -413,14 +358,8 @@ def frame_containing_rect(lo, hi, q_lo, q_hi) -> list[int]:
     """Row indices whose box contains the whole query box (FindLeaf)."""
     if len(lo) == 0:
         return []
-    if _is_array(lo):
-        mask = ((lo <= q_lo) & (hi >= q_hi)).all(axis=1)
-        return np.nonzero(mask)[0].tolist()
-    return [
-        i
-        for i in range(len(lo))
-        if contains(lo[i], hi[i], q_lo, q_hi)
-    ]
+    mask = ((lo <= q_lo) & (hi >= q_hi)).all(axis=1)
+    return np.nonzero(mask)[0].tolist()
 
 
 @_kernel_phase
@@ -428,13 +367,8 @@ def frame_equal_to(lo, hi, q_lo, q_hi) -> list[int]:
     """Row indices whose box equals the query box, ascending."""
     if len(lo) == 0:
         return []
-    if _is_array(lo):
-        mask = ((lo == q_lo) & (hi == q_hi)).all(axis=1)
-        return np.nonzero(mask)[0].tolist()
-    q_lo, q_hi = tuple(q_lo), tuple(q_hi)
-    return [
-        i for i in range(len(lo)) if lo[i] == q_lo and hi[i] == q_hi
-    ]
+    mask = ((lo == q_lo) & (hi == q_hi)).all(axis=1)
+    return np.nonzero(mask)[0].tolist()
 
 
 @_kernel_phase
@@ -442,13 +376,7 @@ def frame_count_intersecting(lo, hi, q_lo, q_hi) -> int:
     """Number of rows intersecting the query box (no index list built)."""
     if len(lo) == 0:
         return 0
-    if _is_array(lo):
-        return int(((hi >= q_lo) & (lo <= q_hi)).all(axis=1).sum())
-    n = 0
-    for i in range(len(lo)):
-        if intersects(lo[i], hi[i], q_lo, q_hi):
-            n += 1
-    return n
+    return int(((hi >= q_lo) & (lo <= q_hi)).all(axis=1).sum())
 
 
 @_kernel_phase
@@ -456,13 +384,11 @@ def frame_dist_sq_to_point(lo, hi, point) -> list[float]:
     """Per-row squared MINDIST from ``point`` (kNN expansion order)."""
     if len(lo) == 0:
         return []
-    if _is_array(lo):
-        p = np.asarray(point, dtype=np.float64)
-        below = np.maximum(lo - p, 0.0)
-        above = np.maximum(p - hi, 0.0)
-        d = below + above  # at most one side is nonzero per axis
-        return (d * d).sum(axis=1).tolist()
-    return [dist_sq_to_point(lo[i], hi[i], point) for i in range(len(lo))]
+    p = np.asarray(point, dtype=np.float64)
+    below = np.maximum(lo - p, 0.0)
+    above = np.maximum(p - hi, 0.0)
+    d = below + above  # at most one side is nonzero per axis
+    return (d * d).sum(axis=1).tolist()
 
 
 @_kernel_phase
@@ -470,16 +396,12 @@ def frame_dist_sq_to_rect(lo, hi, q_lo, q_hi) -> list[float]:
     """Per-row squared MINDIST from a query box."""
     if len(lo) == 0:
         return []
-    if _is_array(lo):
-        ql = np.asarray(q_lo, dtype=np.float64)
-        qh = np.asarray(q_hi, dtype=np.float64)
-        below = np.maximum(ql - hi, 0.0)
-        above = np.maximum(lo - qh, 0.0)
-        d = below + above
-        return (d * d).sum(axis=1).tolist()
-    return [
-        dist_sq_to_rect(lo[i], hi[i], q_lo, q_hi) for i in range(len(lo))
-    ]
+    ql = np.asarray(q_lo, dtype=np.float64)
+    qh = np.asarray(q_hi, dtype=np.float64)
+    below = np.maximum(ql - hi, 0.0)
+    above = np.maximum(lo - qh, 0.0)
+    d = below + above
+    return (d * d).sum(axis=1).tolist()
 
 
 @_kernel_phase
@@ -490,37 +412,27 @@ def frame_enlargement(lo, hi, q_lo, q_hi) -> list[float]:
     """
     if len(lo) == 0:
         return []
-    if _is_array(lo):
-        ql = np.asarray(q_lo, dtype=np.float64)
-        qh = np.asarray(q_hi, dtype=np.float64)
-        union = _axis_product(np.maximum(hi, qh) - np.minimum(lo, ql))
-        return (union - _axis_product(hi - lo)).tolist()
-    return [
-        enlargement(lo[i], hi[i], q_lo, q_hi) for i in range(len(lo))
-    ]
+    ql = np.asarray(q_lo, dtype=np.float64)
+    qh = np.asarray(q_hi, dtype=np.float64)
+    union = _axis_product(np.maximum(hi, qh) - np.minimum(lo, ql))
+    return (union - _axis_product(hi - lo)).tolist()
 
 
 def frame_areas(lo, hi) -> list[float]:
     """Per-row volume (ChooseLeaf's tie-break, the health walk's cover)."""
     if len(lo) == 0:
         return []
-    if _is_array(lo):
-        return _axis_product(hi - lo).tolist()
-    return [area(lo[i], hi[i]) for i in range(len(lo))]
+    return _axis_product(hi - lo).tolist()
 
 
 def frame_margins(lo, hi) -> list[float]:
     """Per-row sum of side lengths (half-perimeter in 2-d).
 
-    Each row goes through the builtin ``sum`` under both backends: from
-    Python 3.12 on it is compensated, so an array ``sum(axis=1)`` would
-    differ from the scalar walk in the last bit for three or more axes.
+    Each row goes through the builtin ``sum``: from Python 3.12 on it is
+    compensated, so an array ``sum(axis=1)`` would differ from the
+    scalar walk in the last bit for three or more axes.
     """
-    if _is_array(lo):
-        return [sum(sides) for sides in (hi - lo).tolist()]
-    return [
-        sum(b - a for a, b in zip(lo[i], hi[i])) for i in range(len(lo))
-    ]
+    return [sum(sides) for sides in (hi - lo).tolist()]
 
 
 @_kernel_phase
@@ -534,23 +446,17 @@ def frame_overlap_sum(lo, hi, start: float = 0.0) -> float:
     n = len(lo)
     if n < 2:
         return start
-    if _is_array(lo):
-        shared = apart = None
-        for k in range(lo.shape[1]):
-            inner_hi = np.minimum.outer(hi[:, k], hi[:, k])
-            inner_lo = np.maximum.outer(lo[:, k], lo[:, k])
-            side = inner_hi - inner_lo
-            miss = inner_hi <= inner_lo
-            shared = side if shared is None else shared * side
-            apart = miss if apart is None else apart | miss
-        shared[apart] = 0.0
-        terms = shared.ravel().take(_upper_pairs(n)[2])
-        return float(np.cumsum(np.concatenate(((start,), terms)))[-1])
-    for i in range(n):
-        a_lo, a_hi = lo[i], hi[i]
-        for j in range(i + 1, n):
-            start += intersection_area(a_lo, a_hi, lo[j], hi[j])
-    return start
+    shared = apart = None
+    for k in range(lo.shape[1]):
+        inner_hi = np.minimum.outer(hi[:, k], hi[:, k])
+        inner_lo = np.maximum.outer(lo[:, k], lo[:, k])
+        side = inner_hi - inner_lo
+        miss = inner_hi <= inner_lo
+        shared = side if shared is None else shared * side
+        apart = miss if apart is None else apart | miss
+    shared[apart] = 0.0
+    terms = shared.ravel().take(_upper_pairs(n)[2])
+    return float(np.cumsum(np.concatenate(((start,), terms)))[-1])
 
 
 def _first_zeros(table, bound: list[float]) -> tuple[float, ...]:
@@ -577,21 +483,10 @@ def frame_mbr(lo, hi) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """
     if len(lo) == 0:
         raise ValueError("empty frame has no bounding box")
-    if _is_array(lo):
-        return (
-            _first_zeros(lo, lo.min(axis=0).tolist()),
-            _first_zeros(hi, hi.max(axis=0).tolist()),
-        )
-    out_lo = list(lo[0])
-    out_hi = list(hi[0])
-    for i in range(1, len(lo)):
-        row_lo, row_hi = lo[i], hi[i]
-        for k in range(len(out_lo)):
-            if row_lo[k] < out_lo[k]:
-                out_lo[k] = row_lo[k]
-            if row_hi[k] > out_hi[k]:
-                out_hi[k] = row_hi[k]
-    return tuple(out_lo), tuple(out_hi)
+    return (
+        _first_zeros(lo, lo.min(axis=0).tolist()),
+        _first_zeros(hi, hi.max(axis=0).tolist()),
+    )
 
 
 @_kernel_phase
@@ -600,17 +495,13 @@ def frame_pair_mask(a_lo, a_hi, b_lo, b_hi):
 
     The spatial join's leaf x leaf (and internal x internal) evaluation:
     one broadcast replaces every per-pair ``Rect.intersects`` call the
-    plane sweep would otherwise make.  Returns ``None`` under the
-    fallback backend — the sweep then keeps its scalar tests, which is
-    cheaper than a Python O(n_a * n_b) mask.
+    plane sweep would otherwise make.
     """
-    if _is_array(a_lo) and _is_array(b_lo):
-        # (n_a, 1, d) against (1, n_b, d)
-        inter = (a_hi[:, None, :] >= b_lo[None, :, :]) & (
-            a_lo[:, None, :] <= b_hi[None, :, :]
-        )
-        return inter.all(axis=2)
-    return None
+    # (n_a, 1, d) against (1, n_b, d)
+    inter = (a_hi[:, None, :] >= b_lo[None, :, :]) & (
+        a_lo[:, None, :] <= b_hi[None, :, :]
+    )
+    return inter.all(axis=2)
 
 
 # ----------------------------------------------------------------------
@@ -651,24 +542,17 @@ def batch_intersecting(lo, hi, q_lo_table, q_hi_table, active):
             lo, hi, table_row(q_lo_table, q), table_row(q_hi_table, q)
         )
         return {q: matched} if matched else {}
-    if _is_array(lo) and _is_array(q_lo_table):
-        ql = q_lo_table[active]  # (m, d)
-        qh = q_hi_table[active]
-        # (m, 1, d) against (1, n, d) -> (m, n)
-        mask = (ql[:, None, :] <= hi[None, :, :]) & (
-            qh[:, None, :] >= lo[None, :, :]
-        )
-        mask = mask.all(axis=2)
-        out: dict[int, list[int]] = {}
-        rows, cols = np.nonzero(mask)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            out.setdefault(active[r], []).append(c)
-        return out
-    out = {}
-    for q in active:
-        matched = frame_intersecting(lo, hi, q_lo_table[q], q_hi_table[q])
-        if matched:
-            out[q] = matched
+    ql = q_lo_table[active]  # (m, d)
+    qh = q_hi_table[active]
+    # (m, 1, d) against (1, n, d) -> (m, n)
+    mask = (ql[:, None, :] <= hi[None, :, :]) & (
+        qh[:, None, :] >= lo[None, :, :]
+    )
+    mask = mask.all(axis=2)
+    out: dict[int, list[int]] = {}
+    rows, cols = np.nonzero(mask)
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        out.setdefault(active[r], []).append(c)
     return out
 
 
@@ -688,8 +572,8 @@ def quadratic_split(lo, hi, min_fill: int) -> tuple[list[int], list[int]]:
 
     * **PickSeeds** — the pair wasting the most volume together,
       ``union(i, j) - area(i) - area(j)``; the first such pair in
-      row-major order wins ties.  Under numpy that is one pairwise
-      ``maximum``/``minimum`` union-volume evaluation over all ``i < j``.
+      row-major order wins ties: one pairwise ``maximum``/``minimum``
+      union-volume evaluation over all ``i < j``.
     * **PickNext** — the unassigned row with the largest difference
       between its two group enlargements (first such row on ties) goes
       to the group it enlarges less (ties: smaller group volume, then
@@ -698,21 +582,15 @@ def quadratic_split(lo, hi, min_fill: int) -> tuple[list[int], list[int]]:
     * A group that needs every remaining row to reach ``min_fill``
       takes them all, in row order.
 
-    Both backends run the same IEEE-754 operations in the same order,
-    so they return identical groups.
+    The arithmetic is the scalar kernels' IEEE-754 operations in the
+    same order, so the groups equal a row-at-a-time implementation's.
     """
     n = len(lo)
     if n < 2:
         raise ValueError("cannot split fewer than 2 entries")
     if min_fill < 1 or 2 * min_fill > n:
         raise ValueError(f"min_fill {min_fill} infeasible for {n} entries")
-    if _is_array(lo):
-        return _quadratic_split_arrays(lo, hi, min_fill)
-    return _quadratic_split_rows(lo, hi, min_fill)
-
-
-def _quadratic_split_arrays(lo, hi, min_fill: int):
-    n, dim = lo.shape
+    dim = lo.shape[1]
     areas = _axis_product(hi - lo)
     union = None
     for k in range(dim):
@@ -784,72 +662,4 @@ def _quadratic_split_arrays(lo, hi, min_fill: int):
             np.subtract(enl[0], enl[1], out=prefer)
             np.abs(prefer, out=prefer)
             prefer[assigned] = -1.0
-    return groups
-
-
-def _quadratic_split_rows(los, his, min_fill: int):
-    n = len(los)
-    areas = [area(los[k], his[k]) for k in range(n)]
-
-    def union_area(box_lo, box_hi, k: int) -> float:
-        acc = 1.0
-        for a, b, c, d in zip(box_lo, box_hi, los[k], his[k]):
-            acc *= (b if b >= d else d) - (a if a <= c else c)
-        return acc
-
-    # PickSeeds: the most wasteful pair.
-    worst = float("-inf")
-    seeds = (0, 1)
-    for i in range(n):
-        lo_i, hi_i, area_i = los[i], his[i], areas[i]
-        for j in range(i + 1, n):
-            waste = union_area(lo_i, hi_i, j) - area_i - areas[j]
-            if waste > worst:
-                worst = waste
-                seeds = (i, j)
-
-    groups = ([seeds[0]], [seeds[1]])
-    box_lo = [los[seed] for seed in seeds]
-    box_hi = [his[seed] for seed in seeds]
-    box_area = [areas[seed] for seed in seeds]
-    remaining = [k for k in range(n) if k not in seeds]
-    # Enlargements are cached per group box and only recomputed when
-    # that box actually grew — cached values are bit-identical to fresh
-    # ones, so PickNext's choices cannot drift.
-    enl = [
-        {k: union_area(box_lo[g], box_hi[g], k) - box_area[g] for k in remaining}
-        for g in (0, 1)
-    ]
-
-    while remaining:
-        # If one group must absorb everything to reach min_fill, do so.
-        for g in (0, 1):
-            if len(groups[g]) + len(remaining) <= min_fill:
-                groups[g].extend(remaining)
-                return groups
-        # PickNext: strongest preference first.
-        best_pos = 0
-        best_diff = -1.0
-        for pos, k in enumerate(remaining):
-            diff = abs(enl[0][k] - enl[1][k])
-            if diff > best_diff:
-                best_diff = diff
-                best_pos = pos
-        k = remaining.pop(best_pos)
-        grow_a = enl[0].pop(k)
-        grow_b = enl[1].pop(k)
-        if grow_a != grow_b:
-            g = 0 if grow_a < grow_b else 1
-        elif box_area[0] != box_area[1]:
-            g = 0 if box_area[0] < box_area[1] else 1
-        else:
-            g = 0 if len(groups[0]) <= len(groups[1]) else 1
-        groups[g].append(k)
-        new_lo = tuple(a if a <= c else c for a, c in zip(box_lo[g], los[k]))
-        new_hi = tuple(b if b >= d else d for b, d in zip(box_hi[g], his[k]))
-        if new_lo != box_lo[g] or new_hi != box_hi[g]:
-            box_lo[g], box_hi[g] = new_lo, new_hi
-            box_area[g] = area(new_lo, new_hi)
-            for kk in remaining:
-                enl[g][kk] = union_area(new_lo, new_hi, kk) - box_area[g]
     return groups

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import struct
 
-from repro.geometry import kernels
+import numpy as np
+
 from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import DEFAULT_BLOCK_SIZE
 
@@ -73,11 +74,9 @@ class NodeCodec:
         self.fanout = fanout_for_block(block_size, dim)
         self._entry_format = "<" + "d" * (2 * dim) + "I"
         self._entry_size = struct.calcsize(self._entry_format)
-        #: One on-disk entry as a packed numpy record (numpy backend only).
-        self._record_dtype = (
-            kernels.np.dtype([("coords", "<f8", (2 * dim,)), ("ptr", "<u4")])
-            if kernels.HAVE_NUMPY
-            else None
+        #: One on-disk entry as a packed numpy record.
+        self._record_dtype = np.dtype(
+            [("coords", "<f8", (2 * dim,)), ("ptr", "<u4")]
         )
 
     def encode(self, is_leaf: bool, entries: list[tuple[Rect, int]]) -> bytes:
@@ -117,27 +116,16 @@ class NodeCodec:
             )
         dim = self.dim
         header = struct.pack(HEADER_FORMAT, 1 if is_leaf else 0, count)
-        if kernels.HAVE_NUMPY and isinstance(lo, kernels.np.ndarray):
-            if count and lo.shape[1] != dim:
-                raise ValueError(
-                    f"rows have dimension {lo.shape[1]}, codec expects {dim}"
-                )
-            raw = kernels.np.empty(count, dtype=self._record_dtype)
-            if count:
-                raw["coords"][:, :dim] = lo
-                raw["coords"][:, dim:] = hi
-                raw["ptr"] = ptrs
-            body = raw.tobytes()
-        else:
-            if count and len(lo[0]) != dim:
-                raise ValueError(
-                    f"rows have dimension {len(lo[0])}, codec expects {dim}"
-                )
-            body = b"".join(
-                struct.pack(self._entry_format, *lo[i], *hi[i], ptrs[i])
-                for i in range(count)
+        if count and lo.shape[1] != dim:
+            raise ValueError(
+                f"rows have dimension {lo.shape[1]}, codec expects {dim}"
             )
-        return (header + body).ljust(self.block_size, b"\x00")
+        raw = np.empty(count, dtype=self._record_dtype)
+        if count:
+            raw["coords"][:, :dim] = lo
+            raw["coords"][:, dim:] = hi
+            raw["ptr"] = ptrs
+        return (header + raw.tobytes()).ljust(self.block_size, b"\x00")
 
     def decode(self, block: bytes) -> tuple[bool, list[tuple[Rect, int]]]:
         """Inverse of :meth:`encode`."""
@@ -162,11 +150,10 @@ class NodeCodec:
 
         Returns ``(is_leaf, lo_table, hi_table, ptrs)`` where the tables
         are :func:`repro.geometry.kernels.coord_table`-shaped (an
-        ``(n, dim)`` float64 array each under numpy, tuples of row tuples
-        under the fallback) and ``ptrs`` is a plain ``list[int]``.  No
-        ``Rect`` objects are materialized — this is the read path's
-        decoder; ``storage/paged.py`` wraps the result in a
-        ``NodeFrame``.  Byte layout is exactly :meth:`decode`'s.
+        ``(n, dim)`` float64 array each) and ``ptrs`` is a plain
+        ``list[int]``.  No ``Rect`` objects are materialized — this is
+        the read path's decoder; ``storage/paged.py`` wraps the result
+        in a ``NodeFrame``.  Byte layout is exactly :meth:`decode`'s.
         """
         if len(block) != self.block_size:
             raise ValueError(
@@ -174,29 +161,10 @@ class NodeCodec:
             )
         leaf_flag, count = struct.unpack_from(HEADER_FORMAT, block, 0)
         dim = self.dim
-        if kernels.HAVE_NUMPY:
-            np = kernels.np
-            raw = np.frombuffer(
-                block,
-                dtype=self._record_dtype,
-                count=count,
-                offset=HEADER_BYTES,
-            )
-            coords = np.ascontiguousarray(raw["coords"], dtype=np.float64)
-            lo = coords[:, :dim].copy()
-            hi = coords[:, dim:].copy()
-            ptrs = raw["ptr"].tolist()
-            return bool(leaf_flag), lo, hi, ptrs
-        lo_rows: list[tuple[float, ...]] = []
-        hi_rows: list[tuple[float, ...]] = []
-        ptrs = []
-        offset = HEADER_BYTES
-        for _ in range(count):
-            *coords, pointer = struct.unpack_from(
-                self._entry_format, block, offset
-            )
-            offset += self._entry_size
-            lo_rows.append(tuple(coords[:dim]))
-            hi_rows.append(tuple(coords[dim:]))
-            ptrs.append(pointer)
-        return bool(leaf_flag), tuple(lo_rows), tuple(hi_rows), ptrs
+        raw = np.frombuffer(
+            block, dtype=self._record_dtype, count=count, offset=HEADER_BYTES
+        )
+        coords = np.ascontiguousarray(raw["coords"], dtype=np.float64)
+        lo = coords[:, :dim].copy()
+        hi = coords[:, dim:].copy()
+        return bool(leaf_flag), lo, hi, raw["ptr"].tolist()

@@ -35,8 +35,8 @@ Per-node sums run on the frame's coordinate tables through
 node and was most of ``pack_tree``'s time as an interpreter loop.  Every
 kernel adds its terms one at a time in entry order (pairs in row-major
 ``i < j`` order), so each field is the float the entry-at-a-time walk
-kept as the oracle in ``tests/unit/test_health.py`` produces, under
-either kernel backend: stored baselines do not move.
+kept as the oracle in ``tests/unit/test_health.py`` produces: stored
+baselines do not move.
 
 This module deliberately imports nothing from :mod:`repro.storage`
 (which imports :mod:`repro.obs`): trees, stores and shard families are

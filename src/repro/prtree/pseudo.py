@@ -46,34 +46,35 @@ normal leaf lists them in the order of the last selection that produced
 it (its parent's kd split — or, for the remainder of a node too small to
 split, the last max-axis).
 
-Two constructions, one structure
---------------------------------
+Construction
+------------
 
-:meth:`PseudoPRTree._build` is the definition spelled out — a full
-``list.sort`` by that key per selection.  With numpy it is used only
-when the pointers cannot break ties in a column (they are not distinct
-machine integers); otherwise :class:`_TableBuild` makes the same
-selections on one ``(n, 2d)`` corner table plus a pointer column:
+The definition spelled out is a full ``list.sort`` by that key per
+selection; ``tests/integration/test_vectorized_differential.py`` keeps
+that sort-based body as the oracle.  :class:`_TableBuild` makes the
+same selections on one ``(n, 2d)`` corner table plus a pointer column:
 ``argpartition`` finds the pivot coordinate, one exact pass over the
 rows tied on it takes those the pointer order admits, and only the rows
 kept are ever sorted.  Same leaves, same items in the same order, same
-boxes (``tests/integration/test_vectorized_differential.py`` holds the
-sort-based body as the oracle); its leaves also carry their rows of the
-table, so the R-tree node each becomes (:meth:`PseudoLeaf.node`) is
-stored with its frame attached.
+boxes; its leaves also carry their rows of the table, so the R-tree
+node each becomes (:meth:`PseudoLeaf.node`) is stored with its frame
+attached.  Because the pointers settle every tie, they must be distinct
+integers; anything else is a ``ValueError``.  The PR-tree loaders pass
+object ids or block ids, which always are.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.bulk.base import require_dim
 from repro.geometry import kernels
-from repro.geometry.kernels import np
 from repro.geometry.rect import Rect, mbr_of
 from repro.rtree.node import Node, NodeFrame
 
-#: A working item: (rectangle, opaque pointer).
+#: A working item: (rectangle, integer pointer).
 Item = tuple[Rect, int]
 
 
@@ -183,7 +184,8 @@ class PseudoPRTree:
     Parameters
     ----------
     items:
-        ``(Rect, pointer)`` pairs (pointers are opaque to the structure).
+        ``(Rect, pointer)`` pairs.  The pointers are distinct integers
+        (they break ties); anything else raises ``ValueError``.
     capacity:
         B — the priority-leaf and leaf capacity.
     dim:
@@ -219,62 +221,9 @@ class PseudoPRTree:
         require_dim((rect for rect, _ in items), self.dim)
         self.snap_splits = snap_splits
         self.size = len(items)
-        pointers = _pointer_column(items) if kernels.HAVE_NUMPY else None
-        if pointers is None:
-            self.root = self._build(items, depth=0)
-        else:
-            self.root = _TableBuild(self, items, pointers).build(
-                np.arange(len(items)), depth=0
-            )
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    def _extract_extreme(
-        self, items: list[Item], axis: int
-    ) -> tuple[list[Item], list[Item]]:
-        """Remove and return the B most extreme items in direction ``axis``.
-
-        Axes 0..d-1 are min-coordinates (most extreme = smallest), axes
-        d..2d-1 are max-coordinates (most extreme = largest).
-        """
-        b = self.priority_size
-        reverse = axis >= self.dim
-        items.sort(key=lambda item: (item[0].corner_coord(axis), item[1]), reverse=reverse)
-        return items[:b], items[b:]
-
-    def _build(self, items: list[Item], depth: int) -> PseudoNode | PseudoLeaf:
-        b = self.capacity
-        if len(items) <= b:
-            return PseudoLeaf(items, kind="normal")
-
-        axes = 2 * self.dim
-        priority_leaves: list[PseudoLeaf] = []
-        remaining = items
-        for axis in range(axes):
-            if not remaining:
-                break
-            extreme, remaining = self._extract_extreme(remaining, axis)
-            priority_leaves.append(PseudoLeaf(extreme, kind=f"priority:{axis}"))
-
-        split_axis = depth % axes
-        subtrees: list[PseudoNode | PseudoLeaf] = []
-        n_rest = len(remaining)
-        if n_rest:
-            if n_rest <= b:
-                subtrees.append(PseudoLeaf(remaining, kind="normal"))
-            else:
-                remaining.sort(
-                    key=lambda item: (item[0].corner_coord(split_axis), item[1])
-                )
-                half = self._split_size(n_rest)
-                # The median split: each side gets at most half the
-                # remainder (plus snapping slack), preserving the kd-tree
-                # depth argument of Lemma 2.
-                subtrees.append(self._build(remaining[:half], depth + 1))
-                subtrees.append(self._build(remaining[half:], depth + 1))
-        return PseudoNode(priority_leaves, subtrees, split_axis)
+        self.root = _TableBuild(self, items, _pointer_column(items)).build(
+            np.arange(len(items)), depth=0
+        )
 
     def _split_size(self, n_rest: int) -> int:
         """Rows on the low side of the kd split of ``n_rest`` rows."""
@@ -344,23 +293,28 @@ class PseudoPRTree:
 
 
 # ----------------------------------------------------------------------
-# The same construction on one corner table (numpy backend)
+# The construction on one corner table
 # ----------------------------------------------------------------------
 
 
 def _pointer_column(items: list[Item]):
-    """The pointers as an integer column, or None when a column cannot
-    break ties the way the tuple sort does: they are not machine
-    integers, or not distinct (equal keys then fall back on the order
-    the previous sort left, which only a full sort tracks)."""
+    """The pointers as an integer column.
+
+    Raises ``ValueError`` unless they are distinct machine integers: a
+    column breaks ties the way the tuple sort does only then (equal keys
+    would fall back on the order the previous sort left).
+    """
     try:
         column = np.asarray([pointer for _, pointer in items])
     except (ValueError, TypeError):
-        return None
-    if column.ndim != 1 or column.dtype.kind != "i":
-        return None
-    if len(np.unique(column)) != len(column):
-        return None
+        column = None
+    if (
+        column is None
+        or column.ndim != 1
+        or column.dtype.kind not in "iu"
+        or len(np.unique(column)) != len(column)
+    ):
+        raise ValueError("pseudo-PR-tree pointers must be distinct integers")
     return column
 
 
@@ -389,7 +343,8 @@ def _extreme_mask(column, pointers, k: int, largest: bool):
 
 
 class _TableBuild:
-    """:meth:`PseudoPRTree._build` over row numbers of one corner table."""
+    """The pseudo-PR-tree's construction over row numbers of one corner
+    table."""
 
     def __init__(self, tree: "PseudoPRTree", items: list[Item], pointers) -> None:
         self.tree = tree
@@ -425,8 +380,8 @@ class _TableBuild:
 
     def build(self, rows, depth: int, order=None) -> PseudoNode | PseudoLeaf:
         """Subtree on ``rows``.  ``order`` is the ``(axis, descending)``
-        sort the scalar construction would hand them over in; it matters
-        only if they become one leaf."""
+        sort the sort-based definition would hand them over in; it
+        matters only if they become one leaf."""
         tree = self.tree
         b = tree.capacity
         if len(rows) <= b:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.geometry import kernels
 from repro.queries.join import SpatialJoinEngine
 
 __all__ = [
@@ -66,7 +65,6 @@ class QueryPlan:
     """One query's captured plan over a single tree."""
 
     kind: str
-    backend: str            #: frame-kernel backend ("numpy" | "python")
     height: int
     fanout: int
     levels: tuple[LevelPlan, ...]
@@ -117,8 +115,7 @@ class QueryPlan:
     def render(self) -> str:
         """The indented plan tree ``repro explain`` prints."""
         lines = [
-            f"plan: {self.kind}  backend={self.backend}  "
-            f"height={self.height}  fanout={self.fanout}"
+            f"plan: {self.kind}  height={self.height}  fanout={self.fanout}"
         ]
         for lvl in self.levels:
             label = "leaf" if lvl.leaf else ("root" if lvl.level == 0 else "internal")
@@ -246,7 +243,6 @@ class PlanRecorder:
         )
         return QueryPlan(
             kind=kind,
-            backend=kernels.BACKEND,
             height=self.tree.height,
             fanout=self.tree.fanout,
             levels=levels,

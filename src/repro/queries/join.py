@@ -7,7 +7,10 @@ found with a plane sweep along the x axis (instead of the naive nested
 loop), and at a leaf-leaf pair the same sweep reports the intersecting
 data-rectangle pairs.  Trees of different heights are handled by fixing
 the shallower node and descending only the deeper tree until the levels
-meet.
+meet.  Every intersection test of a node pair is one
+:func:`~repro.geometry.kernels.frame_pair_mask` broadcast; the sweep
+only fixes the order the pairs come out in, and a count-only join at a
+leaf pair sums the mask without sweeping.
 
 I/O accounting follows the window engine's convention independently per
 side: each tree gets its own internal-node LRU pool (warm pools make
@@ -155,23 +158,16 @@ def _sweep_state_of(frame: NodeFrame) -> _SweepState:
 
 
 def _sweep_frames(
-    frame_a: NodeFrame,
-    frame_b: NodeFrame,
-    state_a: _SweepState,
-    state_b: _SweepState,
-    mask,
+    state_a: _SweepState, state_b: _SweepState, mask
 ) -> Iterator[tuple[int, int]]:
     """:func:`sweep_pairs` over frames: same sweep, vectorized tests.
 
     ``mask`` is :func:`~repro.geometry.kernels.frame_pair_mask`'s full
-    intersection matrix (or ``None`` under the fallback backend, where
-    the sweep keeps per-pair scalar tests).  Pair production order is
-    identical to the entry-based sweep.
+    intersection matrix.  Pair production order is identical to the
+    entry-based sweep.
     """
     order_a, xlo_a, xhi_a = state_a
     order_b, xlo_b, xhi_b = state_b
-    lo_a, hi_a = frame_a.lo, frame_a.hi
-    lo_b, hi_b = frame_b.lo, frame_b.hi
     na, nb = len(order_a), len(order_b)
     i = j = 0
     while i < na and j < nb:
@@ -186,13 +182,7 @@ def _sweep_frames(
                 jb = order_b[jj]
                 if xlo_b[jb] > close:
                     break
-                if (
-                    mask[ia, jb]
-                    if mask is not None
-                    else kernels.intersects(
-                        lo_a[ia], hi_a[ia], lo_b[jb], hi_b[jb]
-                    )
-                ):
+                if mask[ia, jb]:
                     yield ia, jb
                 jj += 1
             i += 1
@@ -203,13 +193,7 @@ def _sweep_frames(
                 ja = order_a[ii]
                 if xlo_a[ja] > close:
                     break
-                if (
-                    mask[ja, ib]
-                    if mask is not None
-                    else kernels.intersects(
-                        lo_a[ja], hi_a[ja], lo_b[ib], hi_b[ib]
-                    )
-                ):
+                if mask[ja, ib]:
                     yield ja, ib
                 ii += 1
             j += 1
@@ -327,7 +311,7 @@ class SpatialJoinEngine:
             mask = kernels.frame_pair_mask(
                 frame_a.lo, frame_a.hi, frame_b.lo, frame_b.hi
             )
-            if out is None and mask is not None and rec_a is None:
+            if out is None and rec_a is None:
                 # Count-only: the mask already holds every intersecting
                 # pair exactly once — no sweep needed.  (Under EXPLAIN
                 # the sweep runs so per-side matched rows are known; the
@@ -337,8 +321,6 @@ class SpatialJoinEngine:
             left_objects = self._left.tree.objects
             right_objects = self._right.tree.objects
             pairs = _sweep_frames(
-                frame_a,
-                frame_b,
                 self._sweep_state(self._orders_left, id_a, frame_a),
                 self._sweep_state(self._orders_right, id_b, frame_b),
                 mask,
@@ -415,8 +397,6 @@ class SpatialJoinEngine:
             # left child so each left child is fetched once per visit.
             matches: dict[int, list[int]] = {}
             pairs = _sweep_frames(
-                frame_a,
-                frame_b,
                 self._sweep_state(self._orders_left, id_a, frame_a),
                 self._sweep_state(self._orders_right, id_b, frame_b),
                 kernels.frame_pair_mask(

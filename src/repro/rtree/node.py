@@ -86,8 +86,7 @@ def rects_of(lo, hi) -> list[Rect]:
 class NodeFrame:
     """Structure-of-arrays view of one node's geometry.
 
-    ``lo``/``hi`` are coordinate tables (``(n, d)`` float64 arrays under
-    numpy, tuples of row tuples under the pure-Python fallback — see
+    ``lo``/``hi`` are coordinate tables (``(n, d)`` float64 arrays — see
     :func:`repro.geometry.kernels.coord_table`), ``ptrs`` is the plain
     Python pointer list.  Frames are never edited in place: the edit
     methods below return a new frame, so one handed out earlier stays

@@ -10,9 +10,8 @@ Both splitters guarantee each side receives at least ``min_fill`` entries.
 
 The quadratic algorithm — the default, and O(B^2) per split — lives in
 :func:`repro.geometry.kernels.quadratic_split` as a whole-node kernel
-over coordinate tables (numpy, with the bit-identical pure-Python
-fallback); this module keeps its entry-list face and the linear
-splitter, which is O(B) and stays entry-at-a-time.
+over numpy coordinate tables; this module keeps its entry-list face and
+the linear splitter, which is O(B) and stays entry-at-a-time.
 """
 
 from __future__ import annotations

@@ -50,7 +50,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.geometry import kernels
 from repro.obs.profiler import phase as profile_phase
 from repro.obs.tap import scoped_tap
 from repro.obs.trace import Trace, activate_trace
@@ -400,7 +399,6 @@ class QueryServer:
             end,
             cat="engine",
             index=getattr(request, "index", None) or "",
-            kernel=kernels.BACKEND,
             io=tap.snapshot(),
         )
         return RequestResult(

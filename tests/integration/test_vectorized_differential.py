@@ -14,9 +14,6 @@ containment, count, kNN, join, window batches) is compared across every
 tree variant, plus a tight-cache :class:`~repro.storage.PagedTree` where
 the comparison extends to the physical
 :class:`~repro.storage.paged.PageCacheStats`.
-
-The whole file runs under both kernel backends: the no-numpy CI leg
-re-executes it with ``REPRO_NO_NUMPY=1``.
 """
 
 import heapq
@@ -1658,16 +1655,23 @@ class TestPseudoPRTreeDifferential:
         tree = assert_same_pseudo(grid_dataset(), 113, snap_splits=snap_splits)
         assert sum(1 for _ in tree.nodes()) > 3
 
-    def test_pointers_that_cannot_break_ties_in_a_column(self):
-        """Repeated or non-integer pointers take the sort-based
-        construction (equal keys keep the previous sort's order)."""
+    @pytest.mark.parametrize(
+        "pointer",
+        [lambda i: i % 7, lambda i: f"object-{i:03d}", lambda i: i / 2],
+        ids=["repeated", "strings", "floats"],
+    )
+    def test_pointers_must_be_distinct_integers(self, pointer):
+        """Only distinct integers break every tie the way the tuple sort
+        does; anything else is rejected before construction starts."""
         rects = [rect for rect, _ in grid_dataset(300, cells=4)]
-        for pointers in (
-            [i % 7 for i in range(300)],
-            [f"object-{i:03d}" for i in range(300)],
-            [i / 2 for i in range(300)],
-        ):
-            assert_same_pseudo(list(zip(rects, pointers)), 8)
+        items = [(rect, pointer(i)) for i, rect in enumerate(rects)]
+        with pytest.raises(ValueError, match="distinct integers"):
+            PseudoPRTree(items, 8)
+
+    def test_unsigned_integer_pointers_break_ties(self):
+        rects = [rect for rect, _ in grid_dataset(300, cells=4)]
+        unsigned = [kernels.np.uint32(300 - i) for i in range(300)]
+        assert_same_pseudo(list(zip(rects, unsigned)), 8)
 
     def test_leaf_nodes_carry_their_frame(self):
         data = grid_dataset(200, cells=6)
@@ -1947,7 +1951,6 @@ class TestSeededMutations:
     def test_unmutated_code_passes(self):
         self.check()
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="mutates the table construction")
     @pytest.mark.parametrize(
         "mutant", [mutant_wrong_side_for_max_axes, mutant_ties_in_input_order]
     )

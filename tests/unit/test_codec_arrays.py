@@ -111,13 +111,10 @@ class TestDecodeArrays:
     def test_table_kind_matches_backend(self, codec):
         block = codec.encode(True, random_rects(5, seed=2))
         _, lo, _, _ = codec.decode_arrays(block)
-        if kernels.HAVE_NUMPY:
-            assert isinstance(lo, kernels.np.ndarray)
-            assert lo.dtype == kernels.np.float64
-            assert lo.flags["C_CONTIGUOUS"]
-            assert lo.flags["WRITEABLE"]  # copied out of the frombuffer view
-        else:
-            assert isinstance(lo, tuple)
+        assert isinstance(lo, kernels.np.ndarray)
+        assert lo.dtype == kernels.np.float64
+        assert lo.flags["C_CONTIGUOUS"]
+        assert lo.flags["WRITEABLE"]  # copied out of the frombuffer view
 
     def test_non_power_of_two_coordinates_round_trip(self, codec):
         # Arbitrary doubles (not exactly representable decimals) must
@@ -162,15 +159,6 @@ class TestEncodeArrays:
         for n in (0, 1, 60, codec.fanout):
             block = codec.encode(True, random_rects(n, seed=34))
             assert codec.encode_arrays(*codec.decode_arrays(block)) == block
-
-    def test_tuple_tables_encode_under_either_backend(self, codec):
-        entries = random_rects(9, seed=35)
-        lo = tuple(rect.lo for rect, _ in entries)
-        hi = tuple(rect.hi for rect, _ in entries)
-        ptrs = [pointer for _, pointer in entries]
-        assert codec.encode_arrays(False, lo, hi, ptrs) == codec.encode(
-            False, entries
-        )
 
     def test_other_dimensions(self):
         for dim in (1, 3, 4):

@@ -1,9 +1,7 @@
 """Unit tests for tree-quality analytics and the degradation score.
 
 The pinned numbers on the hand-built tree are exact in plain float
-arithmetic, so they must hold bit-identically under both kernel
-backends (the CI matrix runs this file with and without
-``REPRO_NO_NUMPY=1``).
+arithmetic, so the frame kernels must reproduce them bit for bit.
 """
 
 import asyncio

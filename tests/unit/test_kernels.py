@@ -1,34 +1,27 @@
 """Unit tests for the vectorized geometry kernels.
 
-Every kernel is exercised on both table representations — numpy arrays
-(when available) and the pure-Python tuple-of-rows fallback — because
-dispatch is by table type: frames built under either backend must
-evaluate correctly regardless of which backend built them.  The
-bit-identical claim (numpy results == scalar-loop results, exact float
-equality) is asserted here at the kernel level and again end-to-end by
-``tests/integration/test_vectorized_differential.py``.
+Every frame kernel is compared row by row with the scalar kernels
+(which stay in ``src/`` because ``Rect`` delegates to them), bit for
+bit: exact float equality, not approximate.  The claim is asserted
+again end to end by ``tests/integration/test_vectorized_differential.py``.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect, mbr_of
 
-pytestmark = []
-
-#: Table builders under test: always the tuple fallback, plus numpy
-#: arrays when the backend is available.
-BACKENDS = ["python"] + (["numpy"] if kernels.HAVE_NUMPY else [])
+from tests.integration.test_vectorized_differential import (
+    oracle_quadratic_split,
+)
 
 
-def make_table(rows, dim, kind):
-    if kind == "numpy":
-        out = kernels.np.array(rows, dtype=kernels.np.float64)
-        return out.reshape(len(rows), dim)
-    return tuple(tuple(float(c) for c in row) for row in rows)
+def make_table(rows, dim):
+    return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
 def random_boxes(n, seed=0, dim=2):
@@ -42,17 +35,26 @@ def random_boxes(n, seed=0, dim=2):
     return lo_rows, hi_rows
 
 
-@pytest.fixture(params=BACKENDS)
+def widen(coords, dim):
+    """``coords`` repeated axis by axis out to ``dim`` (2-d unchanged)."""
+    return tuple(coords[k % len(coords)] for k in range(dim))
+
+
+@pytest.fixture(params=[2, 3], ids=["2d", "3d"])
 def tables(request):
-    """A 40-row random frame plus a query box, in one representation."""
-    kind = request.param
-    lo_rows, hi_rows = random_boxes(40, seed=5)
-    lo = make_table(lo_rows, 2, kind)
-    hi = make_table(hi_rows, 2, kind)
-    return kind, lo_rows, hi_rows, lo, hi
+    """A 40-row random frame, as coordinate rows and as tables."""
+    dim = request.param
+    lo_rows, hi_rows = random_boxes(40, seed=5, dim=dim)
+    return lo_rows, hi_rows, make_table(lo_rows, dim), make_table(hi_rows, dim)
 
 
 QUERY = ((0.2, 0.3), (0.7, 0.8))
+
+
+def query(lo, box=QUERY):
+    """``box`` widened to the dimension of the frame ``lo``."""
+    dim = lo.shape[1]
+    return widen(box[0], dim), widen(box[1], dim)
 
 
 class TestScalarKernels:
@@ -83,8 +85,8 @@ class TestScalarKernels:
 
 class TestFrameKernels:
     def test_frame_intersecting_matches_scalar(self, tables):
-        _, lo_rows, hi_rows, lo, hi = tables
-        q_lo, q_hi = QUERY
+        lo_rows, hi_rows, lo, hi = tables
+        q_lo, q_hi = query(lo)
         got = kernels.frame_intersecting(lo, hi, q_lo, q_hi)
         want = [
             i
@@ -94,8 +96,8 @@ class TestFrameKernels:
         assert got == want
 
     def test_frame_containing_point_matches_scalar(self, tables):
-        _, lo_rows, hi_rows, lo, hi = tables
-        p = (0.45, 0.55)
+        lo_rows, hi_rows, lo, hi = tables
+        p = widen((0.45, 0.55), lo.shape[1])
         got = kernels.frame_containing_point(lo, hi, p)
         want = [
             i
@@ -105,8 +107,8 @@ class TestFrameKernels:
         assert got == want
 
     def test_frame_contained_in_matches_scalar(self, tables):
-        _, lo_rows, hi_rows, lo, hi = tables
-        q_lo, q_hi = (0.1, 0.1), (0.9, 0.9)
+        lo_rows, hi_rows, lo, hi = tables
+        q_lo, q_hi = query(lo, ((0.1, 0.1), (0.9, 0.9)))
         got = kernels.frame_contained_in(lo, hi, q_lo, q_hi)
         want = [
             i
@@ -117,15 +119,15 @@ class TestFrameKernels:
         assert got  # the window is big enough that the test is not vacuous
 
     def test_frame_count_matches_index_list(self, tables):
-        _, _, _, lo, hi = tables
-        q_lo, q_hi = QUERY
+        _, _, lo, hi = tables
+        q_lo, q_hi = query(lo)
         assert kernels.frame_count_intersecting(lo, hi, q_lo, q_hi) == len(
             kernels.frame_intersecting(lo, hi, q_lo, q_hi)
         )
 
     def test_frame_dist_sq_to_point_bit_identical(self, tables):
-        _, lo_rows, hi_rows, lo, hi = tables
-        p = (1.7, -0.3)
+        lo_rows, hi_rows, lo, hi = tables
+        p = widen((1.7, -0.3), lo.shape[1])
         got = kernels.frame_dist_sq_to_point(lo, hi, p)
         want = [
             kernels.dist_sq_to_point(lo_rows[i], hi_rows[i], p)
@@ -134,8 +136,8 @@ class TestFrameKernels:
         assert got == want  # exact float equality, not approx
 
     def test_frame_dist_sq_to_rect_bit_identical(self, tables):
-        _, lo_rows, hi_rows, lo, hi = tables
-        q_lo, q_hi = (1.2, 1.2), (1.5, 1.6)
+        lo_rows, hi_rows, lo, hi = tables
+        q_lo, q_hi = query(lo, ((1.2, 1.2), (1.5, 1.6)))
         got = kernels.frame_dist_sq_to_rect(lo, hi, q_lo, q_hi)
         want = [
             kernels.dist_sq_to_rect(lo_rows[i], hi_rows[i], q_lo, q_hi)
@@ -144,8 +146,8 @@ class TestFrameKernels:
         assert got == want
 
     def test_frame_enlargement_bit_identical(self, tables):
-        _, lo_rows, hi_rows, lo, hi = tables
-        q_lo, q_hi = QUERY
+        lo_rows, hi_rows, lo, hi = tables
+        q_lo, q_hi = query(lo)
         got = kernels.frame_enlargement(lo, hi, q_lo, q_hi)
         want = [
             kernels.enlargement(lo_rows[i], hi_rows[i], q_lo, q_hi)
@@ -154,7 +156,7 @@ class TestFrameKernels:
         assert got == want
 
     def test_frame_mbr_matches_mbr_of(self, tables):
-        _, lo_rows, hi_rows, lo, hi = tables
+        lo_rows, hi_rows, lo, hi = tables
         got_lo, got_hi = kernels.frame_mbr(lo, hi)
         want = mbr_of(
             Rect(lo_rows[i], hi_rows[i]) for i in range(len(lo_rows))
@@ -162,9 +164,9 @@ class TestFrameKernels:
         assert (got_lo, got_hi) == (want.lo, want.hi)
 
     def test_find_leaf_row_kernels_match_scalar(self, tables):
-        _, lo_rows, hi_rows, lo, hi = tables
-        inside = (lo_rows[7], [lo_rows[7][0] + 1e-3, lo_rows[7][1] + 1e-3])
-        for q_lo, q_hi in (QUERY, inside, (lo_rows[3], hi_rows[3])):
+        lo_rows, hi_rows, lo, hi = tables
+        inside = (lo_rows[7], [c + 1e-3 for c in lo_rows[7]])
+        for q_lo, q_hi in (query(lo), inside, (lo_rows[3], hi_rows[3])):
             assert kernels.frame_containing_rect(lo, hi, q_lo, q_hi) == [
                 i
                 for i in range(len(lo_rows))
@@ -178,13 +180,13 @@ class TestFrameKernels:
         assert kernels.frame_equal_to(lo, hi, lo_rows[3], hi_rows[3]) == [3]
 
     def test_frame_areas_and_margins_bit_identical(self, tables):
-        _, lo_rows, hi_rows, lo, hi = tables
+        lo_rows, hi_rows, lo, hi = tables
         rects = [Rect(lo_rows[i], hi_rows[i]) for i in range(len(lo_rows))]
         assert kernels.frame_areas(lo, hi) == [r.area() for r in rects]
         assert kernels.frame_margins(lo, hi) == [r.margin() for r in rects]
 
     def test_frame_overlap_sum_is_the_sequential_double_loop(self, tables):
-        _, lo_rows, hi_rows, lo, hi = tables
+        lo_rows, hi_rows, lo, hi = tables
         want = 0.125
         for i in range(len(lo_rows)):
             for j in range(i + 1, len(lo_rows)):
@@ -200,33 +202,31 @@ class TestFrameKernels:
         assert kernels.intersection_area((0, 0), (1, 1), (5, 5), (6, 6)) == 0.0
 
     def test_empty_frames(self):
-        for kind in BACKENDS:
-            lo = make_table([], 2, kind)
-            hi = make_table([], 2, kind)
-            assert kernels.frame_intersecting(lo, hi, (0, 0), (1, 1)) == []
-            assert kernels.frame_containing_point(lo, hi, (0, 0)) == []
-            assert kernels.frame_contained_in(lo, hi, (0, 0), (1, 1)) == []
-            assert kernels.frame_count_intersecting(lo, hi, (0, 0), (1, 1)) == 0
-            assert kernels.frame_dist_sq_to_point(lo, hi, (0, 0)) == []
-            assert kernels.frame_dist_sq_to_rect(lo, hi, (0, 0), (1, 1)) == []
-            assert kernels.frame_enlargement(lo, hi, (0, 0), (1, 1)) == []
-            assert kernels.frame_containing_rect(lo, hi, (0, 0), (1, 1)) == []
-            assert kernels.frame_equal_to(lo, hi, (0, 0), (1, 1)) == []
-            assert kernels.frame_areas(lo, hi) == []
-            assert kernels.frame_margins(lo, hi) == []
-            assert kernels.frame_overlap_sum(lo, hi) == 0.0
-            with pytest.raises(ValueError):
-                kernels.frame_mbr(lo, hi)
+        lo = make_table([], 2)
+        hi = make_table([], 2)
+        assert kernels.frame_intersecting(lo, hi, (0, 0), (1, 1)) == []
+        assert kernels.frame_containing_point(lo, hi, (0, 0)) == []
+        assert kernels.frame_contained_in(lo, hi, (0, 0), (1, 1)) == []
+        assert kernels.frame_count_intersecting(lo, hi, (0, 0), (1, 1)) == 0
+        assert kernels.frame_dist_sq_to_point(lo, hi, (0, 0)) == []
+        assert kernels.frame_dist_sq_to_rect(lo, hi, (0, 0), (1, 1)) == []
+        assert kernels.frame_enlargement(lo, hi, (0, 0), (1, 1)) == []
+        assert kernels.frame_containing_rect(lo, hi, (0, 0), (1, 1)) == []
+        assert kernels.frame_equal_to(lo, hi, (0, 0), (1, 1)) == []
+        assert kernels.frame_areas(lo, hi) == []
+        assert kernels.frame_margins(lo, hi) == []
+        assert kernels.frame_overlap_sum(lo, hi) == 0.0
+        with pytest.raises(ValueError):
+            kernels.frame_mbr(lo, hi)
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="needs numpy")
     def test_frame_pair_mask_matches_pairwise_intersects(self):
         a_lo_rows, a_hi_rows = random_boxes(12, seed=1)
         b_lo_rows, b_hi_rows = random_boxes(9, seed=2)
         mask = kernels.frame_pair_mask(
-            make_table(a_lo_rows, 2, "numpy"),
-            make_table(a_hi_rows, 2, "numpy"),
-            make_table(b_lo_rows, 2, "numpy"),
-            make_table(b_hi_rows, 2, "numpy"),
+            make_table(a_lo_rows, 2),
+            make_table(a_hi_rows, 2),
+            make_table(b_lo_rows, 2),
+            make_table(b_hi_rows, 2),
         )
         assert mask.shape == (12, 9)
         for i in range(12):
@@ -235,35 +235,33 @@ class TestFrameKernels:
                     a_lo_rows[i], a_hi_rows[i], b_lo_rows[j], b_hi_rows[j]
                 )
 
-    def test_frame_pair_mask_fallback_returns_none(self):
-        a_lo_rows, a_hi_rows = random_boxes(3, seed=1)
-        assert (
-            kernels.frame_pair_mask(
-                make_table(a_lo_rows, 2, "python"),
-                make_table(a_hi_rows, 2, "python"),
-                make_table(a_lo_rows, 2, "python"),
-                make_table(a_hi_rows, 2, "python"),
-            )
-            is None
-        )
+    def test_frame_pair_mask_of_an_empty_frame_is_an_empty_mask(self):
+        # The count-only join sums the mask, so an empty leaf needs a
+        # zero-sized mask, never a missing one.
+        lo_rows, hi_rows = random_boxes(9, seed=2)
+        lo, hi = make_table(lo_rows, 2), make_table(hi_rows, 2)
+        empty = make_table([], 2)
+        for shape, mask in (
+            ((0, 9), kernels.frame_pair_mask(empty, empty, lo, hi)),
+            ((9, 0), kernels.frame_pair_mask(lo, hi, empty, empty)),
+        ):
+            assert mask.shape == shape
+            assert mask.dtype == np.bool_
+            assert int(mask.sum()) == 0
 
 
 class TestBatchKernels:
-    @pytest.mark.parametrize("kind", BACKENDS)
-    def test_batch_matches_per_query_frame_scans(self, kind):
-        lo_rows, hi_rows = random_boxes(30, seed=9)
-        lo = make_table(lo_rows, 2, kind)
-        hi = make_table(hi_rows, 2, kind)
+    @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
+    def test_batch_matches_per_query_frame_scans(self, dim):
+        lo_rows, hi_rows = random_boxes(30, seed=9, dim=dim)
+        lo = make_table(lo_rows, dim)
+        hi = make_table(hi_rows, dim)
         windows = [
-            Rect((0.1, 0.1), (0.4, 0.4)),
-            Rect((0.5, 0.5), (0.9, 0.9)),
-            Rect((2.0, 2.0), (3.0, 3.0)),  # matches nothing
+            Rect(*query(lo, ((0.1, 0.1), (0.4, 0.4)))),
+            Rect(*query(lo, ((0.5, 0.5), (0.9, 0.9)))),
+            Rect(*query(lo, ((2.0, 2.0), (3.0, 3.0)))),  # matches nothing
         ]
-        q_lo, q_hi = kernels.batch_windows(windows, 2)
-        if kind == "python" and kernels.HAVE_NUMPY:
-            # Force the fallback pairing: tuple query tables too.
-            q_lo = make_table([w.lo for w in windows], 2, "python")
-            q_hi = make_table([w.hi for w in windows], 2, "python")
+        q_lo, q_hi = kernels.batch_windows(windows, dim)
         got = kernels.batch_intersecting(lo, hi, q_lo, q_hi, [0, 1, 2])
         for q, w in enumerate(windows):
             want = kernels.frame_intersecting(lo, hi, w.lo, w.hi)
@@ -274,8 +272,8 @@ class TestBatchKernels:
 
     def test_batch_respects_active_subset(self):
         lo_rows, hi_rows = random_boxes(20, seed=3)
-        lo = make_table(lo_rows, 2, BACKENDS[-1])
-        hi = make_table(hi_rows, 2, BACKENDS[-1])
+        lo = make_table(lo_rows, 2)
+        hi = make_table(hi_rows, 2)
         windows = [Rect((0, 0), (1, 1)), Rect((0, 0), (1, 1))]
         q_lo, q_hi = kernels.batch_windows(windows, 2)
         got = kernels.batch_intersecting(lo, hi, q_lo, q_hi, [1])
@@ -285,25 +283,22 @@ class TestBatchKernels:
     def test_batch_empty_frame(self):
         windows = [Rect((0, 0), (1, 1))]
         q_lo, q_hi = kernels.batch_windows(windows, 2)
-        lo = make_table([], 2, BACKENDS[-1])
-        hi = make_table([], 2, BACKENDS[-1])
+        lo = make_table([], 2)
+        hi = make_table([], 2)
         assert kernels.batch_intersecting(lo, hi, q_lo, q_hi, [0]) == {}
 
 
 class TestTables:
     def test_coord_table_round_trip(self):
-        rows = [(0.25, 0.5), (0.75, 1.0)]
-        for kind in BACKENDS:
-            table = make_table(rows, 2, kind)
-            assert kernels.table_len(table) == 2
-            assert kernels.table_row(table, 1) == (0.75, 1.0)
-            assert isinstance(kernels.table_row(table, 0)[0], float)
-            assert kernels.table_column(table, 0) == [0.25, 0.75]
+        table = make_table([(0.25, 0.5), (0.75, 1.0)], 2)
+        assert kernels.table_len(table) == 2
+        assert kernels.table_row(table, 1) == (0.75, 1.0)
+        assert isinstance(kernels.table_row(table, 0)[0], float)
+        assert kernels.table_column(table, 0) == [0.25, 0.75]
 
-    @pytest.mark.parametrize("kind", BACKENDS)
-    def test_row_edits_return_new_tables(self, kind):
+    def test_row_edits_return_new_tables(self):
         rows = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
-        table = make_table(rows, 2, kind)
+        table = make_table(rows, 2)
 
         def as_rows(t):
             return [list(kernels.table_row(t, i)) for i in range(len(t))]
@@ -324,18 +319,16 @@ class TestTables:
 
     def test_coord_table_uses_active_backend(self):
         table = kernels.coord_table([(0.0, 1.0)], 2)
-        if kernels.HAVE_NUMPY:
-            assert isinstance(table, kernels.np.ndarray)
-            assert table.shape == (1, 2)
-        else:
-            assert table == ((0.0, 1.0),)
+        assert isinstance(table, np.ndarray)
+        assert table.dtype == np.float64 and table.flags.c_contiguous
+        assert table.shape == (1, 2)
         empty = kernels.coord_table([], 3)
-        assert kernels.table_len(empty) == 0
+        assert empty.shape == (0, 3)
 
     def test_backend_tag_consistent(self):
-        assert kernels.BACKEND == (
-            "numpy" if kernels.HAVE_NUMPY else "python"
-        )
+        # The two constants bench/stack.py still reads.
+        assert kernels.HAVE_NUMPY is True
+        assert kernels.BACKEND == "numpy"
 
 
 class TestKernelPhases:
@@ -351,8 +344,8 @@ class TestKernelPhases:
             kernels, "pop_phase", lambda: events.append(("pop", None))
         )
         lo_rows, hi_rows = random_boxes(4, seed=0)
-        lo = make_table(lo_rows, 2, BACKENDS[-1])
-        hi = make_table(hi_rows, 2, BACKENDS[-1])
+        lo = make_table(lo_rows, 2)
+        hi = make_table(hi_rows, 2)
         kernels.frame_intersecting(lo, hi, (0, 0), (1, 1))
         assert events == [
             ("push", "kernel:frame_intersecting"),
@@ -364,8 +357,8 @@ class TestKernelPhases:
         monkeypatch.setattr(kernels, "push_phase", lambda name: False)
         monkeypatch.setattr(kernels, "pop_phase", lambda: pops.append(1))
         lo_rows, hi_rows = random_boxes(4, seed=0)
-        lo = make_table(lo_rows, 2, BACKENDS[-1])
-        hi = make_table(hi_rows, 2, BACKENDS[-1])
+        lo = make_table(lo_rows, 2)
+        hi = make_table(hi_rows, 2)
         kernels.frame_intersecting(lo, hi, (0, 0), (1, 1))
         assert pops == []
 
@@ -379,43 +372,48 @@ class TestKernelPhases:
         assert kernels.frame_intersecting.__wrapped__ is not None
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="needs numpy")
-class TestCrossBackendBitIdentity:
-    """numpy and tuple tables produce exactly equal floats."""
+class TestThreeDimensionalBitIdentity:
+    """In 3-d too, every frame kernel equals the scalar kernels exactly."""
 
     def test_distance_and_enlargement_values(self):
         lo_rows, hi_rows = random_boxes(64, seed=17, dim=3)
-        lo_np = make_table(lo_rows, 3, "numpy")
-        hi_np = make_table(hi_rows, 3, "numpy")
-        lo_py = make_table(lo_rows, 3, "python")
-        hi_py = make_table(hi_rows, 3, "python")
+        lo = make_table(lo_rows, 3)
+        hi = make_table(hi_rows, 3)
+        rows = range(len(lo_rows))
         p = (1.3, -0.2, 0.7)
         q_lo, q_hi = (0.4, 0.4, 0.4), (0.6, 0.6, 0.6)
-        assert kernels.frame_dist_sq_to_point(
-            lo_np, hi_np, p
-        ) == kernels.frame_dist_sq_to_point(lo_py, hi_py, p)
-        assert kernels.frame_dist_sq_to_rect(
-            lo_np, hi_np, q_lo, q_hi
-        ) == kernels.frame_dist_sq_to_rect(lo_py, hi_py, q_lo, q_hi)
-        assert kernels.frame_enlargement(
-            lo_np, hi_np, q_lo, q_hi
-        ) == kernels.frame_enlargement(lo_py, hi_py, q_lo, q_hi)
-        assert kernels.frame_mbr(lo_np, hi_np) == kernels.frame_mbr(
-            lo_py, hi_py
-        )
-        assert kernels.frame_areas(lo_np, hi_np) == kernels.frame_areas(
-            lo_py, hi_py
-        )
-        assert kernels.frame_margins(lo_np, hi_np) == kernels.frame_margins(
-            lo_py, hi_py
-        )
-        assert kernels.frame_overlap_sum(
-            lo_np, hi_np, 0.3
-        ) == kernels.frame_overlap_sum(lo_py, hi_py, 0.3)
+        assert kernels.frame_dist_sq_to_point(lo, hi, p) == [
+            kernels.dist_sq_to_point(lo_rows[i], hi_rows[i], p) for i in rows
+        ]
+        assert kernels.frame_dist_sq_to_rect(lo, hi, q_lo, q_hi) == [
+            kernels.dist_sq_to_rect(lo_rows[i], hi_rows[i], q_lo, q_hi)
+            for i in rows
+        ]
+        assert kernels.frame_enlargement(lo, hi, q_lo, q_hi) == [
+            kernels.enlargement(lo_rows[i], hi_rows[i], q_lo, q_hi)
+            for i in rows
+        ]
+        rects = [Rect(lo_rows[i], hi_rows[i]) for i in rows]
+        box = mbr_of(rects)
+        assert kernels.frame_mbr(lo, hi) == (box.lo, box.hi)
+        assert kernels.frame_areas(lo, hi) == [
+            kernels.area(lo_rows[i], hi_rows[i]) for i in rows
+        ]
+        assert kernels.frame_margins(lo, hi) == [r.margin() for r in rects]
+        want = 0.3
+        for i in rows:
+            for j in range(i + 1, len(lo_rows)):
+                want += kernels.intersection_area(
+                    lo_rows[i], hi_rows[i], lo_rows[j], hi_rows[j]
+                )
+        assert kernels.frame_overlap_sum(lo, hi, 0.3) == want
+        entries = [(rect, i) for i, rect in enumerate(rects)]
         for min_fill in (1, 20, 32):
-            assert kernels.quadratic_split(
-                lo_np, hi_np, min_fill
-            ) == kernels.quadratic_split(lo_py, hi_py, min_fill)
+            want_a, want_b = oracle_quadratic_split(entries, min_fill)
+            assert kernels.quadratic_split(lo, hi, min_fill) == (
+                [i for _, i in want_a],
+                [i for _, i in want_b],
+            )
 
     def test_predicates_and_distances_vs_math(self):
         # Sanity: the shared arithmetic really is the textbook formulas.

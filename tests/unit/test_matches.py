@@ -1,8 +1,4 @@
-"""Unit tests for ``Matches``, the columnar query result.
-
-Runs under both kernel backends (the no-numpy CI leg re-executes it with
-``REPRO_NO_NUMPY=1``).
-"""
+"""Unit tests for ``Matches``, the columnar query result."""
 
 from collections.abc import Sequence
 
@@ -23,7 +19,7 @@ from tests.conftest import random_rects, random_windows
 
 
 def rows_of(table):
-    """A coordinate table as a list of float tuples, either backend."""
+    """A coordinate table as a list of float tuples."""
     return [tuple(row) for row in kernels.table_tuples(table)]
 
 
@@ -66,18 +62,13 @@ class TestColumns:
 
     def test_tables_have_the_backend_shape(self, entries):
         result, _, _ = two_leaf_result(entries)
-        if kernels.HAVE_NUMPY:
-            assert result.lo.shape == result.hi.shape == (5, 2)
-        else:
-            assert isinstance(result.lo, tuple) and len(result.lo) == 5
+        assert result.lo.shape == result.hi.shape == (5, 2)
 
     def test_empty_result(self):
         empty = Matches(dim=3)
         assert len(empty) == 0 and not empty
         assert empty.values == () and empty.ids == ()
-        assert kernels.table_len(empty.lo) == 0
-        if kernels.HAVE_NUMPY:
-            assert empty.lo.shape == empty.hi.shape == (0, 3)
+        assert empty.lo.shape == empty.hi.shape == (0, 3)
         assert list(empty) == [] and empty == []
 
     @pytest.mark.parametrize(

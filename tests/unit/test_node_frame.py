@@ -51,11 +51,8 @@ class TestNodeFrame:
 
     def test_table_representation_matches_backend(self, entries):
         frame = NodeFrame.from_entries(True, entries)
-        if kernels.HAVE_NUMPY:
-            assert isinstance(frame.lo, kernels.np.ndarray)
-            assert frame.lo.shape == (len(entries), 2)
-        else:
-            assert isinstance(frame.lo, tuple)
+        assert isinstance(frame.lo, kernels.np.ndarray)
+        assert frame.lo.shape == (len(entries), 2)
 
 
 class TestNodeFrameCoherence:

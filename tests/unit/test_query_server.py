@@ -176,8 +176,7 @@ class TestDedup:
         # The columns are immutable or the caller's own copy.
         with pytest.raises(TypeError):
             mine.values[0] = None
-        if kernels.HAVE_NUMPY:
-            mine.lo[:] = 0.0
+        mine.lo[:] = 0.0
         list(mine)[:] = []
         mine[:].clear()
         assert list(theirs) == before
