@@ -44,7 +44,7 @@ from repro.prtree.pseudo import PseudoPRTree
 from repro.prtree.prtree import build_prtree, prtree_query_bound
 from repro.prtree.gridbuild import build_prtree_external
 from repro.prtree.logmethod import LogMethodPRTree
-from repro.queries.knn import KNNEngine, Neighbor, knn
+from repro.queries.knn import KNNEngine, Neighbor, Neighbors, knn
 from repro.queries.join import SpatialJoinEngine, spatial_join
 from repro.queries.point import (
     PointQueryEngine,
@@ -109,6 +109,7 @@ __all__ = [
     "LogMethodPRTree",
     "KNNEngine",
     "Neighbor",
+    "Neighbors",
     "knn",
     "SpatialJoinEngine",
     "spatial_join",

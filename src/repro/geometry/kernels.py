@@ -80,6 +80,7 @@ __all__ = [
     "frame_contained_in",
     "frame_dist_sq_to_point",
     "frame_dist_sq_to_rect",
+    "frame_nearest_run",
     "frame_containing_rect",
     "frame_equal_to",
     "frame_enlargement",
@@ -391,6 +392,13 @@ def frame_dist_sq_to_point(lo, hi, point) -> list[float]:
     return (d * d).sum(axis=1).tolist()
 
 
+def _dist_sq_to_rect(lo, hi, q_lo, q_hi):
+    below = np.maximum(q_lo - hi, 0.0)
+    above = np.maximum(lo - q_hi, 0.0)
+    d = below + above
+    return (d * d).sum(axis=1)
+
+
 @_kernel_phase
 def frame_dist_sq_to_rect(lo, hi, q_lo, q_hi) -> list[float]:
     """Per-row squared MINDIST from a query box."""
@@ -398,10 +406,19 @@ def frame_dist_sq_to_rect(lo, hi, q_lo, q_hi) -> list[float]:
         return []
     ql = np.asarray(q_lo, dtype=np.float64)
     qh = np.asarray(q_hi, dtype=np.float64)
-    below = np.maximum(ql - hi, 0.0)
-    above = np.maximum(lo - qh, 0.0)
-    d = below + above
-    return (d * d).sum(axis=1).tolist()
+    return _dist_sq_to_rect(lo, hi, ql, qh).tolist()
+
+
+@_kernel_phase
+def frame_nearest_run(lo, hi, q_lo, q_hi) -> tuple[list[float], list[int]]:
+    """Rows by squared MINDIST from a query box, ties in row order: the
+    sorted distances and the row order (one stable argsort; a point is
+    the box ``q_lo == q_hi``).  A node's run on the kNN heap."""
+    if len(lo) == 0:
+        return [], []
+    dist = _dist_sq_to_rect(lo, hi, q_lo, q_hi)
+    order = dist.argsort(kind="stable")
+    return dist[order].tolist(), order.tolist()
 
 
 @_kernel_phase

@@ -164,7 +164,8 @@ class NodeCodec:
         raw = np.frombuffer(
             block, dtype=self._record_dtype, count=count, offset=HEADER_BYTES
         )
-        coords = np.ascontiguousarray(raw["coords"], dtype=np.float64)
-        lo = coords[:, :dim].copy()
-        hi = coords[:, dim:].copy()
+        # One copy per table, straight out of the strided record field.
+        coords = raw["coords"]
+        lo = coords[:, :dim].astype(np.float64)
+        hi = coords[:, dim:].astype(np.float64)
         return bool(leaf_flag), lo, hi, raw["ptr"].tolist()

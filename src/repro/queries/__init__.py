@@ -6,7 +6,8 @@ every tree in this reproduction is an ordinary block-resident R-tree
 R-tree query repertoire applies unchanged.  This package supplies it:
 
 * :mod:`repro.queries.knn` — best-first k-nearest-neighbor search with
-  an incremental ``nearest()`` iterator (Hjaltason & Samet).
+  an incremental ``nearest()`` iterator (Hjaltason & Samet); ``knn()``
+  returns the columnar :class:`~repro.queries.knn.Neighbors`.
 * :mod:`repro.queries.join` — intersection spatial join by synchronized
   dual-tree traversal with leaf-level plane sweep (Brinkhoff et al.).
 * :mod:`repro.queries.point` — point (stabbing), containment and count
@@ -19,7 +20,7 @@ with the paper's figures.
 """
 
 from repro.queries.base import TraversalEngine
-from repro.queries.knn import KNNEngine, Neighbor, brute_force_knn, knn
+from repro.queries.knn import KNNEngine, Neighbor, Neighbors, brute_force_knn, knn
 from repro.queries.join import (
     JoinStats,
     SpatialJoinEngine,
@@ -41,6 +42,7 @@ __all__ = [
     "TraversalEngine",
     "KNNEngine",
     "Neighbor",
+    "Neighbors",
     "knn",
     "brute_force_knn",
     "JoinStats",

@@ -3,14 +3,16 @@
 The engine keeps a priority queue ordered by MINDIST — the distance from
 the query target to the nearest point of an entry's bounding box.  Nodes
 and data rectangles share the queue: popping a node expands it (its
-entries are pushed with their own distances), popping a data rectangle
-*reports* it.  Because a node's MINDIST lower-bounds the distance of
-everything inside it, rectangles pop in exactly nondecreasing distance
-order, which gives three operations for the price of one traversal:
+entries join the queue as one run sorted by distance), popping a data
+rectangle *reports* it.  Because a node's MINDIST lower-bounds the
+distance of everything inside it, rectangles pop in exactly
+nondecreasing distance order, which gives three operations for the
+price of one traversal:
 
 * :meth:`KNNEngine.nearest` — an incremental iterator producing neighbors
   one at a time (distance browsing); stop whenever you have enough.
-* :meth:`KNNEngine.knn` — the batched top-k.
+* :meth:`KNNEngine.knn` — the batched top-k, as columnar
+  :class:`Neighbors`.
 * :func:`knn` — one-shot convenience wrapper.
 
 The traversal is branch-and-bound optimal in the number of nodes touched:
@@ -26,19 +28,20 @@ point-to-box and box-to-box MINDIST automatically.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
-from typing import Any, Iterator, NamedTuple, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
+from operator import itemgetter
+from typing import Any, NamedTuple
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.queries.base import QueryStats, TraversalEngine
+from repro.rtree.node import NodeFrame
+from repro.rtree.query import ColumnarResult
 
-__all__ = ["Neighbor", "KNNEngine", "knn", "brute_force_knn"]
-
-#: Queue entry tags: expand me (node) vs report me (data rectangle).
-_NODE, _DATA = 0, 1
+__all__ = ["Neighbor", "Neighbors", "KNNEngine", "knn", "brute_force_knn"]
 
 
 class Neighbor(NamedTuple):
@@ -49,11 +52,67 @@ class Neighbor(NamedTuple):
     value: Any
 
 
-def _dist_sq(rect: Rect, target: Rect | Sequence[float]) -> float:
+#: One reported row of a best-first stream: ``(dist_sq, leaf frame,
+#: row, object id)``.
+Hit = tuple[float, NodeFrame, int, int]
+
+_ids = itemgetter(3)
+
+
+class Neighbors(ColumnarResult):
+    """A kNN query's result: an immutable sequence of :class:`Neighbor`
+    tuples held as columns.
+
+    The columns are one :data:`Hit` per neighbor — its squared
+    distance, its leaf's frame, row and object id (frames are never
+    edited in place, so this is a snapshot no later write can change) —
+    plus its value, resolved at query time.  ``len()``,
+    :attr:`distances`, :attr:`values` and :attr:`ids` read them; the
+    tuples come in distance order.  A retained result keeps its leaves'
+    frames alive.
+    """
+
+    __slots__ = ("_hits",)
+
+    def __init__(
+        self, hits: Iterable[Hit] = (), values: Iterable[Any] = ()
+    ) -> None:
+        self._hits = tuple(hits)
+        self._values = tuple(values)
+        self._built: list[Neighbor] | None = None
+
+    @property
+    def distances(self) -> tuple[float, ...]:
+        """The neighbors' Euclidean distances, nondecreasing."""
+        return tuple(math.sqrt(hit[0]) for hit in self._hits)
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        """The neighbors' object ids (leaf pointers), in result order."""
+        return tuple(map(_ids, self._hits))
+
+    def _build(self) -> list[Neighbor]:
+        return [
+            Neighbor(math.sqrt(dist_sq), frame.rect(row), value)
+            for (dist_sq, frame, row, _), value in zip(self._hits, self._values)
+        ]
+
+    def __repr__(self) -> str:
+        return f"Neighbors({len(self._hits)} rows)"
+
+
+def target_dist_sq(rect: Rect, target: Rect | Sequence[float]) -> float:
     """Squared MINDIST from a query target (point or box) to ``rect``."""
     if isinstance(target, Rect):
         return rect.dist_sq_to_rect(target)
     return rect.dist_sq_to_point(target)
+
+
+def check_target(target: Rect | Sequence[float], dim: int) -> None:
+    """Reject a query target whose dimension is not the index's."""
+    target_dim = target.dim if isinstance(target, Rect) else len(target)
+    if target_dim != dim:
+        raise ValueError(f"{target_dim}-d target against a {dim}-d index")
 
 
 class KNNEngine(TraversalEngine):
@@ -71,73 +130,71 @@ class KNNEngine(TraversalEngine):
         requires expanding them, so consuming the first j neighbors costs
         only the I/O needed to *prove* they are the nearest j.  Statistics
         accumulate into :attr:`totals` as the iterator is consumed; the
-        query is counted once, when iteration starts.
+        query is counted once, when iteration starts.  The target is
+        checked at once, before the first ``next()``.
         """
-        # Validate eagerly, before the lazy generator is first advanced.
-        target_dim = target.dim if isinstance(target, Rect) else len(target)
-        if target_dim != self.tree.dim:
-            raise ValueError(
-                f"{target_dim}-d target against a {self.tree.dim}-d tree"
-            )
-        return self._nearest(target)
+        check_target(target, self.tree.dim)
+        get = self.tree.objects.get
+        return (
+            Neighbor(math.sqrt(dist_sq), frame.rect(row), get(oid))
+            for dist_sq, frame, row, oid in self._hits(target, self.totals)
+        )
 
-    def _nearest(self, target: Rect | Sequence[float]) -> Iterator[Neighbor]:
-        self.totals.queries += 1
-        # Every popped node's per-row MINDISTs come from one frame kernel
-        # call; data rows go on the heap as (frame, row) so the Rect is
-        # only materialized if the row is actually reported.
+    def _hits(self, target, stats: QueryStats) -> Iterator[Hit]:
+        """The best-first stream, one :data:`Hit` per reported row,
+        counting into ``stats`` (the query once it starts).
+
+        Every expanded node is one *run*: its rows ordered by
+        ``(dist_sq, row)``, from one kernel call.  Only a run's head is
+        on the heap, keyed by ``(dist_sq, counter)``; an expansion
+        numbers its rows ``counter + 1 + row`` and advances the counter
+        by the node's size.  The keys are distinct and each run is
+        sorted by them, so rows pop in exactly the order one heap entry
+        per row would give, and nodes are read in that order too.
+        """
+        stats.queries += 1
         if isinstance(target, Rect):
             q_lo = kernels.as_coords(target.lo)
             q_hi = kernels.as_coords(target.hi)
-
-            def frame_dists(frame):
-                return kernels.frame_dist_sq_to_rect(
-                    frame.lo, frame.hi, q_lo, q_hi
-                )
         else:
-            p = kernels.as_coords(target)
-
-            def frame_dists(frame):
-                return kernels.frame_dist_sq_to_point(frame.lo, frame.hi, p)
-
-        # (squared distance, insertion counter, kind, payload); the counter
-        # breaks ties so heapq never compares frames or Nodes.
-        heap: list[tuple[float, int, int, Any]] = []
+            q_lo = q_hi = kernels.as_coords(target)
+        recorder = self._recorder
+        # (dist_sq, counter, row, frame, rest of the run); the counter
+        # breaks ties, so heapq never compares further.  The root is a
+        # one-row run of its own, on a frame that holds only its id.
+        root = NodeFrame(False, None, None, [self.tree.root_id])
+        heap = [(0.0, 0, 0, root, iter(()))]
         counter = 0
-        heap.append((0.0, counter, _NODE, self.tree.root_id))
         while heap:
-            dist_sq, _, kind, payload = heapq.heappop(heap)
-            if kind == _DATA:
-                frame, i = payload
-                self.totals.reported += 1
-                yield Neighbor(
-                    math.sqrt(dist_sq),
-                    frame.rect(i),
-                    self.tree.objects.get(frame.ptrs[i]),
-                )
+            dist_sq, _, row, frame, rest = heap[0]
+            following = next(rest, None)
+            if following is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, following + (frame, rest))
+            if frame.is_leaf:
+                stats.reported += 1
+                yield dist_sq, frame, row, frame.ptrs[row]
                 continue
-            node = self._read(payload, self.totals)
-            frame = node.frame()
-            if self._recorder is not None:
+            block_id = frame.ptrs[row]
+            child = self._read(block_id, stats).frame()
+            if recorder is not None:
                 # Best-first search prunes at node granularity (entries
                 # of a read node all become live candidates); unread
                 # nodes are the pruning the plan's per-level node counts
                 # show.
-                self._recorder.note_matched(payload, len(frame))
-            dists = frame_dists(frame)
-            if frame.is_leaf:
-                for i, d in enumerate(dists):
-                    counter += 1
-                    heapq.heappush(heap, (d, counter, _DATA, (frame, i)))
-            else:
-                ptrs = frame.ptrs
-                for i, d in enumerate(dists):
-                    counter += 1
-                    heapq.heappush(heap, (d, counter, _NODE, ptrs[i]))
+                recorder.note_matched(block_id, len(child))
+            dists, rows = kernels.frame_nearest_run(
+                child.lo, child.hi, q_lo, q_hi
+            )
+            if rows:
+                run = zip(dists, map((counter + 1).__add__, rows), rows)
+                heapq.heappush(heap, next(run) + (child, run))
+                counter += len(rows)
 
     def knn(
         self, target: Rect | Sequence[float], k: int
-    ) -> tuple[list[Neighbor], QueryStats]:
+    ) -> tuple[Neighbors, QueryStats]:
         """The k nearest neighbors of ``target`` (fewer if the tree is small).
 
         Returns the neighbors in nondecreasing distance order plus this
@@ -145,34 +202,16 @@ class KNNEngine(TraversalEngine):
         """
         if k < 0:
             raise ValueError("k must be >= 0")
-        before = _snapshot(self.totals)
-        neighbors: list[Neighbor] = []
-        it = self.nearest(target)  # validates the target even when k == 0
-        if k > 0:
-            for neighbor in it:
-                neighbors.append(neighbor)
-                if len(neighbors) == k:
-                    break
-        else:
-            self.totals.queries += 1  # count the (empty) query anyway
-        return neighbors, _delta(self.totals, before)
+        check_target(target, self.tree.dim)
+        stats = QueryStats()
+        hits = list(islice(self._hits(target, stats), k))
+        stats.queries = 1  # also when k == 0 never starts the stream
+        self.totals.merge(stats)
+        return Neighbors(hits, map(self.tree.objects.get, map(_ids, hits))), stats
 
 
-def _snapshot(stats: QueryStats) -> QueryStats:
-    return dataclasses.replace(stats)
-
-
-def _delta(after: QueryStats, before: QueryStats) -> QueryStats:
-    return QueryStats(
-        **{
-            f.name: getattr(after, f.name) - getattr(before, f.name)
-            for f in dataclasses.fields(QueryStats)
-        }
-    )
-
-
-def knn(tree, target: Rect | Sequence[float], k: int) -> list[Neighbor]:
-    """One-off kNN returning :class:`Neighbor` tuples.
+def knn(tree, target: Rect | Sequence[float], k: int) -> Neighbors:
+    """One-off kNN returning :class:`Neighbors`.
 
     For measured experiments construct a :class:`KNNEngine` directly —
     it exposes I/O statistics and keeps its internal-node cache warm
@@ -195,7 +234,7 @@ def brute_force_knn(
     """
     scored = sorted(
         (
-            Neighbor(math.sqrt(_dist_sq(rect, target)), rect, value)
+            Neighbor(math.sqrt(target_dist_sq(rect, target)), rect, value)
             for rect, value in data
         ),
         key=lambda nb: nb.distance,

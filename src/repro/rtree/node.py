@@ -110,6 +110,20 @@ class NodeFrame:
         hi = kernels.coord_table([rect.hi for rect, _ in entries], dim)
         return cls(is_leaf, lo, hi, [pointer for _, pointer in entries])
 
+    @classmethod
+    def concat(cls, frames: Sequence["NodeFrame"]) -> "NodeFrame":
+        """A new frame holding every row of ``frames`` (nodes of one
+        level), in order."""
+        ptrs: list[int] = []
+        for frame in frames:
+            ptrs += frame.ptrs
+        return cls(
+            frames[0].is_leaf,
+            kernels.table_concat([frame.lo for frame in frames]),
+            kernels.table_concat([frame.hi for frame in frames]),
+            ptrs,
+        )
+
     def __len__(self) -> int:
         return len(self.ptrs)
 

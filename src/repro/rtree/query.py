@@ -77,21 +77,54 @@ class QueryStats:
         self.queries += other.queries
 
 
-class Matches(Sequence):
+class ColumnarResult(Sequence):
+    """An immutable sequence held as columns, one value per item among
+    them: iterating, indexing and ``==`` (against any sequence) build
+    its items with ``_build`` — all at once, the first time — and keep
+    them."""
+
+    __slots__ = ("_values", "_built")
+
+    @property
+    def values(self) -> tuple[Any, ...]:
+        """The items' values, in result order."""
+        return self._values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def _materialized(self) -> list:
+        built = self._built
+        if built is None:
+            built = self._built = self._build()
+        return built
+
+    def __getitem__(self, index):
+        return self._materialized()[index]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._materialized())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._materialized() == list(other)
+
+
+class Matches(ColumnarResult):
     """A window, point or containment query's result: an immutable
     sequence of ``(rect, value)`` pairs held as columns.
 
-    Per visited leaf the engines record the leaf's frame and its
-    matching rows (frames are never edited in place, so this is a
-    snapshot no later write can change) and resolve the rows' values.
-    ``len()``, :attr:`values`, :attr:`ids`, :attr:`lo` and :attr:`hi`
-    read those columns; iterating, indexing and ``==`` (against any
-    sequence of pairs) build the pairs — in traversal order, all at
-    once, the first time — and keep them.  A retained result keeps its
-    leaves' frames alive.
+    The columns are *parts*, each a frame and its matching rows: a
+    lone leaf's own frame, or one fresh frame concatenated from a group
+    of sibling leaves (frames are never edited in place, so either is a
+    snapshot no later write can change), plus the rows' values,
+    resolved at query time.  ``len()``, :attr:`values`, :attr:`ids`,
+    :attr:`lo` and :attr:`hi` read them; the pairs come in traversal
+    order.  A retained result keeps its parts' frames alive.
     """
 
-    __slots__ = ("_parts", "_values", "_dim", "_pairs")
+    __slots__ = ("_parts", "_dim")
 
     def __init__(
         self,
@@ -102,7 +135,7 @@ class Matches(Sequence):
         self._parts = tuple(parts)
         self._values = tuple(values)
         self._dim = dim
-        self._pairs: list[tuple[Rect, Any]] | None = None
+        self._built: list[tuple[Rect, Any]] | None = None
 
     @classmethod
     def concat(cls, results: Iterable["Matches"], dim: int = 0) -> "Matches":
@@ -116,11 +149,6 @@ class Matches(Sequence):
             [value for result in results for value in result._values],
             dim,
         )
-
-    @property
-    def values(self) -> tuple[Any, ...]:
-        """The matched rows' values, in result order."""
-        return self._values
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -148,30 +176,11 @@ class Matches(Sequence):
             return kernels.coord_table([], self._dim)
         return kernels.table_concat(tables)
 
-    def _materialized(self) -> list[tuple[Rect, Any]]:
-        pairs = self._pairs
-        if pairs is None:
-            pairs = self._pairs = list(
-                zip(rects_of(self.lo, self.hi), self._values)
-            )
-        return pairs
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, index):
-        return self._materialized()[index]
-
-    def __iter__(self) -> Iterator[tuple[Rect, Any]]:
-        return iter(self._materialized())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self._materialized() == list(other)
+    def _build(self) -> list[tuple[Rect, Any]]:
+        return list(zip(rects_of(self.lo, self.hi), self._values))
 
     def __repr__(self) -> str:
-        return f"Matches({len(self._values)} rows from {len(self._parts)} leaves)"
+        return f"Matches({len(self._values)} rows in {len(self._parts)} parts)"
 
 
 def on_window(window: Rect, *frame_kernels: Callable) -> list[Callable]:
@@ -277,8 +286,14 @@ class TraversalEngine:
         ``descend_rows(frame)`` returns the internal rows to push,
         ``report_rows(frame)`` the leaf rows to report; a count-only
         operator passes ``count_rows`` instead so leaves never build an
-        index list at all.  A visited leaf contributes its frame and
-        row list to the result, never a pair.
+        index list at all.
+
+        The stack holds *runs* (an internal node's pointers and its
+        surviving rows, popped last row first).  The tree is balanced,
+        so when a leaf comes off a run the rest of the run are leaves
+        the stack would pop next: they are read at once, in that order,
+        and tested as one concatenated frame — one kernel call and one
+        result part per group.
         """
         tree = self.tree
         recorder = self._recorder
@@ -286,17 +301,27 @@ class TraversalEngine:
         stats = QueryStats(queries=1)
         parts: list[tuple[NodeFrame, list[int]]] = []
         values: list[Any] = []
-        stack = [tree.root_id]
+        stack = [([tree.root_id], [0])]
         while stack:
-            block_id = stack.pop()
+            ptrs, rest = stack[-1]
+            block_id = ptrs[rest.pop()]
+            if not rest:
+                stack.pop()
             frame = self._read(block_id, stats).frame()
-            ptrs = frame.ptrs
             if not frame.is_leaf:
                 rows = descend_rows(frame)
-                matched = len(rows)
-                for i in rows:
-                    stack.append(ptrs[i])
-            elif report_rows is None:
+                if rows:
+                    stack.append((frame.ptrs, rows))
+                if recorder is not None:
+                    recorder.note_matched(block_id, len(rows))
+                continue
+            if rest:
+                stack.pop()
+                group = [frame]
+                while rest:
+                    group.append(self._read(ptrs[rest.pop()], stats).frame())
+                frame = NodeFrame.concat(group)
+            if report_rows is None:
                 matched = count_rows(frame)
                 stats.reported += matched
             else:
@@ -304,9 +329,10 @@ class TraversalEngine:
                 matched = len(rows)
                 if rows:
                     parts.append((frame, rows))
-                    values += [get(ptrs[i]) for i in rows]
+                    values += map(get, map(frame.ptrs.__getitem__, rows))
                     stats.reported += matched
             if recorder is not None:
+                # Every leaf of a group sits on one level of the plan.
                 recorder.note_matched(block_id, matched)
         self.totals.merge(stats)
         return Matches(parts, values, tree.dim), stats
@@ -386,7 +412,7 @@ class QueryEngine(TraversalEngine):
                     if rows:
                         parts, values = columns[q]
                         parts.append((frame, rows))
-                        values += [get(ptrs[i]) for i in rows]
+                        values += map(get, map(ptrs.__getitem__, rows))
                         stats.reported += len(rows)
             else:
                 for q in active:

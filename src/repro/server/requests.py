@@ -192,8 +192,10 @@ class RequestResult:
         The operator's payload: a :class:`~repro.rtree.query.Matches`
         for window/containment/point (``(rect, value)`` pairs held as
         columns; the pairs are built only if the caller iterates or
-        indexes), an ``int`` for count, a list of
-        :class:`~repro.queries.knn.Neighbor` for knn, a list of pairs
+        indexes), an ``int`` for count, a
+        :class:`~repro.queries.knn.Neighbors` for knn (columns too; the
+        :class:`~repro.queries.knn.Neighbor` tuples are built only if
+        the caller iterates or indexes), a list of pairs
         for join, the assigned object id for insert, and a found
         ``bool`` for delete.  Duplicates share one payload object.
     stats:

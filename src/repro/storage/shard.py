@@ -23,7 +23,7 @@ MBR, Hilbert key range and block count (byte-for-byte layout in
   out only to shards whose *current* MBR can contribute and merge the
   per-shard answers;
 * **kNN** runs a best-first merge over per-shard incremental
-  ``nearest()`` streams, so a shard is only opened (and only pays I/O)
+  best-first streams, so a shard is only opened (and only pays I/O)
   once the global result genuinely needs it;
 * **joins** decompose into per-component joins over MBR-intersecting
   pairs;
@@ -52,10 +52,10 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.bulk.base import pack_leaf_level, pack_level
-from repro.geometry import kernels
 from repro.geometry.hilbert import (
     DEFAULT_ORDER,
     hilbert_key_for_center,
@@ -69,7 +69,9 @@ from repro.obs.profiler import phase as profile_phase
 from repro.obs.tap import active_tap, scoped_tap
 from repro.obs.trace import current_trace
 from repro.queries.join import JoinStats, SpatialJoinEngine
-from repro.queries.knn import KNNEngine, Neighbor
+from repro.queries.knn import (
+    Hit, KNNEngine, Neighbor, Neighbors, check_target, target_dist_sq,
+)
 from repro.queries.point import PointQueryEngine
 from repro.rtree.node import Node, NodeFrame
 from repro.rtree.query import Matches, QueryEngine, QueryStats
@@ -249,18 +251,13 @@ def shard_pack(
     bounds = tree.root().mbr() if len(tree.root()) else None
 
     # Every leaf row in one frame, keyed in one column.
-    frames = [leaf.frame() for _, leaf in tree.iter_leaves()]
-    oids = [oid for frame in frames for oid in frame.ptrs]
+    leaves = NodeFrame.concat(
+        [leaf.frame() for _, leaf in tree.iter_leaves()]
+    )
+    oids = leaves.ptrs
     n = len(oids)
-    leaves: NodeFrame | None = None
     keys: list[int] = []
     if n:
-        leaves = NodeFrame(
-            True,
-            kernels.table_concat([frame.lo for frame in frames]),
-            kernels.table_concat([frame.hi for frame in frames]),
-            oids,
-        )
         keys = hilbert_keys_for_centers(leaves.lo, leaves.hi, bounds, order)
     # Hilbert order with (key, oid) ties broken deterministically.
     rank = sorted(range(n), key=list(zip(keys, oids)).__getitem__)
@@ -975,7 +972,7 @@ class ShardedTree:
         matches, _ = ShardedPointEngine(self).containment_query(window)
         return matches
 
-    def knn(self, target, k: int) -> list[Neighbor]:
+    def knn(self, target, k: int) -> Neighbors:
         """One-off k-nearest-neighbors over the whole family."""
         neighbors, _ = ShardedKNNEngine(self).knn(target, k)
         return neighbors
@@ -1210,48 +1207,52 @@ _SHARD, _STREAM = 0, 1
 class ShardedKNNEngine(_ShardedFanout):
     """Best-first kNN merge over per-shard incremental streams.
 
-    Each shard contributes a lazy
-    :meth:`~repro.queries.knn.KNNEngine.nearest` stream; a merge heap
-    holds, for every shard, either its root MINDIST (stream not yet
-    opened) or its next pending neighbor.  A shard's stream is opened —
-    and starts paying I/O — only when its root MINDIST reaches the head
-    of the heap, so shards that cannot contribute to the global top-k
-    are never read at all.  Neighbors pop in globally nondecreasing
-    distance order, exactly like the single-tree engine.
+    Each shard contributes a lazy best-first stream of its
+    :class:`~repro.queries.knn.KNNEngine`; a merge heap holds, for every
+    shard, either its root MINDIST (stream not yet opened) or its next
+    pending neighbor, keyed by distance and then arrival.  A shard's
+    stream is opened — and starts paying I/O — only when its root
+    MINDIST reaches the head of the heap, so shards that cannot
+    contribute to the global top-k are never read at all.  Neighbors pop
+    in globally nondecreasing distance order, exactly like the
+    single-tree engine.
     """
 
     _SUB_ENGINE = KNNEngine
 
     def nearest(self, target) -> Iterator[Neighbor]:
         """Incrementally yield family-wide neighbors by distance."""
-        target_dim = target.dim if isinstance(target, Rect) else len(target)
-        if target_dim != self.sharded.dim:
-            raise ValueError(
-                f"{target_dim}-d target against a {self.sharded.dim}-d index"
+        check_target(target, self.sharded.dim)
+        stats = [sub.totals for sub in self._subs]
+        return (
+            Neighbor(
+                math.sqrt(dist_sq),
+                frame.rect(row),
+                self._subs[shard].tree.objects.get(oid),
             )
-        return self._nearest(target)
+            for shard, (dist_sq, frame, row, oid) in self._hits(target, stats)
+        )
 
-    def _nearest(self, target) -> Iterator[Neighbor]:
-        target_rect = target if isinstance(target, Rect) else None
+    def _hits(
+        self, target, stats: list[QueryStats]
+    ) -> Iterator[tuple[int, Hit]]:
+        """``(shard, hit)`` in family-wide distance order; shard ``i``'s
+        stream counts into ``stats[i]``."""
         heap: list[tuple[float, int, int, Any]] = []
         counter = 0
         for i in range(self.sharded.n_shards):
             mbr = self.sharded.shard_mbr(i)
             if mbr is None:
                 continue
-            dist_sq = (
-                mbr.dist_sq_to_rect(target_rect)
-                if target_rect is not None
-                else mbr.dist_sq_to_point(target)
-            )
-            heap.append((math.sqrt(dist_sq), counter, _SHARD, i))
+            dist = math.sqrt(target_dist_sq(mbr, target))
+            heap.append((dist, counter, _SHARD, i))
             counter += 1
         heapq.heapify(heap)
         while heap:
             _, _, kind, payload = heapq.heappop(heap)
             if kind == _SHARD:
                 start = time.perf_counter()
-                stream = self._subs[payload].nearest(target)
+                stream = self._subs[payload]._hits(target, stats[payload])
                 head = next(stream, None)
                 self.sharded._note_shard_time(
                     payload, time.perf_counter() - start
@@ -1260,11 +1261,12 @@ class ShardedKNNEngine(_ShardedFanout):
                     counter += 1
                     heapq.heappush(
                         heap,
-                        (head.distance, counter, _STREAM, (payload, head, stream)),
+                        (math.sqrt(head[0]), counter, _STREAM,
+                         (payload, head, stream)),
                     )
                 continue
             shard, head, stream = payload
-            yield head
+            yield shard, head
             start = time.perf_counter()
             following = next(stream, None)
             self.sharded._note_shard_time(
@@ -1274,32 +1276,26 @@ class ShardedKNNEngine(_ShardedFanout):
                 counter += 1
                 heapq.heappush(
                     heap,
-                    (following.distance, counter, _STREAM,
+                    (math.sqrt(following[0]), counter, _STREAM,
                      (shard, following, stream)),
                 )
 
-    def knn(self, target, k: int) -> tuple[list[Neighbor], QueryStats]:
+    def knn(self, target, k: int) -> tuple[Neighbors, QueryStats]:
         """The family-wide k nearest neighbors of ``target``."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        before = [replace(sub.totals) for sub in self._subs]
-        neighbors: list[Neighbor] = []
-        it = self.nearest(target)  # validates the target even when k == 0
-        if k > 0:
-            for neighbor in it:
-                neighbors.append(neighbor)
-                if len(neighbors) == k:
-                    break
-        deltas = [
-            QueryStats(
-                leaf_reads=sub.totals.leaf_reads - b.leaf_reads,
-                internal_reads=sub.totals.internal_reads - b.internal_reads,
-                internal_visits=sub.totals.internal_visits - b.internal_visits,
-                reported=sub.totals.reported - b.reported,
-            )
-            for sub, b in zip(self._subs, before)
+        check_target(target, self.sharded.dim)
+        stats = [QueryStats() for _ in self._subs]
+        found = list(islice(self._hits(target, stats), k))
+        for sub, part in zip(self._subs, stats):
+            sub.totals.merge(part)
+        values = [
+            self._subs[shard].tree.objects.get(hit[3]) for shard, hit in found
         ]
-        return neighbors, self._merge_stats(deltas)
+        return (
+            Neighbors([hit for _, hit in found], values),
+            self._merge_stats(stats),
+        )
 
 
 class ShardedJoinEngine:

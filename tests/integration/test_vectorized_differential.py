@@ -34,7 +34,7 @@ from repro.geometry.rect import Rect, mbr_of
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
 from repro.queries.join import JoinStats, SpatialJoinEngine, sweep_pairs, sweep_order
-from repro.queries.knn import KNNEngine, Neighbor, _dist_sq
+from repro.queries.knn import KNNEngine, Neighbor, target_dist_sq as _dist_sq
 from repro.queries.point import PointQueryEngine
 from repro.rtree.node import Node
 from repro.rtree.query import QueryEngine, QueryStats
@@ -2430,3 +2430,680 @@ class TestResultMutations:
                 empties = [i for i, size in enumerate(sizes) if not size]
                 seen |= bool(empties) and any(sizes[empties[0]:])
             assert seen
+
+
+# ----------------------------------------------------------------------
+# Reads without per-row Python: kNN keeps one sorted run per expanded
+# node on its heap and returns ``Neighbors``; the leaves under one
+# parent are read as a group and tested in one kernel call.
+#
+# The oracles are verbatim copies of the read paths as they stood
+# before: ``KNNEngine.nearest`` / ``_nearest`` / ``knn`` with the
+# ``_snapshot`` / ``_delta`` count (one heap entry per row, ``Neighbor``
+# tuples), ``ShardedKNNEngine.nearest`` / ``_nearest`` / ``knn`` over
+# those streams, and ``TraversalEngine._run`` (one block id per stack
+# entry, one kernel call per leaf).  Results must agree in order, to the
+# bit; ``QueryStats``, ``IOCounters``, the store access sequence,
+# ``PageCacheStats``, the ghost-LRU access log and EXPLAIN plans must be
+# equal.
+# ----------------------------------------------------------------------
+
+import dataclasses
+import inspect
+import textwrap
+import time
+
+from repro.obs import ReuseDistanceTracker
+from repro.queries import explain
+from repro.queries.knn import Neighbors
+from repro.storage.shard import ShardedKNNEngine
+
+_ORACLE_NODE, _ORACLE_DATA = 0, 1
+_ORACLE_SHARD, _ORACLE_STREAM = 0, 1
+
+
+def _oracle_snapshot(stats):
+    return dataclasses.replace(stats)
+
+
+def _oracle_delta(after, before):
+    return QueryStats(
+        **{
+            f.name: getattr(after, f.name) - getattr(before, f.name)
+            for f in dataclasses.fields(QueryStats)
+        }
+    )
+
+
+class RowHeapKNNOracle(KNNEngine):
+    """``KNNEngine`` as it was: every row of an expanded node on the heap."""
+
+    def nearest(self, target):
+        # Validate eagerly, before the lazy generator is first advanced.
+        target_dim = target.dim if isinstance(target, Rect) else len(target)
+        if target_dim != self.tree.dim:
+            raise ValueError(
+                f"{target_dim}-d target against a {self.tree.dim}-d tree"
+            )
+        return self._nearest(target)
+
+    def _nearest(self, target):
+        self.totals.queries += 1
+        # Every popped node's per-row MINDISTs come from one frame kernel
+        # call; data rows go on the heap as (frame, row) so the Rect is
+        # only materialized if the row is actually reported.
+        if isinstance(target, Rect):
+            q_lo = kernels.as_coords(target.lo)
+            q_hi = kernels.as_coords(target.hi)
+
+            def frame_dists(frame):
+                return kernels.frame_dist_sq_to_rect(
+                    frame.lo, frame.hi, q_lo, q_hi
+                )
+        else:
+            p = kernels.as_coords(target)
+
+            def frame_dists(frame):
+                return kernels.frame_dist_sq_to_point(frame.lo, frame.hi, p)
+
+        # (squared distance, insertion counter, kind, payload); the counter
+        # breaks ties so heapq never compares frames or Nodes.
+        heap = []
+        counter = 0
+        heap.append((0.0, counter, _ORACLE_NODE, self.tree.root_id))
+        while heap:
+            dist_sq, _, kind, payload = heapq.heappop(heap)
+            if kind == _ORACLE_DATA:
+                frame, i = payload
+                self.totals.reported += 1
+                yield Neighbor(
+                    math.sqrt(dist_sq),
+                    frame.rect(i),
+                    self.tree.objects.get(frame.ptrs[i]),
+                )
+                continue
+            node = self._read(payload, self.totals)
+            frame = node.frame()
+            if self._recorder is not None:
+                # Best-first search prunes at node granularity (entries
+                # of a read node all become live candidates); unread
+                # nodes are the pruning the plan's per-level node counts
+                # show.
+                self._recorder.note_matched(payload, len(frame))
+            dists = frame_dists(frame)
+            if frame.is_leaf:
+                for i, d in enumerate(dists):
+                    counter += 1
+                    heapq.heappush(heap, (d, counter, _ORACLE_DATA, (frame, i)))
+            else:
+                ptrs = frame.ptrs
+                for i, d in enumerate(dists):
+                    counter += 1
+                    heapq.heappush(heap, (d, counter, _ORACLE_NODE, ptrs[i]))
+
+    def knn(self, target, k):
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        before = _oracle_snapshot(self.totals)
+        neighbors = []
+        it = self.nearest(target)  # validates the target even when k == 0
+        if k > 0:
+            for neighbor in it:
+                neighbors.append(neighbor)
+                if len(neighbors) == k:
+                    break
+        else:
+            self.totals.queries += 1  # count the (empty) query anyway
+        return neighbors, _oracle_delta(self.totals, before)
+
+
+class LeafAtATimeRun:
+    """``TraversalEngine._run`` as it was: one kernel call per leaf."""
+
+    def _run(self, descend_rows, report_rows, count_rows=None):
+        tree = self.tree
+        recorder = self._recorder
+        get = tree.objects.get
+        stats = QueryStats(queries=1)
+        parts = []
+        values = []
+        stack = [tree.root_id]
+        while stack:
+            block_id = stack.pop()
+            frame = self._read(block_id, stats).frame()
+            ptrs = frame.ptrs
+            if not frame.is_leaf:
+                rows = descend_rows(frame)
+                matched = len(rows)
+                for i in rows:
+                    stack.append(ptrs[i])
+            elif report_rows is None:
+                matched = count_rows(frame)
+                stats.reported += matched
+            else:
+                rows = report_rows(frame)
+                matched = len(rows)
+                if rows:
+                    parts.append((frame, rows))
+                    values += [get(ptrs[i]) for i in rows]
+                    stats.reported += matched
+            if recorder is not None:
+                recorder.note_matched(block_id, matched)
+        self.totals.merge(stats)
+        return Matches(parts, values, tree.dim), stats
+
+
+class LeafAtATimeQueryOracle(LeafAtATimeRun, QueryEngine):
+    pass
+
+
+class LeafAtATimePointOracle(LeafAtATimeRun, PointQueryEngine):
+    pass
+
+
+class ShardedRowHeapKNNOracle(ShardedKNNEngine):
+    """``ShardedKNNEngine`` as it was, over row-heap sub-engines."""
+
+    def __init__(self, sharded):
+        super().__init__(sharded)
+        self._subs = [RowHeapKNNOracle(shard) for shard in sharded.shards]
+
+    def nearest(self, target):
+        target_dim = target.dim if isinstance(target, Rect) else len(target)
+        if target_dim != self.sharded.dim:
+            raise ValueError(
+                f"{target_dim}-d target against a {self.sharded.dim}-d index"
+            )
+        return self._nearest(target)
+
+    def _nearest(self, target):
+        target_rect = target if isinstance(target, Rect) else None
+        heap = []
+        counter = 0
+        for i in range(self.sharded.n_shards):
+            mbr = self.sharded.shard_mbr(i)
+            if mbr is None:
+                continue
+            dist_sq = (
+                mbr.dist_sq_to_rect(target_rect)
+                if target_rect is not None
+                else mbr.dist_sq_to_point(target)
+            )
+            heap.append((math.sqrt(dist_sq), counter, _ORACLE_SHARD, i))
+            counter += 1
+        heapq.heapify(heap)
+        while heap:
+            _, _, kind, payload = heapq.heappop(heap)
+            if kind == _ORACLE_SHARD:
+                start = time.perf_counter()
+                stream = self._subs[payload].nearest(target)
+                head = next(stream, None)
+                self.sharded._note_shard_time(
+                    payload, time.perf_counter() - start
+                )
+                if head is not None:
+                    counter += 1
+                    heapq.heappush(
+                        heap,
+                        (head.distance, counter, _ORACLE_STREAM, (payload, head, stream)),
+                    )
+                continue
+            shard, head, stream = payload
+            yield head
+            start = time.perf_counter()
+            following = next(stream, None)
+            self.sharded._note_shard_time(
+                shard, time.perf_counter() - start
+            )
+            if following is not None:
+                counter += 1
+                heapq.heappush(
+                    heap,
+                    (following.distance, counter, _ORACLE_STREAM,
+                     (shard, following, stream)),
+                )
+
+    def knn(self, target, k):
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        before = [dataclasses.replace(sub.totals) for sub in self._subs]
+        neighbors = []
+        it = self.nearest(target)  # validates the target even when k == 0
+        if k > 0:
+            for neighbor in it:
+                neighbors.append(neighbor)
+                if len(neighbors) == k:
+                    break
+        deltas = [
+            QueryStats(
+                leaf_reads=sub.totals.leaf_reads - b.leaf_reads,
+                internal_reads=sub.totals.internal_reads - b.internal_reads,
+                internal_visits=sub.totals.internal_visits - b.internal_visits,
+                reported=sub.totals.reported - b.reported,
+            )
+            for sub, b in zip(self._subs, before)
+        ]
+        return neighbors, self._merge_stats(deltas)
+
+
+class ShardedLeafAtATimeQueryOracle(ShardedQueryEngine):
+    def __init__(self, sharded):
+        super().__init__(sharded)
+        self._subs = [LeafAtATimeQueryOracle(s) for s in sharded.shards]
+
+
+class ShardedLeafAtATimePointOracle(ShardedPointEngine):
+    def __init__(self, sharded):
+        super().__init__(sharded)
+        self._subs = [LeafAtATimePointOracle(s) for s in sharded.shards]
+
+
+# -- data and probes ----------------------------------------------------
+
+
+def tie_heavy(n, dim, seed, cells=6):
+    """Grid points, grid-snapped boxes and exact duplicates: most
+    distances from a grid-aligned target tie with many others."""
+    rng = random.Random(seed)
+    data = []
+    for i in range(n):
+        lo = [rng.randrange(cells) / cells for _ in range(dim)]
+        if i % 3 == 0:
+            hi = list(lo)
+        else:
+            hi = [c + rng.randrange(1, 3) / cells for c in lo]
+        data.append((Rect(lo, hi), i))
+    for j in rng.sample(range(n), n // 5):
+        data.append((data[j][0], n + j))
+    return data
+
+
+def knn_targets(dim, seed, cells=6):
+    """Points on and off the grid (some outside the data) and boxes."""
+    rng = random.Random(seed)
+    points = [tuple(rng.randrange(cells + 1) / cells for _ in range(dim))
+              for _ in range(4)]
+    points.append(tuple([0.5 / cells] * dim))
+    points.append(tuple([-1.0] * dim))
+    points.append(tuple(float(i) for i in range(dim)))
+    boxes = [Rect(p, [c + 1 / cells for c in p]) for p in points[:3]]
+    boxes.append(Rect([2.0] * dim, [3.0] * dim))
+    return points + boxes
+
+
+def probe_windows(dim, seed):
+    windows = random_windows(5, seed=seed, dim=dim, side=0.35)
+    windows.append(Rect([0.5] * dim, [0.5] * dim))
+    windows.append(Rect([-1.0] * dim, [2.0] * dim))
+    windows.append(Rect([4.0] * dim, [5.0] * dim))
+    return windows
+
+
+def log_store_accesses(tree):
+    """Record every ``peek`` / ``read`` the engines make on ``tree`` (on
+    each shard of a family), in order."""
+    log = []
+    for i, part in enumerate(getattr(tree, "shards", [tree])):
+        store = part.store
+
+        def logged(method, op, i=i):
+            def call(block_id):
+                log.append((i, op, block_id))
+                return method(block_id)
+            return call
+
+        store.peek = logged(store.peek, "peek")
+        store.read = logged(store.read, "read")
+    return log
+
+
+def assert_same_neighbors(got, want):
+    """One ``(Neighbors, stats)`` answer against the oracle's ``(list,
+    stats)``: neighbor for neighbor, through every way of reading it."""
+    (got_nbs, got_stats), (want_nbs, want_stats) = got, want
+    assert type(got_nbs) is Neighbors
+    assert got_stats == want_stats
+    assert len(got_nbs) == len(want_nbs)
+    assert got_nbs.distances == tuple(nb.distance for nb in want_nbs)
+    assert got_nbs.values == tuple(nb.value for nb in want_nbs)
+    assert list(got_nbs) == want_nbs
+    assert [exact(nb.rect) for nb in got_nbs] == [
+        exact(nb.rect) for nb in want_nbs
+    ]
+    assert got_nbs == want_nbs and want_nbs == got_nbs
+
+
+def assert_same_matches(got, want):
+    """Two ``(Matches, stats)`` answers, pair for pair and column for
+    column."""
+    (got_m, got_stats), (want_m, want_stats) = got, want
+    assert got_stats == want_stats
+    assert len(got_m) == len(want_m)
+    assert got_m.values == want_m.values
+    assert got_m.ids == want_m.ids
+    for side in ("lo", "hi"):
+        assert (
+            getattr(got_m, side).tobytes() == getattr(want_m, side).tobytes()
+        )
+    assert list(got_m) == list(want_m)
+
+
+class ReadEngines:
+    """The engines (or their oracles) a read workload runs on."""
+
+    def __init__(self, tree, oracle):
+        family = hasattr(tree, "shards")
+        if oracle:
+            kinds = (
+                (ShardedLeafAtATimeQueryOracle, ShardedLeafAtATimePointOracle,
+                 ShardedRowHeapKNNOracle)
+                if family
+                else (LeafAtATimeQueryOracle, LeafAtATimePointOracle,
+                      RowHeapKNNOracle)
+            )
+        else:
+            kinds = (
+                (ShardedQueryEngine, ShardedPointEngine, ShardedKNNEngine)
+                if family
+                else (QueryEngine, PointQueryEngine, KNNEngine)
+            )
+        self.window, self.point, self.knn = (kind(tree) for kind in kinds)
+        self.oracle = oracle
+
+    def run(self, windows, targets, ks):
+        """Every answer, in workload order: window, containment, count,
+        point, then kNN for each ``k``."""
+        out = []
+        for window in windows:
+            out.append(("window", self.window.query(window)))
+            out.append(("containment", self.point.containment_query(window)))
+            out.append(("count", self.point.count(window)))
+            out.append(("point", self.point.point_query(window.center())))
+        for target in targets:
+            for k in ks:
+                out.append(("knn", self.knn.knn(target, k)))
+        return out
+
+    def totals(self):
+        return [engine.totals for engine in (self.window, self.point, self.knn)]
+
+
+def assert_same_workload(got_tree, want_tree, windows, targets, ks):
+    got_log = log_store_accesses(got_tree)
+    want_log = log_store_accesses(want_tree)
+    engines = ReadEngines(got_tree, oracle=False)
+    oracles = ReadEngines(want_tree, oracle=True)
+    got_all = engines.run(windows, targets, ks)
+    want_all = oracles.run(windows, targets, ks)
+    assert [kind for kind, _ in got_all] == [kind for kind, _ in want_all]
+    for (kind, got), (_, want) in zip(got_all, want_all):
+        if kind == "knn":
+            assert_same_neighbors(got, want)
+        elif kind == "count":
+            assert got == want
+        else:
+            assert_same_matches(got, want)
+    assert engines.totals() == oracles.totals()
+    assert got_log == want_log
+    assert (
+        got_tree.store.counters.snapshot() == want_tree.store.counters.snapshot()
+    )
+    if hasattr(got_tree, "shards"):
+        assert engines.knn.per_shard_totals() == oracles.knn.per_shard_totals()
+    return got_all
+
+
+KS = (0, 1, 5, 37)
+
+
+class TestReadPathDifferential:
+    """The grouped traversal and the run heap against the oracles."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("fanout", [4, 7, 16, 113])
+    @pytest.mark.parametrize(
+        "builder", [build_prtree, build_hilbert, build_str],
+        ids=["PR", "H", "STR"],
+    )
+    def test_in_memory_tie_heavy(self, builder, fanout, dim):
+        data = tie_heavy(400, dim, seed=fanout * 10 + dim)
+        trees = [builder(BlockStore(), data, fanout) for _ in range(2)]
+        ks = KS + (len(data) + 5,)
+        answers = assert_same_workload(
+            *trees, probe_windows(dim, seed=fanout), knn_targets(dim, seed=3), ks
+        )
+        # The tie-heavy data really ties: some answer has equal
+        # distances at different rows.
+        distances = [
+            nbs.distances for kind, (nbs, _) in answers if kind == "knn"
+        ]
+        assert any(len(set(d)) < len(d) for d in distances)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_random_boxes(self, dim):
+        data = random_rects(700, seed=90 + dim, dim=dim)
+        trees = [build_prtree(BlockStore(), data, 8) for _ in range(2)]
+        assert_same_workload(
+            *trees,
+            probe_windows(dim, seed=91),
+            [w.center() for w in probe_windows(dim, seed=92)],
+            KS + (800,),
+        )
+
+    @pytest.mark.parametrize(
+        "n,height", [(0, 1), (1, 1), (50, 1), (94, 1), (95, 2), (600, 2)]
+    )
+    def test_heights_one_and_two_at_the_paper_fanout(self, n, height):
+        # tie_heavy(n) holds n + n // 5 boxes: 94 fill one 113-entry
+        # root leaf to 112, 95 overflow it into a second level.
+        data = tie_heavy(n, 2, seed=n) if n > 5 else random_rects(n, seed=5)
+        trees = [build_prtree(BlockStore(), data, 113) for _ in range(2)]
+        assert trees[0].height == height
+        assert_same_workload(
+            *trees, probe_windows(2, seed=7), knn_targets(2, seed=8),
+            KS + (len(data) + 1,),
+        )
+
+    def test_after_updates(self):
+        # Edited nodes hold a frame, an entry list or both.
+        data = tie_heavy(500, 2, seed=95)
+        trees = [build_prtree(BlockStore(), data, 8) for _ in range(2)]
+        for tree in trees:
+            for rect, value in tie_heavy(80, 2, seed=96)[:80]:
+                tree.insert(rect, f"new{value}")
+            for rect, value in data[:60]:
+                assert tree.delete(rect, value)
+        assert_same_workload(
+            *trees, probe_windows(2, seed=97), knn_targets(2, seed=98), KS
+        )
+
+    @pytest.mark.parametrize("cache_pages", [0, 6, 32])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_paged_cache_traffic(self, tmp_path, cache_pages, dim):
+        data = tie_heavy(900, dim, seed=99 + dim)
+        tree = build_prtree(BlockStore(), data, 16)
+        path = tmp_path / "index.pack"
+        pack_tree(tree, path, block_size=1024)
+        values = dict(tree.objects)
+        with PagedTree.open(
+            path, values=values, cache_pages=cache_pages, readonly=True
+        ) as got_tree, PagedTree.open(
+            path, values=dict(values), cache_pages=cache_pages, readonly=True
+        ) as want_tree:
+            for handle in (got_tree, want_tree):
+                handle.page_store.tracker = ReuseDistanceTracker(
+                    budgets=[1, 8], keep_log=True
+                )
+            assert_same_workload(
+                got_tree, want_tree, probe_windows(dim, seed=100),
+                knn_targets(dim, seed=101), KS + (100,),
+            )
+            assert got_tree.page_stats == want_tree.page_stats
+            got_log = got_tree.page_store.tracker.log
+            assert got_log == want_tree.page_store.tracker.log
+            assert len(got_log) > 100
+
+    @pytest.mark.parametrize("cache_pages", [0, 6, 32])
+    def test_sharded_family(self, tmp_path, cache_pages):
+        data = tie_heavy(1200, 2, seed=102)
+        tree = build_prtree(BlockStore(), data, 16)
+        path = tmp_path / "index.manifest"
+        shard_pack(tree, path, shards=4, block_size=1024)
+        values = dict(tree.objects)
+        with open_index(
+            path, values=values, cache_pages=cache_pages, readonly=True
+        ) as got_tree, open_index(
+            path, values=dict(values), cache_pages=cache_pages, readonly=True
+        ) as want_tree:
+            for handle in (got_tree, want_tree):
+                for shard in handle.shards:
+                    shard.page_store.tracker = ReuseDistanceTracker(
+                        budgets=[1, 8], keep_log=True
+                    )
+            assert_same_workload(
+                got_tree, want_tree, probe_windows(2, seed=103),
+                knn_targets(2, seed=104), KS + (100,),
+            )
+            for got_shard, want_shard in zip(got_tree.shards, want_tree.shards):
+                assert got_shard.page_stats == want_shard.page_stats
+                assert (
+                    got_shard.page_store.tracker.log
+                    == want_shard.page_store.tracker.log
+                )
+
+    def test_nearest_streams_identical(self):
+        data = tie_heavy(600, 2, seed=105)
+        trees = [build_prtree(BlockStore(), data, 8) for _ in range(2)]
+        engine, oracle = KNNEngine(trees[0]), RowHeapKNNOracle(trees[1])
+        for target in knn_targets(2, seed=106):
+            got = list(engine.nearest(target))
+            want = list(oracle.nearest(target))
+            assert got == want and len(got) == len(data)
+            assert [exact(nb.rect) for nb in got] == [
+                exact(nb.rect) for nb in want
+            ]
+        assert engine.totals == oracle.totals
+
+    @pytest.mark.parametrize("fanout", [4, 16])
+    def test_explain_plans_identical(self, fanout):
+        data = tie_heavy(700, 2, seed=107)
+        trees = [build_prtree(BlockStore(), data, fanout) for _ in range(2)]
+        engines = ReadEngines(trees[0], oracle=False)
+        oracles = ReadEngines(trees[1], oracle=True)
+        calls = []
+        for window in probe_windows(2, seed=108):
+            calls.append(("window", lambda e, w=window: e.window.query(w)))
+            calls.append(("count", lambda e, w=window: e.point.count(w)))
+            calls.append(
+                ("containment", lambda e, w=window: e.point.containment_query(w))
+            )
+            calls.append(
+                ("point", lambda e, w=window: e.point.point_query(w.center()))
+            )
+        for target in knn_targets(2, seed=109):
+            calls.append(("knn", lambda e, t=target: e.knn.knn(t, 30)))
+        engine_of = {"window": "window", "count": "point",
+                     "containment": "point", "point": "point", "knn": "knn"}
+        for kind, call in calls:
+            plans = []
+            for side in (engines, oracles):
+                engine = getattr(side, engine_of[kind])
+                recorder = explain.install(engine)
+                _, stats = call(side)
+                plans.append(explain.uninstall(engine, recorder, kind, stats))
+            assert plans[0] == plans[1]
+            assert plans[0].levels
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        tied_datasets(max_size=120),
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=0, max_value=140),
+        windows(),
+    )
+    def test_property(self, data, fanout, k, window):
+        trees = [build_prtree(BlockStore(), data, fanout) for _ in range(2)]
+        assert_same_workload(
+            *trees, [window], [window.center(), window], (k,)
+        )
+
+
+# -- seeded mutations of the read path: each must be caught -------------
+
+
+def _mutant(function, old, new):
+    """``function`` recompiled from its own source with ``old`` replaced
+    by ``new`` (which must occur exactly once)."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace = dict(function.__globals__)
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
+    return namespace[function.__name__]
+
+
+READ_MUTANTS = {
+    # The rest of a run read first row first: the group's frames, its
+    # rows and the page accesses come in the wrong order.
+    "group-in-row-order": (
+        TraversalEngine, "_run", TraversalEngine._run,
+        "self._read(ptrs[rest.pop()], stats)",
+        "self._read(ptrs[rest.pop(0)], stats)",
+    ),
+    # The counter advances one short of the node's size, so the next
+    # expansion's first row shares a counter with this one's last row.
+    # (Numbering rows from the counter itself would only shift every
+    # key by one: an equivalent mutant.)
+    "counter-off-by-one": (
+        KNNEngine, "_hits", KNNEngine._hits,
+        "counter += len(rows)", "counter += len(rows) - 1",
+    ),
+    # Equal distances within a run come out in reverse row order, as an
+    # unstable sort may leave them.
+    "unstable-run-sort": (
+        kernels, "frame_nearest_run", kernels.frame_nearest_run.__wrapped__,
+        'order = dist.argsort(kind="stable")',
+        "order = np.lexsort((-np.arange(len(dist)), dist))",
+    ),
+    # A lone leaf whose run is used up takes the next run on the stack
+    # into its group.
+    "group-crosses-runs": (
+        TraversalEngine, "_run", TraversalEngine._run,
+        "if rest:\n            stack.pop()\n",
+        "if rest or stack:\n            ptrs, rest = stack.pop()\n",
+    ),
+}
+
+
+class TestReadPathMutations:
+    """The read-path checks fail on each plausible mis-step."""
+
+    def check(self, directory):
+        data = tie_heavy(800, 2, seed=110)
+        trees = [build_prtree(BlockStore(), data, 8) for _ in range(2)]
+        assert_same_workload(
+            *trees, probe_windows(2, seed=111), knn_targets(2, seed=112),
+            KS + (60,),
+        )
+        tree = build_prtree(BlockStore(), data, 16)
+        path = pathlib.Path(directory) / "index.pack"
+        pack_tree(tree, path, block_size=1024)
+        with PagedTree.open(
+            path, values=dict(tree.objects), cache_pages=6, readonly=True
+        ) as got_tree, PagedTree.open(
+            path, values=dict(tree.objects), cache_pages=6, readonly=True
+        ) as want_tree:
+            assert_same_workload(
+                got_tree, want_tree, probe_windows(2, seed=113),
+                knn_targets(2, seed=114), (10, 100),
+            )
+            assert got_tree.page_stats == want_tree.page_stats
+
+    def test_unmutated_code_passes(self, tmp_path):
+        self.check(tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(READ_MUTANTS))
+    def test_mutant_caught(self, tmp_path, monkeypatch, name):
+        owner, attribute, function, old, new = READ_MUTANTS[name]
+        monkeypatch.setattr(owner, attribute, _mutant(function, old, new))
+        with pytest.raises(AssertionError):
+            self.check(tmp_path)

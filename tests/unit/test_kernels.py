@@ -145,6 +145,26 @@ class TestFrameKernels:
         ]
         assert got == want
 
+    def test_frame_nearest_run_orders_by_distance_then_row(self, tables):
+        lo_rows, hi_rows, lo, _ = tables
+        dim = lo.shape[1]
+        # Every row twice, the copies reversed: each distance ties with
+        # at least one other row, far apart in the frame.
+        lo_rows, hi_rows = lo_rows + lo_rows[::-1], hi_rows + hi_rows[::-1]
+        lo, hi = make_table(lo_rows, dim), make_table(hi_rows, dim)
+        p = kernels.as_coords(widen((0.5, 0.45), dim))
+        q_lo, q_hi = map(kernels.as_coords, query(lo, ((1.2, 1.2), (1.5, 1.6))))
+        for t_lo, t_hi, scalar in (
+            (p, p, lambda i: kernels.dist_sq_to_point(lo_rows[i], hi_rows[i], p)),
+            (q_lo, q_hi,
+             lambda i: kernels.dist_sq_to_rect(lo_rows[i], hi_rows[i], q_lo, q_hi)),
+        ):
+            dists, order = kernels.frame_nearest_run(lo, hi, t_lo, t_hi)
+            want = sorted((scalar(i), i) for i in range(len(lo_rows)))
+            assert list(zip(dists, order)) == want  # exact, ties by row
+        empty = make_table([], dim)
+        assert kernels.frame_nearest_run(empty, empty, p, p) == ([], [])
+
     def test_frame_enlargement_bit_identical(self, tables):
         lo_rows, hi_rows, lo, hi = tables
         q_lo, q_hi = query(lo)

@@ -57,8 +57,8 @@ class TestColumns:
         assert result.ids == tuple(pointer for _, pointer in picked)
         assert rows_of(result.lo) == [rect.lo for rect, _ in want]
         assert rows_of(result.hi) == [rect.hi for rect, _ in want]
-        assert repr(result) == "Matches(5 rows from 2 leaves)"
-        assert result._pairs is None
+        assert repr(result) == "Matches(5 rows in 2 parts)"
+        assert result._built is None
 
     def test_tables_have_the_backend_shape(self, entries):
         result, _, _ = two_leaf_result(entries)
@@ -244,7 +244,7 @@ class TestSnapshot:
         after, _ = QueryEngine(tree).query(self.WINDOW)
         assert len(after) == len(want) + 12 - 2
         # Nothing has been materialized yet: the columns are the snapshot.
-        assert result._pairs is None
+        assert result._built is None
         assert sorted(result, key=lambda p: p[1]) == sorted(
             want, key=lambda p: p[1]
         )
