@@ -4,7 +4,7 @@
 Builds a PR-tree, splits it into a 4-shard Hilbert-range family with
 `shard_pack`, and serves a mixed read/write batch through the
 `QueryServer` — which fans each request out to only the shards that can
-contribute and reports a per-shard I/O breakdown.  A single-file pack
+contribute — and prints the batch's per-shard I/O breakdown.  A single-file pack
 of the same tree answers identically, which is the whole point: the
 partition changes where the bytes live, not what queries return.
 
@@ -80,7 +80,14 @@ def main() -> None:
                 return requests
 
             report_single = server.submit(batch("single"))
+            # The family keeps cumulative per-shard loads; one batch's
+            # share is the difference around its submit.
+            before = family.shard_loads()
             report_family = server.submit(batch("family"))
+            loads = [
+                after - start
+                for after, start in zip(family.shard_loads(), before)
+            ]
 
             # Identical answers from both shapes, write results included
             # (window matches are a set; each shape reports them in its
@@ -100,7 +107,6 @@ def main() -> None:
                 f"{[round(nb.distance, 4) for nb in neighbors]}"
             )
 
-            loads = report_family.shard_loads["family"]
             print("per-shard batch load (logical reads / physical reads):")
             for i, load in enumerate(loads):
                 print(

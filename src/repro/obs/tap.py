@@ -165,7 +165,9 @@ def scoped_tap(trace: "Trace | None" = None) -> Iterator[IOTap]:
     """A fresh tap for this scope, folded into the enclosing tap on exit.
 
     The nesting idiom — a request inside a batch, a shard inside a
-    request — and the thread-hop one: a task that copied its context to
+    traced request (where the child's snapshot becomes the shard span's
+    ``io=``; an untraced shard needs no tap of its own) — and the
+    thread-hop one: a task that copied its context to
     another thread opens a scoped tap first thing on the far side,
     giving that thread a tap it exclusively owns, while the totals
     still roll up to the parent (batch, request trace) when the scope

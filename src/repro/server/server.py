@@ -31,10 +31,10 @@ The catalog also accepts **sharded** indexes
 (:class:`~repro.storage.shard.ShardedTree`) transparently: requests
 against one are executed by the sharded fan-out engines — window-style
 queries touch only the shards whose MBR intersects, kNN best-first
-merges per-shard streams, writes route/broadcast by Hilbert rank — and
-every batch's :class:`BatchReport` carries a per-shard
-logical/physical-I/O and busy-time breakdown
-(:attr:`BatchReport.shard_loads`).
+merges per-shard streams, writes route/broadcast by Hilbert rank.  A
+caller that wants one batch's per-shard load diffs
+:meth:`~repro.storage.shard.ShardedTree.shard_loads` around
+:meth:`QueryServer.submit`.
 
 Execution is single-threaded (deterministic accounting; a thread pool
 never won a recorded table — ``docs/architecture.md`` has the rule).
@@ -74,7 +74,6 @@ from repro.server.requests import (
     WindowRequest,
 )
 from repro.storage.shard import (
-    ShardLoad,
     ShardedJoinEngine,
     ShardedKNNEngine,
     ShardedPointEngine,
@@ -119,14 +118,6 @@ class BatchReport:
     #: most the number of distinct dirty pages, not one per write I/O.
     #: Attributed per batch like :attr:`physical_reads`.
     pages_flushed: int = 0
-    #: Per-shard breakdown for every sharded index this batch touched:
-    #: index name → one :class:`~repro.storage.shard.ShardLoad` delta per
-    #: shard (logical reads/writes, physical reads, pages flushed, and
-    #: the wall-clock seconds the sharded engines spent on that shard).
-    #: These remain shared-counter deltas (a load-balance view): under
-    #: *overlapping* batches on one shared handle they can include other
-    #: batches' traffic — the attributed batch totals above never do.
-    shard_loads: dict[str, list[ShardLoad]] = field(default_factory=dict)
     #: The batch's full attributed I/O snapshot
     #: (:meth:`~repro.obs.tap.IOTap.snapshot`): logical reads/writes plus
     #: page-cache hits/misses/evictions/flushes this batch caused.
@@ -207,8 +198,7 @@ class QueryServer:
         mapping.  Any :class:`~repro.rtree.tree.RTree` works; paged
         trees get the additional physical-read reporting, and
         :class:`~repro.storage.shard.ShardedTree` families are served
-        transparently through the sharded fan-out engines with a
-        per-shard breakdown in every :class:`BatchReport`.
+        transparently through the sharded fan-out engines.
     dedup:
         Execute identical requests within a batch once (default).
     sync_writes:
@@ -441,15 +431,9 @@ class QueryServer:
         if traces is not None and len(traces) != len(requests):
             raise ValueError("traces must align one-to-one with requests")
 
-        names = self._batch_names(requests)
-        sharded = {
-            name: tree
-            for name in sorted(names)
-            if isinstance(tree := self._tree(name), ShardedTree)
-        }
-        loads_before = {
-            name: tree.shard_loads() for name, tree in sharded.items()
-        }
+        # An unknown index fails the batch before any of its writes.
+        for name in sorted(self._batch_names(requests)):
+            self._tree(name)
 
         # Everything the batch does — writes, sync, reads — attributes
         # to this tap, so the report's physical/logical numbers are
@@ -529,13 +513,6 @@ class QueryServer:
         report.physical_reads = batch_tap.misses
         report.pages_flushed = batch_tap.flushes
         report.io = batch_tap.snapshot()
-        for name, tree in sharded.items():
-            report.shard_loads[name] = [
-                after - before
-                for after, before in zip(
-                    tree.shard_loads(), loads_before[name]
-                )
-            ]
         report.latency_s = time.perf_counter() - start
         self.batches_served += 1
         return report

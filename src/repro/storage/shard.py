@@ -20,8 +20,8 @@ MBR, Hilbert key range and block count (byte-for-byte layout in
 :class:`~repro.storage.paged.PagedTree` behind one facade:
 
 * **window-family queries** (window / point / count / containment) fan
-  out only to shards whose *current* MBR can contribute and merge the
-  per-shard answers;
+  out only to shards whose live root MBR — a routing table the facade's
+  writes keep, read at no page cost — can contribute, and merge;
 * **kNN** runs a best-first merge over per-shard incremental
   best-first streams, so a shard is only opened (and only pays I/O)
   once the global result genuinely needs it;
@@ -36,11 +36,10 @@ Accounting follows the single-file contract exactly (see
 ``docs/io-accounting.md``): each shard has its own
 :class:`~repro.iomodel.counters.IOCounters` and
 :class:`~repro.storage.paged.PageCacheStats`, the facade aggregates
-them, and :meth:`ShardedTree.shard_loads` exposes the per-shard
-logical/physical split that the server's
-:class:`~repro.server.server.BatchReport` per-shard breakdown and the
-``benchmarks/test_storage_sharding.py`` I/O-balance tables are built
-from.
+them, and :meth:`ShardedTree.shard_loads` exposes the cumulative
+per-shard logical/physical split that the ``repro_shard_*`` metrics and
+the ``benchmarks/test_storage_sharding.py`` I/O-balance tables are
+built from (diff two snapshots for one batch's share).
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from repro.iomodel.blockstore import BlockStore, DEFAULT_BLOCK_SIZE
 from repro.iomodel.counters import IOSnapshot
 from repro.obs import health
 from repro.obs.profiler import phase as profile_phase
-from repro.obs.tap import active_tap, scoped_tap
+from repro.obs.tap import scoped_tap
 from repro.obs.trace import current_trace
 from repro.queries.join import JoinStats, SpatialJoinEngine
 from repro.queries.knn import (
@@ -582,6 +581,11 @@ class ShardedTree:
         self._next_oid = max(next_oid, size)
         self._readonly = readonly
         self._route_his = [info.hilbert_hi for info in infos]
+        #: The routing table: each shard's live root MBR (None: empty).
+        #: Loop-thread state written by insert/delete; sync() reads it.
+        self._mbrs: list[Rect | None] = [None] * len(shards)
+        for i in range(len(shards)):
+            self._refresh(i)
         self.store = _ShardedStoreView(self)
         self.shard_busy_s = [0.0] * len(shards)
         self._closed = False
@@ -758,11 +762,19 @@ class ShardedTree:
     def shard_mbr(self, i: int) -> Rect | None:
         """Shard ``i``'s *live* root MBR (``None`` when empty).
 
-        Fan-out pruning uses this, not the manifest copy, so rectangles
-        inserted since the last sync are never missed.
+        A routing-table read (no page access): :meth:`insert` /
+        :meth:`delete` refresh the shard they wrote, so rectangles
+        inserted since the last sync are never missed, and :meth:`sync`
+        writes these boxes into the manifest.
         """
-        root = self.shards[i].root()
-        return root.mbr() if len(root) else None
+        return self._mbrs[i]
+
+    def _refresh(self, i: int) -> None:
+        """Re-read shard ``i``'s table entry from its live root, with no
+        page-stat side effect."""
+        shard = self.shards[i]
+        root = shard.page_store.quiet_peek(shard.root_id)
+        self._mbrs[i] = root.mbr() if len(root) else None
 
     def root(self) -> Node:
         """A synthetic internal node with one entry per non-empty shard.
@@ -770,12 +782,12 @@ class ShardedTree:
         Gives the facade the same ``root().mbr()`` surface the server
         and the experiments use to learn an index's bounds.
         """
-        entries = []
-        for i in range(len(self.shards)):
-            mbr = self.shard_mbr(i)
-            if mbr is not None:
-                entries.append((mbr, i))
-        return Node(is_leaf=False, entries=entries)
+        return Node(
+            is_leaf=False,
+            entries=[
+                (mbr, i) for i, mbr in enumerate(self._mbrs) if mbr is not None
+            ],
+        )
 
     def shard_loads(self) -> list[ShardLoad]:
         """Cumulative per-shard load snapshots, in shard order."""
@@ -851,9 +863,14 @@ class ShardedTree:
         read-only family.
         """
         self._require_writable()
-        shard = self.shards[self.route(rect)]
+        i = self.route(rect)
+        shard = self.shards[i]
         shard._next_oid = max(shard._next_oid, self._next_oid)
-        oid = shard.insert(rect, value)
+        try:
+            oid = shard.insert(rect, value)
+        finally:
+            # Also when the insert raised after the root changed.
+            self._refresh(i)
         self._next_oid = oid + 1
         self.size += 1
         return oid
@@ -870,10 +887,14 @@ class ShardedTree:
         first = self.route(rect)
         order = [first] + [i for i in range(len(self.shards)) if i != first]
         for i in order:
-            mbr = self.shard_mbr(i)
+            mbr = self._mbrs[i]
             if mbr is None or not mbr.intersects(rect):
                 continue
-            if self.shards[i].delete(rect, value):
+            try:
+                found = self.shards[i].delete(rect, value)
+            finally:
+                self._refresh(i)
+            if found:
                 self.size -= 1
                 return True
         return False
@@ -1038,9 +1059,9 @@ def open_index(
 
 
 class _ShardedFanout:
-    """Shared plumbing of the sharded engines: shard selection, serial
-    fan-out in shard order (each shard on its own sub-engine with its own
-    internal-node pool), merge, per-shard timing.
+    """Shared plumbing of the sharded engines: shard selection from the
+    routing table, serial fan-out in shard order (each shard on its own
+    sub-engine with its own internal-node pool), merge, per-shard timing.
     """
 
     #: The single-tree engine each shard gets.
@@ -1056,53 +1077,69 @@ class _ShardedFanout:
             for shard in sharded.shards
         ]
 
-    def _intersecting(self, predicate: Callable[[Rect], bool]) -> list[int]:
-        """Shard indices whose live MBR satisfies ``predicate``."""
-        return [
-            i
-            for i in range(self.sharded.n_shards)
-            if (mbr := self.sharded.shard_mbr(i)) is not None
-            and predicate(mbr)
-        ]
+    def _scatter(
+        self, what: str, dim: int, hits: Callable[[Rect], bool],
+        call: Callable, merge: Callable[[list], Any] | None = None,
+    ) -> tuple[Any, QueryStats]:
+        """Route, fan out and merge one window-family request.
+
+        ``hits`` tests a shard's box from the routing table; ``call``
+        runs the operator on one shard's sub-engine; ``merge`` combines
+        the per-shard answers (default: their rows as one ``Matches``,
+        in shard order).  A request that touches one shard returns that
+        sub-engine's answer and stats as they are.
+        """
+        sharded = self.sharded
+        if dim != sharded.dim:
+            raise ValueError(f"{dim}-d {what} against a {sharded.dim}-d index")
+        parts = self._fan_out(
+            [i for i, mbr in enumerate(sharded._mbrs) if mbr and hits(mbr)],
+            call,
+        )
+        if len(parts) == 1:
+            self.totals.merge(parts[0][1])
+            return parts[0]
+        found = [answer for answer, _ in parts]
+        return (
+            merge(found) if merge else Matches.concat(found, sharded.dim),
+            self._merge_stats([stats for _, stats in parts]),
+        )
 
     def _fan_out(
-        self, indices: list[int], task: Callable[[int], Any]
+        self, indices: list[int], call: Callable[[Any], Any]
     ) -> list[Any]:
-        """Run ``task`` per shard; results in ``indices`` order.
+        """Run ``call`` on each listed shard's sub-engine, in order.
 
-        When the calling context is traced (or carries an attribution
-        tap), each shard task runs under its own scoped tap — folded
-        into the caller's on exit, so batch/request I/O totals stay
-        exact — and records a per-shard span on its own trace track.
+        Untraced, a shard's I/O lands directly on the caller's tap (the
+        request's or the batch's).  Traced, each shard runs under its
+        own scoped tap — folded into the caller's on exit, so the totals
+        are the same — whose snapshot is the ``io=`` of a ``shard:<i>``
+        span on the shard's own trace track.
         """
         trace = current_trace()
-        observed = trace is not None or active_tap() is not None
-
-        def timed(i: int):
+        answers = []
+        for i in indices:
             start = time.perf_counter()
             try:
-                if not observed:
-                    with profile_phase(f"shard:{i}"):
-                        return task(i)
-                with scoped_tap() as tap, profile_phase(f"shard:{i}"):
-                    try:
-                        return task(i)
-                    finally:
-                        if trace is not None:
-                            trace.add_span(
-                                f"shard:{i}",
-                                start,
-                                time.perf_counter(),
-                                cat="shard",
-                                track=i + 1,
-                                io=tap.snapshot(),
-                            )
+                with profile_phase(f"shard:{i}"):
+                    if trace is None:
+                        answers.append(call(self._subs[i]))
+                    else:
+                        with scoped_tap() as tap:
+                            try:
+                                answers.append(call(self._subs[i]))
+                            finally:
+                                trace.add_span(
+                                    f"shard:{i}",
+                                    start,
+                                    time.perf_counter(),
+                                    cat="shard",
+                                    track=i + 1,
+                                    io=tap.snapshot(),
+                                )
             finally:
-                self.sharded._note_shard_time(
-                    i, time.perf_counter() - start
-                )
-
-        return [timed(i) for i in indices]
+                self.sharded._note_shard_time(i, time.perf_counter() - start)
+        return answers
 
     def _merge_stats(self, parts: list[QueryStats]) -> QueryStats:
         """Combine per-shard stats into one facade-level query's stats."""
@@ -1115,14 +1152,6 @@ class _ShardedFanout:
         self.totals.merge(merged)
         return merged
 
-    def _merge(self, parts: list) -> tuple[Matches, QueryStats]:
-        """Per-shard ``(matches, stats)`` as one answer, in shard order;
-        the rows are concatenated as columns, none is materialized."""
-        return (
-            Matches.concat((found for found, _ in parts), self.sharded.dim),
-            self._merge_stats([stats for _, stats in parts]),
-        )
-
     def per_shard_totals(self) -> list[QueryStats]:
         """Each shard sub-engine's accumulated totals, in shard order.
 
@@ -1132,8 +1161,10 @@ class _ShardedFanout:
         return [replace(sub.totals) for sub in self._subs]
 
     def reset(self) -> None:
-        """Clear accumulated totals (per-shard caches stay warm)."""
+        """Clear the facade's and every shard's totals (caches stay warm)."""
         self.totals = QueryStats()
+        for sub in self._subs:
+            sub.reset()
 
 
 class ShardedQueryEngine(_ShardedFanout):
@@ -1148,13 +1179,10 @@ class ShardedQueryEngine(_ShardedFanout):
     _SUB_ENGINE = QueryEngine
 
     def query(self, window: Rect) -> tuple[Matches, QueryStats]:
-        if window.dim != self.sharded.dim:
-            raise ValueError(
-                f"{window.dim}-d window against a {self.sharded.dim}-d index"
-            )
-        indices = self._intersecting(window.intersects)
-        parts = self._fan_out(indices, lambda i: self._subs[i].query(window))
-        return self._merge(parts)
+        return self._scatter(
+            "window", window.dim, window.intersects,
+            lambda sub: sub.query(window),
+        )
 
 
 class ShardedPointEngine(_ShardedFanout):
@@ -1166,38 +1194,24 @@ class ShardedPointEngine(_ShardedFanout):
         self, point: Sequence[float]
     ) -> tuple[Matches, QueryStats]:
         point = tuple(float(c) for c in point)
-        if len(point) != self.sharded.dim:
-            raise ValueError(
-                f"{len(point)}-d point against a {self.sharded.dim}-d index"
-            )
-        indices = self._intersecting(lambda mbr: mbr.contains_point(point))
-        parts = self._fan_out(
-            indices, lambda i: self._subs[i].point_query(point)
+        return self._scatter(
+            "point", len(point), lambda mbr: mbr.contains_point(point),
+            lambda sub: sub.point_query(point),
         )
-        return self._merge(parts)
 
     def containment_query(
         self, window: Rect
     ) -> tuple[Matches, QueryStats]:
-        if window.dim != self.sharded.dim:
-            raise ValueError(
-                f"{window.dim}-d window against a {self.sharded.dim}-d index"
-            )
-        indices = self._intersecting(window.intersects)
-        parts = self._fan_out(
-            indices, lambda i: self._subs[i].containment_query(window)
+        return self._scatter(
+            "window", window.dim, window.intersects,
+            lambda sub: sub.containment_query(window),
         )
-        return self._merge(parts)
 
     def count(self, window: Rect) -> tuple[int, QueryStats]:
-        if window.dim != self.sharded.dim:
-            raise ValueError(
-                f"{window.dim}-d window against a {self.sharded.dim}-d index"
-            )
-        indices = self._intersecting(window.intersects)
-        parts = self._fan_out(indices, lambda i: self._subs[i].count(window))
-        total = sum(count for count, _ in parts)
-        return total, self._merge_stats([stats for _, stats in parts])
+        return self._scatter(
+            "window", window.dim, window.intersects,
+            lambda sub: sub.count(window), merge=sum,
+        )
 
 
 #: kNN merge-heap tags: open this shard's stream vs consume this stream.
@@ -1240,8 +1254,7 @@ class ShardedKNNEngine(_ShardedFanout):
         stream counts into ``stats[i]``."""
         heap: list[tuple[float, int, int, Any]] = []
         counter = 0
-        for i in range(self.sharded.n_shards):
-            mbr = self.sharded.shard_mbr(i)
+        for i, mbr in enumerate(self.sharded._mbrs):
             if mbr is None:
                 continue
             dist = math.sqrt(target_dist_sq(mbr, target))

@@ -2,7 +2,8 @@
 packed both as one index file and as a K=4 Hilbert-range shard family,
 and a 1k mixed batch — window, point, count, containment, kNN, insert
 and delete — produces identical results through the QueryServer on both,
-with the sharded batch reporting a per-shard I/O/latency breakdown.
+with the family's per-shard I/O/latency breakdown diffed around the
+sharded batch.
 """
 
 import pytest
@@ -89,7 +90,13 @@ def test_mixed_batch_identical_to_single_file(stack):
     bounds = tree.root().mbr()
 
     report_single = server.submit(make_batch(bounds, data, "single"))
+    # One batch's per-shard load: the family's cumulative loads, diffed
+    # around the submit.
+    before = sharded.shard_loads()
     report_sharded = server.submit(make_batch(bounds, data, "sharded"))
+    loads = [
+        after - start for after, start in zip(sharded.shard_loads(), before)
+    ]
 
     assert report_single.requests == report_sharded.requests == BATCH
     assert report_single.writes == report_sharded.writes == WRITES
@@ -127,10 +134,10 @@ def test_mixed_batch_identical_to_single_file(stack):
     assert report_sharded.leaf_ios > 0
     assert report_sharded.write_ios > 0
 
-    # Only the sharded index reports a per-shard breakdown.
-    assert not report_single.shard_loads
-    loads = report_sharded.shard_loads["sharded"]
     assert len(loads) == SHARDS
+    # Attribution adds up without per-shard taps: the shards' logical
+    # reads are exactly the batch's.
+    assert sum(load.reads for load in loads) == report_sharded.io["reads"]
     assert sum(load.reads for load in loads) > 0
     assert sum(load.physical_reads for load in loads) > 0
     assert sum(load.busy_s for load in loads) > 0

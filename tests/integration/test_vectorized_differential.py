@@ -2136,6 +2136,16 @@ class OraclePointEngine(PointQueryEngine):
         return matches, stats
 
 
+def _oracle_shards(engine, hits):
+    """The shards a request routes to: those whose box ``hits``."""
+    sharded = engine.sharded
+    return [
+        i
+        for i in range(sharded.n_shards)
+        if (mbr := sharded.shard_mbr(i)) is not None and hits(mbr)
+    ]
+
+
 def _oracle_merge(engine, parts):
     matches = []
     for found, _ in parts:
@@ -2151,8 +2161,8 @@ class OracleShardedQueryEngine(ShardedQueryEngine):
         self._subs = [OracleQueryEngine(shard) for shard in sharded.shards]
 
     def query(self, window):
-        indices = self._intersecting(window.intersects)
-        parts = self._fan_out(indices, lambda i: self._subs[i].query(window))
+        indices = _oracle_shards(self, window.intersects)
+        parts = self._fan_out(indices, lambda sub: sub.query(window))
         return _oracle_merge(self, parts)
 
 
@@ -2163,16 +2173,14 @@ class OracleShardedPointEngine(ShardedPointEngine):
 
     def point_query(self, point):
         point = tuple(float(c) for c in point)
-        indices = self._intersecting(lambda mbr: mbr.contains_point(point))
-        parts = self._fan_out(
-            indices, lambda i: self._subs[i].point_query(point)
-        )
+        indices = _oracle_shards(self, lambda mbr: mbr.contains_point(point))
+        parts = self._fan_out(indices, lambda sub: sub.point_query(point))
         return _oracle_merge(self, parts)
 
     def containment_query(self, window):
-        indices = self._intersecting(window.intersects)
+        indices = _oracle_shards(self, window.intersects)
         parts = self._fan_out(
-            indices, lambda i: self._subs[i].containment_query(window)
+            indices, lambda sub: sub.containment_query(window)
         )
         return _oracle_merge(self, parts)
 
@@ -2425,7 +2433,7 @@ class TestResultMutations:
             for window in windows:
                 sizes = [
                     len(engine._subs[i].query(window)[0])
-                    for i in engine._intersecting(window.intersects)
+                    for i in _oracle_shards(engine, window.intersects)
                 ]
                 empties = [i for i, size in enumerate(sizes) if not size]
                 seen |= bool(empties) and any(sizes[empties[0]:])
@@ -3107,3 +3115,427 @@ class TestReadPathMutations:
         monkeypatch.setattr(owner, attribute, _mutant(function, old, new))
         with pytest.raises(AssertionError):
             self.check(tmp_path)
+
+
+# ----------------------------------------------------------------------
+# Routing from a table of live shard boxes.
+#
+# The oracle is a verbatim copy of the sharded fan-out as it stood
+# before: ``ShardedTree.shard_mbr`` peeked a shard's live root on every
+# call (counted here as ``root_lookups``), ``_intersecting`` tested
+# every shard through it, ``_fan_out`` gave each touched shard its own
+# child tap whenever any tap was active, and ``_merge`` concatenated and
+# re-summed even a single shard's answer.  Results and their order,
+# ``QueryStats``, per-shard totals, ``IOCounters``, batch and span I/O
+# must agree.  ``PageCacheStats`` may differ only in ``hits``, by exactly
+# the oracle's root lookups, at cache sizes that keep the roots resident.
+# ----------------------------------------------------------------------
+
+from contextlib import nullcontext
+
+from repro.experiments.serving import mixed_requests
+from repro.obs.profiler import phase as profile_phase
+from repro.obs.tap import active_tap, scoped_tap
+from repro.obs.trace import Trace, activate_trace, current_trace
+from repro.server import QueryServer
+from repro.storage import ShardedTree
+
+
+class VerbatimRouting:
+    """``_ShardedFanout``'s routing and merge before the routing table."""
+
+    root_lookups = 0
+
+    def shard_mbr(self, i):
+        self.root_lookups += 1
+        root = self.sharded.shards[i].root()
+        return root.mbr() if len(root) else None
+
+    def _intersecting(self, predicate):
+        """Shard indices whose live MBR satisfies ``predicate``."""
+        return [
+            i
+            for i in range(self.sharded.n_shards)
+            if (mbr := self.shard_mbr(i)) is not None
+            and predicate(mbr)
+        ]
+
+    def _fan_out(self, indices, task):
+        trace = current_trace()
+        observed = trace is not None or active_tap() is not None
+
+        def timed(i: int):
+            start = time.perf_counter()
+            try:
+                if not observed:
+                    with profile_phase(f"shard:{i}"):
+                        return task(i)
+                with scoped_tap() as tap, profile_phase(f"shard:{i}"):
+                    try:
+                        return task(i)
+                    finally:
+                        if trace is not None:
+                            trace.add_span(
+                                f"shard:{i}",
+                                start,
+                                time.perf_counter(),
+                                cat="shard",
+                                track=i + 1,
+                                io=tap.snapshot(),
+                            )
+            finally:
+                self.sharded._note_shard_time(
+                    i, time.perf_counter() - start
+                )
+
+        return [timed(i) for i in indices]
+
+    def _merge(self, parts):
+        return (
+            Matches.concat((found for found, _ in parts), self.sharded.dim),
+            self._merge_stats([stats for _, stats in parts]),
+        )
+
+
+class VerbatimShardedQueryEngine(VerbatimRouting, ShardedQueryEngine):
+    def query(self, window):
+        if window.dim != self.sharded.dim:
+            raise ValueError(
+                f"{window.dim}-d window against a {self.sharded.dim}-d index"
+            )
+        indices = self._intersecting(window.intersects)
+        parts = self._fan_out(indices, lambda i: self._subs[i].query(window))
+        return self._merge(parts)
+
+
+class VerbatimShardedPointEngine(VerbatimRouting, ShardedPointEngine):
+    def point_query(self, point):
+        point = tuple(float(c) for c in point)
+        if len(point) != self.sharded.dim:
+            raise ValueError(
+                f"{len(point)}-d point against a {self.sharded.dim}-d index"
+            )
+        indices = self._intersecting(lambda mbr: mbr.contains_point(point))
+        parts = self._fan_out(
+            indices, lambda i: self._subs[i].point_query(point)
+        )
+        return self._merge(parts)
+
+    def containment_query(self, window):
+        if window.dim != self.sharded.dim:
+            raise ValueError(
+                f"{window.dim}-d window against a {self.sharded.dim}-d index"
+            )
+        indices = self._intersecting(window.intersects)
+        parts = self._fan_out(
+            indices, lambda i: self._subs[i].containment_query(window)
+        )
+        return self._merge(parts)
+
+    def count(self, window):
+        if window.dim != self.sharded.dim:
+            raise ValueError(
+                f"{window.dim}-d window against a {self.sharded.dim}-d index"
+            )
+        indices = self._intersecting(window.intersects)
+        parts = self._fan_out(indices, lambda i: self._subs[i].count(window))
+        total = sum(count for count, _ in parts)
+        return total, self._merge_stats([stats for _, stats in parts])
+
+
+class VerbatimRoutingServer(QueryServer):
+    """A ``QueryServer`` whose sharded window-family engines route the
+    way they used to (kNN and joins are unchanged by the table)."""
+
+    def _engine(self, key):
+        if key not in self._engines and key[0] == "op" and key[2] != "knn":
+            family = self._tree(key[1])
+            if isinstance(family, ShardedTree):
+                self._engines[key] = (
+                    VerbatimShardedQueryEngine
+                    if key[2] == "window"
+                    else VerbatimShardedPointEngine
+                )(family)
+        return super()._engine(key)
+
+    def root_lookups(self):
+        return sum(
+            getattr(engine, "root_lookups", 0)
+            for engine in self._engines.values()
+        )
+
+
+def routing_pair(directory, cache_pages, dim=2, n=900, seed=90):
+    """Two read-only handles on one K=4 family, each its own caches."""
+    data = random_rects(n, seed=seed, dim=dim)
+    tree = build_prtree(BlockStore(), data, 16)
+    path = pathlib.Path(directory) / "route.manifest"
+    shard_pack(tree, path, shards=4, block_size=1024)
+    values = dict(tree.objects)
+    return tuple(
+        ShardedTree.open(
+            path, values=dict(values), cache_pages=cache_pages, readonly=True
+        )
+        for _ in range(2)
+    )
+
+
+def one_shard_points(directory, count=3):
+    """Centers of stored rectangles that lie in exactly one shard's box,
+    found on a third handle so the compared ones stay untouched (one
+    per shard that has one)."""
+    with ShardedTree.open(
+        pathlib.Path(directory) / "route.manifest", readonly=True
+    ) as family:
+        found = []
+        for shard in family.shards:
+            for rect, _ in shard.all_data():
+                center = rect.center()
+                inside = [
+                    box for box in family._mbrs
+                    if box is not None and box.contains_point(center)
+                ]
+                if len(inside) == 1:
+                    found.append(center)
+                    break
+    return found[:count]
+
+
+def assert_same_io(got, want, lookups):
+    """Two I/O snapshots: equal, except ``want`` made ``lookups`` more
+    page-cache hits (the root peeks)."""
+    assert want["hits"] - got["hits"] == lookups
+    assert {**got, "hits": 0} == {**want, "hits": 0}
+
+
+def assert_same_answer(got, want):
+    if isinstance(got[0], Matches):
+        assert_same_matches(got, want)
+    elif isinstance(got[0], Neighbors):
+        assert got[1] == want[1]
+        assert list(got[0]) == list(want[0])
+    else:
+        assert got == want
+
+
+def assert_same_page_stats(got_family, want_family, lookups):
+    got, want = got_family.page_stats, want_family.page_stats
+    assert want.hits - got.hits == lookups
+    assert dataclasses.replace(got, hits=want.hits) == want
+
+
+class TestRoutingTableDifferential:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("cache_pages", [32, 1024])
+    def test_engines_agree_with_the_verbatim_router(
+        self, tmp_path, cache_pages, dim
+    ):
+        got_family, want_family = routing_pair(tmp_path, cache_pages, dim)
+        with got_family, want_family:
+            window_engines = (
+                ShardedQueryEngine(got_family),
+                VerbatimShardedQueryEngine(want_family),
+            )
+            point_engines = (
+                ShardedPointEngine(got_family),
+                VerbatimShardedPointEngine(want_family),
+            )
+            windows, points = result_probes(dim, seed=91)
+            lone = one_shard_points(tmp_path)
+            windows += [Rect(c, c) for c in lone]
+            points += lone
+            calls = [
+                (window_engines, lambda e, w=w: e.query(w)) for w in windows
+            ] + [
+                (point_engines, lambda e, w=w: e.containment_query(w))
+                for w in windows
+            ] + [
+                (point_engines, lambda e, w=w: e.count(w)) for w in windows
+            ] + [
+                (point_engines, lambda e, p=p: e.point_query(p))
+                for p in points
+            ]
+            oracles = (window_engines[1], point_engines[1])
+            # Some probes touch one shard (its answer is returned as
+            # is), others several, others none.
+            touched = {
+                sum(box is not None and box.intersects(w) for box in
+                    got_family._mbrs)
+                for w in windows
+            }
+            assert {0, 1} < touched
+            # Cold, then warm; untapped, then under a batch-style tap
+            # (where the oracle opened a child tap per shard).
+            for tapped in (False, True, False, True):
+                for (engine, oracle), call in calls:
+                    before = oracle.root_lookups
+                    with scoped_tap() if tapped else nullcontext() as got_tap:
+                        got = call(engine)
+                    with scoped_tap() if tapped else nullcontext() as want_tap:
+                        want = call(oracle)
+                    assert_same_answer(got, want)
+                    if tapped:
+                        assert_same_io(
+                            got_tap.snapshot(),
+                            want_tap.snapshot(),
+                            oracle.root_lookups - before,
+                        )
+            for engine, oracle in (window_engines, point_engines):
+                assert engine.totals == oracle.totals
+                assert engine.per_shard_totals() == oracle.per_shard_totals()
+            lookups = sum(oracle.root_lookups for oracle in oracles)
+            assert lookups == 4 * 4 * len(calls)
+            assert (
+                got_family.counters.snapshot()
+                == want_family.counters.snapshot()
+            )
+            assert_same_page_stats(got_family, want_family, lookups)
+
+    def test_a_traced_batch_agrees_with_the_verbatim_router(self, tmp_path):
+        got_family, want_family = routing_pair(tmp_path, cache_pages=32)
+        with got_family, want_family:
+            got_server = QueryServer({"f": got_family})
+            want_server = VerbatimRoutingServer({"f": want_family})
+            bounds = got_family.root().mbr()
+            for batch_no in range(4):
+                requests = mixed_requests(
+                    bounds, count=40, seed=300 + batch_no, index="f"
+                )
+                traced = batch_no % 2 == 1
+                got_traces = want_traces = None
+                if traced:
+                    got_traces, want_traces = (
+                        [
+                            Trace(i, r.kind, r.kind, sampled=True)
+                            for i, r in enumerate(requests)
+                        ]
+                        for _ in range(2)
+                    )
+                lookups = want_server.root_lookups()
+                got = got_server.submit(requests, got_traces)
+                want = want_server.submit(requests, want_traces)
+                lookups = want_server.root_lookups() - lookups
+                assert lookups > 0
+                for a, b in zip(got.results, want.results):
+                    assert a.deduped == b.deduped
+                    assert_same_answer((a.value, a.stats), (b.value, b.stats))
+                for field in (
+                    "executed", "dedup_hits", "leaf_ios", "internal_reads",
+                    "reported", "physical_reads", "pages_flushed",
+                ):
+                    assert getattr(got, field) == getattr(want, field), field
+                assert_same_io(got.io, want.io, lookups)
+                if not traced:
+                    continue
+                for a, b in zip(got_traces, want_traces):
+                    shard_spans = [
+                        [
+                            (s.name, s.cat, s.track, s.args)
+                            for s in trace.spans
+                            if s.cat == "shard"
+                        ]
+                        for trace in (a, b)
+                    ]
+                    assert shard_spans[0] == shard_spans[1]
+                    assert [s.name for s in a.spans] == [
+                        s.name for s in b.spans
+                    ]
+                    assert [e[0] for e in a.events] == [
+                        e[0] for e in b.events
+                    ]
+                    # The oracle's four root peeks, when it routed.
+                    a_io, b_io = a.io.snapshot(), b.io.snapshot()
+                    extra = b_io["hits"] - a_io["hits"]
+                    assert extra in (0, 4)
+                    assert_same_io(a_io, b_io, extra)
+                    for sa, sb in zip(a.spans, b.spans):
+                        if sa.cat == "engine":
+                            assert_same_io(
+                                sa.args["io"], sb.args["io"], extra
+                            )
+            assert (
+                got_family.counters.snapshot()
+                == want_family.counters.snapshot()
+            )
+            assert_same_page_stats(
+                got_family, want_family, want_server.root_lookups()
+            )
+
+    def test_a_one_shard_read_makes_only_its_sub_engines_lookups(
+        self, tmp_path
+    ):
+        got_family, want_family = routing_pair(tmp_path, cache_pages=32)
+        with got_family, want_family:
+            (center,) = one_shard_points(tmp_path, count=1)
+            window = Rect(center, center)
+            (owner,) = [
+                i for i, box in enumerate(got_family._mbrs)
+                if box.contains_point(center)
+            ]
+            for family, make in (
+                (got_family, ShardedQueryEngine),
+                (want_family, VerbatimShardedQueryEngine),
+            ):
+                engine = make(family)
+                engine.query(window)  # warm: the root sits in the pool
+                log = log_store_accesses(family)
+                for i, shard in enumerate(family.shards):
+                    store = shard.page_store
+                    quiet = store.quiet_peek
+                    store.quiet_peek = (
+                        lambda block_id, i=i, quiet=quiet:
+                        log.append((i, "quiet_peek", block_id))
+                        or quiet(block_id)
+                    )
+                hits = family.page_stats.hits
+                routed, routed_stats = engine.query(window)
+                routed_log, routed_hits = list(log), family.page_stats.hits - hits
+                del log[:]
+                hits = family.page_stats.hits
+                direct, direct_stats = engine._subs[owner].query(window)
+                direct_hits = family.page_stats.hits - hits
+                assert routed_stats == direct_stats
+                assert routed.values == direct.values
+                roots = [
+                    (i, "peek", shard.root_id)
+                    for i, shard in enumerate(family.shards)
+                ]
+                if make is ShardedQueryEngine:
+                    # The router makes no lookup of its own.
+                    assert routed_log == log
+                    assert routed_hits == direct_hits
+                    assert {i for i, _, _ in routed_log} == {owner}
+                else:
+                    # The old router peeked every root first.
+                    assert routed_log == roots + log
+                    assert routed_hits == direct_hits + len(roots)
+
+    def test_a_shard_gets_its_own_tap_only_when_traced(
+        self, tmp_path, monkeypatch
+    ):
+        opened = []
+        real = shard_module.scoped_tap
+
+        def counting(*args, **kwargs):
+            opened.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shard_module, "scoped_tap", counting)
+        family, other = routing_pair(tmp_path, cache_pages=32)
+        other.close()
+        with family:
+            engine = ShardedQueryEngine(family)
+            everything = family.root().mbr()
+            engine.query(everything)  # warm
+            with scoped_tap() as batch:
+                engine.query(everything)
+            assert opened == []
+            assert batch.reads > 0
+            trace = Trace(1, "window", "window", sampled=True)
+            with activate_trace(trace), scoped_tap(trace) as request:
+                engine.query(everything)
+            assert len(opened) == 4
+            spans = [s for s in trace.spans if s.cat == "shard"]
+            assert [s.name for s in spans] == [f"shard:{i}" for i in range(4)]
+            assert sum(s.args["io"]["reads"] for s in spans) == request.reads
+            assert request.reads == batch.reads

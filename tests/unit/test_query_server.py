@@ -56,6 +56,24 @@ class TestCatalog:
         with pytest.raises(KeyError, match="no index named"):
             server.submit([WindowRequest(Rect((0, 0), (1, 1)), index="zz")])
 
+    def test_unknown_index_fails_before_any_write(self):
+        # Every name the batch addresses is looked up before phase 1, so
+        # the insert ahead of the bad read never applies.
+        data = random_rects(100, seed=33)
+        tree = build_prtree(BlockStore(), data, 16)
+        server = QueryServer({"a": tree})
+        with pytest.raises(KeyError, match="'zz'"):
+            server.submit(
+                [
+                    InsertRequest(Rect((0.5, 0.5), (0.6, 0.6)), "new", index="a"),
+                    WindowRequest(Rect((0, 0), (1, 1)), index="zz"),
+                ]
+            )
+        assert tree.size == len(data)
+        assert sorted(v for _, v in tree.all_data()) == sorted(
+            v for _, v in data
+        )
+
     def test_attach_replaces(self, trees, server):
         a, _ = trees
         server.attach("c", a)

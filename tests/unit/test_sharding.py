@@ -8,11 +8,18 @@ rejecting updates up front, and the fan-out engines against brute-force
 oracles.
 """
 
+import itertools
 import json
+import pathlib
+import tempfile
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import uniform_rects
+from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
@@ -333,6 +340,37 @@ class TestShardedEngines:
                 sorted((a[1], b[1]) for a, b in pairs) == self_expected
             )
 
+    @pytest.mark.parametrize(
+        "make", [ShardedQueryEngine, ShardedPointEngine, ShardedKNNEngine]
+    )
+    def test_reset_clears_per_shard_totals_and_keeps_caches(
+        self, manifest, tree, make
+    ):
+        with open_family(manifest, tree) as family:
+            engine = make(family)
+            window = Rect((0.0, 0.0), (1.0, 1.0))
+
+            def run():
+                if make is ShardedQueryEngine:
+                    return engine.query(window)
+                if make is ShardedPointEngine:
+                    return engine.containment_query(window)
+                return engine.knn((0.5, 0.5), 40)
+
+            run()
+            engine.reset()
+            assert engine.totals.queries == 0
+            assert all(
+                totals.queries == 0 and totals.leaf_reads == 0
+                for totals in engine.per_shard_totals()
+            )
+            _, stats = run()
+            # The internal-node pools survived the reset.
+            assert stats.internal_reads == 0
+            per_shard = engine.per_shard_totals()
+            assert sum(t.leaf_reads for t in per_shard) == stats.leaf_reads
+            assert engine.totals.leaf_reads == stats.leaf_reads
+
     def test_dimension_mismatch_raises(self, manifest, tree):
         with open_family(manifest, tree) as family:
             bad = Rect((0, 0, 0), (1, 1, 1))
@@ -443,3 +481,240 @@ class TestMmapFamilies:
                 assert got == want
             finally:
                 plain.close()
+
+
+# ----------------------------------------------------------------------
+# The routing table: each shard's live root MBR, kept by the facade's
+# own writes
+# ----------------------------------------------------------------------
+
+SMALL_FANOUT = 4
+
+
+def live_mbr(family, i):
+    """Shard ``i``'s root MBR read straight from its page store."""
+    shard = family.shards[i]
+    root = shard.page_store.quiet_peek(shard.root_id)
+    return root.mbr() if len(root) else None
+
+
+def assert_table_is_live(family):
+    assert [family.shard_mbr(i) for i in range(family.n_shards)] == [
+        live_mbr(family, i) for i in range(family.n_shards)
+    ]
+
+
+def pack_small_family(directory, n=24, seed=5):
+    """A K=4 family at fan-out 4: two-level shards of six rows, so a few
+    writes split or collapse a shard's root."""
+    data = uniform_rects(n, max_side=0.05, seed=seed)
+    tree = build_prtree(BlockStore(), data, SMALL_FANOUT)
+    path = pathlib.Path(directory) / "small.manifest"
+    shard_pack(tree, path, shards=4)
+    return path, data, dict(tree.objects)
+
+
+def apply_op(family, op, live, owned, serial):
+    """Apply one scripted write through the facade, mirroring it in
+    ``live`` (the brute-force oracle's rows)."""
+    kind, arg = op
+    if kind == "insert":  # a fresh rectangle anywhere
+        x, y = arg
+        rects = [Rect((x, y), (x + 0.03, y + 0.03))]
+    elif kind == "grow":  # five rows into one shard: splits
+        rects = (owned[arg] * 5)[:5]
+    elif kind == "delete":
+        if live:
+            rect, value = live.pop(arg % len(live))
+            assert family.delete(rect, value)
+        return
+    else:  # "drain": empty one shard, collapsing its root on the way
+        for rect, value in list(family.shards[arg].all_data()):
+            assert family.delete(rect, value)
+            live.remove((rect, value))
+        return
+    for rect in rects:
+        value = 1000 + next(serial)
+        family.insert(rect, value)
+        live.append((rect, value))
+
+
+def check_family(family, path, live):
+    """Table equals the live roots, answers equal the oracle, and the
+    family syncs and reopens."""
+    assert_table_is_live(family)
+    for window in (
+        Rect((0.0, 0.0), (1.0, 1.0)),
+        Rect((0.2, 0.1), (0.6, 0.5)),
+        Rect((0.7, 0.7), (0.75, 0.75)),
+    ):
+        assert sorted(v for _, v in family.query(window)) == sorted(
+            v for _, v in brute_force_query(live, window)
+        )
+        assert family.count_query(window) == len(
+            brute_force_query(live, window)
+        )
+    k = min(5, len(live))
+    assert [n.distance for n in family.knn((0.4, 0.6), k)] == pytest.approx(
+        [n.distance for n in brute_force_knn(live, (0.4, 0.6), k)]
+    )
+    family.sync()
+    with ShardedTree.open(path, readonly=True) as again:
+        assert [again.shard_mbr(i) for i in range(again.n_shards)] == [
+            family.shard_mbr(i) for i in range(family.n_shards)
+        ]
+
+
+def run_script(directory, ops):
+    """Apply ``ops`` to a fresh K=4 family, checking after every op;
+    returns the shard heights and routing tables seen, op by op."""
+    path, data, values = pack_small_family(directory)
+    live = list(data)
+    serial = itertools.count()
+    heights, tables = [], []
+    with ShardedTree.open(path, values=values) as family:
+        owned = [
+            [rect for rect, _ in data if family.route(rect) == s]
+            for s in range(family.n_shards)
+        ]
+        check_family(family, path, live)
+        for op in ops:
+            apply_op(family, op, live, owned, serial)
+            heights.append([shard.height for shard in family.shards])
+            tables.append(list(family._mbrs))
+            check_family(family, path, live)
+    return heights, tables
+
+
+#: Root splits (shard 0 grows past a full root), a root collapse and an
+#: emptied shard (shard 1 drains), inserts into that empty shard, and
+#: plain deletes.
+SCRIPT = (
+    [("grow", 0)] * 4
+    + [("drain", 1), ("grow", 1), ("delete", 3), ("delete", 11)]
+    + [("insert", (0.9, 0.1)), ("drain", 2), ("delete", 7)]
+)
+
+ops = st.one_of(
+    st.tuples(
+        st.just("insert"),
+        st.tuples(st.floats(0.0, 0.97), st.floats(0.0, 0.97)),
+    ),
+    st.tuples(st.just("grow"), st.integers(0, 3)),
+    st.tuples(st.just("delete"), st.integers(0, 100)),
+    st.tuples(st.just("drain"), st.integers(0, 3)),
+)
+
+
+@contextmanager
+def refresh_suppressed(family):
+    family._refresh = lambda i: None
+    try:
+        yield
+    finally:
+        del family._refresh
+
+
+_real_insert = ShardedTree.insert
+_real_delete = ShardedTree.delete
+
+
+def mutant_delete_without_refresh(self, rect, value):
+    with refresh_suppressed(self):
+        return _real_delete(self, rect, value)
+
+
+def mutant_insert_refreshes_on_return_only(self, rect, value):
+    with refresh_suppressed(self):
+        oid = _real_insert(self, rect, value)
+    self._refresh(self.route(rect))
+    return oid
+
+
+class SplitFailed(RuntimeError):
+    pass
+
+
+def raise_midway(directory):
+    """A split that raises after the row landed in a leaf root: the
+    table still equals the live root, which now holds that row."""
+    data = [
+        (Rect((x / 4, y / 3), (x / 4 + 0.1, y / 3 + 0.1)), 3 * x + y)
+        for x in range(4)
+        for y in range(3)
+    ]
+    tree = build_prtree(BlockStore(), data, SMALL_FANOUT)
+    path = pathlib.Path(directory) / "leafroots.manifest"
+    shard_pack(tree, path, shards=4)
+    with ShardedTree.open(path, values=dict(tree.objects)) as family:
+        assert [shard.height for shard in family.shards] == [1] * 4
+        far = Rect((5.0, 5.0), (5.1, 5.1))
+        wider = Rect((4.9, 4.9), (5.2, 5.2))  # same center: same shard
+        s = family.route(far)
+        assert family.route(wider) == s
+        family.insert(far, "far")  # the fourth row: no split
+        assert_table_is_live(family)
+
+        def boom(*args):
+            raise SplitFailed("splitter failed")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "quadratic_split", boom)
+            with pytest.raises(SplitFailed):
+                family.insert(wider, "wider")
+        assert live_mbr(family, s).contains_rect(wider)
+        assert_table_is_live(family)
+
+
+class TestRoutingTable:
+    def test_open_fills_the_table_from_the_live_roots(self, manifest, tree):
+        with open_family(manifest, tree) as family:
+            assert_table_is_live(family)
+            assert all(mbr is not None for mbr in family._mbrs)
+
+    def test_scripted_writes_keep_the_table_live(self, tmp_path):
+        heights, tables = run_script(tmp_path, SCRIPT)
+        assert heights[3][0] > heights[0][0]  # shard 0's root split
+        assert heights[3][1] > heights[4][1] == 1  # shard 1's root collapsed
+        assert tables[4][1] is None  # ...down to an empty shard
+        assert tables[5][1] is not None  # which then took inserts
+
+    @settings(max_examples=20, deadline=None)
+    @given(script=st.lists(ops, max_size=10))
+    def test_random_write_scripts_keep_the_table_live(self, script):
+        with tempfile.TemporaryDirectory() as directory:
+            run_script(directory, script)
+
+    def test_a_write_that_raises_midway_leaves_the_table_live(self, tmp_path):
+        raise_midway(tmp_path)
+
+    def test_reads_touch_no_root_for_routing(self, manifest, tree):
+        # The table is read, never the shards' roots: routing a request
+        # moves no page-cache counter.
+        with open_family(manifest, tree) as family:
+            engine = ShardedQueryEngine(family)
+            window = Rect((0.3, 0.3), (0.4, 0.4))
+            engine.query(window)  # warm
+            before = family.page_stats
+            roots = [family.shard_mbr(i) for i in range(family.n_shards)]
+            family.root()
+            assert family.page_stats == before
+            assert roots == family._mbrs
+
+    def test_mutant_no_refresh_after_delete_is_caught(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            ShardedTree, "delete", mutant_delete_without_refresh
+        )
+        with pytest.raises(AssertionError):
+            run_script(tmp_path, SCRIPT)
+
+    def test_mutant_no_refresh_on_the_raise_path_is_caught(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            ShardedTree, "insert", mutant_insert_refreshes_on_return_only
+        )
+        with pytest.raises(AssertionError):
+            raise_midway(tmp_path)
