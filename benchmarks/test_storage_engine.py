@@ -1,5 +1,5 @@
 """Storage-engine benchmarks: paged-tree cache behaviour and the
-batched query server's throughput.
+batched query server's dedup saving.
 
 Not paper figures — the paper stops at the index; these benchmarks
 measure the disk-backed serving layer built on top of it.  Expected
@@ -10,10 +10,8 @@ shapes:
   cache is invisible to the accounting — while physical file reads
   collapse once the cache holds the working set, and stay bounded (with
   re-reads) when the cache is smaller than the tree.
-* **batch server**: after the first batch warms the internal-node pools
-  and page cache, later batches report zero internal reads and fewer
-  physical reads, at thousands of requests per second even on the
-  simulated-hardware-free pure-Python path.
+* **server dedup**: a batch that repeats its hot windows ten-fold
+  executes each once, so the leaf I/O falls ten-fold with it.
 """
 
 import tempfile
@@ -22,7 +20,7 @@ from pathlib import Path
 from conftest import run_once
 
 from repro.experiments.report import Table
-from repro.experiments.serving import mixed_requests, pack_index, serve_bench
+from repro.experiments.serving import pack_index
 from repro.rtree.query import QueryEngine
 from repro.server import QueryServer, WindowRequest
 from repro.storage import PagedTree
@@ -87,32 +85,6 @@ def test_storage_cold_vs_warm(benchmark, record_table):
     # (evictions prove pages were dropped, not accumulated).
     assert rows[(64, "warm")][3] > 0
     assert rows[(64, "warm")][5] > 0
-
-
-def test_storage_batch_server_throughput(benchmark, record_table):
-    table = run_once(
-        benchmark,
-        serve_bench,
-        requests=1000,
-        batch_size=250,
-        cache_pages=512,
-        dataset="tiger-east",
-        n=N,
-    )
-    record_table(table, "storage_batch_server")
-
-    assert len(table.rows) == 4
-    for row in table.rows:
-        _, requests, executed, dedup, *_ = row
-        assert executed + dedup == requests
-        assert row[8] > 0  # req_per_s
-    # The first batch pays the cold-start; later batches run on warm
-    # internal-node pools and page cache.
-    internal = table.column("internal_reads")
-    physical = table.column("physical_reads")
-    assert internal[0] > 0
-    assert all(reads == 0 for reads in internal[1:])
-    assert physical[-1] <= physical[0]
 
 
 def test_storage_server_dedup_saves_io(benchmark, record_table):

@@ -8,45 +8,24 @@ Usage (installed or from a checkout)::
     python -m repro run all --out results/
     python -m repro pack index.pack --variant PR --n 50000
     python -m repro pack index.manifest --shards 4 --n 50000
-    python -m repro serve-bench --index index.pack --requests 1000
-    python -m repro serve-bench --shards 4 --requests 1000
-    python -m repro serve-async --shards 4 --rates 200,1000,4000 --mmap
-    python -m repro serve-async --trace out.jsonl --metrics out.prom
-    python -m repro trace out.jsonl --requests 200 --rate 500
-    python -m repro profile out.collapsed --requests 400 --shards 4
-    python -m repro cache-report --cache-pages 64 --requests 2000
-    python -m repro health --index index.pack
-    python -m repro health --index index.pack --score-only
-    python -m repro explain --index index.pack --kind window --queries 8
-    python -m repro update-bench --updates 1000 --n 20000
+    python -m repro status index.pack
+    python -m repro status index.manifest --explain --trace out.jsonl
     python -m repro crash-bench --variants file,shard --stride 2
 
 ``run all`` executes every experiment with its defaults and writes each
 rendered table to the output directory (or stdout when none is given).
 ``pack`` bulk-loads a variant and writes it to an on-disk index file —
 or, with ``--shards K``, to K Hilbert-range shard files behind a
-manifest; ``serve-bench`` reopens either shape as a lazily paged tree
-and drives a mixed batched workload through the query server;
-``serve-async`` sweeps open-loop arrival rates through the asyncio
-serving layer and reports p50/p95/p99 end-to-end latency per rate;
-``trace`` captures one live workload as a Chrome trace-event file for
-Perfetto (and exits non-zero when the capture fails its own health
-checks — span nesting, full request coverage); ``profile`` captures a
-collapsed-stack CPU profile attributed to serving phases;
-``cache-report`` tabulates the ghost-LRU what-if analytics of the page
-cache; ``health`` runs the cache-neutral tree-quality walk and reports
-the degradation score against the pack-time baseline
-(``--score-only`` prints just the number for scripting); ``explain``
-runs a small workload with per-query plan capture and renders the
-plans (``docs/observability.md``); ``crash-bench`` runs the
-crash-recovery matrix of
-``tools/crashtest.py`` (kill at every write offset, reopen, require the
-last committed state back — exit 1 on any failure);
-``update-bench`` measures dynamic inserts/deletes on a packed
-index (dirty-page write-back) and the post-update query degradation
-versus a fresh bulk-load.  The serving subcommands share ``--trace``,
-``--metrics``, ``--sample-rate``, ``--slow-ms``, ``--profile`` and
-``--cache-analytics`` (docs/observability.md).
+manifest.  ``status`` opens either shape read-only and prints each
+file's committed epoch and recovery verdict, the per-level health table
+and the degradation score; ``--explain`` adds the plans and page-hit
+ratio of a fixed mixed batch, and ``--trace`` captures that batch as a
+Chrome trace-event file and exits 1 when the capture fails its own
+checks (span nesting, full request coverage).  ``crash-bench`` runs the
+crash-recovery matrix of ``tools/crashtest.py`` (kill at every write
+offset, reopen, require the last committed state back — exit 1 on any
+failure).  Serving is measured by ``python3 -m bench run``, not here
+(``docs/benchmarks.md``).
 """
 
 from __future__ import annotations
@@ -73,16 +52,9 @@ from repro.experiments.operators import (
 from repro.experiments.report import Table
 from repro.experiments.serving import (
     DATASETS,
-    cache_report,
-    explain_report,
-    health_report,
-    health_score,
+    STATUS_REQUESTS,
+    index_status,
     pack_index,
-    profile_capture,
-    serve_async_bench,
-    serve_bench,
-    trace_capture,
-    update_bench,
 )
 from repro.obs import check_span_nesting, load_trace_events
 from repro.experiments.tables import table1, theorem3_demo
@@ -103,114 +75,6 @@ EXPERIMENTS: dict[str, tuple[Callable[..., Table], tuple[str, ...], str]] = {
     "join": (join_experiment, ("n", "fanout"), "spatial-join cost by variant"),
     "point": (point_experiment, ("n", "fanout", "queries"), "stabbing-query cost by variant"),
 }
-
-
-def _add_serving_index_args(
-    parser: argparse.ArgumentParser,
-    obs: bool = True,
-    metrics: bool = True,
-    profile: bool = False,
-) -> None:
-    """Arguments shared by the serving subcommands: which index to
-    serve (or how to pack the temporary one), the page-cache budget,
-    mmap, the workload seed, and the observability flags — ``obs``
-    gates ``--trace``, ``metrics`` gates the metrics/sampling trio,
-    ``profile`` adds ``--profile``/``--cache-analytics``."""
-    parser.add_argument(
-        "--index",
-        type=pathlib.Path,
-        help=(
-            "a `repro pack` output (single file or shard manifest, "
-            "auto-detected); omitted: pack a temporary index first"
-        ),
-    )
-    parser.add_argument(
-        "--cache-pages",
-        dest="cache_pages",
-        type=int,
-        default=256,
-        help="decoded-page budget of the LRU page cache",
-    )
-    parser.add_argument(
-        "--variant", default="PR", choices=["H", "H4", "PR", "TGS", "STR"],
-        help="variant for the temporary index (no --index)",
-    )
-    parser.add_argument(
-        "--dataset", default="tiger-east", choices=sorted(DATASETS),
-        help="dataset for the temporary index (no --index)",
-    )
-    parser.add_argument(
-        "--n", type=int, default=20_000,
-        help="size of the temporary index (no --index)",
-    )
-    parser.add_argument(
-        "--block-size", dest="block_size", type=int, default=4096,
-        help="block size of the temporary index (no --index)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="shard count of the temporary index (no --index)",
-    )
-    parser.add_argument(
-        "--mmap",
-        action="store_true",
-        help="serve the index file(s) from memory mappings",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    if obs:
-        parser.add_argument(
-            "--trace",
-            type=pathlib.Path,
-            metavar="OUT.jsonl",
-            help=(
-                "write sampled request spans as a Chrome trace-event "
-                "file (load at ui.perfetto.dev)"
-            ),
-        )
-    if profile:
-        parser.add_argument(
-            "--profile",
-            type=pathlib.Path,
-            metavar="OUT.collapsed",
-            help=(
-                "sample the run with the phase-attributed wall-clock "
-                "profiler and write collapsed stacks "
-                "(flamegraph.pl/speedscope input)"
-            ),
-        )
-        parser.add_argument(
-            "--cache-analytics",
-            dest="cache_analytics",
-            action="store_true",
-            help=(
-                "attach the ghost-LRU reuse-distance tracker to every "
-                "page store: miss-ratio-vs-budget and working-set "
-                "footnotes (`repro cache-report` for the full table)"
-            ),
-        )
-    if metrics:
-        parser.add_argument(
-            "--metrics",
-            type=pathlib.Path,
-            metavar="OUT.prom",
-            help="dump final metrics in Prometheus text format",
-        )
-        parser.add_argument(
-            "--sample-rate",
-            dest="sample_rate",
-            type=float,
-            default=1.0,
-            help="head-sampling fraction of requests to trace (default 1.0)",
-        )
-        parser.add_argument(
-            "--slow-ms",
-            dest="slow_ms",
-            type=float,
-            help=(
-                "slow-query threshold in ms: over-threshold requests are "
-                "logged and always traced, even below --sample-rate"
-            ),
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,329 +148,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pack.add_argument("--seed", type=int, default=0, help="generation seed")
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="drive a mixed batched workload through a paged index",
-    )
-    serve.add_argument(
-        "--requests", type=int, default=1000, help="total requests"
-    )
-    serve.add_argument(
-        "--batch-size",
-        dest="batch_size",
-        type=int,
-        default=250,
-        help="requests per batch",
-    )
-    serve.add_argument(
-        "--explain",
-        action="store_true",
+    status = sub.add_parser(
+        "status",
         help=(
-            "arm per-request plan capture: footnotes digest mean "
-            "pruning efficiency per kind"
+            "read-only snapshot of a packed index: committed epoch and "
+            "recovery verdict per file, per-level health and the "
+            "degradation score"
         ),
     )
-    _add_serving_index_args(serve, profile=True)
-
-    serve_async = sub.add_parser(
-        "serve-async",
-        help=(
-            "open-loop latency-vs-arrival-rate sweep through the asyncio "
-            "serving layer (queueing, admission control, percentiles)"
-        ),
-    )
-    serve_async.add_argument(
-        "--rates",
-        default="200,500,1000,2000",
-        help="comma-separated arrival rates (requests/second) to sweep",
-    )
-    serve_async.add_argument(
-        "--requests", type=int, default=500, help="requests per rate"
-    )
-    serve_async.add_argument(
-        "--write-frac",
-        dest="write_frac",
-        type=float,
-        default=None,
-        help=(
-            "fraction of the stream that is inserts/deletes (default "
-            "0.1 for a temporary index, 0 when --index is given — "
-            "writes permanently mutate the served index, so mutating "
-            "a user-supplied file requires asking for it)"
-        ),
-    )
-    serve_async.add_argument(
-        "--max-batch",
-        dest="max_batch",
-        type=int,
-        default=64,
-        help="most requests coalesced into one batch",
-    )
-    serve_async.add_argument(
-        "--max-queue-reads",
-        dest="max_pending_reads",
-        type=int,
-        default=256,
-        help="read-lane admission bound (queued requests)",
-    )
-    serve_async.add_argument(
-        "--max-queue-writes",
-        dest="max_pending_writes",
-        type=int,
-        default=64,
-        help="write-lane admission bound (queued requests)",
-    )
-    serve_async.add_argument(
-        "--admission",
-        choices=["reject", "backpressure"],
-        default="reject",
-        help="behaviour at the admission bound",
-    )
-    serve_async.add_argument(
-        "--sync-every-n",
-        dest="sync_every_n",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "group commit: sync mutated indexes after every N write "
-            "batches, on the commit thread (docs/durability.md)"
-        ),
-    )
-    serve_async.add_argument(
-        "--sync-interval-ms",
-        dest="sync_interval_ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help=(
-            "group commit: sync mutated indexes at most MS milliseconds "
-            "after the first un-synced write batch"
-        ),
-    )
-    serve_async.add_argument(
-        "--metrics-port",
-        dest="metrics_port",
-        type=int,
-        metavar="PORT",
-        help=(
-            "serve the live registry over HTTP at /metrics for the "
-            "duration of the sweep (0 picks a free port; 127.0.0.1 only)"
-        ),
-    )
-    serve_async.add_argument(
-        "--explain",
-        action="store_true",
-        help=(
-            "arm per-request plan capture: repro_explain_* metric "
-            "families and plan summaries on slow-log entries"
-        ),
-    )
-    serve_async.add_argument(
-        "--health-interval",
-        dest="health_interval",
-        type=float,
-        metavar="SECONDS",
-        help=(
-            "export the repro_health_* tree-quality families with each "
-            "metrics snapshot, re-walking the index at most every "
-            "SECONDS seconds"
-        ),
-    )
-    _add_serving_index_args(serve_async, profile=True)
-
-    trace = sub.add_parser(
-        "trace",
-        help=(
-            "capture a Chrome trace-event file (Perfetto-loadable) from "
-            "a live async workload"
-        ),
-    )
-    trace.add_argument(
-        "out", type=pathlib.Path, help="trace-event file to write (.jsonl)"
-    )
-    trace.add_argument(
-        "--requests", type=int, default=200, help="requests to trace"
-    )
-    trace.add_argument(
-        "--rate",
-        type=float,
-        default=500.0,
-        help="open-loop arrival rate (requests/second)",
-    )
-    trace.add_argument(
-        "--write-frac",
-        dest="write_frac",
-        type=float,
-        default=None,
-        help=(
-            "fraction of the stream that is inserts/deletes (default "
-            "0.1 for a temporary index, 0 when --index is given)"
-        ),
-    )
-    _add_serving_index_args(trace, obs=False)
-
-    profile = sub.add_parser(
-        "profile",
-        help=(
-            "capture a collapsed-stack CPU profile (flamegraph.pl/"
-            "speedscope input) from a live async workload"
-        ),
-    )
-    profile.add_argument(
-        "out",
+    status.add_argument(
+        "index",
         type=pathlib.Path,
-        help="collapsed-stack file to write (.collapsed)",
-    )
-    profile.add_argument(
-        "--requests", type=int, default=400, help="requests to profile"
-    )
-    profile.add_argument(
-        "--rate",
-        type=float,
-        default=500.0,
-        help="open-loop arrival rate (requests/second)",
-    )
-    profile.add_argument(
-        "--write-frac",
-        dest="write_frac",
-        type=float,
-        default=None,
-        help=(
-            "fraction of the stream that is inserts/deletes (default "
-            "0.1 for a temporary index, 0 when --index is given)"
-        ),
-    )
-    _add_serving_index_args(profile, metrics=False)
-
-    cache = sub.add_parser(
-        "cache-report",
-        help=(
-            "ghost-LRU page-cache analytics: miss-ratio-vs-budget "
-            "curve, access-frequency histogram, working-set sizes"
-        ),
-    )
-    cache.add_argument(
-        "--requests", type=int, default=2000, help="total requests"
-    )
-    cache.add_argument(
-        "--batch-size",
-        dest="batch_size",
-        type=int,
-        default=250,
-        help="requests per batch",
-    )
-    _add_serving_index_args(cache, obs=False, metrics=False)
-
-    health = sub.add_parser(
-        "health",
-        help=(
-            "tree-quality analytics for a packed index: per-level "
-            "occupancy/overlap/dead space and the degradation score "
-            "against the pack-time baseline"
-        ),
-    )
-    health.add_argument(
-        "--index",
-        type=pathlib.Path,
-        required=True,
         help="a `repro pack` output (single file or shard manifest)",
     )
-    health.add_argument(
-        "--cache-pages",
-        dest="cache_pages",
-        type=int,
-        default=64,
-        help="decoded-page budget while walking (reads are quiet)",
-    )
-    health.add_argument(
-        "--mmap",
-        action="store_true",
-        help="open the index file(s) from memory mappings",
-    )
-    health.add_argument(
-        "--score-only",
-        dest="score_only",
+    status.add_argument(
+        "--explain",
         action="store_true",
         help=(
-            "print only the degradation score (or 'none' when the "
-            "index has no baseline) — for scripts and CI"
+            f"also run a fixed batch of {STATUS_REQUESTS} mixed requests "
+            "with plan capture: plans, the worst plan, and the page-hit "
+            "ratio beside the ghost-LRU prediction"
         ),
     )
-
-    explain = sub.add_parser(
-        "explain",
+    status.add_argument(
+        "--trace",
+        type=pathlib.Path,
+        metavar="OUT.jsonl",
         help=(
-            "run a small workload with per-query plan capture and "
-            "render the plans (nodes visited, pruning efficiency vs "
-            "the leaf-I/O lower bound, physical reads)"
+            "trace that batch as a Chrome trace-event file; exit 1 when "
+            "the capture's spans do not nest or a request is missing"
         ),
     )
-    explain.add_argument(
-        "--kind",
-        default="window",
-        choices=["window", "count", "containment", "point", "knn", "mixed"],
-        help="request kind to explain (default window)",
-    )
-    explain.add_argument(
-        "--queries", type=int, default=8, help="requests to run"
-    )
-    explain.add_argument(
-        "--area-percent",
-        dest="area_percent",
-        type=float,
-        default=1.0,
-        help="query-window area as a percent of the data MBR",
-    )
-    explain.add_argument(
-        "--k", type=int, default=10, help="neighbors per kNN request"
-    )
-    _add_serving_index_args(explain, metrics=False)
-
-    update = sub.add_parser(
-        "update-bench",
-        help=(
-            "measure dynamic inserts/deletes on a packed index "
-            "(dirty-page write-back) and post-update query degradation"
-        ),
-    )
-    update.add_argument(
-        "--updates", type=int, default=1000, help="total inserts + deletes"
-    )
-    update.add_argument(
-        "--queries",
-        type=int,
-        default=100,
-        help="window queries per measurement phase",
-    )
-    update.add_argument(
-        "--batch-size",
-        dest="batch_size",
-        type=int,
-        default=250,
-        help="updates per server batch",
-    )
-    update.add_argument(
-        "--cache-pages",
-        dest="cache_pages",
-        type=int,
-        default=256,
-        help="decoded-page budget of the LRU page cache",
-    )
-    update.add_argument(
-        "--variant", default="PR", choices=["H", "H4", "PR", "TGS", "STR"],
-        help="bulk loader for the packed index (default PR)",
-    )
-    update.add_argument(
-        "--dataset", default="tiger-east", choices=sorted(DATASETS),
-        help="dataset family",
-    )
-    update.add_argument("--n", type=int, default=20_000, help="dataset size")
-    update.add_argument(
-        "--block-size", dest="block_size", type=int, default=4096,
-        help="bytes per block (default 4096, the paper's)",
-    )
-    update.add_argument("--seed", type=int, default=0, help="workload seed")
 
     crash = sub.add_parser(
         "crash-bench",
@@ -677,20 +249,16 @@ def _emit(table: Table, name: str, args: argparse.Namespace) -> None:
         print()
 
 
-def _check_trace_health(
-    out: pathlib.Path, requests: int, sample_rate: float
-) -> int:
-    """Validate a just-captured trace; the ``repro trace`` exit code.
+def _check_trace_health(out: pathlib.Path, requests: int) -> int:
+    """Validate a just-captured trace; the ``repro status --trace`` exit code.
 
     Two machine-checkable invariants guard the capture: every (pid,
     tid) row's duration events must nest properly
     (:func:`~repro.obs.check_span_nesting` — partial overlap means
-    broken timestamps), and at full head sampling every offered request
-    must appear as a ``cat="request"`` summary event (fewer means
-    requests were dropped from the trace — or rejected by admission
-    control, which the default rate/bounds never hit).  A failing
-    capture still leaves the file on disk for inspection; the non-zero
-    exit makes ``repro trace`` usable as a CI smoke check.
+    broken timestamps), and every traced request must appear as a
+    ``cat="request"`` summary event (fewer means requests were dropped
+    from the trace).  A failing capture still leaves the file on disk
+    for inspection; the non-zero exit makes the command a CI gate.
     """
     events = load_trace_events(out)
     errors = check_span_nesting(events)
@@ -702,17 +270,13 @@ def _check_trace_health(
             file=sys.stderr,
         )
         return 1
-    if sample_rate >= 1.0:
-        traced = sum(
-            1 for event in events if event.get("cat") == "request"
+    traced = sum(1 for event in events if event.get("cat") == "request")
+    if traced < requests:
+        print(
+            f"trace check: only {traced} of {requests} requests covered",
+            file=sys.stderr,
         )
-        if traced < requests:
-            print(
-                f"trace check: only {traced} of {requests} requests "
-                "covered at sample-rate 1.0",
-                file=sys.stderr,
-            )
-            return 1
+        return 1
     return 0
 
 
@@ -740,206 +304,15 @@ def main(argv: list[str] | None = None) -> int:
         print(table.render())
         return 0
 
-    if args.command == "serve-bench":
-        table = serve_bench(
-            index=args.index,
-            requests=args.requests,
-            batch_size=args.batch_size,
-            cache_pages=args.cache_pages,
-            variant=args.variant,
-            dataset=args.dataset,
-            n=args.n,
-            block_size=args.block_size,
-            seed=args.seed,
-            shards=args.shards,
-            mmap=args.mmap,
-            trace=args.trace,
-            metrics=args.metrics,
-            sample_rate=args.sample_rate,
-            slow_ms=args.slow_ms,
-            profile=args.profile,
-            cache_analytics=args.cache_analytics,
-            explain=args.explain,
-        )
-        print(table.render())
-        return 0
-
-    if args.command == "serve-async":
-        try:
-            rates = tuple(
-                float(rate) for rate in args.rates.split(",") if rate.strip()
-            )
-        except ValueError:
-            print(f"invalid --rates {args.rates!r}", file=sys.stderr)
-            return 2
-        if not rates:
-            print("--rates lists no rates", file=sys.stderr)
-            return 2
-        if any(rate <= 0 for rate in rates):
-            print(
-                f"--rates must be positive, got {args.rates!r}",
-                file=sys.stderr,
-            )
-            return 2
-        write_frac = args.write_frac
-        if write_frac is None:
-            # A temporary index is disposable; a user-supplied one must
-            # not be mutated without an explicit --write-frac.
-            write_frac = 0.1 if args.index is None else 0.0
-        table = serve_async_bench(
-            index=args.index,
-            rates=rates,
-            requests=args.requests,
-            write_frac=write_frac,
-            max_batch=args.max_batch,
-            max_pending_reads=args.max_pending_reads,
-            max_pending_writes=args.max_pending_writes,
-            admission=args.admission,
-            sync_every_n=args.sync_every_n,
-            sync_interval_s=(
-                args.sync_interval_ms / 1000.0
-                if args.sync_interval_ms is not None
-                else None
-            ),
-            cache_pages=args.cache_pages,
-            variant=args.variant,
-            dataset=args.dataset,
-            n=args.n,
-            block_size=args.block_size,
-            seed=args.seed,
-            shards=args.shards,
-            mmap=args.mmap,
-            trace=args.trace,
-            metrics=args.metrics,
-            sample_rate=args.sample_rate,
-            slow_ms=args.slow_ms,
-            profile=args.profile,
-            cache_analytics=args.cache_analytics,
-            metrics_port=args.metrics_port,
-            explain=args.explain,
-            health_interval=args.health_interval,
-        )
-        print(table.render())
-        return 0
-
-    if args.command == "trace":
-        write_frac = args.write_frac
-        if write_frac is None:
-            write_frac = 0.1 if args.index is None else 0.0
-        table = trace_capture(
-            args.out,
-            index=args.index,
-            requests=args.requests,
-            rate=args.rate,
-            write_frac=write_frac,
-            sample_rate=args.sample_rate,
-            slow_ms=args.slow_ms,
-            metrics=args.metrics,
-            cache_pages=args.cache_pages,
-            variant=args.variant,
-            dataset=args.dataset,
-            n=args.n,
-            block_size=args.block_size,
-            seed=args.seed,
-            shards=args.shards,
-            mmap=args.mmap,
-        )
-        print(table.render())
-        print(f"wrote {args.out}")
-        return _check_trace_health(
-            args.out, args.requests, args.sample_rate
-        )
-
-    if args.command == "profile":
-        write_frac = args.write_frac
-        if write_frac is None:
-            write_frac = 0.1 if args.index is None else 0.0
-        table = profile_capture(
-            args.out,
-            index=args.index,
-            requests=args.requests,
-            rate=args.rate,
-            write_frac=write_frac,
-            trace=args.trace,
-            cache_pages=args.cache_pages,
-            variant=args.variant,
-            dataset=args.dataset,
-            n=args.n,
-            block_size=args.block_size,
-            seed=args.seed,
-            shards=args.shards,
-            mmap=args.mmap,
-        )
-        print(table.render())
-        print(f"wrote {args.out}")
-        return 0
-
-    if args.command == "cache-report":
-        table = cache_report(
-            index=args.index,
-            requests=args.requests,
-            batch_size=args.batch_size,
-            cache_pages=args.cache_pages,
-            variant=args.variant,
-            dataset=args.dataset,
-            n=args.n,
-            block_size=args.block_size,
-            seed=args.seed,
-            shards=args.shards,
-            mmap=args.mmap,
-        )
-        print(table.render())
-        return 0
-
-    if args.command == "health":
-        if args.score_only:
-            score = health_score(
-                args.index, cache_pages=args.cache_pages, mmap=args.mmap
-            )
-            print("none" if score is None else f"{score:.9f}")
-            return 0
-        table = health_report(
-            args.index, cache_pages=args.cache_pages, mmap=args.mmap
-        )
-        print(table.render())
-        return 0
-
-    if args.command == "explain":
-        table = explain_report(
-            index=args.index,
-            kind=args.kind,
-            queries=args.queries,
-            area_percent=args.area_percent,
-            k=args.k,
-            cache_pages=args.cache_pages,
-            variant=args.variant,
-            dataset=args.dataset,
-            n=args.n,
-            block_size=args.block_size,
-            seed=args.seed,
-            shards=args.shards,
-            mmap=args.mmap,
-            trace=args.trace,
-        )
-        print(table.render())
+    if args.command == "status":
+        for table in index_status(
+            args.index, explain=args.explain, trace=args.trace
+        ):
+            print(table.render())
+            print()
         if args.trace is not None:
             print(f"wrote {args.trace}")
-            return _check_trace_health(args.trace, args.queries, 1.0)
-        return 0
-
-    if args.command == "update-bench":
-        table = update_bench(
-            updates=args.updates,
-            queries=args.queries,
-            batch_size=args.batch_size,
-            cache_pages=args.cache_pages,
-            variant=args.variant,
-            dataset=args.dataset,
-            n=args.n,
-            block_size=args.block_size,
-            seed=args.seed,
-        )
-        print(table.render())
+            return _check_trace_health(args.trace, STATUS_REQUESTS)
         return 0
 
     if args.command == "crash-bench":

@@ -45,7 +45,6 @@ from repro.obs.metrics import (
     Gauge,
     HistogramMetric,
     MetricsRegistry,
-    MetricsServer,
 )
 from repro.obs.profiler import (
     PhaseSelfTime,
@@ -86,7 +85,6 @@ __all__ = [
     "Gauge",
     "HistogramMetric",
     "MetricsRegistry",
-    "MetricsServer",
     "SlowQueryLog",
     "SlowQueryRecord",
     "IOTap",

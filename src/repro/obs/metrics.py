@@ -18,8 +18,8 @@ from the geometric histogram plus exact ``_sum``/``_count``).  The
 dump is a pure function of registry state — the serving hot path never
 formats anything; :class:`~repro.service.service.AsyncQueryService`
 copies its :class:`~repro.service.stats.ServiceStats` into the
-registry on a periodic snapshot task, and ``--metrics OUT.prom`` just
-renders at shutdown.
+registry on a periodic snapshot task, and :meth:`MetricsRegistry.dump`
+just renders it to a file.
 
 Everything here is stdlib; creation is locked, single increments are
 plain (the GIL makes ``+=`` on one child racy only across threads that
@@ -44,7 +44,6 @@ __all__ = [
     "Gauge",
     "HistogramMetric",
     "MetricsRegistry",
-    "MetricsServer",
 ]
 
 _NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -271,99 +270,3 @@ def _format(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
-
-
-class MetricsServer:
-    """Serve live ``/metrics`` over a background stdlib HTTP thread.
-
-    A scrape renders the registry *at scrape time*, so a Prometheus (or
-    ``curl``) pull during a run sees the latest snapshot the service
-    copied in — no file round-trip.  Binds ``127.0.0.1`` only (this is
-    an introspection port, not an API); ``port=0`` picks a free port,
-    read back from :attr:`port`.
-
-    >>> registry = MetricsRegistry()
-    >>> server = MetricsServer(registry, port=0)
-    >>> server.start()          # doctest: +SKIP
-    >>> server.url              # doctest: +SKIP
-    'http://127.0.0.1:51234/metrics'
-    >>> server.close()          # doctest: +SKIP
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        port: int = 0,
-        host: str = "127.0.0.1",
-    ) -> None:
-        self.registry = registry
-        self.host = host
-        self._requested_port = port
-        self._httpd = None
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        """The bound port (meaningful after :meth:`start`)."""
-        if self._httpd is not None:
-            return self._httpd.server_address[1]
-        return self._requested_port
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/metrics"
-
-    def start(self) -> "MetricsServer":
-        """Bind and start serving on a daemon thread (idempotent)."""
-        if self._httpd is not None:
-            return self
-        # Local import: http.server pulls in socketserver & friends,
-        # which nothing else in the hot path needs.
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        registry = self.registry
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 - stdlib API name
-                if self.path.split("?", 1)[0] not in ("/metrics", "/"):
-                    self.send_error(404)
-                    return
-                body = registry.render_prometheus().encode("utf-8")
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type", "text/plain; version=0.0.4"
-                )
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args) -> None:
-                pass  # scrapes are not stdout events
-
-        self._httpd = ThreadingHTTPServer(
-            (self.host, self._requested_port), Handler
-        )
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-metrics-http",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        """Stop serving and release the port (idempotent)."""
-        if self._httpd is None:
-            return
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join()
-        self._httpd = None
-        self._thread = None
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()

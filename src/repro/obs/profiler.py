@@ -27,9 +27,8 @@ Two exports:
 The phase registry is a plain dict keyed by thread id holding each
 thread's phase *stack* (phases nest: ``execute`` > ``engine:window`` >
 ``shard:2``); a sample attributes to the top of the stack.  When no
-profiler is running, :func:`phase` costs one integer check — the
-serving hot path stays on the disabled-path budget
-(``benchmarks/results/obs_overhead``).
+profiler is running, :func:`phase` costs one integer check, so the
+instrumentation stays in the serving hot path.
 
 Sampling caveats, documented rather than hidden: this is a *wall
 clock* profiler — a thread blocked in a lock or a file read is sampled
@@ -62,7 +61,7 @@ __all__ = [
 ]
 
 #: The phase vocabulary: every prefix the serving and query layers push,
-#: so ``repro profile`` tables and trace span notes share one namespace.
+#: so profiler phase tables and trace span notes share one namespace.
 #:
 #: * ``execute`` — one coalesced batch executing on the server.
 #: * ``engine:<kind>`` — a query engine running one request
@@ -205,8 +204,7 @@ class SamplingProfiler:
     ----------
     interval_s:
         Target seconds between stack snapshots (default 5 ms — ~200
-        samples a second across all threads, <1% overhead on the
-        workloads benchmarked in ``obs_overhead``).
+        samples a second across all threads).
     max_depth:
         Frames kept per stack, innermost outward.
     include_idle:

@@ -29,9 +29,7 @@ caller that does must carry its context across the hop with
 the parent's lock, on exit).
 
 When no tap is installed the per-I/O cost is a single
-``ContextVar.get`` returning ``None`` — the disabled path the
-observability overhead benchmark (``benchmarks/results/obs_overhead``)
-keeps honest.
+``ContextVar.get`` returning ``None`` — the disabled path.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ Sampling follows two rules (``docs/observability.md``):
 Emitted traces are written by :class:`TraceWriter` in the Chrome
 trace-event JSON format — one event per line, a valid JSON array once
 closed — which Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``
-load directly.  ``repro trace`` produces such a file from a live
-workload; :func:`load_trace_events` / :func:`check_span_nesting` are
+load directly.  ``repro status --trace`` produces such a file from a
+fixed batch; :func:`load_trace_events` / :func:`check_span_nesting` are
 the programmatic readers the CI smoke uses.
 """
 
@@ -215,8 +215,8 @@ class Tracer:
     seed:
         Makes the head-sampling coin reproducible.
     keep_finished:
-        Retain emitted traces on ``tracer.finished`` (tests and the
-        ``repro trace`` summary; unbounded — not for long services).
+        Retain emitted traces on ``tracer.finished`` (tests and
+        summaries; unbounded — not for long services).
     """
 
     def __init__(

@@ -16,12 +16,11 @@ leaves that were required to report the answer.
 
 Recording is per-engine and explicitly installed/uninstalled by the
 server around one request; the disabled path costs one attribute load
-and branch per node (measured inside the 2 % envelope of
-``benchmarks/test_obs_overhead.py``).  Sharded engines degrade
+and branch per node.  Sharded engines degrade
 gracefully: :func:`install` returns None for engines without the
 single-tree traversal shape and the request simply carries no plan.
 
-``repro explain`` renders plans as an indented tree;
+``repro status --explain`` renders plans as an indented tree;
 :meth:`QueryPlan.summary` is the compact one-liner the
 :class:`~repro.obs.slowlog.SlowQueryLog` attaches to slow entries.
 """
@@ -113,7 +112,7 @@ class QueryPlan:
         )
 
     def render(self) -> str:
-        """The indented plan tree ``repro explain`` prints."""
+        """The indented plan tree ``repro status --explain`` prints."""
         lines = [
             f"plan: {self.kind}  height={self.height}  fanout={self.fanout}"
         ]

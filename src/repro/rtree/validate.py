@@ -12,8 +12,8 @@ utilization", and Section 3.3 reports above 99 % for all four variants.
 :class:`RTreeInvariantError` on the first violation; integration tests
 run it on every tree any builder produces.  On success it returns a
 structured :class:`ValidationReport` — per-level node/entry counts and
-the containment-check tally — which ``repro health`` embeds next to the
-tree-quality analytics.  The walk reads strictly via the quiet peek
+the containment-check tally, the structural counterpart of the
+tree-quality analytics in :mod:`repro.obs.health`.  The walk reads strictly via the quiet peek
 path (``quiet_peek`` on paged stores), so validating an index never
 perturbs :class:`~repro.storage.paged.PageCacheStats` or the ghost-LRU
 tracker.  :func:`utilization` measures fill.

@@ -153,23 +153,6 @@ class BatchReport:
         """Just the payloads, in submission order."""
         return [r.value for r in self.results]
 
-    def kind_latencies(self) -> dict[str, list[float]]:
-        """Executed-request latencies (seconds) grouped by request kind.
-
-        Duplicates answered from the dedup table are skipped — they
-        cost nothing and would drag percentiles toward zero.  This is
-        the feed for :class:`~repro.service.stats.ServiceStats`, the
-        shared latency vocabulary of the sync and async serving paths.
-        """
-        by_kind: dict[str, list[float]] = {}
-        for result in self.results:
-            if result.deduped:
-                continue
-            by_kind.setdefault(result.request.kind, []).append(
-                result.latency_s
-            )
-        return by_kind
-
     def __repr__(self) -> str:
         return (
             f"BatchReport(requests={self.requests}, executed={self.executed}, "

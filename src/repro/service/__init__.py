@@ -7,7 +7,6 @@ batched :class:`~repro.server.QueryServer` stack.  See
 :mod:`repro.service.service` for the mechanics.
 """
 
-from repro.service.loadgen import LoadReport, open_loop
 from repro.service.service import (
     AdmissionError,
     AsyncQueryService,
@@ -21,9 +20,7 @@ __all__ = [
     "AsyncQueryService",
     "KindSummary",
     "LatencyHistogram",
-    "LoadReport",
     "ServiceClosed",
     "ServiceResponse",
     "ServiceStats",
-    "open_loop",
 ]

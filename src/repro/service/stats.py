@@ -13,11 +13,8 @@ forever.
 :class:`ServiceStats` aggregates one histogram per request kind plus a
 service-wide one, along with the queue/admission counters the async
 front end maintains: submitted/completed/rejected per lane, batches
-executed, live and high-water queue depth.  The same vocabulary serves
-the synchronous path: ``serve-bench`` feeds each
-:class:`~repro.server.server.BatchReport`'s per-request latencies
-through :meth:`ServiceStats.observe_batch`, so sync and async tables
-report identical percentile semantics (see ``docs/async-serving.md``).
+executed, live and high-water queue depth (see
+``docs/async-serving.md``).
 """
 
 from __future__ import annotations
@@ -153,9 +150,7 @@ class ServiceStats:
 
     One :class:`LatencyHistogram` per request kind plus an overall one.
     The admission counters are maintained by the
-    :class:`~repro.service.service.AsyncQueryService`; the histograms
-    are shared vocabulary with the synchronous ``serve-bench`` path via
-    :meth:`observe_batch`.
+    :class:`~repro.service.service.AsyncQueryService`.
     """
 
     overall: LatencyHistogram = field(default_factory=LatencyHistogram)
@@ -236,28 +231,6 @@ class ServiceStats:
         self.overall.observe(latency_s)
         self.histogram(kind).observe(latency_s)
         self.completed += 1
-        self._clock()
-
-    def observe_batch(self, report) -> None:
-        """Fold a :class:`~repro.server.server.BatchReport` in.
-
-        Every executed (non-deduplicated) request's latency is recorded
-        under its kind; duplicates cost nothing and are skipped, exactly
-        as they cost the server nothing.
-        """
-        self.observe_kind_latencies(report.kind_latencies())
-
-    def observe_kind_latencies(
-        self, by_kind: dict[str, list[float]]
-    ) -> None:
-        """Fold one batch's kind → latencies mapping in (one batch)."""
-        self.batches += 1
-        for kind, latencies in by_kind.items():
-            histogram = self.histogram(kind)
-            for latency in latencies:
-                self.overall.observe(latency)
-                histogram.observe(latency)
-                self.completed += 1
         self._clock()
 
     def observe_cache(self, io: dict[str, int]) -> None:

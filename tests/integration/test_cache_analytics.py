@@ -12,23 +12,19 @@ over the recorded stream must reproduce the predicted hit counts at
 every boundary budget.
 """
 
-import json
+import asyncio
 import pathlib
+import re
 import tempfile
 from collections import OrderedDict
 
 import pytest
 
-from repro.experiments.cli import _check_trace_health, main as cli_main
-from repro.experiments.serving import (
-    cache_report,
-    mixed_requests,
-    pack_index,
-    serve_async_bench,
-    serve_bench,
-)
-from repro.obs import ReuseDistanceTracker
+from repro.experiments import cli
+from repro.experiments.serving import mixed_requests, pack_index
+from repro.obs import MetricsRegistry, ReuseDistanceTracker, SamplingProfiler
 from repro.server import QueryServer
+from repro.service import AsyncQueryService
 from repro.storage import ShardedTree, open_index
 
 CACHE_PAGES = 32
@@ -126,142 +122,152 @@ class TestTrackerMatchesRealCache:
             assert leaf > internal > 0
 
 
-class TestServingEntrypoints:
-    def test_cache_report_table(self, sharded_index):
-        table = cache_report(
-            index=sharded_index,
-            requests=400,
+class TestFamilyAnalytics:
+    def test_family_curve_at_the_budget_matches_measured(self, sharded_index):
+        with open_index(
+            sharded_index,
             cache_pages=CACHE_PAGES,
-        )
-        starred = [
-            row for row in table.rows if str(row[0]) == f"{CACHE_PAGES}*"
-        ]
-        assert len(starred) == 1
-        notes = "\n".join(table.notes)
-        assert "measured:" in notes
-        assert "working set:" in notes
-        # The starred prediction and the measured ratio agree within 2%.
-        import re
-
-        measured = float(re.search(r"\((\d+\.\d+)%\)", notes).group(1)) / 100
-        assert starred[0][3] == pytest.approx(measured, abs=0.02)
-
-    def test_serve_bench_profile_and_cache_notes(self, sharded_index, tmp_path):
-        out = tmp_path / "p.collapsed"
-        table = serve_bench(
-            index=sharded_index,
-            requests=300,
-            batch_size=100,
-            cache_pages=CACHE_PAGES,
-            profile=out,
+            readonly=True,
             cache_analytics=True,
-        )
-        notes = "\n".join(table.notes)
-        assert f"profile: {out}" in notes
-        assert "page cache:" in notes
-        assert "miss-ratio curve" in notes
-        text = out.read_text()
-        for line in text.splitlines():
+        ) as tree:
+            run_overlapping_batches(tree)
+            stores = [shard.page_store for shard in tree.shards]
+            hits = sum(store.stats.hits for store in stores)
+            lookups = hits + sum(store.stats.misses for store in stores)
+            # Each shard owns a CACHE_PAGES cache, so the family's
+            # prediction at that budget sums the per-shard curves.
+            predicted = sum(
+                store.tracker.predicted_hits(CACHE_PAGES) for store in stores
+            )
+            assert predicted / lookups == pytest.approx(
+                hits / lookups, abs=0.02
+            )
+            assert all(store.tracker.working_set_sizes() for store in stores)
+            assert sum(
+                store.tracker.unique_blocks for store in stores
+            ) == sum(store.tracker.cold_misses for store in stores)
+
+    def test_profiled_server_batches_write_collapsed_stacks(
+        self, sharded_index, tmp_path
+    ):
+        out = tmp_path / "p.collapsed"
+        profiler = SamplingProfiler(interval_s=0.001)
+        with open_index(
+            sharded_index,
+            cache_pages=CACHE_PAGES,
+            readonly=True,
+            cache_analytics=True,
+        ) as tree:
+            with profiler:
+                run_overlapping_batches(tree, batches=4)
+        profiler.write_collapsed(out)
+        for line in out.read_text().splitlines():
             frames, count = line.rsplit(" ", 1)
             assert int(count) > 0
             assert ";" in frames
 
-    def test_serve_async_profiled_sharded_phase_accounting(self, tmp_path):
-        # The acceptance scenario: a profiled serve-async run over a
-        # sharded index yields a collapsed-stack file whose per-phase
-        # self time accounts for >= 90% of the sampled wall time.  The
-        # phase table includes every sample by construction ((other)
-        # catches unattributed ones), so the check is that the notes
-        # parse back to ~100%.
-        out = tmp_path / "async.collapsed"
-        table = serve_async_bench(
-            rates=(500.0,),
-            requests=250,
-            n=6000,
-            shards=4,
-            profile=out,
-            cache_analytics=True,
-            metrics=tmp_path / "m.prom",
-        )
-        notes = [n for n in table.notes if n.startswith("phase ")]
-        total = sum(
-            float(note.split(": ", 1)[1].split("%")[0]) for note in notes
-        )
-        if notes:  # a very fast run can be sample-free; phases then absent
-            assert total >= 90.0
-        prom = (tmp_path / "m.prom").read_text()
+    def test_async_profiled_sharded_phase_accounting(self, tmp_path):
+        # A profiled service run over a K=4 family: the per-phase self
+        # time accounts for >= 90% of the sampled wall time ((other)
+        # catches unattributed samples, so the rows sum to ~100%), and
+        # the ghost-LRU trackers export their metric families.
+        index = tmp_path / "k4.manifest"
+        pack_index(index, n=6000, shards=4, seed=0)
+        registry = MetricsRegistry()
+        profiler = SamplingProfiler(interval_s=0.001)
+
+        async def drive(tree):
+            requests = mixed_requests(tree.root().mbr(), count=250, seed=1)
+            async with AsyncQueryService(tree, metrics=registry) as service:
+                await service.submit_many(requests)
+
+        with open_index(
+            index, cache_pages=CACHE_PAGES, cache_analytics=True
+        ) as tree:
+            with profiler:
+                asyncio.run(drive(tree))
+        rows = profiler.phase_table()
+        if rows:  # a very fast run can be sample-free
+            assert sum(row.fraction for row in rows) >= 0.90
+        prom = registry.render_prometheus()
         assert "repro_cache_events_total" in prom
         assert "repro_cache_predicted_hit_ratio" in prom
         assert "repro_cache_working_set_blocks" in prom
 
-    def test_metrics_port_note(self, tmp_path):
-        table = serve_async_bench(
-            rates=(800.0,), requests=100, n=4000, metrics_port=0
-        )
-        notes = "\n".join(table.notes)
-        assert "metrics served live at http://127.0.0.1:" in notes
+    def test_registry_is_refreshed_while_the_service_runs(
+        self, sharded_index
+    ):
+        registry = MetricsRegistry()
+
+        async def drive(tree):
+            requests = mixed_requests(tree.root().mbr(), count=40, seed=2)
+            async with AsyncQueryService(
+                tree, metrics=registry, metrics_interval=0.01
+            ) as service:
+                await service.submit_many(requests)
+                await asyncio.sleep(0.1)
+                # Read mid-run, before close's final snapshot.
+                return registry.render_prometheus()
+
+        with open_index(sharded_index, readonly=True) as tree:
+            text = asyncio.run(drive(tree))
+        assert "repro_requests_completed_total 40" in text
 
 
-class TestCliGates:
-    def test_cache_report_subcommand(self, sharded_index, capsys):
-        code = cli_main(
-            [
-                "cache-report",
-                "--index", str(sharded_index),
-                "--requests", "200",
-                "--cache-pages", str(CACHE_PAGES),
-            ]
-        )
-        assert code == 0
+class TestStatusGates:
+    def test_status_explain_on_a_family(self, sharded_index, capsys):
+        assert cli.main(["status", str(sharded_index), "--explain"]) == 0
         out = capsys.readouterr().out
-        assert "cache-report:" in out
-        assert f"{CACHE_PAGES}*" in out
+        assert "3 shards" in out
+        measured, predicted = re.search(
+            r"\(([\d.]+)% measured\); ghost-LRU predicts ([\d.]+)%", out
+        ).groups()
+        assert measured == predicted
 
-    def test_profile_subcommand(self, tmp_path, capsys):
-        out = tmp_path / "cli.collapsed"
-        code = cli_main(
-            [
-                "profile", str(out),
-                "--requests", "120",
-                "--rate", "600",
-                "--n", "4000",
-            ]
-        )
-        assert code == 0
-        assert out.exists()
-        assert "profile:" in capsys.readouterr().out
+    def test_status_explain_writes_nothing_beside_the_index(
+        self, sharded_index, capsys
+    ):
+        before = sorted(sharded_index.parent.iterdir())
+        assert cli.main(["status", str(sharded_index), "--explain"]) == 0
+        capsys.readouterr()
+        assert sorted(sharded_index.parent.iterdir()) == before
 
-    def test_trace_health_gate_passes_on_good_capture(self, tmp_path, capsys):
+    def test_trace_health_gate_passes_on_good_capture(
+        self, sharded_index, tmp_path, capsys
+    ):
         out = tmp_path / "t.jsonl"
-        code = cli_main(
-            [
-                "trace", str(out),
-                "--requests", "100",
-                "--rate", "600",
-                "--n", "4000",
-            ]
-        )
-        assert code == 0
+        assert cli.main(
+            ["status", str(sharded_index), "--trace", str(out)]
+        ) == 0
+        assert out.exists()
         capsys.readouterr()
 
-    def test_trace_health_gate_rejects_low_coverage(self, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(json.dumps([
+    def test_trace_health_gate_rejects_low_coverage(
+        self, sharded_index, tmp_path, capsys, monkeypatch
+    ):
+        # The capture loses all but one request.
+        monkeypatch.setattr(cli, "load_trace_events", lambda path: [
             {"ph": "X", "pid": 1, "tid": 1, "name": "request:knn",
              "cat": "request", "ts": 0, "dur": 10},
-        ]))
-        assert _check_trace_health(bad, requests=5, sample_rate=1.0) == 1
-        assert "only 1 of 5" in capsys.readouterr().err
-        # Sampled captures are exempt from the coverage bar.
-        assert _check_trace_health(bad, requests=5, sample_rate=0.2) == 0
+        ])
+        code = cli.main(
+            ["status", str(sharded_index), "--trace", str(tmp_path / "t")]
+        )
+        assert code == 1
+        assert "only 1 of 8" in capsys.readouterr().err
 
-    def test_trace_health_gate_rejects_broken_nesting(self, tmp_path, capsys):
-        bad = tmp_path / "overlap.jsonl"
-        bad.write_text(json.dumps([
+    def test_trace_health_gate_rejects_broken_nesting(
+        self, sharded_index, tmp_path, capsys, monkeypatch
+    ):
+        # Two spans on one row that overlap without nesting.
+        monkeypatch.setattr(cli, "load_trace_events", lambda path: [
             {"ph": "X", "pid": 1, "tid": 1, "name": "a",
              "cat": "service", "ts": 0, "dur": 100},
             {"ph": "X", "pid": 1, "tid": 1, "name": "b",
              "cat": "service", "ts": 50, "dur": 100},
-        ]))
-        assert _check_trace_health(bad, requests=0, sample_rate=1.0) == 1
+        ])
+        code = cli.main(
+            ["status", str(sharded_index), "--trace", str(tmp_path / "t")]
+        )
+        assert code == 1
         assert "span-nesting" in capsys.readouterr().err

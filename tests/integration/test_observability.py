@@ -18,15 +18,13 @@ packed index:
 """
 
 import asyncio
+import random
 import threading
 
 import pytest
 
-from repro.experiments.serving import (
-    mixed_requests,
-    mixed_service_stream,
-    pack_index,
-)
+from repro.experiments.serving import mixed_requests, pack_index
+from repro.geometry.rect import Rect
 from repro.obs import (
     MetricsRegistry,
     SlowQueryLog,
@@ -36,15 +34,53 @@ from repro.obs import (
     check_span_nesting,
     load_trace_events,
 )
-from repro.server import QueryServer
-from repro.service import AsyncQueryService, open_loop
-from repro.storage import PagedTree
+from repro.server import DeleteRequest, InsertRequest, QueryServer
+from repro.service import AsyncQueryService
+from repro.storage import PagedTree, open_index
 
 N = 6_000
 SEED = 0
 
 #: The service spans that partition a request's end-to-end window.
 SERVICE_SPANS = {"admission", "queue", "coalesce", "commit-wait", "execute"}
+
+
+def mixed_stream(bounds, count, write_frac, seed):
+    """The read mix with ``write_frac`` writes interleaved: inserts of
+    small fresh rectangles, and deletes of rectangles the stream itself
+    inserted earlier."""
+    rng = random.Random(seed)
+    side = tuple((hi - lo) * 0.002 for lo, hi in zip(bounds.lo, bounds.hi))
+    stream, inserted = [], []
+    for read in mixed_requests(bounds, count=count, seed=seed):
+        if rng.random() >= write_frac:
+            stream.append(read)
+        elif inserted and rng.random() < 0.5:
+            stream.append(
+                DeleteRequest(*inserted.pop(rng.randrange(len(inserted))))
+            )
+        else:
+            lo = tuple(
+                a + rng.random() * (b - a) * 0.99
+                for a, b in zip(bounds.lo, bounds.hi)
+            )
+            pair = (
+                Rect(lo, tuple(c + s for c, s in zip(lo, side))),
+                f"obs-{len(stream)}",
+            )
+            inserted.append(pair)
+            stream.append(InsertRequest(*pair))
+    return stream
+
+
+async def paced(service, stream, rate):
+    """Submit ``stream`` at ``rate`` requests per second without waiting
+    for answers; returns every outcome (a response or the exception)."""
+    tasks = []
+    for request in stream:
+        tasks.append(asyncio.ensure_future(service.submit(request)))
+        await asyncio.sleep(1.0 / rate)
+    return await asyncio.gather(*tasks, return_exceptions=True)
 
 
 @pytest.fixture(scope="module")
@@ -136,12 +172,11 @@ class TestEndToEndTracing:
                 metrics=registry,
                 slow_log=slow_log,
             )
-            stream = mixed_service_stream(
+            stream = mixed_stream(
                 bounds, count=150, write_frac=0.15, seed=SEED + 3
             )
             async with service:
-                report = await open_loop(service, stream, 2000.0, seed=1)
-            return report
+                return await paced(service, stream, 2000.0)
 
         with PagedTree.open(index_path, cache_pages=64) as tree:
             store = tree.page_store
@@ -151,24 +186,24 @@ class TestEndToEndTracing:
             bounds = tree.root().mbr()
             counters_before = store.counters.snapshot()
             stats_before = store.stats.snapshot()
-            report = asyncio.run(drive(tree, bounds))
+            outcomes = asyncio.run(drive(tree, bounds))
             counters_delta = store.counters.snapshot() - counters_before
             misses_delta = store.stats.misses - stats_before.misses
         writer.close()
-        return report, tracer, registry, slow_log, trace_path, (
+        return outcomes, tracer, registry, slow_log, trace_path, (
             counters_delta,
             misses_delta,
         )
 
     def test_every_completed_request_is_traced(self, run):
-        report, tracer, *_ = run
-        assert report.errors == 0
-        assert report.completed == 150
+        outcomes, tracer, *_ = run
+        assert len(outcomes) == 150
+        assert not [o for o in outcomes if isinstance(o, BaseException)]
         assert tracer.emitted == 150
         assert len(tracer.finished) == 150
 
     def test_attributed_io_matches_shared_counters_exactly(self, run):
-        report, tracer, _, _, _, (counters_delta, misses_delta) = run
+        _, tracer, _, _, _, (counters_delta, misses_delta) = run
         traced_reads = sum(t.io.reads for t in tracer.finished)
         traced_writes = sum(t.io.writes for t in tracer.finished)
         traced_misses = sum(t.io.misses for t in tracer.finished)
@@ -195,11 +230,13 @@ class TestEndToEndTracing:
         events = load_trace_events(trace_path)
         assert check_span_nesting(events) == []
         names = {e["name"] for e in events if e.get("ph") == "X"}
-        assert "execute" in names
-        assert "queue" in names
+        assert {"admission", "queue", "execute"} <= names
         assert any(name.startswith("request:") for name in names)
         # Engine-level spans nest under execute for read kinds.
         assert any(name.startswith("engine:") for name in names)
+        requests = [e for e in events if e["name"].startswith("request:")]
+        assert len(requests) == 150
+        assert all("io" in e["args"] for e in requests)
 
     def test_metrics_registry_has_per_kind_series(self, run):
         _, _, registry, *_ = run
@@ -226,6 +263,50 @@ class TestEndToEndTracing:
         record = slow_log.records()[-1]
         assert record.io is not None
         assert record.trace_id is not None
+
+
+class TestShardedServiceExport:
+    def test_family_trace_nests_and_metrics_carry_shard_series(
+        self, tmp_path
+    ):
+        # A traced, metered service over a K=4 family: per-shard spans
+        # land on their own tracks and still nest, and the registry
+        # carries the per-kind latency and per-shard read series.
+        index = tmp_path / "k4.manifest"
+        pack_index(index, n=4000, shards=4, seed=SEED)
+        trace_path = tmp_path / "k4.jsonl"
+        registry = MetricsRegistry()
+
+        async def drive(family):
+            stream = mixed_requests(family.root().mbr(), count=100, seed=7)
+            with TraceWriter(trace_path) as writer:
+                async with AsyncQueryService(
+                    family,
+                    admission="backpressure",
+                    tracer=Tracer(writer, sample_rate=1.0),
+                    metrics=registry,
+                    slow_log=SlowQueryLog(threshold_s=0.05),
+                ) as service:
+                    return await paced(service, stream, 1000.0)
+
+        with open_index(index, readonly=True) as family:
+            outcomes = asyncio.run(drive(family))
+        assert not [o for o in outcomes if isinstance(o, BaseException)]
+        events = load_trace_events(trace_path)
+        assert check_span_nesting(events) == []
+        names = {e["name"] for e in events if e.get("ph") == "X"}
+        assert {"admission", "queue", "execute"} <= names
+        assert any(name.startswith("shard:") for name in names)
+        requests = [e for e in events if e["name"].startswith("request:")]
+        assert len(requests) == 100
+        assert all("io" in e["args"] for e in requests)
+        prom = registry.render_prometheus()
+        assert (
+            'repro_request_latency_seconds{kind="window",quantile="0.99"}'
+            in prom
+        )
+        assert "repro_requests_completed_total 100" in prom
+        assert "repro_shard_logical_reads_total" in prom
 
 
 class TestRecoverySpan:

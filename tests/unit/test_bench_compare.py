@@ -48,9 +48,9 @@ class TestClassify:
         assert classify("leaf_ios").direction == -1
         assert classify("pack_s").direction == -1
         assert classify("hit_ratio").direction == +1
-        assert classify("vs_off").direction == +1
+        assert classify("vs_scalar").direction == +1
         assert classify("n").direction == 0
-        assert classify("rate_rps").direction == 0  # input parameter
+        assert classify("shards").direction == 0  # input parameter
         assert classify("score").direction == -1  # degradation score
         assert classify("io_vs_fresh").direction == -1
 

@@ -1,9 +1,9 @@
 """Documentation integrity: links resolve, runnable snippets execute,
-documented CLI flags exist.
+documented CLI subcommands and flags exist.
 
 Drives ``tools/check_docs.py`` — the same checks the CI docs job runs —
-so a broken intra-repo link, a docs example that stopped working or a
-flag the CLI no longer accepts fails the tier-1 suite locally too.
+so a broken intra-repo link, a docs example that stopped working, or a
+subcommand or flag the CLI no longer accepts fails the tier-1 suite locally too.
 """
 
 import pathlib
@@ -86,26 +86,65 @@ def test_documented_cli_flags_exist():
 def test_cli_flag_check_catches_a_deleted_flag(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "README.md").write_text(
-        "Run `repro serve-bench --requests 10` or `serve-async --rates 5`.\n"
+        "Run `repro pack x.pack --n 10` or `status x.pack --explain`.\n"
         "```console\n"
-        "$ python -m repro serve-async --max-batch 8 \\\n"
-        "    --explain | tail  # --not-a-flag\n"
+        "$ python -m repro status x.pack \\\n"
+        "    --trace t.jsonl | tail  # --not-a-flag\n"
         "```\n"
     )
     assert check_docs.check_cli_flags(tmp_path) == []
-    (tmp_path / "docs" / "serving.md").write_text(
-        "Set-at-a-time windows: `serve-bench\n--batch-windows`.\n"
+    (tmp_path / "docs" / "status.md").write_text(
+        "Score only: `status\n--score-only`.\n"
         "```console\n"
-        "$ python -m repro serve-async --rates 5 \\\n"
-        "    --batch-windows\n"
+        "$ python -m repro status x.pack \\\n"
+        "    --score-only\n"
         "```\n"
     )
     errors = check_docs.check_cli_flags(tmp_path)
     assert len(errors) == 2
     assert all(
-        error.startswith("docs/serving.md: ") and "--batch-windows" in error
+        error.startswith("docs/status.md: ") and "--score-only" in error
         for error in errors
     )
+
+
+def test_cli_check_catches_an_unknown_subcommand(tmp_path):
+    (tmp_path / "README.md").write_text(
+        "```python\n"
+        "import repro\n"
+        "from repro import build_prtree\n"
+        "```\n"
+        "The `repro` package; `repro --help` lists the subcommands.\n"
+    )
+    assert check_docs.check_cli_flags(tmp_path) == []
+    (tmp_path / "README.md").write_text(
+        "```console\n"
+        "$ python -m repro serve-async --rates 1\n"
+        "repro bogus-view x.pack\n"
+        "```\n"
+        "Or inline: `repro trace out.jsonl`.\n"
+    )
+    errors = check_docs.check_cli_flags(tmp_path)
+    assert [error.split(":", 2)[1].strip() for error in errors] == [
+        "no subcommand `serve-async`",
+        "no subcommand `bogus-view`",
+        "no subcommand `trace`",
+    ]
+
+
+def test_cli_check_accepts_every_live_subcommand(tmp_path):
+    flags = check_docs.subcommand_flags()
+    assert sorted(flags) == ["crash-bench", "list", "pack", "run", "status"]
+    lines = []
+    for name, options in sorted(flags.items()):
+        long_flags = sorted(o for o in options if o.startswith("--"))
+        lines.append(f"$ python -m repro {name} {' '.join(long_flags)}")
+        lines.append(f"repro {name} x")
+    (tmp_path / "README.md").write_text(
+        "```console\n" + "\n".join(lines) + "\n```\n"
+        "Inline too: `repro status x.pack --explain`.\n"
+    )
+    assert check_docs.check_cli_flags(tmp_path) == []
 
 
 def test_checker_cli_passes():

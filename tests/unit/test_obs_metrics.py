@@ -163,59 +163,3 @@ class TestSlowQueryLog:
             SlowQueryLog(threshold_s=-1.0)
         with pytest.raises(ValueError):
             SlowQueryLog(threshold_s=0.0, capacity=0)
-
-
-class TestMetricsServer:
-    def test_serves_live_registry_over_http(self):
-        import urllib.request
-
-        from repro.obs import MetricsServer
-
-        registry = MetricsRegistry()
-        requests = registry.counter(
-            "repro_requests_total", "Requests served."
-        ).labels()
-        requests.inc(3)
-        with MetricsServer(registry, port=0) as server:
-            assert server.port != 0
-            assert server.url.endswith("/metrics")
-            body = urllib.request.urlopen(server.url).read().decode()
-            assert "repro_requests_total 3" in body
-            # A scrape renders at scrape time: later increments show up.
-            requests.inc(4)
-            body = urllib.request.urlopen(server.url).read().decode()
-            assert "repro_requests_total 7" in body
-            with urllib.request.urlopen(server.url) as response:
-                assert (
-                    response.headers["Content-Type"]
-                    == "text/plain; version=0.0.4"
-                )
-
-    def test_unknown_path_is_404(self):
-        import urllib.error
-        import urllib.request
-
-        from repro.obs import MetricsServer
-
-        with MetricsServer(MetricsRegistry(), port=0) as server:
-            root = f"http://127.0.0.1:{server.port}/"
-            assert b"# " in urllib.request.urlopen(root).read() or True
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{server.port}/nope"
-                )
-
-    def test_close_is_idempotent_and_releases_port(self):
-        from repro.obs import MetricsServer
-
-        server = MetricsServer(MetricsRegistry(), port=0)
-        server.start()
-        server.start()  # idempotent
-        port = server.port
-        server.close()
-        server.close()
-        # The port is released: a fresh server can bind it again.
-        rebound = MetricsServer(MetricsRegistry(), port=port)
-        rebound.start()
-        assert rebound.port == port
-        rebound.close()

@@ -5,10 +5,6 @@ import random
 
 import pytest
 
-from repro.geometry.rect import Rect
-from repro.server import WindowRequest
-from repro.server.requests import RequestResult
-from repro.server.server import BatchReport
 from repro.service import LatencyHistogram, ServiceStats
 
 
@@ -147,22 +143,6 @@ class TestLatencyHistogram:
             h.percentile(-1)
 
 
-def _report(latencies_by_kind):
-    """A BatchReport stub carrying executed-request latencies."""
-    report = BatchReport()
-    window = Rect((0.0, 0.0), (1.0, 1.0))
-    for kind, latencies in latencies_by_kind.items():
-        for latency in latencies:
-            request = WindowRequest(window)
-            object.__setattr__(request, "kind", kind)
-            report.results.append(
-                RequestResult(
-                    request=request, value=[], stats=None, latency_s=latency
-                )
-            )
-    return report
-
-
 class TestServiceStats:
     def test_observe_tracks_kind_and_overall(self):
         stats = ServiceStats()
@@ -173,23 +153,6 @@ class TestServiceStats:
         assert stats.overall.count == 3
         assert stats.by_kind["window"].count == 2
         assert stats.by_kind["knn"].count == 1
-
-    def test_observe_batch_skips_duplicates(self):
-        report = _report({"window": [0.001, 0.002], "point": [0.003]})
-        report.results.append(
-            RequestResult(
-                request=report.results[0].request,
-                value=[],
-                stats=None,
-                latency_s=0.0,
-                deduped=True,
-            )
-        )
-        stats = ServiceStats()
-        stats.observe_batch(report)
-        assert stats.completed == 3
-        assert stats.batches == 1
-        assert stats.by_kind["window"].count == 2
 
     def test_kind_summaries_sorted_and_in_ms(self):
         stats = ServiceStats()

@@ -42,24 +42,21 @@ from dataclasses import dataclass
 
 #: Row-label / input-parameter columns: never compared numerically.
 _NEUTRAL = {
-    "batch", "config", "variant", "phase", "n", "fanout", "height",
-    "blocks", "n_blocks", "offered", "requests", "executed", "ops",
-    "size", "rate_rps", "budget_pages", "k", "queries", "area", "panel",
-    "dataset", "shards", "workers", "updates", "dims", "run",
-    "expected_min",
+    "config", "variant", "n", "fanout", "height", "blocks", "n_blocks",
+    "requests", "executed", "ops", "size", "k", "queries", "area",
+    "panel", "dataset", "shards", "updates", "dims",
 }
 
 #: Deterministic lower-is-better counters.
 _LOWER_COUNTS = {
     "leaf_ios", "internal_reads", "physical_reads", "reads", "write_ios",
-    "pages_flushed", "flushes", "misses", "evictions", "rejected",
-    "max_queue", "cold_misses", "predicted_misses", "ios", "io",
-    "file_mb", "dedup_missed", "score",
+    "flushes", "misses", "evictions", "ios", "io", "file_mb",
+    "dedup_missed", "score",
 }
 
 #: Deterministic higher-is-better counters/ratios.
 _HIGHER_COUNTS = {
-    "hits", "dedup", "predicted_hits", "seq_frac", "dedup_hits",
+    "hits", "dedup", "seq_frac", "dedup_hits",
 }
 
 
@@ -94,8 +91,8 @@ def classify(header: str) -> ColumnClass:
     if h == "req_per_s" or h.endswith("_rps") or "throughput" in h:
         return ColumnClass(+1, True)
     if h.startswith("vs_"):
-        # Normalized-against-baseline ratios (e.g. obs_overhead's
-        # vs_off): 1.0 is parity, smaller is more overhead.
+        # Normalized-against-baseline ratios (e.g. storage_node_kernels'
+        # vs_scalar): 1.0 is parity, smaller is more overhead.
         return ColumnClass(+1, True)
     if h.endswith("_ms") or "latency" in h or "busy" in h:
         return ColumnClass(-1, True)

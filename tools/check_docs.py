@@ -13,12 +13,15 @@ checkout's own ``src/``, used both by the CI docs job and by
   executed in a subprocess with ``PYTHONPATH=src`` from a temporary
   working directory; a non-zero exit fails the check.  Tag a block
   plain ``python`` to keep it illustrative-only.
-* **CLI flags** — every ``--flag`` written after a ``repro`` subcommand
-  must be accepted by that subcommand in
-  ``repro.experiments.cli.build_parser()``.  Checked on every line of a
-  fenced block that runs ``repro <subcommand>`` and on every inline code
-  span that starts with ``repro`` or with a subcommand name, so a
-  deleted flag cannot live on in the docs.
+* **CLI** — every ``python -m repro <word>`` invocation, and every
+  command that starts with ``repro <word>``, must name a subcommand of
+  ``repro.experiments.cli.build_parser()``, and every ``--flag``
+  written after a ``repro`` subcommand must be accepted by it.  Checked
+  on every line of a fenced block (a leading ``$`` prompt is skipped)
+  and on every inline code span; a span that starts with a subcommand
+  name has its flags checked too.  ``import repro`` and ``from repro
+  import`` are Python, not invocations.  A deleted subcommand or flag
+  therefore cannot live on in the docs.
 
 Run from the repository root::
 
@@ -150,25 +153,43 @@ def _commands(text: str) -> list[tuple[str, bool]]:
     return lines + [(span, True) for span in spans]
 
 
+def _subcommand_at(tokens: list[str], flags: dict[str, set[str]]):
+    """``(index of the subcommand token, must exist)`` or None.
+
+    ``python -m repro <word>`` and a command starting ``repro <word>``
+    are invocations whatever ``<word>`` is; elsewhere in a line only
+    ``repro`` followed by a known subcommand counts (prose may say
+    "repro" for other reasons).
+    """
+    for i, token in enumerate(tokens[:-1]):
+        if token != "repro" or tokens[i + 1].startswith("-"):
+            continue
+        if i == 0 or tokens[i - 1] == "-m":
+            return i + 1, True
+        if tokens[i + 1] in flags:
+            return i + 1, False
+    return None
+
+
 def cli_flag_errors(text: str, flags: dict[str, set[str]]) -> list[str]:
-    """One error per ``repro <subcommand> --flag`` the parser rejects."""
+    """One error per documented ``repro`` invocation the parser rejects:
+    an unknown subcommand, or a ``--flag`` its subcommand lacks."""
     errors = []
     for command, inline in _commands(text):
         tokens = command.split()
-        if inline and tokens and tokens[0] in flags:
+        if tokens[:1] == ["$"]:
+            tokens = tokens[1:]
+        found = _subcommand_at(tokens, flags)
+        if found is not None:
+            at = found[0]
+        elif inline and tokens and tokens[0] in flags:
             at = 0
         else:
-            at = next(
-                (
-                    i + 1
-                    for i, token in enumerate(tokens[:-1])
-                    if token == "repro" and tokens[i + 1] in flags
-                ),
-                None,
-            )
-            if at is None:
-                continue
+            continue
         name = tokens[at]
+        if name not in flags:
+            errors.append(f"no subcommand `{name}`: {' '.join(tokens)}")
+            continue
         for token in tokens[at + 1 :]:
             if token in _SHELL_STOP or token.startswith("#"):
                 break
@@ -179,7 +200,7 @@ def cli_flag_errors(text: str, flags: dict[str, set[str]]) -> list[str]:
 
 
 def check_cli_flags(root: pathlib.Path = REPO_ROOT) -> list[str]:
-    """Return one error per documented flag its subcommand rejects."""
+    """Return one error per documented invocation the parser rejects."""
     flags = subcommand_flags()
     return [
         f"{path.relative_to(root)}: {error}"
