@@ -3,8 +3,9 @@
 
 The simulator keeps nodes decoded for speed, but the paper's physical
 layout (36-byte entries, 4 KB blocks, fan-out 113 — Section 3.1) is
-fully specified.  `serialize_tree` flattens a tree into that exact
-layout; `deserialize_tree` rebuilds an identical tree.
+fully specified.  `pack_tree` writes a tree into that exact layout,
+one block per node; `PagedTree.open` serves the file back as a live
+tree that pages nodes in on demand.
 
 Run with:  python examples/persistence.py
 """
@@ -15,12 +16,12 @@ import random
 
 from repro import (
     BlockStore,
+    PagedTree,
     QueryEngine,
     Rect,
     build_prtree,
-    deserialize_tree,
     fanout_for_block,
-    serialize_tree,
+    pack_tree,
     validate_rtree,
 )
 
@@ -38,24 +39,22 @@ def main() -> None:
     print(f"fan-out derived from 4 KB blocks: {fanout}")
 
     tree = build_prtree(BlockStore(), data, fanout)
-    image = serialize_tree(tree, block_size=4096)
-    print(f"serialized {tree.node_count()} nodes "
-          f"into {len(image):,} bytes ({len(image) / n:.0f} B/rect)")
+    window = Rect((0.25, 0.25), (0.30, 0.30))
+    original, _ = QueryEngine(tree).query(window)
 
     # Round-trip through an actual file.
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "roads.prtree"
-        path.write_bytes(image)
-        loaded = deserialize_tree(
-            path.read_bytes(),
-            BlockStore(),
-            values=dict(tree.objects),
-        )
+        stats = pack_tree(tree, path, block_size=4096)
+        print(f"packed {stats.n_blocks} nodes "
+              f"into {stats.file_bytes:,} bytes "
+              f"({stats.file_bytes / n:.0f} B/rect)")
+        with PagedTree.open(
+            path, values=dict(tree.objects), readonly=True
+        ) as loaded:
+            validate_rtree(loaded, expect_size=n)
+            reloaded, _ = QueryEngine(loaded).query(window)
 
-    validate_rtree(loaded, expect_size=n)
-    window = Rect((0.25, 0.25), (0.30, 0.30))
-    original, _ = QueryEngine(tree).query(window)
-    reloaded, _ = QueryEngine(loaded).query(window)
     assert sorted(v for _, v in original) == sorted(v for _, v in reloaded)
     print(f"reloaded tree answers identically: "
           f"{len(reloaded)} matches for {window}")

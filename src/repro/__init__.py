@@ -35,7 +35,6 @@ from repro.rtree.node import Node
 from repro.rtree.query import Matches, QueryEngine, QueryStats
 from repro.rtree.update import insert, delete
 from repro.rtree.rstar import rstar_insert, rstar_split
-from repro.rtree.persist import serialize_tree, deserialize_tree
 from repro.rtree.validate import validate_rtree, utilization
 from repro.bulk.hilbert import build_hilbert, build_hilbert4
 from repro.bulk.tgs import build_tgs
@@ -94,8 +93,6 @@ __all__ = [
     "delete",
     "rstar_insert",
     "rstar_split",
-    "serialize_tree",
-    "deserialize_tree",
     "validate_rtree",
     "utilization",
     "build_hilbert",

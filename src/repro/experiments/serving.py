@@ -296,9 +296,7 @@ def _files_table(index, tree) -> Table:
     )
     for shard in _files(tree):
         info = shard.recovery
-        if info.legacy:
-            verdict = "legacy FBS1"
-        elif info.discarded_epoch is not None:
+        if info.discarded_epoch is not None:
             verdict = (
                 f"rolled back to manifest (epoch {info.discarded_epoch} "
                 "discarded)"

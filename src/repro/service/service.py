@@ -1031,9 +1031,9 @@ class AsyncQueryService:
 
         Every file-backed store remembers how it was opened
         (:class:`~repro.storage.filestore.RecoveryInfo`): the committed
-        epoch it recovered to, which of the two header slots carried it
-        (``-1`` for a legacy v1 file), and how many trailing physical
-        blocks of uncommitted shadow writes the open rolled back.
+        epoch it recovered to, which of the two header slots carried it,
+        and how many trailing physical blocks of uncommitted shadow
+        writes the open rolled back.
         Constant per open, so dashboards see at a glance whether the
         last process death cost anything (it never costs more than the
         un-synced tail) and which commit lineage is serving.
@@ -1045,7 +1045,7 @@ class AsyncQueryService:
         )
         slot = registry.gauge(
             "repro_recovery_header_slot",
-            "Header slot that carried the recovered epoch (-1: legacy v1)",
+            "Header slot that carried the recovered epoch",
             ("index", "shard"),
         )
         rolled = registry.gauge(

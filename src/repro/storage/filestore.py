@@ -53,13 +53,6 @@ its low 63 bits chain the logical freelist (all-ones terminates), so
 ``allocate`` still pops freed addresses before extending — the
 simulated store's compactness property survives the indirection.
 
-Files written by the pre-shadow ``FBS1`` format (single header, blocks
-addressed directly, intrusive on-disk freelist) still open: the legacy
-header and freelist are parsed into an identity map, and the first
-commit migrates the file to ``FBS2`` (the legacy header bytes are only
-overwritten by the *second* commit, so a crash mid-migration still
-recovers through the legacy path).
-
 The store is thread-safe: a single lock serializes file access, which is
 what lets a :class:`~repro.server.QueryServer` execute batches over
 shared tree handles from several worker threads — and what the async
@@ -115,15 +108,12 @@ _VERSION = 2
 _SLOT_STRUCT = "<4sHIQQQQQQI"
 _SLOT_BYTES = struct.calcsize(_SLOT_STRUCT)
 
-_LEGACY_MAGIC = b"FBS1"
-_LEGACY_VERSION = 1
-_LEGACY_HEADER = "<4sHIQQQI"
-_LEGACY_HEADER_BYTES = struct.calcsize(_LEGACY_HEADER)
-_LEGACY_META_CAPACITY = 4096 - _LEGACY_HEADER_BYTES
+#: Magic of the retired pre-shadow format, recognised only to reject it
+#: by name.
+_RETIRED_MAGIC = b"FBS1"
 
 #: Fixed room reserved at the file start for the two header slots, so
-#: block offsets are independent of the block size (and unchanged from
-#: the legacy format).
+#: block offsets are independent of the block size.
 HEADER_REGION = 4096
 #: Each of the two alternating header slots, checksummed independently.
 HEADER_SLOT = HEADER_REGION // 2
@@ -153,9 +143,9 @@ class RecoveryInfo:
     """What :meth:`FileBlockStore.open` recovered, for observability.
 
     ``header_slot`` is the slot index the committed state was loaded
-    from (``-1`` for a legacy ``FBS1`` file).  ``rolled_back_blocks``
-    counts physical blocks found in the file beyond the committed
-    extent — the debris of an uncommitted epoch a crash abandoned.
+    from.  ``rolled_back_blocks`` counts physical blocks found in the
+    file beyond the committed extent — the debris of an uncommitted
+    epoch a crash abandoned.
     ``discarded_epoch`` is set when ``at_epoch`` deliberately skipped a
     newer valid commit (sharded-family rollback).
     """
@@ -163,7 +153,6 @@ class RecoveryInfo:
     epoch: int
     header_slot: int
     rolled_back_blocks: int
-    legacy: bool = False
     discarded_epoch: int | None = None
 
 
@@ -207,7 +196,6 @@ class FileBlockStore:
         self._phys_high = 0
         self._map_chain: list[int] = []
         self._epoch = 0
-        self._legacy = False
         # Uncommitted-epoch bookkeeping.
         self._phys_free: list[int] = []
         self._phys_pending: list[int] = []
@@ -281,6 +269,8 @@ class FileBlockStore:
         resolved = pathlib.Path(path)
         if not resolved.exists():
             raise StorageError(f"no index file at {resolved}")
+        if not resolved.is_file():
+            raise StorageError(f"{resolved} is not a file")
         file = open(resolved, "rb" if readonly else "r+b")
         try:
             region = file.read(HEADER_REGION)
@@ -297,14 +287,10 @@ class FileBlockStore:
                 store = cls._open_v2(
                     file, resolved, slots, at_epoch, counters, injector
                 )
-            elif region[:4] == _LEGACY_MAGIC:
-                if at_epoch is not None:
-                    raise StorageError(
-                        f"{resolved}: no committed epoch {at_epoch} "
-                        f"(legacy pre-shadow file)"
-                    )
-                store = cls._open_legacy(
-                    file, resolved, region, readonly, counters, injector
+            elif region[:4] == _RETIRED_MAGIC:
+                raise StorageError(
+                    f"{resolved}: {_RETIRED_MAGIC.decode()} files are no "
+                    f"longer supported"
                 )
             elif _MAGIC in (region[:4], region[HEADER_SLOT : HEADER_SLOT + 4]):
                 raise StorageError(
@@ -532,98 +518,6 @@ class FileBlockStore:
             used_phys.add(entry)
         return l2p, chain, used_phys
 
-    @classmethod
-    def _open_legacy(
-        cls,
-        file,
-        resolved: pathlib.Path,
-        region: bytes,
-        readonly: bool,
-        counters: IOCounters | None,
-        injector: FaultInjector | None,
-    ) -> "FileBlockStore":
-        """Open a pre-shadow ``FBS1`` file (single header, identity
-        placement, intrusive on-disk freelist).
-
-        The parsed state becomes an identity logical → physical map;
-        the first commit migrates the file to ``FBS2``.  Physical slots
-        the legacy freelist owns go to the *pending* pool, not the free
-        pool: their first 8 bytes still chain the on-disk freelist, and
-        a crash before the first v2 commit must leave that chain intact
-        for the legacy reopen path.
-        """
-        (
-            _magic,
-            version,
-            block_size,
-            n_blocks,
-            head,
-            live,
-            meta_len,
-        ) = struct.unpack_from(_LEGACY_HEADER, region)
-        if version != _LEGACY_VERSION:
-            raise StorageError(f"{resolved}: unsupported version {version}")
-        if block_size < 8:
-            raise StorageError(
-                f"{resolved}: impossible block size {block_size}"
-            )
-        if meta_len > _LEGACY_META_CAPACITY:
-            raise StorageError(f"{resolved}: metadata length {meta_len}")
-        meta = region[_LEGACY_HEADER_BYTES : _LEGACY_HEADER_BYTES + meta_len]
-        if len(meta) < meta_len:
-            raise StorageError(f"{resolved}: truncated metadata")
-        if meta_len > META_CAPACITY and not readonly:
-            raise StorageError(
-                f"{resolved}: legacy metadata is {meta_len} bytes, a "
-                f"shadow header slot holds {META_CAPACITY}; open read-only"
-            )
-        expected = HEADER_REGION + n_blocks * block_size
-        file.seek(0, os.SEEK_END)
-        actual = file.tell()
-        if actual < expected:
-            raise StorageError(
-                f"{resolved} is {actual} bytes, header promises {expected}"
-            )
-        # Walk the legacy intrusive freelist in chain order.
-        freed_order: list[int] = []
-        seen: set[int] = set()
-        cursor = head
-        while cursor != _NIL:
-            if cursor >= n_blocks or cursor in seen:
-                raise StorageError(
-                    f"{resolved}: corrupt freelist at block {cursor}"
-                )
-            seen.add(cursor)
-            freed_order.append(cursor)
-            file.seek(HEADER_REGION + cursor * block_size)
-            (cursor,) = struct.unpack("<Q", file.read(8))
-        if len(freed_order) != n_blocks - live:
-            raise StorageError(
-                f"{resolved}: freelist has {len(freed_order)} blocks, "
-                f"header promises {n_blocks - live}"
-            )
-        l2p: list[int] = list(range(n_blocks))
-        for pos, block_id in enumerate(freed_order):
-            nxt = (
-                freed_order[pos + 1]
-                if pos + 1 < len(freed_order)
-                else _FREE_MASK
-            )
-            l2p[block_id] = _FREE_BIT | nxt
-        store = cls(file, resolved, block_size, meta, counters, injector)
-        store._l2p = l2p
-        store._freelist_head = head
-        store._freed_count = len(freed_order)
-        store._phys_high = n_blocks
-        store._map_chain = []
-        store._epoch = 0
-        store._legacy = True
-        store._phys_pending = list(freed_order)
-        store.recovery = RecoveryInfo(
-            epoch=0, header_slot=-1, rolled_back_blocks=0, legacy=True
-        )
-        return store
-
     # ------------------------------------------------------------------
     # Header and metadata
     # ------------------------------------------------------------------
@@ -675,7 +569,7 @@ class FileBlockStore:
 
     @property
     def commit_epoch(self) -> int:
-        """The last committed epoch (0 for a fresh or legacy store)."""
+        """The last committed epoch (0 for a fresh store)."""
         return self._epoch
 
     @property
@@ -718,12 +612,6 @@ class FileBlockStore:
 
     def _phys_offset(self, phys: int) -> int:
         return HEADER_REGION + phys * self.block_size
-
-    def _file_size(self) -> int:
-        if self._map is not None:
-            return len(self._map)
-        self._file.seek(0, os.SEEK_END)
-        return self._file.tell()
 
     def _ensure_capacity(self, end: int) -> None:
         """Grow the mapped file so offsets below ``end`` are addressable.
@@ -1060,7 +948,6 @@ class FileBlockStore:
         # The flip happened: the old epoch's exclusive slots (its map
         # chain and every superseded data slot) are now reclaimable.
         self._epoch = epoch
-        self._legacy = False
         self._map_chain = new_chain
         self._phys_free.extend(self._phys_pending)
         self._phys_free.extend(old_chain)

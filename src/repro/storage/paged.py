@@ -61,7 +61,6 @@ from repro.obs.cachestats import ReuseDistanceTracker
 from repro.obs.tap import IOTap, active_tap
 from repro.obs.trace import current_trace
 from repro.rtree.node import Node, NodeFrame
-from repro.rtree.persist import PersistError
 from repro.rtree.tree import RTree
 from repro.storage.faults import FaultInjector
 from repro.storage.filestore import (
@@ -570,12 +569,12 @@ def pack_tree(
     :func:`~repro.obs.health.tree_quality` for a caller that has
     already walked it (``shard_pack``); it is computed here otherwise.
 
-    Raises :class:`~repro.rtree.persist.PersistError` when the tree's
-    fan-out physically cannot fit the requested block size.
+    Raises ``ValueError`` when the tree's fan-out physically cannot fit
+    the requested block size.
     """
     codec = NodeCodec(dim=tree.dim, block_size=block_size)
     if tree.fanout > codec.fanout:
-        raise PersistError(
+        raise ValueError(
             f"tree fan-out {tree.fanout} exceeds what a {block_size}-byte "
             f"block holds in {tree.dim}D ({codec.fanout})"
         )
@@ -698,8 +697,7 @@ class PagedTree(RTree):
             The index file.
         values:
             Optional object-id → value mapping (dict or callable); the
-            file stores object *ids* only, exactly like
-            :func:`~repro.rtree.persist.serialize_tree` images.
+            file stores object *ids* only.
         cache_pages:
             Decoded-page budget of the LRU page cache.
         counters:
@@ -767,7 +765,6 @@ class PagedTree(RTree):
                 epoch=info.epoch,
                 header_slot=info.header_slot,
                 rolled_back_blocks=info.rolled_back_blocks,
-                legacy=info.legacy,
             )
         tracker = (
             ReuseDistanceTracker(capacity=max(1, cache_pages))

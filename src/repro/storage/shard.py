@@ -106,9 +106,15 @@ MANIFEST_FORMAT = "repro-shards"
 #: ``epoch``, so a crash between shard syncs and the manifest rewrite
 #: recovers to the consistent family cut the manifest names.
 MANIFEST_VERSION = 2
-#: Versions this module still reads (1 predates the shadow-header
-#: store; its shards open at their newest valid epoch).
-MANIFEST_VERSIONS_READ = (1, 2)
+#: Top-level manifest fields, each a JSON integer.
+_INT_FIELDS = (
+    "dim", "fanout", "block_size", "order", "size", "next_oid", "shards",
+    "generation",
+)
+#: Fields of each ``shard_files`` entry that are JSON integers.
+_SHARD_INT_FIELDS = (
+    "size", "height", "hilbert_lo", "hilbert_hi", "n_blocks", "epoch",
+)
 
 
 class ShardError(StorageError):
@@ -131,8 +137,7 @@ class ShardInfo:
     root MBR, the manifest copy exists so opening can cross-check the
     file against the manifest.  ``epoch`` is the store commit epoch the
     shard held when the manifest was written; opening pins each shard to
-    it, rolling back any shard commit the manifest never acknowledged
-    (0 for legacy version-1 manifests: open the newest valid epoch).
+    it, rolling back any shard commit the manifest never acknowledged.
     """
 
     file: str
@@ -142,7 +147,7 @@ class ShardInfo:
     hilbert_lo: int
     hilbert_hi: int
     n_blocks: int
-    epoch: int = 0
+    epoch: int
 
 
 @dataclass(frozen=True)
@@ -182,9 +187,20 @@ def _rect_from_json(obj: Any, where: str) -> Rect | None:
     if obj is None:
         return None
     try:
-        return Rect(tuple(obj["lo"]), tuple(obj["hi"]))
-    except (TypeError, KeyError, ValueError) as exc:
+        lo, hi = tuple(obj["lo"]), tuple(obj["hi"])
+        if not all(_is_number(x) for x in lo + hi):
+            raise TypeError("non-numeric coordinate")
+        return Rect(lo, hi)
+    except (TypeError, KeyError, ValueError):
         raise ShardError(f"{where}: bad rectangle {obj!r}") from None
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _atomic_write_text(
@@ -415,6 +431,8 @@ def _load_manifest(path: pathlib.Path) -> dict:
     """Parse and structurally validate a manifest, with clear errors."""
     if not path.exists():
         raise ShardError(f"no shard manifest at {path}")
+    if not path.is_file():
+        raise ShardError(f"{path} is not a file")
     try:
         doc = json.loads(path.read_text())
     except (ValueError, UnicodeDecodeError) as exc:
@@ -426,18 +444,12 @@ def _load_manifest(path: pathlib.Path) -> dict:
             f"{path} is not a shard manifest (missing format "
             f"{MANIFEST_FORMAT!r})"
         )
-    if doc.get("version") not in MANIFEST_VERSIONS_READ:
+    if doc.get("version") != MANIFEST_VERSION:
         raise ShardError(
             f"{path}: unsupported manifest version {doc.get('version')!r}"
         )
-    required = (
-        "dim", "fanout", "block_size", "order", "size", "next_oid",
-        "shards", "shard_files",
-    )
-    for key in required:
-        if key not in doc:
-            raise ShardError(f"{path}: manifest is missing {key!r}")
-    files = doc["shard_files"]
+    _check_ints(str(path), doc, _INT_FIELDS)
+    files = doc.get("shard_files")
     if not isinstance(files, list) or not files:
         raise ShardError(f"{path}: manifest lists no shard files")
     if len(files) != doc["shards"]:
@@ -445,7 +457,36 @@ def _load_manifest(path: pathlib.Path) -> dict:
             f"{path}: shard file count mismatch — manifest promises "
             f"{doc['shards']} shards but lists {len(files)}"
         )
+    for i, entry in enumerate(files):
+        where = f"{path} shard {i}"
+        if not isinstance(entry, dict):
+            raise ShardError(f"{where}: manifest entry is not an object")
+        _check_ints(where, entry, _SHARD_INT_FIELDS)
+        name = entry.get("file")
+        # A bare name next to the manifest: no separators, no "." / "..".
+        if (
+            not isinstance(name, str)
+            or pathlib.PurePath(name).name != name
+            or name in ("", "..")
+        ):
+            raise ShardError(f"{where}: bad shard file name {name!r}")
+    if not isinstance(doc.get("health_baseline"), (dict, str, type(None))):
+        raise ShardError(
+            f"{path}: bad health baseline {doc['health_baseline']!r}"
+        )
     return doc
+
+
+def _check_ints(where: str, doc: dict, keys: Sequence[str]) -> None:
+    """Each of ``keys`` is present in ``doc`` and a JSON integer."""
+    for key in keys:
+        if key not in doc:
+            raise ShardError(f"{where}: manifest is missing {key!r}")
+        if not _is_int(doc[key]):
+            raise ShardError(
+                f"{where}: manifest field {key!r} is not an integer: "
+                f"{doc[key]!r}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -633,8 +674,8 @@ class ShardedTree:
         Raises :class:`ShardError` when the manifest is corrupt, a shard
         file is missing, or a shard file disagrees with the manifest
         (dim/fanout/size/MBR) — a family must be opened exactly as it
-        was synced.  A version-2 manifest pins each shard to the store
-        epoch recorded for it, so a crash that flipped some shards but
+        was synced.  The manifest pins each shard to the store epoch
+        recorded for it, so a crash that flipped some shards but
         never rewrote the manifest rolls the whole family back to the
         manifest's consistent cut.
         """
@@ -647,21 +688,16 @@ class ShardedTree:
         try:
             for i, entry in enumerate(doc["shard_files"]):
                 where = f"{manifest_path} shard {i}"
-                try:
-                    info = ShardInfo(
-                        file=entry["file"],
-                        size=entry["size"],
-                        height=entry["height"],
-                        mbr=_rect_from_json(entry.get("mbr"), where),
-                        hilbert_lo=entry["hilbert_lo"],
-                        hilbert_hi=entry["hilbert_hi"],
-                        n_blocks=entry["n_blocks"],
-                        epoch=entry.get("epoch", 0),
-                    )
-                except (TypeError, KeyError) as exc:
-                    raise ShardError(
-                        f"{where}: manifest entry is missing {exc}"
-                    ) from None
+                info = ShardInfo(
+                    file=entry["file"],
+                    size=entry["size"],
+                    height=entry["height"],
+                    mbr=_rect_from_json(entry.get("mbr"), where),
+                    hilbert_lo=entry["hilbert_lo"],
+                    hilbert_hi=entry["hilbert_hi"],
+                    n_blocks=entry["n_blocks"],
+                    epoch=entry["epoch"],
+                )
                 shard_path = manifest_path.with_name(info.file)
                 try:
                     shard = PagedTree.open(
@@ -672,12 +708,10 @@ class ShardedTree:
                         mmap=mmap,
                         cache_analytics=cache_analytics,
                         injector=injector,
-                        # A v2 manifest names the epoch it acknowledged;
+                        # The manifest names the epoch it acknowledged;
                         # pin the shard there so commits the manifest
                         # never saw are rolled back with the family.
-                        at_epoch=(
-                            info.epoch if doc["version"] >= 2 else None
-                        ),
+                        at_epoch=info.epoch,
                     )
                 except StorageError as exc:
                     raise ShardError(f"{where}: {exc}") from None
@@ -706,7 +740,7 @@ class ShardedTree:
             next_oid=doc["next_oid"],
             bounds=bounds,
             readonly=readonly,
-            generation=doc.get("generation", 0),
+            generation=doc["generation"],
             injector=injector,
             health_baseline=doc.get("health_baseline"),
         )
@@ -1030,6 +1064,8 @@ def open_index(
     resolved = pathlib.Path(path)
     if not resolved.exists():
         raise StorageError(f"no index file at {resolved}")
+    if not resolved.is_file():
+        raise StorageError(f"{resolved} is not a file")
     with open(resolved, "rb") as handle:
         head = handle.read(1)
     if head == b"{":

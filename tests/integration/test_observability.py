@@ -324,4 +324,3 @@ class TestRecoverySpan:
         assert span.args["epoch"] >= 1  # pack_tree commits at least once
         assert span.args["header_slot"] in (0, 1)
         assert span.args["rolled_back_blocks"] == 0  # clean shutdown
-        assert span.args["legacy"] is False

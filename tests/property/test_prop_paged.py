@@ -59,6 +59,32 @@ def paged_copy(tree, tmpdir, cache_pages):
     )
 
 
+class TestPackRoundTrip:
+    @settings(max_examples=15, deadline=None)
+    @given(data=datasets(max_size=40), variant=st.sampled_from(["PR", "H"]))
+    def test_packs_are_byte_deterministic(self, data, variant):
+        """Two packs of one tree, and a pack of its reopened file, are
+        the same bytes; the reopened tree keeps height and values."""
+        tree = BUILDERS[variant](BlockStore(), data, 8)
+        with tempfile.TemporaryDirectory() as tmpdir:
+            paths = [os.path.join(tmpdir, f"{i}.pack") for i in range(3)]
+            pack_tree(tree, paths[0], block_size=512)
+            pack_tree(tree, paths[1], block_size=512)
+            with PagedTree.open(
+                paths[0], values=dict(tree.objects), readonly=True
+            ) as paged:
+                assert paged.height == tree.height
+                assert sorted(v for _, v in paged.all_data()) == sorted(
+                    v for _, v in tree.all_data()
+                )
+                pack_tree(paged, paths[2], block_size=512)
+            images = []
+            for path in paths:
+                with open(path, "rb") as handle:
+                    images.append(handle.read())
+            assert images[0] == images[1] == images[2]
+
+
 @pytest.mark.parametrize("variant", sorted(BUILDERS))
 class TestPagedEqualsInMemory:
     @settings(max_examples=12, deadline=None)

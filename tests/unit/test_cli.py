@@ -314,6 +314,10 @@ class TestStatus:
             ])
         assert list(tmp_path.iterdir()) == []
 
+    def test_directory_raises_storage_error(self, tmp_path):
+        with pytest.raises(StorageError, match="is not a file"):
+            main(["status", str(tmp_path)])
+
     def test_four_shard_manifest(self, tmp_path, capsys):
         path = tmp_path / "k4.manifest"
         assert main([

@@ -1,9 +1,10 @@
 """Documentation integrity: links resolve, runnable snippets execute,
-documented CLI subcommands and flags exist.
+documented CLI subcommands and flags exist, documented files exist.
 
 Drives ``tools/check_docs.py`` — the same checks the CI docs job runs —
-so a broken intra-repo link, a docs example that stopped working, or a
-subcommand or flag the CLI no longer accepts fails the tier-1 suite locally too.
+so a broken intra-repo link, a docs example that stopped working, a
+subcommand or flag the CLI no longer accepts, or a deleted module still
+named in the docs fails the tier-1 suite locally too.
 """
 
 import pathlib
@@ -145,6 +146,29 @@ def test_cli_check_accepts_every_live_subcommand(tmp_path):
         "Inline too: `repro status x.pack --explain`.\n"
     )
     assert check_docs.check_cli_flags(tmp_path) == []
+
+
+def test_documented_py_paths_exist():
+    assert check_docs.check_py_paths() == []
+
+
+def test_py_path_check_catches_a_deleted_module(tmp_path):
+    module = tmp_path / "src" / "repro" / "rtree" / "tree.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("")
+    (tmp_path / "README.md").write_text(
+        "See `rtree/tree.py:12`, `tree.py` and "
+        "`src/repro/rtree/tree.py::RTree`.\n"
+    )
+    assert check_docs.check_py_paths(tmp_path) == []
+    (tmp_path / "README.md").write_text(
+        "Images come from `rtree/persist.py`.\n"
+        "```console\n$ python tools/gone.py --quick\n```\n"
+    )
+    assert check_docs.check_py_paths(tmp_path) == [
+        "README.md: no file `tools/gone.py`",
+        "README.md: no file `rtree/persist.py`",
+    ]
 
 
 def test_checker_cli_passes():

@@ -3,18 +3,15 @@
 The atomic-commit story of ``docs/durability.md`` rests on a handful of
 byte-level rules in ``FileBlockStore``: two alternating 2 KB header
 slots, epoch parity choosing the slot, the highest checksummed epoch
-choosing the state, CRC32 rejecting torn or bit-flipped slots, and the
-pre-shadow ``FBS1`` layout still opening (then upgrading on first
-commit).  These tests pin each rule down, including against a
-hand-built legacy golden file.
+choosing the state, CRC32 rejecting torn or bit-flipped slots, and a
+file in the retired pre-shadow layout being refused by name.  These
+tests pin each rule down, the last against a hand-built golden file.
 """
 
 import struct
-import zlib
 
 import pytest
 
-from repro.iomodel.blockstore import FreedBlockError
 from repro.storage import (
     FaultInjector,
     FileBlockStore,
@@ -182,88 +179,36 @@ def test_bitflipped_header_is_rejected_by_crc(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Legacy (FBS1) golden file
+# Retired pre-shadow golden file
 # ----------------------------------------------------------------------
 
-_LEGACY_BLOCK = 32
 
+def _retired_golden_file(tmp_path):
+    """Hand-pack a byte-exact pre-shadow file: 3 blocks, block 1 freed.
 
-def _legacy_golden_file(tmp_path):
-    """Hand-pack a byte-exact FBS1 file: 3 blocks, block 1 freed.
-
-    Layout per the v1 spec in ``docs/storage-format.md``: one 38-byte
-    header (magic, version, block size, block count, freelist head,
-    live count, metadata length) at offset 0, metadata right after,
-    blocks from offset 4096; a freed block's first 8 bytes hold the
-    next freed id (intrusive freelist).
+    One 38-byte header (magic, version, block size, block count,
+    freelist head, live count, metadata length) at offset 0, metadata
+    right after, blocks from offset 4096; a freed block's first 8 bytes
+    hold the next freed id (intrusive freelist).
     """
+    block = 32
     meta = b"golden-meta"
-    header = struct.pack(
-        "<4sHIQQQI", b"FBS1", 1, _LEGACY_BLOCK, 3, 1, 2, len(meta)
-    )
+    header = struct.pack("<4sHIQQQI", b"FBS1", 1, block, 3, 1, 2, len(meta))
     region = (header + meta).ljust(HEADER_REGION, b"\x00")
     blocks = (
-        b"A" * _LEGACY_BLOCK
-        + struct.pack("<Q", _NIL).ljust(_LEGACY_BLOCK, b"\x00")
-        + b"C" * _LEGACY_BLOCK
+        b"A" * block
+        + struct.pack("<Q", _NIL).ljust(block, b"\x00")
+        + b"C" * block
     )
-    path = tmp_path / "legacy.bin"
+    path = tmp_path / "retired.bin"
     path.write_bytes(region + blocks)
-    return path, meta
+    return path
 
 
-def test_legacy_golden_file_opens(tmp_path):
-    path, meta = _legacy_golden_file(tmp_path)
-    with FileBlockStore.open(path, readonly=True) as store:
-        assert store.metadata == meta
-        assert len(store) == 2
-        assert store.read(0) == b"A" * _LEGACY_BLOCK
-        assert store.read(2) == b"C" * _LEGACY_BLOCK
-        with pytest.raises(FreedBlockError, match="read-after-free"):
-            store.read(1)
-        assert store.recovery.legacy
-        assert store.recovery.header_slot == -1
-        assert store.recovery.epoch == 0
-
-
-def test_legacy_first_commit_upgrades_and_preserves_data(tmp_path):
-    path, meta = _legacy_golden_file(tmp_path)
-    with FileBlockStore.open(path) as store:
-        store.write(0, b"B" * _LEGACY_BLOCK)
-        store.flush()  # first v2 commit: epoch 1 -> slot 1
-        assert store.commit_epoch == 1
-    raw = path.read_bytes()
-    # Epoch 1 is odd, so the FBS2 slot lives at offset 2048 and the
-    # original FBS1 bytes still open the file for old readers' sniff --
-    # but the FBS2 slot must win.
-    assert raw[:4] == b"FBS1"
-    assert raw[HEADER_SLOT : HEADER_SLOT + 4] == b"FBS2"
-    crc = zlib.crc32(raw[HEADER_SLOT : HEADER_REGION - 4])
-    assert struct.unpack_from("<I", raw, HEADER_REGION - 4)[0] == crc
-    with FileBlockStore.open(path) as store:
-        assert not store.recovery.legacy
-        assert store.commit_epoch == 1
-        assert store.metadata == meta
-        assert store.read(0) == b"B" * _LEGACY_BLOCK
-        assert store.read(2) == b"C" * _LEGACY_BLOCK
-        # The legacy freelist's logical id is reusable.
-        assert store.allocate(b"D" * _LEGACY_BLOCK) == 1
-
-
-def test_legacy_crash_before_first_commit_keeps_legacy_file(tmp_path):
-    """Until the first v2 commit lands, the FBS1 state must survive —
-    including the intrusive freelist bytes inside freed blocks."""
-    path, _ = _legacy_golden_file(tmp_path)
-    injector = FaultInjector(crash_after=1, mode="clean")
-    store = FileBlockStore.open(path, injector=injector)
-    with pytest.raises(SimulatedCrash):
-        # The write itself is the first physical write: it completes
-        # (shadowed to a fresh slot), then the process dies before any
-        # commit.
-        store.write(0, b"B" * _LEGACY_BLOCK)
-        store.flush()
-    store.close()
-    with FileBlockStore.open(path, readonly=True) as survivor:
-        assert survivor.recovery.legacy
-        assert survivor.read(0) == b"A" * _LEGACY_BLOCK
-        assert survivor.read(2) == b"C" * _LEGACY_BLOCK
+@pytest.mark.parametrize("readonly", [True, False])
+def test_retired_golden_file_is_rejected_by_name(tmp_path, readonly):
+    path = _retired_golden_file(tmp_path)
+    before = path.read_bytes()
+    with pytest.raises(StorageError, match="FBS1 files are no longer supported"):
+        FileBlockStore.open(path, readonly=readonly)
+    assert path.read_bytes() == before

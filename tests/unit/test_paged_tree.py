@@ -10,7 +10,6 @@ from repro.iomodel.store import BlockStoreProtocol
 from repro.prtree.prtree import build_prtree
 from repro.queries.knn import KNNEngine
 from repro.queries.point import PointQueryEngine
-from repro.rtree.persist import PersistError
 from repro.rtree.query import QueryEngine
 from repro.rtree.validate import validate_rtree
 from repro.storage import (
@@ -57,8 +56,27 @@ class TestPackTree:
     def test_fanout_too_large_for_block(self, tmp_path):
         data = random_rects(400, seed=23)
         tree = build_hilbert(BlockStore(), data, 200)  # 200 > 113
-        with pytest.raises(PersistError):
+        with pytest.raises(ValueError, match="fan-out"):
             pack_tree(tree, tmp_path / "x.pack", block_size=4096)
+
+    def test_two_packs_of_one_tree_are_byte_identical(self, packed, tmp_path):
+        tree, path, _, _ = packed
+        again = tmp_path / "again.pack"
+        pack_tree(tree, again, block_size=4096)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_3d_roundtrip(self, tmp_path):
+        data = random_rects(100, seed=7, dim=3)
+        tree = build_prtree(BlockStore(), data, 8)
+        path = tmp_path / "cube.pack"
+        pack_tree(tree, path)
+        with PagedTree.open(path, values=dict(tree.objects)) as paged:
+            assert paged.dim == 3
+            validate_rtree(paged, expect_size=100)
+            for window in random_windows(5, seed=8, dim=3):
+                got, _ = QueryEngine(paged).query(window)
+                want, _ = QueryEngine(tree).query(window)
+                assert_same_matches(got, want)
 
     def test_pack_single_leaf_tree(self, tmp_path):
         data = random_rects(3, seed=24)

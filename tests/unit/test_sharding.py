@@ -2,8 +2,8 @@
 
 Covers :func:`repro.storage.shard.shard_pack` round-trips, the manifest
 hardening contract (corrupt / truncated manifests rejected with clear
-errors, shard-file count and MBR mismatches detected on open — the
-sharded mirror of the persist corrupt-image tests), read-only families
+errors, hostile field types refused, shard-file count and MBR
+mismatches detected on open), read-only families
 rejecting updates up front, and the fan-out engines against brute-force
 oracles.
 """
@@ -31,6 +31,7 @@ from repro.queries.point import (
 from repro.rtree.query import brute_force_query
 from repro.rtree.validate import validate_rtree
 from repro.storage import (
+    FileBlockStore,
     PagedTree,
     ShardError,
     ShardedJoinEngine,
@@ -150,6 +151,46 @@ class TestManifestHardening:
         doc["version"] = 99
         manifest.write_text(json.dumps(doc))
         with pytest.raises(ShardError, match="version"):
+            ShardedTree.open(manifest)
+
+    def test_version_1_manifest_rejected(self, manifest):
+        doc = json.loads(manifest.read_text())
+        doc["version"] = 1
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ShardError, match="unsupported manifest version 1"):
+            ShardedTree.open(manifest)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("next_oid", "7"),
+            ("next_oid", 7.5),
+            ("dim", True),
+            ("generation", None),
+            ("shards", [4]),
+            ("health_baseline", [1, 2]),
+            ("health_baseline", 5),
+            ("bounds", "everywhere"),
+            ("shard_files.0.file", 5),
+            ("shard_files.0.file", None),
+            ("shard_files.0.file", ""),
+            ("shard_files.0.file", "a/b"),
+            ("shard_files.0.file", ".."),
+            ("shard_files.0.epoch", "1"),
+            ("shard_files.0.hilbert_hi", 1.5),
+            ("shard_files.0.mbr", {"lo": ["a", "b"], "hi": ["c", "d"]}),
+            ("shard_files.0", "shard00"),
+        ],
+    )
+    def test_hostile_field_rejected(self, manifest, field, bad):
+        doc = json.loads(manifest.read_text())
+        *parents, leaf = field.split(".")
+        node = doc
+        for key in parents:
+            node = node[int(key) if key.isdigit() else key]
+        node[int(leaf) if leaf.isdigit() else leaf] = bad
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ShardError):
             ShardedTree.open(manifest)
 
     def test_missing_key_rejected(self, manifest):
@@ -459,6 +500,15 @@ class TestOpenIndex:
     def test_open_index_missing_file(self, tmp_path):
         with pytest.raises(StorageError, match="no index file"):
             open_index(tmp_path / "ghost.pack")
+
+    @pytest.mark.parametrize(
+        "opener",
+        [FileBlockStore.open, PagedTree.open, ShardedTree.open, open_index],
+        ids=lambda opener: opener.__qualname__,
+    )
+    def test_directory_is_not_a_file(self, tmp_path, opener):
+        with pytest.raises(StorageError, match="is not a file"):
+            opener(tmp_path)
 
 
 class TestMmapFamilies:

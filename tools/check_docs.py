@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Documentation checks: link integrity, runnable snippets, CLI flags.
+"""Documentation checks: links, runnable snippets, CLI flags, file paths.
 
-Three checks over ``README.md`` and ``docs/*.md`` (stdlib plus the
+Four checks over ``README.md`` and ``docs/*.md`` (stdlib plus the
 checkout's own ``src/``, used both by the CI docs job and by
 ``tests/unit/test_docs.py``):
 
@@ -22,10 +22,15 @@ checkout's own ``src/``, used both by the CI docs job and by
   name has its flags checked too.  ``import repro`` and ``from repro
   import`` are Python, not invocations.  A deleted subcommand or flag
   therefore cannot live on in the docs.
+* **Paths** — every ``*.py`` path written in code (a fenced block or an
+  inline span) must name an existing file, relative to the repository
+  root, ``src/`` or ``src/repro/``; a bare file name (``rect.py``) must
+  name a module somewhere under ``src/repro/``.  A deleted module
+  therefore cannot live on in the docs either.
 
 Run from the repository root::
 
-    python tools/check_docs.py            # all three checks
+    python tools/check_docs.py            # all four checks
     python tools/check_docs.py --links    # links only (fast)
 """
 
@@ -55,6 +60,10 @@ _SPAN = re.compile(r"`([^`]+)`")
 #: Shell tokens that end the command a flag could belong to (a comment,
 #: any token starting with "#", ends it too).
 _SHELL_STOP = {"|", "||", "&&", ";", ">", ">>"}
+#: A ``*.py`` path in code; a ``:line`` or ``::name`` suffix ends it.
+_PY_PATH = re.compile(r"[\w./-]+\.py\b")
+#: Directories a documented path may be written relative to.
+_PY_ROOTS = ("", "src", "src/repro")
 
 
 def markdown_files(root: pathlib.Path = REPO_ROOT) -> list[pathlib.Path]:
@@ -209,6 +218,23 @@ def check_cli_flags(root: pathlib.Path = REPO_ROOT) -> list[str]:
     ]
 
 
+def _py_path_exists(token: str, root: pathlib.Path) -> bool:
+    if any((root / base / token).is_file() for base in _PY_ROOTS):
+        return True
+    return "/" not in token and any((root / "src" / "repro").rglob(token))
+
+
+def check_py_paths(root: pathlib.Path = REPO_ROOT) -> list[str]:
+    """Return one error per documented ``*.py`` path with no file."""
+    return [
+        f"{path.relative_to(root)}: no file `{token}`"
+        for path in markdown_files(root)
+        for command, _ in _commands(path.read_text())
+        for token in _PY_PATH.findall(command)
+        if not _py_path_exists(token, root)
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -221,6 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     snippets = 0
     if not args.links:
         errors += check_cli_flags()
+        errors += check_py_paths()
         snippets = len(runnable_snippets())
         errors += check_snippets()
 
