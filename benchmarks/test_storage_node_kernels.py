@@ -41,6 +41,16 @@ FANOUT = 113
 class _ScalarWindowEngine(TraversalEngine):
     """The pre-refactor per-entry window traversal (the CPU baseline)."""
 
+    def _read(self, block_id, stats):
+        # Internal nodes are peeked (they cost the baseline nothing, as
+        # a warm pool did); leaves are counted reads.
+        node = self.tree.store.peek(block_id)
+        if not node.is_leaf:
+            stats.internal_visits += 1
+            return node
+        stats.leaf_reads += 1
+        return self.tree.store.read(block_id)
+
     def query(self, window):
         tree = self.tree
         stats = QueryStats(queries=1)

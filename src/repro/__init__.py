@@ -25,7 +25,6 @@ from repro.geometry.rect import Rect, mbr_of, point_rect
 from repro.geometry.hilbert import hilbert_index, hilbert_point
 from repro.iomodel.blockstore import BlockStore
 from repro.iomodel.counters import IOCounters, IOSnapshot, TimeModel
-from repro.iomodel.cache import LRUCache
 from repro.iomodel.codec import NodeCodec, fanout_for_block
 from repro.external.memory import MemoryModel
 from repro.external.stream import BlockStream, StreamWriter
@@ -77,7 +76,6 @@ __all__ = [
     "IOCounters",
     "IOSnapshot",
     "TimeModel",
-    "LRUCache",
     "NodeCodec",
     "fanout_for_block",
     "MemoryModel",

@@ -326,13 +326,25 @@ def _upper_pairs(n: int):
     return i, j, i * n + j
 
 
+def _axes_mask(lo_test, lo, lo_bound, hi_test, hi, hi_bound):
+    """``(lo_test(lo, lo_bound) & hi_test(hi, hi_bound)).all(axis=1)``,
+    ANDed one axis at a time: cheaper on the few rows of a node or span."""
+    mask = lo_test(lo[:, 0], lo_bound[0]) & hi_test(hi[:, 0], hi_bound[0])
+    for k in range(1, lo.shape[1]):
+        mask &= lo_test(lo[:, k], lo_bound[k])
+        mask &= hi_test(hi[:, k], hi_bound[k])
+    return mask
+
+
+_LE, _GE, _EQ = np.less_equal, np.greater_equal, np.equal
+
+
 @_kernel_phase
 def frame_intersecting(lo, hi, q_lo, q_hi) -> list[int]:
     """Row indices whose box intersects the query box, ascending."""
     if len(lo) == 0:
         return []
-    mask = ((hi >= q_lo) & (lo <= q_hi)).all(axis=1)
-    return np.nonzero(mask)[0].tolist()
+    return _axes_mask(_LE, lo, q_hi, _GE, hi, q_lo).nonzero()[0].tolist()
 
 
 @_kernel_phase
@@ -340,9 +352,7 @@ def frame_containing_point(lo, hi, point) -> list[int]:
     """Row indices whose box contains ``point`` (stabbing), ascending."""
     if len(lo) == 0:
         return []
-    p = np.asarray(point, dtype=np.float64)
-    mask = ((lo <= p) & (hi >= p)).all(axis=1)
-    return np.nonzero(mask)[0].tolist()
+    return _axes_mask(_LE, lo, point, _GE, hi, point).nonzero()[0].tolist()
 
 
 @_kernel_phase
@@ -350,8 +360,7 @@ def frame_contained_in(lo, hi, q_lo, q_hi) -> list[int]:
     """Row indices whose box lies entirely inside the query box."""
     if len(lo) == 0:
         return []
-    mask = ((lo >= q_lo) & (hi <= q_hi)).all(axis=1)
-    return np.nonzero(mask)[0].tolist()
+    return _axes_mask(_GE, lo, q_lo, _LE, hi, q_hi).nonzero()[0].tolist()
 
 
 @_kernel_phase
@@ -359,8 +368,7 @@ def frame_containing_rect(lo, hi, q_lo, q_hi) -> list[int]:
     """Row indices whose box contains the whole query box (FindLeaf)."""
     if len(lo) == 0:
         return []
-    mask = ((lo <= q_lo) & (hi >= q_hi)).all(axis=1)
-    return np.nonzero(mask)[0].tolist()
+    return _axes_mask(_LE, lo, q_lo, _GE, hi, q_hi).nonzero()[0].tolist()
 
 
 @_kernel_phase
@@ -368,8 +376,7 @@ def frame_equal_to(lo, hi, q_lo, q_hi) -> list[int]:
     """Row indices whose box equals the query box, ascending."""
     if len(lo) == 0:
         return []
-    mask = ((lo == q_lo) & (hi == q_hi)).all(axis=1)
-    return np.nonzero(mask)[0].tolist()
+    return _axes_mask(_EQ, lo, q_lo, _EQ, hi, q_hi).nonzero()[0].tolist()
 
 
 @_kernel_phase
@@ -377,7 +384,7 @@ def frame_count_intersecting(lo, hi, q_lo, q_hi) -> int:
     """Number of rows intersecting the query box (no index list built)."""
     if len(lo) == 0:
         return 0
-    return int(((hi >= q_lo) & (lo <= q_hi)).all(axis=1).sum())
+    return int(np.count_nonzero(_axes_mask(_LE, lo, q_hi, _GE, hi, q_lo)))
 
 
 @_kernel_phase

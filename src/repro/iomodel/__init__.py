@@ -15,9 +15,6 @@ time (Section 3.3).  This package provides that measurement apparatus:
 * :class:`repro.iomodel.blockstore.BlockStore` — an in-memory simulated
   disk of fixed-size blocks; every node of every tree and every record of
   every external-memory stream lives in one.
-* :class:`repro.iomodel.cache.LRUCache` — a buffer pool; the paper caches
-  all internal R-tree nodes during query experiments (footnote 5), so query
-  cost reduces to leaf blocks read.
 * :mod:`repro.iomodel.codec` — byte-exact node serialization (36-byte
   entries in 4 KB blocks, fan-out 113) used to honour the paper's node
   layout and derive fan-outs from block sizes.
@@ -25,7 +22,6 @@ time (Section 3.3).  This package provides that measurement apparatus:
 
 from repro.iomodel.counters import IOCounters, IOSnapshot, TimeModel
 from repro.iomodel.blockstore import BlockStore, BlockId, FreedBlockError
-from repro.iomodel.cache import LRUCache
 from repro.iomodel.codec import NodeCodec, fanout_for_block
 from repro.iomodel.store import BlockStoreProtocol
 
@@ -37,7 +33,6 @@ __all__ = [
     "BlockStoreProtocol",
     "BlockId",
     "FreedBlockError",
-    "LRUCache",
     "NodeCodec",
     "fanout_for_block",
 ]

@@ -69,6 +69,8 @@ class BlockStore:
         self._blocks: dict[BlockId, Any] = {}
         self._freed: set[BlockId] = set()
         self._next_id: BlockId = 0
+        #: Bumped by every allocate, write and free (repro.rtree.levels).
+        self.generation = 0
 
     # ------------------------------------------------------------------
     # Allocation
@@ -79,6 +81,7 @@ class BlockStore:
         block_id = self._next_id
         self._next_id += 1
         self._blocks[block_id] = payload
+        self.generation += 1
         self.counters.record_write(block_id)
         tap = active_tap()
         if tap is not None:
@@ -97,6 +100,7 @@ class BlockStore:
             raise KeyError(f"block {block_id} is not allocated")
         del self._blocks[block_id]
         self._freed.add(block_id)
+        self.generation += 1
 
     def _check_live(self, block_id: BlockId) -> None:
         if block_id in self._freed:
@@ -123,6 +127,7 @@ class BlockStore:
         """Overwrite a block in place, counting one I/O."""
         self._check_live(block_id)
         self._blocks[block_id] = payload
+        self.generation += 1
         self.counters.record_write(block_id)
         tap = active_tap()
         if tap is not None:
@@ -136,6 +141,9 @@ class BlockStore:
         """
         self._check_live(block_id)
         return self._blocks[block_id]
+
+    #: :meth:`peek` as observers (the level table, validation) call it.
+    quiet_peek = peek
 
     # ------------------------------------------------------------------
     # Introspection

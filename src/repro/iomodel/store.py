@@ -3,8 +3,8 @@
 The simulator started with a single concrete store — the in-memory
 :class:`~repro.iomodel.blockstore.BlockStore` holding decoded payloads —
 but the trees, caches and query engines only ever touch the small
-surface captured here: allocate / read / write / free / peek plus
-capacity introspection, with an attached
+surface captured here: allocate / read / write / free / peek /
+quiet_peek, a write ``generation``, capacity introspection, with an attached
 :class:`~repro.iomodel.counters.IOCounters` recording every counted
 access.  Pinning that surface down as a :class:`typing.Protocol` lets
 the same tree handles and engines run over any backend:
@@ -45,6 +45,8 @@ class BlockStoreProtocol(Protocol):
 
     block_size: int
     counters: IOCounters
+    #: Bumped by every allocate, write and free (keys the level table).
+    generation: int
 
     def allocate(self, payload: Any = None) -> BlockId:
         """Allocate a block holding ``payload``, counting one write."""
@@ -64,6 +66,10 @@ class BlockStoreProtocol(Protocol):
 
     def peek(self, block_id: BlockId) -> Any:
         """Read a block without counting I/O (validation/debugging)."""
+        ...
+
+    def quiet_peek(self, block_id: BlockId) -> Any:
+        """:meth:`peek` that leaves no trace, not even in a page cache."""
         ...
 
     def __len__(self) -> int:

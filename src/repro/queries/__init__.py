@@ -15,7 +15,8 @@ R-tree query repertoire applies unchanged.  This package supplies it:
 
 All engines derive from :class:`repro.queries.base.TraversalEngine` and
 report I/O with the window engine's convention (leaf reads counted,
-internal nodes LRU-cached), so operator costs are directly comparable
+internal nodes read from the tree's pinned level table, one counted read
+each per engine), so operator costs are directly comparable
 with the paper's figures.
 """
 

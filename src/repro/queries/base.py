@@ -1,11 +1,12 @@
 """Shared I/O-accounted traversal plumbing for every query operator.
 
 The window engine established the accounting convention this package
-follows: internal nodes are served through an LRU pool (the paper caches
-"all internal nodes since they never occupied more than 6MB", footnote
-5) while every leaf access hits the simulated disk and is counted
+follows: internal nodes are served from the tree's pinned level table
+(the paper caches "all internal nodes since they never occupied more
+than 6MB", footnote 5), each costing one counted read the first time an
+engine visits it, while every leaf access hits the store and is counted
 individually.  Reported query cost is therefore the number of *leaf*
-blocks read, with internal cache misses tracked separately.
+blocks read, with those first-visit internal reads tracked separately.
 
 The implementation lives in :mod:`repro.rtree.query` as
 :class:`~repro.rtree.query.TraversalEngine`, which both the window

@@ -1,11 +1,12 @@
 """Per-query EXPLAIN: plan capture for every operator.
 
 An opt-in :class:`PlanRecorder` threads through
-:class:`~repro.rtree.query.TraversalEngine` — the shared ``_read`` path
-every operator (window/point-family, kNN, join) counts I/O through —
-and attributes each visited node to its tree level (the root is level
-0; an internal node at level L registers its children at L+1, and
-children are always read after their parent within one query).  The
+:class:`~repro.rtree.query.TraversalEngine` — the level descent and the
+node-at-a-time ``_frame`` path every operator (window/point-family, kNN,
+join) counts I/O through — and attributes each visited node to its tree
+level (the root is level 0; an internal node at level L registers its
+children at L+1, and a parent is always recorded before its children
+within one query).  The
 result is a :class:`QueryPlan`: per-level nodes visited, entries
 examined, entries matched (the rest were pruned by the node's MBR
 test), physical page reads, plus the query's logical I/O split and a
@@ -195,13 +196,12 @@ class PlanRecorder:
         self._level: dict[int, int] = {tree.root_id: 0}
         self._acc: dict[int, _LevelAcc] = {}
 
-    def on_node(self, block_id: int, node, physical: int) -> None:
-        """Called by ``TraversalEngine._read`` after every node access."""
+    def on_node(self, block_id: int, frame, physical: int) -> None:
+        """Called by the engines for every node a query visits."""
         level = self._level.get(block_id, 0)
         acc = self._acc.get(level)
         if acc is None:
             acc = self._acc[level] = _LevelAcc()
-        frame = node.frame()
         n = len(frame)
         acc.nodes += 1
         acc.entries += n
@@ -267,7 +267,7 @@ def install(engine):
         pair = (PlanRecorder(left.tree), PlanRecorder(right.tree))
         left._recorder, right._recorder = pair
         return pair
-    if hasattr(engine, "_read") and hasattr(engine, "tree"):
+    if hasattr(engine, "_frame") and hasattr(engine, "tree"):
         recorder = PlanRecorder(engine.tree)
         engine._recorder = recorder
         return recorder

@@ -13,23 +13,24 @@ only fixes the order the pairs come out in, and a count-only join at a
 leaf pair sums the mask without sweeping.
 
 I/O accounting follows the window engine's convention independently per
-side: each tree gets its own internal-node LRU pool (warm pools make
-internal reads free, exactly like repeated window queries), and every
-leaf fetch hits the simulated disk and is counted.  A leaf that joins
-with several partners is fetched once per visiting pair group — the
-uncached-leaf model the paper's query experiments use.
+side: each side reads internal frames from its tree's pinned level
+table and pays each internal node's counted read once (so repeated
+joins read internal nodes for free, exactly like repeated window
+queries), and every leaf fetch hits the store and is counted.  A leaf
+that joins with several partners is fetched once per visiting pair
+group — the uncached-leaf model the paper's query experiments use.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.queries.base import QueryStats, TraversalEngine
-from repro.rtree.node import Entry, Node, NodeFrame
+from repro.rtree.levels import levels_of
+from repro.rtree.node import Entry, NodeFrame
 from repro.rtree.tree import RTree
 
 __all__ = [
@@ -209,31 +210,26 @@ class SpatialJoinEngine:
         fan-out and build algorithm — or be the same tree for a
         self-join).
     cache_internal:
-        When true (default) each side's internal nodes are cached in an
-        unbounded LRU pool shared across joins.
-    cache_capacity:
-        Optional cap on each internal-node pool.
+        When true (default) each side pays one counted read per internal
+        node across all joins; false counts every internal visit.
     """
 
     def __init__(
-        self,
-        left: RTree,
-        right: RTree,
-        cache_internal: bool = True,
-        cache_capacity: float = math.inf,
+        self, left: RTree, right: RTree, cache_internal: bool = True
     ) -> None:
         if left.dim != right.dim:
             raise ValueError(
                 f"cannot join a {left.dim}-d tree with a {right.dim}-d tree"
             )
-        self._left = TraversalEngine(left, cache_internal, cache_capacity)
-        self._right = TraversalEngine(right, cache_internal, cache_capacity)
+        self._left = TraversalEngine(left, cache_internal)
+        self._right = TraversalEngine(right, cache_internal)
         # xmin-sorted row orders plus x-column extracts, keyed by block id
-        # per side, so a node visited in many node pairs is sorted once.
-        # Like the internal-node pools, this assumes the trees are not
-        # mutated mid-join.
+        # per side, so a node visited in many node pairs is sorted once;
+        # kept across joins until either tree's level table is rebuilt
+        # (a node was written), and assuming no write mid-join.
         self._orders_left: dict[int, _SweepState] = {}
         self._orders_right: dict[int, _SweepState] = {}
+        self._tables: tuple = ()
         self.totals = JoinStats()
 
     def join(self) -> tuple[list[JoinPair], JoinStats]:
@@ -257,11 +253,14 @@ class SpatialJoinEngine:
         return stats.pairs, stats
 
     def _run(self, out: list[JoinPair] | None) -> JoinStats:
+        tables = (levels_of(self._left.tree), levels_of(self._right.tree))
+        if tables != self._tables:  # a node was written: re-sort
+            self._orders_left, self._orders_right, self._tables = {}, {}, tables
         stats = JoinStats(joins=1)
         left_root_id = self._left.tree.root_id
         right_root_id = self._right.tree.root_id
-        left_root = self._read_left(left_root_id, stats)
-        right_root = self._read_right(right_root_id, stats)
+        left_root = self._left._frame(left_root_id, stats.left)
+        right_root = self._right._frame(right_root_id, stats.right)
         if len(left_root) and len(right_root):
             if left_root.mbr().intersects(right_root.mbr()):
                 self._join_pair(
@@ -275,33 +274,24 @@ class SpatialJoinEngine:
     # Traversal
     # ------------------------------------------------------------------
 
-    def _read_left(self, block_id: int, stats: JoinStats) -> Node:
-        return self._left._read(block_id, stats.left)
-
-    def _read_right(self, block_id: int, stats: JoinStats) -> Node:
-        return self._right._read(block_id, stats.right)
-
     def _sweep_state(
         self, cache: dict[int, _SweepState], block_id: int, frame: NodeFrame
     ) -> _SweepState:
         state = cache.get(block_id)
         if state is None:
-            state = _sweep_state_of(frame)
-            cache[block_id] = state
+            state = cache[block_id] = _sweep_state_of(frame)
         return state
 
     def _join_pair(
         self,
         id_a: int,
-        node_a: Node,
+        frame_a: NodeFrame,
         id_b: int,
-        node_b: Node,
+        frame_b: NodeFrame,
         out: list[JoinPair] | None,
         stats: JoinStats,
     ) -> None:
         stats.node_pairs += 1
-        frame_a = node_a.frame()
-        frame_b = node_b.frame()
         # EXPLAIN recorders (repro.queries.explain), one per side; a node
         # joined against several partners accumulates matches per visit
         # and the plan clamps to the node's entry count.
@@ -318,80 +308,44 @@ class SpatialJoinEngine:
                 # pair count is identical.)
                 stats.pairs += int(mask.sum())
                 return
-            left_objects = self._left.tree.objects
-            right_objects = self._right.tree.objects
-            pairs = _sweep_frames(
+            left = self._left.tree.objects.get
+            right = self._right.tree.objects.get
+            pairs = list(_sweep_frames(
                 self._sweep_state(self._orders_left, id_a, frame_a),
                 self._sweep_state(self._orders_right, id_b, frame_b),
                 mask,
-            )
+            ))
+            stats.pairs += len(pairs)
+            if out is not None:
+                out += [
+                    ((frame_a.rect(i), left(frame_a.ptrs[i])),
+                     (frame_b.rect(j), right(frame_b.ptrs[j])))
+                    for i, j in pairs
+                ]
             if rec_a is not None:
-                seen_a: set[int] = set()
-                seen_b: set[int] = set()
-                for i, j in pairs:
-                    stats.pairs += 1
-                    seen_a.add(i)
-                    seen_b.add(j)
-                    if out is not None:
-                        out.append(
-                            (
-                                (
-                                    frame_a.rect(i),
-                                    left_objects.get(frame_a.ptrs[i]),
-                                ),
-                                (
-                                    frame_b.rect(j),
-                                    right_objects.get(frame_b.ptrs[j]),
-                                ),
-                            )
-                        )
-                rec_a.note_matched(id_a, len(seen_a))
-                rec_b.note_matched(id_b, len(seen_b))
-                return
-            for i, j in pairs:
-                stats.pairs += 1
-                if out is not None:
-                    out.append(
-                        (
-                            (
-                                frame_a.rect(i),
-                                left_objects.get(frame_a.ptrs[i]),
-                            ),
-                            (
-                                frame_b.rect(j),
-                                right_objects.get(frame_b.ptrs[j]),
-                            ),
-                        )
-                    )
+                rec_a.note_matched(id_a, len({i for i, _ in pairs}))
+                rec_b.note_matched(id_b, len({j for _, j in pairs}))
         elif frame_a.is_leaf:
             # Height mismatch: fix the left leaf, descend the right tree.
-            mbr_a = frame_a.mbr()
             rows = kernels.frame_intersecting(
-                frame_b.lo,
-                frame_b.hi,
-                kernels.as_coords(mbr_a.lo),
-                kernels.as_coords(mbr_a.hi),
+                frame_b.lo, frame_b.hi, *kernels.frame_mbr(frame_a.lo, frame_a.hi)
             )
             if rec_b is not None:
                 rec_b.note_matched(id_b, len(rows))
             for row in rows:
                 child_id = frame_b.ptrs[row]
-                child = self._read_right(child_id, stats)
-                self._join_pair(id_a, node_a, child_id, child, out, stats)
+                child = self._right._frame(child_id, stats.right)
+                self._join_pair(id_a, frame_a, child_id, child, out, stats)
         elif frame_b.is_leaf:
-            mbr_b = frame_b.mbr()
             rows = kernels.frame_intersecting(
-                frame_a.lo,
-                frame_a.hi,
-                kernels.as_coords(mbr_b.lo),
-                kernels.as_coords(mbr_b.hi),
+                frame_a.lo, frame_a.hi, *kernels.frame_mbr(frame_b.lo, frame_b.hi)
             )
             if rec_a is not None:
                 rec_a.note_matched(id_a, len(rows))
             for row in rows:
                 child_id = frame_a.ptrs[row]
-                child = self._read_left(child_id, stats)
-                self._join_pair(child_id, child, id_b, node_b, out, stats)
+                child = self._left._frame(child_id, stats.left)
+                self._join_pair(child_id, child, id_b, frame_b, out, stats)
         else:
             # Both internal: plane-sweep the entry pairs, then group by
             # left child so each left child is fetched once per visit.
@@ -412,16 +366,16 @@ class SpatialJoinEngine:
                 )
             for i in sorted(matches):
                 child_a_id = frame_a.ptrs[i]
-                child_a = self._read_left(child_a_id, stats)
+                child_a = self._left._frame(child_a_id, stats.left)
                 for j in matches[i]:
                     child_b_id = frame_b.ptrs[j]
-                    child_b = self._read_right(child_b_id, stats)
+                    child_b = self._right._frame(child_b_id, stats.right)
                     self._join_pair(
                         child_a_id, child_a, child_b_id, child_b, out, stats
                     )
 
     def reset(self) -> None:
-        """Clear accumulated totals (both caches stay warm)."""
+        """Clear accumulated totals (paid internal reads stay paid)."""
         self.totals = JoinStats()
 
 
@@ -429,8 +383,8 @@ def spatial_join(left: RTree, right: RTree) -> list[JoinPair]:
     """One-off intersection join returning ``((rect, value), (rect, value))``.
 
     For measured experiments construct a :class:`SpatialJoinEngine`
-    directly — it exposes per-tree I/O statistics and keeps both
-    internal-node caches warm across repeated joins.
+    directly — it exposes per-tree I/O statistics and pays each
+    internal node's counted read once across repeated joins.
     """
     pairs, _ = SpatialJoinEngine(left, right).join()
     return pairs

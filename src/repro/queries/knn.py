@@ -18,8 +18,9 @@ price of one traversal:
 The traversal is branch-and-bound optimal in the number of nodes touched:
 it only ever reads nodes whose MINDIST is below the distance of the last
 neighbor consumed.  I/O accounting follows the window engine exactly
-(leaf reads counted, internal nodes LRU-cached), so kNN cost is directly
-comparable with the paper's window-query figures.
+(leaf reads counted, internal frames from the tree's pinned level
+table), so kNN cost is directly comparable with the paper's window-query
+figures.
 
 The query target may be a point (any coordinate sequence) or a
 :class:`~repro.geometry.rect.Rect` — the engine switches between
@@ -119,8 +120,8 @@ class KNNEngine(TraversalEngine):
     """Reusable best-first kNN executor for one tree.
 
     Construction matches :class:`~repro.rtree.query.QueryEngine`:
-    internal nodes are cached across queries (the paper's setup) and
-    leaf reads are the reported cost.
+    an internal node costs one counted read per engine (the paper's
+    setup) and leaf reads are the reported cost.
     """
 
     def nearest(self, target: Rect | Sequence[float]) -> Iterator[Neighbor]:
@@ -177,7 +178,7 @@ class KNNEngine(TraversalEngine):
                 yield dist_sq, frame, row, frame.ptrs[row]
                 continue
             block_id = frame.ptrs[row]
-            child = self._read(block_id, stats).frame()
+            child = self._frame(block_id, stats)
             if recorder is not None:
                 # Best-first search prunes at node granularity (entries
                 # of a read node all become live candidates); unread
@@ -214,8 +215,8 @@ def knn(tree, target: Rect | Sequence[float], k: int) -> Neighbors:
     """One-off kNN returning :class:`Neighbors`.
 
     For measured experiments construct a :class:`KNNEngine` directly —
-    it exposes I/O statistics and keeps its internal-node cache warm
-    across a query workload.
+    it exposes I/O statistics and pays each internal node's counted
+    read once across a query workload.
     """
     neighbors, _ = KNNEngine(tree).knn(target, k)
     return neighbors

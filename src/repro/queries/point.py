@@ -16,7 +16,7 @@ depth-first traversal with the window engine's I/O accounting:
 
 Each returns the same ``(result, QueryStats)`` shape as
 :class:`~repro.rtree.query.QueryEngine.query`, and one engine instance
-shares a single warm internal-node pool across all three operators.
+pays each internal node's counted read once across all three operators.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class PointQueryEngine(TraversalEngine):
             )
         p = kernels.as_coords(point)
 
-        def stabbing(frame):
-            return kernels.frame_containing_point(frame.lo, frame.hi, p)
+        def stabbing(lo, hi):
+            return kernels.frame_containing_point(lo, hi, p)
 
         # A subtree is descended only when its box contains the point —
         # the same kernel prunes and reports.
@@ -96,8 +96,8 @@ def point_query(tree, point: Sequence[float]) -> Matches:
     """One-off stabbing query returning ``(rect, value)`` matches.
 
     For measured experiments construct a :class:`PointQueryEngine`
-    directly — it exposes I/O statistics and keeps its internal-node
-    cache warm across a query workload.
+    directly — it exposes I/O statistics and pays each internal node's
+    counted read once across a query workload.
     """
     matches, _ = PointQueryEngine(tree).point_query(point)
     return matches

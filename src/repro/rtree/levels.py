@@ -1,0 +1,91 @@
+"""A tree's internal levels, pinned as one table.
+
+The paper caches every internal node (Section 3.3, footnote 5);
+:class:`LevelTable` is that cache as arrays.  Per internal level, root
+first, every node's rows are stacked into one ``lo``/``hi`` table pair,
+with node row offsets and child pointers.  Level ``L + 1`` numbers its
+nodes in the order their pointers appear among level ``L``'s rows, so
+row ``r`` of level ``L`` *is* node ``r`` of level ``L + 1``: a
+level-synchronous descent hands the rows it keeps down as the next
+frontier with no lookup.  kNN and the join read internal frames here.
+
+The table belongs to the tree (:func:`levels_of`): every engine on it
+shares the table, and nothing edits it.  Built from side-effect-free
+``quiet_peek`` reads, it is keyed by the store's ``generation`` (bumped
+by every ``allocate``, ``write`` and ``free``), ``root_id`` and
+``height``: the first read after a write or a root change rebuilds it,
+once per tree.  The engines decide which visits are counted reads (:mod:`repro.rtree.query`).
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Callable
+
+from repro.rtree.node import NodeFrame
+
+__all__ = ["Level", "LevelTable", "levels_of"]
+
+
+class Level:
+    """One internal level: node ``j`` is block ``ids[j]``, with frame
+    ``frames[j]``, and owns rows ``start[j]:start[j + 1]``."""
+
+    __slots__ = ("ids", "frames", "lo", "hi", "ptrs", "start")
+
+    def __init__(self, ids: list[int], frames: list[NodeFrame]) -> None:
+        rows = NodeFrame.concat(frames)
+        self.ids, self.frames = ids, frames
+        self.lo, self.hi, self.ptrs = rows.lo, rows.hi, rows.ptrs
+        self.start = [0, *accumulate(map(len, frames))]
+
+    def survivors(
+        self, frontier: list[int], test: Callable[..., list[int]]
+    ) -> list[int]:
+        """The rows of the ``frontier`` nodes (ascending) that
+        ``test(lo, hi)`` keeps, ascending: one kernel call over the row
+        span from the first to the last frontier node, then the rows of
+        nodes in between that are not on the frontier are dropped."""
+        first, last = frontier[0], frontier[-1]
+        begin, end = self.start[first], self.start[last + 1]
+        rows = test(self.lo[begin:end], self.hi[begin:end])
+        if last - first >= len(frontier):
+            keep, start = set(frontier), self.start
+            rows = [r for r in rows if bisect_right(start, r + begin) - 1 in keep]
+        return [r + begin for r in rows] if begin else rows
+
+
+class LevelTable:
+    """Every internal level of one tree (``height - 1`` of them).
+    ``frames`` maps an internal node's block id to its frame; a block id
+    not in it is a leaf."""
+
+    __slots__ = ("levels", "frames", "generation", "root_id", "height")
+
+    def __init__(self, tree) -> None:
+        peek = tree.store.quiet_peek
+        self.generation = tree.store.generation
+        self.root_id, self.height = tree.root_id, tree.height
+        self.levels: list[Level] = []
+        self.frames: dict[int, NodeFrame] = {}
+        ids = [tree.root_id]
+        for _ in range(tree.height - 1):
+            frames = [peek(block_id).frame() for block_id in ids]
+            self.frames.update(zip(ids, frames))
+            self.levels.append(Level(ids, frames))
+            ids = self.levels[-1].ptrs
+
+
+def levels_of(tree) -> LevelTable:
+    """``tree``'s pinned table, rebuilt first if a node was written or
+    the root moved since it was built."""
+    table = tree._levels
+    if (
+        table is None
+        or table.generation != tree.store.generation
+        or table.root_id != tree.root_id
+        or table.height != tree.height
+    ):
+        table = tree._levels = LevelTable(tree)
+    return table

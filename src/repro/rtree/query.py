@@ -10,21 +10,22 @@ on an R-tree".
 I/O accounting mirrors Section 3.3: "in all our experiments we cached all
 internal nodes ... when reporting the number of I/Os needed to answer a
 query, we are in effect reporting the number of leaves visited."  The
-engine therefore routes internal-node reads through an LRU pool (unbounded
-by default) and counts leaf reads individually; construct with
-``cache_internal=False`` for the paper's cache-disabled side experiment.
+engine therefore descends the tree's pinned level table
+(:mod:`repro.rtree.levels`) one kernel call per level, pays one counted
+read per internal node on its first visit, and counts every leaf read;
+``cache_internal=False`` is the paper's cache-disabled side experiment.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
-from repro.iomodel.cache import LRUCache
+from repro.rtree.levels import levels_of
 from repro.rtree.node import NodeFrame, rects_of
 from repro.rtree.tree import RTree
 
@@ -116,9 +117,9 @@ class Matches(ColumnarResult):
     sequence of ``(rect, value)`` pairs held as columns.
 
     The columns are *parts*, each a frame and its matching rows: a
-    lone leaf's own frame, or one fresh frame concatenated from a group
-    of sibling leaves (frames are never edited in place, so either is a
-    snapshot no later write can change), plus the rows' values,
+    lone leaf's own frame, or one fresh frame concatenated from a
+    query's surviving leaves (frames are never edited in place, so
+    either is a snapshot no later write can change), plus the rows' values,
     resolved at query time.  ``len()``, :attr:`values`, :attr:`ids`,
     :attr:`lo` and :attr:`hi` read them; the pairs come in traversal
     order.  A retained result keeps its parts' frames alive.
@@ -184,165 +185,176 @@ class Matches(ColumnarResult):
 
 
 def on_window(window: Rect, *frame_kernels: Callable) -> list[Callable]:
-    """``frame -> kernel(frame.lo, frame.hi, q_lo, q_hi)`` per kernel, for
-    one query window whose corners are converted for the kernels once."""
+    """``(lo, hi) -> kernel(lo, hi, q_lo, q_hi)`` per kernel, for one
+    query window whose corners are converted for the kernels once."""
     q_lo = kernels.as_coords(window.lo)
     q_hi = kernels.as_coords(window.hi)
     return [
-        lambda frame, kernel=kernel: kernel(frame.lo, frame.hi, q_lo, q_hi)
+        lambda lo, hi, kernel=kernel: kernel(lo, hi, q_lo, q_hi)
         for kernel in frame_kernels
     ]
 
 
 class TraversalEngine:
-    """Shared plumbing for every query operator: one tree, one internal-node
-    pool, accumulated totals.
+    """Shared plumbing for every query operator: one tree, the tree's
+    pinned internal levels, accumulated totals.
 
     The window engine below and every operator in :mod:`repro.queries`
     (kNN, spatial join, point/containment/count) derive from this class,
-    so all of them count I/O through the identical :meth:`_read` path and
-    their reported costs are directly comparable.
+    so all of them count I/O the same way and their reported costs are
+    directly comparable.  Every leaf visit is a counted store read.
 
     Parameters
     ----------
     tree:
         The tree to query (any variant).
     cache_internal:
-        When true (default, the paper's setup) internal nodes are cached in
-        an unbounded LRU pool shared across queries; leaf reads always hit
-        the simulated disk.
-    cache_capacity:
-        Optional cap on the internal-node pool, for experiments on cache
-        pressure (the paper notes the full pool "never occupied more than
-        6MB").
+        When true (default, the paper's setup) an internal node costs
+        one counted read the first time *this engine* visits it and
+        none after.  False is the cache-disabled ablation: every
+        internal visit is a counted read.
     """
 
-    def __init__(
-        self,
-        tree: RTree,
-        cache_internal: bool = True,
-        cache_capacity: float = math.inf,
-    ) -> None:
+    def __init__(self, tree: RTree, cache_internal: bool = True) -> None:
         self.tree = tree
         self.cache_internal = cache_internal
-        self._cache = LRUCache(tree.store, capacity=cache_capacity if cache_internal else 0)
+        # Internal nodes this engine has paid for; the ablation pays every visit.
+        self._counted: set[int] = set()
         self.totals = QueryStats()
         # Opt-in EXPLAIN plan capture (repro.queries.explain).
         self._recorder = None
 
-    def _read(self, block_id: int, stats: QueryStats):
-        """Fetch one node, counting it the paper's way.
-
-        With an EXPLAIN recorder armed, the node is also attributed to
-        its plan level, with the physical reads it caused: the page
-        store's miss counter around the access (0 for stores with no
-        physical layer, e.g. the in-memory simulator).  Disarmed, that
-        costs two ``None`` checks per node.
-        """
-        recorder = self._recorder
-        if recorder is not None:
-            pstats = getattr(self.tree.store, "stats", None)
-            before_misses = pstats.misses if pstats is not None else 0
-        if self.cache_internal and block_id in self._cache:
-            # A warm internal node is answered from the engine's own
-            # pool without touching the store at all — the store-level
-            # peek below would otherwise cost a physical decode on paged
-            # stores whose page cache no longer holds the block.
-            stats.internal_visits += 1
-            node = self._cache.get(block_id)
-        else:
-            # The root's leafness is known from tree height; for
-            # everything else the parent knew whether its children are
-            # leaves only implicitly, so peek at the node kind first
-            # (metadata, not a counted access) and route the counted
-            # read appropriately.
-            node = self.tree.store.peek(block_id)
-            if node.is_leaf:
-                stats.leaf_reads += 1
-                node = self.tree.store.read(block_id)
-            else:
-                stats.internal_visits += 1
-                if self.cache_internal:
-                    before = self._cache.misses
-                    node = self._cache.get(block_id)
-                    stats.internal_reads += self._cache.misses - before
-                else:
-                    stats.internal_reads += 1
-                    node = self.tree.store.read(block_id)
-        if recorder is not None:
-            physical = pstats.misses - before_misses if pstats is not None else 0
-            recorder.on_node(block_id, node, physical)
+    def _fetch(self, block_id: int, physical: dict | None):
+        """One counted store access: a ``peek`` then a ``read`` (one physical
+        read).  ``physical`` (EXPLAIN armed) records its page misses."""
+        store = self.tree.store
+        pstats = None if physical is None else getattr(store, "stats", None)
+        before = 0 if pstats is None else pstats.misses
+        store.peek(block_id)
+        node = store.read(block_id)
+        if physical is not None:
+            physical[block_id] = 0 if pstats is None else pstats.misses - before
         return node
+
+    def _charge(self, block_id: int, stats: QueryStats, physical) -> None:
+        """Pay for a visit to internal node ``block_id``: a counted read
+        on this engine's first visit (on every visit for the ablation)."""
+        if block_id not in self._counted:
+            self._fetch(block_id, physical)
+            stats.internal_reads += 1
+            if self.cache_internal:
+                self._counted.add(block_id)
+
+    def _frame(self, block_id: int, stats: QueryStats) -> NodeFrame:
+        """One node's frame, counted the paper's way, for the operators
+        that read a node at a time (kNN, the join, window batches)."""
+        frame = levels_of(self.tree).frames.get(block_id)
+        recorder = self._recorder
+        physical = None if recorder is None else {}
+        if frame is None:
+            stats.leaf_reads += 1
+            frame = self._fetch(block_id, physical).frame()
+        else:
+            stats.internal_visits += 1
+            self._charge(block_id, stats, physical)
+        if recorder is not None:
+            recorder.on_node(block_id, frame, physical.get(block_id, 0))
+        return frame
 
     def _run(
         self,
-        descend_rows: Callable[[NodeFrame], list[int]],
-        report_rows: Callable[[NodeFrame], list[int]] | None,
-        count_rows: Callable[[NodeFrame], int] | None = None,
+        descend_rows: Callable[..., list[int]],
+        report_rows: Callable[..., list[int]] | None,
+        count_rows: Callable[..., int] | None = None,
     ) -> tuple[Matches, QueryStats]:
-        """The depth-first reporting traversal every window, point and
-        containment query is, with whole-frame evaluation.
+        """The reporting traversal every window, point and containment
+        query is, one kernel call per level.
 
-        ``descend_rows(frame)`` returns the internal rows to push,
-        ``report_rows(frame)`` the leaf rows to report; a count-only
+        ``descend_rows(lo, hi)`` returns the internal rows to descend,
+        ``report_rows(lo, hi)`` the leaf rows to report; a count-only
         operator passes ``count_rows`` instead so leaves never build an
-        index list at all.
-
-        The stack holds *runs* (an internal node's pointers and its
-        surviving rows, popped last row first).  The tree is balanced,
-        so when a leaf comes off a run the rest of the run are leaves
-        the stack would pop next: they are read at once, in that order,
-        and tested as one concatenated frame — one kernel call and one
-        result part per group.
+        index list at all.  The descent is level-synchronous over the
+        tree's pinned table; the surviving leaves are read in
+        depth-first order — the reverse of their rows — and tested as
+        one concatenated frame: one kernel call, one result part.
         """
         tree = self.tree
-        recorder = self._recorder
-        get = tree.objects.get
+        table = levels_of(tree)
         stats = QueryStats(queries=1)
-        parts: list[tuple[NodeFrame, list[int]]] = []
-        values: list[Any] = []
-        stack = [([tree.root_id], [0])]
-        while stack:
-            ptrs, rest = stack[-1]
-            block_id = ptrs[rest.pop()]
-            if not rest:
-                stack.pop()
-            frame = self._read(block_id, stats).frame()
-            if not frame.is_leaf:
-                rows = descend_rows(frame)
-                if rows:
-                    stack.append((frame.ptrs, rows))
-                if recorder is not None:
-                    recorder.note_matched(block_id, len(rows))
-                continue
-            if rest:
-                stack.pop()
-                group = [frame]
-                while rest:
-                    group.append(self._read(ptrs[rest.pop()], stats).frame())
-                frame = NodeFrame.concat(group)
+        steps = []  # (level, its frontier, the rows they kept)
+        frontier = [0]
+        for level in table.levels:
+            rows = level.survivors(frontier, descend_rows)
+            steps.append((level, frontier, rows))
+            stats.internal_visits += len(frontier)
+            frontier = rows
+            if not rows:
+                break
+        ptrs = steps[-1][0].ptrs if steps else [tree.root_id]
+        stats.leaf_reads += len(frontier)
+        frames = self._read_leaves(table, steps, frontier, ptrs, stats)
+        matched, parts, values = 0, (), ()
+        if frames:
+            frame = frames[0] if len(frames) == 1 else NodeFrame.concat(frames)
             if report_rows is None:
-                matched = count_rows(frame)
-                stats.reported += matched
+                matched = count_rows(frame.lo, frame.hi)
             else:
-                rows = report_rows(frame)
+                rows = report_rows(frame.lo, frame.hi)
                 matched = len(rows)
                 if rows:
-                    parts.append((frame, rows))
-                    values += map(get, map(frame.ptrs.__getitem__, rows))
-                    stats.reported += matched
-            if recorder is not None:
-                # Every leaf of a group sits on one level of the plan.
-                recorder.note_matched(block_id, matched)
+                    parts = ((frame, rows),)
+                    values = map(
+                        tree.objects.get, map(frame.ptrs.__getitem__, rows)
+                    )
+            stats.reported += matched
+            if self._recorder is not None:  # every leaf is on one plan level
+                self._recorder.note_matched(ptrs[frontier[-1]], matched)
         self.totals.merge(stats)
         return Matches(parts, values, tree.dim), stats
 
-    def invalidate(self, block_id: int) -> None:
-        """Drop a block from the internal pool after an update touched it."""
-        self._cache.invalidate(block_id)
+    def _read_leaves(self, table, steps, frontier, ptrs, stats) -> list[NodeFrame]:
+        """Make a descent's store accesses; return the leaves' frames.
+
+        They go in depth-first order — a node's read, if owed, then its
+        children from the last kept row to the first — as before the
+        descent went level by level, so counters, page-cache statistics
+        and EXPLAIN's physical reads are unchanged.  That walk reaches a
+        node after all whose rows in the last level end later, and before
+        its own subtree: so the reads sort by (end of those rows,
+        descending; depth; row, descending)."""
+        accesses = []
+        for depth, (level, nodes, _) in enumerate(steps):
+            for j in nodes:
+                if level.ids[j] not in self._counted:
+                    end = j + 1
+                    for lower, _, _ in steps[depth:]:
+                        end = lower.start[end]
+                    accesses.append((-end, depth, -j, level.ids[j]))
+        accesses += [(-r - 1, len(steps), -r, ptrs[r]) for r in reversed(frontier)]
+        accesses.sort()
+        recorder = self._recorder
+        physical = None if recorder is None else {}
+        frames = []
+        for _, depth, _, block_id in accesses:
+            if depth < len(steps):
+                self._charge(block_id, stats, physical)
+            else:
+                frames.append(self._fetch(block_id, physical).frame())
+        if recorder is not None:  # top-down: parents place their children
+            for level, nodes, rows in steps:
+                for j in nodes:
+                    block_id, start = level.ids[j], level.start
+                    recorder.on_node(
+                        block_id, table.frames[block_id], physical.get(block_id, 0)
+                    )
+                    kept = bisect_left(rows, start[j + 1]) - bisect_left(rows, start[j])
+                    recorder.note_matched(block_id, kept)
+            for r, frame in zip(reversed(frontier), frames):
+                recorder.on_node(ptrs[r], frame, physical[ptrs[r]])
+        return frames
 
     def reset(self) -> None:
-        """Clear accumulated totals (the cache stays warm)."""
+        """Clear accumulated totals (paid internal reads stay paid)."""
         self.totals = QueryStats()
 
 
@@ -399,7 +411,7 @@ class QueryEngine(TraversalEngine):
         while stack:
             block_id, active = stack.pop()
             shared = QueryStats()
-            frame = self._read(block_id, shared).frame()
+            frame = self._frame(block_id, shared)
             hits = kernels.batch_intersecting(
                 frame.lo, frame.hi, q_lo, q_hi, active
             )

@@ -70,6 +70,8 @@ class RTree:
         self.min_fill = min_fill if min_fill is not None else max(1, (fanout * 2) // 5)
         self.objects: dict[int, Any] = {}
         self._next_oid = 0
+        # The pinned internal levels (repro.rtree.levels.levels_of).
+        self._levels = None
 
     # ------------------------------------------------------------------
     # Construction helpers

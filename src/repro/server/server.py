@@ -10,8 +10,8 @@ executes each batch in the order it arrives, with two savings:
 * **Deduplication** — identical requests in a batch run once and share
   the result (requests are frozen, hashable dataclasses).
 * **Shared warm engines** — one engine per (index, operator) lives
-  across batches, keeping internal nodes cached exactly like the
-  paper's repeated-query setup.
+  across batches, paying each internal node's counted read once exactly
+  like the paper's repeated-query setup.
 
 Reads run in arrival order: the paper charges a query the leaves it
 visits, so execution order never changes a query's cost, and at the
@@ -228,8 +228,9 @@ class QueryServer:
     def _invalidate(self, name: str) -> None:
         """Drop warm engines that observed ``name``.
 
-        Called after writes: the engines' internal-node pools hold
-        decoded nodes from before the update and must be rebuilt.
+        Called after writes.  Answers never need it (level tables
+        rebuild themselves); fresh engines keep the accounting as it
+        was: internal reads are paid again after a write batch.
         """
         stale = [
             k
@@ -437,8 +438,8 @@ class QueryServer:
                             request, traces[i] if traces else None
                         )
             finally:
-                # Warm engines hold pre-update nodes; rebuild lazily —
-                # also when a write raised after earlier ones applied.
+                # Fresh engines after a write batch — also when a write
+                # raised after earlier ones applied (see _invalidate).
                 for name in mutated:
                     self._invalidate(name)
             if self.sync_writes:

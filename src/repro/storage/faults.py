@@ -218,6 +218,10 @@ class FaultInjectingStore:
     def counters(self):
         return self.inner.counters
 
+    @property
+    def generation(self) -> int:
+        return self.inner.generation
+
     # -- payload-carrying operations (fault-filtered) ------------------
 
     def allocate(self, payload=None) -> BlockId:
@@ -239,6 +243,9 @@ class FaultInjectingStore:
 
     def peek(self, block_id: BlockId):
         return self.inner.peek(block_id)
+
+    def quiet_peek(self, block_id: BlockId):
+        return self.inner.quiet_peek(block_id)
 
     def free(self, block_id: BlockId) -> None:
         self.inner.free(block_id)

@@ -182,6 +182,7 @@ class FileBlockStore:
         self.path = path
         self.block_size = block_size
         self.counters = counters if counters is not None else IOCounters()
+        self.generation = 0  # bumped by every block write and free
         self._meta = meta
         self._injector = injector
         self._lock = threading.Lock()
@@ -704,6 +705,7 @@ class FileBlockStore:
         old one joins the pending pool, reclaimable only after the next
         header flip.
         """
+        self.generation += 1
         current = self._l2p[block_id]
         if current != _UNWRITTEN and current in self._fresh_phys:
             return current
@@ -786,6 +788,7 @@ class FileBlockStore:
             )
             self._freelist_head = block_id
             self._freed_count += 1
+            self.generation += 1
             self._dirty = True
 
     def _is_allocated(self, block_id: BlockId) -> bool:
@@ -862,6 +865,9 @@ class FileBlockStore:
         with self._lock:
             self._check_live(block_id)
             return self._read_bytes_locked(block_id)
+
+    #: No page cache here, so :meth:`peek` already leaves no trace.
+    quiet_peek = peek
 
     # ------------------------------------------------------------------
     # Introspection

@@ -184,6 +184,8 @@ class PagedNodeStore:
         # that pair must cost one physical read even with capacity 0.
         self._mru: tuple[BlockId, Node] | None = None
         self._lock = threading.Lock()
+        #: Bumped by every allocate, write and free (repro.rtree.levels).
+        self.generation = 0
 
     # -- protocol attributes ------------------------------------------
 
@@ -430,6 +432,7 @@ class PagedNodeStore:
             self._check_writable_locked()
             # Same KeyError/FreedBlockError contract as a direct write.
             self.file_store._check_live(block_id)
+            self.generation += 1
             self.counters.record_write(block_id)
             if tap is not None:
                 tap.writes += 1
@@ -450,6 +453,7 @@ class PagedNodeStore:
         tap = active_tap()
         with self._lock:
             self._check_writable_locked()
+            self.generation += 1
             if node is None:
                 # Delegates to the file store, whose own hook attributes
                 # the counted write — no increment here (no double count).
@@ -469,6 +473,7 @@ class PagedNodeStore:
         """
         with self._lock:
             self.file_store.free(block_id)
+            self.generation += 1
             self._pages.pop(block_id, None)
             self._dirty.discard(block_id)
             if self._mru is not None and self._mru[0] == block_id:

@@ -1006,8 +1006,8 @@ class ShardedTree:
         """One-off window query over the whole family.
 
         For measured experiments construct a :class:`ShardedQueryEngine`
-        directly — it exposes merged statistics and keeps its per-shard
-        internal-node pools warm across a workload.
+        directly — it exposes merged statistics and its per-shard
+        sub-engines pay each internal read once across a workload.
         """
         matches, _ = ShardedQueryEngine(self).query(window)
         return matches
@@ -1097,7 +1097,7 @@ def open_index(
 class _ShardedFanout:
     """Shared plumbing of the sharded engines: shard selection from the
     routing table, serial fan-out in shard order (each shard on its own
-    sub-engine with its own internal-node pool), merge, per-shard timing.
+    sub-engine paying each internal read once), merge, per-shard timing.
     """
 
     #: The single-tree engine each shard gets.
@@ -1197,7 +1197,7 @@ class _ShardedFanout:
         return [replace(sub.totals) for sub in self._subs]
 
     def reset(self) -> None:
-        """Clear the facade's and every shard's totals (caches stay warm)."""
+        """Clear the facade's and every shard's totals (engines stay warm)."""
         self.totals = QueryStats()
         for sub in self._subs:
             sub.reset()
@@ -1206,8 +1206,8 @@ class _ShardedFanout:
 class ShardedQueryEngine(_ShardedFanout):
     """Window queries over a sharded family.
 
-    One :class:`~repro.rtree.query.QueryEngine` per shard keeps each
-    shard's internal nodes pooled across queries; a query fans out only
+    One :class:`~repro.rtree.query.QueryEngine` per shard reads that
+    shard's pinned internal levels across queries; a query fans out only
     to shards whose live MBR intersects the window and concatenates the
     matches in shard order.
     """
@@ -1356,8 +1356,8 @@ class ShardedJoinEngine:
     pair whose root MBRs intersect, concatenating the pairs and summing
     the statistics in pair order.  Because shards partition their
     side's data, every intersecting data pair is reported exactly once.
-    Component-pair engines are cached, so repeated joins keep their
-    internal-node pools warm.
+    Component-pair engines are cached, so repeated joins pay each
+    internal node's counted read once.
     """
 
     def __init__(
@@ -1433,5 +1433,5 @@ class ShardedJoinEngine:
         return out, stats
 
     def reset(self) -> None:
-        """Clear accumulated totals (component-pair caches stay warm)."""
+        """Clear accumulated totals (component-pair engines stay warm)."""
         self.totals = JoinStats()

@@ -1,0 +1,160 @@
+"""The read path as it stood before the level descent: an LRU pool of
+internal nodes per engine and a depth-first traversal.
+
+Verbatim copies of ``repro.iomodel.cache.LRUCache`` and of
+``TraversalEngine.__init__`` / ``_read`` / ``_run``, adapted only to the
+calling conventions that changed with them: the row kernels take
+``(lo, hi)`` instead of a frame, EXPLAIN's ``on_node`` takes a frame,
+and the node-at-a-time operators (kNN, the join, window batches) ask
+``_frame`` for a node.  Mixed in ahead of an operator class, they give
+that operator's pre-change I/O path:
+
+    class DFSOracleQueryEngine(DFSOracleEngine, QueryEngine): ...
+"""
+
+from __future__ import annotations
+
+import math
+from collections import OrderedDict
+from typing import Any
+
+from repro.queries.join import SpatialJoinEngine
+from repro.queries.knn import KNNEngine
+from repro.queries.point import PointQueryEngine
+from repro.rtree.node import NodeFrame
+from repro.rtree.query import Matches, QueryEngine, QueryStats, TraversalEngine
+
+
+class OracleLRU:
+    """``LRUCache`` as it was (a least-recently-used block cache)."""
+
+    def __init__(self, store, capacity=math.inf):
+        if capacity < 0:
+            raise ValueError("capacity must be >= 0")
+        self.store = store
+        self.capacity = capacity
+        self._entries: OrderedDict[int, Any] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, block_id):
+        if block_id in self._entries:
+            self.hits += 1
+            self._entries.move_to_end(block_id)
+            return self._entries[block_id]
+        self.misses += 1
+        payload = self.store.read(block_id)
+        if self.capacity > 0:
+            self._entries[block_id] = payload
+            if len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        return payload
+
+    def __contains__(self, block_id):
+        return block_id in self._entries
+
+
+class DFSOracleEngine(TraversalEngine):
+    """``TraversalEngine`` as it was: LRU pool, depth-first ``_run``."""
+
+    def __init__(self, tree, cache_internal=True, cache_capacity=math.inf):
+        self.tree = tree
+        self.cache_internal = cache_internal
+        self._cache = OracleLRU(
+            tree.store, capacity=cache_capacity if cache_internal else 0
+        )
+        self.totals = QueryStats()
+        self._recorder = None
+
+    def _read(self, block_id, stats):
+        recorder = self._recorder
+        if recorder is not None:
+            pstats = getattr(self.tree.store, "stats", None)
+            before_misses = pstats.misses if pstats is not None else 0
+        if self.cache_internal and block_id in self._cache:
+            stats.internal_visits += 1
+            node = self._cache.get(block_id)
+        else:
+            node = self.tree.store.peek(block_id)
+            if node.is_leaf:
+                stats.leaf_reads += 1
+                node = self.tree.store.read(block_id)
+            else:
+                stats.internal_visits += 1
+                if self.cache_internal:
+                    before = self._cache.misses
+                    node = self._cache.get(block_id)
+                    stats.internal_reads += self._cache.misses - before
+                else:
+                    stats.internal_reads += 1
+                    node = self.tree.store.read(block_id)
+        if recorder is not None:
+            physical = pstats.misses - before_misses if pstats is not None else 0
+            recorder.on_node(block_id, node.frame(), physical)
+        return node
+
+    def _frame(self, block_id, stats):
+        return self._read(block_id, stats).frame()
+
+    def _run(self, descend_rows, report_rows, count_rows=None):
+        tree = self.tree
+        recorder = self._recorder
+        get = tree.objects.get
+        stats = QueryStats(queries=1)
+        parts = []
+        values = []
+        stack = [([tree.root_id], [0])]
+        while stack:
+            ptrs, rest = stack[-1]
+            block_id = ptrs[rest.pop()]
+            if not rest:
+                stack.pop()
+            frame = self._read(block_id, stats).frame()
+            if not frame.is_leaf:
+                rows = descend_rows(frame.lo, frame.hi)
+                if rows:
+                    stack.append((frame.ptrs, rows))
+                if recorder is not None:
+                    recorder.note_matched(block_id, len(rows))
+                continue
+            if rest:
+                stack.pop()
+                group = [frame]
+                while rest:
+                    group.append(self._read(ptrs[rest.pop()], stats).frame())
+                frame = NodeFrame.concat(group)
+            if report_rows is None:
+                matched = count_rows(frame.lo, frame.hi)
+                stats.reported += matched
+            else:
+                rows = report_rows(frame.lo, frame.hi)
+                matched = len(rows)
+                if rows:
+                    parts.append((frame, rows))
+                    values += map(get, map(frame.ptrs.__getitem__, rows))
+                    stats.reported += matched
+            if recorder is not None:
+                recorder.note_matched(block_id, matched)
+        self.totals.merge(stats)
+        return Matches(parts, values, tree.dim), stats
+
+
+class DFSOracleQueryEngine(DFSOracleEngine, QueryEngine):
+    pass
+
+
+class DFSOraclePointEngine(DFSOracleEngine, PointQueryEngine):
+    pass
+
+
+class DFSOracleKNNEngine(DFSOracleEngine, KNNEngine):
+    pass
+
+
+class DFSOracleJoinEngine(SpatialJoinEngine):
+    """The join over two pre-change sides."""
+
+    def __init__(self, left, right, cache_internal=True):
+        super().__init__(left, right, cache_internal)
+        self._left = DFSOracleEngine(left, cache_internal)
+        self._right = DFSOracleEngine(right, cache_internal)

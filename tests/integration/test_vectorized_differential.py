@@ -7,9 +7,9 @@ The array-native read path (structure-of-arrays ``NodeFrame`` +
 traffic) as the historical entry-at-a-time engines.
 
 The oracles below are verbatim copies of the pre-refactor per-entry
-traversal code — ``Rect`` method calls over ``node.entries`` — sharing
-:class:`~repro.queries.base.TraversalEngine` so both sides count I/O
-through the identical ``_read`` path.  Every engine (window, point,
+traversal code — ``Rect`` method calls over ``node.entries`` — over
+``DFSOracleEngine``'s ``_read`` (``tests/dfs_oracle.py``: the per-engine
+LRU pool the engines counted I/O through before the level descent).  Every engine (window, point,
 containment, count, kNN, join, window batches) is compared across every
 tree variant, plus a tight-cache :class:`~repro.storage.PagedTree` where
 the comparison extends to the physical
@@ -41,7 +41,8 @@ from repro.rtree.query import QueryEngine, QueryStats
 from repro.rtree.split import quadratic_split
 from repro.rtree.tree import RTree
 from repro.rtree.update import _choose_subtree
-from repro.queries.base import TraversalEngine
+from repro.rtree.query import TraversalEngine
+from tests.dfs_oracle import DFSOracleEngine
 from repro.storage import PagedTree, pack_tree
 
 from tests.conftest import random_rects, random_windows
@@ -75,7 +76,7 @@ def windows(draw, dim=2):
 # ----------------------------------------------------------------------
 
 
-class ScalarWindowEngine(TraversalEngine):
+class ScalarWindowEngine(DFSOracleEngine):
     """The historical entry-at-a-time window query."""
 
     def query(self, window):
@@ -98,7 +99,7 @@ class ScalarWindowEngine(TraversalEngine):
         return matches, stats
 
 
-class ScalarPointEngine(TraversalEngine):
+class ScalarPointEngine(DFSOracleEngine):
     """The historical per-entry point / containment / count queries."""
 
     def point_query(self, point):
@@ -146,7 +147,7 @@ class ScalarPointEngine(TraversalEngine):
 _NODE, _DATA = 0, 1
 
 
-class ScalarKNNEngine(TraversalEngine):
+class ScalarKNNEngine(DFSOracleEngine):
     """The historical best-first kNN over entry tuples."""
 
     def knn(self, target, k):
@@ -182,8 +183,8 @@ class ScalarJoinEngine:
     """The historical entry-based synchronized join with plane sweep."""
 
     def __init__(self, left, right):
-        self._left = TraversalEngine(left)
-        self._right = TraversalEngine(right)
+        self._left = DFSOracleEngine(left)
+        self._right = DFSOracleEngine(right)
         self._orders_left = {}
         self._orders_right = {}
         self.totals = JoinStats()
@@ -461,11 +462,11 @@ class TestPagedTreeDifferential:
         queries = random_windows(15, seed=52)
 
         def vector(tree):
-            engine = QueryEngine(tree, cache_capacity=2)
+            engine = QueryEngine(tree, cache_internal=False)
             return [engine.query(w) for w in queries]
 
         def scalar(tree):
-            engine = ScalarWindowEngine(tree, cache_capacity=2)
+            engine = ScalarWindowEngine(tree, cache_internal=False)
             return [engine.query(w) for w in queries]
 
         self._compare_workload(packed, vector, scalar)
@@ -475,20 +476,20 @@ class TestPagedTreeDifferential:
         points = [(w.lo[0], w.lo[1]) for w in queries]
 
         def vector(tree):
-            engine = PointQueryEngine(tree, cache_capacity=2)
+            engine = PointQueryEngine(tree, cache_internal=False)
             out = [engine.point_query(p) for p in points]
             out += [engine.containment_query(w) for w in queries]
             out += [engine.count(w) for w in queries]
-            knn_engine = KNNEngine(tree, cache_capacity=2)
+            knn_engine = KNNEngine(tree, cache_internal=False)
             out += [knn_engine.knn(p, 5) for p in points]
             return out
 
         def scalar(tree):
-            engine = ScalarPointEngine(tree, cache_capacity=2)
+            engine = ScalarPointEngine(tree, cache_internal=False)
             out = [engine.point_query(p) for p in points]
             out += [engine.containment_query(w) for w in queries]
             out += [engine.count(w) for w in queries]
-            knn_engine = ScalarKNNEngine(tree, cache_capacity=2)
+            knn_engine = ScalarKNNEngine(tree, cache_internal=False)
             out += [(knn_engine.knn(p, 5), None) for p in points]
             return out
 
@@ -500,15 +501,15 @@ class TestPagedTreeDifferential:
         ) as vec_tree, PagedTree.open(
             path, values=values, cache_pages=4, readonly=True
         ) as sca_tree:
-            engine = PointQueryEngine(vec_tree, cache_capacity=2)
-            oracle = ScalarPointEngine(sca_tree, cache_capacity=2)
+            engine = PointQueryEngine(vec_tree, cache_internal=False)
+            oracle = ScalarPointEngine(sca_tree, cache_internal=False)
             for p in points:
                 assert engine.point_query(p) == oracle.point_query(p)
             for w in queries:
                 assert engine.containment_query(w) == oracle.containment_query(w)
                 assert engine.count(w) == oracle.count(w)
-            knn_engine = KNNEngine(vec_tree, cache_capacity=2)
-            knn_oracle = ScalarKNNEngine(sca_tree, cache_capacity=2)
+            knn_engine = KNNEngine(vec_tree, cache_internal=False)
+            knn_oracle = ScalarKNNEngine(sca_tree, cache_internal=False)
             for p in points:
                 got, _ = knn_engine.knn(p, 5)
                 assert got == knn_oracle.knn(p, 5)
@@ -2009,7 +2010,7 @@ def oracle_report(frame, rows, objects):
     ]
 
 
-class OracleQueryEngine(TraversalEngine):
+class OracleQueryEngine(DFSOracleEngine):
     """``QueryEngine`` as it reported before ``Matches``."""
 
     def query(self, window):
@@ -2093,7 +2094,7 @@ class OracleQueryEngine(TraversalEngine):
         return all_matches, all_stats
 
 
-class OraclePointEngine(PointQueryEngine):
+class OraclePointEngine(DFSOracleEngine, PointQueryEngine):
     """``PointQueryEngine`` with the ``_run`` it had before ``Matches``
     (the three operators only choose its kernels)."""
 
@@ -2109,12 +2110,12 @@ class OraclePointEngine(PointQueryEngine):
             frame = node.frame()
             if frame.is_leaf:
                 if report_rows is None:
-                    kept = count_rows(frame)
+                    kept = count_rows(frame.lo, frame.hi)
                     stats.reported += kept
                     if recorder is not None:
                         recorder.note_matched(block_id, kept)
                     continue
-                rows = report_rows(frame)
+                rows = report_rows(frame.lo, frame.hi)
                 stats.reported += len(rows)
                 if recorder is not None:
                     recorder.note_matched(block_id, len(rows))
@@ -2127,7 +2128,7 @@ class OraclePointEngine(PointQueryEngine):
                         matches.append((rect, tree.objects.get(pointer)))
             else:
                 ptrs = frame.ptrs
-                rows = descend_rows(frame)
+                rows = descend_rows(frame.lo, frame.hi)
                 if recorder is not None:
                     recorder.note_matched(block_id, len(rows))
                 for i in rows:
@@ -2483,7 +2484,7 @@ def _oracle_delta(after, before):
     )
 
 
-class RowHeapKNNOracle(KNNEngine):
+class RowHeapKNNOracle(DFSOracleEngine, KNNEngine):
     """``KNNEngine`` as it was: every row of an expanded node on the heap."""
 
     def nearest(self, target):
@@ -2581,15 +2582,15 @@ class LeafAtATimeRun:
             frame = self._read(block_id, stats).frame()
             ptrs = frame.ptrs
             if not frame.is_leaf:
-                rows = descend_rows(frame)
+                rows = descend_rows(frame.lo, frame.hi)
                 matched = len(rows)
                 for i in rows:
                     stack.append(ptrs[i])
             elif report_rows is None:
-                matched = count_rows(frame)
+                matched = count_rows(frame.lo, frame.hi)
                 stats.reported += matched
             else:
-                rows = report_rows(frame)
+                rows = report_rows(frame.lo, frame.hi)
                 matched = len(rows)
                 if rows:
                     parts.append((frame, rows))
@@ -2601,11 +2602,11 @@ class LeafAtATimeRun:
         return Matches(parts, values, tree.dim), stats
 
 
-class LeafAtATimeQueryOracle(LeafAtATimeRun, QueryEngine):
+class LeafAtATimeQueryOracle(LeafAtATimeRun, DFSOracleEngine, QueryEngine):
     pass
 
 
-class LeafAtATimePointOracle(LeafAtATimeRun, PointQueryEngine):
+class LeafAtATimePointOracle(LeafAtATimeRun, DFSOracleEngine, PointQueryEngine):
     pass
 
 
@@ -3050,12 +3051,11 @@ def _mutant(function, old, new):
 
 
 READ_MUTANTS = {
-    # The rest of a run read first row first: the group's frames, its
-    # rows and the page accesses come in the wrong order.
+    # The surviving leaves read first row first: the concatenated
+    # frame's rows and the page accesses come in the wrong order.
     "group-in-row-order": (
-        TraversalEngine, "_run", TraversalEngine._run,
-        "self._read(ptrs[rest.pop()], stats)",
-        "self._read(ptrs[rest.pop(0)], stats)",
+        TraversalEngine, "_read_leaves", TraversalEngine._read_leaves,
+        "(-r - 1, len(steps), -r, ptrs[r])", "(r + 1, len(steps), r, ptrs[r])",
     ),
     # The counter advances one short of the node's size, so the next
     # expansion's first row shares a counter with this one's last row.
@@ -3071,13 +3071,6 @@ READ_MUTANTS = {
         kernels, "frame_nearest_run", kernels.frame_nearest_run.__wrapped__,
         'order = dist.argsort(kind="stable")',
         "order = np.lexsort((-np.arange(len(dist)), dist))",
-    ),
-    # A lone leaf whose run is used up takes the next run on the stack
-    # into its group.
-    "group-crosses-runs": (
-        TraversalEngine, "_run", TraversalEngine._run,
-        "if rest:\n            stack.pop()\n",
-        "if rest or stack:\n            ptrs, rest = stack.pop()\n",
     ),
 }
 

@@ -1,71 +1,27 @@
-"""Cache behaviour through the query engines (satellite of the LRU tests).
+"""Internal-node accounting through the query engines.
 
-``test_iomodel.py`` covers :class:`LRUCache` in isolation; these tests
-pin down the contract the engines rely on: LRU eviction order over
-longer access sequences, capacity 0 meaning "disabled, every access is a
-counted read", and the paper's footnote-5 setup — once all internal
-nodes are cached, a window query's ``internal_reads`` is exactly 0 and
-its cost is leaf reads alone.
+The paper caches every internal node (footnote 5): once warm, a window
+query's ``internal_reads`` is exactly 0 and its cost is leaf reads
+alone.  These tests pin down the contract the engines keep with the
+tree's pinned level table (:mod:`repro.rtree.levels`): an engine pays
+one counted read the first time it visits an internal node and none
+after, ``cache_internal=False`` pays on every visit, and the table is
+one per tree, shared by its engines and rebuilt once after a write.
 """
-
-import math
 
 from tests.conftest import random_rects, random_windows
 
+from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore
-from repro.iomodel.cache import LRUCache
 from repro.prtree.prtree import build_prtree
-from repro.queries.base import TraversalEngine
+from repro.queries.knn import KNNEngine
+from repro.rtree import levels
+from repro.rtree.levels import levels_of
 from repro.rtree.query import QueryEngine
 
 
-class TestEvictionOrder:
-    def test_evicts_least_recently_used_over_long_sequence(self):
-        store = BlockStore()
-        ids = [store.allocate(i) for i in range(5)]
-        cache = LRUCache(store, capacity=3)
-        for bid in ids[:3]:          # pool: 0 1 2 (LRU -> MRU)
-            cache.get(bid)
-        cache.get(ids[0])            # pool: 1 2 0
-        cache.get(ids[3])            # evicts 1 -> pool: 2 0 3
-        cache.get(ids[4])            # evicts 2 -> pool: 0 3 4
-        assert ids[0] in cache and ids[3] in cache and ids[4] in cache
-        assert ids[1] not in cache and ids[2] not in cache
-
-    def test_hit_refreshes_recency_repeatedly(self):
-        store = BlockStore()
-        ids = [store.allocate(i) for i in range(4)]
-        cache = LRUCache(store, capacity=2)
-        cache.get(ids[0])
-        for other in ids[1:]:
-            cache.get(other)         # each insert evicts the non-0 entry…
-            cache.get(ids[0])        # …because 0 is refreshed every time
-        assert ids[0] in cache
-        assert len(cache) == 2
-
-    def test_eviction_is_metadata_only(self):
-        store = BlockStore()
-        ids = [store.allocate(i) for i in range(3)]
-        cache = LRUCache(store, capacity=1)
-        for bid in ids:
-            cache.get(bid)
-        # Evictions never write; only the three misses read.
-        assert store.counters.reads == 3
-        assert store.counters.writes == len(ids)  # from allocate() only
-
-
-class TestDisabledCache:
-    def test_capacity_zero_never_stores(self):
-        store = BlockStore()
-        bid = store.allocate("x")
-        cache = LRUCache(store, capacity=0)
-        for _ in range(5):
-            cache.get(bid)
-        assert len(cache) == 0
-        assert cache.hits == 0 and cache.misses == 5
-        assert store.counters.reads == 5
-
-    def test_engine_cache_internal_false_is_capacity_zero(self, medium_data):
+class TestFirstVisitReads:
+    def test_engine_cache_internal_false_counts_every_visit(self, medium_data):
         tree = build_prtree(BlockStore(), medium_data, 8)
         engine = QueryEngine(tree, cache_internal=False)
         for window in random_windows(5, seed=1):
@@ -74,14 +30,85 @@ class TestDisabledCache:
         assert engine.totals.internal_reads == engine.totals.internal_visits
         assert engine.totals.internal_reads > 0
 
-    def test_traversal_engine_honours_capacity(self, medium_data):
+    def test_each_internal_node_read_once_per_engine(self, medium_data):
         tree = build_prtree(BlockStore(), medium_data, 8)
-        capped = TraversalEngine(tree, cache_capacity=1)
-        assert capped._cache.capacity == 1
-        disabled = TraversalEngine(tree, cache_internal=False)
-        assert disabled._cache.capacity == 0
-        default = TraversalEngine(tree)
-        assert default._cache.capacity == math.inf
+        windows = random_windows(12, seed=5)
+        engine = QueryEngine(tree)
+        reads_before = tree.store.counters.reads
+        for window in windows:
+            engine.query(window)
+        internal = set(levels_of(tree).frames)
+        totals = engine.totals
+        assert 0 < totals.internal_reads <= len(internal)
+        assert totals.internal_reads == len(engine._counted)
+        assert engine._counted <= internal
+        assert (
+            tree.store.counters.reads - reads_before
+            == totals.leaf_reads + totals.internal_reads
+        )
+        # A second engine pays its own first visits, on the same table.
+        table = levels_of(tree)
+        other = QueryEngine(tree)
+        for window in windows:
+            other.query(window)
+        assert other.totals == totals
+        assert levels_of(tree) is table
+
+    def test_operators_share_the_table(self, medium_data):
+        tree = build_prtree(BlockStore(), medium_data, 8)
+        QueryEngine(tree).query(random_windows(1, seed=6)[0])
+        table = tree._levels
+        KNNEngine(tree).knn((0.5, 0.5), 10)
+        assert tree._levels is table
+
+
+class TestTableLifetime:
+    def test_rebuilt_once_after_a_write(self, medium_data, monkeypatch):
+        tree = build_prtree(BlockStore(), medium_data, 8)
+        engines = [QueryEngine(tree), KNNEngine(tree)]
+        window = random_windows(1, seed=7)[0]
+        engines[0].query(window)
+        built = []
+        real = levels.LevelTable.__init__
+
+        def counting(self, tree):
+            built.append(tree)
+            real(self, tree)
+
+        monkeypatch.setattr(levels.LevelTable, "__init__", counting)
+        engines[0].query(window)
+        engines[1].knn((0.5, 0.5), 5)
+        assert built == []
+        rect, value = random_rects(1, seed=8)[0]
+        tree.insert(rect, value)
+        engines[0].query(window)
+        engines[1].knn((0.5, 0.5), 5)
+        engines[0].query(window)
+        assert built == [tree]
+
+    def test_any_write_rebuilds_every_level(self, medium_data):
+        tree = build_prtree(BlockStore(), medium_data, 8)
+        old = levels_of(tree)
+        assert len(old.levels) >= 2
+        # Even a leaf written back as it was: a new table, new levels.
+        leaf_id = old.levels[-1].ptrs[0]
+        tree.write_node(leaf_id, tree.peek_node(leaf_id))
+        new = levels_of(tree)
+        assert all(a is not b for a, b in zip(new.levels, old.levels))
+        # A box far outside the tree grows an entry on every level.
+        rect = Rect((5.0, 5.0), (5.1, 5.1))
+        tree.insert(rect, "far")
+        grown = levels_of(tree)
+        assert grown is not new and len(grown.levels) == tree.height - 1
+        assert QueryEngine(tree).query(rect)[0].values == ("far",)
+
+    def test_root_change_rebuilds(self):
+        tree = build_prtree(BlockStore(), random_rects(6, seed=9), 8)
+        assert levels_of(tree).levels == []
+        for rect, value in random_rects(20, seed=10):
+            tree.insert(rect, value)
+        assert tree.height > 1
+        assert len(levels_of(tree).levels) == tree.height - 1
 
 
 class TestWarmCacheWindowQueries:
@@ -109,18 +136,3 @@ class TestWarmCacheWindowQueries:
         _, first = engine.query(window)
         _, second = engine.query(window)
         assert second.leaf_reads == first.leaf_reads > 0
-
-    def test_cache_pressure_brings_misses_back(self, medium_data):
-        tree = build_prtree(BlockStore(), medium_data, 8)
-        engine = QueryEngine(tree, cache_internal=True, cache_capacity=1)
-        windows = random_windows(8, seed=4)
-        for window in windows:
-            engine.query(window)
-        engine.reset()
-        for window in windows:
-            engine.query(window)
-        # With room for one internal node, repeat queries still miss
-        # (unless the tree is so small only the root is internal).
-        internal_nodes = tree.node_count() - tree.leaf_count()
-        if internal_nodes > 1:
-            assert engine.totals.internal_reads > 0

@@ -180,3 +180,20 @@ def test_checker_cli_passes():
     )
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert "OK" in proc.stdout
+
+
+def test_docs_name_roadmap_items_by_title():
+    assert check_docs.check_roadmap_refs() == []
+
+
+@pytest.mark.parametrize(
+    "text,cited",
+    [
+        ("is ROADMAP item 5c; this page", True),
+        ("see roadmap\nitems 3 and 4", True),
+        ('is the ROADMAP\'s "Durability levels" item', False),
+        ("ROADMAP.md has the open items", False),
+    ],
+)
+def test_roadmap_item_numbers_are_rejected(text, cited):
+    assert bool(check_docs.roadmap_number_errors(text)) == cited

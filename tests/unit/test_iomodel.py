@@ -6,7 +6,6 @@ import pytest
 
 from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore, FreedBlockError
-from repro.iomodel.cache import LRUCache
 from repro.iomodel.store import BlockStoreProtocol
 from repro.iomodel.codec import NodeCodec, entry_size, fanout_for_block
 from repro.iomodel.counters import IOCounters, IOSnapshot, TimeModel
@@ -174,66 +173,6 @@ class TestBlockStore:
     def test_invalid_block_size(self):
         with pytest.raises(ValueError):
             BlockStore(block_size=0)
-
-
-class TestLRUCache:
-    def test_hit_costs_no_io(self):
-        store = BlockStore()
-        bid = store.allocate("a")
-        cache = LRUCache(store)
-        cache.get(bid)
-        reads_after_miss = store.counters.reads
-        cache.get(bid)
-        assert store.counters.reads == reads_after_miss
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_eviction_order_is_lru(self):
-        store = BlockStore()
-        ids = [store.allocate(i) for i in range(3)]
-        cache = LRUCache(store, capacity=2)
-        cache.get(ids[0])
-        cache.get(ids[1])
-        cache.get(ids[0])  # refresh 0
-        cache.get(ids[2])  # evicts 1
-        assert ids[1] not in cache and ids[0] in cache
-
-    def test_zero_capacity_disables_caching(self):
-        store = BlockStore()
-        bid = store.allocate("a")
-        cache = LRUCache(store, capacity=0)
-        cache.get(bid)
-        cache.get(bid)
-        assert cache.hits == 0 and store.counters.reads == 2
-
-    def test_unbounded_by_default(self):
-        store = BlockStore()
-        ids = [store.allocate(i) for i in range(100)]
-        cache = LRUCache(store)
-        for bid in ids:
-            cache.get(bid)
-        assert len(cache) == 100
-
-    def test_invalidate(self):
-        store = BlockStore()
-        bid = store.allocate("a")
-        cache = LRUCache(store)
-        cache.get(bid)
-        store.write(bid, "b")
-        cache.invalidate(bid)
-        assert cache.get(bid) == "b"
-
-    def test_hit_rate(self):
-        store = BlockStore()
-        bid = store.allocate("a")
-        cache = LRUCache(store)
-        assert cache.hit_rate == 0.0
-        cache.get(bid)
-        cache.get(bid)
-        assert cache.hit_rate == 0.5
-
-    def test_negative_capacity_raises(self):
-        with pytest.raises(ValueError):
-            LRUCache(BlockStore(), capacity=-1)
 
 
 class TestCodec:

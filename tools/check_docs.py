@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks: links, runnable snippets, CLI flags, file paths.
 
-Four checks over ``README.md`` and ``docs/*.md`` (stdlib plus the
+Five checks over ``README.md`` and ``docs/*.md`` (stdlib plus the
 checkout's own ``src/``, used both by the CI docs job and by
 ``tests/unit/test_docs.py``):
 
@@ -27,10 +27,13 @@ checkout's own ``src/``, used both by the CI docs job and by
   root, ``src/`` or ``src/repro/``; a bare file name (``rect.py``) must
   name a module somewhere under ``src/repro/``.  A deleted module
   therefore cannot live on in the docs either.
+* **Roadmap references** — no ``ROADMAP item <N>``: the roadmap is
+  renumbered at every re-anchor, so a number goes stale while the page
+  citing it does not.  Name an item by its title instead.
 
 Run from the repository root::
 
-    python tools/check_docs.py            # all four checks
+    python tools/check_docs.py            # all five checks
     python tools/check_docs.py --links    # links only (fast)
 """
 
@@ -64,6 +67,8 @@ _SHELL_STOP = {"|", "||", "&&", ";", ">", ">>"}
 _PY_PATH = re.compile(r"[\w./-]+\.py\b")
 #: Directories a documented path may be written relative to.
 _PY_ROOTS = ("", "src", "src/repro")
+#: A roadmap item cited by number ("ROADMAP item 5c", "roadmap items 3").
+_ROADMAP_NUMBER = re.compile(r"\bROADMAP\s+items?\s+\d", re.IGNORECASE)
 
 
 def markdown_files(root: pathlib.Path = REPO_ROOT) -> list[pathlib.Path]:
@@ -235,6 +240,23 @@ def check_py_paths(root: pathlib.Path = REPO_ROOT) -> list[str]:
     ]
 
 
+def roadmap_number_errors(text: str) -> list[str]:
+    """One error per roadmap item ``text`` cites by number."""
+    return [
+        f"cites a roadmap item by number: {' '.join(match.group(0).split())}"
+        for match in _ROADMAP_NUMBER.finditer(text)
+    ]
+
+
+def check_roadmap_refs(root: pathlib.Path = REPO_ROOT) -> list[str]:
+    """Return one error per roadmap item the docs cite by number."""
+    return [
+        f"{path.relative_to(root)}: {error}"
+        for path in markdown_files(root)
+        for error in roadmap_number_errors(path.read_text())
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -248,6 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args.links:
         errors += check_cli_flags()
         errors += check_py_paths()
+        errors += check_roadmap_refs()
         snippets = len(runnable_snippets())
         errors += check_snippets()
 
