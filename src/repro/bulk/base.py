@@ -9,9 +9,9 @@ nodes until a single root remains.  Both Hilbert loaders and STR reduce to
 
 A level is packed as one coordinate table (:func:`pack_level`): its rows
 are laid out once, every node is a run of ``fanout`` rows cut out of it —
-stored with that frame already attached — and its box is one
-:func:`~repro.geometry.kernels.frame_mbr`.  :func:`pack_leaf_level` is
-the entry-list face of the same step.
+stored as that frame — and its box is one
+:func:`~repro.geometry.kernels.frame_mbr`.  :func:`pack_leaf_level`
+packs an entry list into that table first.
 """
 
 from __future__ import annotations
@@ -50,27 +50,18 @@ def require_dim(rects: Iterable[Rect], dim: int) -> None:
 
 
 def pack_level(
-    store: BlockStore,
-    level: NodeFrame,
-    fanout: int,
-    entries: Sequence[tuple[Rect, int]] | None = None,
+    store: BlockStore, level: NodeFrame, fanout: int
 ) -> list[tuple[Rect, int]]:
     """Chunk one level's ordered rows into full nodes.
 
     Returns the ``(mbr, block_id)`` entries of the level above.  Every
     node except possibly the last receives exactly ``fanout`` rows — the
-    near-100 % utilization all the paper's loaders target.  ``entries``
-    is the same level as an entry list, when the caller holds one: each
-    node then keeps its run of it beside the frame.
+    near-100 % utilization all the paper's loaders target.
     """
     above: list[tuple[Rect, int]] = []
     for start in range(0, len(level), fanout):
-        stop = min(start + fanout, len(level))
-        frame = level.take(range(start, stop))
-        node = Node.from_frame(
-            frame, None if entries is None else entries[start:stop]
-        )
-        above.append((frame.mbr(), store.allocate(node)))
+        frame = level.take(range(start, min(start + fanout, len(level))))
+        above.append((frame.mbr(), store.allocate(Node.from_frame(frame))))
     return above
 
 
@@ -78,9 +69,7 @@ def pack_leaf_level(
     store: BlockStore, entries: Sequence[tuple[Rect, int]], fanout: int, is_leaf: bool
 ) -> list[tuple[Rect, int]]:
     """:func:`pack_level` over an entry list; returns (mbr, block_id) pairs."""
-    return pack_level(
-        store, NodeFrame.from_entries(is_leaf, entries), fanout, entries
-    )
+    return pack_level(store, NodeFrame.from_entries(is_leaf, entries), fanout)
 
 
 def pack_ordered(

@@ -19,12 +19,12 @@ or, with ``--shards K``, to K Hilbert-range shard files behind a
 manifest.  ``status`` opens either shape read-only and prints each
 file's committed epoch and recovery verdict, the per-level health table
 and the degradation score; ``--explain`` adds the plans and page-hit
-ratio of a fixed mixed batch, and ``--trace`` captures that batch as a
-Chrome trace-event file and exits 1 when the capture fails its own
-checks (span nesting, full request coverage).  ``crash-bench`` runs the
-crash-recovery matrix of ``tools/crashtest.py`` (kill at every write
-offset, reopen, require the last committed state back — exit 1 on any
-failure).  Serving is measured by ``python3 -m bench run``, not here
+ratio of a fixed mixed batch (skipped on an empty index), and
+``--trace`` captures that batch as a Chrome trace-event file and exits
+1 when the capture fails its own checks (span nesting, full request
+coverage).  ``crash-bench`` runs the crash-recovery matrix of
+``tools/crashtest.py`` (kill at every write offset, reopen, require the
+last committed state back — exit 1 on any failure).  Serving is measured by ``python3 -m bench run``, not here
 (``docs/benchmarks.md``).
 """
 
@@ -305,12 +305,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "status":
-        for table in index_status(
+        tables = index_status(
             args.index, explain=args.explain, trace=args.trace
-        ):
+        )
+        for table in tables:
             print(table.render())
             print()
-        if args.trace is not None:
+        # An empty index skips the batch: two tables, no trace.
+        if args.trace is not None and len(tables) == 3:
             print(f"wrote {args.trace}")
             return _check_trace_health(args.trace, STATUS_REQUESTS)
         return 0

@@ -256,12 +256,18 @@ def index_status(
     ``cache_analytics=True``: one row per plan, the worst plan rendered,
     and the measured page-hit ratio beside the ghost-LRU prediction at
     the same budget.  ``trace=OUT.jsonl`` traces that batch at 100%
-    sampling.  A sharded family carries no per-query plans yet.
+    sampling.  A sharded family carries no per-query plans yet.  An
+    empty index has no bounds to draw the batch from: the batch is
+    skipped, a note on the health table says so, and no trace is
+    written.
     """
     run_batch = explain or trace is not None
     with open_index(index, readonly=True, cache_analytics=run_batch) as tree:
         tables = [_files_table(index, tree), _health_table(tree)]
-        if run_batch:
+        if run_batch and not len(tree.root()):
+            # No bounds to draw the batch's requests from.
+            tables[-1].add_note("explain: skipped, the index is empty")
+        elif run_batch:
             # Opened only once the index has: a missing index writes
             # no empty trace beside the error.
             writer = TraceWriter(trace) if trace is not None else None

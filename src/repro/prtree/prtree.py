@@ -17,10 +17,10 @@ standard engine, and inherits the pseudo-PR-tree's query bound
 
 Each stage's pseudo-PR-tree is built on one corner table
 (:mod:`repro.prtree.pseudo` says how, and how ties are resolved), and a
-pseudo-leaf becomes its node with the rows it was cut from attached as
-the node's frame (:meth:`~repro.prtree.pseudo.PseudoLeaf.node`), so
-neither the loader nor a later ``pack_tree`` converts a node between its
-entry list and its coordinate tables.
+pseudo-leaf becomes its node with the rows it was cut from as the
+node's frame (:meth:`~repro.prtree.pseudo.PseudoLeaf.node`), so neither
+the loader nor a later ``pack_tree`` packs a node's coordinate tables
+again.
 """
 
 from __future__ import annotations

@@ -93,7 +93,8 @@ class PseudoLeaf:
         self.items = items
         self.kind = kind
         self._mbr = mbr_of(rect for rect, _ in items)
-        self._tables = None
+        frame = NodeFrame.from_entries(False, items)
+        self._tables = (frame.lo, frame.hi)
 
     @classmethod
     def from_tables(cls, items: list[Item], kind: str, lo, hi) -> "PseudoLeaf":
@@ -113,12 +114,9 @@ class PseudoLeaf:
 
     def node(self, is_leaf: bool) -> Node:
         """The R-tree node this leaf becomes on one level of a PR-tree."""
-        entries = list(self.items)
-        if self._tables is None:
-            return Node(is_leaf, entries)
         lo, hi = self._tables
-        frame = NodeFrame(is_leaf, lo, hi, [pointer for _, pointer in entries])
-        return Node.from_frame(frame, entries)
+        ptrs = [pointer for _, pointer in self.items]
+        return Node.from_frame(NodeFrame(is_leaf, lo, hi, ptrs))
 
     @property
     def is_priority(self) -> bool:

@@ -9,7 +9,7 @@ is what makes the paper's cross-variant comparisons meaningful.
 
 Contents:
 
-* :mod:`repro.rtree.node` — the node payload (leaf flag + entry list).
+* :mod:`repro.rtree.node` — the node payload (leaf flag + one coordinate-table frame).
 * :mod:`repro.rtree.tree` — the tree handle: root pointer, fan-out,
   object table, convenience queries.
 * :mod:`repro.rtree.query` — the window-query engine with the paper's

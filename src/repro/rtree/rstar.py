@@ -18,6 +18,12 @@ tree representation:
 
 Deletion is unchanged from Guttman (:func:`repro.rtree.update.delete`
 works on any tree).
+
+Nodes are frames here as everywhere (:mod:`repro.rtree.node`): every
+split and every eviction is a :meth:`~repro.rtree.node.Node.split_off`
+along row lists, and :func:`rstar_split` has the splitter contract of
+:mod:`repro.rtree.split`.  The scalar arithmetic runs on ``Rect``
+objects built from the frame once per call.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from __future__ import annotations
 from typing import Any
 
 from repro.geometry.rect import Rect, mbr_of
-from repro.rtree.node import Entry, Node
+from repro.rtree.node import Entry, Node, rects_of
 from repro.rtree.tree import RTree
+from repro.rtree.update import grow_root, split_overfull
 
 #: Fraction of entries evicted by forced reinsertion (the R* paper's p).
 REINSERT_FRACTION = 0.3
@@ -37,33 +44,35 @@ REINSERT_FRACTION = 0.3
 # ----------------------------------------------------------------------
 
 
-def _distributions(entries: list[Entry], min_fill: int):
-    """All legal (first-group-size) cut points."""
-    return range(min_fill, len(entries) - min_fill + 1)
+def rstar_split(lo, hi, min_fill: int) -> tuple[list[int], list[int]]:
+    """The R*-tree split: margin-minimal axis, overlap-minimal cut.
 
-
-def rstar_split(
-    entries: list[Entry], min_fill: int
-) -> tuple[list[Entry], list[Entry]]:
-    """The R*-tree split: margin-minimal axis, overlap-minimal cut."""
-    if len(entries) < 2:
+    Takes an overfull node's coordinate tables and returns the two
+    groups as row lists, each in its sorted order (the
+    :mod:`repro.rtree.split` contract).
+    """
+    n = len(lo)
+    if n < 2:
         raise ValueError("cannot split fewer than 2 entries")
-    if min_fill < 1 or 2 * min_fill > len(entries):
-        raise ValueError(
-            f"min_fill {min_fill} infeasible for {len(entries)} entries"
-        )
-    dim = entries[0][0].dim
+    if min_fill < 1 or 2 * min_fill > n:
+        raise ValueError(f"min_fill {min_fill} infeasible for {n} entries")
+    rects = rects_of(lo, hi)
+    cuts = range(min_fill, n - min_fill + 1)
 
     best_axis_margin = float("inf")
-    best_axis_orderings: list[list[Entry]] = []
-    for axis in range(dim):
-        by_lo = sorted(entries, key=lambda e: (e[0].lo[axis], e[0].hi[axis]))
-        by_hi = sorted(entries, key=lambda e: (e[0].hi[axis], e[0].lo[axis]))
+    best_axis_orderings: list[list[int]] = []
+    for axis in range(lo.shape[1]):
+        by_lo = sorted(
+            range(n), key=lambda k: (rects[k].lo[axis], rects[k].hi[axis])
+        )
+        by_hi = sorted(
+            range(n), key=lambda k: (rects[k].hi[axis], rects[k].lo[axis])
+        )
         margin = 0.0
         for ordering in (by_lo, by_hi):
-            for cut in _distributions(ordering, min_fill):
-                margin += mbr_of(r for r, _ in ordering[:cut]).margin()
-                margin += mbr_of(r for r, _ in ordering[cut:]).margin()
+            for cut in cuts:
+                margin += mbr_of(rects[k] for k in ordering[:cut]).margin()
+                margin += mbr_of(rects[k] for k in ordering[cut:]).margin()
         if margin < best_axis_margin:
             best_axis_margin = margin
             best_axis_orderings = [by_lo, by_hi]
@@ -74,16 +83,16 @@ def rstar_split(
         # Prefix/suffix boxes for O(n) evaluation per ordering.
         prefixes: list[Rect] = []
         box = None
-        for rect, _ in ordering:
-            box = rect if box is None else box.union(rect)
+        for k in ordering:
+            box = rects[k] if box is None else box.union(rects[k])
             prefixes.append(box)
-        suffixes: list[Rect] = [None] * len(ordering)  # type: ignore[list-item]
+        suffixes: list[Rect] = [None] * n  # type: ignore[list-item]
         box = None
-        for i in range(len(ordering) - 1, -1, -1):
-            rect = ordering[i][0]
+        for i in range(n - 1, -1, -1):
+            rect = rects[ordering[i]]
             box = rect if box is None else box.union(rect)
             suffixes[i] = box
-        for cut in _distributions(ordering, min_fill):
+        for cut in cuts:
             left_box = prefixes[cut - 1]
             right_box = suffixes[cut]
             inter = left_box.intersection(right_box)
@@ -91,7 +100,7 @@ def rstar_split(
             key = (overlap, left_box.area() + right_box.area())
             if key < best_key:
                 best_key = key
-                best = (list(ordering[:cut]), list(ordering[cut:]))
+                best = (ordering[:cut], ordering[cut:])
     assert best is not None
     return best
 
@@ -101,10 +110,10 @@ def rstar_split(
 # ----------------------------------------------------------------------
 
 
-def _overlap_with_siblings(node: Node, candidate: int, box: Rect) -> float:
+def _overlap_with_siblings(boxes: list[Rect], candidate: int, box: Rect) -> float:
     """Total overlap of ``box`` with the other children's boxes."""
     total = 0.0
-    for idx, (other, _) in enumerate(node.entries):
+    for idx, other in enumerate(boxes):
         if idx == candidate:
             continue
         inter = box.intersection(other)
@@ -113,16 +122,18 @@ def _overlap_with_siblings(node: Node, candidate: int, box: Rect) -> float:
     return total
 
 
-def _choose_subtree(tree: RTree, node: Node, rect: Rect, children_are_leaves: bool) -> int:
+def _choose_subtree(node: Node, rect: Rect, children_are_leaves: bool) -> int:
+    frame = node.frame()
+    boxes = rects_of(frame.lo, frame.hi)
     if children_are_leaves:
         # Minimize overlap enlargement; ties by area enlargement, then area.
         best_idx = 0
         best_key = None
-        for idx, (box, _) in enumerate(node.entries):
+        for idx, box in enumerate(boxes):
             grown = box.union(rect)
             overlap_delta = _overlap_with_siblings(
-                node, idx, grown
-            ) - _overlap_with_siblings(node, idx, box)
+                boxes, idx, grown
+            ) - _overlap_with_siblings(boxes, idx, box)
             key = (overlap_delta, grown.area() - box.area(), box.area())
             if best_key is None or key < best_key:
                 best_key = key
@@ -130,7 +141,7 @@ def _choose_subtree(tree: RTree, node: Node, rect: Rect, children_are_leaves: bo
         return best_idx
     best_idx = 0
     best_key = None
-    for idx, (box, _) in enumerate(node.entries):
+    for idx, box in enumerate(boxes):
         key = (box.enlargement(rect), box.area())
         if best_key is None or key < best_key:
             best_key = key
@@ -166,9 +177,9 @@ def _insert(
     level = tree.height - 1
     while level > target_level:
         children_are_leaves = level == 1 and target_level == 0
-        child_idx = _choose_subtree(tree, node, rect, children_are_leaves)
+        child_idx = _choose_subtree(node, rect, children_are_leaves)
         path.append((block_id, node, child_idx))
-        block_id = node.entries[child_idx][1]
+        block_id = node.frame().ptrs[child_idx]
         node = tree.read_node(block_id)
         level -= 1
 
@@ -184,65 +195,52 @@ def _overflow_treatment(
     level: int,
     reinserted_levels: set[int],
 ) -> None:
-    """Write back, handling overflow by reinsertion or split (bottom-up)."""
+    """Write back, handling overflow by reinsertion or split (bottom-up).
+
+    No node on the path ever empties: an overfull node holds B + 1 >= 3
+    entries, reinsertion evicts max(1, floor(0.3 (B + 1))) <= B - 1 of
+    them, and a split leaves ``min_fill`` >= 1 on each side.
+    """
     split_sibling: tuple[Rect, int] | None = None
-    to_reinsert: list[tuple[Entry, int]] = []
+    to_reinsert: list[Entry] = []
 
-    if len(node) > tree.fanout:
-        is_root = block_id == tree.root_id
-        if level not in reinserted_levels and not is_root:
-            # Forced reinsertion: evict the entries farthest from the
-            # node's center (once per level per insertion).
-            reinserted_levels.add(level)
-            center = node.mbr().center()
+    if (
+        len(node) > tree.fanout
+        and level not in reinserted_levels
+        and block_id != tree.root_id
+    ):
+        # Forced reinsertion: evict the entries farthest from the
+        # node's center (once per level per insertion).
+        reinserted_levels.add(level)
+        center = node.mbr().center()
+        frame = node.frame()
+        rects = rects_of(frame.lo, frame.hi)
 
-            def distance(entry: Entry) -> float:
-                c = entry[0].center()
-                return sum((a - b) ** 2 for a, b in zip(c, center))
+        def distance(k: int) -> float:
+            c = rects[k].center()
+            return sum((a - b) ** 2 for a, b in zip(c, center))
 
-            node.entries.sort(key=distance)
-            count = max(1, int(len(node.entries) * REINSERT_FRACTION))
-            evicted = node.entries[-count:]
-            node.entries = node.entries[:-count]
-            to_reinsert = [(entry, level) for entry in evicted]
-        else:
-            group_a, group_b = rstar_split(node.entries, tree.min_fill)
-            node.entries = group_a
-            sibling = Node(node.is_leaf, group_b)
-            sibling_id = tree.store.allocate(sibling)
-            split_sibling = (sibling.mbr(), sibling_id)
+        rows = sorted(range(len(rects)), key=distance)
+        count = max(1, int(len(rows) * REINSERT_FRACTION))
+        to_reinsert = node.split_off(rows[:-count], rows[-count:]).entries
+    else:
+        split_sibling = split_overfull(tree, node, rstar_split)
 
     tree.write_node(block_id, node)
-    child_mbr = node.mbr() if node.entries else None
+    child_mbr = node.mbr()
     child_id = block_id
 
     for parent_id, parent, child_idx in reversed(path):
-        level += 1
-        if child_mbr is not None:
-            parent.entries[child_idx] = (child_mbr, child_id)
-        else:  # node emptied by reinsertion; drop the entry
-            del parent.entries[child_idx]
+        parent.replace(child_idx, child_mbr, child_id)
         if split_sibling is not None:
             parent.add(*split_sibling)
-            split_sibling = None
-        if len(parent) > tree.fanout:
-            group_a, group_b = rstar_split(parent.entries, tree.min_fill)
-            parent.entries = group_a
-            sibling = Node(parent.is_leaf, group_b)
-            sibling_id = tree.store.allocate(sibling)
-            split_sibling = (sibling.mbr(), sibling_id)
+        split_sibling = split_overfull(tree, parent, rstar_split)
         tree.write_node(parent_id, parent)
-        child_mbr = parent.mbr() if parent.entries else None
+        child_mbr = parent.mbr()
         child_id = parent_id
 
     if split_sibling is not None:
-        old_root = tree.store.peek(tree.root_id)
-        new_root = Node(
-            is_leaf=False,
-            entries=[(old_root.mbr(), tree.root_id), split_sibling],
-        )
-        tree.root_id = tree.store.allocate(new_root)
-        tree.height += 1
+        grow_root(tree, split_sibling)
 
-    for (rect, pointer), entry_level in to_reinsert:
-        _insert(tree, rect, pointer, entry_level, reinserted_levels)
+    for rect, pointer in to_reinsert:
+        _insert(tree, rect, pointer, level, reinserted_levels)

@@ -20,25 +20,23 @@ Every per-node decision runs on the node's frame through
 the area tie-break), FindLeaf (``frame_containing_rect`` /
 ``frame_equal_to``), the quadratic split, and the bounding boxes
 AdjustTree/CondenseTree propagate — and every edit goes through
-:class:`~repro.rtree.node.Node`'s whole-node methods, so a page decoded
-from disk is updated without its entry list ever existing.  Choices,
-tie-breaks and floats are those of the entry-at-a-time formulation
-(kept verbatim as the oracle in
+:class:`~repro.rtree.node.Node`'s whole-node methods, which replace the
+node's frame: a page decoded from disk never becomes an entry list.
+Choices, tie-breaks and floats are those of the entry-at-a-time
+formulation (kept verbatim as the oracle in
 ``tests/integration/test_vectorized_differential.py``): the same
 operations produce the same tree, block for block.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.rtree.node import Entry, Node
-from repro.rtree.split import quadratic_split
+from repro.rtree.split import Splitter, quadratic_split
 from repro.rtree.tree import RTree
-
-Splitter = Callable[[list[Entry], int], tuple[list[Entry], list[Entry]]]
 
 #: One step of a root-to-node path: (block id, node, chosen child index).
 PathStep = tuple[int, Node, int]
@@ -96,27 +94,30 @@ def _insert_at_level(
     _propagate_up(tree, path, block_id, node, rect, splitter)
 
 
-def _split_overfull(
+def split_overfull(
     tree: RTree, node: Node, splitter: Splitter
 ) -> tuple[Rect, int] | None:
     """Split ``node`` if it overflowed; returns the new sibling's entry.
 
-    The default splitter runs as a whole-node kernel on the frame and
-    hands back row lists, so a decoded page splits without its entries
-    ever materializing; any other splitter gets the entry list it was
-    written against.
+    The splitter reads the node's frame and hands back the two groups
+    as row lists (:mod:`repro.rtree.split`); the node is cut along them.
     """
     if len(node) <= tree.fanout:
         return None
-    if splitter is quadratic_split:
-        frame = node.frame()
-        keep, move = kernels.quadratic_split(frame.lo, frame.hi, tree.min_fill)
-        sibling = node.split_off(keep, move)
-    else:
-        group_a, group_b = splitter(node.entries, tree.min_fill)
-        node.entries = group_a
-        sibling = Node(node.is_leaf, group_b)
+    frame = node.frame()
+    sibling = node.split_off(*splitter(frame.lo, frame.hi, tree.min_fill))
     return sibling.mbr(), tree.store.allocate(sibling)
+
+
+def grow_root(tree: RTree, sibling: tuple[Rect, int]) -> None:
+    """The root itself split: grow the tree by one level."""
+    old_root = tree.store.peek(tree.root_id)
+    new_root = Node(
+        is_leaf=False,
+        entries=[(old_root.mbr(), tree.root_id), sibling],
+    )
+    tree.root_id = tree.store.allocate(new_root)
+    tree.height += 1
 
 
 def _propagate_up(
@@ -133,7 +134,7 @@ def _propagate_up(
     not split, the parent entry only has to grow to cover ``rect``;
     above one that did, it is recomputed from what the node kept.
     """
-    sibling = _split_overfull(tree, node, splitter)
+    sibling = split_overfull(tree, node, splitter)
     tree.write_node(block_id, node)
     child_id, child = block_id, node
 
@@ -143,19 +144,12 @@ def _propagate_up(
         else:
             parent.replace(child_idx, child.mbr(), child_id)
             parent.add(*sibling)
-        sibling = _split_overfull(tree, parent, splitter)
+        sibling = split_overfull(tree, parent, splitter)
         tree.write_node(parent_id, parent)
         child_id, child = parent_id, parent
 
     if sibling is not None:
-        # The root itself split: grow the tree by one level.
-        old_root = tree.store.peek(tree.root_id)
-        new_root = Node(
-            is_leaf=False,
-            entries=[(old_root.mbr(), tree.root_id), sibling],
-        )
-        tree.root_id = tree.store.allocate(new_root)
-        tree.height += 1
+        grow_root(tree, sibling)
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +232,7 @@ def _condense_tree(
         if len(current) < tree.min_fill:
             parent.remove_at(child_idx)
             if len(current):
-                orphans.append((list(current.entries), level))
+                orphans.append((current.entries, level))
             tree.store.free(current_id)
         else:
             parent.replace(child_idx, current.mbr(), current_id)
@@ -289,8 +283,7 @@ def _reinsert(tree: RTree, rect: Rect, pointer: int, level: int) -> None:
     if level <= tree.height - 1:
         _insert_at_level(tree, rect, pointer, level, quadratic_split)
         return
-    node = tree.read_node(pointer)
-    children = list(node.entries)
+    children = tree.read_node(pointer).entries
     tree.store.free(pointer)
     for child_rect, child_pointer in children:
         _reinsert(tree, child_rect, child_pointer, level - 1)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geometry.rect import mbr_of
 from repro.rtree.tree import RTree
 
 
@@ -116,47 +115,50 @@ def validate_rtree(
         if node is None:
             node = read(block_id)
         is_root = block_id == tree.root_id
+        frame = node.frame()
+        count = len(frame)
         level_nodes[depth] = level_nodes.get(depth, 0) + 1
-        level_entries[depth] = level_entries.get(depth, 0) + len(node.entries)
+        level_entries[depth] = level_entries.get(depth, 0) + count
         level_leaf[depth] = node.is_leaf
-        if len(node.entries) > tree.fanout:
+        if count > tree.fanout:
             raise RTreeInvariantError(
-                f"node {block_id} has {len(node.entries)} entries, "
+                f"node {block_id} has {count} entries, "
                 f"fanout is {tree.fanout}"
             )
-        if not is_root and len(node.entries) < fill_floor:
+        if not is_root and count < fill_floor:
             raise RTreeInvariantError(
-                f"non-root node {block_id} has only {len(node.entries)} "
+                f"non-root node {block_id} has only {count} "
                 f"entries (minimum {fill_floor})"
             )
-        for rect, _ in node.entries:
-            if rect.dim != tree.dim:
-                raise RTreeInvariantError(
-                    f"node {block_id} holds a rect of dim {rect.dim}, "
-                    f"tree dim is {tree.dim}"
-                )
+        # An empty node's table is 0 columns wide: nothing to check.
+        if count and frame.lo.shape[1] != tree.dim:
+            raise RTreeInvariantError(
+                f"node {block_id} holds a rect of dim {frame.lo.shape[1]}, "
+                f"tree dim is {tree.dim}"
+            )
         if node.is_leaf:
             leaf_depths.add(depth)
-            data_count += len(node.entries)
-            for _, oid in node.entries:
+            data_count += count
+            for oid in frame.ptrs:
                 if oid not in tree.objects:
                     raise RTreeInvariantError(
                         f"leaf {block_id} points at unknown object id {oid}"
                     )
         else:
-            if not node.entries and not is_root:
+            if not count and not is_root:
                 raise RTreeInvariantError(f"empty internal node {block_id}")
-            for rect, child_id in node.entries:
+            for row, child_id in enumerate(frame.ptrs):
                 if child_id not in tree.store:
                     raise RTreeInvariantError(
                         f"node {block_id} points at freed block {child_id}"
                     )
                 child = read(child_id)
-                if not child.entries:
+                if not len(child):
                     raise RTreeInvariantError(
                         f"child {child_id} of node {block_id} is empty"
                     )
-                exact = mbr_of(r for r, _ in child.entries)
+                rect = frame.rect(row)
+                exact = child.frame().mbr()
                 if exact != rect:
                     raise RTreeInvariantError(
                         f"entry box for child {child_id} is {rect}, exact "
@@ -227,10 +229,10 @@ def utilization(tree: RTree) -> Utilization:
     data_entries = 0
     total_entries = 0
     for block_id, node, _ in tree.iter_nodes():
-        total_entries += len(node.entries)
+        total_entries += len(node)
         if node.is_leaf:
             leaf_nodes += 1
-            data_entries += len(node.entries)
+            data_entries += len(node)
         else:
             internal_nodes += 1
     leaf_capacity = leaf_nodes * tree.fanout

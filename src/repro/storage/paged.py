@@ -279,8 +279,7 @@ class PagedNodeStore:
         """Decode one block straight into a frame-backed node.
 
         The decoded page is the structure-of-arrays representation the
-        vectorized kernels consume; ``Rect`` entry tuples only ever
-        materialize if the write path touches the page.  Physical read
+        vectorized kernels consume, and the only one a node holds.  Physical read
         and decode accounting stays with the caller.
         """
         is_leaf, lo, hi, ptrs = self.codec.decode_arrays(

@@ -1395,8 +1395,6 @@ class ShardedJoinEngine:
     def join(self) -> tuple[list, JoinStats]:
         """Report every intersecting (left, right) data-rectangle pair."""
         tasks: list[tuple[int, RTree, int, RTree]] = []
-        # ``len(root)`` reads the frame: testing ``root.entries`` would
-        # build an entry list and leave it on every shard's cached root.
         for li, ltree in self._components(self._left):
             lroot = ltree.root()
             if not len(lroot):

@@ -9,6 +9,7 @@ from hypothesis import settings
 
 from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore
+from repro.rtree.node import NodeFrame
 
 # Tree builds inside @given bodies make per-example wall-clock noisy on
 # slow CI runners; the property tests assert I/O counts, not time.
@@ -35,6 +36,14 @@ def random_windows(count: int, seed: int = 0, dim: int = 2, side: float = 0.2):
         lo = [rng.random() * (1 - side) for _ in range(dim)]
         windows.append(Rect(lo, [c + side for c in lo]))
     return windows
+
+
+def split_entries(splitter, entries, min_fill):
+    """Run a row-returning splitter on an entry list; the two groups
+    as entry lists."""
+    frame = NodeFrame.from_entries(False, entries)
+    keep, move = splitter(frame.lo, frame.hi, min_fill)
+    return [entries[k] for k in keep], [entries[k] for k in move]
 
 
 def assert_same_matches(got, want, context=""):

@@ -38,7 +38,6 @@ from repro.queries.knn import KNNEngine, Neighbor, target_dist_sq as _dist_sq
 from repro.queries.point import PointQueryEngine
 from repro.rtree.node import Node
 from repro.rtree.query import QueryEngine, QueryStats
-from repro.rtree.split import quadratic_split
 from repro.rtree.tree import RTree
 from repro.rtree.update import _choose_subtree
 from repro.rtree.query import TraversalEngine
@@ -548,7 +547,42 @@ class TestPagedTreeDifferential:
 # ``mbr_of`` boxes, ``path + [...]`` per pushed child), with one
 # deliberate difference shared by every implementation: PickSeeds
 # starts from ``-inf`` instead of ``-1.0``.
+#
+# ``Node`` no longer keeps a mutable entry list, so the oracles edit a
+# :class:`ListNode` instead: ``read_node`` hands out a list-backed copy
+# of a counted read and ``write_node`` packs it back into a ``Node`` at
+# the counted write.  Nothing else about the oracles changed.
 # ----------------------------------------------------------------------
+
+
+class ListNode:
+    """A node whose geometry is a mutable ``(Rect, pointer)`` list."""
+
+    def __init__(self, is_leaf, entries=None):
+        self.is_leaf = is_leaf
+        self.entries = list(entries if entries is not None else ())
+
+    def __len__(self):
+        return len(self.entries)
+
+    def mbr(self):
+        if not self.entries:
+            raise ValueError("empty node has no bounding box")
+        return mbr_of(rect for rect, _ in self.entries)
+
+    def add(self, rect, pointer):
+        self.entries.append((rect, pointer))
+
+
+def read_node(tree, block_id):
+    """A counted read, as a list-backed copy."""
+    node = tree.read_node(block_id)
+    return ListNode(node.is_leaf, node.entries)
+
+
+def write_node(tree, block_id, node):
+    """A counted write of a list-backed node."""
+    tree.write_node(block_id, Node(node.is_leaf, node.entries))
 
 
 def oracle_mbr(node):
@@ -687,13 +721,13 @@ def oracle_choose_subtree(node, rect):
 def _oracle_insert_at_level(tree, rect, pointer, target_level):
     path = []
     block_id = tree.root_id
-    node = tree.read_node(block_id)
+    node = read_node(tree, block_id)
     level = tree.height - 1
     while level > target_level:
         child_idx = oracle_choose_subtree(node, rect)
         path.append((block_id, node, child_idx))
         block_id = node.entries[child_idx][1]
-        node = tree.read_node(block_id)
+        node = read_node(tree, block_id)
         level -= 1
 
     node.entries.append((rect, pointer))
@@ -709,7 +743,7 @@ def _oracle_propagate_up(tree, path, block_id, node):
         sibling = Node(node.is_leaf, group_b)
         sibling_id = tree.store.allocate(sibling)
         split_sibling = (oracle_mbr(sibling), sibling_id)
-    tree.write_node(block_id, node)
+    write_node(tree, block_id, node)
 
     child_mbr = oracle_mbr(node)
     child_id = block_id
@@ -727,7 +761,7 @@ def _oracle_propagate_up(tree, path, block_id, node):
             sibling = Node(parent.is_leaf, group_b)
             sibling_id = tree.store.allocate(sibling)
             split_sibling = (oracle_mbr(sibling), sibling_id)
-        tree.write_node(parent_id, parent)
+        write_node(tree, parent_id, parent)
         child_mbr = oracle_mbr(parent)
         child_id = parent_id
 
@@ -758,7 +792,7 @@ def oracle_find_leaf(tree, rect, value):
     stack = [(tree.root_id, [])]
     while stack:
         block_id, path = stack.pop()
-        node = tree.read_node(block_id)
+        node = read_node(tree, block_id)
         if node.is_leaf:
             for idx, (box, oid) in enumerate(node.entries):
                 if box == rect and tree.objects.get(oid) == value:
@@ -783,11 +817,11 @@ def _oracle_condense_tree(tree, path, block_id, node):
             tree.store.free(current_id)
         else:
             parent.entries[child_idx] = (oracle_mbr(current), current_id)
-            tree.write_node(current_id, current)
+            write_node(tree, current_id, current)
         current_id, current = parent_id, parent
         level += 1
 
-    tree.write_node(current_id, current)
+    write_node(tree, current_id, current)
 
     root = tree.store.peek(tree.root_id)
     if not root.is_leaf and not root.entries:
@@ -1013,8 +1047,6 @@ class TestWriteKernels:
         got_a, got_b = kernels.quadratic_split(*self.tables(rects), min_fill)
         assert got_a == [p for _, p in want_a]
         assert got_b == [p for _, p in want_b]
-        via_entries = quadratic_split(entries, min_fill)
-        assert via_entries == (want_a, want_b)
         return got_a, got_b
 
     def test_seeds_below_minus_one(self):
@@ -1681,7 +1713,6 @@ class TestPseudoPRTreeDifferential:
             node = leaf.node(is_leaf=True)
             assert node.entries == leaf.items
             assert node.mbr() == leaf.mbr
-            assert node._entries is not None
             assert node.frame().ptrs == [pointer for _, pointer in leaf.items]
 
 
@@ -1989,6 +2020,12 @@ from repro.storage.shard import ShardedPointEngine, ShardedQueryEngine
 _ORACLE_GATHER_MIN_ROWS = 8
 
 
+def cached_entries(node):
+    """The entry list an in-memory node kept beside its frame.  A node
+    holds only its frame now, so every oracle below reports from it."""
+    return None
+
+
 def oracle_table_rows(table, rows):
     if kernels.HAVE_NUMPY and isinstance(table, kernels.np.ndarray):
         return map(tuple, table[rows].tolist())
@@ -2029,7 +2066,7 @@ class OracleQueryEngine(DFSOracleEngine):
             if recorder is not None:
                 recorder.note_matched(block_id, len(rows))
             if frame.is_leaf:
-                entries = node._entries
+                entries = cached_entries(node)
                 if entries is None:
                     matches += oracle_report(frame, rows, tree.objects)
                 else:
@@ -2062,7 +2099,7 @@ class OracleQueryEngine(DFSOracleEngine):
                 frame.lo, frame.hi, q_lo, q_hi, active
             )
             if frame.is_leaf:
-                entries = node._entries
+                entries = cached_entries(node)
                 for q in active:
                     stats = all_stats[q]
                     stats.leaf_reads += 1
@@ -2119,7 +2156,7 @@ class OraclePointEngine(DFSOracleEngine, PointQueryEngine):
                 stats.reported += len(rows)
                 if recorder is not None:
                     recorder.note_matched(block_id, len(rows))
-                entries = node._entries
+                entries = cached_entries(node)
                 if entries is None:
                     matches += oracle_report(frame, rows, tree.objects)
                 else:

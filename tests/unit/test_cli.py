@@ -14,7 +14,9 @@ from repro.experiments.serving import (
     mixed_update_requests,
     pack_index,
 )
+from repro.iomodel.blockstore import BlockStore
 from repro.obs import MetricsRegistry
+from repro.rtree.tree import RTree
 from repro.rtree.validate import validate_rtree
 from repro.server import QueryServer
 from repro.service import AsyncQueryService
@@ -23,6 +25,8 @@ from repro.storage import (
     ShardedTree,
     StorageError,
     open_index,
+    pack_tree,
+    shard_pack,
 )
 
 
@@ -335,6 +339,24 @@ class TestStatus:
         assert len(rows) == 4 and all("clean" in row for row in rows)
         assert _score(out) < 1e-9
         assert "no per-query plans" in out
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_explain_skips_an_empty_index(self, tmp_path, capsys, shards):
+        empty = RTree.create_empty(BlockStore(), dim=2, fanout=16)
+        if shards == 1:
+            path = tmp_path / "empty.pack"
+            pack_tree(empty, path)
+        else:
+            path = tmp_path / "empty.manifest"
+            shard_pack(empty, path, shards=shards)
+        assert main(["status", str(path), "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert "explain: skipped, the index is empty" in out
+        assert "mixed requests" not in out
+        trace = tmp_path / "t.jsonl"
+        assert main(["status", str(path), "--trace", str(trace)]) == 0
+        assert "explain: skipped" in capsys.readouterr().out
+        assert not trace.exists()
 
     def test_library_tables_and_trace_without_explain(self, index, tmp_path):
         plain = index_status(index)

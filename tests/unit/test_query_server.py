@@ -24,7 +24,7 @@ from repro.server import (
     WindowRequest,
 )
 from repro.rtree.validate import validate_rtree
-from repro.storage import PagedTree, open_index, pack_tree, shard_pack
+from repro.storage import PagedTree, pack_tree
 
 from tests.conftest import assert_same_matches, random_rects, random_windows
 
@@ -306,44 +306,6 @@ class TestLocalityAndStats:
         assert second.internal_reads == 0
         assert first.internal_reads >= second.internal_reads
         assert server.batches_served == 2
-
-
-class TestRootEntryList:
-    """Serving reads the roots' frames: no entry list (a ``Rect`` per
-    child) is built and left on a cached root page."""
-
-    @staticmethod
-    def _open(tmp_path, shards):
-        data = random_rects(900, seed=47)
-        tree = build_prtree(BlockStore(), data, 16)
-        if shards == 1:
-            path = tmp_path / "one.pack"
-            pack_tree(tree, path)
-        else:
-            path = tmp_path / "index.manifest"
-            shard_pack(tree, path, shards=shards)
-        return open_index(path, values=dict(tree.objects))
-
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_serving_builds_no_root_entry_list(self, tmp_path, shards):
-        with self._open(tmp_path, shards) as index:
-            server = QueryServer(index)
-            for _ in range(2):
-                server.submit([InsertRequest(Rect((0.5, 0.5), (0.6, 0.6)), "w")])
-                server.submit(
-                    [WindowRequest(w) for w in random_windows(5, seed=48)]
-                )
-            for shard in getattr(index, "shards", [index]):
-                assert shard.root()._entries is None
-
-    def test_sharded_join_builds_no_root_entry_list(self, tmp_path, trees):
-        _, b = trees
-        with self._open(tmp_path, 4) as family:
-            server = QueryServer({"fam": family, "b": b})
-            report = server.submit([JoinRequest("fam", "b")])
-            assert report.results[0].value
-            for shard in family.shards:
-                assert shard.root()._entries is None
 
 
 class TestWrites:

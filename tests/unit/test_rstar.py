@@ -12,7 +12,12 @@ from repro.rtree.tree import RTree
 from repro.rtree.update import delete, insert
 from repro.rtree.validate import validate_rtree
 
-from tests.conftest import assert_same_matches, random_rects, random_windows
+from tests.conftest import (
+    assert_same_matches,
+    random_rects,
+    random_windows,
+    split_entries,
+)
 
 
 def grow_rstar(store, data, fanout=8):
@@ -23,27 +28,7 @@ def grow_rstar(store, data, fanout=8):
 
 
 class TestRStarSplit:
-    def test_partition_is_exact(self):
-        entries = [(r, v) for r, v in random_rects(20, seed=1)]
-        a, b = rstar_split(entries, min_fill=4)
-        assert sorted(p for _, p in a + b) == sorted(p for _, p in entries)
-
-    def test_min_fill_respected(self):
-        for seed in range(5):
-            entries = [(r, v) for r, v in random_rects(13, seed=seed)]
-            a, b = rstar_split(entries, min_fill=4)
-            assert len(a) >= 4 and len(b) >= 4
-
-    def test_two_entries(self):
-        entries = [(Rect((0, 0), (1, 1)), 0), (Rect((5, 5), (6, 6)), 1)]
-        a, b = rstar_split(entries, min_fill=1)
-        assert len(a) == 1 and len(b) == 1
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            rstar_split([(Rect((0, 0), (1, 1)), 0)], min_fill=1)
-        with pytest.raises(ValueError):
-            rstar_split([(r, v) for r, v in random_rects(4, seed=0)], min_fill=3)
+    """The contract every splitter shares is in ``test_split.py``."""
 
     def test_zero_overlap_split_found(self):
         # Two x-separated bands: the R* split must cut between them with
@@ -52,17 +37,12 @@ class TestRStarSplit:
         right = [
             (Rect((0.9, i / 10), (1.0, i / 10 + 0.05)), 10 + i) for i in range(5)
         ]
-        a, b = rstar_split(left + right, min_fill=2)
+        a, b = split_entries(rstar_split, left + right, min_fill=2)
         from repro.geometry.rect import mbr_of
 
         box_a = mbr_of(r for r, _ in a)
         box_b = mbr_of(r for r, _ in b)
         assert box_a.intersection(box_b) is None
-
-    def test_works_in_3d(self):
-        entries = [(r, v) for r, v in random_rects(12, seed=3, dim=3)]
-        a, b = rstar_split(entries, min_fill=3)
-        assert len(a) + len(b) == 12
 
 
 class TestRStarInsert:

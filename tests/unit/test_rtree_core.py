@@ -31,9 +31,9 @@ class TestNode:
     def test_add_remove(self):
         node = Node(True)
         node.add(Rect((0, 0), (1, 1)), 3)
-        assert node.remove(Rect((0, 0), (1, 1)), 3)
-        assert not node.remove(Rect((0, 0), (1, 1)), 3)
-        assert len(node) == 0
+        assert node.entries == [(Rect((0, 0), (1, 1)), 3)]
+        node.remove_at(0)
+        assert len(node) == 0 and node.entries == []
 
     def test_child_ids_internal_only(self):
         internal = Node(False, [(Rect((0, 0), (1, 1)), 10)])

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.synthetic import uniform_rects
-from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
@@ -28,6 +27,7 @@ from repro.queries.point import (
     brute_force_containment,
     brute_force_point_query,
 )
+from repro.rtree.node import Node
 from repro.rtree.query import brute_force_query
 from repro.rtree.validate import validate_rtree
 from repro.storage import (
@@ -709,7 +709,7 @@ def raise_midway(directory):
             raise SplitFailed("splitter failed")
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernels, "quadratic_split", boom)
+            patch.setattr(Node, "split_off", boom)
             with pytest.raises(SplitFailed):
                 family.insert(wider, "wider")
         assert live_mbr(family, s).contains_rect(wider)

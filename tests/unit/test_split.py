@@ -1,4 +1,4 @@
-"""Unit tests for Guttman's node-splitting heuristics."""
+"""Unit tests for the node-splitting heuristics (Guttman's and R*'s)."""
 
 import random
 
@@ -6,29 +6,38 @@ import pytest
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
+from repro.rtree.node import NodeFrame
+from repro.rtree.rstar import rstar_split
 from repro.rtree.split import linear_split, quadratic_split
 
-from tests.conftest import random_rects
+from tests.conftest import random_rects, split_entries
 
 
 def entries_of(data):
     return [(rect, value) for rect, value in data]
 
 
-SPLITTERS = [quadratic_split, linear_split]
+SPLITTERS = [quadratic_split, linear_split, rstar_split]
 
 
 @pytest.mark.parametrize("splitter", SPLITTERS)
 class TestCommonSplitContract:
+    def test_returns_two_row_lists(self, splitter):
+        frame = NodeFrame.from_entries(True, random_rects(11, seed=4))
+        keep, move = splitter(frame.lo, frame.hi, 3)
+        assert all(type(row) is int for row in keep + move)
+        assert sorted(keep + move) == list(range(11))
+        assert len(keep) >= 3 and len(move) >= 3
+
     def test_partition_is_exact(self, splitter):
         entries = entries_of(random_rects(20, seed=1))
-        a, b = splitter(entries, min_fill=4)
+        a, b = split_entries(splitter, entries, min_fill=4)
         assert sorted(p for _, p in a + b) == sorted(p for _, p in entries)
 
     def test_min_fill_respected(self, splitter):
         for seed in range(5):
             entries = entries_of(random_rects(15, seed=seed))
-            a, b = splitter(entries, min_fill=5)
+            a, b = split_entries(splitter, entries, min_fill=5)
             assert len(a) >= 5 and len(b) >= 5
 
     def test_two_entries(self, splitter):
@@ -36,21 +45,21 @@ class TestCommonSplitContract:
             (Rect((0, 0), (1, 1)), 0),
             (Rect((5, 5), (6, 6)), 1),
         ]
-        a, b = splitter(entries, min_fill=1)
+        a, b = split_entries(splitter, entries, min_fill=1)
         assert len(a) == 1 and len(b) == 1
 
     def test_single_entry_raises(self, splitter):
         with pytest.raises(ValueError):
-            splitter([(Rect((0, 0), (1, 1)), 0)], min_fill=1)
+            split_entries(splitter, [(Rect((0, 0), (1, 1)), 0)], min_fill=1)
 
     def test_infeasible_min_fill_raises(self, splitter):
         entries = entries_of(random_rects(4, seed=0))
         with pytest.raises(ValueError):
-            splitter(entries, min_fill=3)
+            split_entries(splitter, entries, min_fill=3)
 
     def test_identical_rectangles(self, splitter):
         entries = [(Rect((0, 0), (1, 1)), i) for i in range(10)]
-        a, b = splitter(entries, min_fill=3)
+        a, b = split_entries(splitter, entries, min_fill=3)
         assert len(a) + len(b) == 10
         assert len(a) >= 3 and len(b) >= 3
 
@@ -63,13 +72,13 @@ class TestCommonSplitContract:
         rng = random.Random(0)
         entries = cluster_a + cluster_b
         rng.shuffle(entries)
-        a, b = splitter(entries, min_fill=2)
+        a, b = split_entries(splitter, entries, min_fill=2)
         groups = [{p for _, p in a}, {p for _, p in b}]
         assert {0, 1, 2, 3, 4} in groups and {100, 101, 102, 103, 104} in groups
 
     def test_works_in_3d(self, splitter):
         entries = entries_of(random_rects(12, seed=2, dim=3))
-        a, b = splitter(entries, min_fill=3)
+        a, b = split_entries(splitter, entries, min_fill=3)
         assert len(a) + len(b) == 12
 
 
@@ -83,7 +92,7 @@ class TestQuadraticSpecifics:
             (Rect((50, 50), (51, 51)), 1),
             (Rect((50, 51), (51, 52)), 2),
         ]
-        a, b = quadratic_split(entries, min_fill=1)
+        a, b = split_entries(quadratic_split, entries, min_fill=1)
         pointers_a = {p for _, p in a}
         pointers_b = {p for _, p in b}
         assert ("far_a" in pointers_a) != ("far_a" in pointers_b)
@@ -103,7 +112,7 @@ class TestQuadraticSpecifics:
             (Rect((1, 1), (3, 3)), "small"),
             (Rect((2, 2), (3, 3)), "tiny"),
         ]
-        a, b = quadratic_split(entries, min_fill=1)
+        a, b = split_entries(quadratic_split, entries, min_fill=1)
         assert a[0][1] == "outer" and b[0][1] == "tiny"
 
     def test_min_fill_validated_by_row_kernel(self):
@@ -123,6 +132,6 @@ class TestLinearSpecifics:
             (Rect((5.0, 0.0), (5.1, 1.0)), "mid1"),
             (Rect((5.2, 0.0), (5.3, 1.0)), "mid2"),
         ]
-        a, b = linear_split(entries, min_fill=1)
+        a, b = split_entries(linear_split, entries, min_fill=1)
         sides = [{p for _, p in a}, {p for _, p in b}]
         assert not any({"left", "right"} <= side for side in sides)

@@ -33,8 +33,8 @@ class TestValidate:
     def test_detects_loose_parent_mbr(self, store):
         tree = packed_tree(store)
         root = tree.peek_node(tree.root_id)
-        rect, child = root.entries[0]
-        root.entries[0] = (rect.union(Rect((5.0, 5.0), (9.0, 9.0))), child)
+        rect, child = root.entry(0)
+        root.replace(0, rect.union(Rect((5.0, 5.0), (9.0, 9.0))), child)
         with pytest.raises(RTreeInvariantError, match="exact"):
             validate_rtree(tree)
 
@@ -51,15 +51,36 @@ class TestValidate:
     def test_detects_unknown_object_id(self, store):
         tree = packed_tree(store)
         block_id, leaf = next(tree.iter_leaves())
-        rect, _ = leaf.entries[0]
-        leaf.entries[0] = (rect, 999_999)
+        rect, _ = leaf.entry(0)
+        leaf.replace(0, rect, 999_999)
         with pytest.raises(RTreeInvariantError, match="unknown object"):
+            validate_rtree(tree)
+
+    def test_detects_wrong_dimension(self, store):
+        tree = packed_tree(store, n=1)
+        wide = Node(True, [(Rect((0, 0, 0), (1, 1, 1)), 0)])
+        store.write(tree.root_id, wide)
+        with pytest.raises(RTreeInvariantError, match="holds a rect of dim 3"):
+            validate_rtree(tree)
+
+    def test_empty_leaf_root_passes(self, store):
+        # An empty leaf's table is 0 columns wide: no dimension to check.
+        tree = RTree.create_empty(store, dim=3, fanout=8)
+        report = validate_rtree(tree, expect_size=0)
+        assert report.levels[0].entries == 0
+
+    def test_detects_empty_internal_node(self, store):
+        tree = packed_tree(store, n=200)
+        root = tree.peek_node(tree.root_id)
+        _, child_id = root.entry(0)
+        store.write(child_id, Node(False))
+        with pytest.raises(RTreeInvariantError, match="is empty"):
             validate_rtree(tree)
 
     def test_detects_dangling_child_pointer(self, store):
         tree = packed_tree(store, n=200)
         root = tree.peek_node(tree.root_id)
-        _, child_id = root.entries[0]
+        _, child_id = root.entry(0)
         tree.store.free(child_id)
         with pytest.raises(RTreeInvariantError, match="freed block"):
             validate_rtree(tree)
@@ -69,8 +90,8 @@ class TestValidate:
         root = tree.peek_node(tree.root_id)
         if root.is_leaf:
             pytest.skip("tree too small")
-        rect0, child0 = root.entries[0]
-        root.entries[1] = (rect0, child0)
+        rect0, child0 = root.entry(0)
+        root.replace(1, rect0, child0)
         with pytest.raises(RTreeInvariantError):
             validate_rtree(tree)
 
@@ -81,8 +102,8 @@ class TestValidate:
         # different depths.
         leaf = Node(True, [(Rect((0, 0), (0.1, 0.1)), tree.register_object("x"))])
         leaf_id = store.allocate(leaf)
-        root.entries[0] = (leaf.mbr(), leaf_id)
-        tree.size = sum(len(l.entries) for _, l in tree.iter_leaves())
+        root.replace(0, leaf.mbr(), leaf_id)
+        tree.size = sum(len(l) for _, l in tree.iter_leaves())
         with pytest.raises(RTreeInvariantError, match="multiple levels"):
             validate_rtree(tree)
 
