@@ -99,7 +99,7 @@ def _node_kernel_rows(table: Table, entries: int, repeats: int) -> None:
     want = scalar()
     base_us = None
     for name, fn in paths:
-        assert fn() == want  # all paths agree before timing
+        assert list(fn()) == want  # all paths agree before timing
         per_call = _time_per_call(fn, repeats)
         if base_us is None:
             base_us = per_call

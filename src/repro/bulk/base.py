@@ -94,7 +94,8 @@ def pack_ordered(
         size=len(data),
     )
     require_dim((rect for rect, _ in data), dim)
-    entries = [(rect, tree.register_object(value)) for rect, value in data]
+    oids = tree.register_objects([value for _, value in data])
+    entries = [(rect, oid) for (rect, _), oid in zip(data, oids)]
 
     if not entries:
         tree.root_id = store.allocate(Node(is_leaf=True))

@@ -161,9 +161,8 @@ def build_tgs(
     """In-memory TGS bulk load."""
     dim = data[0][0].dim if data else 2
     tree = RTree(store, root_id=-1, dim=dim, fanout=fanout, height=1, size=len(data))
-    items: list[Item] = [
-        (rect, tree.register_object(value)) for rect, value in data
-    ]
+    oids = tree.register_objects([value for _, value in data])
+    items: list[Item] = [(rect, oid) for (rect, _), oid in zip(data, oids)]
     if not items:
         tree.root_id = store.allocate(Node(is_leaf=True))
         return tree

@@ -23,8 +23,9 @@ Three tiers, one source of truth:
   distance math here, so the scalar and vector paths literally share
   arithmetic and cannot drift apart.
 * **Frame kernels** (``frame_*``) evaluate one query against every row
-  of a coordinate table at once and return matching row indices (or a
-  per-row value array).
+  of a coordinate table at once and return the matching row indices as
+  one ascending index array (or a per-row value array) — an array, so
+  a query gathers its rows' pointers with one index and no Python list.
 * **Batch kernels** (``batch_*``) evaluate ``m`` queries against the
   same table in one broadcast — the compute layout of
   :meth:`~repro.rtree.query.QueryEngine.query_batch`, where co-located
@@ -338,45 +339,49 @@ def _axes_mask(lo_test, lo, lo_bound, hi_test, hi, hi_bound):
 
 _LE, _GE, _EQ = np.less_equal, np.greater_equal, np.equal
 
+#: What a row kernel reports for an empty table.
+NO_ROWS = np.empty(0, dtype=np.intp)
+NO_ROWS.flags.writeable = False
+
 
 @_kernel_phase
-def frame_intersecting(lo, hi, q_lo, q_hi) -> list[int]:
+def frame_intersecting(lo, hi, q_lo, q_hi):
     """Row indices whose box intersects the query box, ascending."""
     if len(lo) == 0:
-        return []
-    return _axes_mask(_LE, lo, q_hi, _GE, hi, q_lo).nonzero()[0].tolist()
+        return NO_ROWS
+    return _axes_mask(_LE, lo, q_hi, _GE, hi, q_lo).nonzero()[0]
 
 
 @_kernel_phase
-def frame_containing_point(lo, hi, point) -> list[int]:
+def frame_containing_point(lo, hi, point):
     """Row indices whose box contains ``point`` (stabbing), ascending."""
     if len(lo) == 0:
-        return []
-    return _axes_mask(_LE, lo, point, _GE, hi, point).nonzero()[0].tolist()
+        return NO_ROWS
+    return _axes_mask(_LE, lo, point, _GE, hi, point).nonzero()[0]
 
 
 @_kernel_phase
-def frame_contained_in(lo, hi, q_lo, q_hi) -> list[int]:
+def frame_contained_in(lo, hi, q_lo, q_hi):
     """Row indices whose box lies entirely inside the query box."""
     if len(lo) == 0:
-        return []
-    return _axes_mask(_GE, lo, q_lo, _LE, hi, q_hi).nonzero()[0].tolist()
+        return NO_ROWS
+    return _axes_mask(_GE, lo, q_lo, _LE, hi, q_hi).nonzero()[0]
 
 
 @_kernel_phase
-def frame_containing_rect(lo, hi, q_lo, q_hi) -> list[int]:
+def frame_containing_rect(lo, hi, q_lo, q_hi):
     """Row indices whose box contains the whole query box (FindLeaf)."""
     if len(lo) == 0:
-        return []
-    return _axes_mask(_LE, lo, q_lo, _GE, hi, q_hi).nonzero()[0].tolist()
+        return NO_ROWS
+    return _axes_mask(_LE, lo, q_lo, _GE, hi, q_hi).nonzero()[0]
 
 
 @_kernel_phase
-def frame_equal_to(lo, hi, q_lo, q_hi) -> list[int]:
+def frame_equal_to(lo, hi, q_lo, q_hi):
     """Row indices whose box equals the query box, ascending."""
     if len(lo) == 0:
-        return []
-    return _axes_mask(_EQ, lo, q_lo, _EQ, hi, q_hi).nonzero()[0].tolist()
+        return NO_ROWS
+    return _axes_mask(_EQ, lo, q_lo, _EQ, hi, q_hi).nonzero()[0]
 
 
 @_kernel_phase
@@ -551,9 +556,9 @@ def batch_intersecting(lo, hi, q_lo_table, q_hi_table, active):
 
     Parameters are the frame's tables, the batch's stacked query tables
     (:func:`batch_windows`), and the list of active query indices at
-    this node.  Returns ``{query index: [row indices]}`` containing only
-    queries that matched at least one row — one broadcast per page
-    instead of ``len(active)`` separate scans.
+    this node.  Returns ``{query index: row index array}`` containing
+    only queries that matched at least one row, in ``active`` order —
+    one broadcast per page instead of ``len(active)`` separate scans.
     """
     if len(lo) == 0:
         return {}
@@ -565,19 +570,21 @@ def batch_intersecting(lo, hi, q_lo_table, q_hi_table, active):
         matched = frame_intersecting(
             lo, hi, table_row(q_lo_table, q), table_row(q_hi_table, q)
         )
-        return {q: matched} if matched else {}
+        return {q: matched} if len(matched) else {}
     ql = q_lo_table[active]  # (m, d)
     qh = q_hi_table[active]
     # (m, 1, d) against (1, n, d) -> (m, n)
     mask = (ql[:, None, :] <= hi[None, :, :]) & (
         qh[:, None, :] >= lo[None, :, :]
     )
-    mask = mask.all(axis=2)
-    out: dict[int, list[int]] = {}
-    rows, cols = np.nonzero(mask)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        out.setdefault(active[r], []).append(c)
-    return out
+    rows, cols = np.nonzero(mask.all(axis=2))
+    # ``rows`` ascends, so each query's columns are one run of ``cols``.
+    cuts = np.searchsorted(rows, np.arange(len(active) + 1)).tolist()
+    return {
+        q: cols[begin:end]
+        for q, begin, end in zip(active, cuts, cuts[1:])
+        if begin < end
+    }
 
 
 # ----------------------------------------------------------------------

@@ -101,7 +101,7 @@ class NodeCodec:
         encoded = b"".join(parts)
         return encoded.ljust(self.block_size, b"\x00")
 
-    def encode_arrays(self, is_leaf: bool, lo, hi, ptrs: list[int]) -> bytes:
+    def encode_arrays(self, is_leaf: bool, lo, hi, ptrs) -> bytes:
         """Pack a node held as coordinate tables into one block.
 
         The inverse of :meth:`decode_arrays` and byte-for-byte what
@@ -150,8 +150,9 @@ class NodeCodec:
 
         Returns ``(is_leaf, lo_table, hi_table, ptrs)`` where the tables
         are :func:`repro.geometry.kernels.coord_table`-shaped (an
-        ``(n, dim)`` float64 array each) and ``ptrs`` is a plain
-        ``list[int]``.  No ``Rect`` objects are materialized — this is
+        ``(n, dim)`` float64 array each) and ``ptrs`` is the pointer
+        column, an ``(n,)`` int64 array.  No ``Rect`` objects are
+        materialized and no per-row Python object is built — this is
         the read path's decoder; ``storage/paged.py`` wraps the result
         in a ``NodeFrame``.  Byte layout is exactly :meth:`decode`'s.
         """
@@ -168,4 +169,4 @@ class NodeCodec:
         coords = raw["coords"]
         lo = coords[:, :dim].astype(np.float64)
         hi = coords[:, dim:].astype(np.float64)
-        return bool(leaf_flag), lo, hi, raw["ptr"].tolist()
+        return bool(leaf_flag), lo, hi, raw["ptr"].astype(np.int64)

@@ -76,7 +76,8 @@ def build_prtree(
         )
     tree = RTree(store, root_id=-1, dim=dim, fanout=fanout, height=1, size=len(data))
     require_dim((rect for rect, _ in data), dim)
-    items: list[Item] = [(rect, tree.register_object(value)) for rect, value in data]
+    oids = tree.register_objects([value for _, value in data])
+    items: list[Item] = [(rect, oid) for (rect, _), oid in zip(data, oids)]
     if not items:
         tree.root_id = store.allocate(Node(is_leaf=True))
         return tree

@@ -72,7 +72,7 @@ import numpy as np
 from repro.bulk.base import require_dim
 from repro.geometry import kernels
 from repro.geometry.rect import Rect, mbr_of
-from repro.rtree.node import Node, NodeFrame
+from repro.rtree.node import Node, NodeFrame, pointer_column
 
 #: A working item: (rectangle, integer pointer).
 Item = tuple[Rect, int]
@@ -115,7 +115,7 @@ class PseudoLeaf:
     def node(self, is_leaf: bool) -> Node:
         """The R-tree node this leaf becomes on one level of a PR-tree."""
         lo, hi = self._tables
-        ptrs = [pointer for _, pointer in self.items]
+        ptrs = pointer_column([pointer for _, pointer in self.items])
         return Node.from_frame(NodeFrame(is_leaf, lo, hi, ptrs))
 
     @property

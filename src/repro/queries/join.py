@@ -308,19 +308,19 @@ class SpatialJoinEngine:
                 # pair count is identical.)
                 stats.pairs += int(mask.sum())
                 return
-            left = self._left.tree.objects.get
-            right = self._right.tree.objects.get
             pairs = list(_sweep_frames(
                 self._sweep_state(self._orders_left, id_a, frame_a),
                 self._sweep_state(self._orders_right, id_b, frame_b),
                 mask,
             ))
             stats.pairs += len(pairs)
-            if out is not None:
+            if out is not None and pairs:
+                rows_a, rows_b = map(list, zip(*pairs))
+                left = self._left.tree.objects.take(frame_a.ptrs[rows_a])
+                right = self._right.tree.objects.take(frame_b.ptrs[rows_b])
                 out += [
-                    ((frame_a.rect(i), left(frame_a.ptrs[i])),
-                     (frame_b.rect(j), right(frame_b.ptrs[j])))
-                    for i, j in pairs
+                    ((frame_a.rect(i), value_a), (frame_b.rect(j), value_b))
+                    for (i, j), value_a, value_b in zip(pairs, left, right)
                 ]
             if rec_a is not None:
                 rec_a.note_matched(id_a, len({i for i, _ in pairs}))
@@ -332,8 +332,7 @@ class SpatialJoinEngine:
             )
             if rec_b is not None:
                 rec_b.note_matched(id_b, len(rows))
-            for row in rows:
-                child_id = frame_b.ptrs[row]
+            for child_id in frame_b.ptrs[rows].tolist():
                 child = self._right._frame(child_id, stats.right)
                 self._join_pair(id_a, frame_a, child_id, child, out, stats)
         elif frame_b.is_leaf:
@@ -342,8 +341,7 @@ class SpatialJoinEngine:
             )
             if rec_a is not None:
                 rec_a.note_matched(id_a, len(rows))
-            for row in rows:
-                child_id = frame_a.ptrs[row]
+            for child_id in frame_a.ptrs[rows].tolist():
                 child = self._left._frame(child_id, stats.left)
                 self._join_pair(child_id, child, id_b, frame_b, out, stats)
         else:
@@ -365,10 +363,10 @@ class SpatialJoinEngine:
                     id_b, len({j for js in matches.values() for j in js})
                 )
             for i in sorted(matches):
-                child_a_id = frame_a.ptrs[i]
+                child_a_id = frame_a.ptrs.item(i)
                 child_a = self._left._frame(child_a_id, stats.left)
                 for j in matches[i]:
-                    child_b_id = frame_b.ptrs[j]
+                    child_b_id = frame_b.ptrs.item(j)
                     child_b = self._right._frame(child_b_id, stats.right)
                     self._join_pair(
                         child_a_id, child_a, child_b_id, child_b, out, stats

@@ -36,10 +36,12 @@ from itertools import islice
 from operator import itemgetter
 from typing import Any, NamedTuple
 
+import numpy as np
+
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.queries.base import QueryStats, TraversalEngine
-from repro.rtree.node import NodeFrame
+from repro.rtree.node import NodeFrame, pointer_column
 from repro.rtree.query import ColumnarResult
 
 __all__ = ["Neighbor", "Neighbors", "KNNEngine", "knn", "brute_force_knn"]
@@ -57,7 +59,13 @@ class Neighbor(NamedTuple):
 #: row, object id)``.
 Hit = tuple[float, NodeFrame, int, int]
 
-_ids = itemgetter(3)
+_dist_sq, _ids = itemgetter(0), itemgetter(3)
+
+
+def id_column(hits: Sequence[Hit]):
+    """The hits' object ids as one int64 column (what a value table's
+    ``take`` gathers)."""
+    return np.fromiter(map(_ids, hits), np.int64, len(hits))
 
 
 class Neighbors(ColumnarResult):
@@ -67,7 +75,8 @@ class Neighbors(ColumnarResult):
     The columns are one :data:`Hit` per neighbor — its squared
     distance, its leaf's frame, row and object id (frames are never
     edited in place, so this is a snapshot no later write can change) —
-    plus its value, resolved at query time.  ``len()``,
+    plus its value, resolved at query time by one ``take`` over the
+    hits' :func:`id_column`.  ``len()``,
     :attr:`distances`, :attr:`values` and :attr:`ids` read them; the
     tuples come in distance order.  A retained result keeps its leaves'
     frames alive.
@@ -84,8 +93,12 @@ class Neighbors(ColumnarResult):
 
     @property
     def distances(self) -> tuple[float, ...]:
-        """The neighbors' Euclidean distances, nondecreasing."""
-        return tuple(math.sqrt(hit[0]) for hit in self._hits)
+        """The neighbors' Euclidean distances, nondecreasing (one
+        vectorised square root; IEEE-754 ``sqrt`` is correctly rounded,
+        so each equals ``math.sqrt``)."""
+        hits = self._hits
+        squared = np.fromiter(map(_dist_sq, hits), np.float64, len(hits))
+        return tuple(np.sqrt(squared).tolist())
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -94,8 +107,10 @@ class Neighbors(ColumnarResult):
 
     def _build(self) -> list[Neighbor]:
         return [
-            Neighbor(math.sqrt(dist_sq), frame.rect(row), value)
-            for (dist_sq, frame, row, _), value in zip(self._hits, self._values)
+            Neighbor(distance, frame.rect(row), value)
+            for distance, (_, frame, row, _), value in zip(
+                self.distances, self._hits, self._values
+            )
         ]
 
     def __repr__(self) -> str:
@@ -135,7 +150,7 @@ class KNNEngine(TraversalEngine):
         checked at once, before the first ``next()``.
         """
         check_target(target, self.tree.dim)
-        get = self.tree.objects.get
+        get = self.tree.objects.get  # a stream: one value at a time
         return (
             Neighbor(math.sqrt(dist_sq), frame.rect(row), get(oid))
             for dist_sq, frame, row, oid in self._hits(target, self.totals)
@@ -163,7 +178,8 @@ class KNNEngine(TraversalEngine):
         # (dist_sq, counter, row, frame, rest of the run); the counter
         # breaks ties, so heapq never compares further.  The root is a
         # one-row run of its own, on a frame that holds only its id.
-        root = NodeFrame(False, None, None, [self.tree.root_id])
+        root_id = pointer_column([self.tree.root_id])
+        root = NodeFrame(False, None, None, root_id)
         heap = [(0.0, 0, 0, root, iter(()))]
         counter = 0
         while heap:
@@ -175,9 +191,9 @@ class KNNEngine(TraversalEngine):
                 heapq.heapreplace(heap, following + (frame, rest))
             if frame.is_leaf:
                 stats.reported += 1
-                yield dist_sq, frame, row, frame.ptrs[row]
+                yield dist_sq, frame, row, frame.ptrs.item(row)
                 continue
-            block_id = frame.ptrs[row]
+            block_id = frame.ptrs.item(row)
             child = self._frame(block_id, stats)
             if recorder is not None:
                 # Best-first search prunes at node granularity (entries
@@ -208,7 +224,7 @@ class KNNEngine(TraversalEngine):
         hits = list(islice(self._hits(target, stats), k))
         stats.queries = 1  # also when k == 0 never starts the stream
         self.totals.merge(stats)
-        return Neighbors(hits, map(self.tree.objects.get, map(_ids, hits))), stats
+        return Neighbors(hits, self.tree.objects.take(id_column(hits))), stats
 
 
 def knn(tree, target: Rect | Sequence[float], k: int) -> Neighbors:

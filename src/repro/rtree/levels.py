@@ -30,14 +30,16 @@ __all__ = ["Level", "LevelTable", "levels_of"]
 
 class Level:
     """One internal level: node ``j`` is block ``ids[j]``, with frame
-    ``frames[j]``, and owns rows ``start[j]:start[j + 1]``."""
+    ``frames[j]``, and owns rows ``start[j]:start[j + 1]``.  Row ``r``
+    points at block ``ptrs[r]``: the rows' pointer column, converted
+    once to the Python ints the store is called with."""
 
     __slots__ = ("ids", "frames", "lo", "hi", "ptrs", "start")
 
     def __init__(self, ids: list[int], frames: list[NodeFrame]) -> None:
         rows = NodeFrame.concat(frames)
         self.ids, self.frames = ids, frames
-        self.lo, self.hi, self.ptrs = rows.lo, rows.hi, rows.ptrs
+        self.lo, self.hi, self.ptrs = rows.lo, rows.hi, rows.ptrs.tolist()
         self.start = [0, *accumulate(map(len, frames))]
 
     def survivors(
@@ -49,7 +51,7 @@ class Level:
         nodes in between that are not on the frontier are dropped."""
         first, last = frontier[0], frontier[-1]
         begin, end = self.start[first], self.start[last + 1]
-        rows = test(self.lo[begin:end], self.hi[begin:end])
+        rows = test(self.lo[begin:end], self.hi[begin:end]).tolist()
         if last - first >= len(frontier):
             keep, start = set(frontier), self.start
             rows = [r for r in rows if bisect_right(start, r + begin) - 1 in keep]

@@ -12,7 +12,7 @@ One representation
 
 A :class:`Node` holds exactly one thing besides its leaf flag: a
 :class:`NodeFrame`, the node's ``lo``/``hi`` coordinates as two
-``(n, d)`` tables plus a pointer list, so the kernels in
+``(n, d)`` tables plus an ``int64`` pointer column, so the kernels in
 :mod:`repro.geometry.kernels` evaluate a whole node (a window test,
 ChooseLeaf, FindLeaf, a split) in one operation.
 
@@ -36,6 +36,8 @@ from __future__ import annotations
 from collections import deque
 from itertools import repeat
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
@@ -71,19 +73,26 @@ def rects_of(lo, hi) -> list[Rect]:
     return rects
 
 
+def pointer_column(pointers: Sequence[int]):
+    """``pointers`` as a frame's ``(n,)`` int64 pointer column."""
+    return np.array(pointers, dtype=np.int64)
+
+
 class NodeFrame:
     """Structure-of-arrays view of one node's geometry.
 
     ``lo``/``hi`` are coordinate tables (``(n, d)`` float64 arrays — see
-    :func:`repro.geometry.kernels.coord_table`), ``ptrs`` is the plain
-    Python pointer list.  Frames are never edited in place: the edit
-    methods below return a new frame, so one handed out earlier stays
-    valid.
+    :func:`repro.geometry.kernels.coord_table`), ``ptrs`` the pointer
+    column (an ``(n,)`` int64 array): a query gathers its rows' object
+    ids from it in one index.  Frames are never edited in place: the
+    edit methods below return a new frame, so one handed out earlier
+    stays valid.  A single pointer leaves a frame as a Python ``int``
+    (``ptrs.item(i)``, ``ptrs.tolist()``).
     """
 
     __slots__ = ("is_leaf", "lo", "hi", "ptrs")
 
-    def __init__(self, is_leaf: bool, lo, hi, ptrs: list[int]) -> None:
+    def __init__(self, is_leaf: bool, lo, hi, ptrs) -> None:
         self.is_leaf = is_leaf
         self.lo = lo
         self.hi = hi
@@ -96,20 +105,17 @@ class NodeFrame:
             dim = entries[0][0].dim if entries else 0
         lo = kernels.coord_table([rect.lo for rect, _ in entries], dim)
         hi = kernels.coord_table([rect.hi for rect, _ in entries], dim)
-        return cls(is_leaf, lo, hi, [pointer for _, pointer in entries])
+        return cls(is_leaf, lo, hi, pointer_column([p for _, p in entries]))
 
     @classmethod
     def concat(cls, frames: Sequence["NodeFrame"]) -> "NodeFrame":
         """A new frame holding every row of ``frames`` (nodes of one
         level), in order."""
-        ptrs: list[int] = []
-        for frame in frames:
-            ptrs += frame.ptrs
         return cls(
             frames[0].is_leaf,
             kernels.table_concat([frame.lo for frame in frames]),
             kernels.table_concat([frame.hi for frame in frames]),
-            ptrs,
+            np.concatenate([frame.ptrs for frame in frames]),
         )
 
     def __len__(self) -> int:
@@ -123,11 +129,11 @@ class NodeFrame:
 
     def entry(self, i: int) -> Entry:
         """Materialize row ``i`` as a classic ``(Rect, pointer)`` entry."""
-        return self.rect(i), self.ptrs[i]
+        return self.rect(i), self.ptrs.item(i)
 
     def entries(self) -> list[Entry]:
         """Materialize every row (the codec's encode path)."""
-        return list(zip(rects_of(self.lo, self.hi), self.ptrs))
+        return list(zip(rects_of(self.lo, self.hi), self.ptrs.tolist()))
 
     def mbr(self) -> Rect:
         """Tight bounding box of all rows, computed on the tables."""
@@ -142,12 +148,12 @@ class NodeFrame:
             self.is_leaf,
             kernels.table_append(self.lo, rect.lo),
             kernels.table_append(self.hi, rect.hi),
-            self.ptrs + [pointer],
+            np.concatenate((self.ptrs, (pointer,))),
         )
 
     def replaced(self, i: int, rect: Rect, pointer: int) -> "NodeFrame":
         """This frame with row ``i`` set to ``(rect, pointer)``."""
-        ptrs = list(self.ptrs)
+        ptrs = self.ptrs.copy()
         ptrs[i] = pointer
         return NodeFrame(
             self.is_leaf,
@@ -162,17 +168,16 @@ class NodeFrame:
             self.is_leaf,
             kernels.table_delete(self.lo, i),
             kernels.table_delete(self.hi, i),
-            self.ptrs[:i] + self.ptrs[i + 1 :],
+            np.concatenate((self.ptrs[:i], self.ptrs[i + 1 :])),
         )
 
     def take(self, rows: Sequence[int]) -> "NodeFrame":
         """A frame of rows ``rows``, in that order (one side of a split)."""
-        ptrs = self.ptrs
         return NodeFrame(
             self.is_leaf,
             kernels.table_take(self.lo, rows),
             kernels.table_take(self.hi, rows),
-            [ptrs[i] for i in rows],
+            self.ptrs[rows],
         )
 
     def __repr__(self) -> str:
@@ -271,7 +276,7 @@ class Node:
         """Block ids of all children (internal nodes only)."""
         if self.is_leaf:
             raise ValueError("leaves have no children")
-        return list(self._frame.ptrs)
+        return self._frame.ptrs.tolist()
 
     def __len__(self) -> int:
         return len(self._frame)

@@ -21,7 +21,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
@@ -109,6 +112,8 @@ class ColumnarResult(Sequence):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
+        if len(self) != len(other):
+            return False
         return self._materialized() == list(other)
 
 
@@ -116,13 +121,15 @@ class Matches(ColumnarResult):
     """A window, point or containment query's result: an immutable
     sequence of ``(rect, value)`` pairs held as columns.
 
-    The columns are *parts*, each a frame and its matching rows: a
-    lone leaf's own frame, or one fresh frame concatenated from a
-    query's surviving leaves (frames are never edited in place, so
-    either is a snapshot no later write can change), plus the rows' values,
-    resolved at query time.  ``len()``, :attr:`values`, :attr:`ids`,
-    :attr:`lo` and :attr:`hi` read them; the pairs come in traversal
-    order.  A retained result keeps its parts' frames alive.
+    The columns are *parts*, each a frame and its matching rows (an
+    index array): a lone leaf's own frame, or one fresh frame
+    concatenated from a query's surviving leaves (frames are never
+    edited in place, so either is a snapshot no later write can
+    change), plus the rows' values, resolved at query time by one
+    :meth:`~repro.rtree.tree.ObjectColumn.take` over the rows' ids.
+    ``len()``, :attr:`values`, :attr:`ids`, :attr:`lo` and :attr:`hi`
+    read them; the pairs come in traversal order.  A retained result
+    keeps its parts' frames alive.
     """
 
     __slots__ = ("_parts", "_dim")
@@ -146,17 +153,15 @@ class Matches(ColumnarResult):
         if len(results) == 1:
             return results[0]  # immutable, so the lone shard's answer is shared
         return cls(
-            [part for result in results for part in result._parts],
-            [value for result in results for value in result._values],
+            chain.from_iterable(result._parts for result in results),
+            chain.from_iterable(result._values for result in results),
             dim,
         )
 
     @property
     def ids(self) -> tuple[int, ...]:
         """The matched rows' object ids (leaf pointers), in result order."""
-        return tuple(
-            frame.ptrs[i] for frame, rows in self._parts for i in rows
-        )
+        return tuple(id_column(self._parts).tolist())
 
     @property
     def lo(self):
@@ -182,6 +187,13 @@ class Matches(ColumnarResult):
 
     def __repr__(self) -> str:
         return f"Matches({len(self._values)} rows in {len(self._parts)} parts)"
+
+
+def id_column(parts: Sequence[tuple[NodeFrame, Any]]):
+    """The object ids of the parts' rows, in order, as one int64 column."""
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate([frame.ptrs[rows] for frame, rows in parts])
 
 
 def on_window(window: Rect, *frame_kernels: Callable) -> list[Callable]:
@@ -263,20 +275,21 @@ class TraversalEngine:
 
     def _run(
         self,
-        descend_rows: Callable[..., list[int]],
-        report_rows: Callable[..., list[int]] | None,
+        descend_rows: Callable,
+        report_rows: Callable | None,
         count_rows: Callable[..., int] | None = None,
     ) -> tuple[Matches, QueryStats]:
         """The reporting traversal every window, point and containment
         query is, one kernel call per level.
 
         ``descend_rows(lo, hi)`` returns the internal rows to descend,
-        ``report_rows(lo, hi)`` the leaf rows to report; a count-only
-        operator passes ``count_rows`` instead so leaves never build an
-        index list at all.  The descent is level-synchronous over the
-        tree's pinned table; the surviving leaves are read in
-        depth-first order — the reverse of their rows — and tested as
-        one concatenated frame: one kernel call, one result part.
+        ``report_rows(lo, hi)`` the leaf rows to report (row kernels:
+        index arrays); a count-only operator passes ``count_rows``
+        instead so leaves never build an index array at all.  The
+        descent is level-synchronous over the tree's pinned table; the
+        surviving leaves are read in depth-first order — the reverse of
+        their rows — and tested as one concatenated frame: one kernel
+        call, one result part, one gather of its values.
         """
         tree = self.tree
         table = levels_of(tree)
@@ -301,11 +314,9 @@ class TraversalEngine:
             else:
                 rows = report_rows(frame.lo, frame.hi)
                 matched = len(rows)
-                if rows:
+                if matched:
                     parts = ((frame, rows),)
-                    values = map(
-                        tree.objects.get, map(frame.ptrs.__getitem__, rows)
-                    )
+                    values = tree.objects.take(frame.ptrs[rows])
             stats.reported += matched
             if self._recorder is not None:  # every leaf is on one plan level
                 self._recorder.note_matched(ptrs[frontier[-1]], matched)
@@ -398,9 +409,8 @@ class QueryEngine(TraversalEngine):
         deduplicated read count.
         """
         tree = self.tree
-        get = tree.objects.get
         n = len(windows)
-        columns: list[tuple[list, list]] = [([], []) for _ in range(n)]
+        parts: list[list] = [[] for _ in range(n)]
         all_stats = [QueryStats(queries=1) for _ in range(n)]
         if n == 0:
             return [], all_stats
@@ -416,15 +426,12 @@ class QueryEngine(TraversalEngine):
                 frame.lo, frame.hi, q_lo, q_hi, active
             )
             if frame.is_leaf:
-                ptrs = frame.ptrs
                 for q in active:
                     stats = all_stats[q]
                     stats.leaf_reads += 1
                     rows = hits.get(q)
-                    if rows:
-                        parts, values = columns[q]
-                        parts.append((frame, rows))
-                        values += map(get, map(ptrs.__getitem__, rows))
+                    if rows is not None:
+                        parts[q].append((frame, rows))
                         stats.reported += len(rows)
             else:
                 for q in active:
@@ -436,14 +443,18 @@ class QueryEngine(TraversalEngine):
                 # its match order) equals its solo DFS.
                 per_child: dict[int, list[int]] = {}
                 for q, rows in hits.items():
-                    for i in rows:
+                    for i in rows.tolist():
                         per_child.setdefault(i, []).append(q)
                 ptrs = frame.ptrs
                 for i in sorted(per_child):
-                    stack.append((ptrs[i], per_child[i]))
+                    stack.append((ptrs.item(i), per_child[i]))
         for stats in all_stats:
             self.totals.merge(stats)
-        return [Matches(*column, tree.dim) for column in columns], all_stats
+        # Each query's values in one gather.
+        return [
+            Matches(part, tree.objects.take(id_column(part)), tree.dim)
+            for part in parts
+        ], all_stats
 
 
 def brute_force_query(

@@ -179,7 +179,7 @@ def _insert(
         children_are_leaves = level == 1 and target_level == 0
         child_idx = _choose_subtree(node, rect, children_are_leaves)
         path.append((block_id, node, child_idx))
-        block_id = node.frame().ptrs[child_idx]
+        block_id = node.frame().ptrs.item(child_idx)
         node = tree.read_node(block_id)
         level -= 1
 

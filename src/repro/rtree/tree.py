@@ -14,14 +14,155 @@ packed Hilbert tree and a dynamically grown Guttman tree are all just
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from collections.abc import Mapping, MutableMapping
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.geometry.rect import Rect
 from repro.iomodel.store import BlockId, BlockStoreProtocol
-from repro.rtree.node import Node
+from repro.rtree.node import Node, rects_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.rtree.query import Matches
+
+
+#: Object ids are what a leaf's 4-byte pointer field holds.
+OID_LIMIT = 1 << 32
+
+
+def _oid(key) -> int | None:
+    """``key`` as an object id, or None when it is not one (a negative,
+    too large or non-integer key)."""
+    if isinstance(key, (int, np.integer)) and 0 <= key < OID_LIMIT:
+        return int(key)
+    return None
+
+
+def _oid_column(keys: list):
+    """``keys`` as an int64 column; ``ValueError`` names the first key
+    that is not an object id."""
+    ids = None
+    kinds = set(map(type, keys))
+    if all(issubclass(kind, (int, np.integer)) for kind in kinds):
+        try:
+            ids = np.fromiter(keys, dtype=np.int64, count=len(keys))
+        except OverflowError:
+            pass
+    if ids is None or (
+        len(ids) and (ids.min() < 0 or ids.max() >= OID_LIMIT)
+    ):
+        bad = next(key for key in keys if _oid(key) is None)
+        raise ValueError(f"value key {bad!r} is not an object id")
+    return ids
+
+
+class ObjectColumn(MutableMapping):
+    """Object id -> caller value, held as one object column indexed by id.
+
+    A mapping like the dict it replaces (``get``, ``pop``, ``in``,
+    ``len``, ``update``, ``dict(column)``), plus :meth:`take`, the one
+    gather a query result resolves its values with.  Keys are object ids:
+    ints in ``[0, 2**32)``; storing any other key raises ``ValueError``
+    naming it.  The column is dense, so it holds one slot per id up to
+    the highest stored one; an id without a value reads as ``None``.
+    """
+
+    __slots__ = ("_values", "_present")
+
+    def __init__(self, values: Mapping[int, Any] | None = None) -> None:
+        # One slot past the last id always holds None: ``take`` clips
+        # ids beyond the column onto it.
+        self._values = np.full(1, None, dtype=object)
+        self._present = np.zeros(0, dtype=bool)
+        if values:
+            self.update(values)
+
+    def _reserve(self, size: int) -> None:
+        """Room for ids below ``size`` (capacity doubles)."""
+        capacity = len(self._present)
+        if size <= capacity:
+            return
+        capacity = max(size, 2 * capacity)
+        grown = np.full(capacity + 1, None, dtype=object)
+        grown[: len(self._present)] = self._values[:-1]
+        present = np.zeros(capacity, dtype=bool)
+        present[: len(self._present)] = self._present
+        self._values, self._present = grown, present
+
+    def put(self, ids: Sequence[int], values: Iterable[Any]) -> None:
+        """Store ``values[i]`` under ``ids[i]``, in one assignment.
+
+        ``ids`` must be object ids (a bulk loader's fresh range, or keys
+        :meth:`update` has checked).
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        if not len(ids):
+            return
+        self._reserve(int(ids.max()) + 1)
+        # fromiter keeps a tuple or list value one item.
+        self._values[ids] = np.fromiter(values, dtype=object, count=len(ids))
+        self._present[ids] = True
+
+    def update(self, other=(), /, **kwargs) -> None:
+        """``dict.update``; a mapping is stored in one :meth:`put` once
+        every key is checked."""
+        if isinstance(other, Mapping) and not kwargs:
+            self.put(_oid_column(list(other.keys())), other.values())
+        else:
+            super().update(other, **kwargs)
+
+    def take(self, ids: Sequence[int]) -> list[Any]:
+        """The values of object ids ``ids``, in order (``None`` where
+        there is none): one vectorised gather."""
+        try:
+            return self._values[ids].tolist()
+        except IndexError:  # an id past the column reads the None slot
+            return self._values.take(ids, mode="clip").tolist()
+
+    def _stored(self, oid) -> int | None:
+        """``oid``'s slot when it holds a value, else None."""
+        key = oid if type(oid) is int else _oid(oid)
+        if key is None or not 0 <= key < len(self._present):
+            return None
+        return key if self._present[key] else None
+
+    def get(self, oid, default=None):
+        key = self._stored(oid)
+        return default if key is None else self._values[key]
+
+    def __getitem__(self, oid):
+        key = self._stored(oid)
+        if key is None:
+            raise KeyError(oid)
+        return self._values[key]
+
+    def __setitem__(self, oid, value) -> None:
+        key = _oid(oid)
+        if key is None:
+            raise ValueError(f"value key {oid!r} is not an object id")
+        self._reserve(key + 1)
+        self._values[key] = value
+        self._present[key] = True
+
+    def __delitem__(self, oid) -> None:
+        key = self._stored(oid)
+        if key is None:
+            raise KeyError(oid)
+        self._values[key] = None
+        self._present[key] = False
+
+    def __contains__(self, oid) -> bool:
+        return self._stored(oid) is not None
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._present.nonzero()[0].tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._present))
+
+    def __repr__(self) -> str:
+        return f"ObjectColumn({len(self)} values)"
 
 
 class RTree:
@@ -68,7 +209,7 @@ class RTree:
         self.height = height
         self.size = size
         self.min_fill = min_fill if min_fill is not None else max(1, (fanout * 2) // 5)
-        self.objects: dict[int, Any] = {}
+        self.objects: ObjectColumn = ObjectColumn()
         self._next_oid = 0
         # The pinned internal levels (repro.rtree.levels.levels_of).
         self._levels = None
@@ -91,6 +232,14 @@ class RTree:
         self._next_oid = oid + 1
         self.objects[oid] = value
         return oid
+
+    def register_objects(self, values: Sequence[Any]) -> range:
+        """Assign consecutive object ids to ``values`` in one column
+        assignment (a bulk loader's whole input)."""
+        start = self._next_oid
+        self._next_oid = start + len(values)
+        self.objects.put(np.arange(start, self._next_oid), values)
+        return range(start, self._next_oid)
 
     # ------------------------------------------------------------------
     # Node access
@@ -136,8 +285,9 @@ class RTree:
     def all_data(self) -> Iterator[tuple[Rect, Any]]:
         """Yield every stored (rectangle, value) pair without I/O cost."""
         for _, leaf in self.iter_leaves():
-            for rect, oid in leaf.entries:
-                yield rect, self.objects.get(oid)
+            frame = leaf.frame()
+            values = self.objects.take(frame.ptrs)
+            yield from zip(rects_of(frame.lo, frame.hi), values)
 
     def node_count(self) -> int:
         """Total nodes in the tree."""

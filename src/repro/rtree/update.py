@@ -86,7 +86,7 @@ def _insert_at_level(
     while level > target_level:
         child_idx = _choose_subtree(node, rect)
         path.append((block_id, node, child_idx))
-        block_id = node.frame().ptrs[child_idx]
+        block_id = node.frame().ptrs.item(child_idx)
         node = tree.read_node(block_id)
         level -= 1
 
@@ -171,7 +171,7 @@ def delete(tree: RTree, rect: Rect, value: Any) -> bool:
     if found is None:
         return False
     path, leaf_id, leaf, entry_idx = found
-    oid = leaf.frame().ptrs[entry_idx]
+    oid = leaf.frame().ptrs.item(entry_idx)
     leaf.remove_at(entry_idx)
     _condense_tree(tree, path, leaf_id, leaf)
     # Bookkeeping last: a condense that fails must not leave the size
@@ -201,8 +201,9 @@ def _find_leaf(
         frame = node.frame()
         ptrs = frame.ptrs
         if frame.is_leaf:
-            for idx in kernels.frame_equal_to(frame.lo, frame.hi, q_lo, q_hi):
-                if tree.objects.get(ptrs[idx]) == value:
+            rows = kernels.frame_equal_to(frame.lo, frame.hi, q_lo, q_hi)
+            for idx in rows.tolist():
+                if tree.objects.get(ptrs.item(idx)) == value:
                     path: list[PathStep] = []
                     while link is not None:
                         parent_id, parent, child_idx, link = link
@@ -210,11 +211,12 @@ def _find_leaf(
                     path.reverse()
                     return path, block_id, node, idx
         else:
-            for child_idx in kernels.frame_containing_rect(
+            rows = kernels.frame_containing_rect(
                 frame.lo, frame.hi, q_lo, q_hi
-            ):
+            )
+            for child_idx in rows.tolist():
                 stack.append(
-                    (ptrs[child_idx], (block_id, node, child_idx, link))
+                    (ptrs.item(child_idx), (block_id, node, child_idx, link))
                 )
     return None
 

@@ -139,7 +139,7 @@ def validate_rtree(
         if node.is_leaf:
             leaf_depths.add(depth)
             data_count += count
-            for oid in frame.ptrs:
+            for oid in frame.ptrs.tolist():
                 if oid not in tree.objects:
                     raise RTreeInvariantError(
                         f"leaf {block_id} points at unknown object id {oid}"
@@ -147,7 +147,7 @@ def validate_rtree(
         else:
             if not count and not is_root:
                 raise RTreeInvariantError(f"empty internal node {block_id}")
-            for row, child_id in enumerate(frame.ptrs):
+            for row, child_id in enumerate(frame.ptrs.tolist()):
                 if child_id not in tree.store:
                     raise RTreeInvariantError(
                         f"node {block_id} points at freed block {child_id}"

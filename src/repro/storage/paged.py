@@ -61,7 +61,7 @@ from repro.obs.cachestats import ReuseDistanceTracker
 from repro.obs.tap import IOTap, active_tap
 from repro.obs.trace import current_trace
 from repro.rtree.node import Node, NodeFrame
-from repro.rtree.tree import RTree
+from repro.rtree.tree import ObjectColumn, RTree
 from repro.storage.faults import FaultInjector
 from repro.storage.filestore import (
     FileBlockStore,
@@ -513,6 +513,11 @@ class _CallableValues(Mapping):
         value = self._fn(oid)
         return default if value is None else value
 
+    def take(self, ids) -> list[Any]:
+        """:meth:`~repro.rtree.tree.ObjectColumn.take`: one call of the
+        function per id, which a callable cannot avoid."""
+        return list(map(self._fn, ids.tolist()))
+
     def __getitem__(self, oid):
         return self._fn(oid)
 
@@ -521,6 +526,18 @@ class _CallableValues(Mapping):
 
     def __len__(self) -> int:  # pragma: no cover - unused by the engines
         return 0
+
+
+def value_table(
+    values: Mapping[int, Any] | Callable[[int], Any] | None,
+) -> ObjectColumn | _CallableValues:
+    """The value table an opened index resolves object ids with: a
+    fresh :class:`~repro.rtree.tree.ObjectColumn` holding ``values``
+    (empty for None), or the callable adapted.  Raises ``ValueError``
+    naming a key that is not an object id."""
+    if callable(values):
+        return _CallableValues(values)
+    return ObjectColumn(values)
 
 
 @dataclass(frozen=True)
@@ -615,7 +632,7 @@ def pack_tree(
             frame = node.frame()
             ptrs = frame.ptrs
             if not node.is_leaf:
-                ptrs = [index_of[child] for child in ptrs]
+                ptrs = [index_of[child] for child in ptrs.tolist()]
             file_store.allocate(
                 codec.encode_arrays(node.is_leaf, frame.lo, frame.hi, ptrs)
             )
@@ -657,24 +674,19 @@ class PagedTree(RTree):
         fanout: int,
         height: int,
         size: int,
-        values: dict[int, Any] | Callable[[int], Any] | None = None,
+        values: Mapping[int, Any] | Callable[[int], Any] | None = None,
         next_oid: int = 0,
     ) -> None:
         super().__init__(
             store, root_id, dim=dim, fanout=fanout, height=height, size=size
         )
-        if values is None:
-            pass  # engines report None values, structure is intact
-        elif callable(values):
-            self.objects = _CallableValues(values)
-        else:
-            self.objects = dict(values)
-            if self.objects:
-                self._next_oid = max(self.objects) + 1
         # Fresh inserts must never reuse an object id a stored leaf
         # entry still points at: honour the descriptor's high-water id
         # (size alone is not a safe floor once deletes have shrunk it).
-        self._next_oid = max(self._next_oid, next_oid, size)
+        self._next_oid = max(next_oid, size)
+        if not isinstance(values, (ObjectColumn, _CallableValues)):
+            values = value_table(values)
+        self._use_values(values)
         # Pack-time tree-quality baseline (repro.obs.health), carried in
         # the descriptor's trailing bytes; sync() must re-append it or a
         # single update would erase the degradation reference.
@@ -701,7 +713,10 @@ class PagedTree(RTree):
             The index file.
         values:
             Optional object-id → value mapping (dict or callable); the
-            file stores object *ids* only.
+            file stores object *ids* only.  A mapping is copied into the
+            tree's :class:`~repro.rtree.tree.ObjectColumn`; a key that
+            is not an object id raises ``ValueError`` before the file
+            is opened.
         cache_pages:
             Decoded-page budget of the LRU page cache.
         counters:
@@ -729,6 +744,7 @@ class PagedTree(RTree):
             the newest valid one (sharded-family rollback; see
             :meth:`~repro.storage.filestore.FileBlockStore.open`).
         """
+        values = value_table(values)  # a bad key raises before the file opens
         opened_at = time.perf_counter()
         file_store = FileBlockStore.open(
             path,
@@ -828,6 +844,14 @@ class PagedTree(RTree):
         metrics by the serving layer."""
         return self.page_store.file_store.recovery
 
+    def _use_values(self, table: ObjectColumn | _CallableValues) -> None:
+        """Resolve values from ``table`` (a :func:`value_table`), which
+        this tree's inserts then extend; ids it holds are never issued
+        again."""
+        self.objects = table
+        if isinstance(table, ObjectColumn):
+            self._next_oid = max(self._next_oid, max(table, default=-1) + 1)
+
     # -- write path ----------------------------------------------------
 
     def _require_writable(self) -> None:
@@ -836,7 +860,7 @@ class PagedTree(RTree):
                 f"{self.page_store.file_store.path} was opened read-only; "
                 "reopen with readonly=False to insert or delete"
             )
-        if not isinstance(self.objects, dict):
+        if isinstance(self.objects, _CallableValues):
             raise StorageError(
                 "this tree's values were supplied as a callable; updates "
                 "need a mutable object table (open with a dict or None)"

@@ -69,7 +69,8 @@ from repro.obs.tap import scoped_tap
 from repro.obs.trace import current_trace
 from repro.queries.join import JoinStats, SpatialJoinEngine
 from repro.queries.knn import (
-    Hit, KNNEngine, Neighbor, Neighbors, check_target, target_dist_sq,
+    Hit, KNNEngine, Neighbor, Neighbors, check_target, id_column,
+    target_dist_sq,
 )
 from repro.queries.point import PointQueryEngine
 from repro.rtree.node import Node, NodeFrame
@@ -83,6 +84,7 @@ from repro.storage.paged import (
     PageCacheStats,
     PagedTree,
     pack_tree,
+    value_table,
 )
 
 __all__ = [
@@ -269,7 +271,7 @@ def shard_pack(
     leaves = NodeFrame.concat(
         [leaf.frame() for _, leaf in tree.iter_leaves()]
     )
-    oids = leaves.ptrs
+    oids = leaves.ptrs.tolist()
     n = len(oids)
     keys: list[int] = []
     if n:
@@ -347,20 +349,20 @@ def _pack_preserving_oids(
     ``leaf_level`` is every data row of the shard as one frame (None for
     an empty shard).  Unlike :func:`~repro.bulk.base.pack_ordered`, leaf
     pointers are the *source tree's* object ids, so one global oid →
-    value mapping serves every shard of the family.  ``next_oid`` (the
-    family-wide high-water id) is recorded in each shard's descriptor so
-    no reopened shard can re-issue an id a sibling's live entry still
-    points at.
+    value mapping serves every shard of the family (the shard holds no
+    values; :meth:`ShardedTree.open` gives every shard one table).
+    ``next_oid`` (the family-wide high-water id) is recorded in each
+    shard's descriptor so no reopened shard can re-issue an id a
+    sibling's live entry still points at.
     """
     store = BlockStore()
-    oids = leaf_level.ptrs if leaf_level is not None else []
     shard = RTree(
         store,
         root_id=-1,
         dim=source.dim,
         fanout=source.fanout,
         height=1,
-        size=len(oids),
+        size=0 if leaf_level is None else len(leaf_level),
     )
     if leaf_level is None:
         shard.root_id = store.allocate(Node(is_leaf=True))
@@ -372,7 +374,6 @@ def _pack_preserving_oids(
             height += 1
         shard.root_id = level[0][1]
         shard.height = height
-    shard.objects = {oid: source.objects.get(oid) for oid in oids}
     shard._next_oid = next_oid
     return shard
 
@@ -652,8 +653,10 @@ class ShardedTree:
             The manifest file; shard files are resolved relative to it.
         values:
             Optional *family-wide* object-id → value mapping (dict or
-            callable), shared by every shard — :func:`shard_pack`
-            preserves the source tree's object ids across shards.
+            callable) — :func:`shard_pack` preserves the source tree's
+            object ids across shards, so every shard shares the one
+            value table built from it.  A key that is not an object id
+            raises ``ValueError`` before any file is opened.
         cache_pages:
             Decoded-page budget **per shard**.
         readonly:
@@ -679,6 +682,7 @@ class ShardedTree:
         never rewrote the manifest rolls the whole family back to the
         manifest's consistent cut.
         """
+        table = value_table(values)  # one table serves every shard
         manifest_path = pathlib.Path(path)
         doc = _load_manifest(manifest_path)
         bounds = _rect_from_json(doc.get("bounds"), str(manifest_path))
@@ -702,7 +706,6 @@ class ShardedTree:
                 try:
                     shard = PagedTree.open(
                         shard_path,
-                        values=values,
                         cache_pages=cache_pages,
                         readonly=readonly,
                         mmap=mmap,
@@ -715,6 +718,7 @@ class ShardedTree:
                     )
                 except StorageError as exc:
                     raise ShardError(f"{where}: {exc}") from None
+                shard._use_values(table)
                 shards.append(shard)
                 cls._check_shard(where, shard, info, doc)
                 infos.append(info)
@@ -782,6 +786,11 @@ class ShardedTree:
     def readonly(self) -> bool:
         """True when every shard was opened without write access."""
         return self._readonly
+
+    @property
+    def objects(self):
+        """The family's value table, shared by every shard."""
+        return self.shards[0].objects
 
     @property
     def counters(self) -> _AggregateCounters:
@@ -1274,13 +1283,10 @@ class ShardedKNNEngine(_ShardedFanout):
         """Incrementally yield family-wide neighbors by distance."""
         check_target(target, self.sharded.dim)
         stats = [sub.totals for sub in self._subs]
+        get = self.sharded.objects.get  # a stream: one value at a time
         return (
-            Neighbor(
-                math.sqrt(dist_sq),
-                frame.rect(row),
-                self._subs[shard].tree.objects.get(oid),
-            )
-            for shard, (dist_sq, frame, row, oid) in self._hits(target, stats)
+            Neighbor(math.sqrt(dist_sq), frame.rect(row), get(oid))
+            for _, (dist_sq, frame, row, oid) in self._hits(target, stats)
         )
 
     def _hits(
@@ -1338,13 +1344,9 @@ class ShardedKNNEngine(_ShardedFanout):
         found = list(islice(self._hits(target, stats), k))
         for sub, part in zip(self._subs, stats):
             sub.totals.merge(part)
-        values = [
-            self._subs[shard].tree.objects.get(hit[3]) for shard, hit in found
-        ]
-        return (
-            Neighbors([hit for _, hit in found], values),
-            self._merge_stats(stats),
-        )
+        hits = [hit for _, hit in found]
+        values = self.sharded.objects.take(id_column(hits))
+        return Neighbors(hits, values), self._merge_stats(stats)
 
 
 class ShardedJoinEngine:

@@ -41,7 +41,9 @@ def random_windows(count: int, seed: int = 0, dim: int = 2, side: float = 0.2):
 def split_entries(splitter, entries, min_fill):
     """Run a row-returning splitter on an entry list; the two groups
     as entry lists."""
-    frame = NodeFrame.from_entries(False, entries)
+    frame = NodeFrame.from_entries(
+        False, [(rect, row) for row, (rect, _) in enumerate(entries)]
+    )
     keep, move = splitter(frame.lo, frame.hi, min_fill)
     return [entries[k] for k in keep], [entries[k] for k in move]
 

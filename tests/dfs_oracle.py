@@ -111,9 +111,9 @@ class DFSOracleEngine(TraversalEngine):
                 stack.pop()
             frame = self._read(block_id, stats).frame()
             if not frame.is_leaf:
-                rows = descend_rows(frame.lo, frame.hi)
+                rows = descend_rows(frame.lo, frame.hi).tolist()
                 if rows:
-                    stack.append((frame.ptrs, rows))
+                    stack.append((frame.ptrs.tolist(), rows))
                 if recorder is not None:
                     recorder.note_matched(block_id, len(rows))
                 continue
@@ -127,7 +127,7 @@ class DFSOracleEngine(TraversalEngine):
                 matched = count_rows(frame.lo, frame.hi)
                 stats.reported += matched
             else:
-                rows = report_rows(frame.lo, frame.hi)
+                rows = report_rows(frame.lo, frame.hi).tolist()
                 matched = len(rows)
                 if rows:
                     parts.append((frame, rows))

@@ -1102,12 +1102,14 @@ class TestWriteKernels:
             assert _choose_subtree(node, query) == oracle_choose_subtree(
                 node, query
             )
-            assert kernels.frame_containing_rect(lo, hi, query.lo, query.hi) == [
+            assert kernels.frame_containing_rect(
+                lo, hi, query.lo, query.hi
+            ).tolist() == [
                 i for i, rect in enumerate(rects) if rect.contains_rect(query)
             ]
-            assert kernels.frame_equal_to(lo, hi, query.lo, query.hi) == [
-                i for i, rect in enumerate(rects) if rect == query
-            ]
+            assert kernels.frame_equal_to(
+                lo, hi, query.lo, query.hi
+            ).tolist() == [i for i, rect in enumerate(rects) if rect == query]
 
     def test_choose_subtree_ties_break_on_area_then_order(self):
         # The query lies inside all four boxes: zero enlargement each.
@@ -1713,7 +1715,9 @@ class TestPseudoPRTreeDifferential:
             node = leaf.node(is_leaf=True)
             assert node.entries == leaf.items
             assert node.mbr() == leaf.mbr
-            assert node.frame().ptrs == [pointer for _, pointer in leaf.items]
+            assert node.frame().ptrs.tolist() == [
+                pointer for _, pointer in leaf.items
+            ]
 
 
 class TestBulkLoadDifferential:
@@ -2062,7 +2066,9 @@ class OracleQueryEngine(DFSOracleEngine):
             block_id = stack.pop()
             node = self._read(block_id, stats)
             frame = node.frame()
-            rows = kernels.frame_intersecting(frame.lo, frame.hi, q_lo, q_hi)
+            rows = kernels.frame_intersecting(
+                frame.lo, frame.hi, q_lo, q_hi
+            ).tolist()
             if recorder is not None:
                 recorder.note_matched(block_id, len(rows))
             if frame.is_leaf:
@@ -2075,7 +2081,7 @@ class OracleQueryEngine(DFSOracleEngine):
                         matches.append((rect, tree.objects.get(pointer)))
                 stats.reported += len(rows)
             else:
-                ptrs = frame.ptrs
+                ptrs = frame.ptrs.tolist()
                 for i in rows:
                     stack.append(ptrs[i])
         self.totals.merge(stats)
@@ -2103,7 +2109,7 @@ class OracleQueryEngine(DFSOracleEngine):
                 for q in active:
                     stats = all_stats[q]
                     stats.leaf_reads += 1
-                    rows = hits.get(q)
+                    rows = hits.get(q, kernels.NO_ROWS).tolist()
                     if rows:
                         matches = all_matches[q]
                         if entries is None:
@@ -2121,9 +2127,9 @@ class OracleQueryEngine(DFSOracleEngine):
                 all_stats[active[0]].internal_reads += shared.internal_reads
                 per_child = {}
                 for q, rows in hits.items():
-                    for i in rows:
+                    for i in rows.tolist():
                         per_child.setdefault(i, []).append(q)
-                ptrs = frame.ptrs
+                ptrs = frame.ptrs.tolist()
                 for i in sorted(per_child):
                     stack.append((ptrs[i], per_child[i]))
         for stats in all_stats:
@@ -2152,7 +2158,7 @@ class OraclePointEngine(DFSOracleEngine, PointQueryEngine):
                     if recorder is not None:
                         recorder.note_matched(block_id, kept)
                     continue
-                rows = report_rows(frame.lo, frame.hi)
+                rows = report_rows(frame.lo, frame.hi).tolist()
                 stats.reported += len(rows)
                 if recorder is not None:
                     recorder.note_matched(block_id, len(rows))
@@ -2164,8 +2170,8 @@ class OraclePointEngine(DFSOracleEngine, PointQueryEngine):
                         rect, pointer = entries[i]
                         matches.append((rect, tree.objects.get(pointer)))
             else:
-                ptrs = frame.ptrs
-                rows = descend_rows(frame.lo, frame.hi)
+                ptrs = frame.ptrs.tolist()
+                rows = descend_rows(frame.lo, frame.hi).tolist()
                 if recorder is not None:
                     recorder.note_matched(block_id, len(rows))
                 for i in rows:
@@ -2617,9 +2623,9 @@ class LeafAtATimeRun:
         while stack:
             block_id = stack.pop()
             frame = self._read(block_id, stats).frame()
-            ptrs = frame.ptrs
+            ptrs = frame.ptrs.tolist()
             if not frame.is_leaf:
-                rows = descend_rows(frame.lo, frame.hi)
+                rows = descend_rows(frame.lo, frame.hi).tolist()
                 matched = len(rows)
                 for i in rows:
                     stack.append(ptrs[i])
@@ -2627,7 +2633,7 @@ class LeafAtATimeRun:
                 matched = count_rows(frame.lo, frame.hi)
                 stats.reported += matched
             else:
-                rows = report_rows(frame.lo, frame.hi)
+                rows = report_rows(frame.lo, frame.hi).tolist()
                 matched = len(rows)
                 if rows:
                     parts.append((frame, rows))

@@ -93,7 +93,8 @@ class TestDecodeArrays:
         block = codec.encode(True, entries)
         is_leaf, lo, hi, ptrs = codec.decode_arrays(block)
         assert is_leaf is True
-        assert ptrs == [pointer for _, pointer in entries]
+        assert ptrs.dtype == kernels.np.int64
+        assert ptrs.tolist() == [pointer for _, pointer in entries]
         frame = NodeFrame(is_leaf, lo, hi, ptrs)
         assert frame.entries() == codec.decode(block)[1]
 
@@ -102,7 +103,7 @@ class TestDecodeArrays:
         is_leaf, lo, hi, ptrs = codec.decode_arrays(block)
         assert is_leaf is False
         assert kernels.table_len(lo) == 0
-        assert ptrs == []
+        assert ptrs.dtype == kernels.np.int64 and ptrs.tolist() == []
 
     def test_rejects_wrong_block_size(self, codec):
         with pytest.raises(ValueError, match="expected 4096"):

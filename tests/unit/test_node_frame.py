@@ -23,7 +23,7 @@ class TestNodeFrame:
             assert frame.rect(i) == rect
             assert frame.entry(i) == (rect, pointer)
         assert frame.entries() == entries
-        assert frame.ptrs == [pointer for _, pointer in entries]
+        assert frame.ptrs.tolist() == [pointer for _, pointer in entries]
 
     def test_rect_materializes_python_floats(self, entries):
         frame = NodeFrame.from_entries(False, entries)
