@@ -84,7 +84,7 @@ __all__ = [
     "frame_nearest_run",
     "frame_containing_rect",
     "frame_equal_to",
-    "frame_enlargement",
+    "frame_least_enlargement",
     "frame_areas",
     "frame_margins",
     "frame_overlap_sum",
@@ -318,13 +318,10 @@ def _axis_product(sides):
 
 @functools.lru_cache(maxsize=32)
 def _upper_pairs(n: int):
-    """Every row pair ``i < j`` of an ``(n, n)`` matrix, row-major.
-
-    Returns ``(i, j, flat)``: the two index arrays and the pairs'
-    positions in the flattened matrix.
-    """
+    """Flat positions of every pair ``i < j`` of an ``(n, n)`` matrix,
+    row-major."""
     i, j = np.triu_indices(n, 1)
-    return i, j, i * n + j
+    return i * n + j
 
 
 def _axes_mask(lo_test, lo, lo_bound, hi_test, hi, hi_bound):
@@ -434,17 +431,24 @@ def frame_nearest_run(lo, hi, q_lo, q_hi) -> tuple[list[float], list[int]]:
 
 
 @_kernel_phase
-def frame_enlargement(lo, hi, q_lo, q_hi) -> list[float]:
-    """Per-row enlargement needed to also cover the query box.
+def frame_least_enlargement(lo, hi, q_lo, q_hi) -> int:
+    """Guttman's ChooseLeaf over a whole node: the row to descend into.
 
-    Vectorizes Guttman's ChooseLeaf criterion over a whole node.
+    The row whose box grows least to also cover the query box; ties go
+    to the smaller box, then to the first row.  Raises ``ValueError`` on
+    an empty frame.
     """
     if len(lo) == 0:
-        return []
-    ql = np.asarray(q_lo, dtype=np.float64)
-    qh = np.asarray(q_hi, dtype=np.float64)
-    union = _axis_product(np.maximum(hi, qh) - np.minimum(lo, ql))
-    return (union - _axis_product(hi - lo)).tolist()
+        raise ValueError("empty frame has no row to choose")
+    areas = _axis_product(hi - lo)
+    growth = _axis_product(np.maximum(hi, q_hi) - np.minimum(lo, q_lo))
+    growth -= areas
+    best = int(growth.argmin())
+    ties = growth == growth[best]
+    if np.count_nonzero(ties) == 1:
+        return best
+    rows = np.flatnonzero(ties)
+    return int(rows[areas[rows].argmin()])
 
 
 def frame_areas(lo, hi) -> list[float]:
@@ -484,7 +488,7 @@ def frame_overlap_sum(lo, hi, start: float = 0.0) -> float:
         shared = side if shared is None else shared * side
         apart = miss if apart is None else apart | miss
     shared[apart] = 0.0
-    terms = shared.ravel().take(_upper_pairs(n)[2])
+    terms = shared.ravel().take(_upper_pairs(n))
     return float(np.cumsum(np.concatenate(((start,), terms)))[-1])
 
 
@@ -592,6 +596,20 @@ def batch_intersecting(lo, hi, q_lo_table, q_hi_table, active):
 # ----------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _upper_mask(n: int):
+    """``(n, n)``: 0.0 above the diagonal, ``-inf`` on and below it.
+
+    Added to a pair matrix it keeps every pair ``i < j`` as it was
+    (``x + 0.0 == x``) and sinks the rest, so one ``argmax`` over the
+    whole matrix is the first maximum over ``i < j`` in row-major order.
+    """
+    rows = np.arange(n)
+    mask = np.where(rows[:, None] < rows, 0.0, -np.inf)
+    mask.setflags(write=False)
+    return mask
+
+
 @_kernel_phase
 def quadratic_split(lo, hi, min_fill: int) -> tuple[list[int], list[int]]:
     """Guttman's quadratic split of one overfull node's rows.
@@ -603,13 +621,18 @@ def quadratic_split(lo, hi, min_fill: int) -> tuple[list[int], list[int]]:
 
     * **PickSeeds** — the pair wasting the most volume together,
       ``union(i, j) - area(i) - area(j)``; the first such pair in
-      row-major order wins ties: one pairwise ``maximum``/``minimum``
-      union-volume evaluation over all ``i < j``.
+      row-major order wins ties: the waste of every pair is built in
+      one ``(n, n)`` matrix, the pairs ``i >= j`` are sunk to ``-inf``
+      and one ``argmax`` picks the seeds.
     * **PickNext** — the unassigned row with the largest difference
       between its two group enlargements (first such row on ties) goes
       to the group it enlarges less (ties: smaller group volume, then
-      fewer rows, then the first group).  Each group's enlargement
-      column is cached and recomputed only when that group's box grew.
+      fewer rows, then the first group).  Each group keeps one column
+      per axis of every row's extent once the group's box covers it;
+      when the box grows, only the axes whose side moved are
+      recomputed, then the enlargement column.  Assigned rows are kept
+      out of the ``argmax`` by subtracting a dead column (``+inf`` on
+      them, 0.0 elsewhere).
     * A group that needs every remaining row to reach ``min_fill``
       takes them all, in row order.
 
@@ -622,56 +645,64 @@ def quadratic_split(lo, hi, min_fill: int) -> tuple[list[int], list[int]]:
     if min_fill < 1 or 2 * min_fill > n:
         raise ValueError(f"min_fill {min_fill} infeasible for {n} entries")
     dim = lo.shape[1]
+    lo_cols = [lo[:, k].copy() for k in range(dim)]
+    hi_cols = [hi[:, k].copy() for k in range(dim)]
     areas = _axis_product(hi - lo)
-    union = None
+
+    waste = None
     for k in range(dim):
-        side = np.maximum.outer(hi[:, k], hi[:, k]) - np.minimum.outer(
-            lo[:, k], lo[:, k]
-        )
-        union = side if union is None else union * side
-    waste = union - areas[:, None] - areas[None, :]
-    i, j, flat = _upper_pairs(n)
-    worst = int(waste.ravel().take(flat).argmax())
-    seeds = [int(i[worst]), int(j[worst])]
+        side = np.maximum.outer(hi_cols[k], hi_cols[k])
+        side -= np.minimum.outer(lo_cols[k], lo_cols[k])
+        waste = side if waste is None else np.multiply(waste, side, out=waste)
+    waste -= areas[:, None]
+    waste -= areas
+    waste += _upper_mask(n)
+    seeds = divmod(int(waste.argmax()), n)
 
     groups = ([seeds[0]], [seeds[1]])
-    # Group boxes live twice: as arrays for the column arithmetic and as
-    # float lists for the cheap per-axis "did it grow" test.
-    box_lo = [lo[seed].copy() for seed in seeds]
-    box_hi = [hi[seed].copy() for seed in seeds]
     rows_lo = lo.tolist()
     rows_hi = hi.tolist()
-    side_lo = [rows_lo[seed][:] for seed in seeds]
-    side_hi = [rows_hi[seed][:] for seed in seeds]
-    box_area = [float(areas[seed]) for seed in seeds]
+    box_lo = [rows_lo[seed][:] for seed in seeds]
+    box_hi = [rows_hi[seed][:] for seed in seeds]
+    box_area = [areas.item(seed) for seed in seeds]
+    # Per group g and axis k, every row's high and low side once the
+    # group's box covers it, and their difference, the row's extent.
+    top = [[np.maximum(c, b) for c, b in zip(hi_cols, box)] for box in box_hi]
+    bottom = [
+        [np.minimum(c, b) for c, b in zip(lo_cols, box)] for box in box_lo
+    ]
+    extent = [[t - b for t, b in zip(top[g], bottom[g])] for g in (0, 1)]
+    # Zeros, not garbage: the first regrow's preference column is read
+    # (and replaced by the second) before group 1's column exists.
+    enl = [np.zeros(n), np.zeros(n)]
+    dead = np.zeros(n)
+    dead[list(seeds)] = np.inf
+    prefer = np.empty(n)
 
-    def growth(g: int):
-        union = _axis_product(
-            np.maximum(hi, box_hi[g]) - np.minimum(lo, box_lo[g])
-        )
-        return union - box_area[g]
+    def regrow(g: int) -> None:
+        """Group ``g``'s enlargement column, then the preference column."""
+        union = extent[g][0]
+        for k in range(1, dim):
+            union = np.multiply(union, extent[g][k], out=enl[g])
+        np.subtract(union, box_area[g], out=enl[g])
+        np.subtract(enl[0], enl[1], out=prefer)
+        np.abs(prefer, out=prefer)
+        np.subtract(prefer, dead, out=prefer)
 
-    enl = [growth(0), growth(1)]
-    # Assigned rows stay in the columns; a preference of -1 keeps them
-    # out of argmax (every live one is >= 0).  The preference column
-    # only changes when a group's box grew.
-    assigned = np.zeros(n, dtype=bool)
-    assigned[seeds] = True
-    prefer = np.abs(enl[0] - enl[1])
-    prefer[seeds] = -1.0
+    regrow(0)
+    regrow(1)
     left = n - 2
-
     while left:
         for g in (0, 1):
             if len(groups[g]) + left <= min_fill:
-                groups[g].extend(np.nonzero(~assigned)[0].tolist())
+                groups[g].extend(np.flatnonzero(dead == 0.0).tolist())
                 return groups
         k = int(prefer.argmax())
-        prefer[k] = -1.0
-        assigned[k] = True
+        dead[k] = np.inf
+        prefer[k] = -np.inf
         left -= 1
-        grow_a = enl[0][k].item()
-        grow_b = enl[1][k].item()
+        grow_a = enl[0].item(k)
+        grow_b = enl[1].item(k)
         if grow_a != grow_b:
             g = 0 if grow_a < grow_b else 1
         elif box_area[0] != box_area[1]:
@@ -679,18 +710,25 @@ def quadratic_split(lo, hi, min_fill: int) -> tuple[list[int], list[int]]:
         else:
             g = 0 if len(groups[0]) <= len(groups[1]) else 1
         groups[g].append(k)
+        if not left:
+            break
+        # Only a side that moved is recomputed, and only its axis.
+        g_lo, g_hi = box_lo[g], box_hi[g]
         grew = False
-        for axis in range(dim):
-            if rows_lo[k][axis] < side_lo[g][axis]:
-                side_lo[g][axis] = box_lo[g][axis] = rows_lo[k][axis]
+        for axis, (row_lo, row_hi) in enumerate(zip(rows_lo[k], rows_hi[k])):
+            moved = False
+            if row_lo < g_lo[axis]:
+                g_lo[axis] = row_lo
+                np.minimum(lo_cols[axis], row_lo, out=bottom[g][axis])
+                moved = True
+            if row_hi > g_hi[axis]:
+                g_hi[axis] = row_hi
+                np.maximum(hi_cols[axis], row_hi, out=top[g][axis])
+                moved = True
+            if moved:
+                np.subtract(top[g][axis], bottom[g][axis], out=extent[g][axis])
                 grew = True
-            if rows_hi[k][axis] > side_hi[g][axis]:
-                side_hi[g][axis] = box_hi[g][axis] = rows_hi[k][axis]
-                grew = True
-        if grew and left:
-            box_area[g] = area(side_lo[g], side_hi[g])
-            enl[g] = growth(g)
-            np.subtract(enl[0], enl[1], out=prefer)
-            np.abs(prefer, out=prefer)
-            prefer[assigned] = -1.0
+        if grew:
+            box_area[g] = area(g_lo, g_hi)
+            regrow(g)
     return groups

@@ -33,7 +33,7 @@ from typing import Any
 from repro.geometry.rect import Rect, mbr_of
 from repro.rtree.node import Entry, Node, rects_of
 from repro.rtree.tree import RTree
-from repro.rtree.update import grow_root, split_overfull
+from repro.rtree.update import check_dim, grow_root, split_overfull
 
 #: Fraction of entries evicted by forced reinsertion (the R* paper's p).
 REINSERT_FRACTION = 0.3
@@ -156,8 +156,7 @@ def _choose_subtree(node: Node, rect: Rect, children_are_leaves: bool) -> int:
 
 def rstar_insert(tree: RTree, rect: Rect, value: Any) -> int:
     """Insert with the R*-tree algorithm; returns the object id."""
-    if rect.dim != tree.dim:
-        raise ValueError(f"rect has dim {rect.dim}, tree indexes dim {tree.dim}")
+    check_dim(rect, tree.dim)
     oid = tree.register_object(value)
     _insert(tree, rect, oid, target_level=0, reinserted_levels=set())
     tree.size += 1

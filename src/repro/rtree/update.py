@@ -16,8 +16,8 @@ All node reads/writes go through the tree's counted accessors, so update
 I/O cost is measurable just like query cost.
 
 Every per-node decision runs on the node's frame through
-:mod:`repro.geometry.kernels` — ChooseLeaf (``frame_enlargement`` plus
-the area tie-break), FindLeaf (``frame_containing_rect`` /
+:mod:`repro.geometry.kernels` — ChooseLeaf (``frame_least_enlargement``,
+which returns the chosen row), FindLeaf (``frame_containing_rect`` /
 ``frame_equal_to``), the quadratic split, and the bounding boxes
 AdjustTree/CondenseTree propagate — and every edit goes through
 :class:`~repro.rtree.node.Node`'s whole-node methods, which replace the
@@ -47,12 +47,17 @@ PathStep = tuple[int, Node, int]
 # ----------------------------------------------------------------------
 
 
+def check_dim(rect: Rect, dim: int) -> None:
+    """Raise ``ValueError`` unless ``rect`` has the index's dimension."""
+    if rect.dim != dim:
+        raise ValueError(f"rect has dim {rect.dim}, tree indexes dim {dim}")
+
+
 def insert(
     tree: RTree, rect: Rect, value: Any, splitter: Splitter = quadratic_split
 ) -> int:
     """Insert a data rectangle; returns the assigned object id."""
-    if rect.dim != tree.dim:
-        raise ValueError(f"rect has dim {rect.dim}, tree indexes dim {tree.dim}")
+    check_dim(rect, tree.dim)
     oid = tree.register_object(value)
     _insert_at_level(tree, rect, oid, target_level=0, splitter=splitter)
     tree.size += 1
@@ -62,13 +67,9 @@ def insert(
 def _choose_subtree(node: Node, rect: Rect) -> int:
     """Index of the child entry needing least enlargement (ties: area)."""
     frame = node.frame()
-    growth = kernels.frame_enlargement(frame.lo, frame.hi, rect.lo, rect.hi)
-    least = min(growth)
-    ties = [idx for idx, grown in enumerate(growth) if grown == least]
-    if len(ties) == 1:
-        return ties[0]
-    areas = kernels.frame_areas(frame.lo, frame.hi)
-    return min(ties, key=areas.__getitem__)
+    return kernels.frame_least_enlargement(
+        frame.lo, frame.hi, rect.lo, rect.hi
+    )
 
 
 def _insert_at_level(
@@ -165,8 +166,10 @@ def delete(tree: RTree, rect: Rect, value: Any) -> bool:
     time (or by a query) deletes that entry.  When several stored
     entries carry the same ``(rect, value)`` pair, exactly one is
     removed per call — the first match in the deterministic
-    find-leaf traversal order.
+    find-leaf traversal order.  Raises ``ValueError`` when ``rect``'s
+    dimension is not the tree's.
     """
+    check_dim(rect, tree.dim)
     found = _find_leaf(tree, rect, value)
     if found is None:
         return False

@@ -76,6 +76,7 @@ from repro.queries.point import PointQueryEngine
 from repro.rtree.node import Node, NodeFrame
 from repro.rtree.query import Matches, QueryEngine, QueryStats
 from repro.rtree.tree import RTree
+from repro.rtree.update import check_dim
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.filestore import StorageError
 from repro.storage.paged import (
@@ -903,9 +904,11 @@ class ShardedTree:
         family counter first, so ids stay unique across shards and one
         merged object table serves the whole family on reopen.  Raises
         :class:`~repro.storage.filestore.StorageError` up front on a
-        read-only family.
+        read-only family, and ``ValueError`` on a rectangle of another
+        dimension.
         """
         self._require_writable()
+        check_dim(rect, self.dim)
         i = self.route(rect)
         shard = self.shards[i]
         shard._next_oid = max(shard._next_oid, self._next_oid)
@@ -924,9 +927,11 @@ class ShardedTree:
         The owning shard (by Hilbert rank) is tried first, then every
         other shard whose live MBR intersects ``rect``; the first shard
         that finds a match wins.  Returns True when an entry was
-        removed.
+        removed.  Raises ``ValueError`` on a rectangle of another
+        dimension, before any shard is tried.
         """
         self._require_writable()
+        check_dim(rect, self.dim)
         first = self.route(rect)
         order = [first] + [i for i in range(len(self.shards)) if i != first]
         for i in order:

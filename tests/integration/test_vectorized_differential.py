@@ -23,7 +23,7 @@ import tempfile
 import pathlib
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.bulk.hilbert import build_hilbert, build_hilbert4
@@ -902,6 +902,28 @@ def update_scripts(draw, dim=2, max_ops=40, scale=1.0):
     return data, ops
 
 
+@st.composite
+def grid_nodes(draw):
+    """An overfull node's boxes on a small integer grid, 1-4 axes, 2-230 rows.
+
+    Coordinates are small integers, so wastes, enlargements and areas
+    tie exactly; rows are drawn from a pool that may be far smaller than
+    the node, so duplicates are common, and a side of 0 makes zero-area
+    boxes.  One drawn seed generates the rows: a 230-row node would
+    otherwise cost hypothesis a thousand draws.
+    """
+    dim = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=2, max_value=230))
+    grid = draw(st.integers(min_value=1, max_value=8))
+    distinct = draw(st.integers(min_value=1, max_value=n))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pool = []
+    for _ in range(distinct):
+        lo = [rng.randint(0, grid) for _ in range(dim)]
+        pool.append(Rect(lo, [c + rng.choice((0, 0, 1, 2)) for c in lo]))
+    return [rng.choice(pool) for _ in range(n)]
+
+
 def run_script(tree, ops, data, do_insert, do_delete):
     """Apply ``ops``; deletes pick the k-th live entry (mod the count)."""
     live = list(data)
@@ -1123,6 +1145,34 @@ class TestWriteKernels:
         query = Rect((1.5, 1.5), (2, 2))
         assert oracle_choose_subtree(node, query) == 1
         assert _choose_subtree(node, query) == 1
+
+    @seed(20040613)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(grid_nodes(), st.data())
+    def test_grid_nodes_split_like_the_oracle(self, rects, data):
+        # Ties everywhere: PickSeeds' first pair in row-major order,
+        # PickNext's first row, growth on several axes at once.
+        min_fill = data.draw(st.integers(1, len(rects) // 2), label="min_fill")
+        self.split_both_ways(rects, min_fill)
+
+    @seed(20040613)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(grid_nodes(), st.data())
+    def test_grid_nodes_choose_like_the_oracle(self, rects, data):
+        # Queries that equal, sit inside or stick out of a row's box:
+        # duplicates tie on growth and area, and the first row wins.
+        lo, hi = self.tables(rects)
+        node = ListNode(False, [(rect, i) for i, rect in enumerate(rects)])
+        for _ in range(8):
+            box = data.draw(st.sampled_from(rects), label="row")
+            stretch = data.draw(st.integers(-1, 2), label="stretch")
+            if stretch < 0:
+                query = Rect(box.lo, box.lo)
+            else:
+                query = Rect(box.lo, [c + stretch for c in box.hi])
+            assert kernels.frame_least_enlargement(
+                lo, hi, query.lo, query.hi
+            ) == oracle_choose_subtree(node, query)
 
 
 # ----------------------------------------------------------------------

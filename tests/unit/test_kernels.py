@@ -35,6 +35,16 @@ def random_boxes(n, seed=0, dim=2):
     return lo_rows, hi_rows
 
 
+def scalar_least_enlargement(lo_rows, hi_rows, q_lo, q_hi):
+    """ChooseLeaf row by row: least growth, then least area, first row."""
+    best, best_key = None, None
+    for i, (lo, hi) in enumerate(zip(lo_rows, hi_rows)):
+        key = (kernels.enlargement(lo, hi, q_lo, q_hi), kernels.area(lo, hi))
+        if best_key is None or key < best_key:
+            best, best_key = i, key
+    return best
+
+
 def widen(coords, dim):
     """``coords`` repeated axis by axis out to ``dim`` (2-d unchanged)."""
     return tuple(coords[k % len(coords)] for k in range(dim))
@@ -171,15 +181,24 @@ class TestFrameKernels:
         empty = make_table([], dim)
         assert kernels.frame_nearest_run(empty, empty, p, p) == ([], [])
 
-    def test_frame_enlargement_bit_identical(self, tables):
+    def test_frame_least_enlargement_matches_scalar(self, tables):
         lo_rows, hi_rows, lo, hi = tables
-        q_lo, q_hi = query(lo)
-        got = kernels.frame_enlargement(lo, hi, q_lo, q_hi)
-        want = [
-            kernels.enlargement(lo_rows[i], hi_rows[i], q_lo, q_hi)
-            for i in range(len(lo_rows))
-        ]
-        assert got == want
+        dim = lo.shape[1]
+        # Every row twice, the copies reversed: growth and area both tie
+        # between rows far apart, so the first-row rule decides.
+        twice_lo, twice_hi = lo_rows + lo_rows[::-1], hi_rows + hi_rows[::-1]
+        for rows_lo, rows_hi in ((lo_rows, hi_rows), (twice_lo, twice_hi)):
+            t_lo, t_hi = make_table(rows_lo, dim), make_table(rows_hi, dim)
+            for q_lo, q_hi in (
+                query(lo),
+                query(lo, ((0.5, 0.5), (0.5, 0.5))),
+                (rows_lo[7], rows_hi[7]),
+                query(lo, ((-1.0, -1.0), (3.0, 3.0))),
+            ):
+                got = kernels.frame_least_enlargement(t_lo, t_hi, q_lo, q_hi)
+                assert got == scalar_least_enlargement(
+                    rows_lo, rows_hi, q_lo, q_hi
+                )
 
     def test_frame_mbr_matches_mbr_of(self, tables):
         lo_rows, hi_rows, lo, hi = tables
@@ -240,7 +259,8 @@ class TestFrameKernels:
         assert kernels.frame_count_intersecting(lo, hi, (0, 0), (1, 1)) == 0
         assert kernels.frame_dist_sq_to_point(lo, hi, (0, 0)) == []
         assert kernels.frame_dist_sq_to_rect(lo, hi, (0, 0), (1, 1)) == []
-        assert kernels.frame_enlargement(lo, hi, (0, 0), (1, 1)) == []
+        with pytest.raises(ValueError):
+            kernels.frame_least_enlargement(lo, hi, (0, 0), (1, 1))
         assert as_rows(kernels.frame_containing_rect(lo, hi, (0, 0), (1, 1))) == []
         assert as_rows(kernels.frame_equal_to(lo, hi, (0, 0), (1, 1))) == []
         assert kernels.frame_areas(lo, hi) == []
@@ -419,10 +439,9 @@ class TestThreeDimensionalBitIdentity:
             kernels.dist_sq_to_rect(lo_rows[i], hi_rows[i], q_lo, q_hi)
             for i in rows
         ]
-        assert kernels.frame_enlargement(lo, hi, q_lo, q_hi) == [
-            kernels.enlargement(lo_rows[i], hi_rows[i], q_lo, q_hi)
-            for i in rows
-        ]
+        assert kernels.frame_least_enlargement(
+            lo, hi, q_lo, q_hi
+        ) == scalar_least_enlargement(lo_rows, hi_rows, q_lo, q_hi)
         rects = [Rect(lo_rows[i], hi_rows[i]) for i in rows]
         box = mbr_of(rects)
         assert kernels.frame_mbr(lo, hi) == (box.lo, box.hi)

@@ -503,6 +503,18 @@ class TestPagedTreeUpdates:
             assert value not in [v for _, v in got]
             validate_rtree(paged, expect_size=len(data) - 1)
 
+    def test_delete_of_another_dimension_raises(self, packed):
+        tree, path, _, data = packed
+        rect, value = data[0]
+        wider = Rect(rect.lo + (0.0,), rect.hi + (1.0,))
+        with self._reopen(path, dict(tree.objects)) as paged:
+            with pytest.raises(
+                ValueError, match="rect has dim 3, tree indexes dim 2"
+            ):
+                paged.delete(wider, value)
+            assert paged.size == len(data)
+            assert paged.delete(rect, value)
+
     def test_updates_survive_sync_and_reopen(self, packed):
         tree, path, _, data = packed
         with self._reopen(path, dict(tree.objects)) as paged:

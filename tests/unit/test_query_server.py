@@ -358,6 +358,18 @@ class TestWrites:
         assert report.writes == 2
         assert tree.size == len(data) - 1
 
+    def test_delete_of_another_dimension_fails_the_batch(self, paged):
+        tree, data = paged
+        rect, value = data[0]
+        wider = Rect(rect.lo + (0.0,), rect.hi + (1.0,))
+        server = QueryServer(tree)
+        with pytest.raises(
+            ValueError, match="rect has dim 3, tree indexes dim 2"
+        ):
+            server.submit([DeleteRequest(wider, value)])
+        assert tree.size == len(data)
+        assert server.submit([DeleteRequest(rect, value)]).values() == [True]
+
     def test_identical_inserts_are_never_deduped(self, paged):
         tree, data = paged
         server = QueryServer(tree)

@@ -447,6 +447,26 @@ class TestUpdatesAndSync:
             assert not family.delete(rect, value)  # already gone
             assert family.size == N - 1
 
+    def test_writes_of_another_dimension_raise_before_routing(
+        self, manifest, tree, data, monkeypatch
+    ):
+        rect, value = data[37]
+        wider = Rect(rect.lo + (0.0,), rect.hi + (1.0,))
+        with open_family(manifest, tree) as family:
+
+            def no_route(rect):
+                raise AssertionError("routed a rect of another dimension")
+
+            monkeypatch.setattr(family, "route", no_route)
+            for write in (family.delete, family.insert):
+                with pytest.raises(
+                    ValueError, match="rect has dim 3, tree indexes dim 2"
+                ):
+                    write(wider, value)
+            monkeypatch.undo()
+            assert family.size == N
+            assert family.delete(rect, value)
+
     def test_sync_rewrites_manifest_atomically(self, manifest, tree, data):
         with open_family(manifest, tree) as family:
             family.insert(Rect((0.5, 0.5), (0.51, 0.51)), "fresh")

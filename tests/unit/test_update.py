@@ -96,6 +96,20 @@ class TestDelete:
         assert not delete(tree, Rect((5, 5), (6, 6)), "a")
         assert len(tree) == 1
 
+    def test_wrong_dim_raises_and_deletes_nothing(self, store):
+        # FindLeaf compares the tree's axes only: unchecked, a 3-d rect
+        # deleted the 2-d entry it agreed with on those, and a 1-d rect
+        # ran off the end of the query tuple.
+        tree = RTree.create_empty(store, dim=2, fanout=8)
+        insert(tree, Rect((3, 3), (4, 4)), 3)
+        for rect in (Rect((3, 3, 0), (4, 4, 5)), Rect((3,), (4,))):
+            with pytest.raises(
+                ValueError, match=f"rect has dim {rect.dim}, tree indexes dim 2"
+            ):
+                delete(tree, rect, 3)
+        assert len(tree) == 1
+        assert [v for _, v in tree.query(Rect((3, 3), (4, 4)))] == [3]
+
     def test_delete_from_empty_tree(self, store):
         tree = RTree.create_empty(store, fanout=8)
         assert not delete(tree, Rect((0, 0), (1, 1)), "a")
