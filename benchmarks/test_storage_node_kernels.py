@@ -11,26 +11,18 @@ entry-at-a-time Python loop.  Expected shapes:
   spend >=3x less CPU than the pre-refactor per-entry traversal (the
   scalar oracle below), at **identical leaf I/O** — the layout is
   invisible to the paper's metric.
-* **batch x page**: co-located window batches evaluated set-at-a-time
-  read fewer pages than solo execution.  The server executes requests
-  one at a time in arrival order, so its row reads what ``solo`` reads.
 """
 
-import tempfile
 import time
-from pathlib import Path
 
 from conftest import run_once
 
 from repro.experiments.report import Table
-from repro.experiments.serving import pack_index
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
 from repro.rtree.query import QueryEngine, QueryStats, TraversalEngine
-from repro.server import QueryServer, WindowRequest
-from repro.storage import PagedTree
 from repro.datasets.synthetic import uniform_rects
 from repro.workloads.queries import square_queries
 
@@ -163,67 +155,6 @@ def _kernels_experiment() -> Table:
     return table
 
 
-def _batch_experiment(queries: int = 64, cache_pages: int = 64) -> Table:
-    table = Table(
-        title="batch x page window evaluation on a paged PR-tree",
-        headers=["config", "leaf_ios", "physical_reads", "time_us", "vs_solo"],
-    )
-    def run_solo(tree, windows):
-        engine = QueryEngine(tree)
-        for window in windows:
-            engine.query(window)
-        return engine.totals.leaf_reads
-
-    def run_batch(tree, windows):
-        engine = QueryEngine(tree)
-        engine.query_batch(windows)
-        return engine.totals.leaf_reads
-
-    def run_server(tree, windows):
-        server = QueryServer(tree)
-        return server.submit([WindowRequest(w) for w in windows]).leaf_ios
-
-    configs = [
-        ("solo", run_solo),
-        ("batch", run_batch),
-        ("server", run_server),
-    ]
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmpdir:
-        path = Path(tmpdir) / "index.pack"
-        pack_index(path, variant="PR", dataset="uniform", n=N, seed=13)
-        base_us = None
-        for name, fn in configs:
-            # A fresh handle per run: every pass starts from the same
-            # cold page cache, so the physical read counts compare the
-            # strategies, not the leftover LRU state of the previous
-            # row.  Best-of-3 keeps one-time warmup (first numpy
-            # broadcast, allocator growth) out of the wall-clock column.
-            elapsed = float("inf")
-            for _ in range(3):
-                with PagedTree.open(path, cache_pages=cache_pages) as tree:
-                    windows = list(
-                        square_queries(
-                            tree.root().mbr(), 0.25, count=queries, seed=17
-                        )
-                    )
-                    start = time.perf_counter()
-                    leaf = fn(tree, windows)
-                    elapsed = min(elapsed, time.perf_counter() - start)
-                    delta = tree.page_stats
-            if base_us is None:
-                base_us = elapsed
-            table.add_row(
-                name, leaf, delta.physical_reads, elapsed * 1e6,
-                base_us / elapsed,
-            )
-    table.add_note(
-        f"{queries} co-located window queries (0.25% area), cache_pages="
-        f"{cache_pages}; per-query stats stay as-if-solo, the store sees "
-        "deduplicated page fetches"
-    )
-    return table
-
-
 def test_node_kernels(benchmark, record_table):
     table = run_once(benchmark, _kernels_experiment)
     record_table(table, "storage_node_kernels")
@@ -239,14 +170,3 @@ def test_node_kernels(benchmark, record_table):
         rows[("fig12-traversal", "frame-kernels")][3]
         == rows[("fig12-traversal", "entry-scalar")][3]
     )
-
-
-def test_batch_page_evaluation(benchmark, record_table):
-    table = run_once(benchmark, _batch_experiment)
-    record_table(table, "storage_node_kernels_batch")
-
-    rows = {row[0]: row for row in table.rows}
-    # As-if-solo logical accounting: per-query leaf I/O sums match.
-    assert rows["batch"][1] == rows["solo"][1]
-    # The batch traversal fetches shared pages once.
-    assert rows["batch"][2] <= rows["solo"][2]

@@ -61,7 +61,8 @@ def _build_by_key(
         return pack_ordered(store, data, fanout)
     dim = data[0][0].dim
     require_dim((rect for rect, _ in data), dim)
-    lo, hi = kernels.batch_windows([rect for rect, _ in data], dim)
+    lo = kernels.coord_table([rect.lo for rect, _ in data], dim)
+    hi = kernels.coord_table([rect.hi for rect, _ in data], dim)
     bounds = Rect(*kernels.frame_mbr(lo, hi))
     column = keys(lo, hi, bounds, order)
     rank = sorted(range(len(data)), key=column.__getitem__)

@@ -29,7 +29,8 @@ from repro.experiments.harness import build_variant
 from repro.experiments.report import Table
 from repro.geometry.rect import Rect
 from repro.iomodel.codec import fanout_for_block
-from repro.obs import TraceWriter, Tracer, health
+from repro.obs import TraceWriter, Tracer
+from repro.obs.status import IndexStatus, read_status
 from repro.server import (
     DEFAULT_INDEX,
     ContainmentRequest,
@@ -243,9 +244,9 @@ def index_status(
 ) -> list[Table]:
     """One read-only snapshot of a packed index (``repro status``).
 
-    Opens a single index file or a shard manifest read-only and returns
-    two tables: every file's committed epoch and recovery verdict
-    (:attr:`~repro.storage.paged.PagedTree.recovery`), and the per-level
+    Opens a single index file or a shard manifest read-only and renders
+    its :class:`~repro.obs.status.IndexStatus` as two tables: every
+    file's committed epoch and recovery verdict, and the per-level
     health table of the cache-neutral quality walk
     (:func:`repro.obs.health.index_quality`) whose notes carry the
     degradation score against the pack-time baseline.
@@ -263,7 +264,8 @@ def index_status(
     """
     run_batch = explain or trace is not None
     with open_index(index, readonly=True, cache_analytics=run_batch) as tree:
-        tables = [_files_table(index, tree), _health_table(tree)]
+        status = read_status(tree)
+        tables = [_files_table(index, tree, status), _health_table(status)]
         if run_batch and not len(tree.root()):
             # No bounds to draw the batch's requests from.
             tables[-1].add_note("explain: skipped, the index is empty")
@@ -283,12 +285,7 @@ def index_status(
         return tables
 
 
-def _files(tree) -> list:
-    """The single-file trees behind ``tree``: its shards, or itself."""
-    return tree.shards if isinstance(tree, ShardedTree) else [tree]
-
-
-def _files_table(index, tree) -> Table:
+def _files_table(index, tree, status: IndexStatus) -> Table:
     """Committed epoch and recovery verdict of every file behind ``tree``."""
     sharded = isinstance(tree, ShardedTree)
     table = Table(
@@ -300,32 +297,22 @@ def _files_table(index, tree) -> Table:
         ),
         headers=["file", "epoch", "header_slot", "rolled_back", "verdict"],
     )
-    for shard in _files(tree):
-        info = shard.recovery
-        if info.discarded_epoch is not None:
-            verdict = (
-                f"rolled back to manifest (epoch {info.discarded_epoch} "
-                "discarded)"
-            )
-        elif info.rolled_back_blocks:
-            verdict = "rolled back an uncommitted epoch"
-        else:
-            verdict = "clean"
+    for file in status.files:
         table.add_row(
-            pathlib.Path(shard.page_store.file_store.path).name,
-            info.epoch,
-            info.header_slot,
-            info.rolled_back_blocks,
-            verdict,
+            file.name,
+            file.epoch,
+            file.header_slot,
+            file.rolled_back_blocks,
+            file.verdict,
         )
     if sharded:
         table.add_note(f"manifest generation {tree.generation}")
     return table
 
 
-def _health_table(tree) -> Table:
+def _health_table(status: IndexStatus) -> Table:
     """Per-level quality table; the notes carry the degradation score."""
-    quality, per_shard = health.index_quality(tree)
+    quality = status.quality
     table = Table(
         title=f"index health: {quality.nodes} nodes",
         headers=[
@@ -356,16 +343,16 @@ def _health_table(tree) -> Table:
         f"{quality.pending_reclaim} pending reclaim, "
         f"fragmentation {quality.fragmentation:.4f}"
     )
-    if per_shard:
+    if status.per_shard:
         table.add_note(
             "per-shard size / leaf occupancy: "
             + ", ".join(
                 f"shard{i}: {q.size}/{q.leaf_occupancy:.3f}"
-                for i, q in enumerate(per_shard)
+                for i, q in enumerate(status.per_shard)
             )
             + f" (imbalance {quality.imbalance:.4f})"
         )
-    score = health.degradation_score(quality, tree.health_baseline)
+    score = status.score
     if score is None:
         table.add_note(
             "degradation score: none (no pack-time baseline; re-pack "
@@ -428,13 +415,11 @@ def _explain_table(tree, tracer: Tracer | None) -> Table:
         table.add_note(
             "worst plan (lowest pruning efficiency):\n" + worst.render()
         )
-    stores = [shard.page_store for shard in _files(tree)]
-    hits = sum(store.stats.hits for store in stores)
-    lookups = hits + sum(store.stats.misses for store in stores)
-    predicted = sum(
-        store.tracker.predicted_hits(store.capacity) for store in stores
-    )
-    accesses = sum(store.tracker.accesses for store in stores)
+    stores = read_status(tree, health=False).stores
+    hits = sum(store.hits for store in stores)
+    lookups = hits + sum(store.misses for store in stores)
+    predicted = sum(store.predicted_hits for store in stores)
+    accesses = sum(store.accesses for store in stores)
     if lookups and accesses:
         table.add_note(
             f"page cache: {hits}/{lookups} lookups hit "

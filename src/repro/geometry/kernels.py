@@ -4,18 +4,16 @@ PR 7's phase-attributed profiler put the traversal CPU where the ROADMAP
 suspected it: per-entry Python ``Rect`` method calls inside ``engine:*``
 phases.  This module is the fix — the pyrtree idiom of holding a node's
 geometry as two contiguous ``(n, d)`` coordinate arrays (``lo`` rows and
-``hi`` rows) and evaluating the *whole node* in one numpy expression,
-plus DMR-XPath-style set-at-a-time variants that evaluate a **batch of
-query windows against one frame** in a single ``(m, n)`` broadcast.
+``hi`` rows) and evaluating the *whole node* in one numpy expression.
 The write path runs on the same frames: ChooseLeaf, FindLeaf, the
 quadratic node split (:func:`quadratic_split`) and the pairwise sibling
 overlap of the index-health walk are kernels here too.  So does
 construction: the bulk loaders lay a level out as one table
-(:func:`batch_windows`), cut nodes out of it (:func:`table_take`) and
+(:func:`coord_table`), cut nodes out of it (:func:`table_take`) and
 box them with :func:`frame_mbr`; ``shard_pack`` gathers leaf frames
 back into one (:func:`table_concat`).
 
-Three tiers, one source of truth:
+Two tiers, one source of truth:
 
 * **Scalar kernels** (``intersects``/``dist_sq_rect``/``enlargement``
   ...) operate on plain ``lo``/``hi`` coordinate tuples.
@@ -26,12 +24,8 @@ Three tiers, one source of truth:
   of a coordinate table at once and return the matching row indices as
   one ascending index array (or a per-row value array) — an array, so
   a query gathers its rows' pointers with one index and no Python list.
-* **Batch kernels** (``batch_*``) evaluate ``m`` queries against the
-  same table in one broadcast — the compute layout of
-  :meth:`~repro.rtree.query.QueryEngine.query_batch`, where co-located
-  windows share the pages they land on.
 
-numpy is the only backend.  Frame and batch results are
+numpy is the only backend.  Frame results are
 **bit-identical** to the scalar kernels: both compute the same IEEE-754
 operations in the same order (axis order for sums/products, entry order
 for scans).  ``tests/unit/test_kernels.py`` checks every frame kernel
@@ -91,9 +85,6 @@ __all__ = [
     "frame_mbr",
     "frame_count_intersecting",
     "frame_pair_mask",
-    # batch kernels
-    "batch_windows",
-    "batch_intersecting",
     # node split
     "quadratic_split",
 ]
@@ -535,60 +526,6 @@ def frame_pair_mask(a_lo, a_hi, b_lo, b_hi):
         a_lo[:, None, :] <= b_hi[None, :, :]
     )
     return inter.all(axis=2)
-
-
-# ----------------------------------------------------------------------
-# Batch kernels: m queries x one frame (set-at-a-time evaluation)
-# ----------------------------------------------------------------------
-
-
-def batch_windows(windows, dim: int):
-    """Stack ``m`` query rectangles into one ``(Q_lo, Q_hi)`` table pair.
-
-    Accepts anything with ``lo``/``hi`` coordinate tuples (``Rect``
-    included).  The result feeds :func:`batch_intersecting` for every
-    page the batch traversal touches.
-    """
-    lo = coord_table([w.lo for w in windows], dim)
-    hi = coord_table([w.hi for w in windows], dim)
-    return lo, hi
-
-
-@_kernel_phase
-def batch_intersecting(lo, hi, q_lo_table, q_hi_table, active):
-    """Evaluate queries ``active`` against every row of one frame.
-
-    Parameters are the frame's tables, the batch's stacked query tables
-    (:func:`batch_windows`), and the list of active query indices at
-    this node.  Returns ``{query index: row index array}`` containing
-    only queries that matched at least one row, in ``active`` order —
-    one broadcast per page instead of ``len(active)`` separate scans.
-    """
-    if len(lo) == 0:
-        return {}
-    if len(active) == 1:
-        # Deep in the traversal most nodes serve a single remaining
-        # query; the (m, n, d) broadcast machinery costs more than the
-        # plain frame scan it degenerates to.
-        q = active[0]
-        matched = frame_intersecting(
-            lo, hi, table_row(q_lo_table, q), table_row(q_hi_table, q)
-        )
-        return {q: matched} if len(matched) else {}
-    ql = q_lo_table[active]  # (m, d)
-    qh = q_hi_table[active]
-    # (m, 1, d) against (1, n, d) -> (m, n)
-    mask = (ql[:, None, :] <= hi[None, :, :]) & (
-        qh[:, None, :] >= lo[None, :, :]
-    )
-    rows, cols = np.nonzero(mask.all(axis=2))
-    # ``rows`` ascends, so each query's columns are one run of ``cols``.
-    cuts = np.searchsorted(rows, np.arange(len(active) + 1)).tolist()
-    return {
-        q: cols[begin:end]
-        for q, begin, end in zip(active, cuts, cuts[1:])
-        if begin < end
-    }
 
 
 # ----------------------------------------------------------------------

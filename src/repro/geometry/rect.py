@@ -285,6 +285,15 @@ class Rect:
         yield self.hi
 
 
+def check_dim(shape: Rect | Sequence[float], dim: int) -> None:
+    """Raise ``ValueError`` unless ``shape`` (a rectangle or a point)
+    has the index's ``dim`` axes — the one check of every read and write
+    entry."""
+    got = shape.dim if isinstance(shape, Rect) else len(shape)
+    if got != dim:
+        raise ValueError(f"{got}-d argument against a {dim}-d index")
+
+
 def point_rect(point: Sequence[float]) -> Rect:
     """A degenerate rectangle covering exactly one point.
 

@@ -22,6 +22,10 @@ The diagnostic substrate of the serving stack (``docs/observability.md``):
 * :mod:`repro.obs.health` — cache-neutral tree-quality analytics
   (:class:`TreeQuality`) and the :func:`degradation_score` against the
   pack-time baseline that arms the self-maintenance trigger.
+* :mod:`repro.obs.status` — one :class:`IndexStatus` per open index
+  (files, health, page stores), read by ``repro status`` and by the
+  service's :meth:`~repro.service.AsyncQueryService.status`, and the
+  one family table the service's metrics are exported through.
 
 Everything is opt-in: with no tracer/tap/registry installed, the hooks
 cost one ``ContextVar.get`` (or one ``None`` check) per event.
@@ -55,6 +59,13 @@ from repro.obs.profiler import (
 )
 from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
 from repro.obs.tap import IOTap, active_tap, install_tap, scoped_tap
+from repro.obs.status import (
+    FileStatus,
+    IndexStatus,
+    ServiceStatus,
+    StoreStatus,
+    read_status,
+)
 from repro.obs.trace import (
     Span,
     Trace,
@@ -87,6 +98,11 @@ __all__ = [
     "MetricsRegistry",
     "SlowQueryLog",
     "SlowQueryRecord",
+    "FileStatus",
+    "IndexStatus",
+    "ServiceStatus",
+    "StoreStatus",
+    "read_status",
     "IOTap",
     "active_tap",
     "install_tap",

@@ -69,7 +69,7 @@ __all__ = [
 #: * ``write:<kind>`` — a mutating request (``write:insert``, ...).
 #: * ``shard:<i>`` — work attributed to one shard of a sharded store.
 #: * ``kernel:<op>`` — a vectorized geometry kernel evaluating a whole
-#:   node frame (``kernel:frame_intersecting``, ``kernel:batch_intersecting``,
+#:   node frame (``kernel:frame_intersecting``, ``kernel:frame_contained_in``,
 #:   ...); pushed by :mod:`repro.geometry.kernels` so kernel CPU shows
 #:   up as its own rows under the enclosing ``engine:*`` phase.
 PHASE_VOCABULARY = (

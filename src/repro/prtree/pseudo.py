@@ -349,7 +349,8 @@ class _TableBuild:
         self.items = items
         self.pointers = pointers
         dim = tree.dim
-        self.lo, self.hi = kernels.batch_windows([rect for rect, _ in items], dim)
+        self.lo = kernels.coord_table([rect.lo for rect, _ in items], dim)
+        self.hi = kernels.coord_table([rect.hi for rect, _ in items], dim)
         #: Corner axis k as a column: ``columns[k][rows]``.
         self.columns = [self.lo[:, k] for k in range(dim)] + [
             self.hi[:, k] for k in range(dim)

@@ -39,7 +39,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from repro.geometry import kernels
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, check_dim
 from repro.queries.base import QueryStats, TraversalEngine
 from repro.rtree.node import NodeFrame, pointer_column
 from repro.rtree.query import ColumnarResult
@@ -124,13 +124,6 @@ def target_dist_sq(rect: Rect, target: Rect | Sequence[float]) -> float:
     return rect.dist_sq_to_point(target)
 
 
-def check_target(target: Rect | Sequence[float], dim: int) -> None:
-    """Reject a query target whose dimension is not the index's."""
-    target_dim = target.dim if isinstance(target, Rect) else len(target)
-    if target_dim != dim:
-        raise ValueError(f"{target_dim}-d target against a {dim}-d index")
-
-
 class KNNEngine(TraversalEngine):
     """Reusable best-first kNN executor for one tree.
 
@@ -149,7 +142,7 @@ class KNNEngine(TraversalEngine):
         query is counted once, when iteration starts.  The target is
         checked at once, before the first ``next()``.
         """
-        check_target(target, self.tree.dim)
+        check_dim(target, self.tree.dim)
         get = self.tree.objects.get  # a stream: one value at a time
         return (
             Neighbor(math.sqrt(dist_sq), frame.rect(row), get(oid))
@@ -219,7 +212,7 @@ class KNNEngine(TraversalEngine):
         """
         if k < 0:
             raise ValueError("k must be >= 0")
-        check_target(target, self.tree.dim)
+        check_dim(target, self.tree.dim)
         stats = QueryStats()
         hits = list(islice(self._hits(target, stats), k))
         stats.queries = 1  # also when k == 0 never starts the stream

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.geometry import kernels
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, check_dim
 from repro.queries.base import Matches, QueryStats, TraversalEngine
 from repro.rtree.query import on_window
 
@@ -46,10 +46,7 @@ class PointQueryEngine(TraversalEngine):
     ) -> tuple[Matches, QueryStats]:
         """All stored rectangles containing ``point`` (stabbing query)."""
         point = tuple(float(c) for c in point)
-        if len(point) != self.tree.dim:
-            raise ValueError(
-                f"{len(point)}-d point against a {self.tree.dim}-d tree"
-            )
+        check_dim(point, self.tree.dim)
         p = kernels.as_coords(point)
 
         def stabbing(lo, hi):
@@ -63,10 +60,7 @@ class PointQueryEngine(TraversalEngine):
         self, window: Rect
     ) -> tuple[Matches, QueryStats]:
         """All stored rectangles lying entirely inside ``window``."""
-        if window.dim != self.tree.dim:
-            raise ValueError(
-                f"{window.dim}-d window against a {self.tree.dim}-d tree"
-            )
+        check_dim(window, self.tree.dim)
         # Pruning still uses intersection (a child box need not be
         # contained for its rectangles to be); reporting checks full
         # containment.
@@ -81,10 +75,7 @@ class PointQueryEngine(TraversalEngine):
         Same traversal as the window query; the count is also available
         as ``stats.reported``.
         """
-        if window.dim != self.tree.dim:
-            raise ValueError(
-                f"{window.dim}-d window against a {self.tree.dim}-d tree"
-            )
+        check_dim(window, self.tree.dim)
         intersecting, counting = on_window(
             window, kernels.frame_intersecting, kernels.frame_count_intersecting
         )

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 
 from repro.geometry import kernels
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, check_dim
 from repro.rtree.levels import levels_of
 from repro.rtree.node import NodeFrame, rects_of
 from repro.rtree.tree import RTree
@@ -259,7 +259,7 @@ class TraversalEngine:
 
     def _frame(self, block_id: int, stats: QueryStats) -> NodeFrame:
         """One node's frame, counted the paper's way, for the operators
-        that read a node at a time (kNN, the join, window batches)."""
+        that read a node at a time (kNN and the join)."""
         frame = levels_of(self.tree).frames.get(block_id)
         recorder = self._recorder
         physical = None if recorder is None else {}
@@ -382,79 +382,12 @@ class QueryEngine(TraversalEngine):
         :class:`Matches` and this query's statistics; the engine's
         :attr:`totals` accumulate across calls.
         """
+        if len(self.tree):
+            # A loader given no data cannot know its dimension and
+            # builds a 2-d tree: an empty tree answers every window.
+            check_dim(window, self.tree.dim)
         (intersecting,) = on_window(window, kernels.frame_intersecting)
         return self._run(descend_rows=intersecting, report_rows=intersecting)
-
-    def query_batch(
-        self, windows: Sequence[Rect]
-    ) -> tuple[list[Matches], list[QueryStats]]:
-        """Run a batch of window queries in one shared traversal.
-
-        Set-at-a-time evaluation: the batch walks the tree once, and at
-        every page the active queries are evaluated against the whole
-        frame in a single :func:`~repro.geometry.kernels.batch_intersecting`
-        broadcast.  A node is read once per batch no matter how many
-        queries need it, so batches of co-located windows cost fewer
-        logical I/Os than running the queries back to back.  An engine
-        API: the query server executes requests one at a time and does
-        not call it.
-
-        Results are **bit-identical** to running :meth:`query` per
-        window, in the same per-query order.  Per-query statistics are
-        *as-if-solo*: each query's ``leaf_reads`` / ``internal_visits``
-        / ``reported`` equal what a solo run would report (the paper's
-        per-query cost stays comparable), while ``internal_reads`` —
-        genuine cache misses — are attributed to the first active query
-        that triggered them.  The store-level counters see the smaller,
-        deduplicated read count.
-        """
-        tree = self.tree
-        n = len(windows)
-        parts: list[list] = [[] for _ in range(n)]
-        all_stats = [QueryStats(queries=1) for _ in range(n)]
-        if n == 0:
-            return [], all_stats
-        q_lo, q_hi = kernels.batch_windows(windows, tree.dim)
-        stack: list[tuple[int, list[int]]] = [
-            (tree.root_id, list(range(n)))
-        ]
-        while stack:
-            block_id, active = stack.pop()
-            shared = QueryStats()
-            frame = self._frame(block_id, shared)
-            hits = kernels.batch_intersecting(
-                frame.lo, frame.hi, q_lo, q_hi, active
-            )
-            if frame.is_leaf:
-                for q in active:
-                    stats = all_stats[q]
-                    stats.leaf_reads += 1
-                    rows = hits.get(q)
-                    if rows is not None:
-                        parts[q].append((frame, rows))
-                        stats.reported += len(rows)
-            else:
-                for q in active:
-                    all_stats[q].internal_visits += 1
-                all_stats[active[0]].internal_reads += shared.internal_reads
-                # Children keep entry order on the stack; each carries
-                # exactly the queries whose window intersects its box, so
-                # every query's restricted visit sequence (and therefore
-                # its match order) equals its solo DFS.
-                per_child: dict[int, list[int]] = {}
-                for q, rows in hits.items():
-                    for i in rows.tolist():
-                        per_child.setdefault(i, []).append(q)
-                ptrs = frame.ptrs
-                for i in sorted(per_child):
-                    stack.append((ptrs.item(i), per_child[i]))
-        for stats in all_stats:
-            self.totals.merge(stats)
-        # Each query's values in one gather.
-        return [
-            Matches(part, tree.objects.take(id_column(part)), tree.dim)
-            for part in parts
-        ], all_stats
 
 
 def brute_force_query(

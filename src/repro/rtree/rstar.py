@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.geometry.rect import Rect, mbr_of
+from repro.geometry.rect import Rect, check_dim, mbr_of
 from repro.rtree.node import Entry, Node, rects_of
 from repro.rtree.tree import RTree
-from repro.rtree.update import check_dim, grow_root, split_overfull
+from repro.rtree.update import grow_root, split_overfull
 
 #: Fraction of entries evicted by forced reinsertion (the R* paper's p).
 REINSERT_FRACTION = 0.3

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.geometry import kernels
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, check_dim
 from repro.rtree.node import Entry, Node
 from repro.rtree.split import Splitter, quadratic_split
 from repro.rtree.tree import RTree
@@ -45,12 +45,6 @@ PathStep = tuple[int, Node, int]
 # ----------------------------------------------------------------------
 # Insertion
 # ----------------------------------------------------------------------
-
-
-def check_dim(rect: Rect, dim: int) -> None:
-    """Raise ``ValueError`` unless ``rect`` has the index's dimension."""
-    if rect.dim != dim:
-        raise ValueError(f"rect has dim {rect.dim}, tree indexes dim {dim}")
 
 
 def insert(

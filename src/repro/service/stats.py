@@ -170,11 +170,6 @@ class ServiceStats:
     #: Wall-clock of the first/last observation (throughput window).
     started_at: float = 0.0
     finished_at: float = 0.0
-    #: Page-cache traffic folded from batch-attributed taps
-    #: (:meth:`observe_cache`): counted-read hits and misses across the
-    #: run.  Zero until a batch with page-cache traffic is observed.
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Group commits executed (``sync_every_n``/``sync_interval_s``
     #: cadence plus the final commit at close) and the write batches
     #: they made durable; ``sync_writes=True`` commits per write batch
@@ -205,12 +200,6 @@ class ServiceStats:
         elapsed = self.elapsed_s
         return self.completed / elapsed if elapsed > 0 else 0.0
 
-    @property
-    def cache_hit_ratio(self) -> float | None:
-        """Run-wide page-cache hit ratio (None without cache traffic)."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else None
-
     # -- recording -----------------------------------------------------
 
     def _clock(self) -> None:
@@ -232,15 +221,6 @@ class ServiceStats:
         self.histogram(kind).observe(latency_s)
         self.completed += 1
         self._clock()
-
-    def observe_cache(self, io: dict[str, int]) -> None:
-        """Fold one batch's attributed I/O tap snapshot in.
-
-        Only the page-cache lookup counts are kept — logical I/O totals
-        already live on the shared counters and the per-batch reports.
-        """
-        self.cache_hits += io.get("hits", 0)
-        self.cache_misses += io.get("misses", 0)
 
     def note_queue_depth(self, depth: int) -> None:
         """Track the live queue depth and its high-water mark."""

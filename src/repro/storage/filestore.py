@@ -574,6 +574,12 @@ class FileBlockStore:
         return self._epoch
 
     @property
+    def header_slot(self) -> int:
+        """The header slot carrying :attr:`commit_epoch` (epoch E is
+        written to slot ``E % 2``)."""
+        return self._epoch % 2
+
+    @property
     def dirty(self) -> bool:
         """True when uncommitted changes would be lost by a crash."""
         return self._dirty

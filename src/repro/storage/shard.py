@@ -60,7 +60,7 @@ from repro.geometry.hilbert import (
     hilbert_key_for_center,
     hilbert_keys_for_centers,
 )
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, check_dim
 from repro.iomodel.blockstore import BlockStore, DEFAULT_BLOCK_SIZE
 from repro.iomodel.counters import IOSnapshot
 from repro.obs import health
@@ -69,14 +69,12 @@ from repro.obs.tap import scoped_tap
 from repro.obs.trace import current_trace
 from repro.queries.join import JoinStats, SpatialJoinEngine
 from repro.queries.knn import (
-    Hit, KNNEngine, Neighbor, Neighbors, check_target, id_column,
-    target_dist_sq,
+    Hit, KNNEngine, Neighbor, Neighbors, id_column, target_dist_sq,
 )
 from repro.queries.point import PointQueryEngine
 from repro.rtree.node import Node, NodeFrame
 from repro.rtree.query import Matches, QueryEngine, QueryStats
 from repro.rtree.tree import RTree
-from repro.rtree.update import check_dim
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.filestore import StorageError
 from repro.storage.paged import (
@@ -874,10 +872,7 @@ class ShardedTree:
         dataset bounds, so the same rectangle always routes to the same
         shard regardless of later growth.
         """
-        if rect.dim != self.dim:
-            raise ValueError(
-                f"{rect.dim}-d rectangle against a {self.dim}-d index"
-            )
+        check_dim(rect, self.dim)
         if self.bounds is None or len(self.shards) == 1:
             return 0
         key = hilbert_key_for_center(rect, self.bounds, self.order)
@@ -1128,20 +1123,20 @@ class _ShardedFanout:
         ]
 
     def _scatter(
-        self, what: str, dim: int, hits: Callable[[Rect], bool],
+        self, shape: Rect | Sequence[float], hits: Callable[[Rect], bool],
         call: Callable, merge: Callable[[list], Any] | None = None,
     ) -> tuple[Any, QueryStats]:
         """Route, fan out and merge one window-family request.
 
-        ``hits`` tests a shard's box from the routing table; ``call``
-        runs the operator on one shard's sub-engine; ``merge`` combines
-        the per-shard answers (default: their rows as one ``Matches``,
-        in shard order).  A request that touches one shard returns that
+        ``shape`` is the request's window or point; ``hits`` tests a
+        shard's box from the routing table; ``call`` runs the operator
+        on one shard's sub-engine; ``merge`` combines the per-shard
+        answers (default: their rows as one ``Matches``, in shard
+        order).  A request that touches one shard returns that
         sub-engine's answer and stats as they are.
         """
         sharded = self.sharded
-        if dim != sharded.dim:
-            raise ValueError(f"{dim}-d {what} against a {sharded.dim}-d index")
+        check_dim(shape, sharded.dim)
         parts = self._fan_out(
             [i for i, mbr in enumerate(sharded._mbrs) if mbr and hits(mbr)],
             call,
@@ -1230,7 +1225,7 @@ class ShardedQueryEngine(_ShardedFanout):
 
     def query(self, window: Rect) -> tuple[Matches, QueryStats]:
         return self._scatter(
-            "window", window.dim, window.intersects,
+            window, window.intersects,
             lambda sub: sub.query(window),
         )
 
@@ -1245,7 +1240,7 @@ class ShardedPointEngine(_ShardedFanout):
     ) -> tuple[Matches, QueryStats]:
         point = tuple(float(c) for c in point)
         return self._scatter(
-            "point", len(point), lambda mbr: mbr.contains_point(point),
+            point, lambda mbr: mbr.contains_point(point),
             lambda sub: sub.point_query(point),
         )
 
@@ -1253,13 +1248,13 @@ class ShardedPointEngine(_ShardedFanout):
         self, window: Rect
     ) -> tuple[Matches, QueryStats]:
         return self._scatter(
-            "window", window.dim, window.intersects,
+            window, window.intersects,
             lambda sub: sub.containment_query(window),
         )
 
     def count(self, window: Rect) -> tuple[int, QueryStats]:
         return self._scatter(
-            "window", window.dim, window.intersects,
+            window, window.intersects,
             lambda sub: sub.count(window), merge=sum,
         )
 
@@ -1286,7 +1281,7 @@ class ShardedKNNEngine(_ShardedFanout):
 
     def nearest(self, target) -> Iterator[Neighbor]:
         """Incrementally yield family-wide neighbors by distance."""
-        check_target(target, self.sharded.dim)
+        check_dim(target, self.sharded.dim)
         stats = [sub.totals for sub in self._subs]
         get = self.sharded.objects.get  # a stream: one value at a time
         return (
@@ -1344,7 +1339,7 @@ class ShardedKNNEngine(_ShardedFanout):
         """The family-wide k nearest neighbors of ``target``."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        check_target(target, self.sharded.dim)
+        check_dim(target, self.sharded.dim)
         stats = [QueryStats() for _ in self._subs]
         found = list(islice(self._hits(target, stats), k))
         for sub, part in zip(self._subs, stats):

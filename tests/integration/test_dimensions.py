@@ -112,3 +112,88 @@ class TestPseudoPRTreeDimensions:
         for node in tree.nodes():
             assert len(node.priority_leaves) <= 2 * dim
             assert 0 <= node.split_axis < 2 * dim
+
+
+class TestWrongDimension:
+    """Every read and write entry rejects a query of another dimension
+    with one ``ValueError`` message, on every tree shape.  A window of
+    another dimension used to be answered on the tree's own axes (a 3-d
+    window reported what its 2-d projection did) or to raise
+    ``IndexError`` (a 1-d window)."""
+
+    WIDE = Rect((0.2, 0.2, 5), (0.4, 0.4, 6))
+    NARROW = Rect((0.2,), (0.4,))
+    KINDS = ("window", "containment", "count", "point", "knn")
+
+    @staticmethod
+    def message(got: int) -> str:
+        return f"{got}-d argument against a 2-d index"
+
+    def check_reads(self, read, kinds=KINDS):
+        """``read(kind, arg)`` runs one read of ``kind``; a point or kNN
+        read takes the window's lower corner."""
+        for window in (self.WIDE, self.NARROW):
+            for kind in kinds:
+                arg = window.lo if kind in ("point", "knn") else window
+                with pytest.raises(ValueError, match=self.message(window.dim)):
+                    read(kind, arg)
+        # The right dimension still answers.
+        assert len(read("window", Rect((0.2, 0.2), (0.4, 0.4)))) > 0
+
+    def test_rtree(self):
+        from repro.datasets.synthetic import uniform_rects
+        from repro.queries.knn import knn
+        from repro.queries.point import PointQueryEngine
+
+        tree = build_prtree(BlockStore(), uniform_rects(500), 16)
+        engine = PointQueryEngine(tree)
+        reads = {
+            "window": tree.query,
+            "containment": lambda w: engine.containment_query(w)[0],
+            "count": engine.count,
+            "point": lambda p: engine.point_query(p)[0],
+            "knn": lambda p: knn(tree, p, 3),
+        }
+        self.check_reads(lambda kind, arg: reads[kind](arg))
+        for write in (tree.insert, tree.delete):
+            with pytest.raises(ValueError, match=self.message(3)):
+                write(self.WIDE, 0)
+        assert len(tree) == 500
+
+    @pytest.mark.parametrize("shards", [0, 4])
+    def test_paged_tree_and_server(self, tmp_path, shards):
+        from repro.datasets.synthetic import uniform_rects
+        from repro.server import (
+            ContainmentRequest,
+            CountRequest,
+            KNNRequest,
+            PointRequest,
+            QueryServer,
+            WindowRequest,
+        )
+        from repro.storage import open_index, pack_tree, shard_pack
+
+        tree = build_prtree(BlockStore(), uniform_rects(500), 16)
+        path = tmp_path / ("k.manifest" if shards else "one.pack")
+        if shards:
+            shard_pack(tree, path, shards=shards)
+        else:
+            pack_tree(tree, path)
+        requests = {
+            "window": WindowRequest,
+            "containment": ContainmentRequest,
+            "count": CountRequest,
+            "point": PointRequest,
+            "knn": lambda p: KNNRequest(p, k=3),
+        }
+        with open_index(path, values=dict(tree.objects)) as paged:
+            self.check_reads(lambda kind, arg: paged.query(arg), ("window",))
+            server = QueryServer(paged)
+            self.check_reads(
+                lambda kind, arg: server.submit([requests[kind](arg)])
+                .results[0].value
+            )
+            for write in (paged.insert, paged.delete):
+                with pytest.raises(ValueError, match=self.message(3)):
+                    write(self.WIDE, 0)
+            assert paged.size == 500

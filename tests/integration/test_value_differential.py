@@ -3,9 +3,9 @@
 Every result resolves its values with one gather: the id column of its
 rows, one ``take`` over the tree's :class:`~repro.rtree.tree.ObjectColumn`.
 The oracle is the resolution as it was: the depth-first read path of
-``tests/dfs_oracle.py`` and the pre-change ``knn``, ``query_batch`` and
-sharded merge, each resolving ``map(get)`` over a plain dict copy of the
-values (one per shard, as each shard opened with its own copy).  Over
+``tests/dfs_oracle.py`` and the pre-change ``knn`` and sharded merge,
+each resolving ``map(get)`` over a plain dict copy of the values (one
+per shard, as each shard opened with its own copy).  Over
 insert/delete scripts on every loader, on the simulated store, a paged
 tree and a K=4 family, results must match in pairs, ids, values (the
 very same objects), order, ``QueryStats``, ``IOCounters`` and
@@ -26,11 +26,10 @@ from hypothesis import strategies as st
 from repro.bulk.hilbert import build_hilbert, build_hilbert4
 from repro.bulk.str_pack import build_str
 from repro.bulk.tgs import build_tgs
-from repro.geometry import kernels
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, check_dim
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
-from repro.queries.knn import KNNEngine, Neighbors, check_target
+from repro.queries.knn import KNNEngine, Neighbors
 from repro.queries.point import PointQueryEngine
 from repro.rtree.query import Matches, QueryEngine, QueryStats, TraversalEngine
 from repro.rtree.tree import ObjectColumn
@@ -72,7 +71,7 @@ class OracleKNN(DFSOracleKNNEngine):
     def knn(self, target, k):
         if k < 0:
             raise ValueError("k must be >= 0")
-        check_target(target, self.tree.dim)
+        check_dim(target, self.tree.dim)
         stats = QueryStats()
         hits = list(islice(self._hits(target, stats), k))
         stats.queries = 1  # also when k == 0 never starts the stream
@@ -80,52 +79,6 @@ class OracleKNN(DFSOracleKNNEngine):
         return Neighbors(
             hits, map(self.tree.objects.get, map(lambda hit: hit[3], hits))
         ), stats
-
-
-class OracleQuery(DFSOracleQueryEngine):
-    def query_batch(self, windows):
-        tree = self.tree
-        get = tree.objects.get
-        n = len(windows)
-        columns = [([], []) for _ in range(n)]
-        all_stats = [QueryStats(queries=1) for _ in range(n)]
-        if n == 0:
-            return [], all_stats
-        q_lo, q_hi = kernels.batch_windows(windows, tree.dim)
-        stack = [(tree.root_id, list(range(n)))]
-        while stack:
-            block_id, active = stack.pop()
-            shared = QueryStats()
-            frame = self._frame(block_id, shared)
-            hits = kernels.batch_intersecting(
-                frame.lo, frame.hi, q_lo, q_hi, active
-            )
-            hits = {q: rows.tolist() for q, rows in hits.items()}
-            if frame.is_leaf:
-                ptrs = frame.ptrs
-                for q in active:
-                    stats = all_stats[q]
-                    stats.leaf_reads += 1
-                    rows = hits.get(q)
-                    if rows:
-                        parts, values = columns[q]
-                        parts.append((frame, rows))
-                        values += map(get, map(ptrs.__getitem__, rows))
-                        stats.reported += len(rows)
-            else:
-                for q in active:
-                    all_stats[q].internal_visits += 1
-                all_stats[active[0]].internal_reads += shared.internal_reads
-                per_child = {}
-                for q, rows in hits.items():
-                    for i in rows:
-                        per_child.setdefault(i, []).append(q)
-                ptrs = frame.ptrs.tolist()
-                for i in sorted(per_child):
-                    stack.append((ptrs[i], per_child[i]))
-        for stats in all_stats:
-            self.totals.merge(stats)
-        return [Matches(*column, tree.dim) for column in columns], all_stats
 
 
 def oracle_concat(results, dim):
@@ -140,10 +93,10 @@ def oracle_concat(results, dim):
 
 
 class OracleFanout:
-    def _scatter(self, what, dim, hits, call, merge=None):
+    def _scatter(self, shape, hits, call, merge=None):
         if merge is None:
             merge = lambda found: oracle_concat(found, self.sharded.dim)
-        return super()._scatter(what, dim, hits, call, merge)
+        return super()._scatter(shape, hits, call, merge)
 
 
 class OracleShardedQuery(OracleFanout, ShardedQueryEngine):
@@ -160,7 +113,7 @@ class OracleShardedKNN(ShardedKNNEngine):
     def knn(self, target, k):
         if k < 0:
             raise ValueError("k must be >= 0")
-        check_target(target, self.sharded.dim)
+        check_dim(target, self.sharded.dim)
         stats = [QueryStats() for _ in self._subs]
         found = list(islice(self._hits(target, stats), k))
         for sub, part in zip(self._subs, stats):
@@ -183,7 +136,7 @@ def engines_for(index, oracle):
         )
     else:
         kinds = (
-            (OracleQuery, DFSOraclePointEngine, OracleKNN)
+            (DFSOracleQueryEngine, DFSOraclePointEngine, OracleKNN)
             if oracle
             else (QueryEngine, PointQueryEngine, KNNEngine)
         )
@@ -274,12 +227,6 @@ def assert_same_answers(pair, windows):
         for k in (1, 7, 40):
             target = window.center()
             same_result(knn.knn(target, k), o_knn.knn(target, k))
-    if not hasattr(got, "shards"):
-        got_batch, got_stats = engines[0].query_batch(windows)
-        want_batch, want_stats = oracles[0].query_batch(windows)
-        assert got_stats == want_stats
-        for g, w, gs, ws in zip(got_batch, want_batch, got_stats, want_stats):
-            same_result((g, gs), (w, ws))
     assert [e.totals for e in engines] == [e.totals for e in oracles]
     assert io_state(got) == io_state(want)
 

@@ -41,6 +41,7 @@ from repro.rtree.query import QueryEngine, QueryStats
 from repro.rtree.tree import RTree
 from repro.rtree.update import _choose_subtree
 from repro.rtree.query import TraversalEngine
+from repro.server import QueryServer, WindowRequest
 from tests.dfs_oracle import DFSOracleEngine
 from repro.storage import PagedTree, pack_tree
 
@@ -302,22 +303,6 @@ class TestWindowDifferential:
             want_m, want_s = ScalarWindowEngine(tree).query(window)
             assert (got_m, got_s) == (want_m, want_s), name
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        rect_datasets(max_size=50),
-        st.lists(windows(), min_size=0, max_size=6),
-        st.integers(min_value=2, max_value=9),
-    )
-    def test_query_batch_identical_to_scalar_solo(self, data, batch, fanout):
-        for name, tree in build_all(data, fanout):
-            got_matches, got_stats = QueryEngine(tree).query_batch(batch)
-            for window, got_m, got_s in zip(batch, got_matches, got_stats):
-                want_m, want_s = ScalarWindowEngine(tree).query(window)
-                assert got_m == want_m, f"{name}: batch matches differ"
-                assert got_s.leaf_reads == want_s.leaf_reads, name
-                assert got_s.internal_visits == want_s.internal_visits, name
-                assert got_s.reported == want_s.reported, name
-
 
 class TestPointDifferential:
     @settings(max_examples=20, deadline=None)
@@ -516,6 +501,8 @@ class TestPagedTreeDifferential:
             assert vec_tree.page_stats == sca_tree.page_stats
 
     def test_batch_workload(self, packed):
+        # One server batch of windows runs in arrival order: each answer
+        # and the physical page traffic equal solo scalar queries.
         queries = random_windows(10, seed=54)
         path, values = packed
         with PagedTree.open(
@@ -523,18 +510,16 @@ class TestPagedTreeDifferential:
         ) as vec_tree, PagedTree.open(
             path, values=values, cache_pages=4, readonly=True
         ) as sca_tree:
-            got_matches, got_stats = QueryEngine(vec_tree).query_batch(queries)
-            oracle = ScalarWindowEngine(sca_tree)
-            for window, got_m, got_s in zip(queries, got_matches, got_stats):
-                want_m, want_s = oracle.query(window)
-                assert got_m == want_m
-                assert got_s.leaf_reads == want_s.leaf_reads
-                assert got_s.reported == want_s.reported
-            # The batch traversal deduplicates page visits: its physical
-            # misses can only be lower than per-query execution.
-            assert (
-                vec_tree.page_stats.misses <= sca_tree.page_stats.misses
+            report = QueryServer(vec_tree).submit(
+                [WindowRequest(w) for w in queries]
             )
+            oracle = ScalarWindowEngine(sca_tree)
+            for window, result in zip(queries, report.results):
+                want_m, want_s = oracle.query(window)
+                assert result.value == want_m
+                assert result.stats.leaf_reads == want_s.leaf_reads
+                assert result.stats.reported == want_s.reported
+            assert vec_tree.page_stats == sca_tree.page_stats
 
 
 # ----------------------------------------------------------------------
@@ -1205,6 +1190,14 @@ from repro.storage import shard as shard_module
 from repro.storage.filestore import FileBlockStore
 from repro.storage.paged import PackStats
 from repro.storage.shard import ShardInfo, ShardPackStats
+
+
+def rect_tables(rects, dim):
+    """The ``(lo, hi)`` coordinate tables of ``rects``."""
+    return (
+        kernels.coord_table([rect.lo for rect in rects], dim),
+        kernels.coord_table([rect.hi for rect in rects], dim),
+    )
 
 
 def oracle_snap_to_multiple(value, base, lo, hi):
@@ -1924,7 +1917,7 @@ class TestHilbertKeyColumns:
         data = draw.draw(tied_datasets(dim=dim, scale=draw.draw(st.sampled_from([1.0, 40.0]))))
         bounds = draw.draw(tied_boxes(dim, draw.draw(st.sampled_from([0.5, 1.0, 40.0]))))
         rects = [rect for rect, _ in data]
-        lo, hi = kernels.batch_windows(rects, dim)
+        lo, hi = rect_tables(rects, dim)
         for column, oracle in (
             (hilbert.hilbert_keys_for_centers, oracle_key_for_center),
             (hilbert.hilbert_keys_for_corners, oracle_key_for_corners),
@@ -1947,7 +1940,7 @@ class TestHilbertKeyColumns:
 
     def test_subnormal_side_raises_as_the_scalar_route_does(self):
         bounds = Rect((-0.0,), (1.1125369292535e-311,))
-        lo, hi = kernels.batch_windows([Rect((1.0,), (1.0,))], 1)
+        lo, hi = rect_tables([Rect((1.0,), (1.0,))], 1)
         with pytest.raises(OverflowError):
             oracle_key_for_center(Rect((1.0,), (1.0,)), bounds, 1)
         with pytest.raises(OverflowError):
@@ -1965,13 +1958,13 @@ class TestBoundingBoxZeros:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(tied_boxes(), min_size=1, max_size=40))
     def test_frame_mbr_is_mbr_of(self, rects):
-        lo, hi = kernels.batch_windows(rects, 2)
+        lo, hi = rect_tables(rects, 2)
         assert exact(Rect(*kernels.frame_mbr(lo, hi))) == exact(mbr_of(rects))
 
     def test_both_zeros_both_orders(self):
         for zeros in ([-0.0, 0.0], [0.0, -0.0], [0.0, -0.0] * 20, [-0.0, 0.0] * 20):
             rects = [Rect((z, 0.5), (z, 0.5)) for z in zeros]
-            lo, hi = kernels.batch_windows(rects, 2)
+            lo, hi = rect_tables(rects, 2)
             assert exact(Rect(*kernels.frame_mbr(lo, hi))) == exact(mbr_of(rects))
 
 
@@ -2056,8 +2049,8 @@ class TestSeededMutations:
 # replaced.
 #
 # The oracles are verbatim copies of the report paths as they stood
-# before results became columns: ``QueryEngine.query`` / ``query_batch``
-# and ``PointQueryEngine._run`` with their ``cached_entries()`` fork
+# before results became columns: ``QueryEngine.query`` and
+# ``PointQueryEngine._run`` with their ``cached_entries()`` fork
 # (an in-memory node reports its existing ``Rect`` objects, a decoded
 # page goes through ``NodeFrame.report``), ``NodeFrame.report`` with its
 # gather threshold, ``kernels.table_rows``, and the sharded facades'
@@ -2136,55 +2129,6 @@ class OracleQueryEngine(DFSOracleEngine):
                     stack.append(ptrs[i])
         self.totals.merge(stats)
         return matches, stats
-
-    def query_batch(self, windows):
-        tree = self.tree
-        n = len(windows)
-        all_matches = [[] for _ in range(n)]
-        all_stats = [QueryStats(queries=1) for _ in range(n)]
-        if n == 0:
-            return all_matches, all_stats
-        q_lo, q_hi = kernels.batch_windows(windows, tree.dim)
-        stack = [(tree.root_id, list(range(n)))]
-        while stack:
-            block_id, active = stack.pop()
-            shared = QueryStats()
-            node = self._read(block_id, shared)
-            frame = node.frame()
-            hits = kernels.batch_intersecting(
-                frame.lo, frame.hi, q_lo, q_hi, active
-            )
-            if frame.is_leaf:
-                entries = cached_entries(node)
-                for q in active:
-                    stats = all_stats[q]
-                    stats.leaf_reads += 1
-                    rows = hits.get(q, kernels.NO_ROWS).tolist()
-                    if rows:
-                        matches = all_matches[q]
-                        if entries is None:
-                            matches += oracle_report(frame, rows, tree.objects)
-                        else:
-                            for i in rows:
-                                rect, pointer = entries[i]
-                                matches.append(
-                                    (rect, tree.objects.get(pointer))
-                                )
-                        stats.reported += len(rows)
-            else:
-                for q in active:
-                    all_stats[q].internal_visits += 1
-                all_stats[active[0]].internal_reads += shared.internal_reads
-                per_child = {}
-                for q, rows in hits.items():
-                    for i in rows.tolist():
-                        per_child.setdefault(i, []).append(q)
-                ptrs = frame.ptrs.tolist()
-                for i in sorted(per_child):
-                    stack.append((ptrs[i], per_child[i]))
-        for stats in all_stats:
-            self.totals.merge(stats)
-        return all_matches, all_stats
 
 
 class OraclePointEngine(DFSOracleEngine, PointQueryEngine):
@@ -2337,13 +2281,6 @@ def assert_same_results(got_tree, want_tree, seed, sharded=False):
         assert_same_result(
             point_engine.point_query(point), point_oracle.point_query(point)
         )
-    if not sharded:
-        got_all, got_stats = window_engine.query_batch(windows)
-        want_all, want_stats = window_oracle.query_batch(windows)
-        assert len(got_all) == len(want_all)
-        for got in zip(got_all, got_stats):
-            assert_same_result(got, (want_all.pop(0), want_stats.pop(0)))
-        assert window_engine.query_batch([]) == ([], [])
     assert window_engine.totals == window_oracle.totals
     assert point_engine.totals == point_oracle.totals
     assert got_tree.store.counters.snapshot() == want_tree.store.counters.snapshot()

@@ -300,44 +300,6 @@ class TestFrameKernels:
             assert int(mask.sum()) == 0
 
 
-class TestBatchKernels:
-    @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
-    def test_batch_matches_per_query_frame_scans(self, dim):
-        lo_rows, hi_rows = random_boxes(30, seed=9, dim=dim)
-        lo = make_table(lo_rows, dim)
-        hi = make_table(hi_rows, dim)
-        windows = [
-            Rect(*query(lo, ((0.1, 0.1), (0.4, 0.4)))),
-            Rect(*query(lo, ((0.5, 0.5), (0.9, 0.9)))),
-            Rect(*query(lo, ((2.0, 2.0), (3.0, 3.0)))),  # matches nothing
-        ]
-        q_lo, q_hi = kernels.batch_windows(windows, dim)
-        got = kernels.batch_intersecting(lo, hi, q_lo, q_hi, [0, 1, 2])
-        for q, w in enumerate(windows):
-            want = as_rows(kernels.frame_intersecting(lo, hi, w.lo, w.hi))
-            if want:
-                assert as_rows(got[q]) == want
-            else:
-                assert q not in got
-
-    def test_batch_respects_active_subset(self):
-        lo_rows, hi_rows = random_boxes(20, seed=3)
-        lo = make_table(lo_rows, 2)
-        hi = make_table(hi_rows, 2)
-        windows = [Rect((0, 0), (1, 1)), Rect((0, 0), (1, 1))]
-        q_lo, q_hi = kernels.batch_windows(windows, 2)
-        got = kernels.batch_intersecting(lo, hi, q_lo, q_hi, [1])
-        assert set(got) == {1}
-        assert as_rows(got[1]) == list(range(20))
-
-    def test_batch_empty_frame(self):
-        windows = [Rect((0, 0), (1, 1))]
-        q_lo, q_hi = kernels.batch_windows(windows, 2)
-        lo = make_table([], 2)
-        hi = make_table([], 2)
-        assert kernels.batch_intersecting(lo, hi, q_lo, q_hi, [0]) == {}
-
-
 class TestTables:
     def test_coord_table_round_trip(self):
         table = make_table([(0.25, 0.5), (0.75, 1.0)], 2)

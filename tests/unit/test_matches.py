@@ -186,12 +186,10 @@ class TestEngines:
     def test_engines_build_no_rect(self, tree, no_rects):
         window = Rect((0.2, 0.2), (0.6, 0.6))
         result, stats = QueryEngine(tree).query(window)
-        batch, _ = QueryEngine(tree).query_batch([window, window])
         point = PointQueryEngine(tree)
         inside, _ = point.containment_query(window)
         stabbed, _ = point.point_query((0.4, 0.4))
         assert len(result) == stats.reported > len(inside) > 0
-        assert [len(b) for b in batch] == [len(result)] * 2
         assert tree.query(window).values == result.values
         assert len(stabbed) == len(stabbed.values)
 

@@ -509,7 +509,7 @@ class TestPagedTreeUpdates:
         wider = Rect(rect.lo + (0.0,), rect.hi + (1.0,))
         with self._reopen(path, dict(tree.objects)) as paged:
             with pytest.raises(
-                ValueError, match="rect has dim 3, tree indexes dim 2"
+                ValueError, match="3-d argument against a 2-d index"
             ):
                 paged.delete(wider, value)
             assert paged.size == len(data)

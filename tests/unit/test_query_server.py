@@ -263,6 +263,56 @@ class TestArrivalOrder:
         assert dispatched == requests
 
 
+@pytest.fixture(scope="module")
+def batch_tree():
+    return build_prtree(BlockStore(), random_rects(1500, seed=41), 16)
+
+
+@pytest.fixture(scope="module")
+def batch_windows():
+    return random_windows(12, seed=42)
+
+
+class TestServerBatchWindows:
+    """A server batch of window requests runs one request at a time, in
+    arrival order, and answers each exactly as a batch of one would."""
+
+    def test_results_match_per_request_execution(self, batch_tree, batch_windows):
+        server = QueryServer(batch_tree)
+        requests = [WindowRequest(w) for w in batch_windows]
+        got = server.submit(list(requests))
+        want = [server.submit([r]).results[0] for r in requests]
+        for a, b in zip(got.results, want):
+            assert a.value == b.value
+            assert a.stats.leaf_reads == b.stats.leaf_reads
+            assert a.stats.internal_visits == b.stats.internal_visits
+            assert a.stats.reported == b.stats.reported
+        assert got.leaf_ios == sum(r.stats.leaf_reads for r in want)
+
+    def test_dedup_still_applies(self, batch_tree, batch_windows):
+        server = QueryServer(batch_tree)
+        repeated = [WindowRequest(w) for w in batch_windows * 2]
+        report = server.submit(repeated)
+        assert report.dedup_hits == len(batch_windows)
+        for i, result in enumerate(report.results):
+            assert result.value == report.results[i % len(batch_windows)].value
+
+    def test_mixed_batches_fall_back_per_request(self, batch_tree, batch_windows):
+        w0, w1, w2 = batch_windows[:3]
+        report = QueryServer(batch_tree).submit(
+            [WindowRequest(w0), CountRequest(w1), WindowRequest(w2)]
+        )
+        engine = QueryEngine(batch_tree)
+        assert report.results[0].value == engine.query(w0)[0]
+        assert report.results[1].value == len(engine.query(w1)[0])
+        assert report.results[2].value == engine.query(w2)[0]
+
+    def test_single_window_runs_solo(self, batch_tree, batch_windows):
+        report = QueryServer(batch_tree).submit([WindowRequest(batch_windows[0])])
+        want, _ = QueryEngine(batch_tree).query(batch_windows[0])
+        assert report.results[0].value == want
+
+
 class TestLocalityAndStats:
     def test_logical_ios_independent_of_reorder(self, trees):
         # A query is charged the leaves it visits, so the order a batch
@@ -364,7 +414,7 @@ class TestWrites:
         wider = Rect(rect.lo + (0.0,), rect.hi + (1.0,))
         server = QueryServer(tree)
         with pytest.raises(
-            ValueError, match="rect has dim 3, tree indexes dim 2"
+            ValueError, match="3-d argument against a 2-d index"
         ):
             server.submit([DeleteRequest(wider, value)])
         assert tree.size == len(data)
@@ -529,7 +579,7 @@ class TestWrites:
                 for i in range(40)
             ]
             bad = InsertRequest(Rect((0, 0, 0), (1, 1, 1)), "3-d")
-            with pytest.raises(ValueError, match="dim 3"):
+            with pytest.raises(ValueError, match="3-d argument"):
                 server.submit(fresh + [bad])
             assert server.submit(probes).values() == [40, 3040]
 

@@ -460,7 +460,7 @@ class TestUpdatesAndSync:
             monkeypatch.setattr(family, "route", no_route)
             for write in (family.delete, family.insert):
                 with pytest.raises(
-                    ValueError, match="rect has dim 3, tree indexes dim 2"
+                    ValueError, match="3-d argument against a 2-d index"
                 ):
                     write(wider, value)
             monkeypatch.undo()

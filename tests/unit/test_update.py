@@ -104,7 +104,7 @@ class TestDelete:
         insert(tree, Rect((3, 3), (4, 4)), 3)
         for rect in (Rect((3, 3, 0), (4, 4, 5)), Rect((3,), (4,))):
             with pytest.raises(
-                ValueError, match=f"rect has dim {rect.dim}, tree indexes dim 2"
+                ValueError, match=f"{rect.dim}-d argument against a 2-d index"
             ):
                 delete(tree, rect, 3)
         assert len(tree) == 1
