@@ -1,8 +1,7 @@
 """Vectorized geometry kernels over structure-of-arrays node frames.
 
-PR 7's phase-attributed profiler put the traversal CPU where the ROADMAP
-suspected it: per-entry Python ``Rect`` method calls inside ``engine:*``
-phases.  This module is the fix — the pyrtree idiom of holding a node's
+Traversal CPU went to per-entry Python ``Rect`` method calls.  This
+module is the fix — the pyrtree idiom of holding a node's
 geometry as two contiguous ``(n, d)`` coordinate arrays (``lo`` rows and
 ``hi`` rows) and evaluating the *whole node* in one numpy expression.
 The write path runs on the same frames: ChooseLeaf, FindLeaf, the
@@ -45,8 +44,6 @@ import functools
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from repro.obs.profiler import pop_phase, push_phase
 
 __all__ = [
     "np",
@@ -175,31 +172,6 @@ def table_delete(table, i: int):
     out[:i] = table[:i]
     out[i:] = table[i + 1 :]
     return out
-
-
-def _kernel_phase(fn):
-    """Attribute a kernel's samples to its own ``kernel:<op>`` phase.
-
-    One integer check per call when no profiler is running (the
-    vocabulary contract in :data:`repro.obs.profiler.PHASE_VOCABULARY`);
-    under an active profiler the kernel shows up as its own self-time
-    row nested inside the enclosing ``engine:*`` phase.
-    """
-    name = "kernel:" + fn.__name__
-
-    def wrapper(*args):
-        if not push_phase(name):
-            return fn(*args)
-        try:
-            return fn(*args)
-        finally:
-            pop_phase()
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__qualname__ = fn.__qualname__
-    wrapper.__doc__ = fn.__doc__
-    wrapper.__wrapped__ = fn
-    return wrapper
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +304,6 @@ NO_ROWS = np.empty(0, dtype=np.intp)
 NO_ROWS.flags.writeable = False
 
 
-@_kernel_phase
 def frame_intersecting(lo, hi, q_lo, q_hi):
     """Row indices whose box intersects the query box, ascending."""
     if len(lo) == 0:
@@ -340,7 +311,6 @@ def frame_intersecting(lo, hi, q_lo, q_hi):
     return _axes_mask(_LE, lo, q_hi, _GE, hi, q_lo).nonzero()[0]
 
 
-@_kernel_phase
 def frame_containing_point(lo, hi, point):
     """Row indices whose box contains ``point`` (stabbing), ascending."""
     if len(lo) == 0:
@@ -348,7 +318,6 @@ def frame_containing_point(lo, hi, point):
     return _axes_mask(_LE, lo, point, _GE, hi, point).nonzero()[0]
 
 
-@_kernel_phase
 def frame_contained_in(lo, hi, q_lo, q_hi):
     """Row indices whose box lies entirely inside the query box."""
     if len(lo) == 0:
@@ -356,7 +325,6 @@ def frame_contained_in(lo, hi, q_lo, q_hi):
     return _axes_mask(_GE, lo, q_lo, _LE, hi, q_hi).nonzero()[0]
 
 
-@_kernel_phase
 def frame_containing_rect(lo, hi, q_lo, q_hi):
     """Row indices whose box contains the whole query box (FindLeaf)."""
     if len(lo) == 0:
@@ -364,7 +332,6 @@ def frame_containing_rect(lo, hi, q_lo, q_hi):
     return _axes_mask(_LE, lo, q_lo, _GE, hi, q_hi).nonzero()[0]
 
 
-@_kernel_phase
 def frame_equal_to(lo, hi, q_lo, q_hi):
     """Row indices whose box equals the query box, ascending."""
     if len(lo) == 0:
@@ -372,7 +339,6 @@ def frame_equal_to(lo, hi, q_lo, q_hi):
     return _axes_mask(_EQ, lo, q_lo, _EQ, hi, q_hi).nonzero()[0]
 
 
-@_kernel_phase
 def frame_count_intersecting(lo, hi, q_lo, q_hi) -> int:
     """Number of rows intersecting the query box (no index list built)."""
     if len(lo) == 0:
@@ -380,7 +346,6 @@ def frame_count_intersecting(lo, hi, q_lo, q_hi) -> int:
     return int(np.count_nonzero(_axes_mask(_LE, lo, q_hi, _GE, hi, q_lo)))
 
 
-@_kernel_phase
 def frame_dist_sq_to_point(lo, hi, point) -> list[float]:
     """Per-row squared MINDIST from ``point`` (kNN expansion order)."""
     if len(lo) == 0:
@@ -399,7 +364,6 @@ def _dist_sq_to_rect(lo, hi, q_lo, q_hi):
     return (d * d).sum(axis=1)
 
 
-@_kernel_phase
 def frame_dist_sq_to_rect(lo, hi, q_lo, q_hi) -> list[float]:
     """Per-row squared MINDIST from a query box."""
     if len(lo) == 0:
@@ -409,7 +373,6 @@ def frame_dist_sq_to_rect(lo, hi, q_lo, q_hi) -> list[float]:
     return _dist_sq_to_rect(lo, hi, ql, qh).tolist()
 
 
-@_kernel_phase
 def frame_nearest_run(lo, hi, q_lo, q_hi) -> tuple[list[float], list[int]]:
     """Rows by squared MINDIST from a query box, ties in row order: the
     sorted distances and the row order (one stable argsort; a point is
@@ -421,7 +384,6 @@ def frame_nearest_run(lo, hi, q_lo, q_hi) -> tuple[list[float], list[int]]:
     return dist[order].tolist(), order.tolist()
 
 
-@_kernel_phase
 def frame_least_enlargement(lo, hi, q_lo, q_hi) -> int:
     """Guttman's ChooseLeaf over a whole node: the row to descend into.
 
@@ -459,7 +421,6 @@ def frame_margins(lo, hi) -> list[float]:
     return [sum(sides) for sides in (hi - lo).tolist()]
 
 
-@_kernel_phase
 def frame_overlap_sum(lo, hi, start: float = 0.0) -> float:
     """``start`` plus the intersection volume of every row pair.
 
@@ -513,7 +474,6 @@ def frame_mbr(lo, hi) -> tuple[tuple[float, ...], tuple[float, ...]]:
     )
 
 
-@_kernel_phase
 def frame_pair_mask(a_lo, a_hi, b_lo, b_hi):
     """Full ``(n_a, n_b)`` intersection mask between two tables.
 
@@ -547,7 +507,6 @@ def _upper_mask(n: int):
     return mask
 
 
-@_kernel_phase
 def quadratic_split(lo, hi, min_fill: int) -> tuple[list[int], list[int]]:
     """Guttman's quadratic split of one overfull node's rows.
 

@@ -13,12 +13,9 @@ The diagnostic substrate of the serving stack (``docs/observability.md``):
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of labeled
   counters/gauges/histograms with Prometheus-text exposition.
 * :mod:`repro.obs.slowlog` — bounded :class:`SlowQueryLog` ring.
-* :mod:`repro.obs.profiler` — wall-clock :class:`SamplingProfiler`
-  attributing stack samples to the serving :func:`phase` (collapsed
-  stacks + per-phase self time).
 * :mod:`repro.obs.cachestats` — ghost-LRU
-  :class:`ReuseDistanceTracker`: miss-ratio-vs-budget curves,
-  leaf/internal access-frequency histograms, working-set estimates.
+  :class:`ReuseDistanceTracker`: miss-ratio-vs-budget curves and
+  working-set estimates.
 * :mod:`repro.obs.health` — cache-neutral tree-quality analytics
   (:class:`TreeQuality`) and the :func:`degradation_score` against the
   pack-time baseline that arms the self-maintenance trigger.
@@ -33,7 +30,6 @@ cost one ``ContextVar.get`` (or one ``None`` check) per event.
 
 from repro.obs.cachestats import (
     CacheCurvePoint,
-    FrequencyBand,
     ReuseDistanceTracker,
     default_budgets,
 )
@@ -49,13 +45,6 @@ from repro.obs.metrics import (
     Gauge,
     HistogramMetric,
     MetricsRegistry,
-)
-from repro.obs.profiler import (
-    PhaseSelfTime,
-    SamplingProfiler,
-    current_phase,
-    phase,
-    profiling_active,
 )
 from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
 from repro.obs.tap import IOTap, active_tap, install_tap, scoped_tap
@@ -79,7 +68,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "CacheCurvePoint",
-    "FrequencyBand",
     "ReuseDistanceTracker",
     "default_budgets",
     "LevelQuality",
@@ -87,11 +75,6 @@ __all__ = [
     "degradation_score",
     "index_quality",
     "tree_quality",
-    "PhaseSelfTime",
-    "SamplingProfiler",
-    "current_phase",
-    "phase",
-    "profiling_active",
     "Counter",
     "Gauge",
     "HistogramMetric",

@@ -1,4 +1,4 @@
-"""Page-cache analytics: reuse distances, frequency, working sets.
+"""Page-cache analytics: reuse distances and working sets.
 
 `PageCacheStats` says what the cache *did* at its configured budget.
 This module says what it *would* do at any other budget, from the same
@@ -24,13 +24,10 @@ order.  Hit counts at the boundary budgets are therefore *exact*
 (verified against a brute-force stack oracle in the tests); only
 between boundaries does the curve interpolate.
 
-On top of the distance histogram the tracker keeps:
-
-* per-block access frequency, split leaf vs internal (geometric
-  buckets: how skewed is the access distribution?);
-* a working-set estimate — unique blocks touched in the trailing
-  window of accesses (Denning's W(t, τ) with τ in accesses);
-* cold (first-touch) misses, which no budget can save.
+On top of the distance histogram the tracker keeps a working-set
+estimate — unique blocks touched in the trailing window of accesses
+(Denning's W(t, τ) with τ in accesses) — and the cold (first-touch)
+misses, which no budget can save.
 
 The tracker hooks into ``PagedNodeStore`` under the store lock, so it
 observes exactly the lookup sequence the real cache serves — counted
@@ -53,7 +50,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "ReuseDistanceTracker",
     "CacheCurvePoint",
-    "FrequencyBand",
     "default_budgets",
 ]
 
@@ -104,20 +100,6 @@ class CacheCurvePoint:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-@dataclass(frozen=True)
-class FrequencyBand:
-    """Blocks accessed between ``lo`` and ``hi`` times (inclusive)."""
-
-    lo: int
-    hi: int
-    leaf_blocks: int
-    internal_blocks: int
-
-    @property
-    def blocks(self) -> int:
-        return self.leaf_blocks + self.internal_blocks
-
-
 class _GhostStack:
     """Exact LRU stack bucketed at the budget boundaries.
 
@@ -131,7 +113,7 @@ class _GhostStack:
     ghost never holds more than ``boundary[-1]`` ids).
     """
 
-    __slots__ = ("boundaries", "capacities", "_buckets", "hits_within", "ghost_evictions")
+    __slots__ = ("boundaries", "capacities", "_buckets", "hits_within")
 
     def __init__(self, boundaries: Sequence[int]) -> None:
         self.boundaries = tuple(boundaries)
@@ -144,10 +126,9 @@ class _GhostStack:
             OrderedDict() for _ in self.boundaries
         ]
         self.hits_within = [0] * len(self.boundaries)
-        self.ghost_evictions = 0
 
-    def touch(self, block_id: int) -> bool:
-        """Record an access; True if the block was in the ghost."""
+    def touch(self, block_id: int) -> None:
+        """Record an access."""
         hit_bucket = -1
         for i, bucket in enumerate(self._buckets):
             if block_id in bucket:
@@ -173,20 +154,6 @@ class _GhostStack:
                 # shallower than all of bucket i+1: append at the
                 # shallow (most-recent) end.
                 buckets[i + 1][demoted] = None
-            else:
-                self.ghost_evictions += 1
-        return hit_bucket >= 0
-
-    def size(self) -> int:
-        return sum(len(b) for b in self._buckets)
-
-
-class _BlockInfo:
-    __slots__ = ("count", "is_leaf")
-
-    def __init__(self, is_leaf: bool) -> None:
-        self.count = 0
-        self.is_leaf = is_leaf
 
 
 class ReuseDistanceTracker:
@@ -227,16 +194,14 @@ class ReuseDistanceTracker:
             raise ValueError("at least one positive budget required")
         self.capacity = capacity
         self._stack = _GhostStack(bounds)
-        self._blocks: dict[int, _BlockInfo] = {}
+        self._seen: set[int] = set()
         self.accesses = 0
-        self.cold_misses = 0
         #: Accesses the *real* cache served as hits (reported by the
         #: caller per :meth:`record`).  ``observed_hits / accesses`` is
         #: the measured hit ratio over exactly the tracked stream — the
         #: ground truth the curve's point at the configured capacity is
         #: validated against.
         self.observed_hits = 0
-        self._clock = 0
         #: access index -> block id ring buffers for working sets.
         self._recent: OrderedDict[int, int] = OrderedDict()  # block -> last access idx
         self._lock = threading.Lock()
@@ -248,19 +213,14 @@ class ReuseDistanceTracker:
         """Observe one page-table lookup; ``hit`` is the real outcome."""
         with self._lock:
             self.accesses += 1
-            self._clock += 1
             if hit:
                 self.observed_hits += 1
-            info = self._blocks.get(block_id)
-            if info is None:
-                info = self._blocks[block_id] = _BlockInfo(is_leaf)
-                self.cold_misses += 1
-            info.count += 1
+            self._seen.add(block_id)
             self._stack.touch(block_id)
-            self._recent[block_id] = self._clock
+            self._recent[block_id] = self.accesses
             self._recent.move_to_end(block_id)
             # Age out entries no working-set window can still see.
-            horizon = self._clock - max(WSS_WINDOWS)
+            horizon = self.accesses - max(WSS_WINDOWS)
             while self._recent:
                 oldest_block = next(iter(self._recent))
                 if self._recent[oldest_block] > horizon:
@@ -277,12 +237,12 @@ class ReuseDistanceTracker:
 
     @property
     def unique_blocks(self) -> int:
-        return len(self._blocks)
+        return len(self._seen)
 
     @property
-    def observed_hit_ratio(self) -> float:
-        """Measured hit ratio of the real cache over the tracked stream."""
-        return self.observed_hits / self.accesses if self.accesses else 0.0
+    def cold_misses(self) -> int:
+        """First touches: the misses no budget can save."""
+        return len(self._seen)
 
     def predicted_hits(self, budget: int) -> int:
         """Exact LRU hits a ``budget``-page cache would have served.
@@ -315,33 +275,6 @@ class ReuseDistanceTracker:
                 )
             return points
 
-    def frequency_histogram(self) -> list[FrequencyBand]:
-        """Access-count distribution over blocks, split leaf/internal.
-
-        Geometric bands (1, 2, 3-4, 5-8, ...): the shape answers "is
-        the workload a few hot internal pages plus a long leaf tail?"
-        without shipping per-block detail.
-        """
-        with self._lock:
-            if not self._blocks:
-                return []
-            max_count = max(info.count for info in self._blocks.values())
-            bands: list[FrequencyBand] = []
-            lo = 1
-            while lo <= max_count:
-                hi = max(lo, lo * 2 - 1)
-                leaf = internal = 0
-                for info in self._blocks.values():
-                    if lo <= info.count <= hi:
-                        if info.is_leaf:
-                            leaf += 1
-                        else:
-                            internal += 1
-                if leaf or internal:
-                    bands.append(FrequencyBand(lo, hi, leaf, internal))
-                lo = hi + 1
-            return bands
-
     def working_set_sizes(self) -> dict[int, int]:
         """Unique blocks touched in each trailing window of accesses.
 
@@ -353,35 +286,14 @@ class ReuseDistanceTracker:
         with self._lock:
             sizes: dict[int, int] = {}
             for window in WSS_WINDOWS:
-                horizon = self._clock - window
+                horizon = self.accesses - window
                 if horizon <= 0:
-                    sizes[window] = len(self._blocks)
+                    sizes[window] = len(self._seen)
                 else:
                     sizes[window] = sum(
                         1 for last in self._recent.values() if last > horizon
                     )
             return sizes
-
-    def summary(self) -> dict:
-        """JSON-ready snapshot of everything the tracker derives."""
-        curve = self.miss_ratio_curve()
-        return {
-            "accesses": self.accesses,
-            "unique_blocks": self.unique_blocks,
-            "cold_misses": self.cold_misses,
-            "observed_hits": self.observed_hits,
-            "capacity": self.capacity,
-            "curve": [
-                {
-                    "budget": p.budget,
-                    "hits": p.hits,
-                    "misses": p.misses,
-                    "hit_ratio": p.hit_ratio,
-                }
-                for p in curve
-            ],
-            "working_set": self.working_set_sizes(),
-        }
 
     def __repr__(self) -> str:
         return (

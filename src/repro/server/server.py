@@ -50,7 +50,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.obs.profiler import phase as profile_phase
 from repro.obs.tap import scoped_tap
 from repro.obs.trace import Trace, activate_trace
 from repro.queries import explain as explain_mod
@@ -300,8 +299,7 @@ class QueryServer:
         :class:`~repro.server.requests.UpdateStats`.
         """
         tree = self._tree(request.index)
-        with activate_trace(trace), scoped_tap(trace) as tap, \
-                profile_phase(f"write:{request.kind}"):
+        with activate_trace(trace), scoped_tap(trace) as tap:
             start = time.perf_counter()
             if isinstance(request, InsertRequest):
                 value: Any = tree.insert(request.rect, request.value)
@@ -349,10 +347,9 @@ class QueryServer:
         # traversal.
         recorder = explain_mod.install(engine) if self.explain else None
         if trace is None:
-            with profile_phase(f"engine:{request.kind}"):
-                start = time.perf_counter()
-                value, stats = self._dispatch(engine, request)
-                latency = time.perf_counter() - start
+            start = time.perf_counter()
+            value, stats = self._dispatch(engine, request)
+            latency = time.perf_counter() - start
             plan = explain_mod.uninstall(engine, recorder, request.kind, stats)
             return RequestResult(
                 request=request, value=value, stats=stats, latency_s=latency,
@@ -361,8 +358,7 @@ class QueryServer:
         # Traced: activate the trace and attribute the engine's I/O to
         # both the trace's ledger and the enclosing batch tap via the
         # scoped tap's fold-on-exit.
-        with activate_trace(trace), scoped_tap(trace) as tap, \
-                profile_phase(f"engine:{request.kind}"):
+        with activate_trace(trace), scoped_tap(trace) as tap:
             start = time.perf_counter()
             value, stats = self._dispatch(engine, request)
             end = time.perf_counter()
@@ -422,10 +418,8 @@ class QueryServer:
         # Everything the batch does — writes, sync, reads — attributes
         # to this tap, so the report's physical/logical numbers are
         # exactly this batch's traffic even with other batches in flight
-        # on the same handles.  The profiler phase mirrors the async
-        # service's "execute" span (inner engine:*/write:*/shard:*
-        # phases refine it).
-        with scoped_tap() as batch_tap, profile_phase("execute"):
+        # on the same handles.
+        with scoped_tap() as batch_tap:
             # Phase 1: writes, strictly in submission order, never
             # deduped.
             write_results: dict[int, RequestResult] = {}

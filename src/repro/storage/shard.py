@@ -64,7 +64,6 @@ from repro.geometry.rect import Rect, check_dim
 from repro.iomodel.blockstore import BlockStore, DEFAULT_BLOCK_SIZE
 from repro.iomodel.counters import IOSnapshot
 from repro.obs import health
-from repro.obs.profiler import phase as profile_phase
 from repro.obs.tap import scoped_tap
 from repro.obs.trace import current_trace
 from repro.queries.join import JoinStats, SpatialJoinEngine
@@ -112,6 +111,9 @@ _INT_FIELDS = (
     "dim", "fanout", "block_size", "order", "size", "next_oid", "shards",
     "generation",
 )
+#: Hilbert key bits per axis a family may route on: at least one, and
+#: no finer than a ``uint64`` grid.
+_ORDER_RANGE = range(1, 65)
 #: Fields of each ``shard_files`` entry that are JSON integers.
 _SHARD_INT_FIELDS = (
     "size", "height", "hilbert_lo", "hilbert_hi", "n_blocks", "epoch",
@@ -263,6 +265,7 @@ def shard_pack(
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
+    _check_order("shard_pack", order)
     manifest_path = pathlib.Path(path)
     bounds = tree.root().mbr() if len(tree.root()) else None
 
@@ -449,6 +452,7 @@ def _load_manifest(path: pathlib.Path) -> dict:
             f"{path}: unsupported manifest version {doc.get('version')!r}"
         )
     _check_ints(str(path), doc, _INT_FIELDS)
+    _check_order(str(path), doc["order"])
     files = doc.get("shard_files")
     if not isinstance(files, list) or not files:
         raise ShardError(f"{path}: manifest lists no shard files")
@@ -487,6 +491,15 @@ def _check_ints(where: str, doc: dict, keys: Sequence[str]) -> None:
                 f"{where}: manifest field {key!r} is not an integer: "
                 f"{doc[key]!r}"
             )
+
+
+def _check_order(where: str, order: int) -> None:
+    """``order`` is a Hilbert resolution routing can key on."""
+    if order not in _ORDER_RANGE:
+        raise ShardError(
+            f"{where}: field 'order' must be in [{_ORDER_RANGE.start}, "
+            f"{_ORDER_RANGE.stop - 1}], got {order!r}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -685,6 +698,11 @@ class ShardedTree:
         manifest_path = pathlib.Path(path)
         doc = _load_manifest(manifest_path)
         bounds = _rect_from_json(doc.get("bounds"), str(manifest_path))
+        if bounds is not None and bounds.dim != doc["dim"]:
+            raise ShardError(
+                f"{manifest_path}: field 'bounds' has {bounds.dim} "
+                f"dimensions, the family {doc['dim']}"
+            )
 
         shards: list[PagedTree] = []
         infos: list[ShardInfo] = []
@@ -1166,22 +1184,21 @@ class _ShardedFanout:
         for i in indices:
             start = time.perf_counter()
             try:
-                with profile_phase(f"shard:{i}"):
-                    if trace is None:
-                        answers.append(call(self._subs[i]))
-                    else:
-                        with scoped_tap() as tap:
-                            try:
-                                answers.append(call(self._subs[i]))
-                            finally:
-                                trace.add_span(
-                                    f"shard:{i}",
-                                    start,
-                                    time.perf_counter(),
-                                    cat="shard",
-                                    track=i + 1,
-                                    io=tap.snapshot(),
-                                )
+                if trace is None:
+                    answers.append(call(self._subs[i]))
+                else:
+                    with scoped_tap() as tap:
+                        try:
+                            answers.append(call(self._subs[i]))
+                        finally:
+                            trace.add_span(
+                                f"shard:{i}",
+                                start,
+                                time.perf_counter(),
+                                cat="shard",
+                                track=i + 1,
+                                io=tap.snapshot(),
+                            )
             finally:
                 self.sharded._note_shard_time(i, time.perf_counter() - start)
         return answers

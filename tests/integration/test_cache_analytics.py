@@ -1,4 +1,4 @@
-"""End-to-end cache analytics and profiling through the serving stack.
+"""End-to-end cache analytics through the serving stack.
 
 The exactness contract under real concurrency: the ghost-LRU tracker
 hangs off :class:`~repro.storage.paged.PagedNodeStore` and observes the
@@ -22,7 +22,7 @@ import pytest
 
 from repro.experiments import cli
 from repro.experiments.serving import mixed_requests, pack_index
-from repro.obs import MetricsRegistry, ReuseDistanceTracker, SamplingProfiler
+from repro.obs import MetricsRegistry, ReuseDistanceTracker
 from repro.server import QueryServer
 from repro.service import AsyncQueryService
 from repro.storage import ShardedTree, open_index
@@ -111,12 +111,16 @@ class TestTrackerMatchesRealCache:
             readonly=True,
             cache_analytics=True,
         ) as tree:
+            for shard in tree.shards:
+                shard.page_store.tracker = ReuseDistanceTracker(
+                    capacity=CACHE_PAGES, keep_log=True
+                )
             run_overlapping_batches(tree, batches=2)
             leaf = internal = 0
             for shard in tree.shards:
-                for band in shard.page_store.tracker.frequency_histogram():
-                    leaf += band.leaf_blocks
-                    internal += band.internal_blocks
+                for _, is_leaf in set(shard.page_store.tracker.log):
+                    leaf += is_leaf
+                    internal += not is_leaf
             # A height-2 tree: many leaves, few internal nodes — but
             # both levels must be observed.
             assert leaf > internal > 0
@@ -147,53 +151,6 @@ class TestFamilyAnalytics:
                 store.tracker.unique_blocks for store in stores
             ) == sum(store.tracker.cold_misses for store in stores)
 
-    def test_profiled_server_batches_write_collapsed_stacks(
-        self, sharded_index, tmp_path
-    ):
-        out = tmp_path / "p.collapsed"
-        profiler = SamplingProfiler(interval_s=0.001)
-        with open_index(
-            sharded_index,
-            cache_pages=CACHE_PAGES,
-            readonly=True,
-            cache_analytics=True,
-        ) as tree:
-            with profiler:
-                run_overlapping_batches(tree, batches=4)
-        profiler.write_collapsed(out)
-        for line in out.read_text().splitlines():
-            frames, count = line.rsplit(" ", 1)
-            assert int(count) > 0
-            assert ";" in frames
-
-    def test_async_profiled_sharded_phase_accounting(self, tmp_path):
-        # A profiled service run over a K=4 family: the per-phase self
-        # time accounts for >= 90% of the sampled wall time ((other)
-        # catches unattributed samples, so the rows sum to ~100%), and
-        # the ghost-LRU trackers export their metric families.
-        index = tmp_path / "k4.manifest"
-        pack_index(index, n=6000, shards=4, seed=0)
-        registry = MetricsRegistry()
-        profiler = SamplingProfiler(interval_s=0.001)
-
-        async def drive(tree):
-            requests = mixed_requests(tree.root().mbr(), count=250, seed=1)
-            async with AsyncQueryService(tree, metrics=registry) as service:
-                await service.submit_many(requests)
-
-        with open_index(
-            index, cache_pages=CACHE_PAGES, cache_analytics=True
-        ) as tree:
-            with profiler:
-                asyncio.run(drive(tree))
-        rows = profiler.phase_table()
-        if rows:  # a very fast run can be sample-free
-            assert sum(row.fraction for row in rows) >= 0.90
-        prom = registry.render_prometheus()
-        assert "repro_cache_events_total" in prom
-        assert "repro_cache_predicted_hit_ratio" in prom
-        assert "repro_cache_working_set_blocks" in prom
-
     def test_registry_is_refreshed_while_the_service_runs(
         self, sharded_index
     ):
@@ -209,9 +166,15 @@ class TestFamilyAnalytics:
                 # Read mid-run, before close's final snapshot.
                 return registry.render_prometheus()
 
-        with open_index(sharded_index, readonly=True) as tree:
+        with open_index(
+            sharded_index, readonly=True, cache_analytics=True
+        ) as tree:
             text = asyncio.run(drive(tree))
         assert "repro_requests_completed_total 40" in text
+        # The ghost-LRU trackers export their metric families too.
+        assert "repro_cache_events_total" in text
+        assert "repro_cache_predicted_hit_ratio" in text
+        assert "repro_cache_working_set_blocks" in text
 
 
 class TestStatusGates:

@@ -3098,7 +3098,7 @@ READ_MUTANTS = {
     # Equal distances within a run come out in reverse row order, as an
     # unstable sort may leave them.
     "unstable-run-sort": (
-        kernels, "frame_nearest_run", kernels.frame_nearest_run.__wrapped__,
+        kernels, "frame_nearest_run", kernels.frame_nearest_run,
         'order = dist.argsort(kind="stable")',
         "order = np.lexsort((-np.arange(len(dist)), dist))",
     ),
@@ -3157,7 +3157,6 @@ class TestReadPathMutations:
 from contextlib import nullcontext
 
 from repro.experiments.serving import mixed_requests
-from repro.obs.profiler import phase as profile_phase
 from repro.obs.tap import active_tap, scoped_tap
 from repro.obs.trace import Trace, activate_trace, current_trace
 from repro.server import QueryServer
@@ -3191,9 +3190,8 @@ class VerbatimRouting:
             start = time.perf_counter()
             try:
                 if not observed:
-                    with profile_phase(f"shard:{i}"):
-                        return task(i)
-                with scoped_tap() as tap, profile_phase(f"shard:{i}"):
+                    return task(i)
+                with scoped_tap() as tap:
                     try:
                         return task(i)
                     finally:

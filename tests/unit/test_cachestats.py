@@ -130,21 +130,6 @@ class TestTrackerViews:
         tracker.record(1, is_leaf=True, hit=True)
         tracker.record(2, is_leaf=True, hit=False)
         assert tracker.observed_hits == 1
-        assert tracker.observed_hit_ratio == pytest.approx(1 / 3)
-
-    def test_frequency_histogram_splits_leaf_internal(self):
-        tracker = ReuseDistanceTracker(capacity=4)
-        for _ in range(5):
-            tracker.record(100, is_leaf=True)
-        tracker.record(200, is_leaf=False)
-        bands = tracker.frequency_histogram()
-        assert sum(b.leaf_blocks for b in bands) == 1
-        assert sum(b.internal_blocks for b in bands) == 1
-        one_band = next(b for b in bands if b.lo == 1)
-        assert one_band.internal_blocks == 1
-        hot_band = next(b for b in bands if b.lo <= 5 <= b.hi)
-        assert hot_band.leaf_blocks == 1
-        assert all(b.blocks == b.leaf_blocks + b.internal_blocks for b in bands)
 
     def test_working_set_windows(self):
         tracker = ReuseDistanceTracker(capacity=4)
@@ -161,16 +146,6 @@ class TestTrackerViews:
         tracker.record(5, is_leaf=True)
         tracker.record(6, is_leaf=False)
         assert tracker.log == [(5, True), (6, False)]
-
-    def test_summary_is_json_ready(self):
-        import json
-
-        tracker = ReuseDistanceTracker(capacity=4)
-        tracker.record(1, is_leaf=True, hit=False)
-        tracker.record(1, is_leaf=True, hit=True)
-        doc = json.loads(json.dumps(tracker.summary()))
-        assert doc["accesses"] == 2
-        assert doc["observed_hits"] == 1
 
     def test_rejects_empty_budgets(self):
         with pytest.raises(ValueError):

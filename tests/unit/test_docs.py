@@ -148,6 +148,33 @@ def test_cli_check_accepts_every_live_subcommand(tmp_path):
     assert check_docs.check_cli_flags(tmp_path) == []
 
 
+def test_readme_cli_table_equals_the_parser():
+    assert check_docs.check_cli_table() == []
+
+
+def test_cli_table_check_catches_an_undocumented_flag():
+    flags = {"list": {"-h", "--help"}, "pack": {"-h", "--help", "--n"}}
+    table = (
+        "| subcommand | flag | sets |\n"
+        "|---|---|---|\n"
+        "| `list` | — | nothing |\n"
+        "| `pack` | `--n` | dataset size |\n"
+    )
+    assert check_docs.cli_table_errors(table, flags) == []
+    flags["pack"].add("--block-size")
+    assert check_docs.cli_table_errors(table, flags) == [
+        "`pack` --block-size has no CLI table row"
+    ]
+    flags["pack"].discard("--n")
+    assert check_docs.cli_table_errors(table, flags)[0] == (
+        "CLI table row `pack` --n is not in the parser"
+    )
+    flags["list"].add("--all")
+    assert "CLI table row `list` — is not in the parser" in (
+        check_docs.cli_table_errors(table, flags)
+    )
+
+
 def test_documented_py_paths_exist():
     assert check_docs.check_py_paths() == []
 

@@ -343,47 +343,6 @@ class TestTables:
         assert kernels.BACKEND == "numpy"
 
 
-class TestKernelPhases:
-    def test_kernels_push_their_phase_when_profiling(self, monkeypatch):
-        events = []
-
-        def fake_push(name):
-            events.append(("push", name))
-            return True
-
-        monkeypatch.setattr(kernels, "push_phase", fake_push)
-        monkeypatch.setattr(
-            kernels, "pop_phase", lambda: events.append(("pop", None))
-        )
-        lo_rows, hi_rows = random_boxes(4, seed=0)
-        lo = make_table(lo_rows, 2)
-        hi = make_table(hi_rows, 2)
-        kernels.frame_intersecting(lo, hi, (0, 0), (1, 1))
-        assert events == [
-            ("push", "kernel:frame_intersecting"),
-            ("pop", None),
-        ]
-
-    def test_kernels_skip_phase_bookkeeping_when_idle(self, monkeypatch):
-        pops = []
-        monkeypatch.setattr(kernels, "push_phase", lambda name: False)
-        monkeypatch.setattr(kernels, "pop_phase", lambda: pops.append(1))
-        lo_rows, hi_rows = random_boxes(4, seed=0)
-        lo = make_table(lo_rows, 2)
-        hi = make_table(hi_rows, 2)
-        kernels.frame_intersecting(lo, hi, (0, 0), (1, 1))
-        assert pops == []
-
-    def test_vocabulary_lists_kernel_prefix(self):
-        from repro.obs.profiler import PHASE_VOCABULARY
-
-        assert "kernel:*" in PHASE_VOCABULARY
-
-    def test_wrapped_kernels_keep_their_names(self):
-        assert kernels.frame_intersecting.__name__ == "frame_intersecting"
-        assert kernels.frame_intersecting.__wrapped__ is not None
-
-
 class TestThreeDimensionalBitIdentity:
     """In 3-d too, every frame kernel equals the scalar kernels exactly."""
 

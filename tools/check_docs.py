@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks: links, runnable snippets, CLI flags, file paths.
 
-Five checks over ``README.md`` and ``docs/*.md`` (stdlib plus the
+Six checks over ``README.md`` and ``docs/*.md`` (stdlib plus the
 checkout's own ``src/``, used both by the CI docs job and by
 ``tests/unit/test_docs.py``):
 
@@ -22,6 +22,10 @@ checkout's own ``src/``, used both by the CI docs job and by
   name has its flags checked too.  ``import repro`` and ``from repro
   import`` are Python, not invocations.  A deleted subcommand or flag
   therefore cannot live on in the docs.
+* **CLI table** — the README's flag table (``| subcommand | flag |
+  ...``) has exactly one row per flag of every subcommand, and one
+  ``—`` row for a subcommand with none, so a new flag cannot ship
+  undocumented either.
 * **Paths** — every ``*.py`` path written in code (a fenced block or an
   inline span) must name an existing file, relative to the repository
   root, ``src/`` or ``src/repro/``; a bare file name (``rect.py``) must
@@ -33,7 +37,7 @@ checkout's own ``src/``, used both by the CI docs job and by
 
 Run from the repository root::
 
-    python tools/check_docs.py            # all five checks
+    python tools/check_docs.py            # all six checks
     python tools/check_docs.py --links    # links only (fast)
 """
 
@@ -63,6 +67,9 @@ _SPAN = re.compile(r"`([^`]+)`")
 #: Shell tokens that end the command a flag could belong to (a comment,
 #: any token starting with "#", ends it too).
 _SHELL_STOP = {"|", "||", "&&", ";", ">", ">>"}
+#: The README's CLI reference table and its rows.
+_CLI_TABLE = "| subcommand | flag |"
+_CLI_ROW = re.compile(r"^\| `([\w-]+)` \| (?:`(--[\w-]+)`|—) \|", re.MULTILINE)
 #: A ``*.py`` path in code; a ``:line`` or ``::name`` suffix ends it.
 _PY_PATH = re.compile(r"[\w./-]+\.py\b")
 #: Directories a documented path may be written relative to.
@@ -223,6 +230,37 @@ def check_cli_flags(root: pathlib.Path = REPO_ROOT) -> list[str]:
     ]
 
 
+def cli_table_errors(text: str, flags: dict[str, set[str]]) -> list[str]:
+    """One error per difference between the CLI table in ``text`` and
+    ``flags``: a row the parser lacks, or a flag with no row."""
+    start = text.find(_CLI_TABLE)
+    if start < 0:
+        return ["no CLI table"]
+    table = text[start : text.find("\n\n", start)]
+    documented = {(name, flag or None) for name, flag in _CLI_ROW.findall(table)}
+    expected = set()
+    for name, options in flags.items():
+        long_flags = {o for o in options if o.startswith("--")} - {"--help"}
+        expected |= {(name, flag) for flag in long_flags} or {(name, None)}
+    return [
+        f"CLI table row `{name}` {flag or '—'} is not in the parser"
+        for name, flag in sorted(documented - expected, key=str)
+    ] + [
+        f"`{name}` {flag or '—'} has no CLI table row"
+        for name, flag in sorted(expected - documented, key=str)
+    ]
+
+
+def check_cli_table(root: pathlib.Path = REPO_ROOT) -> list[str]:
+    """Return one error per difference between README's CLI table and
+    ``build_parser()``."""
+    readme = root / "README.md"
+    return [
+        f"README.md: {error}"
+        for error in cli_table_errors(readme.read_text(), subcommand_flags())
+    ]
+
+
 def _py_path_exists(token: str, root: pathlib.Path) -> bool:
     if any((root / base / token).is_file() for base in _PY_ROOTS):
         return True
@@ -269,6 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     snippets = 0
     if not args.links:
         errors += check_cli_flags()
+        errors += check_cli_table()
         errors += check_py_paths()
         errors += check_roadmap_refs()
         snippets = len(runnable_snippets())
