@@ -145,6 +145,17 @@ class BlockStore:
     #: :meth:`peek` as observers (the level table, validation) call it.
     quiet_peek = peek
 
+    def read_many(self, block_ids, physical: dict | None = None) -> list[Any]:
+        """A :meth:`peek` then a :meth:`read` of each id, in order; with
+        no page cache, ``physical`` records no misses."""
+        payloads = []
+        for block_id in block_ids:
+            self.peek(block_id)
+            payloads.append(self.read(block_id))
+        if physical is not None:
+            physical.update(dict.fromkeys(block_ids, 0))
+        return payloads
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -78,6 +78,10 @@ class NodeCodec:
         self._record_dtype = np.dtype(
             [("coords", "<f8", (2 * dim,)), ("ptr", "<u4")]
         )
+        #: Entry slots after the header (the fan-out, as at 4 KB).
+        self._room = min(
+            self.fanout, (block_size - HEADER_BYTES) // self._entry_size
+        )
 
     def encode(self, is_leaf: bool, entries: list[tuple[Rect, int]]) -> bytes:
         """Pack a node into exactly one block of bytes.
@@ -161,6 +165,7 @@ class NodeCodec:
                 f"block is {len(block)} bytes, expected {self.block_size}"
             )
         leaf_flag, count = struct.unpack_from(HEADER_FORMAT, block, 0)
+        self._check_header(leaf_flag, count)
         dim = self.dim
         raw = np.frombuffer(
             block, dtype=self._record_dtype, count=count, offset=HEADER_BYTES
@@ -170,3 +175,43 @@ class NodeCodec:
         lo = coords[:, :dim].astype(np.float64)
         hi = coords[:, dim:].astype(np.float64)
         return bool(leaf_flag), lo, hi, raw["ptr"].astype(np.int64)
+
+    def _check_header(self, leaf_flag: int, count: int) -> None:
+        """Reject a header no encoder writes: a leaf flag outside
+        {0, 1} or more entries than the block holds."""
+        if leaf_flag > 1:
+            raise ValueError(f"leaf flag {leaf_flag} is neither 0 nor 1")
+        if count > self._room:
+            raise ValueError(
+                f"entry count {count} exceeds the {self._room} entries "
+                f"a block holds"
+            )
+
+    def decode_many(self, buf, m: int) -> list[tuple]:
+        """:meth:`decode_arrays` of ``m`` blocks laid end to end in
+        ``buf``, at once: one header check, one strided view of the
+        entry slots and one ``astype`` per column; block ``b`` gets
+        C-contiguous slices ``[b, :count]`` of the batch tables."""
+        if m <= 1:  # a batch of one is one block
+            return [self.decode_arrays(buf)] if m else []
+        size, room, dim = self.block_size, self._room, self.dim
+        flags = np.ndarray((m,), np.uint8, buf, 0, (size,)).tolist()
+        counts = np.ndarray((m,), "<u4", buf, 1, (size,)).tolist()
+        if max(flags) > 1 or max(counts) > room:
+            for b, header in enumerate(zip(flags, counts)):
+                try:
+                    self._check_header(*header)
+                except ValueError as exc:
+                    raise ValueError(f"block {b} of {m}: {exc}") from None
+        raw = np.ndarray(
+            (m, room), self._record_dtype, buf, HEADER_BYTES,
+            (size, self._entry_size),
+        )
+        coords = raw["coords"]
+        lo = coords[:, :, :dim].astype(np.float64)
+        hi = coords[:, :, dim:].astype(np.float64)
+        ptrs = raw["ptr"].astype(np.int64)
+        return [
+            (flag == 1, lo[b, :count], hi[b, :count], ptrs[b, :count])
+            for b, (flag, count) in enumerate(zip(flags, counts))
+        ]

@@ -3,8 +3,8 @@
 The simulator started with a single concrete store — the in-memory
 :class:`~repro.iomodel.blockstore.BlockStore` holding decoded payloads —
 but the trees, caches and query engines only ever touch the small
-surface captured here: allocate / read / write / free / peek /
-quiet_peek, a write ``generation``, capacity introspection, with an attached
+surface captured here: allocate / read / read_many / write / free /
+peek / quiet_peek, a write ``generation``, capacity introspection, with an attached
 :class:`~repro.iomodel.counters.IOCounters` recording every counted
 access.  Pinning that surface down as a :class:`typing.Protocol` lets
 the same tree handles and engines run over any backend:
@@ -21,12 +21,14 @@ What a payload *is* depends on the backend; what every backend promises
 is the accounting contract: ``read`` and ``write`` record exactly one
 I/O on :attr:`counters` per call, ``allocate`` records the write that
 materializes the block, and ``peek`` is free (validation and debugging
-walk structures without polluting experiment counters).
+walk structures without polluting experiment counters).  The query engines reach a store only through
+``read_many``, which counts what a ``peek`` then a ``read`` of each id
+would: one call per descent, or per node for kNN and the join.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Protocol, runtime_checkable
+from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.iomodel.counters import IOCounters
 
@@ -58,6 +60,15 @@ class BlockStoreProtocol(Protocol):
 
     def read(self, block_id: BlockId) -> Any:
         """Read a block's payload, counting one I/O."""
+        ...
+
+    def read_many(
+        self, block_ids: Sequence[BlockId], physical: dict | None = None
+    ) -> list[Any]:
+        """What a ``peek`` then a ``read`` of each id, in order, would
+        return and count: the engines' only way to read a node.
+        ``physical``, when given, maps each id to the page misses its
+        access made (0 without a page cache)."""
         ...
 
     def write(self, block_id: BlockId, payload: Any) -> None:

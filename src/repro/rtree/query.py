@@ -214,7 +214,8 @@ class TraversalEngine:
     The window engine below and every operator in :mod:`repro.queries`
     (kNN, spatial join, point/containment/count) derive from this class,
     so all of them count I/O the same way and their reported costs are
-    directly comparable.  Every leaf visit is a counted store read.
+    directly comparable.  Every leaf visit is a counted store read, and
+    the engines reach the store only through ``read_many``.
 
     Parameters
     ----------
@@ -236,27 +237,6 @@ class TraversalEngine:
         # Opt-in EXPLAIN plan capture (repro.queries.explain).
         self._recorder = None
 
-    def _fetch(self, block_id: int, physical: dict | None):
-        """One counted store access: a ``peek`` then a ``read`` (one physical
-        read).  ``physical`` (EXPLAIN armed) records its page misses."""
-        store = self.tree.store
-        pstats = None if physical is None else getattr(store, "stats", None)
-        before = 0 if pstats is None else pstats.misses
-        store.peek(block_id)
-        node = store.read(block_id)
-        if physical is not None:
-            physical[block_id] = 0 if pstats is None else pstats.misses - before
-        return node
-
-    def _charge(self, block_id: int, stats: QueryStats, physical) -> None:
-        """Pay for a visit to internal node ``block_id``: a counted read
-        on this engine's first visit (on every visit for the ablation)."""
-        if block_id not in self._counted:
-            self._fetch(block_id, physical)
-            stats.internal_reads += 1
-            if self.cache_internal:
-                self._counted.add(block_id)
-
     def _frame(self, block_id: int, stats: QueryStats) -> NodeFrame:
         """One node's frame, counted the paper's way, for the operators
         that read a node at a time (kNN and the join)."""
@@ -265,10 +245,14 @@ class TraversalEngine:
         physical = None if recorder is None else {}
         if frame is None:
             stats.leaf_reads += 1
-            frame = self._fetch(block_id, physical).frame()
-        else:
+            frame = self.tree.store.read_many([block_id], physical)[0].frame()
+        else:  # a counted read on the first visit (every visit: ablation)
             stats.internal_visits += 1
-            self._charge(block_id, stats, physical)
+            if block_id not in self._counted:
+                self.tree.store.read_many([block_id], physical)
+                stats.internal_reads += 1
+                if self.cache_internal:
+                    self._counted.add(block_id)
         if recorder is not None:
             recorder.on_node(block_id, frame, physical.get(block_id, 0))
         return frame
@@ -324,7 +308,8 @@ class TraversalEngine:
         return Matches(parts, values, tree.dim), stats
 
     def _read_leaves(self, table, steps, frontier, ptrs, stats) -> list[NodeFrame]:
-        """Make a descent's store accesses; return the leaves' frames.
+        """Make a descent's store accesses, in one ``read_many``; return
+        the leaves' frames.
 
         They go in depth-first order — a node's read, if owed, then its
         children from the last kept row to the first — as before the
@@ -345,12 +330,15 @@ class TraversalEngine:
         accesses.sort()
         recorder = self._recorder
         physical = None if recorder is None else {}
+        nodes = self.tree.store.read_many([a[-1] for a in accesses], physical)
         frames = []
-        for _, depth, _, block_id in accesses:
-            if depth < len(steps):
-                self._charge(block_id, stats, physical)
+        for (_, depth, _, block_id), node in zip(accesses, nodes):
+            if depth == len(steps):
+                frames.append(node.frame())
             else:
-                frames.append(self._fetch(block_id, physical).frame())
+                stats.internal_reads += 1
+                if self.cache_internal:
+                    self._counted.add(block_id)
         if recorder is not None:  # top-down: parents place their children
             for level, nodes, rows in steps:
                 for j in nodes:

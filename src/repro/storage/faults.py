@@ -241,6 +241,9 @@ class FaultInjectingStore:
     def read(self, block_id: BlockId):
         return self.inner.read(block_id)
 
+    def read_many(self, block_ids, physical=None):
+        return self.inner.read_many(block_ids, physical)
+
     def peek(self, block_id: BlockId):
         return self.inner.peek(block_id)
 

@@ -51,7 +51,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from repro.iomodel.blockstore import DEFAULT_BLOCK_SIZE
 from repro.iomodel.codec import NodeCodec
@@ -179,9 +179,9 @@ class PagedNodeStore:
         self.stats = PageCacheStats()
         self._pages: OrderedDict[BlockId, Node] = OrderedDict()
         self._dirty: set[BlockId] = set()
-        # The current page stays pinned outside the LRU budget: engines
-        # peek a node's kind and immediately read the same block, and
-        # that pair must cost one physical read even with capacity 0.
+        # The current page stays pinned outside the LRU budget: a peek
+        # then a read of the same block (each id of a read_many) must
+        # cost one physical read even with capacity 0.
         self._mru: tuple[BlockId, Node] | None = None
         self._lock = threading.Lock()
         #: Bumped by every allocate, write and free (repro.rtree.levels).
@@ -204,88 +204,118 @@ class PagedNodeStore:
 
     # -- page table ----------------------------------------------------
 
-    def _get_locked(self, block_id: BlockId, tap: IOTap | None) -> Node:
-        """Counted-read lookup: hits bump recency, misses fill the cache.
+    def _lookup_locked(
+        self,
+        block_ids,
+        tap: IOTap | None,
+        events: tuple[bool, ...],
+        physical: dict | None = None,
+    ) -> list[Node]:
+        """Make each id's page-table lookups, in order: one per entry of
+        ``events``, a counted read (True) or a peek (False).
 
         Every ``stats`` increment here (and in the helpers below) has a
         matching tap increment so the active context's
         :class:`~repro.obs.tap.IOTap` holds exactly its slice of the
         shared :class:`PageCacheStats` — attribution, not re-counting.
+        A hit on a cached page pins it in the MRU slot (a read also
+        moves it to the LRU tail).  A hit on the pin alone, or a miss,
+        enters the table on a read (evicting as needed) and never on a
+        peek, which reads *around* the cache.  A missed page is an empty
+        node until :meth:`_fill_locked` reads and decodes every miss
+        together; the tracker's records, which need each page's kind,
+        follow.  ``physical`` maps each id to the misses it made.
         """
-        node = self._pages.get(block_id)
-        if node is not None:
-            self.stats.hits += 1
+        pages, stats = self._pages, self.stats
+        record_read = self.counters.record_read
+        nodes: list[Node] = []
+        missed: list[tuple[BlockId, Node]] = []
+        lookups = None if self.tracker is None else []
+        made = reads = 0  # lookups made, and counted reads; misses: len(missed)
+        try:
+            for block_id in block_ids:
+                misses = 0
+                for read in events:
+                    made += 1
+                    miss = 0
+                    node = pages.get(block_id)
+                    if node is not None:
+                        if read:
+                            pages.move_to_end(block_id)
+                        self._mru = (block_id, node)
+                    else:
+                        if self._mru is not None and self._mru[0] == block_id:
+                            node = self._mru[1]
+                        else:
+                            miss = 1
+                            node = Node.__new__(Node)
+                            missed.append((block_id, node))
+                            self._mru = (block_id, node)
+                        if read:
+                            self._cache_locked(block_id, node, tap=tap)
+                    if read:
+                        record_read(block_id)
+                        reads += 1
+                    if lookups is not None:
+                        lookups.append((block_id, node, not miss))
+                    misses += miss
+                if physical is not None:
+                    physical[block_id] = misses
+                nodes.append(node)
+            if missed:
+                self._fill_locked(missed)
+        except BaseException:
+            for block_id, node in missed:  # no empty page may stay
+                if pages.get(block_id) is node:
+                    del pages[block_id]
+                if self._mru is not None and self._mru[1] is node:
+                    self._mru = None
+            raise
+        finally:
+            stats.hits += made - len(missed)
+            stats.misses += len(missed)
             if tap is not None:
-                tap.hits += 1
-            if self.tracker is not None:
-                self.tracker.record(block_id, node.is_leaf, hit=True)
-            self._pages.move_to_end(block_id)
-            self._mru = (block_id, node)
-            return node
-        if self._mru is not None and self._mru[0] == block_id:
-            # Peeked but not yet cached: promote without a second decode.
-            self.stats.hits += 1
-            if tap is not None:
-                tap.hits += 1
-            node = self._mru[1]
-            if self.tracker is not None:
-                self.tracker.record(block_id, node.is_leaf, hit=True)
-            self._cache_locked(block_id, node, tap=tap)
-            return node
-        self.stats.misses += 1
-        if tap is not None:
-            tap.misses += 1
-        node = self._decode_locked(block_id)
-        if self.tracker is not None:
-            self.tracker.record(block_id, node.is_leaf, hit=False)
-        self._cache_locked(block_id, node, tap=tap)
-        return node
+                tap.hits += made - len(missed)
+                tap.misses += len(missed)
+                tap.reads += reads
+        for block_id, node, hit in lookups or ():
+            self.tracker.record(block_id, node.is_leaf, hit=hit)
+        return nodes
 
-    def _peek_locked(self, block_id: BlockId, tap: IOTap | None) -> Node:
-        """Uncounted lookup that reads *around* the cache.
-
-        Serves cached (including dirty) pages but never reorders the
-        LRU, never inserts, and never evicts — a validation walk over
-        the whole tree leaves the cache exactly as it found it.  The
-        decoded node is still pinned in the MRU slot so the engines'
-        peek-then-read pattern costs one physical read.
-        """
-        node = self._pages.get(block_id)
-        if node is not None:
-            self.stats.hits += 1
-            if tap is not None:
-                tap.hits += 1
-            if self.tracker is not None:
-                self.tracker.record(block_id, node.is_leaf, hit=True)
-            self._mru = (block_id, node)
-            return node
-        if self._mru is not None and self._mru[0] == block_id:
-            self.stats.hits += 1
-            if tap is not None:
-                tap.hits += 1
-            if self.tracker is not None:
-                self.tracker.record(block_id, self._mru[1].is_leaf, hit=True)
-            return self._mru[1]
-        self.stats.misses += 1
-        if tap is not None:
-            tap.misses += 1
-        node = self._decode_locked(block_id)
-        if self.tracker is not None:
-            self.tracker.record(block_id, node.is_leaf, hit=False)
-        self._mru = (block_id, node)
-        return node
-
-    def _decode_locked(self, block_id: BlockId) -> Node:
-        """Decode one block straight into a frame-backed node.
+    def _decode_locked(self, block_id: BlockId, block=None) -> Node:
+        """Decode one block (read now unless ``block`` holds its bytes)
+        straight into a frame-backed node.
 
         The decoded page is the structure-of-arrays representation the
         vectorized kernels consume, and the only one a node holds.  Physical read
-        and decode accounting stays with the caller.
+        and decode accounting stays with the caller.  A hostile header
+        raises :class:`StorageError` naming the block.
         """
-        is_leaf, lo, hi, ptrs = self.codec.decode_arrays(
-            self.file_store.peek(block_id)
-        )
+        if block is None:
+            block = self.file_store.peek(block_id)
+        try:
+            is_leaf, lo, hi, ptrs = self.codec.decode_arrays(block)
+        except ValueError as exc:
+            raise StorageError(
+                f"{self.file_store.path}: block {block_id}: {exc}"
+            ) from None
         return Node.from_frame(NodeFrame(is_leaf, lo, hi, ptrs))
+
+    def _fill_locked(self, missed: list[tuple[BlockId, Node]]) -> None:
+        """Read one :meth:`read_many`'s misses per run of adjacent slots
+        and decode them in one pass into their empty nodes."""
+        buf = self.file_store.peek_many([block_id for block_id, _ in missed])
+        try:
+            decoded = self.codec.decode_many(buf, len(missed))
+        except ValueError:
+            size = self.block_size  # name the first hostile block
+            for b, (block_id, _) in enumerate(missed):
+                self._decode_locked(block_id, buf[b * size : (b + 1) * size])
+            raise
+        for (_, node), (is_leaf, lo, hi, ptrs) in zip(missed, decoded):
+            # The page layer made these nodes empty; they become pages here.
+            node.is_leaf = is_leaf
+            node._frame = NodeFrame(is_leaf, lo, hi, ptrs)
 
     def _cache_locked(
         self,
@@ -377,11 +407,7 @@ class PagedNodeStore:
         """Read a node, counting one logical I/O (cached page or not)."""
         tap = active_tap()
         with self._lock:
-            node = self._get_locked(block_id, tap)
-            self.counters.record_read(block_id)
-            if tap is not None:
-                tap.reads += 1
-            return node
+            return self._lookup_locked((block_id,), tap, (True,))[0]
 
     def peek(self, block_id: BlockId) -> Node:
         """Read a node without counting I/O (validation/debugging).
@@ -390,8 +416,20 @@ class PagedNodeStore:
         served, but a miss neither inserts nor evicts, so peeking never
         perturbs what the counted read path has warmed.
         """
+        tap = active_tap()
         with self._lock:
-            return self._peek_locked(block_id, active_tap())
+            return self._lookup_locked((block_id,), tap, (False,))[0]
+
+    def read_many(
+        self, block_ids: Sequence[BlockId], physical: dict | None = None
+    ) -> list[Node]:
+        """What a :meth:`peek` then a :meth:`read` of each id, in order,
+        make and return, under one lock hold, with every miss read per
+        run of adjacent slots and decoded in one pass.  ``physical``
+        (EXPLAIN armed) maps each id to the page misses its access made."""
+        tap = active_tap()
+        with self._lock:
+            return self._lookup_locked(block_ids, tap, (False, True), physical)
 
     def quiet_peek(self, block_id: BlockId) -> Node:
         """Read a node with **zero** observable side effects.

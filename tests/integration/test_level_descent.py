@@ -7,9 +7,11 @@ an LRU pool of internal nodes per engine and a depth-first traversal.
 On every loader, on the simulated store, a paged tree and a K=4 sharded
 family, with ``cache_internal`` on and off, every operator must give the
 same answers in the same order, the same ``QueryStats``/``JoinStats``
-and ``IOCounters``, the same store access sequence and the same
-``PageCacheStats``; EXPLAIN plans must be equal.  Four seeded mutations
-of the new path must each be caught, and engines kept warm across a
+and ``IOCounters``, the same store access sequence (each id of a
+``read_many`` stands for its ``peek`` then ``read``) and the same
+``PageCacheStats``; EXPLAIN plans must be equal.  Seven seeded mutations
+of the new path — four of the descent, three of the page layer's batch
+read — must each be caught, and engines kept warm across a
 stream of writes must keep answering like fresh engines and brute force.
 """
 
@@ -38,6 +40,8 @@ from repro.rtree import query as query_module
 from repro.rtree.query import QueryEngine, TraversalEngine
 from repro.rtree.rstar import rstar_insert
 from repro.storage import open_index, pack_tree
+from repro.storage.filestore import FileBlockStore
+from repro.storage.paged import PagedNodeStore
 from repro.storage.shard import (
     ShardedJoinEngine,
     ShardedKNNEngine,
@@ -117,20 +121,35 @@ def parts_of(index):
 
 
 def log_accesses(*indexes):
-    """Every ``peek``/``read`` the engines make on ``indexes``, in order."""
-    log = []
+    """Every ``peek``/``read`` the engines make on ``indexes``, in order;
+    a ``read_many`` logs each of its ids as the ``peek`` then ``read``
+    pair it stands for (and not the calls it makes itself)."""
+    log, inside = [], []
     for n, index in enumerate(indexes):
         for i, part in enumerate(parts_of(index)):
             store = part.store
 
             def logged(method, op, where=(n, i)):
                 def call(block_id):
-                    log.append((where, op, block_id))
+                    if not inside:
+                        log.append((where, op, block_id))
                     return method(block_id)
+                return call
+
+            def logged_many(method, where=(n, i)):
+                def call(block_ids, physical=None):
+                    for block_id in block_ids:
+                        log.extend(((where, "peek", block_id), (where, "read", block_id)))
+                    inside.append(True)
+                    try:
+                        return method(block_ids, physical)
+                    finally:
+                        inside.pop()
                 return call
 
             store.peek = logged(store.peek, "peek")
             store.read = logged(store.read, "read")
+            store.read_many = logged_many(store.read_many)
     return log
 
 
@@ -333,12 +352,27 @@ MUTANTS = {
         "(-r - 1, len(steps), -r, ptrs[r])", "(r + 1, len(steps), r, ptrs[r])",
     ),
     "first-visit-read-not-counted": (
-        TraversalEngine, "_charge", TraversalEngine._charge,
+        TraversalEngine, "_frame", TraversalEngine._frame,
         "stats.internal_reads += 1", "pass",
     ),
     "table-kept-after-insert": (
         query_module, "levels_of", levels.levels_of,
         "or table.generation != tree.store.generation\n", "",
+    ),
+    # read_many makes only the read's lookup of each id, not its peek's.
+    "batch-skips-peek-event": (
+        PagedNodeStore, "read_many", PagedNodeStore.read_many,
+        "(False, True)", "(True,)",
+    ),
+    # A slot two past a run's end joins the run: the next block is read.
+    "run-coalesced-off-by-one": (
+        FileBlockStore, "peek_many", FileBlockStore.peek_many,
+        "runs[-1][0] + len(runs[-1][1])", "runs[-1][0] + len(runs[-1][1]) + 1",
+    ),
+    # The batch's pages are handed to the missed ids in reverse.
+    "batch-decoded-out-of-order": (
+        PagedNodeStore, "_fill_locked", PagedNodeStore._fill_locked,
+        "zip(missed, decoded)", "zip(missed, decoded[::-1])",
     ),
 }
 

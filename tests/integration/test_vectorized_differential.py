@@ -2780,19 +2780,34 @@ def probe_windows(dim, seed):
 
 def log_store_accesses(tree):
     """Record every ``peek`` / ``read`` the engines make on ``tree`` (on
-    each shard of a family), in order."""
-    log = []
+    each shard of a family), in order; a ``read_many`` logs each of its
+    ids as the ``peek`` then ``read`` pair it stands for (and not the
+    calls it makes itself)."""
+    log, inside = [], []
     for i, part in enumerate(getattr(tree, "shards", [tree])):
         store = part.store
 
         def logged(method, op, i=i):
             def call(block_id):
-                log.append((i, op, block_id))
+                if not inside:
+                    log.append((i, op, block_id))
                 return method(block_id)
+            return call
+
+        def logged_many(method, i=i):
+            def call(block_ids, physical=None):
+                for block_id in block_ids:
+                    log.extend(((i, "peek", block_id), (i, "read", block_id)))
+                inside.append(True)
+                try:
+                    return method(block_ids, physical)
+                finally:
+                    inside.pop()
             return call
 
         store.peek = logged(store.peek, "peek")
         store.read = logged(store.read, "read")
+        store.read_many = logged_many(store.read_many)
     return log
 
 

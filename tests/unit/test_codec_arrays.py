@@ -140,6 +140,42 @@ class TestDecodeArrays:
             assert codec.encode(flag, frame.entries()) == block
 
 
+class TestDecodeMany:
+    @pytest.mark.parametrize("dim,block_size", [(2, 4096), (2, 1024), (3, 512), (2, 256)])
+    def test_matches_decode_arrays(self, dim, block_size):
+        codec = NodeCodec(dim=dim, block_size=block_size)
+        room = (block_size - HEADER_BYTES) // entry_size(dim)
+        blocks = [
+            codec.encode(n % 2 == 0, [
+                (Rect(r.lo[:1] * dim, r.hi[:1] * dim), i)
+                for i, (r, _) in enumerate(random_rects(n, seed=n))
+            ])
+            for n in (0, 1, room, 2, min(room, 7))
+        ]
+        for m in range(len(blocks) + 1):
+            got = codec.decode_many(b"".join(blocks[:m]), m)
+            assert len(got) == m
+            for block, (is_leaf, lo, hi, ptrs) in zip(blocks, got):
+                want = codec.decode_arrays(block)
+                assert is_leaf is want[0]
+                for x, y in zip((lo, hi, ptrs), want[1:]):
+                    assert x.dtype == y.dtype and x.shape == y.shape
+                    assert x.tobytes() == y.tobytes() and x.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "offset,value,message",
+        [(0, 7, "leaf flag 7"), (1, 114, "entry count 114"), (4, 1, "entry count")],
+    )
+    def test_hostile_headers_raise(self, codec, offset, value, message):
+        good = codec.encode(True, GOLDEN_LEAF_ENTRIES)
+        bad = bytearray(good)
+        bad[offset] = value
+        with pytest.raises(ValueError, match=message):
+            codec.decode_arrays(bytes(bad))
+        with pytest.raises(ValueError, match=f"block 1 of 3: {message}"):
+            codec.decode_many(good + bytes(bad) + good, 3)
+
+
 class TestEncodeArrays:
     """``encode_arrays`` writes what ``encode`` writes, from tables."""
 
