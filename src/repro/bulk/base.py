@@ -7,8 +7,8 @@ leaves, then repeatedly chunk node bounding boxes into full internal
 nodes until a single root remains.  Both Hilbert loaders and STR reduce to
 :func:`pack_ordered` after their respective sorts.
 
-A level is packed as one coordinate table (:func:`pack_level`): its rows
-are laid out once, every node is a run of ``fanout`` rows cut out of it —
+A level is packed as one box table (:func:`pack_level`): its rows are
+laid out once, every node is a run of ``fanout`` columns cut out of it —
 stored as that frame — and its box is one
 :func:`~repro.geometry.kernels.frame_mbr`.  :func:`pack_leaf_level`
 packs an entry list into that table first.

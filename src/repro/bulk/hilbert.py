@@ -20,6 +20,7 @@ I/Os than PR and ~11× fewer than TGS).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Sequence
 
 from repro.bulk.base import BuildStats, pack_ordered, require_dim, timed
@@ -33,6 +34,7 @@ from repro.geometry.hilbert import (
     hilbert_key_for_corners,
     hilbert_keys_for_centers,
     hilbert_keys_for_corners,
+    not_finite,
 )
 from repro.geometry.rect import Rect, mbr_of
 from repro.iomodel.blockstore import BlockStore
@@ -95,9 +97,12 @@ def build_hilbert4(
 
 
 def _external_bounds(stream: BlockStream) -> Rect:
-    """One scan computing the dataset MBR."""
+    """One scan computing the dataset MBR; a non-finite rectangle is
+    refused before anything is written."""
     bounds: Rect | None = None
-    for rect, _ in stream:
+    for i, (rect, _) in enumerate(stream):
+        if not all(map(math.isfinite, rect.lo + rect.hi)):
+            raise not_finite(i, rect.lo, rect.hi)
         bounds = rect if bounds is None else bounds.union(rect)
     if bounds is None:
         raise ValueError("cannot bulk-load an empty stream externally")

@@ -253,17 +253,39 @@ def hilbert_key_for_corners(
 # route row by row.
 
 
+def not_finite(i: int, lo, hi) -> ValueError:
+    """The error a Hilbert-keyed load raises for rectangle ``i``: its
+    coordinates have no cell on the finite grid."""
+    return ValueError(
+        f"rectangle {i}, {tuple(lo)} to {tuple(hi)}, has a non-finite "
+        f"coordinate: Hilbert keys need finite ones"
+    )
+
+
+def require_finite(lo, hi) -> None:
+    """Raise :func:`not_finite` for the first row of a ``lo``/``hi``
+    table with an infinite or NaN coordinate."""
+    finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise not_finite(i, lo[i].tolist(), hi[i].tolist())
+
+
 def hilbert_keys_for_centers(
     lo, hi, bounds: Rect, order: int = DEFAULT_ORDER
 ) -> list[int]:
-    """:func:`hilbert_key_for_center` of every row of a ``lo``/``hi`` table."""
+    """:func:`hilbert_key_for_center` of every row of a ``lo``/``hi`` table
+    (:func:`require_finite` first)."""
+    require_finite(lo, hi)
     return _point_keys((lo + hi) / 2.0, bounds.lo, _square_side(bounds), order)
 
 
 def hilbert_keys_for_corners(
     lo, hi, bounds: Rect, order: int = DEFAULT_ORDER
 ) -> list[int]:
-    """:func:`hilbert_key_for_corners` of every row of a ``lo``/``hi`` table."""
+    """:func:`hilbert_key_for_corners` of every row of a ``lo``/``hi`` table
+    (:func:`require_finite` first)."""
+    require_finite(lo, hi)
     return _point_keys(
         np.hstack((lo, hi)), bounds.lo * 2, _square_side(bounds), order
     )

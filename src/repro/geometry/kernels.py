@@ -1,16 +1,32 @@
-"""Vectorized geometry kernels over structure-of-arrays node frames.
+"""Vectorized geometry kernels over a node's box table.
 
 Traversal CPU went to per-entry Python ``Rect`` method calls.  This
-module is the fix — the pyrtree idiom of holding a node's
-geometry as two contiguous ``(n, d)`` coordinate arrays (``lo`` rows and
-``hi`` rows) and evaluating the *whole node* in one numpy expression.
-The write path runs on the same frames: ChooseLeaf, FindLeaf, the
-quadratic node split (:func:`quadratic_split`) and the pairwise sibling
-overlap of the index-health walk are kernels here too.  So does
-construction: the bulk loaders lay a level out as one table
-(:func:`coord_table`), cut nodes out of it (:func:`table_take`) and
-box them with :func:`frame_mbr`; ``shard_pack`` gathers leaf frames
-back into one (:func:`table_concat`).
+module is the fix: a node's geometry is held as one ``(2d, n)`` float64
+*box table* and the *whole node* is evaluated in one numpy expression.
+Its rows are the paper's 2d-dimensional corner mapping of each
+rectangle with the max half negated, ``lo_0 .. lo_{d-1}, -hi_0 ..
+-hi_{d-1}`` (:func:`box_table`), so every containment test is one
+dominance test: a box meets window Q exactly when ``[lo; -hi] <=
+[Q.hi; -Q.lo]`` on every row.  Each query builds its ``(2d, 1)`` bound
+once (:func:`box_bound`, :func:`meet_bound`), and :func:`frame_rows` is
+one broadcast compare and one ``logical_and.reduce`` over the 2d rows,
+in any dimension:
+
+=====================  ====================  ======
+rows of the table      bound                 test
+=====================  ====================  ======
+meeting window Q       ``meet_bound(Q)``     ``LE``
+containing point p     ``meet_bound(p, p)``  ``LE``
+contained in Q         ``box_bound(Q)``      ``GE``
+containing Q           ``box_bound(Q)``      ``LE``
+equal to Q             ``box_bound(Q)``      ``EQ``
+=====================  ====================  ======
+
+Negation is a sign-bit flip, so a box round-trips every coordinate
+exactly (±0.0, subnormals, ±inf, NaN payloads).  The write path and the
+index-health walk read the derived ``(n, d)`` ``lo``/``hi`` tables
+instead: ChooseLeaf, the quadratic node split (:func:`quadratic_split`),
+areas, margins and the pairwise sibling overlap are kernels on those.
 
 Two tiers, one source of truth:
 
@@ -20,22 +36,18 @@ Two tiers, one source of truth:
   distance math here, so the scalar and vector paths literally share
   arithmetic and cannot drift apart.
 * **Frame kernels** (``frame_*``) evaluate one query against every row
-  of a coordinate table at once and return the matching row indices as
-  one ascending index array (or a per-row value array) — an array, so
-  a query gathers its rows' pointers with one index and no Python list.
+  of a table at once and return the matching row indices as one
+  ascending index array (or a per-row value array) — an array, so a
+  query gathers its rows' pointers with one index and no Python list.
 
 numpy is the only backend.  Frame results are
 **bit-identical** to the scalar kernels: both compute the same IEEE-754
 operations in the same order (axis order for sums/products, entry order
 for scans).  ``tests/unit/test_kernels.py`` checks every frame kernel
-row by row against its scalar twin, and the differential suite in
+row by row against its scalar twin and against the ``(lo, hi)`` kernels
+the box replaced, and the differential suite in
 ``tests/integration/test_vectorized_differential.py`` checks every
 engine against verbatim scalar oracles.
-
-``coord_table`` is the canonical constructor: it turns a list of
-coordinate rows into a C-contiguous ``(n, dim)`` float64 array, and
-everything downstream (``NodeFrame``, the codec's array decoder) goes
-through it.
 """
 
 from __future__ import annotations
@@ -48,15 +60,14 @@ import numpy as np
 __all__ = [
     "np",
     "coord_table",
-    "table_len",
-    "table_row",
     "table_tuples",
-    "table_column",
-    "table_concat",
-    "table_take",
-    "table_append",
-    "table_replace",
-    "table_delete",
+    "box_table",
+    "box_of",
+    "box_bound",
+    "meet_bound",
+    "LE",
+    "GE",
+    "EQ",
     # scalar kernels
     "intersects",
     "contains",
@@ -67,20 +78,16 @@ __all__ = [
     "enlargement",
     "intersection_area",
     # frame kernels
+    "frame_rows",
+    "frame_count",
     "frame_intersecting",
-    "frame_containing_point",
-    "frame_contained_in",
     "frame_dist_sq_to_point",
-    "frame_dist_sq_to_rect",
     "frame_nearest_run",
-    "frame_containing_rect",
-    "frame_equal_to",
     "frame_least_enlargement",
     "frame_areas",
     "frame_margins",
     "frame_overlap_sum",
     "frame_mbr",
-    "frame_count_intersecting",
     "frame_pair_mask",
     # node split
     "quadratic_split",
@@ -93,7 +100,7 @@ BACKEND = "numpy"
 
 
 # ----------------------------------------------------------------------
-# Coordinate tables
+# Coordinate and box tables
 # ----------------------------------------------------------------------
 
 
@@ -103,75 +110,48 @@ def coord_table(rows: Sequence[Sequence[float]], dim: int):
     return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
-def table_len(table) -> int:
-    """Number of rows in a coordinate table."""
-    return len(table)
-
-
 def as_coords(coords):
-    """One coordinate row as a float64 array.
-
-    Engines convert a query's ``lo``/``hi`` once per query and hand the
-    result to every frame kernel, so the per-node calls skip the
-    tuple-to-array conversion.
-    """
+    """One coordinate row as a float64 array."""
     return np.asarray(coords, dtype=np.float64)
 
 
-def table_row(table, i: int) -> tuple[float, ...]:
-    """Row ``i`` as a tuple of Python floats (for Rect materialization)."""
-    return tuple(table[i].tolist())
-
-
 def table_tuples(table) -> Iterable[tuple[float, ...]]:
-    """Every row as a tuple of Python floats (one ``tolist``; zipping
-    the columns builds the tuples with no list per row in between)."""
+    """Every row of an ``(n, d)`` table as a tuple of Python floats (one
+    ``tolist``; zipping the columns builds the tuples with no list per
+    row in between)."""
     return zip(*table.T.tolist())
 
 
-def table_column(table, k: int) -> list[float]:
-    """Column ``k`` as a list of Python floats (the join's sweep keys)."""
-    return table[:, k].tolist()
+def box_table(rows: Sequence[Sequence[float]], dim: int):
+    """A C-contiguous ``(2 * dim, n)`` box table from ``n`` rows
+    ``lo + hi`` of ``2 * dim`` floats: row ``k`` holds ``lo_k`` and row
+    ``dim + k`` holds ``-hi_k``."""
+    box = np.array(rows, dtype=np.float64).reshape(len(rows), 2 * dim).T.copy()
+    np.negative(box[dim:], out=box[dim:])
+    return box
 
 
-# The write path edits a node's tables one row at a time.  Tables are
-# never mutated in place — every helper returns a new table — so a frame
-# handed to a reader stays valid whatever the owning node does next.
+def box_of(lo, hi):
+    """The box table of two ``(n, d)`` coordinate tables."""
+    return np.concatenate((lo.T, np.negative(hi.T)))
 
 
-def table_concat(tables: Sequence):
-    """A new table: the rows of every table in ``tables``, in order."""
-    return np.concatenate(tables)
+def _column(first, second):
+    return np.array([*first, *[-c for c in second]], dtype=np.float64)[:, None]
 
 
-def table_take(table, rows: Sequence[int]):
-    """A new table holding rows ``rows`` of ``table``, in that order."""
-    return table[rows]
+def box_bound(lo, hi):
+    """Box ``(lo, hi)`` as a ``(2d, 1)`` column ``[lo; -hi]``: a row
+    contains it where the box table is ``LE``, lies inside it where
+    ``GE``, equals it where ``EQ``."""
+    return _column(lo, hi)
 
 
-def table_append(table, row: Sequence[float]):
-    """A new table: ``table`` plus ``row`` at the end."""
-    # Sized by the row: an empty node's table has no width yet.
-    out = np.empty((len(table) + 1, len(row)), dtype=np.float64)
-    if len(table):
-        out[:-1] = table
-    out[-1] = row
-    return out
-
-
-def table_replace(table, i: int, row: Sequence[float]):
-    """A new table: ``table`` with row ``i`` replaced by ``row``."""
-    out = table.copy()
-    out[i] = row
-    return out
-
-
-def table_delete(table, i: int):
-    """A new table: ``table`` without row ``i``."""
-    out = np.empty((len(table) - 1, table.shape[1]), dtype=np.float64)
-    out[:i] = table[:i]
-    out[i:] = table[i + 1 :]
-    return out
+def meet_bound(lo, hi):
+    """``[hi; -lo]``: a row meets box ``(lo, hi)`` (boundary contact
+    counts) where the box table is ``LE`` this column; a point ``p`` is
+    the box ``(p, p)``."""
+    return _column(hi, lo)
 
 
 # ----------------------------------------------------------------------
@@ -287,99 +267,61 @@ def _upper_pairs(n: int):
     return i * n + j
 
 
-def _axes_mask(lo_test, lo, lo_bound, hi_test, hi, hi_bound):
-    """``(lo_test(lo, lo_bound) & hi_test(hi, hi_bound)).all(axis=1)``,
-    ANDed one axis at a time: cheaper on the few rows of a node or span."""
-    mask = lo_test(lo[:, 0], lo_bound[0]) & hi_test(hi[:, 0], hi_bound[0])
-    for k in range(1, lo.shape[1]):
-        mask &= lo_test(lo[:, k], lo_bound[k])
-        mask &= hi_test(hi[:, k], hi_bound[k])
-    return mask
-
-
-_LE, _GE, _EQ = np.less_equal, np.greater_equal, np.equal
+LE, GE, EQ = np.less_equal, np.greater_equal, np.equal
 
 #: What a row kernel reports for an empty table.
 NO_ROWS = np.empty(0, dtype=np.intp)
 NO_ROWS.flags.writeable = False
 
 
-def frame_intersecting(lo, hi, q_lo, q_hi):
-    """Row indices whose box intersects the query box, ascending."""
-    if len(lo) == 0:
+def frame_rows(test, box, bound):
+    """Rows of a box table where ``test(box, bound)`` holds on all 2d
+    rows, ascending: one compare, one fold over axis 0."""
+    if not box.size:
         return NO_ROWS
-    return _axes_mask(_LE, lo, q_hi, _GE, hi, q_lo).nonzero()[0]
+    return np.logical_and.reduce(test(box, bound), axis=0).nonzero()[0]
 
 
-def frame_containing_point(lo, hi, point):
-    """Row indices whose box contains ``point`` (stabbing), ascending."""
-    if len(lo) == 0:
-        return NO_ROWS
-    return _axes_mask(_LE, lo, point, _GE, hi, point).nonzero()[0]
-
-
-def frame_contained_in(lo, hi, q_lo, q_hi):
-    """Row indices whose box lies entirely inside the query box."""
-    if len(lo) == 0:
-        return NO_ROWS
-    return _axes_mask(_GE, lo, q_lo, _LE, hi, q_hi).nonzero()[0]
-
-
-def frame_containing_rect(lo, hi, q_lo, q_hi):
-    """Row indices whose box contains the whole query box (FindLeaf)."""
-    if len(lo) == 0:
-        return NO_ROWS
-    return _axes_mask(_LE, lo, q_lo, _GE, hi, q_hi).nonzero()[0]
-
-
-def frame_equal_to(lo, hi, q_lo, q_hi):
-    """Row indices whose box equals the query box, ascending."""
-    if len(lo) == 0:
-        return NO_ROWS
-    return _axes_mask(_EQ, lo, q_lo, _EQ, hi, q_hi).nonzero()[0]
-
-
-def frame_count_intersecting(lo, hi, q_lo, q_hi) -> int:
-    """Number of rows intersecting the query box (no index list built)."""
-    if len(lo) == 0:
+def frame_count(test, box, bound) -> int:
+    """How many rows :func:`frame_rows` keeps (no index array built)."""
+    if not box.size:
         return 0
-    return int(np.count_nonzero(_axes_mask(_LE, lo, q_hi, _GE, hi, q_lo)))
+    return int(np.count_nonzero(np.logical_and.reduce(test(box, bound), axis=0)))
+
+
+def frame_intersecting(lo, hi, q_lo, q_hi):
+    """:func:`frame_rows` meeting a query box, for a caller holding two
+    ``(n, d)`` coordinate tables instead of a box table."""
+    return frame_rows(LE, box_of(lo, hi), meet_bound(q_lo, q_hi))
+
+
+def _dist_sq(box, reach):
+    """Per-row squared MINDIST to the box whose :func:`meet_bound` is
+    ``reach``: of each axis's two gaps at most one is positive, and the
+    squares are summed axis by axis, as the scalar kernels do."""
+    gap = np.subtract(box, reach)
+    np.maximum(gap, 0.0, out=gap)
+    half = len(box) // 2
+    side = np.add(gap[:half], gap[half:])
+    np.multiply(side, side, out=side)
+    return np.add.reduce(side, axis=0)
 
 
 def frame_dist_sq_to_point(lo, hi, point) -> list[float]:
-    """Per-row squared MINDIST from ``point`` (kNN expansion order)."""
+    """Per-row squared MINDIST from ``point`` over two ``(n, d)``
+    coordinate tables (the kNN engine's arithmetic)."""
     if len(lo) == 0:
         return []
-    p = np.asarray(point, dtype=np.float64)
-    below = np.maximum(lo - p, 0.0)
-    above = np.maximum(p - hi, 0.0)
-    d = below + above  # at most one side is nonzero per axis
-    return (d * d).sum(axis=1).tolist()
+    return _dist_sq(box_of(lo, hi), meet_bound(point, point)).tolist()
 
 
-def _dist_sq_to_rect(lo, hi, q_lo, q_hi):
-    below = np.maximum(q_lo - hi, 0.0)
-    above = np.maximum(lo - q_hi, 0.0)
-    d = below + above
-    return (d * d).sum(axis=1)
-
-
-def frame_dist_sq_to_rect(lo, hi, q_lo, q_hi) -> list[float]:
-    """Per-row squared MINDIST from a query box."""
-    if len(lo) == 0:
-        return []
-    ql = np.asarray(q_lo, dtype=np.float64)
-    qh = np.asarray(q_hi, dtype=np.float64)
-    return _dist_sq_to_rect(lo, hi, ql, qh).tolist()
-
-
-def frame_nearest_run(lo, hi, q_lo, q_hi) -> tuple[list[float], list[int]]:
-    """Rows by squared MINDIST from a query box, ties in row order: the
-    sorted distances and the row order (one stable argsort; a point is
-    the box ``q_lo == q_hi``).  A node's run on the kNN heap."""
-    if len(lo) == 0:
+def frame_nearest_run(box, reach) -> tuple[list[float], list[int]]:
+    """Rows by squared MINDIST from the box whose :func:`meet_bound` is
+    ``reach``, ties in row order: the sorted distances and the row order
+    (one stable argsort).  A node's run on the kNN heap."""
+    if not box.size:
         return [], []
-    dist = _dist_sq_to_rect(lo, hi, q_lo, q_hi)
+    dist = _dist_sq(box, reach)
     order = dist.argsort(kind="stable")
     return dist[order].tolist(), order.tolist()
 
@@ -474,18 +416,17 @@ def frame_mbr(lo, hi) -> tuple[tuple[float, ...], tuple[float, ...]]:
     )
 
 
-def frame_pair_mask(a_lo, a_hi, b_lo, b_hi):
-    """Full ``(n_a, n_b)`` intersection mask between two tables.
+def frame_pair_mask(a_box, b_box):
+    """Full ``(n_a, n_b)`` intersection mask between two box tables.
 
     The spatial join's leaf x leaf (and internal x internal) evaluation:
     one broadcast replaces every per-pair ``Rect.intersects`` call the
-    plane sweep would otherwise make.
+    plane sweep would otherwise make.  Column ``j`` of ``reach`` is
+    the :func:`meet_bound` of ``b_box``'s column ``j``.
     """
-    # (n_a, 1, d) against (1, n_b, d)
-    inter = (a_hi[:, None, :] >= b_lo[None, :, :]) & (
-        a_lo[:, None, :] <= b_hi[None, :, :]
-    )
-    return inter.all(axis=2)
+    half = len(b_box) // 2
+    reach = np.negative(np.concatenate((b_box[half:], b_box[:half])))
+    return np.logical_and.reduce(a_box[:, :, None] <= reach[:, None, :], axis=0)
 
 
 # ----------------------------------------------------------------------

@@ -105,8 +105,8 @@ class NodeCodec:
         encoded = b"".join(parts)
         return encoded.ljust(self.block_size, b"\x00")
 
-    def encode_arrays(self, is_leaf: bool, lo, hi, ptrs) -> bytes:
-        """Pack a node held as coordinate tables into one block.
+    def encode_arrays(self, is_leaf: bool, box, ptrs) -> bytes:
+        """Pack a node held as a box table into one block.
 
         The inverse of :meth:`decode_arrays` and byte-for-byte what
         :meth:`encode` produces for the same rows — the write-back path
@@ -120,14 +120,15 @@ class NodeCodec:
             )
         dim = self.dim
         header = struct.pack(HEADER_FORMAT, 1 if is_leaf else 0, count)
-        if count and lo.shape[1] != dim:
+        if count and len(box) != 2 * dim:
             raise ValueError(
-                f"rows have dimension {lo.shape[1]}, codec expects {dim}"
+                f"rows have dimension {len(box) // 2}, codec expects {dim}"
             )
         raw = np.empty(count, dtype=self._record_dtype)
         if count:
-            raw["coords"][:, :dim] = lo
-            raw["coords"][:, dim:] = hi
+            coords = raw["coords"]
+            coords[:, :dim] = box[:dim].T
+            np.negative(box[dim:].T, out=coords[:, dim:])
             raw["ptr"] = ptrs
         return (header + raw.tobytes()).ljust(self.block_size, b"\x00")
 
@@ -152,10 +153,10 @@ class NodeCodec:
     def decode_arrays(self, block: bytes):
         """Decode a block straight into structure-of-arrays form.
 
-        Returns ``(is_leaf, lo_table, hi_table, ptrs)`` where the tables
-        are :func:`repro.geometry.kernels.coord_table`-shaped (an
-        ``(n, dim)`` float64 array each) and ``ptrs`` is the pointer
-        column, an ``(n,)`` int64 array.  No ``Rect`` objects are
+        Returns ``(is_leaf, box, ptrs)``: ``box`` is the rows' C-contiguous
+        ``(2 * dim, n)`` float64 box table (lo rows, then negated hi rows;
+        see :func:`repro.geometry.kernels.box_table`) and ``ptrs`` the
+        pointer column, an ``(n,)`` int64 array.  No ``Rect`` objects are
         materialized and no per-row Python object is built — this is
         the read path's decoder; ``storage/paged.py`` wraps the result
         in a ``NodeFrame``.  Byte layout is exactly :meth:`decode`'s.
@@ -166,15 +167,13 @@ class NodeCodec:
             )
         leaf_flag, count = struct.unpack_from(HEADER_FORMAT, block, 0)
         self._check_header(leaf_flag, count)
-        dim = self.dim
         raw = np.frombuffer(
             block, dtype=self._record_dtype, count=count, offset=HEADER_BYTES
         )
-        # One copy per table, straight out of the strided record field.
-        coords = raw["coords"]
-        lo = coords[:, :dim].astype(np.float64)
-        hi = coords[:, dim:].astype(np.float64)
-        return bool(leaf_flag), lo, hi, raw["ptr"].astype(np.int64)
+        # One strided copy out of the record field, one negate.
+        box = raw["coords"].T.astype(np.float64, order="C")
+        np.negative(box[self.dim :], out=box[self.dim :])
+        return bool(leaf_flag), box, raw["ptr"].astype(np.int64)
 
     def _check_header(self, leaf_flag: int, count: int) -> None:
         """Reject a header no encoder writes: a leaf flag outside
@@ -189,9 +188,10 @@ class NodeCodec:
 
     def decode_many(self, buf, m: int) -> list[tuple]:
         """:meth:`decode_arrays` of ``m`` blocks laid end to end in
-        ``buf``, at once: one header check, one strided view of the
-        entry slots and one ``astype`` per column; block ``b`` gets
-        C-contiguous slices ``[b, :count]`` of the batch tables."""
+        ``buf``, at once: one header check, one strided copy of the
+        entry slots into an ``(m, 2 * dim, room)`` batch table, one
+        negate of its hi rows and one ``astype`` of the pointers; block
+        ``b`` gets the slices ``[b, :, :count]`` and ``[b, :count]``."""
         if m <= 1:  # a batch of one is one block
             return [self.decode_arrays(buf)] if m else []
         size, room, dim = self.block_size, self._room, self.dim
@@ -207,11 +207,10 @@ class NodeCodec:
             (m, room), self._record_dtype, buf, HEADER_BYTES,
             (size, self._entry_size),
         )
-        coords = raw["coords"]
-        lo = coords[:, :, :dim].astype(np.float64)
-        hi = coords[:, :, dim:].astype(np.float64)
+        box = raw["coords"].transpose(0, 2, 1).astype(np.float64, order="C")
+        np.negative(box[:, dim:], out=box[:, dim:])
         ptrs = raw["ptr"].astype(np.int64)
         return [
-            (flag == 1, lo[b, :count], hi[b, :count], ptrs[b, :count])
+            (flag == 1, box[b, :, :count], ptrs[b, :count])
             for b, (flag, count) in enumerate(zip(flags, counts))
         ]

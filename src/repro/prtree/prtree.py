@@ -17,9 +17,9 @@ standard engine, and inherits the pseudo-PR-tree's query bound
 
 Each stage's pseudo-PR-tree is built on one corner table
 (:mod:`repro.prtree.pseudo` says how, and how ties are resolved), and a
-pseudo-leaf becomes its node with the rows it was cut from as the
-node's frame (:meth:`~repro.prtree.pseudo.PseudoLeaf.node`), so neither
-the loader nor a later ``pack_tree`` packs a node's coordinate tables
+pseudo-leaf becomes its node with the box columns it was cut from as
+the node's frame (:meth:`~repro.prtree.pseudo.PseudoLeaf.node`), so
+neither the loader nor a later ``pack_tree`` packs a node's box table
 again.
 """
 

@@ -52,11 +52,12 @@ Construction
 The definition spelled out is a full ``list.sort`` by that key per
 selection; ``tests/integration/test_vectorized_differential.py`` keeps
 that sort-based body as the oracle.  :class:`_TableBuild` makes the
-same selections on one ``(n, 2d)`` corner table plus a pointer column:
+same selections on one ``(2d, n)`` corner table — the items' box table,
+max half negated — plus a pointer column:
 ``argpartition`` finds the pivot coordinate, one exact pass over the
 rows tied on it takes those the pointer order admits, and only the rows
 kept are ever sorted.  Same leaves, same items in the same order, same
-boxes; its leaves also carry their rows of the table, so the R-tree
+boxes; its leaves also carry their columns of the table, so the R-tree
 node each becomes (:meth:`PseudoLeaf.node`) is stored with its frame
 attached.  Because the pointers settle every tie, they must be distinct
 integers; anything else is a ``ValueError``.  The PR-tree loaders pass
@@ -85,7 +86,7 @@ class PseudoLeaf:
     in corner-axis direction k, ``"normal"`` for a recursion-bottom leaf.
     """
 
-    __slots__ = ("items", "kind", "_mbr", "_tables")
+    __slots__ = ("items", "kind", "_mbr", "_box")
 
     def __init__(self, items: list[Item], kind: str):
         if not items:
@@ -93,18 +94,18 @@ class PseudoLeaf:
         self.items = items
         self.kind = kind
         self._mbr = mbr_of(rect for rect, _ in items)
-        frame = NodeFrame.from_entries(False, items)
-        self._tables = (frame.lo, frame.hi)
+        self._box = NodeFrame.from_entries(False, items).box
 
     @classmethod
-    def from_tables(cls, items: list[Item], kind: str, lo, hi) -> "PseudoLeaf":
-        """A leaf whose construction already holds the items' ``lo`` /
-        ``hi`` coordinate tables (at least one row)."""
+    def from_box(cls, items: list[Item], kind: str, box) -> "PseudoLeaf":
+        """A leaf whose construction already holds the items' box table
+        (at least one column)."""
         leaf = cls.__new__(cls)
         leaf.items = items
         leaf.kind = kind
-        leaf._mbr = Rect(*kernels.frame_mbr(lo, hi))
-        leaf._tables = (lo, hi)
+        half = len(box) // 2
+        leaf._mbr = Rect(*kernels.frame_mbr(box[:half].T, -box[half:].T))
+        leaf._box = box
         return leaf
 
     @property
@@ -114,9 +115,8 @@ class PseudoLeaf:
 
     def node(self, is_leaf: bool) -> Node:
         """The R-tree node this leaf becomes on one level of a PR-tree."""
-        lo, hi = self._tables
         ptrs = pointer_column([pointer for _, pointer in self.items])
-        return Node.from_frame(NodeFrame(is_leaf, lo, hi, ptrs))
+        return Node.from_frame(NodeFrame(is_leaf, self._box, ptrs))
 
     @property
     def is_priority(self) -> bool:
@@ -349,12 +349,10 @@ class _TableBuild:
         self.items = items
         self.pointers = pointers
         dim = tree.dim
-        self.lo = kernels.coord_table([rect.lo for rect, _ in items], dim)
-        self.hi = kernels.coord_table([rect.hi for rect, _ in items], dim)
+        #: The items' box table; each leaf's is cut out of it.
+        self.box = kernels.box_table([rect.lo + rect.hi for rect, _ in items], dim)
         #: Corner axis k as a column: ``columns[k][rows]``.
-        self.columns = [self.lo[:, k] for k in range(dim)] + [
-            self.hi[:, k] for k in range(dim)
-        ]
+        self.columns = list(self.box[:dim]) + list(-self.box[dim:])
 
     def _ordered(self, rows, axis: int, descending: bool):
         """``rows`` sorted by ``(corner coordinate, pointer)``."""
@@ -373,8 +371,8 @@ class _TableBuild:
 
     def _leaf(self, rows, kind: str) -> PseudoLeaf:
         items = self.items
-        return PseudoLeaf.from_tables(
-            [items[i] for i in rows.tolist()], kind, self.lo[rows], self.hi[rows]
+        return PseudoLeaf.from_box(
+            [items[i] for i in rows.tolist()], kind, np.take(self.box, rows, axis=1)
         )
 
     def build(self, rows, depth: int, order=None) -> PseudoNode | PseudoLeaf:

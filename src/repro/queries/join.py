@@ -152,8 +152,8 @@ def _sweep_state_of(frame: NodeFrame) -> _SweepState:
     to the historical ``entries[i][0].lo[0]`` accesses), and the order
     is the same stable sort :func:`sweep_order` produces.
     """
-    xlo = kernels.table_column(frame.lo, 0)
-    xhi = kernels.table_column(frame.hi, 0)
+    xlo = frame.box[0].tolist()
+    xhi = (-frame.box[len(frame.box) // 2]).tolist()
     order = sorted(range(len(xlo)), key=xlo.__getitem__)
     return order, xlo, xhi
 
@@ -298,9 +298,7 @@ class SpatialJoinEngine:
         rec_a = self._left._recorder
         rec_b = self._right._recorder
         if frame_a.is_leaf and frame_b.is_leaf:
-            mask = kernels.frame_pair_mask(
-                frame_a.lo, frame_a.hi, frame_b.lo, frame_b.hi
-            )
+            mask = kernels.frame_pair_mask(frame_a.box, frame_b.box)
             if out is None and rec_a is None:
                 # Count-only: the mask already holds every intersecting
                 # pair exactly once — no sweep needed.  (Under EXPLAIN
@@ -327,18 +325,16 @@ class SpatialJoinEngine:
                 rec_b.note_matched(id_b, len({j for _, j in pairs}))
         elif frame_a.is_leaf:
             # Height mismatch: fix the left leaf, descend the right tree.
-            rows = kernels.frame_intersecting(
-                frame_b.lo, frame_b.hi, *kernels.frame_mbr(frame_a.lo, frame_a.hi)
-            )
+            reach = kernels.meet_bound(*kernels.frame_mbr(frame_a.lo, frame_a.hi))
+            rows = kernels.frame_rows(kernels.LE, frame_b.box, reach)
             if rec_b is not None:
                 rec_b.note_matched(id_b, len(rows))
             for child_id in frame_b.ptrs[rows].tolist():
                 child = self._right._frame(child_id, stats.right)
                 self._join_pair(id_a, frame_a, child_id, child, out, stats)
         elif frame_b.is_leaf:
-            rows = kernels.frame_intersecting(
-                frame_a.lo, frame_a.hi, *kernels.frame_mbr(frame_b.lo, frame_b.hi)
-            )
+            reach = kernels.meet_bound(*kernels.frame_mbr(frame_b.lo, frame_b.hi))
+            rows = kernels.frame_rows(kernels.LE, frame_a.box, reach)
             if rec_a is not None:
                 rec_a.note_matched(id_a, len(rows))
             for child_id in frame_a.ptrs[rows].tolist():
@@ -351,9 +347,7 @@ class SpatialJoinEngine:
             pairs = _sweep_frames(
                 self._sweep_state(self._orders_left, id_a, frame_a),
                 self._sweep_state(self._orders_right, id_b, frame_b),
-                kernels.frame_pair_mask(
-                    frame_a.lo, frame_a.hi, frame_b.lo, frame_b.hi
-                ),
+                kernels.frame_pair_mask(frame_a.box, frame_b.box),
             )
             for i, j in pairs:
                 matches.setdefault(i, []).append(j)

@@ -163,16 +163,15 @@ class KNNEngine(TraversalEngine):
         """
         stats.queries += 1
         if isinstance(target, Rect):
-            q_lo = kernels.as_coords(target.lo)
-            q_hi = kernels.as_coords(target.hi)
+            reach = kernels.meet_bound(target.lo, target.hi)
         else:
-            q_lo = q_hi = kernels.as_coords(target)
+            reach = kernels.meet_bound(target, target)
         recorder = self._recorder
         # (dist_sq, counter, row, frame, rest of the run); the counter
         # breaks ties, so heapq never compares further.  The root is a
         # one-row run of its own, on a frame that holds only its id.
         root_id = pointer_column([self.tree.root_id])
-        root = NodeFrame(False, None, None, root_id)
+        root = NodeFrame(False, None, root_id)
         heap = [(0.0, 0, 0, root, iter(()))]
         counter = 0
         while heap:
@@ -194,9 +193,7 @@ class KNNEngine(TraversalEngine):
                 # nodes are the pruning the plan's per-level node counts
                 # show.
                 recorder.note_matched(block_id, len(child))
-            dists, rows = kernels.frame_nearest_run(
-                child.lo, child.hi, q_lo, q_hi
-            )
+            dists, rows = kernels.frame_nearest_run(child.box, reach)
             if rows:
                 run = zip(dists, map((counter + 1).__add__, rows), rows)
                 heapq.heappush(heap, next(run) + (child, run))

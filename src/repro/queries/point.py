@@ -26,7 +26,6 @@ from typing import Any, Sequence
 from repro.geometry import kernels
 from repro.geometry.rect import Rect, check_dim
 from repro.queries.base import Matches, QueryStats, TraversalEngine
-from repro.rtree.query import on_window
 
 __all__ = [
     "PointQueryEngine",
@@ -47,10 +46,10 @@ class PointQueryEngine(TraversalEngine):
         """All stored rectangles containing ``point`` (stabbing query)."""
         point = tuple(float(c) for c in point)
         check_dim(point, self.tree.dim)
-        p = kernels.as_coords(point)
+        reach = kernels.meet_bound(point, point)
 
-        def stabbing(lo, hi):
-            return kernels.frame_containing_point(lo, hi, p)
+        def stabbing(box):
+            return kernels.frame_rows(kernels.LE, box, reach)
 
         # A subtree is descended only when its box contains the point —
         # the same kernel prunes and reports.
@@ -64,9 +63,15 @@ class PointQueryEngine(TraversalEngine):
         # Pruning still uses intersection (a child box need not be
         # contained for its rectangles to be); reporting checks full
         # containment.
-        intersecting, contained = on_window(
-            window, kernels.frame_intersecting, kernels.frame_contained_in
-        )
+        reach = kernels.meet_bound(window.lo, window.hi)
+        inner = kernels.box_bound(window.lo, window.hi)
+
+        def intersecting(box):
+            return kernels.frame_rows(kernels.LE, box, reach)
+
+        def contained(box):
+            return kernels.frame_rows(kernels.GE, box, inner)
+
         return self._run(descend_rows=intersecting, report_rows=contained)
 
     def count(self, window: Rect) -> tuple[int, QueryStats]:
@@ -76,9 +81,14 @@ class PointQueryEngine(TraversalEngine):
         as ``stats.reported``.
         """
         check_dim(window, self.tree.dim)
-        intersecting, counting = on_window(
-            window, kernels.frame_intersecting, kernels.frame_count_intersecting
-        )
+        reach = kernels.meet_bound(window.lo, window.hi)
+
+        def intersecting(box):
+            return kernels.frame_rows(kernels.LE, box, reach)
+
+        def counting(box):
+            return kernels.frame_count(kernels.LE, box, reach)
+
         _, stats = self._run(intersecting, report_rows=None, count_rows=counting)
         return stats.reported, stats
 

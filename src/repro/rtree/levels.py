@@ -2,8 +2,9 @@
 
 The paper caches every internal node (Section 3.3, footnote 5);
 :class:`LevelTable` is that cache as arrays.  Per internal level, root
-first, every node's rows are stacked into one ``lo``/``hi`` table pair,
-with node row offsets and child pointers.  Level ``L + 1`` numbers its
+first, every node's rows are stacked into one box table (columns of
+:mod:`repro.geometry.kernels`'s ``(2d, n)`` layout), with node row
+offsets and child pointers.  Level ``L + 1`` numbers its
 nodes in the order their pointers appear among level ``L``'s rows, so
 row ``r`` of level ``L`` *is* node ``r`` of level ``L + 1``: a
 level-synchronous descent hands the rows it keeps down as the next
@@ -34,24 +35,24 @@ class Level:
     points at block ``ptrs[r]``: the rows' pointer column, converted
     once to the Python ints the store is called with."""
 
-    __slots__ = ("ids", "frames", "lo", "hi", "ptrs", "start")
+    __slots__ = ("ids", "frames", "box", "ptrs", "start")
 
     def __init__(self, ids: list[int], frames: list[NodeFrame]) -> None:
         rows = NodeFrame.concat(frames)
         self.ids, self.frames = ids, frames
-        self.lo, self.hi, self.ptrs = rows.lo, rows.hi, rows.ptrs.tolist()
+        self.box, self.ptrs = rows.box, rows.ptrs.tolist()
         self.start = [0, *accumulate(map(len, frames))]
 
     def survivors(
         self, frontier: list[int], test: Callable[..., list[int]]
     ) -> list[int]:
         """The rows of the ``frontier`` nodes (ascending) that
-        ``test(lo, hi)`` keeps, ascending: one kernel call over the row
+        ``test(box)`` keeps, ascending: one kernel call over the row
         span from the first to the last frontier node, then the rows of
         nodes in between that are not on the frontier are dropped."""
         first, last = frontier[0], frontier[-1]
         begin, end = self.start[first], self.start[last + 1]
-        rows = test(self.lo[begin:end], self.hi[begin:end]).tolist()
+        rows = test(self.box[:, begin:end]).tolist()
         if last - first >= len(frontier):
             keep, start = set(frontier), self.start
             rows = [r for r in rows if bisect_right(start, r + begin) - 1 in keep]

@@ -11,14 +11,17 @@ One representation
 ------------------
 
 A :class:`Node` holds exactly one thing besides its leaf flag: a
-:class:`NodeFrame`, the node's ``lo``/``hi`` coordinates as two
-``(n, d)`` tables plus an ``int64`` pointer column, so the kernels in
-:mod:`repro.geometry.kernels` evaluate a whole node (a window test,
-ChooseLeaf, FindLeaf, a split) in one operation.
+:class:`NodeFrame`, the node's box table — one ``(2d, n)`` float64
+array whose rows are ``lo_0 .. lo_{d-1}, -hi_0 .. -hi_{d-1}`` (see
+:mod:`repro.geometry.kernels`) — plus an ``int64`` pointer column, so
+every containment test on a whole node (a window, point, containment
+or count query, FindLeaf) is one compare and one fold.  The ``(n, d)``
+``lo`` and ``hi`` tables ChooseLeaf, the splitters and the health walk
+read are derived from it, not stored.
 
 * ``Node.from_frame(frame)`` — what the codec's array decoder and the
-  bulk loaders build (the loaders cut each node's rows out of one
-  coordinate table per level).
+  bulk loaders build (the loaders cut each node's columns out of one
+  box table per level).
 * ``Node(is_leaf, entries)`` — packs an entry list into a frame at
   once and keeps no list.
 
@@ -61,7 +64,8 @@ def _trusted_rect(lo: tuple[float, ...], hi: tuple[float, ...]) -> Rect:
 
 
 def rects_of(lo, hi) -> list[Rect]:
-    """One trusted :class:`Rect` per row of two coordinate tables.
+    """One trusted :class:`Rect` per row of two ``(n, d)`` coordinate
+    tables (a frame's derived ``lo`` and ``hi``).
 
     The bulk :func:`_trusted_rect`: one ``tolist`` per table, and three
     ``map`` passes allocate the objects and fill their slots without
@@ -81,8 +85,8 @@ def pointer_column(pointers: Sequence[int]):
 class NodeFrame:
     """Structure-of-arrays view of one node's geometry.
 
-    ``lo``/``hi`` are coordinate tables (``(n, d)`` float64 arrays — see
-    :func:`repro.geometry.kernels.coord_table`), ``ptrs`` the pointer
+    ``box`` is the node's ``(2d, n)`` float64 box table (see
+    :func:`repro.geometry.kernels.box_table`), ``ptrs`` the pointer
     column (an ``(n,)`` int64 array): a query gathers its rows' object
     ids from it in one index.  Frames are never edited in place: the
     edit methods below return a new frame, so one handed out earlier
@@ -90,22 +94,20 @@ class NodeFrame:
     (``ptrs.item(i)``, ``ptrs.tolist()``).
     """
 
-    __slots__ = ("is_leaf", "lo", "hi", "ptrs")
+    __slots__ = ("is_leaf", "box", "ptrs")
 
-    def __init__(self, is_leaf: bool, lo, hi, ptrs) -> None:
+    def __init__(self, is_leaf: bool, box, ptrs) -> None:
         self.is_leaf = is_leaf
-        self.lo = lo
-        self.hi = hi
+        self.box = box
         self.ptrs = ptrs
 
     @classmethod
     def from_entries(cls, is_leaf: bool, entries: Sequence[Entry], dim: int | None = None) -> "NodeFrame":
-        """Pack an entry list into coordinate tables."""
+        """Pack an entry list into a box table."""
         if dim is None:
             dim = entries[0][0].dim if entries else 0
-        lo = kernels.coord_table([rect.lo for rect, _ in entries], dim)
-        hi = kernels.coord_table([rect.hi for rect, _ in entries], dim)
-        return cls(is_leaf, lo, hi, pointer_column([p for _, p in entries]))
+        box = kernels.box_table([rect.lo + rect.hi for rect, _ in entries], dim)
+        return cls(is_leaf, box, pointer_column([p for _, p in entries]))
 
     @classmethod
     def concat(cls, frames: Sequence["NodeFrame"]) -> "NodeFrame":
@@ -113,19 +115,30 @@ class NodeFrame:
         level), in order."""
         return cls(
             frames[0].is_leaf,
-            kernels.table_concat([frame.lo for frame in frames]),
-            kernels.table_concat([frame.hi for frame in frames]),
+            np.concatenate([frame.box for frame in frames], axis=1),
             np.concatenate([frame.ptrs for frame in frames]),
         )
 
     def __len__(self) -> int:
         return len(self.ptrs)
 
+    @property
+    def lo(self):
+        """The rows' lower corners, an ``(n, d)`` read-only view."""
+        lo = self.box[: len(self.box) // 2].T
+        lo.flags.writeable = False
+        return lo
+
+    @property
+    def hi(self):
+        """The rows' upper corners, a fresh ``(n, d)`` table."""
+        return np.negative(self.box[len(self.box) // 2 :].T)
+
     def rect(self, i: int) -> Rect:
         """Materialize row ``i`` as a :class:`Rect` (lazy, per row)."""
-        return _trusted_rect(
-            kernels.table_row(self.lo, i), kernels.table_row(self.hi, i)
-        )
+        column = self.box[:, i].tolist()
+        half = len(column) // 2
+        return _trusted_rect(tuple(column[:half]), tuple([-c for c in column[half:]]))
 
     def entry(self, i: int) -> Entry:
         """Materialize row ``i`` as a classic ``(Rect, pointer)`` entry."""
@@ -140,44 +153,34 @@ class NodeFrame:
         lo, hi = kernels.frame_mbr(self.lo, self.hi)
         return _trusted_rect(lo, hi)
 
-    # -- edits (each returns a new frame; see kernels.table_append) -----
+    # -- edits (each returns a new frame) -------------------------------
 
     def appended(self, rect: Rect, pointer: int) -> "NodeFrame":
         """This frame plus one row at the end."""
-        return NodeFrame(
-            self.is_leaf,
-            kernels.table_append(self.lo, rect.lo),
-            kernels.table_append(self.hi, rect.hi),
-            np.concatenate((self.ptrs, (pointer,))),
-        )
+        column = kernels.box_bound(rect.lo, rect.hi)
+        # An empty node's table may have no rows yet: the column sizes it.
+        box = np.concatenate((self.box, column), axis=1) if len(self) else column
+        return NodeFrame(self.is_leaf, box, np.concatenate((self.ptrs, (pointer,))))
 
     def replaced(self, i: int, rect: Rect, pointer: int) -> "NodeFrame":
         """This frame with row ``i`` set to ``(rect, pointer)``."""
-        ptrs = self.ptrs.copy()
+        box, ptrs = self.box.copy(), self.ptrs.copy()
+        box[:, i : i + 1] = kernels.box_bound(rect.lo, rect.hi)
         ptrs[i] = pointer
-        return NodeFrame(
-            self.is_leaf,
-            kernels.table_replace(self.lo, i, rect.lo),
-            kernels.table_replace(self.hi, i, rect.hi),
-            ptrs,
-        )
+        return NodeFrame(self.is_leaf, box, ptrs)
 
     def without(self, i: int) -> "NodeFrame":
         """This frame minus row ``i``."""
         return NodeFrame(
             self.is_leaf,
-            kernels.table_delete(self.lo, i),
-            kernels.table_delete(self.hi, i),
+            np.concatenate((self.box[:, :i], self.box[:, i + 1 :]), axis=1),
             np.concatenate((self.ptrs[:i], self.ptrs[i + 1 :])),
         )
 
     def take(self, rows: Sequence[int]) -> "NodeFrame":
         """A frame of rows ``rows``, in that order (one side of a split)."""
         return NodeFrame(
-            self.is_leaf,
-            kernels.table_take(self.lo, rows),
-            kernels.table_take(self.hi, rows),
-            self.ptrs[rows],
+            self.is_leaf, np.take(self.box, rows, axis=1), self.ptrs[rows]
         )
 
     def __repr__(self) -> str:

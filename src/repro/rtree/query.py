@@ -166,24 +166,26 @@ class Matches(ColumnarResult):
     @property
     def lo(self):
         """Lower corners as one ``(len, dim)`` coordinate table."""
-        return self._table("lo")
+        box = self._box()
+        return np.ascontiguousarray(box[: len(box) // 2].T)
 
     @property
     def hi(self):
         """Upper corners as one ``(len, dim)`` coordinate table."""
-        return self._table("hi")
+        box = self._box()
+        return np.negative(box[len(box) // 2 :].T, order="C")
 
-    def _table(self, side: str):
-        tables = [
-            kernels.table_take(getattr(frame, side), rows)
-            for frame, rows in self._parts
-        ]
-        if not tables:
-            return kernels.coord_table([], self._dim)
-        return kernels.table_concat(tables)
+    def _box(self):
+        """The matched rows' box table (columns in result order)."""
+        boxes = [np.take(frame.box, rows, axis=1) for frame, rows in self._parts]
+        if not boxes:
+            return np.empty((2 * self._dim, 0))
+        return boxes[0] if len(boxes) == 1 else np.concatenate(boxes, axis=1)
 
     def _build(self) -> list[tuple[Rect, Any]]:
-        return list(zip(rects_of(self.lo, self.hi), self._values))
+        box = self._box()
+        half = len(box) // 2
+        return list(zip(rects_of(box[:half].T, -box[half:].T), self._values))
 
     def __repr__(self) -> str:
         return f"Matches({len(self._values)} rows in {len(self._parts)} parts)"
@@ -194,17 +196,6 @@ def id_column(parts: Sequence[tuple[NodeFrame, Any]]):
     if not parts:
         return np.empty(0, dtype=np.int64)
     return np.concatenate([frame.ptrs[rows] for frame, rows in parts])
-
-
-def on_window(window: Rect, *frame_kernels: Callable) -> list[Callable]:
-    """``(lo, hi) -> kernel(lo, hi, q_lo, q_hi)`` per kernel, for one
-    query window whose corners are converted for the kernels once."""
-    q_lo = kernels.as_coords(window.lo)
-    q_hi = kernels.as_coords(window.hi)
-    return [
-        lambda lo, hi, kernel=kernel: kernel(lo, hi, q_lo, q_hi)
-        for kernel in frame_kernels
-    ]
 
 
 class TraversalEngine:
@@ -266,9 +257,9 @@ class TraversalEngine:
         """The reporting traversal every window, point and containment
         query is, one kernel call per level.
 
-        ``descend_rows(lo, hi)`` returns the internal rows to descend,
-        ``report_rows(lo, hi)`` the leaf rows to report (row kernels:
-        index arrays); a count-only operator passes ``count_rows``
+        ``descend_rows(box)`` returns the internal rows of a box table
+        to descend, ``report_rows(box)`` the leaf rows to report (row
+        kernels: index arrays); a count-only operator passes ``count_rows``
         instead so leaves never build an index array at all.  The
         descent is level-synchronous over the tree's pinned table; the
         surviving leaves are read in depth-first order — the reverse of
@@ -294,9 +285,9 @@ class TraversalEngine:
         if frames:
             frame = frames[0] if len(frames) == 1 else NodeFrame.concat(frames)
             if report_rows is None:
-                matched = count_rows(frame.lo, frame.hi)
+                matched = count_rows(frame.box)
             else:
-                rows = report_rows(frame.lo, frame.hi)
+                rows = report_rows(frame.box)
                 matched = len(rows)
                 if matched:
                     parts = ((frame, rows),)
@@ -317,7 +308,9 @@ class TraversalEngine:
         and EXPLAIN's physical reads are unchanged.  That walk reaches a
         node after all whose rows in the last level end later, and before
         its own subtree: so the reads sort by (end of those rows,
-        descending; depth; row, descending)."""
+        descending; depth; row, descending).  Once every internal node
+        on the way is paid for (any warm engine) no read is owed, and
+        the list is the leaves from the last row to the first."""
         accesses = []
         for depth, (level, nodes, _) in enumerate(steps):
             for j in nodes:
@@ -326,19 +319,26 @@ class TraversalEngine:
                     for lower, _, _ in steps[depth:]:
                         end = lower.start[end]
                     accesses.append((-end, depth, -j, level.ids[j]))
-        accesses += [(-r - 1, len(steps), -r, ptrs[r]) for r in reversed(frontier)]
-        accesses.sort()
         recorder = self._recorder
         physical = None if recorder is None else {}
-        nodes = self.tree.store.read_many([a[-1] for a in accesses], physical)
-        frames = []
-        for (_, depth, _, block_id), node in zip(accesses, nodes):
-            if depth == len(steps):
-                frames.append(node.frame())
-            else:
-                stats.internal_reads += 1
-                if self.cache_internal:
-                    self._counted.add(block_id)
+        if not accesses:
+            leaves = [ptrs[r] for r in reversed(frontier)]
+            nodes = self.tree.store.read_many(leaves, physical)
+            frames = [node.frame() for node in nodes]
+        else:
+            accesses += [
+                (-r - 1, len(steps), -r, ptrs[r]) for r in reversed(frontier)
+            ]
+            accesses.sort()
+            nodes = self.tree.store.read_many([a[-1] for a in accesses], physical)
+            frames = []
+            for (_, depth, _, block_id), node in zip(accesses, nodes):
+                if depth == len(steps):
+                    frames.append(node.frame())
+                else:
+                    stats.internal_reads += 1
+                    if self.cache_internal:
+                        self._counted.add(block_id)
         if recorder is not None:  # top-down: parents place their children
             for level, nodes, rows in steps:
                 for j in nodes:
@@ -374,7 +374,11 @@ class QueryEngine(TraversalEngine):
             # A loader given no data cannot know its dimension and
             # builds a 2-d tree: an empty tree answers every window.
             check_dim(window, self.tree.dim)
-        (intersecting,) = on_window(window, kernels.frame_intersecting)
+        reach = kernels.meet_bound(window.lo, window.hi)
+
+        def intersecting(box):
+            return kernels.frame_rows(kernels.LE, box, reach)
+
         return self._run(descend_rows=intersecting, report_rows=intersecting)
 
 

@@ -17,8 +17,9 @@ I/O cost is measurable just like query cost.
 
 Every per-node decision runs on the node's frame through
 :mod:`repro.geometry.kernels` — ChooseLeaf (``frame_least_enlargement``,
-which returns the chosen row), FindLeaf (``frame_containing_rect`` /
-``frame_equal_to``), the quadratic split, and the bounding boxes
+which returns the chosen row), FindLeaf (``frame_rows`` with the ``LE``
+and ``EQ`` tests against the rectangle's own box), the quadratic split,
+and the bounding boxes
 AdjustTree/CondenseTree propagate — and every edit goes through
 :class:`~repro.rtree.node.Node`'s whole-node methods, which replace the
 node's frame: a page decoded from disk never becomes an entry list.
@@ -189,8 +190,7 @@ def _find_leaf(
     subtrees share their ancestors through parent links; only the path
     to the leaf that matched is ever built.
     """
-    q_lo = kernels.as_coords(rect.lo)
-    q_hi = kernels.as_coords(rect.hi)
+    bound = kernels.box_bound(rect.lo, rect.hi)
     stack: list[tuple[int, tuple | None]] = [(tree.root_id, None)]
     while stack:
         block_id, link = stack.pop()
@@ -198,7 +198,7 @@ def _find_leaf(
         frame = node.frame()
         ptrs = frame.ptrs
         if frame.is_leaf:
-            rows = kernels.frame_equal_to(frame.lo, frame.hi, q_lo, q_hi)
+            rows = kernels.frame_rows(kernels.EQ, frame.box, bound)
             for idx in rows.tolist():
                 if tree.objects.get(ptrs.item(idx)) == value:
                     path: list[PathStep] = []
@@ -208,9 +208,7 @@ def _find_leaf(
                     path.reverse()
                     return path, block_id, node, idx
         else:
-            rows = kernels.frame_containing_rect(
-                frame.lo, frame.hi, q_lo, q_hi
-            )
+            rows = kernels.frame_rows(kernels.LE, frame.box, bound)
             for child_idx in rows.tolist():
                 stack.append(
                     (ptrs.item(child_idx), (block_id, node, child_idx, link))

@@ -130,10 +130,10 @@ def validate_rtree(
                 f"non-root node {block_id} has only {count} "
                 f"entries (minimum {fill_floor})"
             )
-        # An empty node's table is 0 columns wide: nothing to check.
-        if count and frame.lo.shape[1] != tree.dim:
+        # An empty node's table may have no rows: nothing to check.
+        if count and len(frame.box) != 2 * tree.dim:
             raise RTreeInvariantError(
-                f"node {block_id} holds a rect of dim {frame.lo.shape[1]}, "
+                f"node {block_id} holds a rect of dim {len(frame.box) // 2}, "
                 f"tree dim is {tree.dim}"
             )
         if node.is_leaf:

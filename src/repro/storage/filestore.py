@@ -635,11 +635,16 @@ class FileBlockStore:
             self._map.resize(end)
 
     def _pread(self, offset: int, n: int) -> bytes:
-        """Read ``n`` bytes at ``offset`` (may return short at EOF)."""
+        """Read ``n`` bytes at ``offset`` (may return short at EOF): a
+        slice of the mapping or of an in-memory store's buffer, or an
+        ``os.pread`` once the write buffer is flushed (so a write-back
+        still held there is seen)."""
         if self._map is not None:
             return bytes(self._map[offset : offset + n])
-        self._file.seek(offset)
-        return self._file.read(n)
+        if self.path is None:
+            return self._file.getbuffer()[offset : offset + n].tobytes()
+        self._file.flush()
+        return os.pread(self._file.fileno(), n, offset)
 
     def _raw_pwrite(self, offset: int, data: bytes) -> None:
         """Write ``data`` at ``offset``, extending the file if needed."""

@@ -294,12 +294,12 @@ class PagedNodeStore:
         if block is None:
             block = self.file_store.peek(block_id)
         try:
-            is_leaf, lo, hi, ptrs = self.codec.decode_arrays(block)
+            is_leaf, box, ptrs = self.codec.decode_arrays(block)
         except ValueError as exc:
             raise StorageError(
                 f"{self.file_store.path}: block {block_id}: {exc}"
             ) from None
-        return Node.from_frame(NodeFrame(is_leaf, lo, hi, ptrs))
+        return Node.from_frame(NodeFrame(is_leaf, box, ptrs))
 
     def _fill_locked(self, missed: list[tuple[BlockId, Node]]) -> None:
         """Read one :meth:`read_many`'s misses per run of adjacent slots
@@ -312,10 +312,11 @@ class PagedNodeStore:
             for b, (block_id, _) in enumerate(missed):
                 self._decode_locked(block_id, buf[b * size : (b + 1) * size])
             raise
-        for (_, node), (is_leaf, lo, hi, ptrs) in zip(missed, decoded):
-            # The page layer made these nodes empty; they become pages here.
+        for (_, node), (is_leaf, box, ptrs) in zip(missed, decoded):
+            # The page layer made these nodes empty; they become pages
+            # here, each on its slice of the batch table.
             node.is_leaf = is_leaf
-            node._frame = NodeFrame(is_leaf, lo, hi, ptrs)
+            node._frame = NodeFrame(is_leaf, box, ptrs)
 
     def _cache_locked(
         self,
@@ -348,9 +349,7 @@ class PagedNodeStore:
     ) -> None:
         """Encode one dirty page and physically write it (uncounted)."""
         frame = node.frame()
-        encoded = self.codec.encode_arrays(
-            frame.is_leaf, frame.lo, frame.hi, frame.ptrs
-        )
+        encoded = self.codec.encode_arrays(frame.is_leaf, frame.box, frame.ptrs)
         self.file_store.write_back(block_id, encoded)
         self.stats.flushes += 1
         if tap is not None:
@@ -672,7 +671,7 @@ def pack_tree(
             if not node.is_leaf:
                 ptrs = [index_of[child] for child in ptrs.tolist()]
             file_store.allocate(
-                codec.encode_arrays(node.is_leaf, frame.lo, frame.hi, ptrs)
+                codec.encode_arrays(node.is_leaf, frame.box, ptrs)
             )
         n_blocks = file_store.allocated_ever
         file_store.flush()  # commit, so the file size below is final

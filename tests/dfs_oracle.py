@@ -6,7 +6,10 @@ Verbatim copies of ``repro.iomodel.cache.LRUCache`` and of
 calling conventions that changed with them: the row kernels take
 ``(lo, hi)`` instead of a frame, EXPLAIN's ``on_node`` takes a frame,
 and the node-at-a-time operators (kNN, the join, window batches) ask
-``_frame`` for a node.  Mixed in ahead of an operator class, they give
+``_frame`` for a node.  The window, point, containment and count
+operators are kept too, on their own copies of the ``(lo, hi)`` row
+kernels (``tests/lohi_kernels.py``), so no engine row closure or box
+kernel is called.  Mixed in ahead of an operator class, they give
 that operator's pre-change I/O path:
 
     class DFSOracleQueryEngine(DFSOracleEngine, QueryEngine): ...
@@ -18,11 +21,14 @@ import math
 from collections import OrderedDict
 from typing import Any
 
+from repro.geometry import kernels
+from repro.geometry.rect import check_dim
 from repro.queries.join import SpatialJoinEngine
 from repro.queries.knn import KNNEngine
 from repro.queries.point import PointQueryEngine
 from repro.rtree.node import NodeFrame
 from repro.rtree.query import Matches, QueryEngine, QueryStats, TraversalEngine
+from tests import lohi_kernels
 
 
 class OracleLRU:
@@ -137,6 +143,52 @@ class DFSOracleEngine(TraversalEngine):
                 recorder.note_matched(block_id, matched)
         self.totals.merge(stats)
         return Matches(parts, values, tree.dim), stats
+
+    # -- the operators, as they chose their (lo, hi) kernels ------------
+
+    def query(self, window):
+        if len(self.tree):
+            check_dim(window, self.tree.dim)
+        (intersecting,) = on_window(window, lohi_kernels.frame_intersecting)
+        return self._run(descend_rows=intersecting, report_rows=intersecting)
+
+    def point_query(self, point):
+        point = tuple(float(c) for c in point)
+        check_dim(point, self.tree.dim)
+        p = kernels.as_coords(point)
+
+        def stabbing(lo, hi):
+            return lohi_kernels.frame_containing_point(lo, hi, p)
+
+        return self._run(descend_rows=stabbing, report_rows=stabbing)
+
+    def containment_query(self, window):
+        check_dim(window, self.tree.dim)
+        intersecting, contained = on_window(
+            window, lohi_kernels.frame_intersecting, lohi_kernels.frame_contained_in
+        )
+        return self._run(descend_rows=intersecting, report_rows=contained)
+
+    def count(self, window):
+        check_dim(window, self.tree.dim)
+        intersecting, counting = on_window(
+            window,
+            lohi_kernels.frame_intersecting,
+            lohi_kernels.frame_count_intersecting,
+        )
+        _, stats = self._run(intersecting, report_rows=None, count_rows=counting)
+        return stats.reported, stats
+
+
+def on_window(window, *frame_kernels):
+    """``(lo, hi) -> kernel(lo, hi, q_lo, q_hi)`` per kernel, for one
+    query window whose corners are converted for the kernels once."""
+    q_lo = kernels.as_coords(window.lo)
+    q_hi = kernels.as_coords(window.hi)
+    return [
+        lambda lo, hi, kernel=kernel: kernel(lo, hi, q_lo, q_hi)
+        for kernel in frame_kernels
+    ]
 
 
 class DFSOracleQueryEngine(DFSOracleEngine, QueryEngine):

@@ -9,8 +9,8 @@ family, with ``cache_internal`` on and off, every operator must give the
 same answers in the same order, the same ``QueryStats``/``JoinStats``
 and ``IOCounters``, the same store access sequence (each id of a
 ``read_many`` stands for its ``peek`` then ``read``) and the same
-``PageCacheStats``; EXPLAIN plans must be equal.  Seven seeded mutations
-of the new path — four of the descent, three of the page layer's batch
+``PageCacheStats``; EXPLAIN plans must be equal.  Eight seeded mutations
+of the new path — five of the descent, three of the page layer's batch
 read — must each be caught, and engines kept warm across a
 stream of writes must keep answering like fresh engines and brute force.
 """
@@ -350,6 +350,13 @@ MUTANTS = {
     "leaves-not-reversed": (
         TraversalEngine, "_read_leaves", TraversalEngine._read_leaves,
         "(-r - 1, len(steps), -r, ptrs[r])", "(r + 1, len(steps), r, ptrs[r])",
+    ),
+    # A warm descent (no internal read owed) reads its leaves first row
+    # first instead of depth-first.
+    "warm-path-forward-order": (
+        TraversalEngine, "_read_leaves", TraversalEngine._read_leaves,
+        "leaves = [ptrs[r] for r in reversed(frontier)]",
+        "leaves = [ptrs[r] for r in frontier]",
     ),
     "first-visit-read-not-counted": (
         TraversalEngine, "_frame", TraversalEngine._frame,

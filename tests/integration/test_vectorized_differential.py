@@ -42,6 +42,7 @@ from repro.rtree.tree import RTree
 from repro.rtree.update import _choose_subtree
 from repro.rtree.query import TraversalEngine
 from repro.server import QueryServer, WindowRequest
+from tests import lohi_kernels
 from tests.dfs_oracle import DFSOracleEngine
 from repro.storage import PagedTree, pack_tree
 
@@ -1104,19 +1105,18 @@ class TestWriteKernels:
         if not rects:
             return
         node = Node(False, [(rect, i) for i, rect in enumerate(rects)])
-        lo, hi = self.tables(rects)
+        box = kernels.box_of(*self.tables(rects))
         for query, _ in queries[0] + script[0][:5]:
             assert _choose_subtree(node, query) == oracle_choose_subtree(
                 node, query
             )
-            assert kernels.frame_containing_rect(
-                lo, hi, query.lo, query.hi
-            ).tolist() == [
+            bound = kernels.box_bound(query.lo, query.hi)
+            assert kernels.frame_rows(kernels.LE, box, bound).tolist() == [
                 i for i, rect in enumerate(rects) if rect.contains_rect(query)
             ]
-            assert kernels.frame_equal_to(
-                lo, hi, query.lo, query.hi
-            ).tolist() == [i for i, rect in enumerate(rects) if rect == query]
+            assert kernels.frame_rows(kernels.EQ, box, bound).tolist() == [
+                i for i, rect in enumerate(rects) if rect == query
+            ]
 
     def test_choose_subtree_ties_break_on_area_then_order(self):
         # The query lies inside all four boxes: zero enlargement each.
@@ -2109,7 +2109,7 @@ class OracleQueryEngine(DFSOracleEngine):
             block_id = stack.pop()
             node = self._read(block_id, stats)
             frame = node.frame()
-            rows = kernels.frame_intersecting(
+            rows = lohi_kernels.frame_intersecting(
                 frame.lo, frame.hi, q_lo, q_hi
             ).tolist()
             if recorder is not None:
@@ -2387,7 +2387,7 @@ class TestResultsDifferential:
 
 
 _matches_init = Matches.__init__
-_matches_table = Matches._table
+_matches_box = Matches._box
 _matches_concat = Matches.concat.__func__
 
 
@@ -2397,12 +2397,12 @@ def mutant_values_shifted(self, parts=(), values=(), dim=0):
     _matches_init(self, parts, values[1:] + values[:1], dim)
 
 
-def mutant_parts_reversed(self, side):
-    """The coordinate tables gathered last leaf first."""
+def mutant_parts_reversed(self):
+    """The box table gathered last leaf first."""
     parts = self._parts
     self._parts = parts[::-1]
     try:
-        return _matches_table(self, side)
+        return _matches_box(self)
     finally:
         self._parts = parts
 
@@ -2441,7 +2441,7 @@ class TestResultMutations:
         "name,mutant",
         [
             ("__init__", mutant_values_shifted),
-            ("_table", mutant_parts_reversed),
+            ("_box", mutant_parts_reversed),
             ("concat", classmethod(mutant_shards_reversed)),
             ("concat", classmethod(mutant_empty_part_ends_merge)),
         ],
@@ -2536,14 +2536,14 @@ class RowHeapKNNOracle(DFSOracleEngine, KNNEngine):
             q_hi = kernels.as_coords(target.hi)
 
             def frame_dists(frame):
-                return kernels.frame_dist_sq_to_rect(
+                return lohi_kernels.frame_dist_sq_to_rect(
                     frame.lo, frame.hi, q_lo, q_hi
                 )
         else:
             p = kernels.as_coords(target)
 
             def frame_dists(frame):
-                return kernels.frame_dist_sq_to_point(frame.lo, frame.hi, p)
+                return lohi_kernels.frame_dist_sq_to_point(frame.lo, frame.hi, p)
 
         # (squared distance, insertion counter, kind, payload); the counter
         # breaks ties so heapq never compares frames or Nodes.

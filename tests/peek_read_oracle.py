@@ -210,10 +210,10 @@ class PeekReadPagedStore(PagedNodeStore):
         vectorized kernels consume, and the only one a node holds.  Physical read
         and decode accounting stays with the caller.
         """
-        is_leaf, lo, hi, ptrs = self.codec.decode_arrays(
+        is_leaf, box, ptrs = self.codec.decode_arrays(
             self.file_store.peek(block_id)
         )
-        return Node.from_frame(NodeFrame(is_leaf, lo, hi, ptrs))
+        return Node.from_frame(NodeFrame(is_leaf, box, ptrs))
 
     def read(self, block_id: BlockId) -> Node:
         """Read a node, counting one logical I/O (cached page or not)."""

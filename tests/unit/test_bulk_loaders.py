@@ -2,13 +2,22 @@
 
 import pytest
 
-from repro.bulk.hilbert import build_hilbert, build_hilbert4
+from repro.bulk.hilbert import (
+    build_hilbert,
+    build_hilbert4,
+    build_hilbert4_external,
+    build_hilbert_external,
+)
 from repro.bulk.str_pack import build_str
 from repro.bulk.tgs import _best_cut, _tree_height, build_tgs
+from repro.external.memory import MemoryModel
+from repro.external.stream import BlockStream
 from repro.geometry.rect import Rect, mbr_of
 from repro.iomodel.blockstore import BlockStore
+from repro.prtree.prtree import build_prtree
 from repro.rtree.query import QueryEngine, brute_force_query
 from repro.rtree.validate import utilization, validate_rtree
+from repro.storage import shard_pack
 
 from tests.conftest import assert_same_matches, random_rects, random_windows
 
@@ -159,3 +168,54 @@ class TestSTRSpecifics:
         data = random_rects(300, seed=6, dim=3)
         tree = build_str(store, data, 8)
         validate_rtree(tree, expect_size=300)
+
+
+class TestNonFiniteCoordinates:
+    """``Rect`` accepts an infinite side and the PR, STR and TGS loaders
+    build on one; a Hilbert key has no grid cell for it, so the
+    Hilbert-keyed loads refuse the data, naming the first such
+    rectangle, before anything is written."""
+
+    INF = float("inf")
+
+    def data(self):
+        data = random_rects(51, seed=44)
+        data[17] = (Rect((0.0, 0.0), (self.INF, 1.0)), 17)
+        data[30] = (Rect((-self.INF, 0.0), (0.5, 0.5)), 30)
+        return data
+
+    @pytest.mark.parametrize(
+        "loader", [build_hilbert, build_hilbert4], ids=["H", "H4"]
+    )
+    def test_hilbert_loaders_refuse(self, loader):
+        store = BlockStore()
+        with pytest.raises(ValueError, match=r"rectangle 17, \(0\.0, 0\.0\) to \(inf, 1\.0\)"):
+            loader(store, self.data(), 8)
+        assert len(store) == 0 and store.counters.writes == 0
+
+    @pytest.mark.parametrize(
+        "loader", [build_hilbert_external, build_hilbert4_external], ids=["H", "H4"]
+    )
+    def test_external_hilbert_loaders_refuse(self, loader):
+        memory = MemoryModel(memory_records=256, block_records=16)
+        store = BlockStore()
+        stream = BlockStream.from_records(store, self.data(), memory.block_records)
+        writes = store.counters.writes
+        with pytest.raises(ValueError, match=r"rectangle 17, \(0\.0, 0\.0\) to \(inf, 1\.0\)"):
+            loader(store, stream, 8, memory)
+        assert store.counters.writes == writes
+
+    @pytest.mark.parametrize(
+        "loader", [build_prtree, build_str, build_tgs], ids=["PR", "STR", "TGS"]
+    )
+    def test_other_loaders_build_and_shard_pack_refuses(self, loader, tmp_path):
+        data = self.data()
+        tree = loader(BlockStore(), data, 8)
+        validate_rtree(tree, expect_size=len(data))
+        window = Rect((0.9, 0.2), (2.0, 0.3))
+        assert_same_matches(
+            QueryEngine(tree).query(window)[0], brute_force_query(data, window)
+        )
+        with pytest.raises(ValueError, match="has a non-finite coordinate"):
+            shard_pack(tree, tmp_path / "index.manifest", shards=3)
+        assert list(tmp_path.iterdir()) == []

@@ -8,6 +8,7 @@ change to the format fails here before it corrupts an existing index.
 """
 
 import hashlib
+import struct
 
 import pytest
 
@@ -82,48 +83,101 @@ class TestGoldenBlocks:
         assert (got_leaf, got_entries) == (is_leaf, entries)
         assert codec.encode(got_leaf, got_entries) == block
         # Array decode, re-encoded through a frame-built node.
-        flag, lo, hi, ptrs = codec.decode_arrays(block)
-        node = Node.from_frame(NodeFrame(flag, lo, hi, ptrs))
+        flag, box, ptrs = codec.decode_arrays(block)
+        node = Node.from_frame(NodeFrame(flag, box, ptrs))
         assert codec.encode(node.is_leaf, node.entries) == block
+        assert codec.encode_arrays(flag, box, ptrs) == block
+
+
+#: Coordinate bit patterns a box must carry through its negated half
+#: unchanged: both zeros, the smallest and largest subnormals, both
+#: infinities, and quiet and signalling NaNs of either sign with payloads.
+SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000,
+    0x0000000000000001, 0x800FFFFFFFFFFFFF,
+    0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000001234, 0xFFF8000000000001,
+    0x7FF0000000000001, 0xFFF4000000ABCDEF,
+    0x3FF0000000000000, 0xC00921FB54442D18,
+]
+
+
+def special_block(codec, count, seed):
+    """A block of ``count`` entries whose coordinates are drawn from
+    :data:`SPECIAL_BITS` — written as raw bytes, as no ``Rect`` is."""
+    dim = codec.dim
+    parts = [struct.pack("<BI", seed % 2, count)]
+    for i in range(count):
+        bits = [SPECIAL_BITS[(seed + 5 * i + 7 * k) % len(SPECIAL_BITS)]
+                for k in range(2 * dim)]
+        parts.append(struct.pack(f"<{2 * dim}QI", *bits, i * 7919 % 2**32))
+    return b"".join(parts).ljust(codec.block_size, b"\x00")
+
+
+class TestSpecialValueBlocks:
+    """Decode then encode is byte-identical for blocks holding -0.0,
+    subnormals, infinities and NaN payloads: negation is a sign flip."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_round_trip_byte_exact(self, dim):
+        codec = NodeCodec(dim=dim, block_size=1024)
+        room = (codec.block_size - HEADER_BYTES) // entry_size(dim)
+        blocks = [special_block(codec, n, seed) for seed, n in
+                  enumerate((0, 1, 5, room))]
+        for block in blocks:
+            assert codec.encode_arrays(*codec.decode_arrays(block)) == block
+        for is_leaf, box, ptrs in codec.decode_many(b"".join(blocks), len(blocks)):
+            encoded = codec.encode_arrays(is_leaf, box, ptrs)
+            assert encoded in blocks
+
+    def test_hi_rows_are_the_negated_bits(self):
+        codec = NodeCodec(dim=2, block_size=1024)
+        block = special_block(codec, 9, 3)
+        _, box, _ = codec.decode_arrays(block)
+        raw = [struct.unpack_from("<4Q", block, HEADER_BYTES + i * entry_size(2))
+               for i in range(9)]
+        got = [struct.unpack("<4Q", box[:, i].tobytes()) for i in range(9)]
+        sign = 1 << 63
+        assert got == [(a, b, c ^ sign, d ^ sign) for a, b, c, d in raw]
 
 
 class TestDecodeArrays:
     def test_matches_entry_decode(self, codec):
         entries = random_rects(40, seed=21)
         block = codec.encode(True, entries)
-        is_leaf, lo, hi, ptrs = codec.decode_arrays(block)
+        is_leaf, box, ptrs = codec.decode_arrays(block)
         assert is_leaf is True
         assert ptrs.dtype == kernels.np.int64
         assert ptrs.tolist() == [pointer for _, pointer in entries]
-        frame = NodeFrame(is_leaf, lo, hi, ptrs)
+        frame = NodeFrame(is_leaf, box, ptrs)
         assert frame.entries() == codec.decode(block)[1]
 
     def test_empty_node(self, codec):
         block = codec.encode(False, [])
-        is_leaf, lo, hi, ptrs = codec.decode_arrays(block)
+        is_leaf, box, ptrs = codec.decode_arrays(block)
         assert is_leaf is False
-        assert kernels.table_len(lo) == 0
+        assert box.shape == (4, 0)
         assert ptrs.dtype == kernels.np.int64 and ptrs.tolist() == []
 
     def test_rejects_wrong_block_size(self, codec):
         with pytest.raises(ValueError, match="expected 4096"):
             codec.decode_arrays(b"\x00" * 100)
 
-    def test_table_kind_matches_backend(self, codec):
+    def test_box_is_a_fresh_float64_table(self, codec):
         block = codec.encode(True, random_rects(5, seed=2))
-        _, lo, _, _ = codec.decode_arrays(block)
-        assert isinstance(lo, kernels.np.ndarray)
-        assert lo.dtype == kernels.np.float64
-        assert lo.flags["C_CONTIGUOUS"]
-        assert lo.flags["WRITEABLE"]  # copied out of the frombuffer view
+        _, box, _ = codec.decode_arrays(block)
+        assert isinstance(box, kernels.np.ndarray)
+        assert box.dtype == kernels.np.float64 and box.shape == (4, 5)
+        assert box.flags["C_CONTIGUOUS"]
+        assert box.flags["WRITEABLE"]  # copied out of the frombuffer view
 
     def test_non_power_of_two_coordinates_round_trip(self, codec):
         # Arbitrary doubles (not exactly representable decimals) must
         # survive encode -> decode_arrays -> encode bit-for-bit.
         entries = random_rects(60, seed=33)
         block = codec.encode(True, entries)
-        flag, lo, hi, ptrs = codec.decode_arrays(block)
-        node = Node.from_frame(NodeFrame(flag, lo, hi, ptrs))
+        flag, box, ptrs = codec.decode_arrays(block)
+        node = Node.from_frame(NodeFrame(flag, box, ptrs))
         assert codec.encode(flag, node.entries) == block
 
     def test_other_dimensions(self):
@@ -134,8 +188,8 @@ class TestDecodeArrays:
                 (Rect((0.0,) * dim, (1.0,) * dim), 12),
             ]
             block = codec.encode(True, entries)
-            flag, lo, hi, ptrs = codec.decode_arrays(block)
-            frame = NodeFrame(flag, lo, hi, ptrs)
+            flag, box, ptrs = codec.decode_arrays(block)
+            frame = NodeFrame(flag, box, ptrs)
             assert frame.entries() == entries
             assert codec.encode(flag, frame.entries()) == block
 
@@ -155,12 +209,14 @@ class TestDecodeMany:
         for m in range(len(blocks) + 1):
             got = codec.decode_many(b"".join(blocks[:m]), m)
             assert len(got) == m
-            for block, (is_leaf, lo, hi, ptrs) in zip(blocks, got):
+            for block, (is_leaf, box, ptrs) in zip(blocks, got):
                 want = codec.decode_arrays(block)
                 assert is_leaf is want[0]
-                for x, y in zip((lo, hi, ptrs), want[1:]):
+                for x, y in zip((box, ptrs), want[1:]):
                     assert x.dtype == y.dtype and x.shape == y.shape
-                    assert x.tobytes() == y.tobytes() and x.flags.c_contiguous
+                    assert x.tobytes() == y.tobytes()
+                    # A slice of the batch table: each row contiguous.
+                    assert not x.size or x.strides[-1] == x.itemsize
 
     @pytest.mark.parametrize(
         "offset,value,message",
@@ -177,7 +233,7 @@ class TestDecodeMany:
 
 
 class TestEncodeArrays:
-    """``encode_arrays`` writes what ``encode`` writes, from tables."""
+    """``encode_arrays`` writes what ``encode`` writes, from a box."""
 
     @pytest.mark.parametrize(
         "is_leaf, entries, sha256",
@@ -188,7 +244,7 @@ class TestEncodeArrays:
     )
     def test_golden_blocks(self, codec, is_leaf, entries, sha256):
         frame = NodeFrame.from_entries(is_leaf, entries)
-        block = codec.encode_arrays(is_leaf, frame.lo, frame.hi, frame.ptrs)
+        block = codec.encode_arrays(is_leaf, frame.box, frame.ptrs)
         assert block == codec.encode(is_leaf, entries)
         assert hashlib.sha256(block).hexdigest() == sha256
 
@@ -206,7 +262,7 @@ class TestEncodeArrays:
     def test_rejects_overfull_and_wrong_dimension(self, codec):
         frame = NodeFrame.from_entries(True, random_rects(codec.fanout + 1))
         with pytest.raises(ValueError, match="exceed block fan-out"):
-            codec.encode_arrays(True, frame.lo, frame.hi, frame.ptrs)
+            codec.encode_arrays(True, frame.box, frame.ptrs)
         frame = NodeFrame.from_entries(True, random_rects(3, dim=3))
         with pytest.raises(ValueError, match="dimension 3"):
-            codec.encode_arrays(True, frame.lo, frame.hi, frame.ptrs)
+            codec.encode_arrays(True, frame.box, frame.ptrs)

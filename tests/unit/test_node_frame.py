@@ -54,6 +54,25 @@ class TestNodeFrame:
         assert isinstance(frame.lo, kernels.np.ndarray)
         assert frame.lo.shape == (len(entries), 2)
 
+    def test_one_stored_box_and_derived_corners(self, entries):
+        frame = NodeFrame.from_entries(True, entries)
+        assert NodeFrame.__slots__ == ("is_leaf", "box", "ptrs")
+        assert frame.box.shape == (4, len(entries))
+        assert frame.box.flags.c_contiguous
+        assert frame.box.tolist() == [
+            [rect.lo[0] for rect, _ in entries],
+            [rect.lo[1] for rect, _ in entries],
+            [-rect.hi[0] for rect, _ in entries],
+            [-rect.hi[1] for rect, _ in entries],
+        ]
+        # lo is a read-only view of the box, hi a fresh negated copy.
+        assert frame.lo.base is not None and not frame.lo.flags.writeable
+        assert frame.lo.tolist() == [list(rect.lo) for rect, _ in entries]
+        hi = frame.hi
+        assert hi.tolist() == [list(rect.hi) for rect, _ in entries]
+        hi[0, 0] = 99.0
+        assert frame.rect(0) == entries[0][0]
+
 
 class TestNodeHoldsOnlyAFrame:
     def test_slots(self):

@@ -139,8 +139,8 @@ class TestPointerColumn:
         codec = NodeCodec(dim=2, block_size=1024)
         entries = [(rect, 7 * i) for i, (rect, _) in enumerate(random_rects(9))]
         for block in (codec.encode(True, entries), codec.encode(False, [])):
-            is_leaf, lo, hi, ptrs = codec.decode_arrays(block)
-            assert_column(NodeFrame(is_leaf, lo, hi, ptrs))
+            is_leaf, box, ptrs = codec.decode_arrays(block)
+            assert_column(NodeFrame(is_leaf, box, ptrs))
 
     @pytest.mark.parametrize("loader", sorted(LOADERS))
     def test_every_bulk_loader(self, loader):
