@@ -2,9 +2,9 @@
 per-shard I/O balance of the Hilbert-range split.
 
 Not paper figures — the paper stops at one index; these benchmarks
-measure the scatter/gather layer on top of it.  Expected shapes:
+measure serving a family of shard files as one tree.  Expected shapes:
 
-* **throughput**: the fan-out adds bookkeeping per request but almost
+* **throughput**: the shard split adds bookkeeping per request but almost
   no logical I/O — each shard re-packs the same leaf entries in Hilbert
   order, so total leaf I/O shifts only a few percent across K — and
   K>1 throughput stays within a small constant factor of K=1 while
@@ -25,7 +25,8 @@ from repro.experiments.report import Table
 from repro.experiments.serving import mixed_requests
 from repro.iomodel.codec import fanout_for_block
 from repro.server import QueryServer
-from repro.storage import ShardedQueryEngine, ShardedTree, shard_pack
+from repro.rtree.query import QueryEngine
+from repro.storage import ShardedTree, shard_pack
 from repro.workloads.queries import square_queries
 
 N = 30_000
@@ -129,28 +130,36 @@ def _balance_experiment() -> Table:
             if k == 1:
                 continue
             with ShardedTree.open(paths[k], cache_pages=256) as family:
-                engine = ShardedQueryEngine(family)
+                engine = QueryEngine(family)
                 windows = square_queries(
                     family.root().mbr(), 0.25, count=200, seed=2
                 )
+                # Pay every internal read first, so each shard's logical
+                # reads over the workload are its leaf I/O.
+                engine.query(family.root().mbr())
+                before = family.shard_loads()
                 for window in windows:
                     engine.query(window)
-                per_shard = engine.per_shard_totals()
-                total = sum(t.leaf_reads for t in per_shard)
+                per_shard = [
+                    after - start
+                    for after, start in zip(family.shard_loads(), before)
+                ]
+                total = sum(load.reads for load in per_shard)
                 mean = total / k
-                for i, totals in enumerate(per_shard):
+                for i, load in enumerate(per_shard):
                     table.add_row(
                         k,
                         i,
                         family.shards[i].size,
-                        totals.leaf_reads,
-                        totals.leaf_reads / total if total else 0.0,
-                        totals.leaf_reads / mean if mean else 0.0,
-                        family.shard_busy_s[i] * 1000.0,
+                        load.reads,
+                        load.reads / total if total else 0.0,
+                        load.reads / mean if mean else 0.0,
+                        load.busy_s * 1000.0,
                     )
     table.add_note(
         f"200 window queries (0.25% area) over {N} uniform rects; "
-        "x_mean is each shard's leaf I/O over the per-shard mean"
+        "x_mean is each shard's leaf I/O over the per-shard mean; "
+        "busy_ms is the time inside the shard's store calls"
     )
     table.add_note(
         "acceptance bound: no shard exceeds 2x the mean leaf I/O on the "

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Sharded serving: one logical index, K files, scatter/gather batches.
+"""Sharded serving: one logical index, K files, served as one tree.
 
 Builds a PR-tree, splits it into a 4-shard Hilbert-range family with
 `shard_pack`, and serves a mixed read/write batch through the
-`QueryServer` — which fans each request out to only the shards that can
+`QueryServer` — whose engines read only the shards that can
 contribute — and prints the batch's per-shard I/O breakdown.  A single-file pack
 of the same tree answers identically, which is the whole point: the
 partition changes where the bytes live, not what queries return.

@@ -257,10 +257,9 @@ def index_status(
     ``cache_analytics=True``: one row per plan, the worst plan rendered,
     and the measured page-hit ratio beside the ghost-LRU prediction at
     the same budget.  ``trace=OUT.jsonl`` traces that batch at 100%
-    sampling.  A sharded family carries no per-query plans yet.  An
-    empty index has no bounds to draw the batch from: the batch is
-    skipped, a note on the health table says so, and no trace is
-    written.
+    sampling.  An empty index has no bounds to draw the batch from: the
+    batch is skipped, a note on the health table says so, and no trace
+    is written.
     """
     run_batch = explain or trace is not None
     with open_index(index, readonly=True, cache_analytics=run_batch) as tree:
@@ -406,15 +405,9 @@ def _explain_table(tree, tracer: Tracer | None) -> Table:
         )
         if worst is None or plan.pruning_efficiency < worst.pruning_efficiency:
             worst = plan
-    if worst is None:
-        table.add_note(
-            "no per-query plans: a sharded family traverses each shard's "
-            "engine independently"
-        )
-    else:
-        table.add_note(
-            "worst plan (lowest pruning efficiency):\n" + worst.render()
-        )
+    table.add_note(
+        "worst plan (lowest pruning efficiency):\n" + worst.render()
+    )
     stores = read_status(tree, health=False).stores
     hits = sum(store.hits for store in stores)
     lookups = hits + sum(store.misses for store in stores)

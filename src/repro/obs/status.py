@@ -287,7 +287,7 @@ METRIC_FAMILIES: tuple[tuple[str, str, tuple[str, ...], str, Series], ...] = (
      "Logical block I/Os per index",
      _indexes(lambda ix: [(("read",), ix.reads), (("write",), ix.writes)])),
     ("repro_shard_busy_seconds_total", "gauge", ("index", "shard"),
-     "Wall-clock seconds the sharded engines spent per shard",
+     "Wall-clock seconds inside each shard's store calls",
      _indexes(lambda ix: [((str(i),), load.busy_s)
                           for i, load in enumerate(ix.shard_loads)])),
     ("repro_shard_logical_reads_total", "counter", ("index", "shard"),

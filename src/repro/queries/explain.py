@@ -17,9 +17,12 @@ leaves that were required to report the answer.
 
 Recording is per-engine and explicitly installed/uninstalled by the
 server around one request; the disabled path costs one attribute load
-and branch per node.  Sharded engines degrade
-gracefully: :func:`install` returns None for engines without the
-single-tree traversal shape and the request simply carries no plan.
+and branch per node.  A shard family is one tree to the engines
+(:class:`~repro.storage.shard.ShardedTree`), so its plan is a tree's:
+the family root and the pass-through rows above a shorter shard are
+virtual and never a plan node, so level 0 is the root's children and
+every leaf sits on the deepest level.  A one-shard family's plan is its
+file's.
 
 ``repro status --explain`` renders plans as an indented tree;
 :meth:`QueryPlan.summary` is the compact one-liner the
@@ -193,12 +196,19 @@ class PlanRecorder:
 
     def __init__(self, tree) -> None:
         self.tree = tree
-        self._level: dict[int, int] = {tree.root_id: 0}
+        # A family's root is virtual: its children are level 0.
+        self._level = {tree.root_id: -1 if tree.root_id < 0 else 0}
         self._acc: dict[int, _LevelAcc] = {}
 
     def on_node(self, block_id: int, frame, physical: int) -> None:
-        """Called by the engines for every node a query visits."""
+        """Called by the engines for every node a query visits.  A
+        virtual node (negative id: a family's root or pass-through row)
+        only places its children."""
         level = self._level.get(block_id, 0)
+        if block_id < 0:
+            for child in frame.ptrs.tolist():
+                self._level[child] = level + 1
+            return
         acc = self._acc.get(level)
         if acc is None:
             acc = self._acc[level] = _LevelAcc()
@@ -217,6 +227,8 @@ class PlanRecorder:
 
     def note_matched(self, block_id: int, count: int) -> None:
         """Entries of ``block_id`` the operator's predicate kept."""
+        if block_id < 0:
+            return
         acc = self._acc.get(self._level.get(block_id, 0))
         if acc is not None:
             acc.matched += count
@@ -257,21 +269,18 @@ def install(engine):
     """Arm plan capture on ``engine`` for the next executed query.
 
     Returns the recorder handle to pass to :func:`uninstall` — a
-    single :class:`PlanRecorder` for ``TraversalEngine`` subclasses, a
-    ``(left, right)`` recorder pair for the spatial join, or None for
-    engines without the single-tree traversal shape (the sharded
-    facades), which simply produce no plan.
+    single :class:`PlanRecorder` for ``TraversalEngine`` subclasses (on
+    a tree or a shard family alike), or a ``(left, right)`` recorder
+    pair for the spatial join.
     """
     if isinstance(engine, SpatialJoinEngine):
         left, right = engine._left, engine._right
         pair = (PlanRecorder(left.tree), PlanRecorder(right.tree))
         left._recorder, right._recorder = pair
         return pair
-    if hasattr(engine, "_frame") and hasattr(engine, "tree"):
-        recorder = PlanRecorder(engine.tree)
-        engine._recorder = recorder
-        return recorder
-    return None
+    recorder = PlanRecorder(engine.tree)
+    engine._recorder = recorder
+    return recorder
 
 
 def uninstall(engine, recorder, kind: str, stats):

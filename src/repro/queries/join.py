@@ -291,7 +291,13 @@ class SpatialJoinEngine:
         out: list[JoinPair] | None,
         stats: JoinStats,
     ) -> None:
-        stats.node_pairs += 1
+        # A shard family's root and pass-through rows (negative ids) are
+        # descended alone, the left side's first: each shard then meets
+        # its partner as in a join of the two trees, and no node pair is
+        # counted before it does.
+        virtual_a, virtual_b = id_a < 0, id_b < 0
+        if not (virtual_a or virtual_b):
+            stats.node_pairs += 1
         # EXPLAIN recorders (repro.queries.explain), one per side; a node
         # joined against several partners accumulates matches per visit
         # and the plan clamps to the node's entry count.
@@ -323,7 +329,7 @@ class SpatialJoinEngine:
             if rec_a is not None:
                 rec_a.note_matched(id_a, len({i for i, _ in pairs}))
                 rec_b.note_matched(id_b, len({j for _, j in pairs}))
-        elif frame_a.is_leaf:
+        elif frame_a.is_leaf or virtual_b and not virtual_a:
             # Height mismatch: fix the left leaf, descend the right tree.
             reach = kernels.meet_bound(*kernels.frame_mbr(frame_a.lo, frame_a.hi))
             rows = kernels.frame_rows(kernels.LE, frame_b.box, reach)
@@ -332,7 +338,7 @@ class SpatialJoinEngine:
             for child_id in frame_b.ptrs[rows].tolist():
                 child = self._right._frame(child_id, stats.right)
                 self._join_pair(id_a, frame_a, child_id, child, out, stats)
-        elif frame_b.is_leaf:
+        elif frame_b.is_leaf or virtual_a:
             reach = kernels.meet_bound(*kernels.frame_mbr(frame_b.lo, frame_b.hi))
             rows = kernels.frame_rows(kernels.LE, frame_a.box, reach)
             if rec_a is not None:

@@ -16,6 +16,13 @@ shares the table, and nothing edits it.  Built from side-effect-free
 by every ``allocate``, ``write`` and ``free``), ``root_id`` and
 ``height``: the first read after a write or a root change rebuilds it,
 once per tree.  The engines decide which visits are counted reads (:mod:`repro.rtree.query`).
+
+A shard family (:class:`~repro.storage.shard.ShardedTree`) is one table
+too: a root whose rows are the shards' boxes, then each shard's own
+table stacked below it (:meth:`LevelTable.stacked`).  Its root and the
+pass-through rows that bring a shorter shard down to the family's depth
+are *virtual* nodes: their ids are negative, no block stands behind
+them, and the engines count them as no visit, no read and no plan node.
 """
 
 from __future__ import annotations
@@ -62,22 +69,35 @@ class Level:
 class LevelTable:
     """Every internal level of one tree (``height - 1`` of them).
     ``frames`` maps an internal node's block id to its frame; a block id
-    not in it is a leaf."""
+    not in it is a leaf.  ``virtual`` counts the nodes with a negative
+    id (none in a tree's own table)."""
 
-    __slots__ = ("levels", "frames", "generation", "root_id", "height")
+    __slots__ = ("levels", "frames", "virtual", "generation", "root_id", "height")
 
     def __init__(self, tree) -> None:
         peek = tree.store.quiet_peek
-        self.generation = tree.store.generation
-        self.root_id, self.height = tree.root_id, tree.height
-        self.levels: list[Level] = []
-        self.frames: dict[int, NodeFrame] = {}
+        levels: list[Level] = []
         ids = [tree.root_id]
         for _ in range(tree.height - 1):
-            frames = [peek(block_id).frame() for block_id in ids]
-            self.frames.update(zip(ids, frames))
-            self.levels.append(Level(ids, frames))
-            ids = self.levels[-1].ptrs
+            levels.append(Level(ids, [peek(block_id).frame() for block_id in ids]))
+            ids = levels[-1].ptrs
+        self._fill(tree, levels, 0)
+
+    @classmethod
+    def stacked(cls, tree, levels: list[Level], virtual: int) -> "LevelTable":
+        """A table of ready-made ``levels`` with ``virtual`` negative-id
+        nodes among them, keyed to ``tree`` (a shard family)."""
+        table = cls.__new__(cls)
+        table._fill(tree, levels, virtual)
+        return table
+
+    def _fill(self, tree, levels: list[Level], virtual: int) -> None:
+        self.generation = tree.store.generation
+        self.root_id, self.height = tree.root_id, tree.height
+        self.levels, self.virtual = levels, virtual
+        self.frames: dict[int, NodeFrame] = {}
+        for level in levels:
+            self.frames.update(zip(level.ids, level.frames))
 
 
 def levels_of(tree) -> LevelTable:
@@ -90,5 +110,5 @@ def levels_of(tree) -> LevelTable:
         or table.root_id != tree.root_id
         or table.height != tree.height
     ):
-        table = tree._levels = LevelTable(tree)
+        table = tree._levels = tree.level_table()
     return table

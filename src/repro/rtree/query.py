@@ -21,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -145,19 +144,6 @@ class Matches(ColumnarResult):
         self._dim = dim
         self._built: list[tuple[Rect, Any]] | None = None
 
-    @classmethod
-    def concat(cls, results: Iterable["Matches"], dim: int = 0) -> "Matches":
-        """The rows of every result in ``results``, in order; no pair is
-        materialized (how a sharded family merges its shards' answers)."""
-        results = list(results)
-        if len(results) == 1:
-            return results[0]  # immutable, so the lone shard's answer is shared
-        return cls(
-            chain.from_iterable(result._parts for result in results),
-            chain.from_iterable(result._values for result in results),
-            dim,
-        )
-
     @property
     def ids(self) -> tuple[int, ...]:
         """The matched rows' object ids (leaf pointers), in result order."""
@@ -230,14 +216,15 @@ class TraversalEngine:
 
     def _frame(self, block_id: int, stats: QueryStats) -> NodeFrame:
         """One node's frame, counted the paper's way, for the operators
-        that read a node at a time (kNN and the join)."""
+        that read a node at a time (kNN and the join).  A virtual node
+        (negative id) costs nothing and is no visit."""
         frame = levels_of(self.tree).frames.get(block_id)
         recorder = self._recorder
         physical = None if recorder is None else {}
         if frame is None:
             stats.leaf_reads += 1
             frame = self.tree.store.read_many([block_id], physical)[0].frame()
-        else:  # a counted read on the first visit (every visit: ablation)
+        elif block_id >= 0:  # counted on the first visit (every visit: ablation)
             stats.internal_visits += 1
             if block_id not in self._counted:
                 self.tree.store.read_many([block_id], physical)
@@ -278,6 +265,10 @@ class TraversalEngine:
             frontier = rows
             if not rows:
                 break
+        if table.virtual:  # a family's root and pass-through rows
+            stats.internal_visits -= sum(
+                level.ids[j] < 0 for level, nodes, _ in steps for j in nodes
+            )
         ptrs = steps[-1][0].ptrs if steps else [tree.root_id]
         stats.leaf_reads += len(frontier)
         frames = self._read_leaves(table, steps, frontier, ptrs, stats)
@@ -310,11 +301,13 @@ class TraversalEngine:
         its own subtree: so the reads sort by (end of those rows,
         descending; depth; row, descending).  Once every internal node
         on the way is paid for (any warm engine) no read is owed, and
-        the list is the leaves from the last row to the first."""
+        the list is the leaves from the last row to the first.  A node
+        with a negative id (a family's root or pass-through row) is no
+        block: it is never read."""
         accesses = []
         for depth, (level, nodes, _) in enumerate(steps):
             for j in nodes:
-                if level.ids[j] not in self._counted:
+                if level.ids[j] not in self._counted and level.ids[j] >= 0:
                     end = j + 1
                     for lower, _, _ in steps[depth:]:
                         end = lower.start[end]

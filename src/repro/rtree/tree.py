@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.geometry.rect import Rect
 from repro.iomodel.store import BlockId, BlockStoreProtocol
+from repro.rtree.levels import LevelTable
 from repro.rtree.node import Node, rects_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -217,6 +218,11 @@ class RTree:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
+
+    def level_table(self) -> LevelTable:
+        """A fresh table of this tree's internal levels (what
+        :func:`~repro.rtree.levels.levels_of` pins)."""
+        return LevelTable(self)
 
     @classmethod
     def create_empty(

@@ -28,11 +28,11 @@ pages physically flushed (:attr:`BatchReport.write_ios` /
 :attr:`BatchReport.pages_flushed`).
 
 The catalog also accepts **sharded** indexes
-(:class:`~repro.storage.shard.ShardedTree`) transparently: requests
-against one are executed by the sharded fan-out engines — window-style
-queries touch only the shards whose MBR intersects, kNN best-first
-merges per-shard streams, writes route/broadcast by Hilbert rank.  A
-caller that wants one batch's per-shard load diffs
+(:class:`~repro.storage.shard.ShardedTree`) transparently: a family is
+one tree to the same engines — window-style queries read only the
+shards whose box can contribute, kNN is one best-first search over
+every shard, writes route/broadcast by Hilbert rank.  A caller that
+wants one batch's per-shard load diffs
 :meth:`~repro.storage.shard.ShardedTree.shard_loads` around
 :meth:`QueryServer.submit`.
 
@@ -72,13 +72,7 @@ from repro.server.requests import (
     UpdateStats,
     WindowRequest,
 )
-from repro.storage.shard import (
-    ShardedJoinEngine,
-    ShardedKNNEngine,
-    ShardedPointEngine,
-    ShardedQueryEngine,
-    ShardedTree,
-)
+from repro.storage.shard import ShardedTree
 
 __all__ = ["QueryServer", "BatchReport"]
 
@@ -180,7 +174,7 @@ class QueryServer:
         mapping.  Any :class:`~repro.rtree.tree.RTree` works; paged
         trees get the additional physical-read reporting, and
         :class:`~repro.storage.shard.ShardedTree` families are served
-        transparently through the sharded fan-out engines.
+        by the same engines, as one tree.
     dedup:
         Execute identical requests within a batch once (default).
     sync_writes:
@@ -194,9 +188,9 @@ class QueryServer:
         executed read and attach it as
         :attr:`~repro.server.requests.RequestResult.plan`: per-level
         nodes visited / entries pruned, physical reads, and the pruning
-        efficiency against the leaf-I/O lower bound.  Sharded facades
-        execute normally but produce no plan.  Default off — the
-        disabled path costs a ``None`` check or two per node.
+        efficiency against the leaf-I/O lower bound, on a file or a
+        family alike.  Default off — the disabled path costs a ``None``
+        check or two per node.
     """
 
     def __init__(
@@ -257,25 +251,11 @@ class QueryServer:
         if engine is None:
             if key[0] == "join":
                 _, left, right = key
-                left_tree, right_tree = self._tree(left), self._tree(right)
-                if isinstance(left_tree, ShardedTree) or isinstance(
-                    right_tree, ShardedTree
-                ):
-                    engine = ShardedJoinEngine(left_tree, right_tree)
-                else:
-                    engine = SpatialJoinEngine(left_tree, right_tree)
+                engine = SpatialJoinEngine(self._tree(left), self._tree(right))
             else:
                 _, index, kind = key
                 tree = self._tree(index)
-                if isinstance(tree, ShardedTree):
-                    # One request fans out across the family's shards.
-                    if kind == "window":
-                        engine = ShardedQueryEngine(tree)
-                    elif kind == "knn":
-                        engine = ShardedKNNEngine(tree)
-                    else:  # point / containment / count
-                        engine = ShardedPointEngine(tree)
-                elif kind == "window":
+                if kind == "window":
                     engine = QueryEngine(tree)
                 elif kind == "knn":
                     engine = KNNEngine(tree)

@@ -25,8 +25,8 @@ byte-exact node layout (36-byte entries in 4 KB blocks, paper Section
   unchanged.
 * :func:`repro.storage.shard.shard_pack` /
   :class:`repro.storage.shard.ShardedTree` — split one logical index
-  into K Hilbert-range shard files behind a manifest, fanning queries
-  out to only the shards that can contribute;
+  into K Hilbert-range shard files behind a manifest, served to every
+  engine as one tree that reads only the shards that can contribute;
   :func:`repro.storage.shard.open_index` opens either shape.
 
 The batched query server in :mod:`repro.server` runs on these handles.
@@ -54,7 +54,6 @@ from repro.storage.shard import (
     ShardInfo,
     ShardLoad,
     ShardPackStats,
-    ShardedJoinEngine,
     ShardedKNNEngine,
     ShardedPointEngine,
     ShardedQueryEngine,
@@ -84,7 +83,6 @@ __all__ = [
     "ShardedQueryEngine",
     "ShardedPointEngine",
     "ShardedKNNEngine",
-    "ShardedJoinEngine",
     "shard_pack",
     "open_index",
 ]

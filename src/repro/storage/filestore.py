@@ -882,10 +882,11 @@ class FileBlockStore:
     def peek_many(self, block_ids: list[BlockId]) -> bytearray:
         """:meth:`peek` every block of ``block_ids``: a fresh buffer of
         their bytes end to end, in request order.  One read per run of
-        adjacent slots: a slice of the mapping, or an ``os.preadv`` into
-        the buffer once the write buffer is flushed (so a write-back
-        still held there is seen).  A short run raises
-        :class:`StorageError` naming its first short block."""
+        adjacent slots: an ``os.preadv`` into the buffer once the write
+        buffer is flushed (so a write-back still held there is seen), or
+        :meth:`_pread`'s slice of the mapping or of an in-memory store's
+        buffer.  A short run raises :class:`StorageError` naming its
+        first short block."""
         size = self.block_size
         out = bytearray(len(block_ids) * size)  # an unwritten block reads as zeros
         view = memoryview(out)
@@ -905,7 +906,7 @@ class FileBlockStore:
                     runs[-1][1].append(i)
                 else:
                     runs.append((phys, [i]))
-            buffered = self._map is None
+            buffered = self._map is None and self.path is not None
             if buffered:
                 self._file.flush()
             for phys, rows in runs:
@@ -914,7 +915,7 @@ class FileBlockStore:
                 if buffered:
                     got = os.preadv(self._file.fileno(), parts, offset)
                 else:
-                    data = memoryview(self._map[offset : offset + n])
+                    data = memoryview(self._pread(offset, n))
                     got = len(data)
                 if got < n:
                     raise StorageError(

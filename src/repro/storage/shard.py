@@ -4,8 +4,7 @@ A single :func:`~repro.storage.paged.pack_tree` file serializes every
 query behind one page cache and one disk arm; the production-scale
 answer (ROADMAP "sharding", and the partitioned-worker shape of the
 SIGMOD 2014 contest systems) is to split one logical index into K
-independent index files and fan requests out to only the shards that
-can contribute.
+independent index files and read only the shards that can contribute.
 
 :func:`shard_pack` partitions a bulk-loaded tree's *leaf entries* by the
 Hilbert rank of their centers into K contiguous ranges — the same
@@ -17,20 +16,19 @@ MBR, Hilbert key range and block count (byte-for-byte layout in
 ``docs/storage-format.md``).
 
 :class:`ShardedTree` opens every shard as a
-:class:`~repro.storage.paged.PagedTree` behind one facade:
-
-* **window-family queries** (window / point / count / containment) fan
-  out only to shards whose live root MBR — a routing table the facade's
-  writes keep, read at no page cost — can contribute, and merge;
-* **kNN** runs a best-first merge over per-shard incremental
-  best-first streams, so a shard is only opened (and only pays I/O)
-  once the global result genuinely needs it;
-* **joins** decompose into per-component joins over MBR-intersecting
-  pairs;
-* **inserts** route to the shard owning the rectangle's Hilbert rank,
-  **deletes** broadcast to the shards whose MBR intersects the victim,
-  and :meth:`ShardedTree.sync` flushes every dirty shard then rewrites
-  the manifest atomically (temp file + ``os.replace``).
+:class:`~repro.storage.paged.PagedTree` and serves the family as **one
+tree**: its root is virtual, with one row per non-empty shard (the
+shard's live root box, from a routing table the facade's writes keep),
+and each shard's own pinned levels stack below it
+(:meth:`ShardedTree.level_table`).  Block ids carry their shard, and the
+family's ``store`` sends each read to that shard's page store, so every
+engine — window, point, containment, count, kNN, join and EXPLAIN —
+runs on a family exactly as on one file, reads only shards whose box
+can contribute, and charges each shard's own counters.
+**Inserts** route to the shard owning the rectangle's Hilbert rank,
+**deletes** broadcast to the shards whose MBR intersects the victim,
+and :meth:`ShardedTree.sync` flushes every dirty shard then rewrites
+the manifest atomically (temp file + ``os.replace``).
 
 Accounting follows the single-file contract exactly (see
 ``docs/io-accounting.md``): each shard has its own
@@ -44,14 +42,14 @@ built from (diff two snapshots for one batch's share).
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
+from contextlib import nullcontext
 import os
 import pathlib
 import time
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import count, groupby
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.bulk.base import pack_leaf_level, pack_level
@@ -66,13 +64,11 @@ from repro.iomodel.counters import IOSnapshot
 from repro.obs import health
 from repro.obs.tap import scoped_tap
 from repro.obs.trace import current_trace
-from repro.queries.join import JoinStats, SpatialJoinEngine
-from repro.queries.knn import (
-    Hit, KNNEngine, Neighbor, Neighbors, id_column, target_dist_sq,
-)
+from repro.queries.knn import KNNEngine, Neighbors
 from repro.queries.point import PointQueryEngine
+from repro.rtree.levels import Level, LevelTable, levels_of
 from repro.rtree.node import Node, NodeFrame
-from repro.rtree.query import Matches, QueryEngine, QueryStats
+from repro.rtree.query import QueryEngine
 from repro.rtree.tree import RTree
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.filestore import StorageError
@@ -80,6 +76,7 @@ from repro.storage.paged import (
     DEFAULT_CACHE_PAGES,
     PackStats,
     PageCacheStats,
+    PagedNodeStore,
     PagedTree,
     pack_tree,
     value_table,
@@ -94,7 +91,6 @@ __all__ = [
     "ShardedQueryEngine",
     "ShardedPointEngine",
     "ShardedKNNEngine",
-    "ShardedJoinEngine",
     "shard_pack",
     "open_index",
 ]
@@ -515,9 +511,11 @@ class ShardLoad:
     (:class:`~repro.iomodel.counters.IOCounters`), ``physical_reads`` /
     ``pages_flushed`` the physical page traffic
     (:class:`~repro.storage.paged.PageCacheStats` misses / flushes), and
-    ``busy_s`` the wall-clock seconds the sharded engines spent
-    executing on this shard.  Snapshots subtract, so a batch's per-shard
-    cost is ``after[i] - before[i]``.
+    ``busy_s`` the wall-clock seconds spent inside this shard's store
+    calls made through the family's ``store`` (the only per-shard work
+    a read does; writes, the merge and the engines' kernels are not
+    in it).  Snapshots subtract, so a batch's per-shard cost is
+    ``after[i] - before[i]``.
     """
 
     reads: int = 0
@@ -539,13 +537,13 @@ class ShardLoad:
 class _AggregateCounters:
     """Summed :class:`IOCounters` view over every shard (snapshot-only)."""
 
-    def __init__(self, sharded: "ShardedTree") -> None:
-        self._sharded = sharded
+    def __init__(self, stores: list[PagedNodeStore]) -> None:
+        self._stores = stores
 
     def snapshot(self) -> IOSnapshot:
         total = IOSnapshot()
-        for shard in self._sharded.shards:
-            total = total + shard.store.counters.snapshot()
+        for store in self._stores:
+            total = total + store.counters.snapshot()
         return total
 
     @property
@@ -557,29 +555,78 @@ class _AggregateCounters:
         return self.snapshot().writes
 
 
-class _ShardedStoreView:
-    """The facade's ``.store``: just enough surface for the server.
+#: A family block id is its shard's block id plus the shard number
+#: shifted this far: shard 0's ids are its own.
+_SHARD_SHIFT = 40
+_BLOCK_MASK = (1 << _SHARD_SHIFT) - 1
 
-    The :class:`~repro.server.QueryServer` discovers paged indexes by
-    ``hasattr(store, "stats")`` and meters batches through
-    ``store.stats`` / ``store.counters``; this view aggregates the
-    family so a sharded index meters exactly like a single-file one.
+
+def _shard_of(block_id: int) -> int:
+    return block_id >> _SHARD_SHIFT
+
+
+class _FamilyStore:
+    """The family's ``.store``: what the engines and the server read.
+
+    ``read_many`` and ``quiet_peek`` send each family block id to its
+    shard's :class:`~repro.storage.paged.PagedNodeStore`, so the
+    shard's own counters, page-cache statistics and tracker — and the
+    active tap — are charged exactly as by a read of that file.  A
+    ``read_many`` makes one call per run of one shard's ids, in order;
+    the time inside it is the shard's ``busy_s``, and traced it is a
+    ``shard:<i>`` span on the shard's track whose ``io=`` is that call's
+    own scoped tap (folded into the caller's on exit).  ``counters`` and
+    ``stats`` sum the shards, so a family meters like one file.
+    ``generation`` moves whenever the facade refreshes a shard after a
+    write (:func:`~repro.rtree.levels.levels_of`).
     """
 
-    def __init__(self, sharded: "ShardedTree") -> None:
-        self._sharded = sharded
-        self.counters = _AggregateCounters(sharded)
+    def __init__(self, stores: list[PagedNodeStore]) -> None:
+        self._stores = stores
+        self.counters = _AggregateCounters(stores)
+        self.generation = 0
+        self.busy_s = [0.0] * len(stores)
 
     @property
     def stats(self) -> PageCacheStats:
         total = PageCacheStats()
-        for shard in self._sharded.shards:
-            stats = shard.page_stats
+        for store in self._stores:
+            stats = store.stats
             total.hits += stats.hits
             total.misses += stats.misses
             total.evictions += stats.evictions
             total.flushes += stats.flushes
         return total
+
+    def read_many(
+        self, block_ids: Sequence[int], physical: dict | None = None
+    ) -> list[Node]:
+        trace = current_trace()
+        nodes: list[Node] = []
+        for i, run in groupby(block_ids, key=_shard_of):
+            local = [block_id & _BLOCK_MASK for block_id in run]
+            misses = None if physical is None else {}
+            start = time.perf_counter()
+            try:
+                with nullcontext() if trace is None else scoped_tap() as tap:
+                    nodes += self._stores[i].read_many(local, misses)
+            finally:
+                end = time.perf_counter()
+                self.busy_s[i] += end - start
+                if trace is not None:
+                    trace.add_span(
+                        f"shard:{i}", start, end, cat="shard", track=i + 1,
+                        io=tap.snapshot(),
+                    )
+            if misses:
+                base = i << _SHARD_SHIFT
+                physical.update((base + b, n) for b, n in misses.items())
+        return nodes
+
+    def quiet_peek(self, block_id: int) -> Node:
+        return self._stores[_shard_of(block_id)].quiet_peek(
+            block_id & _BLOCK_MASK
+        )
 
 
 # ----------------------------------------------------------------------
@@ -591,15 +638,22 @@ class ShardedTree:
     """One logical index served from K Hilbert-range shard files.
 
     Construct with :meth:`open` on a :func:`shard_pack` manifest; close
-    (or use as a context manager) when done.  The facade exposes the
-    same query surface as a single tree — :meth:`query`,
-    :meth:`point_query`, :meth:`count_query`, :meth:`containment_query`,
-    :meth:`knn`, :meth:`nearest` — by fanning out to the shards that can
-    contribute (measured experiments should construct the sharded
-    engines directly, exactly like the single-tree convenience
-    methods recommend).  Updates go through :meth:`insert` /
-    :meth:`delete`; :meth:`sync` makes the family a consistency point.
+    (or use as a context manager) when done.  To the engines the family
+    is one tree — a ``store``, a virtual ``root_id``, ``height``,
+    ``objects`` and a level table (:meth:`level_table`) — so
+    :class:`~repro.rtree.query.QueryEngine`,
+    :class:`~repro.queries.point.PointQueryEngine`,
+    :class:`~repro.queries.knn.KNNEngine` and
+    :class:`~repro.queries.join.SpatialJoinEngine` serve it unchanged
+    (measured experiments construct them directly; :meth:`query` and its
+    siblings are one-off conveniences).  Updates go through
+    :meth:`insert` / :meth:`delete`; :meth:`sync` makes the family a
+    consistency point.
     """
+
+    #: The virtual family root's id (negative: no block stands behind
+    #: it, see :mod:`repro.rtree.levels`).
+    root_id = -1
 
     def __init__(
         self,
@@ -635,13 +689,13 @@ class ShardedTree:
         self._next_oid = max(next_oid, size)
         self._readonly = readonly
         self._route_his = [info.hilbert_hi for info in infos]
+        self.store = _FamilyStore([shard.page_store for shard in shards])
+        self._levels: LevelTable | None = None
         #: The routing table: each shard's live root MBR (None: empty).
         #: Loop-thread state written by insert/delete; sync() reads it.
         self._mbrs: list[Rect | None] = [None] * len(shards)
         for i in range(len(shards)):
             self._refresh(i)
-        self.store = _ShardedStoreView(self)
-        self.shard_busy_s = [0.0] * len(shards)
         self._closed = False
 
     # -- construction --------------------------------------------------
@@ -795,11 +849,6 @@ class ShardedTree:
         return len(self.shards)
 
     @property
-    def height(self) -> int:
-        """Deepest shard's height (the family's worst root-to-leaf path)."""
-        return max(shard.height for shard in self.shards)
-
-    @property
     def readonly(self) -> bool:
         """True when every shard was opened without write access."""
         return self._readonly
@@ -831,10 +880,59 @@ class ShardedTree:
 
     def _refresh(self, i: int) -> None:
         """Re-read shard ``i``'s table entry from its live root, with no
-        page-stat side effect."""
+        page-stat side effect, and retire the family's level table."""
         shard = self.shards[i]
         root = shard.page_store.quiet_peek(shard.root_id)
         self._mbrs[i] = root.mbr() if len(root) else None
+        #: Deepest shard's height (the family's worst root-to-leaf path).
+        self.height = max(shard.height for shard in self.shards)
+        self.store.generation += 1
+
+    def level_table(self) -> LevelTable:
+        """The family's internal levels as one tree's table.
+
+        Level 0 is the virtual root: one row per non-empty shard, its
+        live box from the routing table, last shard first (so a
+        depth-first walk, which takes rows last first, meets the shards
+        in shard order).  Below it each shard's own pinned table
+        (:func:`~repro.rtree.levels.levels_of`, rebuilt only for a shard
+        that was written) is stacked with its node ids and child
+        pointers moved into the family's id space.  A shard shorter
+        than the deepest gets a chain of one-row pass-through nodes
+        above its root, so every leaf lies at one depth; those and the
+        root have negative ids and are no block.
+        """
+        live = [
+            i for i in reversed(range(len(self.shards)))
+            if self._mbrs[i] is not None
+        ]
+        depth = max((self.shards[i].height for i in live), default=1)
+        passing = count(self.root_id - 1, -1)
+        rows: list[tuple[Rect, int]] = []
+        below: list[tuple[list, list]] = [([], []) for _ in range(depth - 1)]
+        for i in live:
+            shard, box, base = self.shards[i], self._mbrs[i], i << _SHARD_SHIFT
+            chain = [next(passing) for _ in range(depth - shard.height)]
+            chain.append(base + shard.root_id)
+            rows.append((box, chain[0]))
+            for (ids, frames), node, child in zip(below, chain, chain[1:]):
+                ids.append(node)
+                frames.append(NodeFrame.from_entries(False, [(box, child)], self.dim))
+            for (ids, frames), level in zip(
+                below[len(chain) - 1 :], levels_of(shard).levels
+            ):
+                ids += [base + block_id for block_id in level.ids]
+                frames += [
+                    NodeFrame(False, frame.box, frame.ptrs + base)
+                    for frame in level.frames
+                ]
+        root = NodeFrame.from_entries(False, rows, self.dim)
+        return LevelTable.stacked(
+            self,
+            [Level([self.root_id], [root])]
+            + [Level(ids, frames) for ids, frames in below],
+            virtual=1 + sum(depth - self.shards[i].height for i in live),
+        )
 
     def root(self) -> Node:
         """A synthetic internal node with one entry per non-empty shard.
@@ -861,14 +959,10 @@ class ShardedTree:
                     writes=counters.writes,
                     physical_reads=stats.misses,
                     pages_flushed=stats.flushes,
-                    busy_s=self.shard_busy_s[i],
+                    busy_s=self.store.busy_s[i],
                 )
             )
         return loads
-
-    def _note_shard_time(self, i: int, seconds: float) -> None:
-        """Engines report their per-shard execution time here."""
-        self.shard_busy_s[i] += seconds
 
     def all_data(self) -> Iterator[tuple[Rect, Any]]:
         """Every stored (rectangle, value) pair, shard by shard (uncounted)."""
@@ -888,11 +982,17 @@ class ShardedTree:
         shard whose upper bound is not below them, keys above everything
         to the last shard.  The routing bounds are the *pack-time*
         dataset bounds, so the same rectangle always routes to the same
-        shard regardless of later growth.
+        shard regardless of later growth.  A rectangle with an infinite
+        or NaN coordinate has no Hilbert rank: ``ValueError``, naming it.
         """
         check_dim(rect, self.dim)
         if self.bounds is None or len(self.shards) == 1:
             return 0
+        if not all(map(math.isfinite, rect.lo + rect.hi)):
+            raise ValueError(
+                f"rectangle {rect.lo} to {rect.hi} has a non-finite "
+                "coordinate: Hilbert routing needs finite ones"
+            )
         key = hilbert_key_for_center(rect, self.bounds, self.order)
         for i, hi in enumerate(self._route_his):
             if key <= hi:
@@ -918,7 +1018,8 @@ class ShardedTree:
         merged object table serves the whole family on reopen.  Raises
         :class:`~repro.storage.filestore.StorageError` up front on a
         read-only family, and ``ValueError`` on a rectangle of another
-        dimension.
+        dimension or one :meth:`route` cannot rank, before any shard is
+        touched.
         """
         self._require_writable()
         check_dim(rect, self.dim)
@@ -941,7 +1042,8 @@ class ShardedTree:
         other shard whose live MBR intersects ``rect``; the first shard
         that finds a match wins.  Returns True when an entry was
         removed.  Raises ``ValueError`` on a rectangle of another
-        dimension, before any shard is tried.
+        dimension or one :meth:`route` cannot rank, before any shard is
+        tried.
         """
         self._require_writable()
         check_dim(rect, self.dim)
@@ -1029,39 +1131,15 @@ class ShardedTree:
 
     # -- convenience query surface ------------------------------------
 
-    def query(self, window: Rect) -> Matches:
-        """One-off window query over the whole family.
-
-        For measured experiments construct a :class:`ShardedQueryEngine`
-        directly — it exposes merged statistics and its per-shard
-        sub-engines pay each internal read once across a workload.
-        """
-        matches, _ = ShardedQueryEngine(self).query(window)
-        return matches
-
-    def count_query(self, window: Rect) -> int:
-        """Number of stored rectangles intersecting ``window``."""
-        count, _ = ShardedPointEngine(self).count(window)
-        return count
-
-    def point_query(self, point: Sequence[float]) -> Matches:
-        """One-off stabbing query over the whole family."""
-        matches, _ = ShardedPointEngine(self).point_query(point)
-        return matches
-
-    def containment_query(self, window: Rect) -> Matches:
-        """One-off containment query over the whole family."""
-        matches, _ = ShardedPointEngine(self).containment_query(window)
-        return matches
+    # One-off queries, as on a tree (measured experiments construct the
+    # engines, which pay each internal read once across a workload).
+    query = RTree.query
+    count_query = RTree.count_query
 
     def knn(self, target, k: int) -> Neighbors:
         """One-off k-nearest-neighbors over the whole family."""
-        neighbors, _ = ShardedKNNEngine(self).knn(target, k)
+        neighbors, _ = KNNEngine(self).knn(target, k)
         return neighbors
-
-    def nearest(self, target) -> Iterator[Neighbor]:
-        """Incremental nearest-neighbor stream over the whole family."""
-        return ShardedKNNEngine(self).nearest(target)
 
     def __repr__(self) -> str:
         return (
@@ -1116,339 +1194,9 @@ def open_index(
     )
 
 
-# ----------------------------------------------------------------------
-# Sharded engines: the fan-out/merge layer
-# ----------------------------------------------------------------------
-
-
-class _ShardedFanout:
-    """Shared plumbing of the sharded engines: shard selection from the
-    routing table, serial fan-out in shard order (each shard on its own
-    sub-engine paying each internal read once), merge, per-shard timing.
-    """
-
-    #: The single-tree engine each shard gets.
-    _SUB_ENGINE: type
-
-    def __init__(
-        self, sharded: ShardedTree, cache_internal: bool = True
-    ) -> None:
-        self.sharded = sharded
-        self.totals = QueryStats()
-        self._subs = [
-            self._SUB_ENGINE(shard, cache_internal)
-            for shard in sharded.shards
-        ]
-
-    def _scatter(
-        self, shape: Rect | Sequence[float], hits: Callable[[Rect], bool],
-        call: Callable, merge: Callable[[list], Any] | None = None,
-    ) -> tuple[Any, QueryStats]:
-        """Route, fan out and merge one window-family request.
-
-        ``shape`` is the request's window or point; ``hits`` tests a
-        shard's box from the routing table; ``call`` runs the operator
-        on one shard's sub-engine; ``merge`` combines the per-shard
-        answers (default: their rows as one ``Matches``, in shard
-        order).  A request that touches one shard returns that
-        sub-engine's answer and stats as they are.
-        """
-        sharded = self.sharded
-        check_dim(shape, sharded.dim)
-        parts = self._fan_out(
-            [i for i, mbr in enumerate(sharded._mbrs) if mbr and hits(mbr)],
-            call,
-        )
-        if len(parts) == 1:
-            self.totals.merge(parts[0][1])
-            return parts[0]
-        found = [answer for answer, _ in parts]
-        return (
-            merge(found) if merge else Matches.concat(found, sharded.dim),
-            self._merge_stats([stats for _, stats in parts]),
-        )
-
-    def _fan_out(
-        self, indices: list[int], call: Callable[[Any], Any]
-    ) -> list[Any]:
-        """Run ``call`` on each listed shard's sub-engine, in order.
-
-        Untraced, a shard's I/O lands directly on the caller's tap (the
-        request's or the batch's).  Traced, each shard runs under its
-        own scoped tap — folded into the caller's on exit, so the totals
-        are the same — whose snapshot is the ``io=`` of a ``shard:<i>``
-        span on the shard's own trace track.
-        """
-        trace = current_trace()
-        answers = []
-        for i in indices:
-            start = time.perf_counter()
-            try:
-                if trace is None:
-                    answers.append(call(self._subs[i]))
-                else:
-                    with scoped_tap() as tap:
-                        try:
-                            answers.append(call(self._subs[i]))
-                        finally:
-                            trace.add_span(
-                                f"shard:{i}",
-                                start,
-                                time.perf_counter(),
-                                cat="shard",
-                                track=i + 1,
-                                io=tap.snapshot(),
-                            )
-            finally:
-                self.sharded._note_shard_time(i, time.perf_counter() - start)
-        return answers
-
-    def _merge_stats(self, parts: list[QueryStats]) -> QueryStats:
-        """Combine per-shard stats into one facade-level query's stats."""
-        merged = QueryStats(queries=1)
-        for part in parts:
-            merged.leaf_reads += part.leaf_reads
-            merged.internal_reads += part.internal_reads
-            merged.internal_visits += part.internal_visits
-            merged.reported += part.reported
-        self.totals.merge(merged)
-        return merged
-
-    def per_shard_totals(self) -> list[QueryStats]:
-        """Each shard sub-engine's accumulated totals, in shard order.
-
-        The numerators of the I/O-balance tables: a well-partitioned
-        family spreads a uniform workload's leaf reads evenly here.
-        """
-        return [replace(sub.totals) for sub in self._subs]
-
-    def reset(self) -> None:
-        """Clear the facade's and every shard's totals (engines stay warm)."""
-        self.totals = QueryStats()
-        for sub in self._subs:
-            sub.reset()
-
-
-class ShardedQueryEngine(_ShardedFanout):
-    """Window queries over a sharded family.
-
-    One :class:`~repro.rtree.query.QueryEngine` per shard reads that
-    shard's pinned internal levels across queries; a query fans out only
-    to shards whose live MBR intersects the window and concatenates the
-    matches in shard order.
-    """
-
-    _SUB_ENGINE = QueryEngine
-
-    def query(self, window: Rect) -> tuple[Matches, QueryStats]:
-        return self._scatter(
-            window, window.intersects,
-            lambda sub: sub.query(window),
-        )
-
-
-class ShardedPointEngine(_ShardedFanout):
-    """Point / containment / count queries over a sharded family."""
-
-    _SUB_ENGINE = PointQueryEngine
-
-    def point_query(
-        self, point: Sequence[float]
-    ) -> tuple[Matches, QueryStats]:
-        point = tuple(float(c) for c in point)
-        return self._scatter(
-            point, lambda mbr: mbr.contains_point(point),
-            lambda sub: sub.point_query(point),
-        )
-
-    def containment_query(
-        self, window: Rect
-    ) -> tuple[Matches, QueryStats]:
-        return self._scatter(
-            window, window.intersects,
-            lambda sub: sub.containment_query(window),
-        )
-
-    def count(self, window: Rect) -> tuple[int, QueryStats]:
-        return self._scatter(
-            window, window.intersects,
-            lambda sub: sub.count(window), merge=sum,
-        )
-
-
-#: kNN merge-heap tags: open this shard's stream vs consume this stream.
-_SHARD, _STREAM = 0, 1
-
-
-class ShardedKNNEngine(_ShardedFanout):
-    """Best-first kNN merge over per-shard incremental streams.
-
-    Each shard contributes a lazy best-first stream of its
-    :class:`~repro.queries.knn.KNNEngine`; a merge heap holds, for every
-    shard, either its root MINDIST (stream not yet opened) or its next
-    pending neighbor, keyed by distance and then arrival.  A shard's
-    stream is opened — and starts paying I/O — only when its root
-    MINDIST reaches the head of the heap, so shards that cannot
-    contribute to the global top-k are never read at all.  Neighbors pop
-    in globally nondecreasing distance order, exactly like the
-    single-tree engine.
-    """
-
-    _SUB_ENGINE = KNNEngine
-
-    def nearest(self, target) -> Iterator[Neighbor]:
-        """Incrementally yield family-wide neighbors by distance."""
-        check_dim(target, self.sharded.dim)
-        stats = [sub.totals for sub in self._subs]
-        get = self.sharded.objects.get  # a stream: one value at a time
-        return (
-            Neighbor(math.sqrt(dist_sq), frame.rect(row), get(oid))
-            for _, (dist_sq, frame, row, oid) in self._hits(target, stats)
-        )
-
-    def _hits(
-        self, target, stats: list[QueryStats]
-    ) -> Iterator[tuple[int, Hit]]:
-        """``(shard, hit)`` in family-wide distance order; shard ``i``'s
-        stream counts into ``stats[i]``."""
-        heap: list[tuple[float, int, int, Any]] = []
-        counter = 0
-        for i, mbr in enumerate(self.sharded._mbrs):
-            if mbr is None:
-                continue
-            dist = math.sqrt(target_dist_sq(mbr, target))
-            heap.append((dist, counter, _SHARD, i))
-            counter += 1
-        heapq.heapify(heap)
-        while heap:
-            _, _, kind, payload = heapq.heappop(heap)
-            if kind == _SHARD:
-                start = time.perf_counter()
-                stream = self._subs[payload]._hits(target, stats[payload])
-                head = next(stream, None)
-                self.sharded._note_shard_time(
-                    payload, time.perf_counter() - start
-                )
-                if head is not None:
-                    counter += 1
-                    heapq.heappush(
-                        heap,
-                        (math.sqrt(head[0]), counter, _STREAM,
-                         (payload, head, stream)),
-                    )
-                continue
-            shard, head, stream = payload
-            yield shard, head
-            start = time.perf_counter()
-            following = next(stream, None)
-            self.sharded._note_shard_time(
-                shard, time.perf_counter() - start
-            )
-            if following is not None:
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (math.sqrt(following[0]), counter, _STREAM,
-                     (shard, following, stream)),
-                )
-
-    def knn(self, target, k: int) -> tuple[Neighbors, QueryStats]:
-        """The family-wide k nearest neighbors of ``target``."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        check_dim(target, self.sharded.dim)
-        stats = [QueryStats() for _ in self._subs]
-        found = list(islice(self._hits(target, stats), k))
-        for sub, part in zip(self._subs, stats):
-            sub.totals.merge(part)
-        hits = [hit for _, hit in found]
-        values = self.sharded.objects.take(id_column(hits))
-        return Neighbors(hits, values), self._merge_stats(stats)
-
-
-class ShardedJoinEngine:
-    """Spatial join where either (or both) sides is a sharded family.
-
-    Each side decomposes into its component trees (a plain tree is one
-    component; a :class:`ShardedTree` is one per shard); the join runs a
-    :class:`~repro.queries.join.SpatialJoinEngine` for every component
-    pair whose root MBRs intersect, concatenating the pairs and summing
-    the statistics in pair order.  Because shards partition their
-    side's data, every intersecting data pair is reported exactly once.
-    Component-pair engines are cached, so repeated joins pay each
-    internal node's counted read once.
-    """
-
-    def __init__(
-        self,
-        left: RTree | ShardedTree,
-        right: RTree | ShardedTree,
-        cache_internal: bool = True,
-    ) -> None:
-        if left.dim != right.dim:
-            raise ValueError(
-                f"cannot join a {left.dim}-d index with a {right.dim}-d index"
-            )
-        self._left = left
-        self._right = right
-        self._cache_internal = cache_internal
-        self._engines: dict[tuple[int, int], SpatialJoinEngine] = {}
-        self.totals = JoinStats()
-
-    @staticmethod
-    def _components(
-        side: RTree | ShardedTree,
-    ) -> list[tuple[int | None, RTree]]:
-        """(shard index, tree) components; index None for a plain tree."""
-        if isinstance(side, ShardedTree):
-            return list(enumerate(side.shards))
-        return [(None, side)]
-
-    def _engine(self, li: int, lt: RTree, ri: int, rt: RTree):
-        engine = self._engines.get((li, ri))
-        if engine is None:
-            engine = SpatialJoinEngine(lt, rt, self._cache_internal)
-            self._engines[(li, ri)] = engine
-        return engine
-
-    def join(self) -> tuple[list, JoinStats]:
-        """Report every intersecting (left, right) data-rectangle pair."""
-        tasks: list[tuple[int, RTree, int, RTree]] = []
-        for li, ltree in self._components(self._left):
-            lroot = ltree.root()
-            if not len(lroot):
-                continue
-            lmbr = lroot.mbr()
-            for ri, rtree in self._components(self._right):
-                rroot = rtree.root()
-                if not len(rroot):
-                    continue
-                if lmbr.intersects(rroot.mbr()):
-                    tasks.append((li, ltree, ri, rtree))
-
-        def run(task):
-            li, ltree, ri, rtree = task
-            start = time.perf_counter()
-            try:
-                return self._engine(li, ltree, ri, rtree).join()
-            finally:
-                elapsed = time.perf_counter() - start
-                if isinstance(self._left, ShardedTree):
-                    self._left._note_shard_time(li, elapsed)
-                elif isinstance(self._right, ShardedTree):
-                    self._right._note_shard_time(ri, elapsed)
-
-        out: list = []
-        stats = JoinStats(joins=1)
-        for pairs, part in map(run, tasks):
-            out.extend(pairs)
-            stats.left.merge(part.left)
-            stats.right.merge(part.right)
-            stats.pairs += part.pairs
-            stats.node_pairs += part.node_pairs
-        self.totals.merge(stats)
-        return out, stats
-
-    def reset(self) -> None:
-        """Clear accumulated totals (component-pair engines stay warm)."""
-        self.totals = JoinStats()
+#: The single-tree engines serve a family unchanged.  These names are
+#: kept only for callers written against the fan-out engines they
+#: replaced.
+ShardedQueryEngine = QueryEngine
+ShardedPointEngine = PointQueryEngine
+ShardedKNNEngine = KNNEngine

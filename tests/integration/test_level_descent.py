@@ -42,13 +42,7 @@ from repro.rtree.rstar import rstar_insert
 from repro.storage import open_index, pack_tree
 from repro.storage.filestore import FileBlockStore
 from repro.storage.paged import PagedNodeStore
-from repro.storage.shard import (
-    ShardedJoinEngine,
-    ShardedKNNEngine,
-    ShardedPointEngine,
-    ShardedQueryEngine,
-    shard_pack,
-)
+from repro.storage.shard import shard_pack
 
 from tests.conftest import random_rects, random_windows
 from tests.dfs_oracle import (
@@ -56,6 +50,13 @@ from tests.dfs_oracle import (
     DFSOracleKNNEngine,
     DFSOraclePointEngine,
     DFSOracleQueryEngine,
+)
+from tests.sharded_oracle import (
+    FanoutJoinEngine,
+    FanoutKNNEngine,
+    FanoutPointEngine,
+    FanoutQueryEngine,
+    assert_knn_as_good,
 )
 
 LOADERS = {
@@ -67,19 +68,19 @@ LOADERS = {
 }
 
 
-class OracleShardedQuery(ShardedQueryEngine):
+class OracleShardedQuery(FanoutQueryEngine):
     _SUB_ENGINE = DFSOracleQueryEngine
 
 
-class OracleShardedPoint(ShardedPointEngine):
+class OracleShardedPoint(FanoutPointEngine):
     _SUB_ENGINE = DFSOraclePointEngine
 
 
-class OracleShardedKNN(ShardedKNNEngine):
+class OracleShardedKNN(FanoutKNNEngine):
     _SUB_ENGINE = DFSOracleKNNEngine
 
 
-class OracleShardedJoin(ShardedJoinEngine):
+class OracleShardedJoin(FanoutJoinEngine):
     def _engine(self, li, lt, ri, rt):
         engine = self._engines.get((li, ri))
         if engine is None:
@@ -92,15 +93,12 @@ class OracleShardedJoin(ShardedJoinEngine):
 def engines_for(index, other, cache_internal=True, oracle=False):
     """(window, point-family, kNN, join) engines on ``index``, the join
     against ``other``."""
-    if hasattr(index, "shards"):
+    if hasattr(index, "shards") and oracle:
         kinds = (
-            (OracleShardedQuery, OracleShardedPoint, OracleShardedKNN,
-             OracleShardedJoin)
-            if oracle
-            else (ShardedQueryEngine, ShardedPointEngine, ShardedKNNEngine,
-                  ShardedJoinEngine)
+            OracleShardedQuery, OracleShardedPoint, OracleShardedKNN,
+            OracleShardedJoin,
         )
-    else:
+    else:  # a family is one tree to the engines
         kinds = (
             (DFSOracleQueryEngine, DFSOraclePointEngine, DFSOracleKNNEngine,
              DFSOracleJoinEngine)
@@ -158,6 +156,20 @@ def run_workload(engines, windows, ks=(1, 7)):
     window, point, knn, join = engines
     out = []
     for w in windows:
+        out += run_window_family(engines, [w])
+        for k in ks:
+            neighbors, stats = knn.knn(w.center(), k)
+            out.append(("knn", list(neighbors), stats))
+    pairs, stats = join.join()
+    out.append(("join", pairs, stats))
+    return out
+
+
+def run_window_family(engines, windows):
+    """The window, containment, count and point answers, in order."""
+    window, point = engines[:2]
+    out = []
+    for w in windows:
         matches, stats = window.query(w)
         out.append(("window", list(matches), stats))
         matches, stats = point.containment_query(w)
@@ -165,11 +177,6 @@ def run_workload(engines, windows, ks=(1, 7)):
         out.append(("count",) + point.count(w))
         matches, stats = point.point_query(w.center())
         out.append(("point", list(matches), stats))
-        for k in ks:
-            neighbors, stats = knn.knn(w.center(), k)
-            out.append(("knn", list(neighbors), stats))
-    pairs, stats = join.join()
-    out.append(("join", pairs, stats))
     return out
 
 
@@ -189,13 +196,39 @@ def assert_same_reads(got, want, windows, cache_internal=True, passes=2):
     want_log = log_accesses(*want)
     engines = engines_for(*got, cache_internal=cache_internal)
     oracles = engines_for(*want, cache_internal=cache_internal, oracle=True)
+    family = hasattr(got[0], "shards")
+    run = run_window_family if family else run_workload
     for _ in range(passes):
-        assert run_workload(engines, windows) == run_workload(oracles, windows)
-        assert [e.totals for e in engines] == [e.totals for e in oracles]
+        assert run(engines, windows) == run(oracles, windows)
+        count = 2 if family else 4
+        assert [e.totals for e in engines[:count]] == [
+            e.totals for e in oracles[:count]
+        ]
         assert got_log == want_log
         for g, w in zip(got, want):
             assert io_state(g) == io_state(w)
+    if family:
+        assert_family_knn_and_join(engines, oracles, windows, passes)
     return engines, oracles
+
+
+def assert_family_knn_and_join(engines, oracles, windows, passes):
+    """kNN and the join on a family, after the rest: one best-first
+    search reads no more leaves than the fan-out's merged streams, and
+    the join reports the fan-out's pairs for its leaf reads on each
+    side (it pays each internal node once, not once per partner)."""
+    for _ in range(passes):
+        for w in windows:
+            for k in (1, 7):
+                target = w.center()
+                assert_knn_as_good(
+                    engines[2].knn(target, k), oracles[2].knn(target, k)
+                )
+        (got_pairs, got), (want_pairs, want) = engines[3].join(), oracles[3].join()
+        assert sorted(map(repr, got_pairs)) == sorted(map(repr, want_pairs))
+        assert (got.pairs, got.node_pairs) == (want.pairs, want.node_pairs)
+        assert got.left.leaf_reads == want.left.leaf_reads
+        assert got.right.leaf_reads == want.right.leaf_reads
 
 
 # ----------------------------------------------------------------------

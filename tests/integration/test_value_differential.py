@@ -34,18 +34,19 @@ from repro.queries.point import PointQueryEngine
 from repro.rtree.query import Matches, QueryEngine, QueryStats, TraversalEngine
 from repro.rtree.tree import ObjectColumn
 from repro.storage import open_index, pack_tree
-from repro.storage.shard import (
-    ShardedKNNEngine,
-    ShardedPointEngine,
-    ShardedQueryEngine,
-    shard_pack,
-)
+from repro.storage.shard import shard_pack
 
 from tests.conftest import random_rects, random_windows
 from tests.dfs_oracle import (
     DFSOracleKNNEngine,
     DFSOraclePointEngine,
     DFSOracleQueryEngine,
+)
+from tests.sharded_oracle import (
+    FanoutKNNEngine,
+    FanoutPointEngine,
+    FanoutQueryEngine,
+    assert_knn_as_good,
 )
 
 LOADERS = {
@@ -99,15 +100,15 @@ class OracleFanout:
         return super()._scatter(shape, hits, call, merge)
 
 
-class OracleShardedQuery(OracleFanout, ShardedQueryEngine):
+class OracleShardedQuery(OracleFanout, FanoutQueryEngine):
     _SUB_ENGINE = DFSOracleQueryEngine
 
 
-class OracleShardedPoint(OracleFanout, ShardedPointEngine):
+class OracleShardedPoint(OracleFanout, FanoutPointEngine):
     _SUB_ENGINE = DFSOraclePointEngine
 
 
-class OracleShardedKNN(ShardedKNNEngine):
+class OracleShardedKNN(FanoutKNNEngine):
     _SUB_ENGINE = OracleKNN
 
     def knn(self, target, k):
@@ -128,13 +129,9 @@ class OracleShardedKNN(ShardedKNNEngine):
 
 
 def engines_for(index, oracle):
-    if hasattr(index, "shards"):
-        kinds = (
-            (OracleShardedQuery, OracleShardedPoint, OracleShardedKNN)
-            if oracle
-            else (ShardedQueryEngine, ShardedPointEngine, ShardedKNNEngine)
-        )
-    else:
+    if hasattr(index, "shards") and oracle:
+        kinds = (OracleShardedQuery, OracleShardedPoint, OracleShardedKNN)
+    else:  # a family is one tree to the engines
         kinds = (
             (DFSOracleQueryEngine, DFSOraclePointEngine, OracleKNN)
             if oracle
@@ -214,6 +211,10 @@ def assert_same_answers(pair, windows):
     engines = engines_for(got, oracle=False)
     oracles = engines_for(want, oracle=True)
     (query, point, knn), (o_query, o_point, o_knn) = engines, oracles
+    # A family's kNN is one best-first search, not the fan-out's merged
+    # streams: held to the same neighbors for no more leaf reads, after
+    # the rest (it may leave the page caches in another state).
+    family = hasattr(got, "shards")
     for window in windows:
         same_result(query.query(window), o_query.query(window))
         same_result(
@@ -224,11 +225,20 @@ def assert_same_answers(pair, windows):
             point.containment_query(window), o_point.containment_query(window)
         )
         assert point.count(window) == o_point.count(window)
-        for k in (1, 7, 40):
+        for k in () if family else (1, 7, 40):
             target = window.center()
             same_result(knn.knn(target, k), o_knn.knn(target, k))
     assert [e.totals for e in engines] == [e.totals for e in oracles]
     assert io_state(got) == io_state(want)
+    for window in windows if family else ():
+        for k in (1, 7, 40):
+            got_knn = knn.knn(window.center(), k)
+            assert_knn_as_good(got_knn, o_knn.knn(window.center(), k))
+            nbs = got_knn[0]
+            assert all(
+                value is got.objects.get(oid)
+                for value, oid in zip(nbs.values, nbs.ids)
+            )
 
 
 def close_all(pair):
@@ -288,12 +298,6 @@ MUTANTS = {
         ObjectColumn, "__setitem__", ObjectColumn.__setitem__,
         "    self._reserve(key + 1)\n",
         "    if key >= len(self._present):\n        return\n",
-    ),
-    # The sharded merge joins the shards' values last shard first.
-    "shard-values-reversed": (
-        Matches, "concat", Matches.concat.__func__,
-        "chain.from_iterable(result._values for result in results)",
-        "chain.from_iterable(result._values for result in results[::-1])",
     ),
 }
 

@@ -159,7 +159,7 @@ class OracleExporter:
         )
         shard_busy = registry.gauge(
             "repro_shard_busy_seconds_total",
-            "Wall-clock seconds the sharded engines spent per shard",
+            "Wall-clock seconds inside each shard's store calls",
             ("index", "shard"),
         )
         shard_reads = registry.counter(

@@ -275,10 +275,10 @@ class TestStatus:
         ).groups()
         assert measured == predicted
 
-    def test_explain_sharded_has_no_plans(self, manifest, capsys):
+    def test_explain_sharded_has_plans(self, manifest, capsys):
         assert main(["status", str(manifest), "--explain"]) == 0
         out = capsys.readouterr().out
-        assert "no per-query plans" in out
+        assert "worst plan (lowest pruning efficiency)" in out
         assert "ghost-LRU predicts" in out
 
     def test_trace_self_check(self, index, tmp_path, capsys):
@@ -338,7 +338,7 @@ class TestStatus:
         ]
         assert len(rows) == 4 and all("clean" in row for row in rows)
         assert _score(out) < 1e-9
-        assert "no per-query plans" in out
+        assert "worst plan (lowest pruning efficiency)" in out
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_explain_skips_an_empty_index(self, tmp_path, capsys, shards):

@@ -118,9 +118,6 @@ class TestWindowPlan:
         assert "L0 root" in text
         assert "pruning efficiency" in text
 
-    def test_install_rejects_foreign_engines(self):
-        assert install(object()) is None
-
     def test_uninstall_none_recorder(self, paged):
         engine = QueryEngine(paged)
         _, stats = engine.query(WINDOW)
@@ -241,9 +238,8 @@ class TestServerExplain:
         report = server.submit(self.requests())
         assert all(result.plan is None for result in report.results)
 
-    def test_join_touching_a_sharded_index_has_no_plan(self, tmp_path):
-        # A sharded join engine's ``_left`` / ``_right`` are trees, not
-        # traversal engines: plan capture must skip it, not crash.
+    def test_join_touching_a_sharded_index_has_a_plan(self, tmp_path):
+        # A family is one tree to the join: each side gets a plan.
         data = random_rects(400, seed=52)
         tree = build_prtree(BlockStore(), data, 16)
         plain = build_prtree(
@@ -257,13 +253,13 @@ class TestServerExplain:
             want = QueryServer(indexes).submit(join)
             got = QueryServer(indexes, explain=True).submit(join)
             for a, b in zip(got.results, want.results):
-                assert a.plan is None
+                assert a.plan.left.levels and a.plan.right.levels
                 assert sorted(map(repr, a.value)) == sorted(
                     map(repr, b.value)
                 )
             assert got.results[0].value
 
-    def test_sharded_index_has_no_plan(self, tmp_path):
+    def test_sharded_index_has_a_plan(self, tmp_path):
         data = random_rects(400, seed=51)
         tree = build_prtree(BlockStore(), data, 16)
         manifest = tmp_path / "fam.manifest"
@@ -274,9 +270,9 @@ class TestServerExplain:
                 [WindowRequest(WINDOW), CountRequest(WINDOW)]
             )
             want = sum(1 for r, _ in data if r.intersects(WINDOW))
-            assert report.results[0].plan is None
+            assert report.results[0].plan.reported == want
             assert len(report.results[0].value) == want
-            assert report.results[1].plan is None
+            assert report.results[1].plan.reported == want
             assert report.results[1].value == want
 
 

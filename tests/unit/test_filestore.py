@@ -117,6 +117,19 @@ class TestAccounting:
             store.free(bid)
             assert store.counters.total == before
 
+    @pytest.mark.parametrize("in_memory", [True, False])
+    def test_peek_many_reads_what_peek_reads(self, path, in_memory):
+        # An in-memory store has no file descriptor to preadv from.
+        with FileBlockStore.create(
+            None if in_memory else path, block_size=64
+        ) as store:
+            ids = [store.allocate(bytes([i]) * 8) for i in range(3)]
+            store.write(ids[1], b"z" * 8)
+            got = store.peek_many([ids[2], ids[0], ids[1]])
+            assert bytes(got) == b"".join(
+                store.peek(i) for i in (ids[2], ids[0], ids[1])
+            )
+
     def test_shared_counters(self, path):
         counters = IOCounters()
         with FileBlockStore.create(

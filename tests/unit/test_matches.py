@@ -144,17 +144,6 @@ class TestSequenceContract:
         head.clear()
         assert list(result) == want
 
-    def test_concat(self, entries, no_rects):
-        result, want, picked = two_leaf_result(entries)
-        empty = Matches(dim=2)
-        merged = Matches.concat([empty, result, empty, result], dim=2)
-        assert len(merged) == 10
-        assert merged.values == result.values * 2
-        assert merged.ids == result.ids * 2
-        assert rows_of(merged.lo) == rows_of(result.lo) * 2
-        assert len(Matches.concat([], dim=2)) == 0
-        assert Matches.concat([result], dim=2) is result
-
 
 class TestEngines:
     """What the engines hand back, in memory and from pages."""

@@ -4,8 +4,9 @@ Covers :func:`repro.storage.shard.shard_pack` round-trips, the manifest
 hardening contract (corrupt / truncated manifests rejected with clear
 errors, hostile field types refused, shard-file count and MBR
 mismatches detected on open), read-only families
-rejecting updates up front, and the fan-out engines against brute-force
-oracles.
+rejecting updates up front, the single-tree engines on a family
+against brute-force oracles, and a family as one tree against the
+fan-out engines it replaced (``tests/sharded_oracle.py``).
 """
 
 import itertools
@@ -22,22 +23,20 @@ from repro.datasets.synthetic import uniform_rects
 from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
-from repro.queries.knn import brute_force_knn
+from repro.queries.join import SpatialJoinEngine
+from repro.queries.knn import KNNEngine, brute_force_knn
 from repro.queries.point import (
+    PointQueryEngine,
     brute_force_containment,
     brute_force_point_query,
 )
 from repro.rtree.node import Node
-from repro.rtree.query import brute_force_query
+from repro.rtree.query import QueryEngine, brute_force_query
 from repro.rtree.validate import validate_rtree
 from repro.storage import (
     FileBlockStore,
     PagedTree,
     ShardError,
-    ShardedJoinEngine,
-    ShardedKNNEngine,
-    ShardedPointEngine,
-    ShardedQueryEngine,
     ShardedTree,
     StorageError,
     open_index,
@@ -109,7 +108,7 @@ class TestShardPack:
         assert stats.shards == 1
         with open_family(path, tree) as family:
             window = Rect((0.2, 0.2), (0.6, 0.6))
-            got, _ = ShardedQueryEngine(family).query(window)
+            got, _ = QueryEngine(family).query(window)
             assert sorted(v for _, v in got) == sorted(
                 v for _, v in brute_force_query(data, window)
             )
@@ -268,10 +267,19 @@ class TestReadonlyFamilies:
         assert manifest.read_text() == before
 
 
+def read_deltas(family, call):
+    """``call()``'s answer and each shard's logical reads during it."""
+    before = family.shard_loads()
+    answer = call()
+    return answer, [
+        (after - start).reads for after, start in zip(family.shard_loads(), before)
+    ]
+
+
 class TestShardedEngines:
     def test_window_matches_brute_force(self, manifest, tree, data):
         with open_family(manifest, tree) as family:
-            engine = ShardedQueryEngine(family)
+            engine = QueryEngine(family)
             for window in (
                 Rect((0.1, 0.1), (0.4, 0.3)),
                 Rect((0.0, 0.0), (1.0, 1.0)),
@@ -287,16 +295,12 @@ class TestShardedEngines:
 
     def test_fanout_skips_nonintersecting_shards(self, manifest, tree):
         with open_family(manifest, tree) as family:
-            engine = ShardedQueryEngine(family)
+            engine = QueryEngine(family)
             # A window inside a single shard's MBR only reads that shard.
             target = family.shard_mbr(0)
             lone = Rect(target.lo, target.lo)
-            engine.query(lone)
-            touched = [
-                i
-                for i, totals in enumerate(engine.per_shard_totals())
-                if totals.queries > 0
-            ]
+            _, reads = read_deltas(family, lambda: engine.query(lone))
+            touched = [i for i, n in enumerate(reads) if n > 0]
             assert touched  # someone answered
             untouched_mbrs = [
                 family.shard_mbr(i)
@@ -311,7 +315,7 @@ class TestShardedEngines:
         self, manifest, tree, data
     ):
         with open_family(manifest, tree) as family:
-            engine = ShardedPointEngine(family)
+            engine = PointQueryEngine(family)
             window = Rect((0.2, 0.3), (0.7, 0.8))
             count, _ = engine.count(window)
             assert count == len(brute_force_query(data, window))
@@ -325,9 +329,9 @@ class TestShardedEngines:
                 v for _, v in brute_force_point_query(data, point)
             )
 
-    def test_knn_streams_merge_in_distance_order(self, manifest, tree, data):
+    def test_knn_is_one_search_in_distance_order(self, manifest, tree, data):
         with open_family(manifest, tree) as family:
-            engine = ShardedKNNEngine(family)
+            engine = KNNEngine(family)
             for target in ((0.5, 0.5), (0.0, 1.0), (0.99, 0.01)):
                 got, stats = engine.knn(target, 15)
                 want = brute_force_knn(data, target, 15)
@@ -338,16 +342,13 @@ class TestShardedEngines:
                 assert distances == sorted(distances)
                 assert stats.queries == 1
 
-    def test_knn_lazy_streams_skip_far_shards(self, manifest, tree):
+    def test_knn_skips_far_shards(self, manifest, tree):
         with open_family(manifest, tree) as family:
-            engine = ShardedKNNEngine(family)
-            # One neighbor of a corner point should not open every shard.
+            engine = KNNEngine(family)
+            # One neighbor of a corner point should not read every shard.
             corner = family.shard_mbr(0).lo
-            engine.knn(corner, 1)
-            opened = sum(
-                1 for t in engine.per_shard_totals() if t.queries > 0
-            )
-            assert opened < family.n_shards
+            _, reads = read_deltas(family, lambda: engine.knn(corner, 1))
+            assert 0 < sum(n > 0 for n in reads) < family.n_shards
 
     def test_join_sharded_vs_plain_sides(self, manifest, tree, data):
         minor_data = uniform_rects(150, max_side=0.05, seed=9)
@@ -359,18 +360,18 @@ class TestShardedEngines:
             if ra.intersects(rb)
         )
         with open_family(manifest, tree) as family:
-            pairs, stats = ShardedJoinEngine(family, minor).join()
+            pairs, stats = SpatialJoinEngine(family, minor).join()
             assert (
                 sorted((a[1], b[1]) for a, b in pairs) == expected
             )
             assert stats.pairs == len(expected)
             # Sharded on the right as well.
-            pairs, _ = ShardedJoinEngine(minor, family).join()
+            pairs, _ = SpatialJoinEngine(minor, family).join()
             assert (
                 sorted((b[1], a[1]) for a, b in pairs) == expected
             )
             # Sharded self-join reports ordered pairs like the plain one.
-            pairs, _ = ShardedJoinEngine(family, family).join()
+            pairs, _ = SpatialJoinEngine(family, family).join()
             self_expected = sorted(
                 (va, vb)
                 for ra, va in data
@@ -382,9 +383,9 @@ class TestShardedEngines:
             )
 
     @pytest.mark.parametrize(
-        "make", [ShardedQueryEngine, ShardedPointEngine, ShardedKNNEngine]
+        "make", [QueryEngine, PointQueryEngine, KNNEngine]
     )
-    def test_reset_clears_per_shard_totals_and_keeps_caches(
+    def test_reset_clears_totals_and_keeps_caches(
         self, manifest, tree, make
     ):
         with open_family(manifest, tree) as family:
@@ -392,35 +393,30 @@ class TestShardedEngines:
             window = Rect((0.0, 0.0), (1.0, 1.0))
 
             def run():
-                if make is ShardedQueryEngine:
+                if make is QueryEngine:
                     return engine.query(window)
-                if make is ShardedPointEngine:
+                if make is PointQueryEngine:
                     return engine.containment_query(window)
                 return engine.knn((0.5, 0.5), 40)
 
             run()
             engine.reset()
             assert engine.totals.queries == 0
-            assert all(
-                totals.queries == 0 and totals.leaf_reads == 0
-                for totals in engine.per_shard_totals()
-            )
-            _, stats = run()
-            # The internal-node pools survived the reset.
+            (_, stats), reads = read_deltas(family, run)
+            # The paid internal reads survived the reset.
             assert stats.internal_reads == 0
-            per_shard = engine.per_shard_totals()
-            assert sum(t.leaf_reads for t in per_shard) == stats.leaf_reads
+            assert sum(reads) == stats.leaf_reads
             assert engine.totals.leaf_reads == stats.leaf_reads
 
     def test_dimension_mismatch_raises(self, manifest, tree):
         with open_family(manifest, tree) as family:
             bad = Rect((0, 0, 0), (1, 1, 1))
             with pytest.raises(ValueError, match="3-d"):
-                ShardedQueryEngine(family).query(bad)
+                QueryEngine(family).query(bad)
             with pytest.raises(ValueError, match="3-d"):
-                ShardedKNNEngine(family).knn((0.0, 0.0, 0.0), 3)
+                KNNEngine(family).knn((0.0, 0.0, 0.0), 3)
             with pytest.raises(ValueError, match="3-d"):
-                ShardedPointEngine(family).point_query((0.0, 0.0, 0.0))
+                PointQueryEngine(family).point_query((0.0, 0.0, 0.0))
             with pytest.raises(ValueError, match="3-d"):
                 family.route(bad)
 
@@ -499,7 +495,7 @@ class TestUpdatesAndSync:
                 validate_rtree(shard)
             assert family.size == N
             window = Rect((0.0, 0.0), (1.0, 1.0))
-            got, _ = ShardedQueryEngine(family).query(window)
+            got, _ = QueryEngine(family).query(window)
             assert sorted(v for _, v in got) == sorted(v for _, v in live)
 
     def test_close_is_idempotent(self, manifest, tree):
@@ -762,7 +758,7 @@ class TestRoutingTable:
         # The table is read, never the shards' roots: routing a request
         # moves no page-cache counter.
         with open_family(manifest, tree) as family:
-            engine = ShardedQueryEngine(family)
+            engine = QueryEngine(family)
             window = Rect((0.3, 0.3), (0.4, 0.4))
             engine.query(window)  # warm
             before = family.page_stats
@@ -788,3 +784,314 @@ class TestRoutingTable:
         )
         with pytest.raises(AssertionError):
             raise_midway(tmp_path)
+
+
+# ----------------------------------------------------------------------
+# A family is one tree: the single-tree engines over its level table
+# against the fan-out engines they replaced (tests/sharded_oracle.py).
+#
+# Fixtures: K in {1, 2, 4, 7}, shards of unequal height (one shard
+# grown until its root splits), and an emptied shard.  Each is opened
+# twice, engines run cold, the fixture's writes land on both handles,
+# and engines run again warm.  The window family must answer the same
+# ids with identical QueryStats and leave every shard's counters,
+# page-cache statistics, loads and page-event sequence identical; kNN
+# must give the same distances and members strictly inside the k-th
+# distance for no more leaf reads.
+# ----------------------------------------------------------------------
+
+import inspect
+from dataclasses import replace
+import textwrap
+
+from repro.obs import ReuseDistanceTracker
+from repro.rtree.query import TraversalEngine
+from repro.server import (
+    ContainmentRequest,
+    CountRequest,
+    JoinRequest,
+    KNNRequest,
+    PointRequest,
+    QueryServer,
+    WindowRequest,
+)
+from repro.storage import shard as shard_module
+
+from tests.sharded_oracle import (
+    FanoutKNNEngine,
+    FanoutPointEngine,
+    FanoutQueryEngine,
+    assert_knn_as_good,
+)
+
+FIXTURE_FANOUT = 8
+
+
+def family_fixture(directory, name):
+    """``(path, values, writes)``: a packed family and the writes that
+    make it the named fixture (``writes(family)`` applies them)."""
+    data = uniform_rects(360, max_side=0.04, seed=17)
+    tree = build_prtree(BlockStore(), data, FIXTURE_FANOUT)
+    shards = {"K1": 1, "K2": 2, "K4": 4, "K7": 7}.get(name, 4)
+    path = pathlib.Path(directory) / f"{name}.manifest"
+    shard_pack(tree, path, shards=shards, block_size=1024)
+    fresh = uniform_rects(40, max_side=0.04, seed=18)
+
+    def writes(family):
+        if name == "unequal":  # one shard grows until its root splits
+            owned = [rect for rect, _ in data if family.route(rect) == 0]
+            height = family.shards[0].height
+            for n, rect in enumerate(owned * 8):
+                family.insert(rect, ("grown", n))
+                if family.shards[0].height > height:
+                    break
+            heights = {shard.height for shard in family.shards}
+            assert len(heights) > 1, heights
+        elif name == "emptied":  # every row of shard 2 deleted
+            for rect, value in list(family.shards[2].all_data()):
+                assert family.delete(rect, value)
+            assert family.shard_mbr(2) is None
+        else:  # a few inserts and deletes anywhere
+            for rect, value in fresh:
+                family.insert(rect, ("fresh", value))
+            for rect, value in data[::25]:
+                assert family.delete(rect, value)
+
+    return path, dict(tree.objects), writes
+
+
+FIXTURES = ["K1", "K2", "K4", "K7", "unequal", "emptied"]
+PROBES = [
+    Rect((0.1, 0.1), (0.4, 0.3)),
+    Rect((0.0, 0.0), (1.0, 1.0)),
+    Rect((0.45, 0.45), (0.55, 0.55)),
+    Rect((0.9, 0.02), (0.98, 0.3)),
+    Rect((3.0, 3.0), (4.0, 4.0)),
+    Rect((0.5, 0.5), (0.5, 0.5)),
+]
+
+
+def shard_state(family):
+    """Each shard's counters, page-cache statistics, load (less its
+    busy time) and page-event sequence."""
+    return [
+        (
+            shard.store.counters.snapshot(),
+            shard.page_stats.snapshot(),
+            replace(load, busy_s=0.0),
+            list(shard.page_store.tracker.log),
+        )
+        for shard, load in zip(family.shards, family.shard_loads())
+    ]
+
+
+def state_since(before, after):
+    """Per shard, what moved between two :func:`shard_state` s."""
+    return [
+        (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3][len(b[3]):])
+        for b, a in zip(before, after)
+    ]
+
+
+def window_family(engines, probe):
+    window, point = engines
+    return [
+        window.query(probe),
+        point.containment_query(probe),
+        point.point_query(probe.center()),
+        point.count(probe),
+    ]
+
+
+def assert_same_window_family(got, want):
+    for (got_answer, got_stats), (want_answer, want_stats) in zip(got, want):
+        assert got_stats == want_stats
+        if isinstance(got_answer, int):
+            assert got_answer == want_answer
+        else:
+            assert sorted(got_answer.ids) == sorted(want_answer.ids)
+
+
+def check_fixture(directory, name, cache_pages=6):
+    """Run one fixture; return the kNN leaf reads saved."""
+    path, values, writes = family_fixture(directory, name)
+    saved = 0
+    with ShardedTree.open(
+        path, values=dict(values), cache_pages=cache_pages
+    ) as got, ShardedTree.open(
+        path, values=dict(values), cache_pages=cache_pages
+    ) as want:
+        for family in (got, want):
+            for shard in family.shards:
+                shard.page_store.tracker = ReuseDistanceTracker(
+                    budgets=[1, 4], keep_log=True
+                )
+        engines = (QueryEngine(got), PointQueryEngine(got))
+        oracles = (FanoutQueryEngine(want), FanoutPointEngine(want))
+        knn, knn_oracle = KNNEngine(got), FanoutKNNEngine(want)
+        for round in range(2):
+            # kNN may have left other pages cached: both sides start
+            # each round of exact comparisons cold.
+            for family in (got, want):
+                for shard in family.shards:
+                    shard.page_store.clear_cache()
+            before = shard_state(got), shard_state(want)
+            if round:
+                writes(got)
+                writes(want)
+            for probe in PROBES:
+                assert_same_window_family(
+                    window_family(engines, probe), window_family(oracles, probe)
+                )
+            assert state_since(before[0], shard_state(got)) == state_since(
+                before[1], shard_state(want)
+            )
+            for probe in PROBES:
+                for k in (1, 10, 60):
+                    saved += assert_knn_as_good(
+                        knn.knn(probe.center(), k),
+                        knn_oracle.knn(probe.center(), k),
+                    )
+    return saved
+
+
+def _mutant(function, old, new):
+    """``function`` recompiled from its own source with ``old`` replaced
+    by ``new`` (which must occur exactly once)."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace = dict(function.__globals__)
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
+    return namespace[function.__name__]
+
+
+FAMILY_MUTANTS = {
+    # The virtual root's row is owed a read like a node's.
+    "root-charged-as-read": (
+        TraversalEngine, "_read_leaves", TraversalEngine._read_leaves,
+        "not in self._counted and level.ids[j] >= 0", "not in self._counted",
+    ),
+    # Only the root is discounted: pass-through rows count as visits.
+    "pass-through-counted-as-visit": (
+        TraversalEngine, "_run", TraversalEngine._run,
+        "level.ids[j] < 0", "level.ids[j] == -1",
+    ),
+    # Shard 0's child pointers land in shard 1's id space.
+    "child-pointer-into-wrong-shard": (
+        ShardedTree, "level_table", ShardedTree.level_table,
+        "frame.ptrs + base", "frame.ptrs + (base or 1 << _SHARD_SHIFT)",
+    ),
+    # A write to a shard leaves the family's table as it was.
+    "stale-table-after-write": (
+        ShardedTree, "_refresh", ShardedTree._refresh,
+        "self.store.generation += 1", "pass",
+    ),
+}
+
+
+class TestFamilyAsOneTree:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_against_the_fanout(self, tmp_path, name):
+        assert check_fixture(tmp_path, name) >= 0
+
+    @pytest.mark.parametrize("cache_pages", [0, 1024])
+    def test_cache_sizes(self, tmp_path, cache_pages):
+        check_fixture(tmp_path, "unequal", cache_pages)
+
+    def test_unequal_heights_get_pass_through_rows(self, tmp_path):
+        path, values, writes = family_fixture(tmp_path, "unequal")
+        with ShardedTree.open(path, values=values) as family:
+            writes(family)
+            table = shard_module.levels_of(family)
+            short = sum(
+                family.height - shard.height for shard in family.shards
+            )
+            assert short > 0 and table.virtual == 1 + short
+            assert len(table.levels) == family.height
+            ids = [i for level in table.levels for i in level.ids]
+            assert sorted(i for i in ids if i < 0) == list(range(-short - 1, 0))
+
+    def test_a_write_rebuilds_only_the_written_shards_levels(self, tmp_path):
+        path, values, _ = family_fixture(tmp_path, "K4")
+        with ShardedTree.open(path, values=values) as family:
+            QueryEngine(family).query(PROBES[1])
+            before = [shard_module.levels_of(s) for s in family.shards]
+            rect = Rect((0.5, 0.5), (0.51, 0.51))
+            owner = family.route(rect)
+            family.insert(rect, "new")
+            QueryEngine(family).query(PROBES[1])
+            after = [shard._levels for shard in family.shards]
+            assert [a is b for a, b in zip(after, before)] == [
+                i != owner for i in range(family.n_shards)
+            ]
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_MUTANTS))
+    def test_mutant_caught(self, tmp_path, monkeypatch, name):
+        owner, attribute, function, old, new = FAMILY_MUTANTS[name]
+        monkeypatch.setattr(owner, attribute, _mutant(function, old, new))
+        with pytest.raises(Exception):
+            for fixture in ("unequal", "K4"):
+                check_fixture(tmp_path / fixture, fixture)
+
+
+def requests_for(bounds):
+    center = bounds.center()
+    window = Rect(
+        tuple(c - 0.1 for c in center), tuple(c + 0.1 for c in center)
+    )
+    return [
+        WindowRequest(window),
+        PointRequest(center),
+        ContainmentRequest(window),
+        CountRequest(window),
+        KNNRequest(center, 5),
+        JoinRequest(),
+    ]
+
+
+class TestFamilyExplain:
+    def test_every_read_kind_has_a_plan(self, tmp_path):
+        path, values, _ = family_fixture(tmp_path, "K4")
+        with ShardedTree.open(path, values=values) as family:
+            server = QueryServer(family, explain=True)
+            report = server.submit(requests_for(family.root().mbr()))
+            assert all(result.plan is not None for result in report.results)
+            plan = report.results[0].plan
+            assert len(plan.levels) == family.height
+            assert plan.levels[-1].leaf and not plan.levels[0].leaf
+
+    def test_a_one_shard_family_plans_like_its_file(self, tmp_path):
+        path, values, _ = family_fixture(tmp_path, "K1")
+        with ShardedTree.open(path, values=values) as family, open_index(
+            path.with_name(family.infos[0].file), values=values
+        ) as single:
+            requests = requests_for(family.root().mbr())
+            # Opening a family peeks its shards' roots: start both cold.
+            for store in (family.shards[0].page_store, single.page_store):
+                store.clear_cache()
+            plans = [
+                [
+                    result.plan
+                    for result in QueryServer(index, explain=True)
+                    .submit(requests)
+                    .results
+                ]
+                for index in (family, single)
+            ]
+            assert plans[0] == plans[1]
+
+
+class TestNonFiniteWrites:
+    def test_insert_and_delete_raise_before_any_shard(self, tmp_path):
+        data = uniform_rects(200, max_side=0.02, seed=4)
+        tree = build_prtree(BlockStore(), data, FANOUT)
+        path = tmp_path / "two.manifest"
+        shard_pack(tree, path, shards=2)
+        bad = Rect((0.0, 0.0), (float("inf"), 1.0))
+        with ShardedTree.open(path, values=dict(tree.objects)) as family:
+            generations = [s.page_store.generation for s in family.shards]
+            for write in (family.insert, family.delete):
+                with pytest.raises(ValueError, match="non-finite"):
+                    write(bad, "x")
+            assert family.size == 200
+            assert [s.page_store.generation for s in family.shards] == generations
