@@ -210,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of clean,torn,omit",
     )
     crash.add_argument(
-        "--variants", default="file,mmap,shard",
-        help="comma-separated subset of file,mmap,shard",
+        "--variants", default="file,shard",
+        help="comma-separated subset of file,shard",
     )
     crash.add_argument(
         "--stride", type=int, default=1,

@@ -56,7 +56,7 @@ from repro.storage import (
 __all__ = ["crash_matrix", "CRASH_VARIANTS"]
 
 #: Index shapes the matrix can exercise.
-CRASH_VARIANTS = ("file", "mmap", "shard")
+CRASH_VARIANTS = ("file", "shard")
 
 _EVERYTHING = Rect((-1e12, -1e12), (1e12, 1e12))
 
@@ -112,7 +112,6 @@ class _Variant:
         shards: int,
     ) -> None:
         self.name = name
-        self.mmap = name == "mmap"
         self.sharded = name == "shard"
         self.commit_tag = "manifest" if self.sharded else "store"
         self.golden = work / f"golden-{name}"
@@ -143,11 +142,7 @@ class _Variant:
                 path, values=values, readonly=readonly, injector=injector
             )
         return PagedTree.open(
-            path,
-            values=values,
-            readonly=readonly,
-            mmap=self.mmap,
-            injector=injector,
+            path, values=values, readonly=readonly, injector=injector
         )
 
     def validate(self, tree) -> None:
@@ -187,7 +182,7 @@ def crash_matrix(
     modes:
         Crash modes per write offset (``clean``/``torn``/``omit``).
     variants:
-        Index shapes from :data:`CRASH_VARIANTS` — plain file, mmap,
+        Index shapes from :data:`CRASH_VARIANTS` — a single file or a
         sharded family.
     stride:
         Test every ``stride``-th write offset (1 = exhaustive).

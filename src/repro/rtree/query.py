@@ -120,26 +120,28 @@ class Matches(ColumnarResult):
     """A window, point or containment query's result: an immutable
     sequence of ``(rect, value)`` pairs held as columns.
 
-    The columns are *parts*, each a frame and its matching rows (an
-    index array): a lone leaf's own frame, or one fresh frame
-    concatenated from a query's surviving leaves (frames are never
-    edited in place, so either is a snapshot no later write can
-    change), plus the rows' values, resolved at query time by one
+    The columns are one frame and its matching rows (an index array):
+    a lone leaf's own frame, or one fresh frame concatenated from a
+    query's surviving leaves (frames are never edited in place, so
+    either is a snapshot no later write can change), plus the rows'
+    values, resolved at query time by one
     :meth:`~repro.rtree.tree.ObjectColumn.take` over the rows' ids.
     ``len()``, :attr:`values`, :attr:`ids`, :attr:`lo` and :attr:`hi`
     read them; the pairs come in traversal order.  A retained result
-    keeps its parts' frames alive.
+    keeps its frame alive.
     """
 
-    __slots__ = ("_parts", "_dim")
+    __slots__ = ("_frame", "_rows", "_dim")
 
     def __init__(
         self,
-        parts: Iterable[tuple[NodeFrame, list[int]]] = (),
+        frame: NodeFrame | None = None,
+        rows: Sequence[int] = (),
         values: Iterable[Any] = (),
         dim: int = 0,
     ) -> None:
-        self._parts = tuple(parts)
+        self._frame = frame
+        self._rows = rows
         self._values = tuple(values)
         self._dim = dim
         self._built: list[tuple[Rect, Any]] | None = None
@@ -147,7 +149,9 @@ class Matches(ColumnarResult):
     @property
     def ids(self) -> tuple[int, ...]:
         """The matched rows' object ids (leaf pointers), in result order."""
-        return tuple(id_column(self._parts).tolist())
+        if self._frame is None:
+            return ()
+        return tuple(self._frame.ptrs[self._rows].tolist())
 
     @property
     def lo(self):
@@ -163,10 +167,9 @@ class Matches(ColumnarResult):
 
     def _box(self):
         """The matched rows' box table (columns in result order)."""
-        boxes = [np.take(frame.box, rows, axis=1) for frame, rows in self._parts]
-        if not boxes:
+        if self._frame is None:
             return np.empty((2 * self._dim, 0))
-        return boxes[0] if len(boxes) == 1 else np.concatenate(boxes, axis=1)
+        return np.take(self._frame.box, self._rows, axis=1)
 
     def _build(self) -> list[tuple[Rect, Any]]:
         box = self._box()
@@ -174,14 +177,7 @@ class Matches(ColumnarResult):
         return list(zip(rects_of(box[:half].T, -box[half:].T), self._values))
 
     def __repr__(self) -> str:
-        return f"Matches({len(self._values)} rows in {len(self._parts)} parts)"
-
-
-def id_column(parts: Sequence[tuple[NodeFrame, Any]]):
-    """The object ids of the parts' rows, in order, as one int64 column."""
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([frame.ptrs[rows] for frame, rows in parts])
+        return f"Matches({len(self._values)} rows)"
 
 
 class TraversalEngine:
@@ -251,7 +247,7 @@ class TraversalEngine:
         descent is level-synchronous over the tree's pinned table; the
         surviving leaves are read in depth-first order — the reverse of
         their rows — and tested as one concatenated frame: one kernel
-        call, one result part, one gather of its values.
+        call, one result frame, one gather of its values.
         """
         tree = self.tree
         table = levels_of(tree)
@@ -272,7 +268,7 @@ class TraversalEngine:
         ptrs = steps[-1][0].ptrs if steps else [tree.root_id]
         stats.leaf_reads += len(frontier)
         frames = self._read_leaves(table, steps, frontier, ptrs, stats)
-        matched, parts, values = 0, (), ()
+        matched, result = 0, Matches(dim=tree.dim)
         if frames:
             frame = frames[0] if len(frames) == 1 else NodeFrame.concat(frames)
             if report_rows is None:
@@ -281,13 +277,13 @@ class TraversalEngine:
                 rows = report_rows(frame.box)
                 matched = len(rows)
                 if matched:
-                    parts = ((frame, rows),)
                     values = tree.objects.take(frame.ptrs[rows])
+                    result = Matches(frame, rows, values, tree.dim)
             stats.reported += matched
             if self._recorder is not None:  # every leaf is on one plan level
                 self._recorder.note_matched(ptrs[frontier[-1]], matched)
         self.totals.merge(stats)
-        return Matches(parts, values, tree.dim), stats
+        return result, stats
 
     def _read_leaves(self, table, steps, frontier, ptrs, stats) -> list[NodeFrame]:
         """Make a descent's store accesses, in one ``read_many``; return

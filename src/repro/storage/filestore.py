@@ -58,15 +58,18 @@ what lets a :class:`~repro.server.QueryServer` execute batches over
 shared tree handles from several worker threads — and what the async
 serving layer's overlapping read batches rely on.
 
-Opening with ``mmap=True`` maps the file and serves every block access
-from the mapping instead of ``seek``+``read`` pairs: one slice of the
-page cache per block, no buffered-I/O bookkeeping, noticeably less
-Python overhead on the hot paged-read path under concurrency.  The
-:class:`~repro.iomodel.counters.IOCounters` accounting is unchanged —
-logical I/O is what the *caller* did, not how the bytes arrived.  A
-writable mapped store routes writes through the mapping too (growing
-the file with ``ftruncate`` + ``mmap.resize``), so the mapping and the
-file never disagree.
+Every store maps its file: block reads are slices of the mapping and
+block writes land in it, so there is one access path whether the store
+was opened read-only or not.  The
+:class:`~repro.iomodel.counters.IOCounters` accounting is what the
+*caller* did, not how the bytes arrived.  A write past the end grows
+the file and the mapping to exactly the written end (``mmap.resize``),
+so the file size stays the committed footprint.  Nothing read out of a
+store views the mapping: ``peek``, ``read`` and :meth:`peek_many`
+return copies, so a result outlives any later growth and ``close``.
+Because a mapping faults (``SIGBUS``) on pages cut off under it,
+nothing may truncate a file a store has open: :meth:`create` replaces
+an existing file (unlink, then create) instead of truncating it.
 
 For crash testing, a :class:`~repro.storage.faults.FaultInjector` can
 be attached at :meth:`create`/:meth:`open`: every physical write is
@@ -77,8 +80,7 @@ further writes, including on ``close``) exactly like a killed process.
 
 from __future__ import annotations
 
-import io
-import mmap as mmaplib
+import mmap
 import os
 import pathlib
 import struct
@@ -128,8 +130,6 @@ _FREE_BIT = 1 << 63
 _FREE_MASK = _FREE_BIT - 1
 #: Live map entry meaning "address reserved, no bytes ever written".
 _UNWRITTEN = _FREE_MASK
-#: Most blocks one vectored read fills (IOV_MAX is 1024 on Linux).
-_RUN_BLOCKS = 512
 
 
 class StorageError(ValueError):
@@ -173,14 +173,16 @@ class FileBlockStore:
 
     def __init__(
         self,
-        file: io.BufferedRandom | io.BytesIO,
-        path: pathlib.Path | None,
+        fd: int,
+        mapping: mmap.mmap,
+        path: pathlib.Path,
         block_size: int,
         meta: bytes,
         counters: IOCounters | None,
         injector: FaultInjector | None = None,
     ) -> None:
-        self._file = file
+        self._fd = fd
+        self._map = mapping
         self.path = path
         self.block_size = block_size
         self.counters = counters if counters is not None else IOCounters()
@@ -191,7 +193,6 @@ class FileBlockStore:
         self._closed = False
         self._readonly = False
         self._crashed = False
-        self._map: mmaplib.mmap | None = None
         # Committed state (create/open overwrite for non-empty files).
         self._l2p: list[int] = []
         self._freelist_head = _NIL
@@ -213,17 +214,16 @@ class FileBlockStore:
     @classmethod
     def create(
         cls,
-        path: str | os.PathLike | None,
+        path: str | os.PathLike,
         block_size: int = DEFAULT_BLOCK_SIZE,
         meta: bytes = b"",
         counters: IOCounters | None = None,
         injector: FaultInjector | None = None,
     ) -> "FileBlockStore":
-        """Create a fresh index file (truncating any existing file).
+        """Create a fresh index file, replacing any existing one.
 
-        ``path=None`` backs the store with an in-memory buffer — handy
-        for tests that want the byte-exact format without touching the
-        filesystem.
+        An existing file is unlinked, never truncated: another store may
+        still map it, and keeps reading its old blocks.
         """
         if block_size < 16:
             # A map block must hold at least one u64 entry plus the
@@ -234,17 +234,25 @@ class FileBlockStore:
                 f"metadata is {len(meta)} bytes, header slot holds "
                 f"{META_CAPACITY}"
             )
-        if path is None:
-            file: io.BufferedRandom | io.BytesIO = io.BytesIO()
-            resolved = None
-        else:
-            resolved = pathlib.Path(path)
-            file = open(resolved, "w+b")
-        store = cls(file, resolved, block_size, bytes(meta), counters, injector)
+        resolved = pathlib.Path(path)
+        resolved.unlink(missing_ok=True)
+        fd = os.open(resolved, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            os.ftruncate(fd, HEADER_REGION)  # an empty file cannot be mapped
+            mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_WRITE)
+        except Exception:
+            os.close(fd)
+            raise
+        store = cls(
+            fd, mapping, resolved, block_size, bytes(meta), counters, injector
+        )
         # Epoch 0 is the empty store: commit it to slot 0 so the file is
         # openable from the moment it exists.
-        store._write_slot_locked(0, _NIL)
-        store._raw_pwrite(HEADER_REGION - 1, b"\x00")
+        try:
+            store._write_slot_locked(0, _NIL)
+        except BaseException:
+            store.close()  # writes nothing more: epoch 0 is not dirty
+            raise
         return store
 
     @classmethod
@@ -253,7 +261,6 @@ class FileBlockStore:
         path: str | os.PathLike,
         counters: IOCounters | None = None,
         readonly: bool = False,
-        mmap: bool = False,
         injector: FaultInjector | None = None,
         at_epoch: int | None = None,
     ) -> "FileBlockStore":
@@ -264,21 +271,24 @@ class FileBlockStore:
         rolls back to the previous commit.  ``at_epoch`` pins the open
         to a specific committed epoch instead (the slots retain the two
         most recent); the sharded layer uses it to roll a whole family
-        back to the epochs its manifest named.  ``mmap=True`` maps the
-        file and serves block reads (and, when writable, writes) from
-        the mapping — same accounting, less per-access Python overhead
-        on hot read paths.
+        back to the epochs its manifest named.  The file is mapped
+        read-only for ``readonly=True`` and writable otherwise.
         """
         resolved = pathlib.Path(path)
         if not resolved.exists():
             raise StorageError(f"no index file at {resolved}")
         if not resolved.is_file():
             raise StorageError(f"{resolved} is not a file")
-        file = open(resolved, "rb" if readonly else "r+b")
+        fd = os.open(resolved, os.O_RDONLY if readonly else os.O_RDWR)
+        mapping = None
         try:
-            region = file.read(HEADER_REGION)
-            if len(region) < HEADER_REGION:
+            # Checked before mapping: an empty file cannot be mapped.
+            if os.fstat(fd).st_size < HEADER_REGION:
                 raise StorageError(f"{resolved} is shorter than the header")
+            mapping = mmap.mmap(
+                fd, 0, access=mmap.ACCESS_READ if readonly else mmap.ACCESS_WRITE
+            )
+            region = mapping[:HEADER_REGION]
             slots: dict[int, dict] = {}
             reasons: dict[int, str] = {}
             for idx in (0, 1):
@@ -288,7 +298,7 @@ class FileBlockStore:
                     reasons[idx] = str(exc)
             if slots:
                 store = cls._open_v2(
-                    file, resolved, slots, at_epoch, counters, injector
+                    fd, mapping, resolved, slots, at_epoch, counters, injector
                 )
             elif region[:4] == _RETIRED_MAGIC:
                 raise StorageError(
@@ -303,17 +313,11 @@ class FileBlockStore:
             else:
                 raise StorageError(f"{resolved}: bad magic {region[:4]!r}")
         except Exception:
-            file.close()
+            if mapping is not None:
+                mapping.close()
+            os.close(fd)
             raise
         store._readonly = readonly
-        if mmap:
-            store._map = mmaplib.mmap(
-                file.fileno(),
-                0,
-                access=(
-                    mmaplib.ACCESS_READ if readonly else mmaplib.ACCESS_WRITE
-                ),
-            )
         return store
 
     # -- header-slot parsing -------------------------------------------
@@ -367,7 +371,8 @@ class FileBlockStore:
     @classmethod
     def _open_v2(
         cls,
-        file,
+        fd: int,
+        mapping: mmap.mmap,
         resolved: pathlib.Path,
         slots: dict[int, dict],
         at_epoch: int | None,
@@ -398,14 +403,13 @@ class FileBlockStore:
         block_size = chosen["block_size"]
         phys_high = chosen["phys_high"]
         expected = HEADER_REGION + phys_high * block_size
-        file.seek(0, os.SEEK_END)
-        actual = file.tell()
+        actual = len(mapping)
         if actual < expected:
             raise StorageError(
                 f"{resolved} is {actual} bytes, header promises {expected}"
             )
         l2p, chain, used_phys = cls._load_map(
-            file, resolved, chosen, block_size
+            mapping, resolved, chosen, block_size
         )
         # Cross-check the logical freelist chained through the map.
         live = sum(1 for e in l2p if not (e & _FREE_BIT))
@@ -436,7 +440,7 @@ class FileBlockStore:
                 f"promises {len(l2p) - live}"
             )
         store = cls(
-            file, resolved, block_size, chosen["meta"], counters, injector
+            fd, mapping, resolved, block_size, chosen["meta"], counters, injector
         )
         store._l2p = l2p
         store._freelist_head = chosen["freelist_head"]
@@ -459,12 +463,14 @@ class FileBlockStore:
 
     @staticmethod
     def _load_map(
-        file, resolved: pathlib.Path, chosen: dict, block_size: int
+        mapping: mmap.mmap, resolved: pathlib.Path, chosen: dict, block_size: int
     ) -> tuple[list[int], list[int], set[int]]:
         """Read the committed logical → physical map off disk.
 
         Returns the map entries, the physical chain that stores them,
-        and the set of physical slots live map entries point at.
+        and the set of physical slots live map entries point at.  Every
+        slot below ``phys_high`` lies inside the mapping (the caller
+        checked the file size), so each chain block is read whole.
         """
         epb = block_size // 8  # u64 entries per block
         n_logical = chosen["n_logical"]
@@ -481,13 +487,8 @@ class FileBlockStore:
                 )
             seen.add(cursor)
             chain.append(cursor)
-            file.seek(HEADER_REGION + cursor * block_size)
-            raw = file.read(block_size)
-            if len(raw) < block_size:
-                raise StorageError(
-                    f"{resolved}: truncated map block {cursor}"
-                )
-            ptrs = struct.unpack_from(f"<{epb}Q", raw)
+            offset = HEADER_REGION + cursor * block_size
+            ptrs = struct.unpack_from(f"<{epb}Q", mapping, offset)
             take = min(epb - 1, n_data - len(data_ptrs))
             data_ptrs.extend(ptrs[:take])
             cursor = ptrs[epb - 1]
@@ -505,12 +506,12 @@ class FileBlockStore:
                 )
             seen.add(ptr)
             chain.append(ptr)
-            file.seek(HEADER_REGION + ptr * block_size)
-            raw = file.read(block_size)
-            if len(raw) < block_size:
-                raise StorageError(f"{resolved}: truncated map block {ptr}")
             count = min(epb, n_logical - k * epb)
-            l2p.extend(struct.unpack_from(f"<{count}Q", raw))
+            l2p.extend(
+                struct.unpack_from(
+                    f"<{count}Q", mapping, HEADER_REGION + ptr * block_size
+                )
+            )
         for logical, entry in enumerate(l2p):
             if entry & _FREE_BIT or entry == _UNWRITTEN:
                 continue
@@ -554,11 +555,6 @@ class FileBlockStore:
     def readonly(self) -> bool:
         """True when the file was opened without write access."""
         return self._readonly
-
-    @property
-    def mmapped(self) -> bool:
-        """True when block access is served from a memory mapping."""
-        return self._map is not None
 
     @property
     def closed(self) -> bool:
@@ -616,44 +612,26 @@ class FileBlockStore:
                 self._commit_locked()
 
     # ------------------------------------------------------------------
-    # Physical access (file or mapping)
+    # Physical access (the mapping)
     # ------------------------------------------------------------------
 
     def _phys_offset(self, phys: int) -> int:
         return HEADER_REGION + phys * self.block_size
 
-    def _ensure_capacity(self, end: int) -> None:
-        """Grow the mapped file so offsets below ``end`` are addressable.
-
-        Only needed under mmap: a plain file extends implicitly when
-        written past EOF, a mapping must be resized explicitly.  Grows
-        straight to ``end`` — allocation is block-at-a-time and mostly
-        sequential, so remaps are one per appended block either way.
-        """
-        if self._map is not None and end > len(self._map):
-            os.ftruncate(self._file.fileno(), end)
-            self._map.resize(end)
-
-    def _pread(self, offset: int, n: int) -> bytes:
-        """Read ``n`` bytes at ``offset`` (may return short at EOF): a
-        slice of the mapping or of an in-memory store's buffer, or an
-        ``os.pread`` once the write buffer is flushed (so a write-back
-        still held there is seen)."""
-        if self._map is not None:
-            return bytes(self._map[offset : offset + n])
-        if self.path is None:
-            return self._file.getbuffer()[offset : offset + n].tobytes()
-        self._file.flush()
-        return os.pread(self._file.fileno(), n, offset)
-
     def _raw_pwrite(self, offset: int, data: bytes) -> None:
-        """Write ``data`` at ``offset``, extending the file if needed."""
-        if self._map is not None:
-            self._ensure_capacity(offset + len(data))
-            self._map[offset : offset + len(data)] = data
-            return
-        self._file.seek(offset)
-        self._file.write(data)
+        """Write ``data`` at ``offset`` into the mapping.
+
+        A write past the end first grows the file and its mapping to
+        exactly the written end (``mmap.resize`` resizes both), so the
+        file size stays the written extent that :meth:`file_bytes` and
+        the benchmarks' bytes per rectangle read.  Allocation is
+        block-at-a-time and mostly sequential: one remap per appended
+        block.
+        """
+        end = offset + len(data)
+        if end > len(self._map):
+            self._map.resize(end)
+        self._map[offset:end] = data
 
     def _pwrite(self, offset: int, data: bytes) -> None:
         """One physical write, routed through the fault injector.
@@ -673,12 +651,10 @@ class FileBlockStore:
         self._raw_pwrite(offset, data)
 
     def _os_flush(self) -> None:
-        """Push written bytes to stable storage (fsync for real files)."""
-        if self._map is not None:
-            self._map.flush()
-        self._file.flush()
-        if self.path is not None:
-            os.fsync(self._file.fileno())
+        """Push written bytes to stable storage: ``msync`` the mapping,
+        then ``fsync`` the file (its size and metadata)."""
+        self._map.flush()
+        os.fsync(self._fd)
 
     # ------------------------------------------------------------------
     # Allocation
@@ -826,7 +802,8 @@ class FileBlockStore:
         phys = self._l2p[block_id]
         if phys == _UNWRITTEN:
             return b"\x00" * self.block_size
-        data = self._pread(self._phys_offset(phys), self.block_size)
+        start = self._phys_offset(phys)
+        data = self._map[start : start + self.block_size]  # a copy
         if len(data) < self.block_size:
             raise StorageError(
                 f"short read at block {block_id}: file is truncated"
@@ -881,50 +858,23 @@ class FileBlockStore:
 
     def peek_many(self, block_ids: list[BlockId]) -> bytearray:
         """:meth:`peek` every block of ``block_ids``: a fresh buffer of
-        their bytes end to end, in request order.  One read per run of
-        adjacent slots: an ``os.preadv`` into the buffer once the write
-        buffer is flushed (so a write-back still held there is seen), or
-        :meth:`_pread`'s slice of the mapping or of an in-memory store's
-        buffer.  A short run raises :class:`StorageError` naming its
-        first short block."""
+        their bytes end to end, in request order, each block copied once
+        out of the mapping.  A block past the end of the file raises
+        :class:`StorageError` as :meth:`peek` does."""
         size = self.block_size
         out = bytearray(len(block_ids) * size)  # an unwritten block reads as zeros
-        view = memoryview(out)
-        with self._lock:
-            slots = []
+        with self._lock, memoryview(self._map) as mapped:
             for i, block_id in enumerate(block_ids):
                 self._check_live(block_id)
-                if self._l2p[block_id] != _UNWRITTEN:
-                    slots.append((self._l2p[block_id], i))
-            runs: list[tuple[int, list[int]]] = []  # (first slot, request rows)
-            for phys, i in sorted(slots):
-                if (
-                    runs
-                    and phys == runs[-1][0] + len(runs[-1][1])
-                    and len(runs[-1][1]) < _RUN_BLOCKS
-                ):
-                    runs[-1][1].append(i)
-                else:
-                    runs.append((phys, [i]))
-            buffered = self._map is None and self.path is not None
-            if buffered:
-                self._file.flush()
-            for phys, rows in runs:
-                offset, n = self._phys_offset(phys), len(rows) * size
-                parts = [view[i * size : (i + 1) * size] for i in rows]
-                if buffered:
-                    got = os.preadv(self._file.fileno(), parts, offset)
-                else:
-                    data = memoryview(self._pread(offset, n))
-                    got = len(data)
-                if got < n:
+                phys = self._l2p[block_id]
+                if phys == _UNWRITTEN:
+                    continue
+                start = self._phys_offset(phys)
+                if start + size > len(mapped):
                     raise StorageError(
-                        f"short read at block {block_ids[rows[got // size]]}: "
-                        f"file is truncated"
+                        f"short read at block {block_id}: file is truncated"
                     )
-                if not buffered:
-                    for j, part in enumerate(parts):
-                        part[:] = data[j * size : (j + 1) * size]
+                out[i * size : (i + 1) * size] = mapped[start : start + size]
         return out
 
     #: No page cache here, so :meth:`peek` already leaves no trace.
@@ -1032,27 +982,20 @@ class FileBlockStore:
         Writes the shadow map to fresh physical slots, forces data
         down, publishes with a single checksummed header-slot write,
         and only then recycles superseded slots.  A store with nothing
-        uncommitted just pushes OS buffers.  After an injected crash
-        this is a no-op: a dead process writes nothing.
+        uncommitted writes nothing.  After an injected crash this is a
+        no-op: a dead process writes nothing.
         """
         with self._lock:
-            if self._readonly or self._crashed:
-                return
-            if self._dirty:
+            if self._dirty and not (self._readonly or self._crashed):
                 self._commit_locked()
-            else:
-                self._file.flush()
 
     def close(self) -> None:
-        """Flush (commit) and close the backing file (idempotent)."""
+        """Flush (commit), unmap and close the backing file (idempotent)."""
         if self._closed:
             return
-        if not self._crashed:
-            self.flush()
-        if self._map is not None:
-            self._map.close()
-            self._map = None
-        self._file.close()
+        self.flush()
+        self._map.close()
+        os.close(self._fd)
         self._closed = True
 
     def __enter__(self) -> "FileBlockStore":
@@ -1062,8 +1005,7 @@ class FileBlockStore:
         self.close()
 
     def __repr__(self) -> str:
-        where = self.path if self.path is not None else "<memory>"
         return (
-            f"FileBlockStore({where}, block_size={self.block_size}, "
+            f"FileBlockStore({self.path}, block_size={self.block_size}, "
             f"live={len(self)}, epoch={self._epoch}, {self.counters!r})"
         )

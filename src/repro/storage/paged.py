@@ -302,8 +302,8 @@ class PagedNodeStore:
         return Node.from_frame(NodeFrame(is_leaf, box, ptrs))
 
     def _fill_locked(self, missed: list[tuple[BlockId, Node]]) -> None:
-        """Read one :meth:`read_many`'s misses per run of adjacent slots
-        and decode them in one pass into their empty nodes."""
+        """Copy one :meth:`read_many`'s misses out of the file in one
+        call and decode them in one pass into their empty nodes."""
         buf = self.file_store.peek_many([block_id for block_id, _ in missed])
         try:
             decoded = self.codec.decode_many(buf, len(missed))
@@ -423,8 +423,8 @@ class PagedNodeStore:
         self, block_ids: Sequence[BlockId], physical: dict | None = None
     ) -> list[Node]:
         """What a :meth:`peek` then a :meth:`read` of each id, in order,
-        make and return, under one lock hold, with every miss read per
-        run of adjacent slots and decoded in one pass.  ``physical``
+        make and return, under one lock hold, with every miss copied
+        out of the file in one call and decoded in one pass.  ``physical``
         (EXPLAIN armed) maps each id to the page misses its access made."""
         tap = active_tap()
         with self._lock:
@@ -737,7 +737,6 @@ class PagedTree(RTree):
         cache_pages: int = DEFAULT_CACHE_PAGES,
         counters: IOCounters | None = None,
         readonly: bool = False,
-        mmap: bool = False,
         cache_analytics: bool = False,
         injector: "FaultInjector | None" = None,
         at_epoch: int | None = None,
@@ -761,18 +760,12 @@ class PagedTree(RTree):
         readonly:
             Open the file without write access (safe for concurrent
             readers of the same file).
-        mmap:
-            Serve physical block access from a memory mapping of the
-            index file (see
-            :meth:`~repro.storage.filestore.FileBlockStore.open`) —
-            cheaper page-miss reads on hot concurrent read paths, same
-            logical and physical accounting.
         cache_analytics:
             Attach a
             :class:`~repro.obs.cachestats.ReuseDistanceTracker` to the
             page store (budgets bracketing ``cache_pages``): miss-ratio
-            curves, frequency histograms and working-set estimates at
-            the cost of a few dict operations per counted read.
+            curves and working-set estimates at the cost of a few dict
+            operations per counted read.
         injector:
             Optional :class:`~repro.storage.faults.FaultInjector` wired
             onto the store's physical write path (crash testing).
@@ -787,7 +780,6 @@ class PagedTree(RTree):
             path,
             counters=counters,
             readonly=readonly,
-            mmap=mmap,
             injector=injector,
             at_epoch=at_epoch,
         )

@@ -707,7 +707,6 @@ class ShardedTree:
         values: dict[int, Any] | Callable[[int], Any] | None = None,
         cache_pages: int = DEFAULT_CACHE_PAGES,
         readonly: bool = False,
-        mmap: bool = False,
         cache_analytics: bool = False,
         injector: FaultInjector | None = None,
     ) -> "ShardedTree":
@@ -728,10 +727,6 @@ class ShardedTree:
         readonly:
             Open every shard without write access; :meth:`insert` /
             :meth:`delete` are rejected up front.
-        mmap:
-            Serve each shard file's physical block access from a memory
-            mapping (see
-            :meth:`~repro.storage.paged.PagedTree.open`).
         cache_analytics:
             Attach a reuse-distance tracker to **each shard's** page
             store (see :meth:`~repro.storage.paged.PagedTree.open`).
@@ -779,7 +774,6 @@ class ShardedTree:
                         shard_path,
                         cache_pages=cache_pages,
                         readonly=readonly,
-                        mmap=mmap,
                         cache_analytics=cache_analytics,
                         injector=injector,
                         # The manifest names the epoch it acknowledged;
@@ -834,7 +828,10 @@ class ShardedTree:
                 f"{where}: shard file holds {shard.size} entries, "
                 f"manifest promises {info.size}"
             )
-        root = shard.root()
+        # A quiet peek, as _refresh reads it: opening leaves no page-cache
+        # trace, so the first query of a family finds what it would in
+        # its shards' own files.
+        root = shard.page_store.quiet_peek(shard.root_id)
         actual = root.mbr() if len(root) else None
         if actual != info.mbr:
             raise ShardError(
@@ -1153,7 +1150,6 @@ def open_index(
     values: dict[int, Any] | Callable[[int], Any] | None = None,
     cache_pages: int = DEFAULT_CACHE_PAGES,
     readonly: bool = False,
-    mmap: bool = False,
     cache_analytics: bool = False,
     injector: FaultInjector | None = None,
 ) -> PagedTree | ShardedTree:
@@ -1162,9 +1158,8 @@ def open_index(
     A :func:`shard_pack` manifest (JSON, starts with ``{``) opens as a
     :class:`ShardedTree`; anything else is treated as a single
     :func:`~repro.storage.paged.pack_tree` file and opens as a
-    :class:`~repro.storage.paged.PagedTree`.  ``mmap=True`` serves the
-    file(s) from memory mappings; ``injector`` attaches a fault
-    injector to every store the open touches (crash testing).
+    :class:`~repro.storage.paged.PagedTree`.  ``injector`` attaches a
+    fault injector to every store the open touches (crash testing).
     """
     resolved = pathlib.Path(path)
     if not resolved.exists():
@@ -1179,7 +1174,6 @@ def open_index(
             values=values,
             cache_pages=cache_pages,
             readonly=readonly,
-            mmap=mmap,
             cache_analytics=cache_analytics,
             injector=injector,
         )
@@ -1188,7 +1182,6 @@ def open_index(
         values=values,
         cache_pages=cache_pages,
         readonly=readonly,
-        mmap=mmap,
         cache_analytics=cache_analytics,
         injector=injector,
     )

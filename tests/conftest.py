@@ -10,6 +10,7 @@ from hypothesis import settings
 from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore
 from repro.rtree.node import NodeFrame
+from repro.rtree.query import Matches
 
 # Tree builds inside @given bodies make per-example wall-clock noisy on
 # slow CI runners; the property tests assert I/O counts, not time.
@@ -73,3 +74,19 @@ def small_data():
 def medium_data():
     """2000 small random rectangles."""
     return random_rects(2000, seed=11)
+
+
+def matches_of(parts, values, dim):
+    """A ``Matches`` of several ``(frame, rows)`` parts, as the one part
+    a result holds: the frames concatenated, each part's rows moved
+    past the rows of the frames before it."""
+    parts = list(parts)
+    if not parts:
+        return Matches(dim=dim)
+    rows, start = [], 0
+    for frame, part_rows in parts:
+        rows.extend(start + int(i) for i in part_rows)
+        start += len(frame)
+    return Matches(
+        NodeFrame.concat([frame for frame, _ in parts]), rows, values, dim
+    )

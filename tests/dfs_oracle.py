@@ -27,8 +27,9 @@ from repro.queries.join import SpatialJoinEngine
 from repro.queries.knn import KNNEngine
 from repro.queries.point import PointQueryEngine
 from repro.rtree.node import NodeFrame
-from repro.rtree.query import Matches, QueryEngine, QueryStats, TraversalEngine
+from repro.rtree.query import QueryEngine, QueryStats, TraversalEngine
 from tests import lohi_kernels
+from tests.conftest import matches_of
 
 
 class OracleLRU:
@@ -142,7 +143,7 @@ class DFSOracleEngine(TraversalEngine):
             if recorder is not None:
                 recorder.note_matched(block_id, matched)
         self.totals.merge(stats)
-        return Matches(parts, values, tree.dim), stats
+        return matches_of(parts, values, tree.dim), stats
 
     # -- the operators, as they chose their (lo, hi) kernels ------------
 

@@ -404,10 +404,10 @@ MUTANTS = {
         PagedNodeStore, "read_many", PagedNodeStore.read_many,
         "(False, True)", "(True,)",
     ),
-    # A slot two past a run's end joins the run: the next block is read.
-    "run-coalesced-off-by-one": (
+    # Each miss is copied out of the mapping from the next slot.
+    "mapping-copies-next-slot": (
         FileBlockStore, "peek_many", FileBlockStore.peek_many,
-        "runs[-1][0] + len(runs[-1][1])", "runs[-1][0] + len(runs[-1][1]) + 1",
+        "mapped[start : start + size]", "mapped[start + size : start + 2 * size]",
     ),
     # The batch's pages are handed to the missed ids in reverse.
     "batch-decoded-out-of-order": (

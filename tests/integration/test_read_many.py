@@ -2,25 +2,24 @@
 
 The page layer's ``PagedNodeStore.read_many`` replays, under one lock
 hold, the page-table events of a ``peek`` then a ``read`` of each id,
-and fills its misses from one run-coalesced read and one batch decode.
-``tests/peek_read_oracle.py`` keeps the engines' old per-block access
-path and the page layer's old ``peek`` and ``read``.  On two identical writable stores — cache sizes 0, 1, 2 and 32,
-buffered and mapped, ghost-LRU tracking on, dirty pages in the cache —
+and fills its misses from one copy out of the file's mapping and one
+batch decode.  ``tests/peek_read_oracle.py`` keeps the engines' old
+per-block access path and the page layer's old ``peek`` and ``read``.
+On two identical writable stores — cache sizes 0, 1, 2 and 32,
+ghost-LRU tracking on, dirty pages in the cache or committed —
 random id lists (duplicates, internal ids, adjacent and scattered
 slots), read in one ``read_many`` or as lone ``peek``s and ``read``s,
 must give equal frames (values, dtypes, contiguous rows),
 ``PageCacheStats``, ``IOCounters``, tap ledgers, tracker logs, cache
 state and EXPLAIN page misses; the engines built on both must give
 equal answers, statistics and plans.  Also here: hostile page headers
-fail loudly, a miss or a lone ``peek`` on a page written back but not
-yet synced reads the written bytes, and seeded mutations of the batch
-are caught.
+fail loudly, and a miss or a lone ``peek`` on a page written back but
+not yet synced reads the written bytes.  The batch's seeded mutations
+live with the descent's in ``test_level_descent.py``.
 """
 
-import inspect
 import random
 import shutil
-import textwrap
 
 import pytest
 
@@ -56,7 +55,7 @@ def packed(directory, data=DATA, fanout=8, block_size=512):
     return path, dict(tree.objects)
 
 
-def twin_trees(directory, cache_pages, mmap):
+def twin_trees(directory, cache_pages):
     """Two identical writable trees, from two copies of one file, with
     the tracker keeping its access log; the second's store serves
     ``peek`` and ``read`` the pre-change way."""
@@ -64,7 +63,7 @@ def twin_trees(directory, cache_pages, mmap):
     shutil.copy(path, directory / "twin.pack")
     trees = [
         open_index(
-            p, values=dict(values), cache_pages=cache_pages, mmap=mmap,
+            p, values=dict(values), cache_pages=cache_pages,
             cache_analytics=True,
         )
         for p in (path, directory / "twin.pack")
@@ -75,10 +74,16 @@ def twin_trees(directory, cache_pages, mmap):
     return trees
 
 
-def insert_both(trees, rng, count):
+def insert_both(trees, rng, count, commit=False):
+    """Insert into both trees; with ``commit``, sync them after: the
+    dirty pages are written back and the shadow-map commit moves the
+    written blocks to fresh slots and recycles the old ones."""
     for rect, value in random_rects(count, seed=rng.random(), max_side=0.05):
         for tree in trees:
             tree.insert(rect, ("new", value))
+    if commit:
+        for tree in trees:
+            tree.sync()
 
 
 def page_state(tree):
@@ -126,14 +131,15 @@ def id_lists(ids, rng, count):
 
 
 class TestAgainstThePeekReadLoop:
-    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("commit", [False, True])
     @pytest.mark.parametrize("cache_pages", [0, 1, 2, 32])
-    def test_random_id_lists(self, tmp_path, cache_pages, mmap):
-        rng = random.Random(cache_pages * 2 + mmap)
-        got, want = twin_trees(tmp_path, cache_pages, mmap)
+    def test_random_id_lists(self, tmp_path, cache_pages, commit):
+        rng = random.Random(cache_pages * 2 + commit)
+        got, want = twin_trees(tmp_path, cache_pages)
         try:
             for round_ in range(4):
-                insert_both((got, want), rng, 6)  # dirty pages, new blocks
+                # Dirty pages and new blocks; committed, recycled slots.
+                insert_both((got, want), rng, 6, commit)
                 ids = sorted(got.page_store.block_ids())
                 assert ids == sorted(want.page_store.block_ids())
                 for n, block_ids in enumerate(id_lists(ids, rng, 25)):
@@ -179,10 +185,10 @@ class TestAgainstThePeekReadLoop:
                 trees[1].store.counters.snapshot()
             )
 
-    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("commit", [False, True])
     @pytest.mark.parametrize("cache_pages", [0, 1, 32])
-    def test_engines(self, tmp_path, cache_pages, mmap):
-        got, want = twin_trees(tmp_path, cache_pages, mmap)
+    def test_engines(self, tmp_path, cache_pages, commit):
+        got, want = twin_trees(tmp_path, cache_pages)
         try:
             pairs = [
                 (QueryEngine(got), PeekReadQueryEngine(want)),
@@ -192,7 +198,7 @@ class TestAgainstThePeekReadLoop:
             rng = random.Random(cache_pages)
             for n, window in enumerate(WINDOWS * 2):
                 if n == len(WINDOWS):
-                    insert_both((got, want), rng, 10)
+                    insert_both((got, want), rng, 10, commit)
                 calls = [
                     ("window", 0, lambda e: e.query(window)),
                     ("count", 1, lambda e: e.count(window)),
@@ -266,22 +272,21 @@ class TestHostileHeaders:
             lambda tree: KNNEngine(tree).knn((0.5, 0.5), len(DATA)),
             lambda tree: validate_rtree(tree),
         ]
-        for mmap in (False, True):
-            for read in reads:
-                tree = open_index(path, values=values, cache_pages=4, mmap=mmap)
-                try:
-                    with pytest.raises(StorageError) as caught:
-                        read(tree)
-                    text = str(caught.value)
-                    assert f"block {block_id}:" in text and message in text
-                    assert str(path) in text
-                    # No empty page is left behind in the cache.
-                    assert all(
-                        hasattr(node, "_frame")
-                        for node in tree.page_store._pages.values()
-                    )
-                finally:
-                    tree.close()
+        for read in reads:
+            tree = open_index(path, values=values, cache_pages=4)
+            try:
+                with pytest.raises(StorageError) as caught:
+                    read(tree)
+                text = str(caught.value)
+                assert f"block {block_id}:" in text and message in text
+                assert str(path) in text
+                # No empty page is left behind in the cache.
+                assert all(
+                    hasattr(node, "_frame")
+                    for node in tree.page_store._pages.values()
+                )
+            finally:
+                tree.close()
 
 
 # ----------------------------------------------------------------------
@@ -289,14 +294,14 @@ class TestHostileHeaders:
 # ----------------------------------------------------------------------
 
 
-def check_coherence(directory, mmap):
+def check_coherence(directory):
     """Inserts through a one-page cache write dirty pages back as they
     are evicted; then one leaf entry shrinks, leaving that leaf the one
     dirty page.  A window's ``read_many`` evicts it (written back, not
     synced) at its first access and misses it later in the same batch:
     the answer must hold the shrunk entry."""
     path, values = packed(directory, DATA[:120])
-    tree = open_index(path, values=dict(values), cache_pages=1, mmap=mmap)
+    tree = open_index(path, values=dict(values), cache_pages=1)
     live = {value: rect for rect, value in DATA[:120]}
     try:
         for rect, value in random_rects(40, seed=73, max_side=0.05):
@@ -329,12 +334,12 @@ def check_coherence(directory, mmap):
         tree.close()
 
 
-def check_peek_after_write_back(directory, mmap):
+def check_peek_after_write_back(directory):
     """Through a one-page cache, a leaf made dirty is evicted (written
     back, not synced) by the write of another leaf, with no read between:
     a ``peek`` and a ``read`` of it must give the written bytes."""
     path, values = packed(directory, DATA[:120])
-    tree = open_index(path, values=dict(values), cache_pages=1, mmap=mmap)
+    tree = open_index(path, values=dict(values), cache_pages=1)
     try:
         store = tree.page_store
         leaf_id, other_id = [
@@ -357,36 +362,8 @@ def check_peek_after_write_back(directory, mmap):
 
 
 class TestReadAfterWriteBack:
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_unsynced_write_back_is_read(self, tmp_path, mmap):
-        check_coherence(tmp_path, mmap)
+    def test_unsynced_write_back_is_read(self, tmp_path):
+        check_coherence(tmp_path)
 
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_unsynced_write_back_is_peeked(self, tmp_path, mmap):
-        check_peek_after_write_back(tmp_path, mmap)
-
-    def test_single_pread_without_flush_is_caught(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            FileBlockStore, "_pread",
-            _mutant(FileBlockStore._pread, "self._file.flush()", "pass"),
-        )
-        with pytest.raises((AssertionError, StorageError)):
-            check_peek_after_write_back(tmp_path, mmap=False)
-
-    def test_raw_pread_without_flush_is_caught(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            FileBlockStore, "peek_many",
-            _mutant(FileBlockStore.peek_many, "self._file.flush()", "pass"),
-        )
-        with pytest.raises((AssertionError, StorageError)):
-            check_coherence(tmp_path, mmap=False)
-
-
-def _mutant(function, old, new):
-    """``function`` recompiled from its own source with ``old`` replaced
-    by ``new`` (which must occur exactly once)."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(old) == 1, old
-    namespace = dict(function.__globals__)
-    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
-    return namespace[function.__name__]
+    def test_unsynced_write_back_is_peeked(self, tmp_path):
+        check_peek_after_write_back(tmp_path)

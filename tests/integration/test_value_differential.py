@@ -31,12 +31,12 @@ from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
 from repro.queries.knn import KNNEngine, Neighbors
 from repro.queries.point import PointQueryEngine
-from repro.rtree.query import Matches, QueryEngine, QueryStats, TraversalEngine
+from repro.rtree.query import QueryEngine, QueryStats, TraversalEngine
 from repro.rtree.tree import ObjectColumn
 from repro.storage import open_index, pack_tree
 from repro.storage.shard import shard_pack
 
-from tests.conftest import random_rects, random_windows
+from tests.conftest import matches_of, random_rects, random_windows
 from tests.dfs_oracle import (
     DFSOracleKNNEngine,
     DFSOraclePointEngine,
@@ -86,8 +86,8 @@ def oracle_concat(results, dim):
     results = list(results)
     if len(results) == 1:
         return results[0]
-    return Matches(
-        [part for result in results for part in result._parts],
+    return matches_of(
+        [(result._frame, result._rows) for result in results if result],
         [value for result in results for value in result._values],
         dim,
     )

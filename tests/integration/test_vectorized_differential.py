@@ -46,7 +46,7 @@ from tests import lohi_kernels
 from tests.dfs_oracle import DFSOracleEngine
 from repro.storage import PagedTree, pack_tree
 
-from tests.conftest import random_rects, random_windows
+from tests.conftest import matches_of, random_rects, random_windows
 
 ALL_BUILDERS = [build_hilbert, build_hilbert4, build_tgs, build_str, build_prtree]
 BUILDER_IDS = ["H", "H4", "TGS", "STR", "PR"]
@@ -2387,10 +2387,10 @@ class TestResultsDifferential:
 _matches_init = Matches.__init__
 
 
-def mutant_values_shifted(self, parts=(), values=(), dim=0):
+def mutant_values_shifted(self, frame=None, rows=(), values=(), dim=0):
     """The values column one row out of step with the coordinates."""
     values = list(values)
-    _matches_init(self, parts, values[1:] + values[:1], dim)
+    _matches_init(self, frame, rows, values[1:] + values[:1], dim)
 
 
 class TestResultMutations:
@@ -2579,7 +2579,7 @@ class LeafAtATimeRun:
             if recorder is not None:
                 recorder.note_matched(block_id, matched)
         self.totals.merge(stats)
-        return Matches(parts, values, tree.dim), stats
+        return matches_of(parts, values, tree.dim), stats
 
 
 class LeafAtATimeQueryOracle(LeafAtATimeRun, DFSOracleEngine, QueryEngine):

@@ -4,7 +4,7 @@ The deterministic matrix (``tools/crashtest.py``) replays one scripted
 workload at every write offset; this test lets Hypothesis drive the
 *workload* too — random interleavings of insert / delete / sync, a
 random crash offset (as a fraction of the golden run's write count) and
-a random crash mode — over all three index shapes.  The invariant is
+a random crash mode — over both index shapes.  The invariant is
 the durability contract of ``docs/durability.md``: reopening after any
 crash yields a structurally valid tree whose contents equal the oracle
 at the last committed sync (the packed baseline when nothing
@@ -105,10 +105,7 @@ class _Shape:
                 directory / self.name, values=values, injector=injector
             )
         return PagedTree.open(
-            directory / self.name,
-            values=values,
-            mmap=self.variant == "mmap",
-            injector=injector,
+            directory / self.name, values=values, injector=injector
         )
 
     def epochs(self, tree):
@@ -132,7 +129,7 @@ def _copy(src, dst):
     shutil.copytree(src, dst)
 
 
-@pytest.mark.parametrize("variant", ["file", "mmap", "shard"])
+@pytest.mark.parametrize("variant", ["file", "shard"])
 @settings(max_examples=20, deadline=None)
 @given(script=crash_scripts())
 def test_any_crash_recovers_to_last_committed_sync(

@@ -2,8 +2,7 @@
 committed tree structure.
 
 The same packed index must report bit-identical health metrics across
-close/reopen, mmap versus buffered reads, and historical ``at_epoch``
-opens — anything else would make the degradation score drift with how
+close/reopen and historical ``at_epoch`` opens — anything else would make the degradation score drift with how
 the index happens to be served rather than with what updates did to it.
 """
 
@@ -64,19 +63,6 @@ class TestHealthProperties:
             assert q1 == q2
             # And both match the in-memory tree the pack came from.
             assert structural(q1) == structural(tree_quality(tree))
-
-    @settings(max_examples=10, deadline=None)
-    @given(data=datasets())
-    def test_identical_mmap_vs_buffered(self, data):
-        tree = build_prtree(BlockStore(), data, 8)
-        with tempfile.TemporaryDirectory() as tmpdir:
-            path = os.path.join(tmpdir, "prop.pack")
-            pack_tree(tree, path, block_size=512)
-            with PagedTree.open(path, readonly=True, mmap=False) as plain:
-                q_plain = tree_quality(plain)
-            with PagedTree.open(path, readonly=True, mmap=True) as mapped:
-                q_mmap = tree_quality(mapped)
-            assert q_plain == q_mmap
 
     @settings(max_examples=8, deadline=None)
     @given(data=datasets(min_size=10))

@@ -34,14 +34,17 @@ from repro.rtree.query import Matches, QueryEngine, QueryStats
 from repro.rtree.tree import RTree
 from repro.storage.shard import ShardedTree
 
+from tests.conftest import matches_of
+
+
 def concat(results, dim):
     """``Matches.concat`` as it was: the rows of every result, in order
     (a lone shard's answer is shared)."""
     results = list(results)
     if len(results) == 1:
         return results[0]
-    return Matches(
-        chain.from_iterable(result._parts for result in results),
+    return matches_of(
+        [(result._frame, result._rows) for result in results if result],
         chain.from_iterable(result._values for result in results),
         dim,
     )

@@ -454,23 +454,6 @@ class TestServingPackedIndexes:
         assert 0 < overall.percentile(50) <= overall.percentile(99)
         assert stats.batches >= 40 // 16
 
-    def test_service_over_mmap_sharded_family(self, manifest):
-        with open_index(manifest, readonly=True, mmap=True) as family:
-            requests = mixed_requests(family.root().mbr(), count=30, seed=3)
-            responses, stats = asyncio.run(_serve(family, requests))
-            expected = QueryServer(family).submit(requests).values()
-        assert [response.value for response in responses] == expected
-        assert stats.completed == 30
-
-    def test_server_over_mmap_pack_matches_buffered(self, index):
-        with open_index(index, readonly=True) as tree:
-            requests = mixed_requests(tree.root().mbr(), count=40, seed=6)
-            expected = QueryServer(tree).submit(requests).values()
-        with open_index(index, readonly=True, mmap=True) as mapped:
-            report = QueryServer(mapped).submit(requests)
-        assert report.values() == expected
-        assert report.leaf_ios > 0
-
     def test_service_leaves_a_readonly_pack_untouched(
         self, manifest, tmp_path
     ):

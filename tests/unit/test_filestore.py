@@ -1,6 +1,11 @@
 """Unit tests for the on-disk file block store."""
 
+import mmap
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 import zlib
 
 import pytest
@@ -61,11 +66,22 @@ class TestCreateAndLayout:
         with pytest.raises(ValueError):
             FileBlockStore.create(path, block_size=4)
 
-    def test_memory_backed_store(self):
-        store = FileBlockStore.create(None, block_size=32)
-        bid = store.allocate(b"ram")
-        assert store.read(bid)[:3] == b"ram"
-        store.close()
+    def test_create_requires_a_path(self):
+        with pytest.raises(TypeError):
+            FileBlockStore.create(None, block_size=32)
+
+    def test_create_replaces_the_file_rather_than_truncating(self, path):
+        with FileBlockStore.create(path, block_size=64) as store:
+            for _ in range(8):
+                store.allocate(b"old")
+        with open(path, "rb") as old:
+            before = os.fstat(old.fileno())
+            with FileBlockStore.create(path, block_size=64):
+                pass
+            # The old inode is whole; the path names a new one.
+            assert os.fstat(old.fileno()).st_size == before.st_size
+            assert os.stat(path).st_ino != before.st_ino
+            assert os.path.getsize(path) < before.st_size
 
     def test_metadata_roundtrip(self, path):
         with FileBlockStore.create(path, block_size=64, meta=b"tree-info"):
@@ -117,18 +133,33 @@ class TestAccounting:
             store.free(bid)
             assert store.counters.total == before
 
-    @pytest.mark.parametrize("in_memory", [True, False])
-    def test_peek_many_reads_what_peek_reads(self, path, in_memory):
-        # An in-memory store has no file descriptor to preadv from.
-        with FileBlockStore.create(
-            None if in_memory else path, block_size=64
-        ) as store:
+    def test_peek_many_reads_what_peek_reads(self, path):
+        with FileBlockStore.create(path, block_size=64) as store:
             ids = [store.allocate(bytes([i]) * 8) for i in range(3)]
             store.write(ids[1], b"z" * 8)
             got = store.peek_many([ids[2], ids[0], ids[1]])
             assert bytes(got) == b"".join(
                 store.peek(i) for i in (ids[2], ids[0], ids[1])
             )
+
+    def test_peek_many_checks_every_block(self, path):
+        with FileBlockStore.create(path, block_size=64) as store:
+            ids = [store.allocate(b"p") for _ in range(3)]
+            store.free(ids[1])
+            before = store.counters.snapshot()
+            with pytest.raises(FreedBlockError):
+                store.peek_many([ids[0], ids[1]])
+            with pytest.raises(KeyError):
+                store.peek_many([ids[2], 99])
+            assert store.counters.snapshot() == before
+
+    def test_peek_many_reads_an_unwritten_block_as_zeros(self, path):
+        with FileBlockStore.create(path, block_size=64) as store:
+            first = store.allocate(b"a" * 64)
+            reserved = store.reserve()  # claimed, never written
+            got = store.peek_many([reserved, first, reserved])
+            assert bytes(got) == b"\x00" * 64 + b"a" * 64 + b"\x00" * 64
+            assert store.peek(reserved) == b"\x00" * 64
 
     def test_shared_counters(self, path):
         counters = IOCounters()
@@ -299,6 +330,21 @@ class TestReopen:
         with pytest.raises(StorageError, match="promises"):
             FileBlockStore.open(path)
 
+    def test_open_empty_file(self, path):
+        # An empty file cannot be mapped: the length is checked first.
+        path.write_bytes(b"")
+        with pytest.raises(StorageError, match="shorter than the header"):
+            FileBlockStore.open(path)
+        with pytest.raises(StorageError, match="shorter than the header"):
+            FileBlockStore.open(path, readonly=True)
+
+    def test_open_file_shorter_than_header(self, path):
+        with FileBlockStore.create(path, block_size=64) as store:
+            store.allocate(b"x")
+        path.write_bytes(path.read_bytes()[: HEADER_REGION - 1])
+        with pytest.raises(StorageError, match="shorter than the header"):
+            FileBlockStore.open(path)
+
     def test_open_corrupt_freelist(self, path):
         with FileBlockStore.create(path, block_size=64) as store:
             bid = store.allocate(b"x")
@@ -329,7 +375,8 @@ class TestReopen:
 
 
 class TestMmap:
-    """The opt-in mmap-backed access path: same bytes, same accounting."""
+    """The store's one access path, a mapping of its file: writable for
+    a plain open, read-only for ``readonly=True``."""
 
     def _packed(self, path, blocks=6):
         with FileBlockStore.create(path, block_size=64, meta=b"M") as store:
@@ -338,50 +385,68 @@ class TestMmap:
     def test_reads_identical_to_plain_open(self, path):
         ids = self._packed(path)
         with FileBlockStore.open(path) as plain, FileBlockStore.open(
-            path, mmap=True
+            path, readonly=True
         ) as mapped:
-            assert mapped.mmapped and not plain.mmapped
             for bid in ids:
                 assert mapped.read(bid) == plain.read(bid)
+            assert mapped.peek_many(ids) == plain.peek_many(ids)
             assert mapped.counters.reads == plain.counters.reads
             assert mapped.metadata == plain.metadata
 
     def test_peek_is_uncounted(self, path):
         ids = self._packed(path)
-        with FileBlockStore.open(path, mmap=True) as store:
+        with FileBlockStore.open(path) as store:
             before = store.counters.reads
             assert store.peek(ids[0])[:8] == b"A" * 8
+            assert store.peek_many(ids[:2])[64:72] == b"B" * 8
             assert store.counters.reads == before
 
     def test_readonly_mmap_blocks_mutation(self, path):
         ids = self._packed(path)
-        with FileBlockStore.open(path, readonly=True, mmap=True) as store:
+        with FileBlockStore.open(path, readonly=True) as store:
             assert store.read(ids[0])[:1] == b"A"
             with pytest.raises(StorageError, match="read-only"):
                 store.write(ids[0], b"nope")
+            with pytest.raises(StorageError, match="read-only"):
+                store.write_back(ids[0], b"nope")
+        with FileBlockStore.open(path) as store:
+            assert store.read(ids[0])[:8] == b"A" * 8
 
     def test_writes_through_mapping_persist(self, path):
         ids = self._packed(path)
-        with FileBlockStore.open(path, mmap=True) as store:
+        with FileBlockStore.open(path) as store:
             store.write(ids[1], b"updated")
             fresh = store.allocate(b"appended")  # grows file + mapping
             store.free(ids[0])
-        with FileBlockStore.open(path) as store:  # plain reopen
+        with FileBlockStore.open(path, readonly=True) as store:
             assert store.read(ids[1])[:7] == b"updated"
             assert store.read(fresh)[:8] == b"appended"
             assert ids[0] not in store
 
     def test_growth_beyond_initial_mapping(self, path):
         self._packed(path, blocks=1)
-        with FileBlockStore.open(path, mmap=True) as store:
+        with FileBlockStore.open(path) as store:
             new_ids = [store.allocate(b"grow") for _ in range(50)]
-        with FileBlockStore.open(path, mmap=True) as store:
+        with FileBlockStore.open(path) as store:
             for bid in new_ids:
                 assert store.read(bid)[:4] == b"grow"
 
+    def test_growth_is_exact(self, path):
+        # The file is the written extent, never rounded up: the
+        # benchmarks' bytes per rectangle read its size.
+        self._packed(path, blocks=1)
+        with FileBlockStore.open(path) as store:
+            for _ in range(40):
+                store.allocate(b"grow")
+                assert os.path.getsize(path) == store.file_bytes()
+            store.flush()
+            assert os.path.getsize(path) == store.file_bytes()
+            committed = store.file_bytes()
+        assert os.path.getsize(path) == committed
+
     def test_reserve_write_back_under_mmap(self, path):
         self._packed(path, blocks=2)
-        with FileBlockStore.open(path, mmap=True) as store:
+        with FileBlockStore.open(path) as store:
             bid = store.reserve()
             writes_before = store.counters.writes
             store.write_back(bid, b"deferred")
@@ -391,8 +456,91 @@ class TestMmap:
 
     def test_freelist_pop_reads_mapping(self, path):
         ids = self._packed(path, blocks=3)
-        with FileBlockStore.open(path, mmap=True) as store:
+        with FileBlockStore.open(path) as store:
             store.free(ids[2])
             store.free(ids[0])
             assert store.allocate(b"reuse") == ids[0]  # LIFO freelist
             assert store.allocate(b"reuse") == ids[2]
+
+    def test_commit_syncs_the_mapping_before_the_file(self, path, monkeypatch):
+        # msync, then fsync, before the header flip and again after it.
+        calls = []
+
+        class Recording(mmap.mmap):
+            def flush(self, *args):
+                calls.append("msync")
+                return super().flush(*args)
+
+        real_fsync, real_flip = os.fsync, FileBlockStore._write_slot_locked
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def flip(store, *args):
+            calls.append("flip")
+            return real_flip(store, *args)
+
+        monkeypatch.setattr(mmap, "mmap", Recording)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(FileBlockStore, "_write_slot_locked", flip)
+        store = FileBlockStore.create(path, block_size=64)
+        store.allocate(b"x")
+        calls.clear()
+        store.flush()
+        assert calls == ["msync", "fsync", "flip", "msync", "fsync"]
+        calls.clear()
+        store.close()  # nothing uncommitted: no sync
+        assert calls == []
+
+
+class TestMappingHazards:
+    """Every store maps its file.  A mapping faults (SIGBUS) on a page
+    cut off under it, and cannot grow or close while anything still
+    views it: the two hazards pinned here."""
+
+    def test_create_over_a_mapped_file_leaves_its_reader_whole(self, path):
+        # In a child process, so a SIGBUS is a failed assert, not a dead
+        # test run.  The replacement is shorter than the reader's mapping.
+        script = textwrap.dedent(
+            f"""
+            from repro.storage.filestore import FileBlockStore
+
+            path = {str(path)!r}
+            old = [bytes([65 + i % 26]) * 64 for i in range(120)]
+            with FileBlockStore.create(path, block_size=64) as store:
+                ids = [store.allocate(block) for block in old]
+            reader = FileBlockStore.open(path, readonly=True)
+            with FileBlockStore.create(path, block_size=64) as fresh:
+                fresh.allocate(b"z" * 64)
+            assert [reader.read(i) for i in ids] == old
+            assert bytes(reader.peek_many(ids[::-1])) == b"".join(old[::-1])
+            reader.close()
+            with FileBlockStore.open(path) as store:
+                assert len(store) == 1 and store.read(0) == b"z" * 64
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, (done.returncode, done.stderr)
+
+    def test_results_outlive_growth_and_close(self, path):
+        with FileBlockStore.create(path, block_size=64) as store:
+            ids = [store.allocate(bytes([65 + i]) * 64) for i in range(3)]
+        store = FileBlockStore.open(path)
+        peeked, read = store.peek(ids[0]), store.read(ids[1])
+        many = store.peek_many(ids)
+        size = os.path.getsize(path)
+        for _ in range(200):  # several pages past the mapped length
+            store.allocate(b"g" * 64)
+        store.write(ids[0], b"w" * 64)
+        store.flush()
+        assert os.path.getsize(path) > size + 200 * 64
+        held = lambda: (peeked, read, bytes(many))
+        want = (b"A" * 64, b"B" * 64, b"A" * 64 + b"B" * 64 + b"C" * 64)
+        assert held() == want
+        store.close()  # no BufferError: nothing views the mapping
+        assert held() == want

@@ -39,14 +39,16 @@ def no_rects(monkeypatch):
 
 
 def two_leaf_result(entries):
-    """A hand-built result over two frames, with its expected pairs."""
-    first = NodeFrame.from_entries(True, entries[:7])
-    second = NodeFrame.from_entries(True, entries[7:])
-    parts = [(first, [1, 4, 6]), (second, [0, 3])]
+    """A hand-built result over two leaves' concatenated frame, with its
+    expected pairs."""
+    frame = NodeFrame.concat(
+        [NodeFrame.from_entries(True, entries[:7]),
+         NodeFrame.from_entries(True, entries[7:])]
+    )
     picked = [entries[1], entries[4], entries[6], entries[7], entries[10]]
     values = [f"v{pointer}" for _, pointer in picked]
     want = [(rect, value) for (rect, _), value in zip(picked, values)]
-    return Matches(parts, values, dim=2), want, picked
+    return Matches(frame, [1, 4, 6, 7, 10], values, dim=2), want, picked
 
 
 class TestColumns:
@@ -57,7 +59,7 @@ class TestColumns:
         assert result.ids == tuple(pointer for _, pointer in picked)
         assert rows_of(result.lo) == [rect.lo for rect, _ in want]
         assert rows_of(result.hi) == [rect.hi for rect, _ in want]
-        assert repr(result) == "Matches(5 rows in 2 parts)"
+        assert repr(result) == "Matches(5 rows)"
         assert result._built is None
 
     def test_tables_have_the_backend_shape(self, entries):
@@ -79,7 +81,7 @@ class TestColumns:
         # materialization gives, as plain Python floats.
         frame = NodeFrame.from_entries(True, entries)
         values = [f"v{frame.ptrs[i]}" for i in rows]
-        got = list(Matches([(frame, rows)], values, dim=2))
+        got = list(Matches(frame, rows, values, dim=2))
         assert got == [(frame.rect(i), v) for i, v in zip(rows, values)]
         for rect, _ in got:
             assert type(rect.lo) is tuple and type(rect.hi) is tuple

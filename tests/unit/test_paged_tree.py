@@ -10,7 +10,7 @@ from repro.iomodel.store import BlockStoreProtocol
 from repro.prtree.prtree import build_prtree
 from repro.queries.knn import KNNEngine
 from repro.queries.point import PointQueryEngine
-from repro.rtree.query import QueryEngine
+from repro.rtree.query import QueryEngine, brute_force_query
 from repro.rtree.validate import validate_rtree
 from repro.storage import (
     FileBlockStore,
@@ -617,31 +617,46 @@ class TestPagedTreeUpdates:
             assert physical < logical
 
 
-class TestMmapPagedTree:
-    """PagedTree.open(mmap=True): identical answers and logical I/O."""
+class TestMappedPagedTree:
+    """A paged tree reads through its file's mapping: the answers and
+    logical I/O of the tree it was packed from, and updates that grow
+    the mapping survive a cold reopen."""
 
     def test_queries_and_accounting_match(self, packed):
         tree, path, _, data = packed
         values = dict(tree.objects)
         windows = random_windows(10, seed=27)
-        with PagedTree.open(path, values=values, readonly=True) as plain, \
-                PagedTree.open(
-                    path, values=values, readonly=True, mmap=True
-                ) as mapped:
-            assert mapped.page_store.file_store.mmapped
-            plain_engine, mapped_engine = QueryEngine(plain), QueryEngine(mapped)
+        with PagedTree.open(path, values=values, readonly=True) as mapped:
+            source_engine, mapped_engine = QueryEngine(tree), QueryEngine(mapped)
             for window in windows:
-                got_plain, stats_plain = plain_engine.query(window)
+                got_source, stats_source = source_engine.query(window)
                 got_mapped, stats_mapped = mapped_engine.query(window)
-                assert_same_matches(got_mapped, got_plain)
-                assert stats_mapped.leaf_reads == stats_plain.leaf_reads
-            assert (
-                mapped.store.counters.reads == plain.store.counters.reads
-            )
+                assert_same_matches(got_mapped, got_source)
+                assert stats_mapped.leaf_reads == stats_source.leaf_reads
+
+    def test_a_held_result_outlives_growth_and_close(self, packed):
+        # A Matches is a snapshot: its frame is decoded from a copy of
+        # the blocks, never a view of the mapping the writes below grow.
+        tree, path, _, data = packed
+        t = PagedTree.open(path, values=dict(tree.objects), cache_pages=2)
+        window = Rect((0.2, 0.2), (0.7, 0.7))
+        matches, _ = QueryEngine(t).query(window)
+        columns = lambda m: (m.ids, m.values, m.lo.tolist(), m.hi.tolist())
+        want = columns(matches)
+        size = path.stat().st_size
+        for i in range(300):
+            x = 0.1 + (i % 30) * 0.02
+            t.insert(Rect((x, x), (x + 0.01, x + 0.01)), f"g{i}")
+        t.sync()
+        assert path.stat().st_size > size
+        assert columns(matches) == want
+        t.close()  # no BufferError: nothing views the mapping
+        assert columns(matches) == want
+        assert_same_matches(matches, brute_force_query(data, window))
 
     def test_updates_and_cold_reopen(self, packed):
         tree, path, _, data = packed
-        with PagedTree.open(path, values=dict(tree.objects), mmap=True) as t:
+        with PagedTree.open(path, values=dict(tree.objects)) as t:
             for i in range(40):
                 t.insert(
                     Rect((0.4 + i * 0.001, 0.4), (0.41 + i * 0.001, 0.41)),

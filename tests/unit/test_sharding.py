@@ -526,17 +526,11 @@ class TestOpenIndex:
         with pytest.raises(StorageError, match="is not a file"):
             opener(tmp_path)
 
-
-class TestMmapFamilies:
-    def test_open_index_mmap_plumbs_to_every_shard(self, tree, manifest):
+    def test_open_index_answers_as_the_family_does(self, tree, manifest):
         with open_index(
-            manifest, values=dict(tree.objects), readonly=True, mmap=True
+            manifest, values=dict(tree.objects), readonly=True
         ) as family:
             assert isinstance(family, ShardedTree)
-            assert all(
-                shard.page_store.file_store.mmapped
-                for shard in family.shards
-            )
             plain = ShardedTree.open(
                 manifest, values=dict(tree.objects), readonly=True
             )
@@ -1066,9 +1060,6 @@ class TestFamilyExplain:
             path.with_name(family.infos[0].file), values=values
         ) as single:
             requests = requests_for(family.root().mbr())
-            # Opening a family peeks its shards' roots: start both cold.
-            for store in (family.shards[0].page_store, single.page_store):
-                store.clear_cache()
             plans = [
                 [
                     result.plan

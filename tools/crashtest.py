@@ -4,8 +4,9 @@
 Runs the deterministic crash matrix of
 :func:`repro.experiments.crashbench.crash_matrix` — a scripted update
 workload killed at every physical write offset, in every crash mode,
-over single-file, mmap and sharded indexes — and exits non-zero if any
-crash point fails to recover to its last committed state.  CI runs
+over a single-file index and a sharded family (both served from
+memory-mapped files, the store's one access path) — and exits non-zero
+if any crash point fails to recover to its last committed state.  CI runs
 this next to the test suite (`.github/workflows/ci.yml`, job
 ``crash-recovery``); ``repro crash-bench`` is the same matrix behind
 the experiments CLI.
@@ -14,7 +15,7 @@ Usage::
 
     PYTHONPATH=src python tools/crashtest.py              # full matrix
     PYTHONPATH=src python tools/crashtest.py --quick      # CI subset
-    PYTHONPATH=src python tools/crashtest.py --variants file,shard
+    PYTHONPATH=src python tools/crashtest.py --variants shard
 """
 
 from __future__ import annotations
