@@ -6,7 +6,8 @@ measure serving a family of shard files as one tree.  Expected shapes:
 
 * **throughput**: the shard split adds bookkeeping per request but almost
   no logical I/O — each shard re-packs the same leaf entries in Hilbert
-  order, so total leaf I/O shifts only a few percent across K — and
+  order into 90 %-full leaves, K=1 included, so total leaf I/O shifts
+  only a few percent across K — and
   K>1 throughput stays within a small constant factor of K=1 while
   spreading the physical reads across K files.
 * **balance**: a uniform workload over a Hilbert-range split lands
@@ -90,8 +91,9 @@ def _throughput_experiment() -> Table:
         f"({TOTAL_CACHE_PAGES} decoded pages split across shards)"
     )
     table.add_note(
-        "leaf I/O is nearly partition-invariant: shards re-pack the same "
-        "leaf entries in Hilbert order, so only leaf boundaries shift"
+        "leaf I/O is nearly partition-invariant: every K, K=1 included, "
+        "re-packs the same leaf entries in Hilbert order into leaves of "
+        "101 (90 % of B), so only leaf boundaries shift between K"
     )
     return table
 
@@ -106,7 +108,8 @@ def test_sharded_throughput(benchmark, record_table):
         if k == 1:
             continue
         # The paper's metric barely moves when the index is split: the
-        # shards hold the same entries, only leaf boundaries shift.
+        # shards hold the same entries at the same fill, only leaf
+        # boundaries shift.
         assert abs(rows[k][2] - leaf_k1) <= 0.15 * leaf_k1
         # The fan-out layer must not cost more than 3x K=1 throughput.
         assert rows[k][5] * 3 >= rows[1][5]

@@ -9,7 +9,8 @@ independent index files and read only the shards that can contribute.
 :func:`shard_pack` partitions a bulk-loaded tree's *leaf entries* by the
 Hilbert rank of their centers into K contiguous ranges — the same
 locality order the packed Hilbert loader already uses — packs each
-range as an independent index file
+range as an independent index file with leaves 90 % full
+(:data:`LEAF_FILL`)
 (reusing :func:`~repro.storage.paged.pack_tree`), and writes a JSON
 *shard manifest* describing the family: per-shard file, entry count,
 MBR, Hilbert key range and block count (byte-for-byte layout in
@@ -28,7 +29,7 @@ can contribute, and charges each shard's own counters.
 **Inserts** route to the shard owning the rectangle's Hilbert rank,
 **deletes** broadcast to the shards whose MBR intersects the victim,
 and :meth:`ShardedTree.sync` flushes every dirty shard then rewrites
-the manifest atomically (temp file + ``os.replace``).
+the manifest atomically (fsynced temp file + ``os.replace``).
 
 Accounting follows the single-file contract exactly (see
 ``docs/io-accounting.md``): each shard has its own
@@ -114,6 +115,13 @@ _ORDER_RANGE = range(1, 65)
 _SHARD_INT_FIELDS = (
     "size", "height", "hilbert_lo", "hilbert_hi", "n_blocks", "epoch",
 )
+#: Share of the fan-out a packed family leaf holds: ⌊0.9·B⌋ rows, 101
+#: of 113 at 4 KB (PostgreSQL's default index fillfactor).  A family is
+#: the index that takes writes: a full leaf splits on its first insert,
+#: often leaving a ``min_fill`` half that the next delete dissolves and
+#: reinserts.  The levels above stay full.  Fixed, not an option
+#: (``docs/benchmarks.md`` tables 100 / 95 / 90 / 80 %).
+LEAF_FILL = 0.9
 
 
 class ShardError(StorageError):
@@ -207,6 +215,10 @@ def _atomic_write_text(
 ) -> None:
     """Write ``text`` so readers see either the old or the new file.
 
+    The temp file is fsynced before the rename and the directory after
+    it, so a replaced manifest survives a power failure as a store's
+    committed epoch does (``docs/durability.md``).
+
     With a fault injector attached, the temp-file write is one
     injectable physical write (it can be torn or dropped) and the
     ``os.replace`` is one injectable *atomic commit event* — a scripted
@@ -216,8 +228,8 @@ def _atomic_write_text(
     tmp = path.with_name(path.name + ".tmp")
     data = text.encode("utf-8")
     if injector is None:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        _write_synced(tmp, data)
+        _replace_synced(tmp, path)
         return
     try:
         data = injector.filter(str(tmp), data)
@@ -225,9 +237,27 @@ def _atomic_write_text(
         if crash.partial_data:
             tmp.write_bytes(crash.partial_data)
         raise
-    tmp.write_bytes(data)
+    _write_synced(tmp, data)
     with injector.commit_event("manifest"):
-        os.replace(tmp, path)
+        _replace_synced(tmp, path)
+
+
+def _write_synced(path: pathlib.Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` and fsync it before returning."""
+    with open(path, "wb") as file:
+        file.write(data)
+        file.flush()
+        os.fsync(file.fileno())
+
+
+def _replace_synced(src: pathlib.Path, dst: pathlib.Path) -> None:
+    """``os.replace`` then fsync the directory, so the rename is durable."""
+    os.replace(src, dst)
+    fd = os.open(dst.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _shard_file_name(manifest: pathlib.Path, index: int, total: int) -> str:
@@ -258,6 +288,12 @@ def shard_pack(
 
     ``shards`` is clamped to the number of data entries (an empty tree
     packs a single empty shard), so every shard is non-empty.
+
+    Shard leaves are packed to :data:`LEAF_FILL` of the fan-out, so
+    that writes find room.  :func:`pack_tree` writes a loader's tree as
+    given: the loaders carry the paper's > 99 % fill, and the read-only
+    indexes it serves would pay about 11 % more bytes per rectangle for
+    slack they never use.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -345,7 +381,8 @@ def _pack_preserving_oids(
     """Bottom-up pack of one ordered leaf level, keeping its oids.
 
     ``leaf_level`` is every data row of the shard as one frame (None for
-    an empty shard).  Unlike :func:`~repro.bulk.base.pack_ordered`, leaf
+    an empty shard).  Every leaf but the last holds ⌊LEAF_FILL·B⌋ rows,
+    every node above B.  Unlike :func:`~repro.bulk.base.pack_ordered`, leaf
     pointers are the *source tree's* object ids, so one global oid →
     value mapping serves every shard of the family (the shard holds no
     values; :meth:`ShardedTree.open` gives every shard one table).
@@ -365,7 +402,9 @@ def _pack_preserving_oids(
     if leaf_level is None:
         shard.root_id = store.allocate(Node(is_leaf=True))
     else:
-        level = pack_level(store, leaf_level, source.fanout)
+        level = pack_level(
+            store, leaf_level, math.floor(LEAF_FILL * source.fanout)
+        )
         height = 1
         while len(level) > 1:
             level = pack_leaf_level(store, level, source.fanout, is_leaf=False)

@@ -154,16 +154,20 @@ def index_pair(kind, loader, directory):
     if kind == "memory":
         pair = [tree, loader(BlockStore(), DATA, 6)]
     else:
-        if kind == "paged":
-            path = pathlib.Path(directory) / "index.pack"
-            pack_tree(tree, path, block_size=512)
-        else:
-            path = pathlib.Path(directory) / "index.manifest"
-            shard_pack(tree, path, shards=4, block_size=512)
+        # Each side writes its own files: two writers on one file would
+        # each place write-backs in slots the other thinks free.
         values = dict(tree.objects)
-        pair = [
-            open_index(path, values=values, cache_pages=8) for _ in range(2)
-        ]
+        pair = []
+        for side in ("got", "want"):
+            side_dir = pathlib.Path(directory) / side
+            side_dir.mkdir()
+            if kind == "paged":
+                path = side_dir / "index.pack"
+                pack_tree(tree, path, block_size=512)
+            else:
+                path = side_dir / "index.manifest"
+                shard_pack(tree, path, shards=4, block_size=512)
+            pair.append(open_index(path, values=values, cache_pages=8))
     for part in parts_of(pair[1]):
         part.objects = dict(part.objects)  # the oracle's dict copy
     return pair

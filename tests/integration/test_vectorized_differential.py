@@ -1487,7 +1487,9 @@ def oracle_pack_preserving_oids(entries, source, next_oid):
     if not entries:
         shard.root_id = store.allocate(Node(is_leaf=True))
     else:
-        level = oracle_pack_leaf_level(store, entries, source.fanout, is_leaf=True)
+        # A family leaf holds ⌊0.9·B⌋ rows, the levels above B.
+        leaf_capacity = (9 * source.fanout) // 10
+        level = oracle_pack_leaf_level(store, entries, leaf_capacity, is_leaf=True)
         height = 1
         while len(level) > 1:
             level = oracle_pack_leaf_level(store, level, source.fanout, is_leaf=False)

@@ -2,6 +2,7 @@
 
 import mmap
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -10,9 +11,12 @@ import zlib
 
 import pytest
 
+from repro.datasets.synthetic import uniform_rects
 from repro.iomodel.blockstore import BlockStore, FreedBlockError
 from repro.iomodel.counters import IOCounters
 from repro.iomodel.store import BlockStoreProtocol
+from repro.prtree.prtree import build_prtree
+from repro.storage import ShardedTree, shard_pack
 from repro.storage.filestore import (
     FileBlockStore,
     HEADER_REGION,
@@ -492,6 +496,49 @@ class TestMmap:
         calls.clear()
         store.close()  # nothing uncommitted: no sync
         assert calls == []
+
+    def test_family_commit_syncs_the_manifest_then_its_directory(
+        self, tmp_path, monkeypatch
+    ):
+        # The manifest's temp file is fsynced before the rename, and
+        # the directory after it, once every shard has committed.
+        data = uniform_rects(300, max_side=0.02, seed=2)
+        tree = build_prtree(BlockStore(), data, 16)
+        manifest = tmp_path / "family.manifest"
+        shard_pack(tree, manifest, shards=2)
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            kind = "dir" if stat.S_ISDIR(st.st_mode) else "file"
+            calls.append(("fsync", kind, st.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            real_replace(src, dst)
+
+        with ShardedTree.open(manifest, values=dict(tree.objects)) as family:
+            family.insert(data[0][0], "fresh")
+            monkeypatch.setattr(os, "fsync", fsync)
+            monkeypatch.setattr(os, "replace", replace)
+            family.sync()
+            manifest_inode = manifest.stat().st_ino
+            assert calls[-3:] == [
+                ("fsync", "file", manifest_inode),
+                ("replace", manifest_inode),
+                ("fsync", "dir", tmp_path.stat().st_ino),
+            ]
+            # Before them, only the written shard's own commit.
+            shard_files = {
+                manifest.with_name(info.file).stat().st_ino
+                for info in family.infos
+            }
+            assert calls[:-3] and {ino for _, _, ino in calls[:-3]} < shard_files
+            calls.clear()
+            family.sync()  # nothing new: no manifest rewrite, no sync
+            assert calls == []
 
 
 class TestMappingHazards:

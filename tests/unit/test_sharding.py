@@ -31,6 +31,7 @@ from repro.queries.point import (
     brute_force_point_query,
 )
 from repro.rtree.node import Node
+from repro.rtree import update
 from repro.rtree.query import QueryEngine, brute_force_query
 from repro.rtree.validate import validate_rtree
 from repro.storage import (
@@ -1086,3 +1087,107 @@ class TestNonFiniteWrites:
                     write(bad, "x")
             assert family.size == 200
             assert [s.page_store.generation for s in family.shards] == generations
+
+
+def levels_of_shard(shard):
+    """Each depth's node sizes, root first."""
+    sizes = {}
+    for _, node, depth in shard.iter_nodes():
+        sizes.setdefault(depth, []).append(len(node))
+    return [sizes[depth] for depth in sorted(sizes)]
+
+
+def paper_family(directory, n=4000, shards=4):
+    """A family of the paper's fan-out, B = 113 at 4 KB."""
+    data = uniform_rects(n, max_side=0.01, seed=8)
+    tree = build_prtree(BlockStore(), data, 113)
+    path = pathlib.Path(directory) / "paper.manifest"
+    shard_pack(tree, path, shards=shards)
+    return path, dict(tree.objects), data
+
+
+class TestLeafFill:
+    """``shard_pack`` leaves room for writes: every shard leaf but one
+    holds ⌊0.9·B⌋ rows, the levels above are full, and a fresh family
+    takes an insert and a delete per leaf without a split or a
+    CondenseTree reinsertion."""
+
+    @pytest.mark.parametrize("fanout, rows", [(16, 14), (113, 101), (6, 5)])
+    def test_leaves_hold_nine_tenths_and_internal_nodes_are_full(
+        self, tmp_path, fanout, rows
+    ):
+        data = uniform_rects(2000, max_side=0.01, seed=6)
+        tree = build_prtree(BlockStore(), data, fanout)
+        path = tmp_path / "fill.manifest"
+        shard_pack(tree, path, shards=3)
+        with ShardedTree.open(path, readonly=True) as family:
+            for shard in family.shards:
+                *internal, leaves = levels_of_shard(shard)
+                assert len(leaves) == -(-shard.size // rows)
+                assert sorted(leaves)[1:] == [rows] * (len(leaves) - 1)
+                below = len(leaves)
+                for level in reversed(internal):
+                    assert len(level) == -(-below // fanout)
+                    assert sorted(level)[1:] == [fanout] * (len(level) - 1)
+                    below = len(level)
+                assert internal and len(internal[0]) == 1
+
+    def test_a_fresh_family_writes_without_splits_or_reinsertions(
+        self, tmp_path, monkeypatch
+    ):
+        reinserted = []
+        reinsert = update._reinsert
+        monkeypatch.setattr(
+            update,
+            "_reinsert",
+            lambda *args: reinserted.append(args) or reinsert(*args),
+        )
+        path, values, _ = paper_family(tmp_path)
+        with ShardedTree.open(path, values=values) as family:
+            victims = []
+            for shard in family.shards:
+                for _, leaf in shard.iter_leaves():
+                    frame = leaf.frame()
+                    victims.append(
+                        (frame.rect(0), frame.rect(1), values[int(frame.ptrs[1])])
+                    )
+            blocks = [s.page_store.file_store.allocated_ever for s in family.shards]
+            for serial, (twin, rect, value) in enumerate(victims):
+                family.insert(twin, ("twin", serial))
+                assert family.delete(rect, value)
+            family.sync()
+            assert [
+                s.page_store.file_store.allocated_ever for s in family.shards
+            ] == blocks
+            assert reinserted == []
+            assert family.size == len(values)
+
+    def test_a_family_with_full_leaves_opens_answers_and_takes_writes(
+        self, tmp_path, monkeypatch
+    ):
+        # The leaves every family had before the fill: B rows each.
+        monkeypatch.setattr(shard_module, "LEAF_FILL", 1.0)
+        path, values, data = paper_family(tmp_path, n=2000, shards=2)
+        monkeypatch.undo()
+        window = Rect((0.2, 0.3), (0.7, 0.6))
+        fresh = uniform_rects(60, max_side=0.01, seed=9)
+        with ShardedTree.open(path, values=values) as family:
+            for shard in family.shards:
+                leaves = levels_of_shard(shard)[-1]
+                assert sorted(leaves)[1:] == [113] * (len(leaves) - 1)
+            got, _ = QueryEngine(family).query(window)
+            assert sorted(v for _, v in got) == sorted(
+                v for _, v in brute_force_query(data, window)
+            )
+            for (rect, value), pair in zip(fresh, data):
+                family.insert(rect, ("fresh", value))
+                assert family.delete(*pair)
+            objects = dict(family.objects)
+        live = data[len(fresh):] + [(r, ("fresh", v)) for r, v in fresh]
+        with ShardedTree.open(path, values=objects, readonly=True) as family:
+            for shard in family.shards:
+                validate_rtree(shard, expect_size=len(shard))
+            got, _ = QueryEngine(family).query(window)
+            assert sorted(map(repr, (v for _, v in got))) == sorted(
+                repr(v) for r, v in live if r.intersects(window)
+            )
