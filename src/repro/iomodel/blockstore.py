@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.iomodel.counters import IOCounters
+from repro.iomodel.store import NodeWriteLog
 from repro.obs.tap import active_tap
 
 #: Block addresses are plain integers.
@@ -39,7 +40,7 @@ class FreedBlockError(KeyError):
     """
 
 
-class BlockStore:
+class BlockStore(NodeWriteLog):
     """Simulated disk: allocate, read, write and free fixed-size blocks.
 
     Parameters
@@ -69,8 +70,7 @@ class BlockStore:
         self._blocks: dict[BlockId, Any] = {}
         self._freed: set[BlockId] = set()
         self._next_id: BlockId = 0
-        #: Bumped by every allocate, write and free (repro.rtree.levels).
-        self.generation = 0
+        self._init_write_log()  # what the level table follows
 
     # ------------------------------------------------------------------
     # Allocation
@@ -81,7 +81,7 @@ class BlockStore:
         block_id = self._next_id
         self._next_id += 1
         self._blocks[block_id] = payload
-        self.generation += 1
+        self._reshaped()
         self.counters.record_write(block_id)
         tap = active_tap()
         if tap is not None:
@@ -100,7 +100,7 @@ class BlockStore:
             raise KeyError(f"block {block_id} is not allocated")
         del self._blocks[block_id]
         self._freed.add(block_id)
-        self.generation += 1
+        self._reshaped()
 
     def _check_live(self, block_id: BlockId) -> None:
         if block_id in self._freed:
@@ -127,7 +127,7 @@ class BlockStore:
         """Overwrite a block in place, counting one I/O."""
         self._check_live(block_id)
         self._blocks[block_id] = payload
-        self.generation += 1
+        self._wrote(block_id, payload)
         self.counters.record_write(block_id)
         tap = active_tap()
         if tap is not None:

@@ -47,7 +47,10 @@ class BlockStoreProtocol(Protocol):
 
     block_size: int
     counters: IOCounters
-    #: Bumped by every allocate, write and free (keys the level table).
+    #: Bumped by every allocate, write and free.  The node stores
+    #: (:class:`NodeWriteLog`) also say which of those reshaped the
+    #: tree and which internal nodes were rewritten, so a tree's level
+    #: table follows the writes (:mod:`repro.rtree.levels`).
     generation: int
 
     def allocate(self, payload: Any = None) -> BlockId:
@@ -102,3 +105,52 @@ class BlockStoreProtocol(Protocol):
     def bytes_used(self) -> int:
         """Live blocks times block size — the disk footprint."""
         ...
+
+
+class NodeWriteLog:
+    """The write bookkeeping a node store keeps for the level table.
+
+    Every ``allocate``, ``write`` and ``free`` moves :attr:`generation`.
+    An ``allocate`` or ``free`` *reshapes* the store: it also sets
+    :attr:`reshaped_at`, and a table built before it is rebuilt.  A
+    ``write`` of an internal node (a payload whose ``is_leaf`` is
+    false) is logged under its generation, so a table built after the
+    last reshape patches exactly the nodes written since it was built
+    (:meth:`internal_writes_since`).  The log holds each node once, at
+    its latest write, and empties on every reshape: it never outgrows
+    the store's internal nodes.  The in-memory
+    :class:`~repro.iomodel.blockstore.BlockStore` and the paged
+    :class:`~repro.storage.paged.PagedNodeStore` share it, so both
+    follow writes alike.
+    """
+
+    def _init_write_log(self) -> None:
+        self.generation = 0
+        #: The generation of the last allocate or free.
+        self.reshaped_at = 0
+        self._internal_writes: dict[BlockId, int] = {}
+
+    def _reshaped(self) -> None:
+        """Log an allocate or free."""
+        self.generation += 1
+        self.reshaped_at = self.generation
+        self._internal_writes.clear()
+
+    def _wrote(self, block_id: BlockId, payload: Any) -> None:
+        """Log a write of ``payload`` to ``block_id``."""
+        self.generation += 1
+        if not getattr(payload, "is_leaf", True):
+            log = self._internal_writes
+            log.pop(block_id, None)  # keep the log in generation order
+            log[block_id] = self.generation
+
+    def internal_writes_since(self, generation: int) -> list[BlockId]:
+        """The internal nodes written after ``generation``, newest
+        first; complete only when no allocate or free came after
+        ``generation`` (``reshaped_at <= generation``)."""
+        written = []
+        for block_id, at in reversed(self._internal_writes.items()):
+            if at <= generation:
+                break
+            written.append(block_id)
+        return written

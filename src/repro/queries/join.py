@@ -225,11 +225,12 @@ class SpatialJoinEngine:
         self._right = TraversalEngine(right, cache_internal)
         # xmin-sorted row orders plus x-column extracts, keyed by block id
         # per side, so a node visited in many node pairs is sorted once;
-        # kept across joins until either tree's level table is rebuilt
-        # (a node was written), and assuming no write mid-join.
+        # kept across joins until either tree is written (a leaf write
+        # keeps the level table and a patch keeps its identity, but both
+        # move its generation), and assuming no write mid-join.
         self._orders_left: dict[int, _SweepState] = {}
         self._orders_right: dict[int, _SweepState] = {}
-        self._tables: tuple = ()
+        self._stamp: tuple = ()
         self.totals = JoinStats()
 
     def join(self) -> tuple[list[JoinPair], JoinStats]:
@@ -253,9 +254,10 @@ class SpatialJoinEngine:
         return stats.pairs, stats
 
     def _run(self, out: list[JoinPair] | None) -> JoinStats:
-        tables = (levels_of(self._left.tree), levels_of(self._right.tree))
-        if tables != self._tables:  # a node was written: re-sort
-            self._orders_left, self._orders_right, self._tables = {}, {}, tables
+        left, right = levels_of(self._left.tree), levels_of(self._right.tree)
+        stamp = (left, left.generation, right, right.generation)
+        if stamp != self._stamp:  # a node was written: re-sort
+            self._orders_left, self._orders_right, self._stamp = {}, {}, stamp
         stats = JoinStats(joins=1)
         left_root_id = self._left.tree.root_id
         right_root_id = self._right.tree.root_id

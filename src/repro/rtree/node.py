@@ -163,10 +163,13 @@ class NodeFrame:
         return NodeFrame(self.is_leaf, box, np.concatenate((self.ptrs, (pointer,))))
 
     def replaced(self, i: int, rect: Rect, pointer: int) -> "NodeFrame":
-        """This frame with row ``i`` set to ``(rect, pointer)``."""
-        box, ptrs = self.box.copy(), self.ptrs.copy()
+        """This frame with row ``i`` set to ``(rect, pointer)``; it shares
+        this frame's pointer column when ``pointer`` is row ``i``'s."""
+        box, ptrs = self.box.copy(), self.ptrs
         box[:, i : i + 1] = kernels.box_bound(rect.lo, rect.hi)
-        ptrs[i] = pointer
+        if ptrs[i] != pointer:
+            ptrs = ptrs.copy()
+            ptrs[i] = pointer
         return NodeFrame(self.is_leaf, box, ptrs)
 
     def without(self, i: int) -> "NodeFrame":

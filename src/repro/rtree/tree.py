@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.geometry.rect import Rect
 from repro.iomodel.store import BlockId, BlockStoreProtocol
-from repro.rtree.levels import LevelTable
+from repro.rtree.levels import LevelStats, LevelTable
 from repro.rtree.node import Node, rects_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -214,6 +214,7 @@ class RTree:
         self._next_oid = 0
         # The pinned internal levels (repro.rtree.levels.levels_of).
         self._levels = None
+        self.level_stats = LevelStats()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -223,6 +224,24 @@ class RTree:
         """A fresh table of this tree's internal levels (what
         :func:`~repro.rtree.levels.levels_of` pins)."""
         return LevelTable(self)
+
+    def follow_writes(self, table: LevelTable) -> bool:
+        """Patch into this tree's pinned ``table`` the internal nodes the
+        store logged as written since the table's generation
+        (:meth:`~repro.rtree.levels.LevelTable.patch`).  False — rebuild
+        — when an allocate or free came since, or a node's child
+        pointers changed."""
+        store = self.store
+        if store.reshaped_at > table.generation:
+            return False
+        written = {}
+        for block_id in store.internal_writes_since(table.generation):
+            old = table.frames.get(block_id)
+            if old is not None:  # a node of this tree
+                frame = store.quiet_peek(block_id).frame()
+                if frame is not old:  # not written back unchanged
+                    written[block_id] = frame
+        return table.patch(written)
 
     @classmethod
     def create_empty(

@@ -10,8 +10,8 @@ executes each batch in the order it arrives, with two savings:
 * **Deduplication** — identical requests in a batch run once and share
   the result (requests are frozen, hashable dataclasses).
 * **Shared warm engines** — one engine per (index, operator) lives
-  across batches, paying each internal node's counted read once exactly
-  like the paper's repeated-query setup.
+  across batches, write batches included, paying each internal node's
+  counted read once exactly like the paper's repeated-query setup.
 
 Reads run in arrival order: the paper charges a query the leaves it
 visits, so execution order never changes a query's cost, and at the
@@ -219,12 +219,11 @@ class QueryServer:
         self._invalidate(name)
 
     def _invalidate(self, name: str) -> None:
-        """Drop warm engines that observed ``name``.
-
-        Called after writes.  Answers never need it (level tables
-        rebuild themselves); fresh engines keep the accounting as it
-        was: internal reads are paid again after a write batch.
-        """
+        """Drop warm engines that observed ``name``: :meth:`attach`
+        replaced the tree they read.  Writes need no new engines: the
+        tree's level table follows them (:mod:`repro.rtree.levels`), and
+        a warm engine keeps its paid internal reads across write
+        batches."""
         stale = [
             k
             for k in self._engines
@@ -404,18 +403,12 @@ class QueryServer:
             # deduped.
             write_results: dict[int, RequestResult] = {}
             mutated: set[str] = set()
-            try:
-                for i, request in enumerate(requests):
-                    if isinstance(request, _WRITE_KINDS):
-                        mutated.add(request.index)
-                        write_results[i] = self._execute_write(
-                            request, traces[i] if traces else None
-                        )
-            finally:
-                # Fresh engines after a write batch — also when a write
-                # raised after earlier ones applied (see _invalidate).
-                for name in mutated:
-                    self._invalidate(name)
+            for i, request in enumerate(requests):
+                if isinstance(request, _WRITE_KINDS):
+                    mutated.add(request.index)
+                    write_results[i] = self._execute_write(
+                        request, traces[i] if traces else None
+                    )
             if self.sync_writes:
                 for name in mutated:
                     sync = getattr(self._tree(name), "sync", None)

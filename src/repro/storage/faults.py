@@ -222,6 +222,13 @@ class FaultInjectingStore:
     def generation(self) -> int:
         return self.inner.generation
 
+    @property
+    def reshaped_at(self) -> int:
+        return self.inner.reshaped_at
+
+    def internal_writes_since(self, generation: int) -> list[BlockId]:
+        return self.inner.internal_writes_since(generation)
+
     # -- payload-carrying operations (fault-filtered) ------------------
 
     def allocate(self, payload=None) -> BlockId:

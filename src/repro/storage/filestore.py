@@ -58,6 +58,13 @@ what lets a :class:`~repro.server.QueryServer` execute batches over
 shared tree handles from several worker threads — and what the async
 serving layer's overlapping read batches rely on.
 
+One writer per file: a writable store (:meth:`create`, or :meth:`open`
+without ``readonly``) holds an exclusive ``flock`` on its descriptor
+until :meth:`close`, so a second writable open of the same file — in
+this process or another — raises :class:`StorageError` instead of two
+writers committing over each other's shadow slots.  Read-only opens
+take no lock and may sit beside the writer.
+
 Every store maps its file: block reads are slices of the mapping and
 block writes land in it, so there is one access path whether the store
 was opened read-only or not.  The
@@ -80,6 +87,7 @@ further writes, including on ``close``) exactly like a killed process.
 
 from __future__ import annotations
 
+import fcntl
 import mmap
 import os
 import pathlib
@@ -156,6 +164,20 @@ class RecoveryInfo:
     header_slot: int
     rolled_back_blocks: int
     discarded_epoch: int | None = None
+
+
+def _lock_for_writing(fd: int, path: pathlib.Path) -> None:
+    """Take the file's one writer lock (``flock``, exclusive, without
+    waiting): a second writable handle on the same file, in this
+    process or another, raises :class:`StorageError` naming it.  Closing
+    the descriptor releases the lock."""
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        raise StorageError(
+            f"{path} is already open for writing; one writer per file "
+            "(open it readonly=True to read beside the writer)"
+        ) from None
 
 
 class FileBlockStore:
@@ -238,6 +260,7 @@ class FileBlockStore:
         resolved.unlink(missing_ok=True)
         fd = os.open(resolved, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
         try:
+            _lock_for_writing(fd, resolved)
             os.ftruncate(fd, HEADER_REGION)  # an empty file cannot be mapped
             mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_WRITE)
         except Exception:
@@ -272,7 +295,9 @@ class FileBlockStore:
         to a specific committed epoch instead (the slots retain the two
         most recent); the sharded layer uses it to roll a whole family
         back to the epochs its manifest named.  The file is mapped
-        read-only for ``readonly=True`` and writable otherwise.
+        read-only for ``readonly=True`` and writable otherwise; a
+        writable open takes the file's one writer lock, and raises
+        :class:`StorageError` when another handle holds it.
         """
         resolved = pathlib.Path(path)
         if not resolved.exists():
@@ -282,6 +307,8 @@ class FileBlockStore:
         fd = os.open(resolved, os.O_RDONLY if readonly else os.O_RDWR)
         mapping = None
         try:
+            if not readonly:
+                _lock_for_writing(fd, resolved)
             # Checked before mapping: an empty file cannot be mapped.
             if os.fstat(fd).st_size < HEADER_REGION:
                 raise StorageError(f"{resolved} is shorter than the header")
@@ -990,13 +1017,17 @@ class FileBlockStore:
                 self._commit_locked()
 
     def close(self) -> None:
-        """Flush (commit), unmap and close the backing file (idempotent)."""
+        """Flush (commit), unmap and close the backing file, which
+        releases a writable store's lock (idempotent; a crashed store
+        writes nothing, and releases it too)."""
         if self._closed:
             return
-        self.flush()
-        self._map.close()
-        os.close(self._fd)
-        self._closed = True
+        try:
+            self.flush()
+        finally:
+            self._map.close()
+            os.close(self._fd)
+            self._closed = True
 
     def __enter__(self) -> "FileBlockStore":
         return self

@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 from repro.iomodel.blockstore import DEFAULT_BLOCK_SIZE
 from repro.iomodel.codec import NodeCodec
 from repro.iomodel.counters import IOCounters
-from repro.iomodel.store import BlockId
+from repro.iomodel.store import BlockId, NodeWriteLog
 from repro.obs.cachestats import ReuseDistanceTracker
 from repro.obs.tap import IOTap, active_tap
 from repro.obs.trace import current_trace
@@ -135,7 +135,7 @@ class PageCacheStats:
         )
 
 
-class PagedNodeStore:
+class PagedNodeStore(NodeWriteLog):
     """Node-decoding LRU page layer over a byte block store.
 
     Implements :class:`~repro.iomodel.store.BlockStoreProtocol` with
@@ -184,8 +184,7 @@ class PagedNodeStore:
         # cost one physical read even with capacity 0.
         self._mru: tuple[BlockId, Node] | None = None
         self._lock = threading.Lock()
-        #: Bumped by every allocate, write and free (repro.rtree.levels).
-        self.generation = 0
+        self._init_write_log()  # what the level table follows
 
     # -- protocol attributes ------------------------------------------
 
@@ -449,6 +448,11 @@ class PagedNodeStore:
                 return self._mru[1]
             return self._decode_locked(block_id)
 
+    def internal_writes_since(self, generation: int) -> list[BlockId]:
+        # The log is written under the store lock; read it under it too.
+        with self._lock:
+            return super().internal_writes_since(generation)
+
     def write(self, block_id: BlockId, node: Node) -> None:
         """Write a node back: one logical I/O, deferred physical write.
 
@@ -468,7 +472,7 @@ class PagedNodeStore:
             self._check_writable_locked()
             # Same KeyError/FreedBlockError contract as a direct write.
             self.file_store._check_live(block_id)
-            self.generation += 1
+            self._wrote(block_id, node)
             self.counters.record_write(block_id)
             if tap is not None:
                 tap.writes += 1
@@ -489,7 +493,7 @@ class PagedNodeStore:
         tap = active_tap()
         with self._lock:
             self._check_writable_locked()
-            self.generation += 1
+            self._reshaped()
             if node is None:
                 # Delegates to the file store, whose own hook attributes
                 # the counted write — no increment here (no double count).
@@ -509,7 +513,7 @@ class PagedNodeStore:
         """
         with self._lock:
             self.file_store.free(block_id)
-            self.generation += 1
+            self._reshaped()
             self._pages.pop(block_id, None)
             self._dirty.discard(block_id)
             if self._mru is not None and self._mru[0] == block_id:
@@ -950,9 +954,11 @@ class PagedTree(RTree):
     def close(self) -> None:
         """Sync pending writes and close the index file (idempotent)."""
         file_store = self.page_store.file_store
-        if not file_store.closed and not self.readonly and not file_store.crashed:
-            self.sync()
-        file_store.close()
+        try:
+            if not file_store.closed and not self.readonly and not file_store.crashed:
+                self.sync()
+        finally:
+            file_store.close()
 
     def __enter__(self) -> "PagedTree":
         return self

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 import os
 import pathlib
 import time
@@ -59,6 +59,7 @@ from repro.geometry.hilbert import (
     hilbert_key_for_center,
     hilbert_keys_for_centers,
 )
+from repro.geometry import kernels
 from repro.geometry.rect import Rect, check_dim
 from repro.iomodel.blockstore import BlockStore, DEFAULT_BLOCK_SIZE
 from repro.iomodel.counters import IOSnapshot
@@ -67,7 +68,7 @@ from repro.obs.tap import scoped_tap
 from repro.obs.trace import current_trace
 from repro.queries.knn import KNNEngine, Neighbors
 from repro.queries.point import PointQueryEngine
-from repro.rtree.levels import Level, LevelTable, levels_of
+from repro.rtree.levels import Level, LevelStats, LevelTable, levels_of
 from repro.rtree.node import Node, NodeFrame
 from repro.rtree.query import QueryEngine
 from repro.rtree.tree import RTree
@@ -730,6 +731,7 @@ class ShardedTree:
         self._route_his = [info.hilbert_hi for info in infos]
         self.store = _FamilyStore([shard.page_store for shard in shards])
         self._levels: LevelTable | None = None
+        self.level_stats = LevelStats()
         #: The routing table: each shard's live root MBR (None: empty).
         #: Loop-thread state written by insert/delete; sync() reads it.
         self._mbrs: list[Rect | None] = [None] * len(shards)
@@ -916,7 +918,8 @@ class ShardedTree:
 
     def _refresh(self, i: int) -> None:
         """Re-read shard ``i``'s table entry from its live root, with no
-        page-stat side effect, and retire the family's level table."""
+        page-stat side effect, and move the family's generation, so its
+        level table follows the write (:meth:`follow_writes`)."""
         shard = self.shards[i]
         root = shard.page_store.quiet_peek(shard.root_id)
         self._mbrs[i] = root.mbr() if len(root) else None
@@ -931,12 +934,14 @@ class ShardedTree:
         live box from the routing table, last shard first (so a
         depth-first walk, which takes rows last first, meets the shards
         in shard order).  Below it each shard's own pinned table
-        (:func:`~repro.rtree.levels.levels_of`, rebuilt only for a shard
-        that was written) is stacked with its node ids and child
-        pointers moved into the family's id space.  A shard shorter
-        than the deepest gets a chain of one-row pass-through nodes
-        above its root, so every leaf lies at one depth; those and the
-        root have negative ids and are no block.
+        (:func:`~repro.rtree.levels.levels_of`) is stacked with its node
+        ids and child pointers moved into the family's id space.  A
+        shard shorter than the deepest gets a chain of one-row
+        pass-through nodes above its root, so every leaf lies at one
+        depth; those and the root have negative ids and are no block.
+        The table's ``parts`` record, per shard, the table, height,
+        store generation and box it was stacked from (None for an empty
+        shard), which :meth:`follow_writes` patches from.
         """
         live = [
             i for i in reversed(range(len(self.shards)))
@@ -946,17 +951,18 @@ class ShardedTree:
         passing = count(self.root_id - 1, -1)
         rows: list[tuple[Rect, int]] = []
         below: list[tuple[list, list]] = [([], []) for _ in range(depth - 1)]
+        parts: list[tuple | None] = [None] * len(self.shards)
         for i in live:
             shard, box, base = self.shards[i], self._mbrs[i], i << _SHARD_SHIFT
+            own = levels_of(shard)
+            parts[i] = (own, shard.height, shard.store.generation, box)
             chain = [next(passing) for _ in range(depth - shard.height)]
             chain.append(base + shard.root_id)
             rows.append((box, chain[0]))
             for (ids, frames), node, child in zip(below, chain, chain[1:]):
                 ids.append(node)
                 frames.append(NodeFrame.from_entries(False, [(box, child)], self.dim))
-            for (ids, frames), level in zip(
-                below[len(chain) - 1 :], levels_of(shard).levels
-            ):
+            for (ids, frames), level in zip(below[len(chain) - 1 :], own.levels):
                 ids += [base + block_id for block_id in level.ids]
                 frames += [
                     NodeFrame(False, frame.box, frame.ptrs + base)
@@ -968,7 +974,66 @@ class ShardedTree:
             [Level([self.root_id], [root])]
             + [Level(ids, frames) for ids, frames in below],
             virtual=1 + sum(depth - self.shards[i].height for i in live),
+            parts=parts,
         )
+
+    def follow_writes(self, table: LevelTable) -> bool:
+        """Bring the family's pinned ``table`` up to its shards' writes;
+        False to restack.
+
+        Only a shard written since ``table.parts`` stamped it is looked
+        at.  Its own table follows its store
+        (:func:`~repro.rtree.levels.levels_of`); each of its internal
+        nodes written since is patched at its family id (``shard <<
+        40`` plus its own), and when its box moved, so is its routing
+        row in the virtual root and in each pass-through node above it.
+        A shard that was emptied or filled, changed height or rebuilt
+        its own table restacks the family.
+        """
+        parts = list(table.parts)
+        live = [i for i in reversed(range(len(parts))) if parts[i] is not None]
+        written: dict[int, NodeFrame] = {}
+        routes = []
+        for i, shard in enumerate(self.shards):
+            part, box = parts[i], self._mbrs[i]
+            if (part is None) != (box is None):
+                return False
+            if part is None or part[2] == shard.store.generation:
+                continue
+            own, height, seen, routed = part
+            if shard.height != height or levels_of(shard) is not own:
+                return False
+            base = i << _SHARD_SHIFT
+            for block_id in shard.store.internal_writes_since(seen):
+                frame = own.frames.get(block_id)
+                if frame is None:
+                    continue
+                # The family's frame shares the box of the shard frame it
+                # was made from, and keeps its pointers: the shard's own
+                # patch refused any change to them.
+                old = table.frames[base + block_id]
+                if frame.box is not old.box:
+                    written[base + block_id] = NodeFrame(False, frame.box, old.ptrs)
+            if box != routed:
+                routes.append(i)
+            parts[i] = (own, height, shard.store.generation, box)
+        if routes:
+            frames = table.frames
+            root = frames[self.root_id]
+            boxes = [self._mbrs[i].lo + self._mbrs[i].hi for i in live]
+            written[self.root_id] = NodeFrame(
+                False, kernels.box_table(boxes, self.dim), root.ptrs
+            )
+            for i in routes:
+                box = kernels.box_table([boxes[live.index(i)]], self.dim)
+                node = root.ptrs.item(live.index(i))
+                while node < 0:  # the pass-through chain down to the shard
+                    written[node] = NodeFrame(False, box, frames[node].ptrs)
+                    node = frames[node].ptrs.item(0)
+        if not table.patch(written):
+            return False
+        table.parts = parts
+        return True
 
     def root(self) -> Node:
         """A synthetic internal node with one entry per non-empty shard.
@@ -1153,11 +1218,12 @@ class ShardedTree:
         if self._closed:
             return
         crashed = self._injector is not None and self._injector.crashed
-        if not self._readonly and not crashed:
-            self.sync()
-        for shard in self.shards:
-            shard.page_store.file_store.close()
-        self._closed = True
+        with ExitStack() as closing:  # every shard closes, whatever raises
+            for shard in self.shards:
+                closing.callback(shard.page_store.file_store.close)
+            self._closed = True
+            if not self._readonly and not crashed:
+                self.sync()
 
     def __enter__(self) -> "ShardedTree":
         return self

@@ -397,7 +397,7 @@ MUTANTS = {
     ),
     "table-kept-after-insert": (
         query_module, "levels_of", levels.levels_of,
-        "or table.generation != tree.store.generation\n", "",
+        "table.generation != tree.store.generation", "False",
     ),
     # read_many makes only the read's lookup of each id, not its peek's.
     "batch-skips-peek-event": (

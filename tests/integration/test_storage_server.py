@@ -129,10 +129,11 @@ def test_thousand_request_mixed_batch_matches_in_memory_engines(stack):
 def test_second_batch_is_cheaper_physically_but_not_logically(stack):
     paged_main, _, mem_main, _ = stack
     # A fresh handle with a cache larger than the whole file, so the
-    # second batch demonstrates pure warm-cache behaviour.
+    # second batch demonstrates pure warm-cache behaviour.  Read-only:
+    # the fixture's handle is the file's one writer.
     path = paged_main.page_store.file_store.path
     with PagedTree.open(
-        path, values=dict(mem_main.objects), cache_pages=4096
+        path, values=dict(mem_main.objects), cache_pages=4096, readonly=True
     ) as fresh:
         server = QueryServer({"tiger": fresh})
         bounds = mem_main.root().mbr()

@@ -6,17 +6,20 @@ alone.  These tests pin down the contract the engines keep with the
 tree's pinned level table (:mod:`repro.rtree.levels`): an engine pays
 one counted read the first time it visits an internal node and none
 after, ``cache_internal=False`` pays on every visit, and the table is
-one per tree, shared by its engines and rebuilt once after a write.
+one per tree, shared by its engines, kept across writes to leaves,
+patched after an internal node is rewritten in place and rebuilt after
+a split or a merge.
 """
 
 from tests.conftest import random_rects, random_windows
+from tests.level_oracle import assert_same_levels
 
 from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
 from repro.queries.knn import KNNEngine
 from repro.rtree import levels
-from repro.rtree.levels import levels_of
+from repro.rtree.levels import LevelStats, LevelTable, levels_of
 from repro.rtree.query import QueryEngine
 
 
@@ -86,21 +89,48 @@ class TestTableLifetime:
         engines[0].query(window)
         assert built == [tree]
 
-    def test_any_write_rebuilds_every_level(self, medium_data):
+    def test_leaf_writes_keep_internal_rewrites_patch_splits_rebuild(
+        self, medium_data
+    ):
         tree = build_prtree(BlockStore(), medium_data, 8)
-        old = levels_of(tree)
-        assert len(old.levels) >= 2
-        # Even a leaf written back as it was: a new table, new levels.
-        leaf_id = old.levels[-1].ptrs[0]
+        table = levels_of(tree)
+        assert len(table.levels) >= 2
+        boxes = [level.box for level in table.levels]
+        # A leaf written back: the same table, levels and box tables.
+        leaf_id = table.levels[-1].ptrs[0]
         tree.write_node(leaf_id, tree.peek_node(leaf_id))
-        new = levels_of(tree)
-        assert all(a is not b for a, b in zip(new.levels, old.levels))
-        # A box far outside the tree grows an entry on every level.
-        rect = Rect((5.0, 5.0), (5.1, 5.1))
-        tree.insert(rect, "far")
+        assert levels_of(tree) is table
+        assert all(a.box is b for a, b in zip(table.levels, boxes))
+        assert tree.level_stats == LevelStats(builds=1, patched=1)
+        # An internal node rewritten with its pointers unchanged: its
+        # columns are patched on a copy of its level's box table, and
+        # the array an engine may hold is left as it was.
+        level = table.levels[-1]
+        node_id, end = level.ids[0], level.start[1]
+        node = tree.peek_node(node_id)
+        held = boxes[-1].copy()
+        node.extend_entry(0, Rect((5.0, 5.0), (5.1, 5.1)))
+        tree.write_node(node_id, node)
+        assert levels_of(tree) is table
+        assert (boxes[-1] == held).all()
+        assert level.box is not boxes[-1]
+        assert (level.box[:, :end] == node.frame().box).all()
+        assert (level.box[:, end:] == held[:, end:]).all()
+        assert table.frames[node_id] is node.frame()
+        assert all(a.box is b for a, b in zip(table.levels[:-1], boxes))
+        assert tree.level_stats == LevelStats(builds=1, patched=2)
+        # Inserts until one splits a node (an allocate): a new table.
+        reshaped = tree.store.reshaped_at
+        for i in range(tree.fanout + 1):
+            tree.insert(Rect((0.5, 0.5), (0.5 + i / 1e3, 0.501)), i)
+            if tree.store.reshaped_at != reshaped:
+                break
+        assert tree.store.reshaped_at != reshaped
         grown = levels_of(tree)
-        assert grown is not new and len(grown.levels) == tree.height - 1
-        assert QueryEngine(tree).query(rect)[0].values == ("far",)
+        assert grown is not table and len(grown.levels) == tree.height - 1
+        assert tree.level_stats.builds == 2
+        assert_same_levels(grown, LevelTable(tree))
+        assert QueryEngine(tree).query(Rect((0.5, 0.5), (0.5, 0.5)))[0]
 
     def test_root_change_rebuilds(self):
         tree = build_prtree(BlockStore(), random_rects(6, seed=9), 8)

@@ -591,3 +591,69 @@ class TestMappingHazards:
         assert held() == want
         store.close()  # no BufferError: nothing views the mapping
         assert held() == want
+
+
+class TestOneWriter:
+    """A writable store holds the file's one writer lock until it is
+    closed (docs/durability.md, "One writer per file")."""
+
+    def test_a_second_writable_open_of_a_file_is_refused(self, path):
+        with FileBlockStore.create(path, block_size=64) as store:
+            store.allocate(b"a")
+            with pytest.raises(StorageError, match=str(path)):
+                FileBlockStore.open(path)
+            # Readers take no lock and see the last commit.
+            with FileBlockStore.open(path, readonly=True) as reader:
+                assert len(reader) == 0
+        with FileBlockStore.open(path) as writer:  # reopen after close
+            assert writer.read(0).rstrip(b"\0") == b"a"
+            with pytest.raises(StorageError, match="already open for writing"):
+                FileBlockStore.open(path)
+
+    def test_a_second_writable_open_of_a_family_is_refused(self, tmp_path):
+        data = uniform_rects(400, max_side=0.02, seed=5)
+        tree = build_prtree(BlockStore(), data, 16)
+        manifest = tmp_path / "four.manifest"
+        shard_pack(tree, manifest, shards=4, block_size=1024)
+        values = dict(tree.objects)
+        with ShardedTree.open(manifest, values=values) as family:
+            with pytest.raises(StorageError, match="shard00 is already open"):
+                ShardedTree.open(manifest, values=values)
+            with ShardedTree.open(manifest, values=values, readonly=True) as ro:
+                assert len(ro) == len(family)
+        with ShardedTree.open(manifest, values=values) as again:
+            assert len(again) == 400
+
+    @pytest.mark.parametrize("shards", [0, 4])
+    def test_a_crashed_handle_releases_the_lock_when_closed(
+        self, tmp_path, shards
+    ):
+        from repro.storage import PagedTree, open_index, pack_tree
+        from repro.storage.faults import FaultInjector, SimulatedCrash
+
+        data = uniform_rects(400, max_side=0.02, seed=6)
+        tree = build_prtree(BlockStore(), data, 16)
+        if shards:
+            target = tmp_path / "crash.manifest"
+            shard_pack(tree, target, shards=shards, block_size=1024)
+        else:
+            target = tmp_path / "crash.pack"
+            pack_tree(tree, target, block_size=1024)
+        values = dict(tree.objects)
+        index = open_index(
+            target, values=values, injector=FaultInjector(crash_after=1)
+        )
+        with pytest.raises(SimulatedCrash):
+            for rect, value in data[:40]:
+                index.insert(rect, ("again", value))
+            index.sync()
+        # The crashed handle still holds the lock until it is closed.
+        with pytest.raises(StorageError, match="already open for writing"):
+            open_index(target, values=values)
+        try:
+            index.close()
+        except SimulatedCrash:
+            pass
+        with open_index(target, values=values) as survivor:
+            assert len(survivor) == 400
+            assert isinstance(survivor, ShardedTree if shards else PagedTree)

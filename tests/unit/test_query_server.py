@@ -452,17 +452,22 @@ class TestWrites:
         )
         assert report.results[0].value >= 1
 
-    def test_warm_engines_invalidated_by_writes(self, paged):
+    def test_the_same_warm_engine_sees_a_later_batchs_insert(self, paged):
         tree, data = paged
         server = QueryServer(tree)
         window = Rect((0.4, 0.4), (0.45, 0.45))
         before = server.submit([WindowRequest(window)])
+        engines = dict(server._engines)
         inside = Rect((0.41, 0.41), (0.42, 0.42))
         server.submit([InsertRequest(inside, "inserted")])
         after = server.submit([WindowRequest(window)])
         got = [v for _, v in after.results[0].value]
         want = [v for _, v in before.results[0].value] + ["inserted"]
         assert sorted(map(str, got)) == sorted(map(str, want))
+        # No engine was dropped: the one that answered before the write
+        # answered after it.
+        assert server._engines.keys() == engines.keys()
+        assert all(server._engines[k] is e for k, e in engines.items())
 
     def test_batch_sync_flushes_dirty_pages(self, paged):
         tree, data = paged
@@ -553,14 +558,15 @@ class TestWrites:
                     [InsertRequest(Rect((0, 0), (1, 1)), "nope")]
                 )
 
-    def test_failed_write_batch_still_invalidates_warm_engines(
+    def test_a_failed_write_batch_leaves_the_warm_engine_answering_right(
         self, tmp_path
     ):
         # A write that raises after earlier writes of its batch applied
-        # must not leave the warm engines pooling pre-update internal
-        # nodes: the same server reads next (the async service runs
-        # reads and writes on one server).  A tiny page cache makes the
-        # pooled nodes diverge from the re-decoded pages.
+        # must leave the warm engine reading the updated tree: the same
+        # server reads next (the async service runs reads and writes on
+        # one server), on the same engine, through the tree's level
+        # table.  A tiny page cache makes stale pages diverge from the
+        # re-decoded ones.
         data = random_rects(3000, seed=63)
         tree = build_prtree(BlockStore(), data, 16)
         path = tmp_path / "partial.pack"
@@ -572,6 +578,7 @@ class TestWrites:
         ) as paged:
             server = QueryServer(paged, sync_writes=False)
             assert server.submit(probes).values() == [0, 3000]  # warm
+            engines = dict(server._engines)
             fresh = [
                 InsertRequest(
                     Rect((2.0 + i * 0.01, 2.0), (2.1 + i * 0.01, 2.1)), i
@@ -582,4 +589,6 @@ class TestWrites:
             with pytest.raises(ValueError, match="3-d argument"):
                 server.submit(fresh + [bad])
             assert server.submit(probes).values() == [40, 3040]
+            assert server._engines.keys() == engines.keys()
+            assert all(server._engines[k] is e for k, e in engines.items())
 

@@ -812,6 +812,7 @@ from repro.server import (
 )
 from repro.storage import shard as shard_module
 
+from tests.level_oracle import assert_same_levels
 from tests.sharded_oracle import (
     FanoutKNNEngine,
     FanoutPointEngine,
@@ -908,13 +909,19 @@ def assert_same_window_family(got, want):
 
 
 def check_fixture(directory, name, cache_pages=6):
-    """Run one fixture; return the kNN leaf reads saved."""
-    path, values, writes = family_fixture(directory, name)
+    """Run one fixture; return the kNN leaf reads saved.  Each side
+    writes its own copy of the family: a file has one writer."""
+    paths = []
+    for side in ("got", "want"):
+        where = pathlib.Path(directory) / side
+        where.mkdir(parents=True)
+        path, values, writes = family_fixture(where, name)
+        paths.append(path)
     saved = 0
     with ShardedTree.open(
-        path, values=dict(values), cache_pages=cache_pages
+        paths[0], values=dict(values), cache_pages=cache_pages
     ) as got, ShardedTree.open(
-        path, values=dict(values), cache_pages=cache_pages
+        paths[1], values=dict(values), cache_pages=cache_pages
     ) as want:
         for family in (got, want):
             for shard in family.shards:
@@ -1006,19 +1013,45 @@ class TestFamilyAsOneTree:
             ids = [i for level in table.levels for i in level.ids]
             assert sorted(i for i in ids if i < 0) == list(range(-short - 1, 0))
 
-    def test_a_write_rebuilds_only_the_written_shards_levels(self, tmp_path):
+    def test_a_write_patches_only_the_written_shards_rows(self, tmp_path):
         path, values, _ = family_fixture(tmp_path, "K4")
         with ShardedTree.open(path, values=values) as family:
             QueryEngine(family).query(PROBES[1])
-            before = [shard_module.levels_of(s) for s in family.shards]
+            table = shard_module.levels_of(family)
+            own = [shard._levels for shard in family.shards]
+            frames = dict(table.frames)
             rect = Rect((0.5, 0.5), (0.51, 0.51))
             owner = family.route(rect)
+            store = family.shards[owner].store
+            reshaped = store.reshaped_at
             family.insert(rect, "new")
+            assert store.reshaped_at == reshaped  # the leaf had room
             QueryEngine(family).query(PROBES[1])
+            # The family's table and every shard's own are kept; only
+            # the owner's nodes and the virtual rows above it changed.
+            assert shard_module.levels_of(family) is table
+            assert [shard._levels for shard in family.shards] == own
+            changed = {
+                block_id >> 40 if block_id >= 0 else "virtual"
+                for block_id, frame in table.frames.items()
+                if frame is not frames[block_id]
+            }
+            assert changed <= {owner, "virtual"} and owner in changed
+            assert_same_levels(table, family.level_table())
+            # A split in the owner rebuilds its table alone, and the
+            # family restacks.
+            for n in range(2 * family.fanout):
+                family.insert(rect, ("more", n))
+                if store.reshaped_at != reshaped:
+                    break
+            assert store.reshaped_at != reshaped
+            restacked = shard_module.levels_of(family)
+            assert restacked is not table
             after = [shard._levels for shard in family.shards]
-            assert [a is b for a, b in zip(after, before)] == [
+            assert [a is b for a, b in zip(after, own)] == [
                 i != owner for i in range(family.n_shards)
             ]
+            assert_same_levels(restacked, family.level_table())
 
     @pytest.mark.parametrize("name", sorted(FAMILY_MUTANTS))
     def test_mutant_caught(self, tmp_path, monkeypatch, name):
@@ -1058,7 +1091,7 @@ class TestFamilyExplain:
     def test_a_one_shard_family_plans_like_its_file(self, tmp_path):
         path, values, _ = family_fixture(tmp_path, "K1")
         with ShardedTree.open(path, values=values) as family, open_index(
-            path.with_name(family.infos[0].file), values=values
+            path.with_name(family.infos[0].file), values=values, readonly=True
         ) as single:
             requests = requests_for(family.root().mbr())
             plans = [
