@@ -7,14 +7,25 @@ correctness cross-check), and on the low-selectivity shifted workload
 fewer leaf reads than the dense-overlap workload needs.
 """
 
-from conftest import run_once
+import json
+
+from conftest import RESULTS_DIR, run_once
 
 from repro.experiments.operators import join_experiment
 
 
+def counted_columns(rows):
+    """Each row's (workload, variant, pairs, leaf_ios): exact counts."""
+    return [tuple(row[:4]) for row in rows]
+
+
 def test_query_engine_join(benchmark, record_table):
+    committed = json.loads((RESULTS_DIR / "query_engine_join.json").read_text())
     table = run_once(benchmark, join_experiment, n=3_000, fanout=16)
     record_table(table, "query_engine_join")
+    # The join's answer and leaf reads are exact counts: they repeat the
+    # committed table row for row, whatever order the pairs come out in.
+    assert counted_columns(table.rows) == counted_columns(committed["rows"])
 
     workloads = {row[0] for row in table.rows}
     assert len(workloads) == 3

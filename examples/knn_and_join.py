@@ -62,12 +62,22 @@ def main() -> None:
     print(f"  {found} restaurants within distance 0.02")
 
     # 3. Spatial join: every (restaurant, hotel) pair whose boxes meet.
+    #    The pairs are two row-aligned columns: row r of .left and of
+    #    .right is pair r's restaurant and hotel.
     join_engine = SpatialJoinEngine(r_tree, h_tree)
     pairs, jstats = join_engine.join()
     print(
-        f"\nspatial join: {jstats.pairs} overlapping pairs, "
+        f"\nspatial join: {len(pairs)} overlapping pairs, "
         f"{jstats.ios} leaf I/Os "
         f"({jstats.left.leaf_reads} left + {jstats.right.leaf_reads} right)"
+    )
+    hotels_near = {}
+    for restaurant, hotel in zip(pairs.left.ids, pairs.right.ids):
+        hotels_near.setdefault(restaurant, []).append(hotel)
+    busiest = max(hotels_near, key=lambda oid: len(hotels_near[oid]))
+    print(
+        f"  {len(hotels_near)} restaurants meet a hotel; "
+        f"{r_tree.objects.get(busiest)} meets {len(hotels_near[busiest])}"
     )
 
     # 4. Point, containment and count queries share one engine (and one

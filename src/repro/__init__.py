@@ -43,7 +43,7 @@ from repro.prtree.prtree import build_prtree, prtree_query_bound
 from repro.prtree.gridbuild import build_prtree_external
 from repro.prtree.logmethod import LogMethodPRTree
 from repro.queries.knn import KNNEngine, Neighbor, Neighbors, knn
-from repro.queries.join import SpatialJoinEngine, spatial_join
+from repro.queries.join import JoinPairs, SpatialJoinEngine, spatial_join
 from repro.queries.point import (
     PointQueryEngine,
     containment_query,
@@ -106,6 +106,7 @@ __all__ = [
     "Neighbor",
     "Neighbors",
     "knn",
+    "JoinPairs",
     "SpatialJoinEngine",
     "spatial_join",
     "PointQueryEngine",

@@ -239,9 +239,9 @@ class JoinMetrics:
 def measure_join(left: RTree, right: RTree) -> JoinMetrics:
     """Run one synchronized-traversal join and collect its costs."""
     engine = SpatialJoinEngine(left, right, cache_internal=True)
-    _, stats = engine.join()
+    pairs, stats = engine.join()
     return JoinMetrics(
-        pairs=stats.pairs,
+        pairs=len(pairs),
         leaf_ios_left=stats.left.leaf_reads,
         leaf_ios_right=stats.right.leaf_reads,
         internal_reads=stats.left.internal_reads + stats.right.internal_reads,

@@ -420,9 +420,9 @@ def frame_pair_mask(a_box, b_box):
     """Full ``(n_a, n_b)`` intersection mask between two box tables.
 
     The spatial join's leaf x leaf (and internal x internal) evaluation:
-    one broadcast replaces every per-pair ``Rect.intersects`` call the
-    plane sweep would otherwise make.  Column ``j`` of ``reach`` is
-    the :func:`meet_bound` of ``b_box``'s column ``j``.
+    one broadcast makes every per-pair ``Rect.intersects`` test, and the
+    join takes its pairs from the mask's ``nonzero``.  Column ``j`` of
+    ``reach`` is the :func:`meet_bound` of ``b_box``'s column ``j``.
     """
     half = len(b_box) // 2
     reach = np.negative(np.concatenate((b_box[half:], b_box[:half])))

@@ -9,7 +9,8 @@ R-tree query repertoire applies unchanged.  This package supplies it:
   an incremental ``nearest()`` iterator (Hjaltason & Samet); ``knn()``
   returns the columnar :class:`~repro.queries.knn.Neighbors`.
 * :mod:`repro.queries.join` — intersection spatial join by synchronized
-  dual-tree traversal with leaf-level plane sweep (Brinkhoff et al.).
+  dual-tree traversal (Brinkhoff et al.); ``join()`` returns the
+  columnar :class:`~repro.queries.join.JoinPairs`.
 * :mod:`repro.queries.point` — point (stabbing), containment and count
   queries.
 
@@ -23,12 +24,11 @@ with the paper's figures.
 from repro.queries.base import TraversalEngine
 from repro.queries.knn import KNNEngine, Neighbor, Neighbors, brute_force_knn, knn
 from repro.queries.join import (
+    JoinPairs,
     JoinStats,
     SpatialJoinEngine,
     brute_force_join,
     spatial_join,
-    sweep_order,
-    sweep_pairs,
 )
 from repro.queries.point import (
     PointQueryEngine,
@@ -46,11 +46,10 @@ __all__ = [
     "Neighbors",
     "knn",
     "brute_force_knn",
+    "JoinPairs",
     "JoinStats",
     "SpatialJoinEngine",
     "spatial_join",
-    "sweep_pairs",
-    "sweep_order",
     "brute_force_join",
     "PointQueryEngine",
     "point_query",

@@ -1,16 +1,21 @@
-"""R-tree spatial join: synchronized dual-tree traversal with plane sweep.
+"""R-tree spatial join: synchronized dual-tree traversal.
 
 The classic algorithm of Brinkhoff, Kriegel and Seeger: starting from the
 two roots, recursively visit every pair of nodes whose bounding boxes
-intersect.  At each internal pair the intersecting child-entry pairs are
-found with a plane sweep along the x axis (instead of the naive nested
-loop), and at a leaf-leaf pair the same sweep reports the intersecting
-data-rectangle pairs.  Trees of different heights are handled by fixing
+intersect, down to the leaf pairs, whose intersecting data-rectangle
+pairs are the result.  Trees of different heights are handled by fixing
 the shallower node and descending only the deeper tree until the levels
-meet.  Every intersection test of a node pair is one
-:func:`~repro.geometry.kernels.frame_pair_mask` broadcast; the sweep
-only fixes the order the pairs come out in, and a count-only join at a
-leaf pair sums the mask without sweeping.
+meet.
+
+Every node pair is tested with one
+:func:`~repro.geometry.kernels.frame_pair_mask` broadcast, and its
+intersecting rows are ``np.nonzero`` of that mask, row-major.  The
+original algorithm's plane sweep along x exists to avoid the nested
+loop of pair tests; the broadcast has already made every test, so a
+sweep could only reorder the pairs.  The order is the mask's instead:
+an internal pair visits its left rows in ascending order, each with its
+right partners in ascending order (so each left child is read once per
+visit), and a leaf pair reports its pairs in that same row-major order.
 
 I/O accounting follows the window engine's convention independently per
 side: each side reads internal frames from its tree's pinned level
@@ -24,26 +29,24 @@ group — the uncached-leaf model the paper's query experiments use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
-from repro.queries.base import QueryStats, TraversalEngine
-from repro.rtree.levels import levels_of
-from repro.rtree.node import Entry, NodeFrame
+from repro.queries.base import Matches, QueryStats, TraversalEngine
+from repro.rtree.node import NodeFrame
+from repro.rtree.query import ColumnarResult
 from repro.rtree.tree import RTree
 
 __all__ = [
+    "JoinPairs",
     "JoinStats",
     "SpatialJoinEngine",
     "spatial_join",
-    "sweep_pairs",
-    "sweep_order",
     "brute_force_join",
 ]
-
-#: One join result: ((rect, value) from the left tree, same from the right).
-JoinPair = tuple[tuple[Rect, Any], tuple[Rect, Any]]
 
 
 @dataclass
@@ -87,117 +90,55 @@ class JoinStats:
         self.joins += other.joins
 
 
-def sweep_pairs(
-    left: Sequence[Entry],
-    right: Sequence[Entry],
-    left_order: Sequence[int] | None = None,
-    right_order: Sequence[int] | None = None,
-) -> Iterator[tuple[int, int]]:
-    """Index pairs ``(i, j)`` with ``left[i]`` intersecting ``right[j]``.
+class JoinPairs(ColumnarResult):
+    """A join's result: an immutable sequence of
+    ``((rect, value), (rect, value))`` pairs held as two row-aligned
+    :class:`~repro.rtree.query.Matches`, :attr:`left` and :attr:`right`
+    — row ``r`` of each is pair ``r``'s side (ids, values, ``lo`` /
+    ``hi``).  :attr:`values` holds the ``(left value, right value)``
+    pairs.  Like a ``Matches``, it is a snapshot no later write can
+    change."""
 
-    A forward plane sweep along axis 0: both entry lists are visited in
-    ascending ``xmin`` order, and for each rectangle the other list is
-    scanned forward while its rectangles can still overlap in x; the
-    full intersection test settles the remaining axes.  Each
-    intersecting pair is produced exactly once.
+    __slots__ = ("left", "right")
 
-    ``left_order``/``right_order`` optionally supply the xmin-sorted
-    index orders (as produced by :func:`sweep_order`); the join engine
-    caches them per node so a node joined against many partners is
-    sorted once, not once per partner.
-    """
-    a = sweep_order(left) if left_order is None else left_order
-    b = sweep_order(right) if right_order is None else right_order
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ra = left[a[i]][0]
-        rb = right[b[j]][0]
-        if ra.lo[0] <= rb.lo[0]:
-            # ra opens first: pair it with every right rect opening
-            # before ra closes.
-            jj = j
-            while jj < len(b):
-                rj = right[b[jj]][0]
-                if rj.lo[0] > ra.hi[0]:
-                    break
-                if ra.intersects(rj):
-                    yield a[i], b[jj]
-                jj += 1
-            i += 1
-        else:
-            ii = i
-            while ii < len(a):
-                ri = left[a[ii]][0]
-                if ri.lo[0] > rb.hi[0]:
-                    break
-                if ri.intersects(rb):
-                    yield a[ii], b[j]
-                ii += 1
-            j += 1
+    def __init__(self, left: Matches, right: Matches) -> None:
+        self.left, self.right = left, right
+        self._values = tuple(zip(left.values, right.values))
+        self._built: list | None = None
+
+    def _build(self) -> list:
+        return list(zip(self.left, self.right))
+
+    def __repr__(self) -> str:
+        return f"JoinPairs({len(self._values)} rows)"
 
 
-def sweep_order(entries: Sequence[Entry]) -> list[int]:
-    """Entry indices in ascending ``xmin`` order (the sweep's sort key)."""
-    return sorted(range(len(entries)), key=lambda i: entries[i][0].lo[0])
+class _Rows:
+    """One side's output while a join runs: the leaf frames its pairs
+    came from, each once, and the pairs' rows in their concatenation."""
 
+    def __init__(self) -> None:
+        self.frames: list[NodeFrame] = []
+        self.start: dict[int, int] = {}  # block id -> its first row
+        self.rows: list[np.ndarray] = []
+        self.size = 0
 
-#: Per-node sweep state: (xmin-sorted row order, xmin column, xmax column).
-_SweepState = tuple[list[int], list[float], list[float]]
+    def add(self, block_id: int, frame: NodeFrame, rows: np.ndarray) -> None:
+        start = self.start.get(block_id)
+        if start is None:
+            start = self.start[block_id] = self.size
+            self.frames.append(frame)
+            self.size += len(frame)
+        self.rows.append(rows + start)
 
-
-def _sweep_state_of(frame: NodeFrame) -> _SweepState:
-    """Sweep bookkeeping for one frame, computed once per node.
-
-    The x columns are extracted as plain float lists (identical values
-    to the historical ``entries[i][0].lo[0]`` accesses), and the order
-    is the same stable sort :func:`sweep_order` produces.
-    """
-    xlo = frame.box[0].tolist()
-    xhi = (-frame.box[len(frame.box) // 2]).tolist()
-    order = sorted(range(len(xlo)), key=xlo.__getitem__)
-    return order, xlo, xhi
-
-
-def _sweep_frames(
-    state_a: _SweepState, state_b: _SweepState, mask
-) -> Iterator[tuple[int, int]]:
-    """:func:`sweep_pairs` over frames: same sweep, vectorized tests.
-
-    ``mask`` is :func:`~repro.geometry.kernels.frame_pair_mask`'s full
-    intersection matrix.  Pair production order is identical to the
-    entry-based sweep.
-    """
-    order_a, xlo_a, xhi_a = state_a
-    order_b, xlo_b, xhi_b = state_b
-    na, nb = len(order_a), len(order_b)
-    i = j = 0
-    while i < na and j < nb:
-        ia = order_a[i]
-        ib = order_b[j]
-        if xlo_a[ia] <= xlo_b[ib]:
-            # ia opens first: pair it with every right rect opening
-            # before ia closes.
-            close = xhi_a[ia]
-            jj = j
-            while jj < nb:
-                jb = order_b[jj]
-                if xlo_b[jb] > close:
-                    break
-                if mask[ia, jb]:
-                    yield ia, jb
-                jj += 1
-            i += 1
-        else:
-            close = xhi_b[ib]
-            ii = i
-            while ii < na:
-                ja = order_a[ii]
-                if xlo_a[ja] > close:
-                    break
-                if mask[ja, ib]:
-                    yield ja, ib
-                ii += 1
-            j += 1
+    def matches(self, tree) -> Matches:
+        """The rows as one ``Matches``, values from one ``take``."""
+        if not self.rows:
+            return Matches(dim=tree.dim)
+        frames = self.frames
+        frame = frames[0] if len(frames) == 1 else NodeFrame.concat(frames)
+        rows = np.concatenate(self.rows)
+        return Matches(frame, rows, tree.objects.take(frame.ptrs[rows]), tree.dim)
 
 
 class SpatialJoinEngine:
@@ -223,42 +164,20 @@ class SpatialJoinEngine:
             )
         self._left = TraversalEngine(left, cache_internal)
         self._right = TraversalEngine(right, cache_internal)
-        # xmin-sorted row orders plus x-column extracts, keyed by block id
-        # per side, so a node visited in many node pairs is sorted once;
-        # kept across joins until either tree is written (a leaf write
-        # keeps the level table and a patch keeps its identity, but both
-        # move its generation), and assuming no write mid-join.
-        self._orders_left: dict[int, _SweepState] = {}
-        self._orders_right: dict[int, _SweepState] = {}
-        self._stamp: tuple = ()
         self.totals = JoinStats()
 
-    def join(self) -> tuple[list[JoinPair], JoinStats]:
+    def join(self) -> tuple[JoinPairs, JoinStats]:
         """Report every intersecting (left, right) data-rectangle pair.
 
-        Returns the pairs plus this join's statistics; :attr:`totals`
-        accumulate across calls.  A self-join (both sides the same tree)
-        reports ordered pairs, including each rectangle with itself.
+        Returns the pairs, in the order the module docstring gives, plus
+        this join's statistics; :attr:`totals` accumulate across calls.
+        A self-join (both sides the same tree) reports ordered pairs,
+        including each rectangle with itself.
         """
-        out: list[JoinPair] = []
-        stats = self._run(out)
-        return out, stats
-
-    def pair_count(self) -> tuple[int, JoinStats]:
-        """Join cardinality without materializing the pairs.
-
-        Same traversal and I/O cost as :meth:`join`, but the O(T) pair
-        list is never built; the count is also ``stats.pairs``.
-        """
-        stats = self._run(out=None)
-        return stats.pairs, stats
-
-    def _run(self, out: list[JoinPair] | None) -> JoinStats:
-        left, right = levels_of(self._left.tree), levels_of(self._right.tree)
-        stamp = (left, left.generation, right, right.generation)
-        if stamp != self._stamp:  # a node was written: re-sort
-            self._orders_left, self._orders_right, self._stamp = {}, {}, stamp
+        self._left._levels()
+        self._right._levels()
         stats = JoinStats(joins=1)
+        out = (_Rows(), _Rows())
         left_root_id = self._left.tree.root_id
         right_root_id = self._right.tree.root_id
         left_root = self._left._frame(left_root_id, stats.left)
@@ -270,19 +189,14 @@ class SpatialJoinEngine:
                     out, stats,
                 )
         self.totals.merge(stats)
-        return stats
+        pairs = JoinPairs(
+            out[0].matches(self._left.tree), out[1].matches(self._right.tree)
+        )
+        return pairs, stats
 
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-
-    def _sweep_state(
-        self, cache: dict[int, _SweepState], block_id: int, frame: NodeFrame
-    ) -> _SweepState:
-        state = cache.get(block_id)
-        if state is None:
-            state = cache[block_id] = _sweep_state_of(frame)
-        return state
 
     def _join_pair(
         self,
@@ -290,7 +204,7 @@ class SpatialJoinEngine:
         frame_a: NodeFrame,
         id_b: int,
         frame_b: NodeFrame,
-        out: list[JoinPair] | None,
+        out: tuple[_Rows, _Rows],
         stats: JoinStats,
     ) -> None:
         # A shard family's root and pass-through rows (negative ids) are
@@ -306,31 +220,11 @@ class SpatialJoinEngine:
         rec_a = self._left._recorder
         rec_b = self._right._recorder
         if frame_a.is_leaf and frame_b.is_leaf:
-            mask = kernels.frame_pair_mask(frame_a.box, frame_b.box)
-            if out is None and rec_a is None:
-                # Count-only: the mask already holds every intersecting
-                # pair exactly once — no sweep needed.  (Under EXPLAIN
-                # the sweep runs so per-side matched rows are known; the
-                # pair count is identical.)
-                stats.pairs += int(mask.sum())
-                return
-            pairs = list(_sweep_frames(
-                self._sweep_state(self._orders_left, id_a, frame_a),
-                self._sweep_state(self._orders_right, id_b, frame_b),
-                mask,
-            ))
-            stats.pairs += len(pairs)
-            if out is not None and pairs:
-                rows_a, rows_b = map(list, zip(*pairs))
-                left = self._left.tree.objects.take(frame_a.ptrs[rows_a])
-                right = self._right.tree.objects.take(frame_b.ptrs[rows_b])
-                out += [
-                    ((frame_a.rect(i), value_a), (frame_b.rect(j), value_b))
-                    for (i, j), value_a, value_b in zip(pairs, left, right)
-                ]
-            if rec_a is not None:
-                rec_a.note_matched(id_a, len({i for i, _ in pairs}))
-                rec_b.note_matched(id_b, len({j for _, j in pairs}))
+            rows_a, rows_b = self._pair_rows(id_a, frame_a, id_b, frame_b)
+            stats.pairs += len(rows_a)
+            if len(rows_a):
+                out[0].add(id_a, frame_a, rows_a)
+                out[1].add(id_b, frame_b, rows_b)
         elif frame_a.is_leaf or virtual_b and not virtual_a:
             # Height mismatch: fix the left leaf, descend the right tree.
             reach = kernels.meet_bound(*kernels.frame_mbr(frame_a.lo, frame_a.hi))
@@ -349,38 +243,38 @@ class SpatialJoinEngine:
                 child = self._left._frame(child_id, stats.left)
                 self._join_pair(child_id, child, id_b, frame_b, out, stats)
         else:
-            # Both internal: plane-sweep the entry pairs, then group by
-            # left child so each left child is fetched once per visit.
-            matches: dict[int, list[int]] = {}
-            pairs = _sweep_frames(
-                self._sweep_state(self._orders_left, id_a, frame_a),
-                self._sweep_state(self._orders_right, id_b, frame_b),
-                kernels.frame_pair_mask(frame_a.box, frame_b.box),
-            )
-            for i, j in pairs:
-                matches.setdefault(i, []).append(j)
-            if rec_a is not None:
-                rec_a.note_matched(id_a, len(matches))
-                rec_b.note_matched(
-                    id_b, len({j for js in matches.values() for j in js})
+            # Both internal: each left child is read once per visit.
+            rows_a, rows_b = self._pair_rows(id_a, frame_a, id_b, frame_b)
+            child_a_id = None
+            for left_id, child_b_id in zip(
+                frame_a.ptrs[rows_a].tolist(), frame_b.ptrs[rows_b].tolist()
+            ):
+                if left_id != child_a_id:
+                    child_a_id = left_id
+                    child_a = self._left._frame(child_a_id, stats.left)
+                child_b = self._right._frame(child_b_id, stats.right)
+                self._join_pair(
+                    child_a_id, child_a, child_b_id, child_b, out, stats
                 )
-            for i in sorted(matches):
-                child_a_id = frame_a.ptrs.item(i)
-                child_a = self._left._frame(child_a_id, stats.left)
-                for j in matches[i]:
-                    child_b_id = frame_b.ptrs.item(j)
-                    child_b = self._right._frame(child_b_id, stats.right)
-                    self._join_pair(
-                        child_a_id, child_a, child_b_id, child_b, out, stats
-                    )
+
+    def _pair_rows(
+        self, id_a: int, frame_a: NodeFrame, id_b: int, frame_b: NodeFrame
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Two nodes' intersecting row pairs from one mask, row-major;
+        under EXPLAIN each side notes the rows that met a partner."""
+        mask = kernels.frame_pair_mask(frame_a.box, frame_b.box)
+        if self._left._recorder is not None:
+            self._left._recorder.note_matched(id_a, np.count_nonzero(mask.any(1)))
+            self._right._recorder.note_matched(id_b, np.count_nonzero(mask.any(0)))
+        return np.nonzero(mask)
 
     def reset(self) -> None:
         """Clear accumulated totals (paid internal reads stay paid)."""
         self.totals = JoinStats()
 
 
-def spatial_join(left: RTree, right: RTree) -> list[JoinPair]:
-    """One-off intersection join returning ``((rect, value), (rect, value))``.
+def spatial_join(left: RTree, right: RTree) -> JoinPairs:
+    """One-off intersection join returning its :class:`JoinPairs`.
 
     For measured experiments construct a :class:`SpatialJoinEngine`
     directly — it exposes per-tree I/O statistics and pays each

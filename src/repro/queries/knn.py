@@ -162,6 +162,7 @@ class KNNEngine(TraversalEngine):
         per row would give, and nodes are read in that order too.
         """
         stats.queries += 1
+        self._levels()
         if isinstance(target, Rect):
             reach = kernels.meet_bound(target.lo, target.hi)
         else:

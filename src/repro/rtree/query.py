@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect, check_dim
-from repro.rtree.levels import levels_of
+from repro.rtree.levels import LevelTable, levels_of
 from repro.rtree.node import NodeFrame, rects_of
 from repro.rtree.tree import RTree
 
@@ -204,11 +204,28 @@ class TraversalEngine:
     def __init__(self, tree: RTree, cache_internal: bool = True) -> None:
         self.tree = tree
         self.cache_internal = cache_internal
-        # Internal nodes this engine has paid for; the ablation pays every visit.
+        # Internal nodes this engine has paid for, and the level table
+        # they were paid against (_levels); the ablation pays every visit.
         self._counted: set[int] = set()
+        self._paid_on: LevelTable | None = None
         self.totals = QueryStats()
         # Opt-in EXPLAIN plan capture (repro.queries.explain).
         self._recorder = None
+
+    def _levels(self) -> LevelTable:
+        """The tree's pinned table, looked up once per query.  A table
+        other than the one this engine last paid against voids the paid
+        set, but for what the tree says still holds (a family keeps its
+        unchanged shards'): every allocate or free rebuilds the table,
+        and a freed id may come back as another node."""
+        table, old = levels_of(self.tree), self._paid_on
+        if table is not old:
+            self._counted = (
+                set() if old is None
+                else self.tree.still_paid(self._counted, old, table)
+            )
+            self._paid_on = table
+        return table
 
     def _frame(self, block_id: int, stats: QueryStats) -> NodeFrame:
         """One node's frame, counted the paper's way, for the operators
@@ -250,7 +267,7 @@ class TraversalEngine:
         call, one result frame, one gather of its values.
         """
         tree = self.tree
-        table = levels_of(tree)
+        table = self._levels()
         stats = QueryStats(queries=1)
         steps = []  # (level, its frontier, the rows they kept)
         frontier = [0]

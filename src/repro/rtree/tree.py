@@ -225,6 +225,14 @@ class RTree:
         :func:`~repro.rtree.levels.levels_of` pins)."""
         return LevelTable(self)
 
+    def still_paid(
+        self, paid: set[int], old: LevelTable, new: LevelTable
+    ) -> set[int]:
+        """The internal reads an engine paid against ``old`` that still
+        hold against ``new``, the table rebuilt after it: none, as a
+        freed id may come back as another node."""
+        return set()
+
     def follow_writes(self, table: LevelTable) -> bool:
         """Patch into this tree's pinned ``table`` the internal nodes the
         store logged as written since the table's generation

@@ -195,8 +195,9 @@ class RequestResult:
         indexes), an ``int`` for count, a
         :class:`~repro.queries.knn.Neighbors` for knn (columns too; the
         :class:`~repro.queries.knn.Neighbor` tuples are built only if
-        the caller iterates or indexes), a list of pairs
-        for join, the assigned object id for insert, and a found
+        the caller iterates or indexes), a
+        :class:`~repro.queries.join.JoinPairs` for join (two row-aligned
+        ``Matches``), the assigned object id for insert, and a found
         ``bool`` for delete.  Duplicates share one payload object.
     stats:
         The operator's own statistics object

@@ -977,6 +977,19 @@ class ShardedTree:
             parts=parts,
         )
 
+    def still_paid(
+        self, paid: set[int], old: LevelTable, new: LevelTable
+    ) -> set[int]:
+        """The internal reads an engine paid against ``old`` that still
+        hold against ``new``, the table restacked after it: those of
+        each shard whose own table both were stacked from, as one
+        engine per shard would keep them."""
+        kept = {
+            i for i, (was, now) in enumerate(zip(old.parts, new.parts))
+            if was is not None and now is not None and was[0] is now[0]
+        }
+        return {block_id for block_id in paid if block_id >> _SHARD_SHIFT in kept}
+
     def follow_writes(self, table: LevelTable) -> bool:
         """Bring the family's pinned ``table`` up to its shards' writes;
         False to restack.

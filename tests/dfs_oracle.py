@@ -5,11 +5,13 @@ Verbatim copies of ``repro.iomodel.cache.LRUCache`` and of
 ``TraversalEngine.__init__`` / ``_read`` / ``_run``, adapted only to the
 calling conventions that changed with them: the row kernels take
 ``(lo, hi)`` instead of a frame, EXPLAIN's ``on_node`` takes a frame,
-and the node-at-a-time operators (kNN, the join, window batches) ask
-``_frame`` for a node.  The window, point, containment and count
-operators are kept too, on their own copies of the ``(lo, hi)`` row
-kernels (``tests/lohi_kernels.py``), so no engine row closure or box
-kernel is called.  Mixed in ahead of an operator class, they give
+the node-at-a-time operators (kNN, the join, window batches) ask
+``_frame`` for a node, and a query first makes the paid-set check
+(``_levels``), which drops from the pool what a rebuilt table voids.
+The window, point, containment and count operators are kept too, on
+their own copies of the ``(lo, hi)`` row kernels
+(``tests/lohi_kernels.py``), so no engine row closure or box kernel is
+called.  Mixed in ahead of an operator class, they give
 that operator's pre-change I/O path:
 
     class DFSOracleQueryEngine(DFSOracleEngine, QueryEngine): ...
@@ -26,6 +28,7 @@ from repro.geometry.rect import check_dim
 from repro.queries.join import SpatialJoinEngine
 from repro.queries.knn import KNNEngine
 from repro.queries.point import PointQueryEngine
+from repro.rtree.levels import levels_of
 from repro.rtree.node import NodeFrame
 from repro.rtree.query import QueryEngine, QueryStats, TraversalEngine
 from tests import lohi_kernels
@@ -72,6 +75,7 @@ class DFSOracleEngine(TraversalEngine):
         )
         self.totals = QueryStats()
         self._recorder = None
+        self._paid_on = None
 
     def _read(self, block_id, stats):
         recorder = self._recorder
@@ -103,7 +107,21 @@ class DFSOracleEngine(TraversalEngine):
     def _frame(self, block_id, stats):
         return self._read(block_id, stats).frame()
 
+    def _levels(self):
+        """The operators' paid-set check, on the pool: a table other
+        than the one last paid against keeps pooled only what the tree
+        says still holds (``still_paid``)."""
+        table, old = levels_of(self.tree), self._paid_on
+        if table is not old and old is not None:
+            pool = self._cache._entries
+            kept = self.tree.still_paid(set(pool), old, table)
+            for block_id in [b for b in pool if b not in kept]:
+                del pool[block_id]
+        self._paid_on = table
+        return table
+
     def _run(self, descend_rows, report_rows, count_rows=None):
+        self._levels()
         tree = self.tree
         recorder = self._recorder
         get = tree.objects.get

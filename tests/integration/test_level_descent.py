@@ -313,8 +313,8 @@ class TestAgainstTheDepthFirstOracle:
 
     def test_after_writes(self):
         # Warm engines on both sides across inserts (that split leaves
-        # and grow boxes) and deletes: the LRU holds the live nodes, the
-        # table is rebuilt.
+        # and grow boxes) and deletes: the table is rebuilt, so both
+        # sides pay for its internal nodes again.
         got, want = memory_pairs(build_prtree)
         engines, oracles = assert_same_reads(got, want, WINDOWS)
         extra = random_rects(40, seed=34)

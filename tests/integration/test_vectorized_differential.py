@@ -33,7 +33,7 @@ from repro.geometry import kernels
 from repro.geometry.rect import Rect, mbr_of
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
-from repro.queries.join import JoinStats, SpatialJoinEngine, sweep_pairs, sweep_order
+from repro.queries.join import JoinStats, SpatialJoinEngine
 from repro.queries.knn import KNNEngine, Neighbor, target_dist_sq as _dist_sq
 from repro.queries.point import PointQueryEngine
 from repro.rtree.node import Node
@@ -181,24 +181,19 @@ class ScalarKNNEngine(DFSOracleEngine):
 
 
 class ScalarJoinEngine:
-    """The historical entry-based synchronized join with plane sweep."""
+    """The synchronized join entry by entry: a nested loop of
+    ``Rect.intersects`` per node pair, in the engine's documented order
+    — an internal pair's left rows ascending, each left child read once
+    and joined with its right partners ascending; a leaf pair's pairs
+    row-major."""
 
     def __init__(self, left, right):
         self._left = DFSOracleEngine(left)
         self._right = DFSOracleEngine(right)
-        self._orders_left = {}
-        self._orders_right = {}
         self.totals = JoinStats()
 
     def join(self):
         out = []
-        return out, self._run(out)
-
-    def pair_count(self):
-        stats = self._run(None)
-        return stats.pairs, stats
-
-    def _run(self, out):
         stats = JoinStats(joins=1)
         left_root_id = self._left.tree.root_id
         right_root_id = self._right.tree.root_id
@@ -211,36 +206,23 @@ class ScalarJoinEngine:
                     out, stats,
                 )
         self.totals.merge(stats)
-        return stats
-
-    def _order(self, cache, block_id, node):
-        order = cache.get(block_id)
-        if order is None:
-            order = cache[block_id] = sweep_order(node.entries)
-        return order
+        return out, stats
 
     def _join_pair(self, id_a, node_a, id_b, node_b, out, stats):
         stats.node_pairs += 1
         if node_a.is_leaf and node_b.is_leaf:
             left_objects = self._left.tree.objects
             right_objects = self._right.tree.objects
-            pairs = sweep_pairs(
-                node_a.entries,
-                node_b.entries,
-                self._order(self._orders_left, id_a, node_a),
-                self._order(self._orders_right, id_b, node_b),
-            )
-            for i, j in pairs:
-                stats.pairs += 1
-                if out is not None:
-                    rect_a, ptr_a = node_a.entries[i]
-                    rect_b, ptr_b = node_b.entries[j]
-                    out.append(
-                        (
-                            (rect_a, left_objects.get(ptr_a)),
-                            (rect_b, right_objects.get(ptr_b)),
+            for rect_a, ptr_a in node_a.entries:
+                for rect_b, ptr_b in node_b.entries:
+                    if rect_a.intersects(rect_b):
+                        stats.pairs += 1
+                        out.append(
+                            (
+                                (rect_a, left_objects.get(ptr_a)),
+                                (rect_b, right_objects.get(ptr_b)),
+                            )
                         )
-                    )
         elif node_a.is_leaf:
             mbr_a = node_a.mbr()
             for rect, child_id in node_b.entries:
@@ -254,20 +236,16 @@ class ScalarJoinEngine:
                     child = self._left._read(child_id, stats.left)
                     self._join_pair(child_id, child, id_b, node_b, out, stats)
         else:
-            matches = {}
-            pairs = sweep_pairs(
-                node_a.entries,
-                node_b.entries,
-                self._order(self._orders_left, id_a, node_a),
-                self._order(self._orders_right, id_b, node_b),
-            )
-            for i, j in pairs:
-                matches.setdefault(i, []).append(j)
-            for i in sorted(matches):
-                child_a_id = node_a.entries[i][1]
+            for rect_a, child_a_id in node_a.entries:
+                partners = [
+                    child_b_id
+                    for rect_b, child_b_id in node_b.entries
+                    if rect_a.intersects(rect_b)
+                ]
+                if not partners:
+                    continue
                 child_a = self._left._read(child_a_id, stats.left)
-                for j in matches[i]:
-                    child_b_id = node_b.entries[j][1]
+                for child_b_id in partners:
                     child_b = self._right._read(child_b_id, stats.right)
                     self._join_pair(
                         child_a_id, child_a, child_b_id, child_b, out, stats
@@ -388,9 +366,9 @@ class TestJoinDifferential:
     def test_pair_count_identical(self, left_data, right_data):
         left = build_tgs(BlockStore(), left_data, 4)
         right = build_str(BlockStore(), right_data, 6)
-        got_n, got_stats = SpatialJoinEngine(left, right).pair_count()
-        want_n, want_stats = ScalarJoinEngine(left, right).pair_count()
-        assert got_n == want_n
+        got_pairs, got_stats = SpatialJoinEngine(left, right).join()
+        want_pairs, want_stats = ScalarJoinEngine(left, right).join()
+        assert len(got_pairs) == got_stats.pairs == len(want_pairs)
         assert got_stats == want_stats
 
     @settings(max_examples=10, deadline=None)

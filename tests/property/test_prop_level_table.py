@@ -186,12 +186,6 @@ MUTANTS = {
         "if old is not frame.ptrs and not np.array_equal(old, frame.ptrs):",
         "if len(old) != len(frame.ptrs):",
     ),
-    # The join's sweep orders outlive a write that kept the table.
-    "join-cache-not-moved-by-a-patch": (
-        SpatialJoinEngine, "_run",
-        "stamp = (left, left.generation, right, right.generation)",
-        "stamp = (left, right)",
-    ),
 }
 
 

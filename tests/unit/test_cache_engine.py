@@ -11,16 +11,20 @@ patched after an internal node is rewritten in place and rebuilt after
 a split or a merge.
 """
 
+import pytest
+
 from tests.conftest import random_rects, random_windows
 from tests.level_oracle import assert_same_levels
 
 from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
+from repro.queries.join import SpatialJoinEngine
 from repro.queries.knn import KNNEngine
 from repro.rtree import levels
 from repro.rtree.levels import LevelStats, LevelTable, levels_of
 from repro.rtree.query import QueryEngine
+from repro.storage import PagedTree, pack_tree
 
 
 class TestFirstVisitReads:
@@ -166,3 +170,58 @@ class TestWarmCacheWindowQueries:
         _, first = engine.query(window)
         _, second = engine.query(window)
         assert second.leaf_reads == first.leaf_reads > 0
+
+
+EVERYTHING = Rect((0.0, 0.0), (1.0, 1.0))
+
+
+@pytest.fixture
+def written(tmp_path):
+    """The same 600 rectangles (fan-out 8) in memory and on a paged
+    file, each with engines kept warm across 200 deletes and 200
+    inserts: ``(memory, paged, [(window, kNN, join) engines per index])``."""
+    data = random_rects(600, seed=61, max_side=0.03)
+    memory = build_prtree(BlockStore(), data, 8)
+    pack_tree(memory, tmp_path / "index.pack", block_size=512)
+    paged = PagedTree.open(
+        tmp_path / "index.pack", values=dict(memory.objects), cache_pages=8
+    )
+    kept = []
+    for index in (memory, paged):
+        engines = QueryEngine(index), KNNEngine(index), SpatialJoinEngine(index, index)
+        engines[0].query(EVERYTHING)
+        engines[1].knn((0.5, 0.5), 600)
+        engines[2].join()
+        for rect, value in data[::3]:
+            assert index.delete(rect, value)
+        for rect, value in random_rects(200, seed=62, max_side=0.03):
+            index.insert(rect, ("new", value))
+        kept.append(engines)
+    yield memory, paged, kept
+    paged.close()
+
+
+class TestPaidSetLifetime:
+    """A kept engine's paid set lives as long as the level table it was
+    paid against: after the splits and merges of a write batch (which
+    rebuild the table, and on a file recycle freed ids) it pays for
+    every internal node again, like a fresh engine."""
+
+    def test_window_after_frees_pays_like_a_fresh_engine(self, written):
+        memory, paged, kept = written
+        reads = [
+            window.query(EVERYTHING)[1].internal_reads for window, _, _ in kept
+        ]
+        fresh = [
+            QueryEngine(index).query(EVERYTHING)[1].internal_reads
+            for index in (memory, paged)
+        ]
+        assert reads == fresh == [fresh[0]] * 2
+
+    def test_knn_and_join_after_frees_pay_like_fresh_engines(self, written):
+        memory, paged, kept = written
+        for index, (_, knn, join) in zip((memory, paged), kept):
+            assert knn.knn((0.5, 0.5), 600)[1] == KNNEngine(index).knn(
+                (0.5, 0.5), 600
+            )[1]
+            assert join.join()[1] == SpatialJoinEngine(index, index).join()[1]

@@ -202,13 +202,13 @@ class TestJoinPlan:
 
     def test_count_only_join_matches(self, trees):
         left, right = trees
-        plain_count, _ = SpatialJoinEngine(left, right).pair_count()
+        plain, _ = SpatialJoinEngine(left, right).join()
         engine = SpatialJoinEngine(left, right)
         recorder = install(engine)
-        count, stats = engine.pair_count()
+        pairs, stats = engine.join()
         plan = uninstall(engine, recorder, "join", stats)
-        assert count == plain_count
-        assert plan.pairs == count
+        assert len(pairs) == stats.pairs == len(plain)
+        assert plan.pairs == stats.pairs
 
 
 class TestServerExplain:

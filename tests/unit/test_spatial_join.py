@@ -9,12 +9,7 @@ from repro.bulk.tgs import build_tgs
 from repro.geometry.rect import Rect, point_rect
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
-from repro.queries.join import (
-    SpatialJoinEngine,
-    brute_force_join,
-    spatial_join,
-    sweep_pairs,
-)
+from repro.queries.join import SpatialJoinEngine, brute_force_join, spatial_join
 
 BUILDERS = [build_prtree, build_hilbert, build_tgs]
 BUILDER_IDS = ["PR", "H", "TGS"]
@@ -22,54 +17,6 @@ BUILDER_IDS = ["PR", "H", "TGS"]
 
 def value_pairs(pairs):
     return sorted(((a[1], b[1]) for a, b in pairs))
-
-
-class TestSweepPairs:
-    def test_matches_nested_loop(self):
-        left = [(r, i) for r, i in random_rects(60, seed=1, max_side=0.2)]
-        right = [(r, i) for r, i in random_rects(40, seed=2, max_side=0.2)]
-        got = sorted(sweep_pairs(left, right))
-        want = sorted(
-            (i, j)
-            for i, (ra, _) in enumerate(left)
-            for j, (rb, _) in enumerate(right)
-            if ra.intersects(rb)
-        )
-        assert got == want
-
-    def test_no_duplicates(self):
-        left = [(Rect((0.0, 0.0), (1.0, 1.0)), 0)] * 3
-        right = [(Rect((0.5, 0.5), (0.6, 0.6)), 0)] * 2
-        pairs = list(sweep_pairs(left, right))
-        assert len(pairs) == len(set(pairs)) == 6
-
-    def test_boundary_contact_counts(self):
-        left = [(Rect((0.0, 0.0), (1.0, 1.0)), 0)]
-        right = [(Rect((1.0, 1.0), (2.0, 2.0)), 0)]
-        assert list(sweep_pairs(left, right)) == [(0, 0)]
-
-    def test_disjoint_in_y_only(self):
-        # x-intervals overlap, y-intervals do not: the above-x check
-        # must reject the pair.
-        left = [(Rect((0.0, 0.0), (1.0, 0.1)), 0)]
-        right = [(Rect((0.0, 0.5), (1.0, 0.6)), 0)]
-        assert list(sweep_pairs(left, right)) == []
-
-    def test_empty_sides(self):
-        rects = [(Rect((0.0, 0.0), (1.0, 1.0)), 0)]
-        assert list(sweep_pairs([], rects)) == []
-        assert list(sweep_pairs(rects, [])) == []
-
-    def test_precomputed_orders_give_same_pairs(self):
-        from repro.queries.join import sweep_order
-
-        left = [(r, i) for r, i in random_rects(40, seed=7, max_side=0.2)]
-        right = [(r, i) for r, i in random_rects(30, seed=8, max_side=0.2)]
-        fresh = sorted(sweep_pairs(left, right))
-        cached = sorted(
-            sweep_pairs(left, right, sweep_order(left), sweep_order(right))
-        )
-        assert fresh == cached
 
 
 @pytest.mark.parametrize("builder", BUILDERS, ids=BUILDER_IDS)
@@ -173,8 +120,8 @@ class TestJoinAccounting:
             build_prtree(BlockStore(), left, 8),
             build_prtree(BlockStore(), right, 8),
         )
-        count, _ = engine.pair_count()
-        assert count == len(brute_force_join(left, right))
+        pairs, stats = engine.join()
+        assert len(pairs) == stats.pairs == len(brute_force_join(left, right))
 
     def test_join_beats_reading_all_node_pairs(self):
         # The synchronized traversal must not degenerate to the
