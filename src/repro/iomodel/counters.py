@@ -115,6 +115,17 @@ class IOCounters:
             self.seq_reads += 1
         self._last_block = block_id
 
+    def record_reads(self, block_ids) -> None:
+        """:meth:`record_read` of each of ``block_ids``, in order."""
+        last, seq = self._last_block, 0
+        for block_id in block_ids:
+            if last is not None and block_id == last + 1:
+                seq += 1
+            last = block_id
+        self.reads += len(block_ids)
+        self.seq_reads += seq
+        self._last_block = last
+
     def record_write(self, block_id: int) -> None:
         """Count one block write at ``block_id``."""
         self.writes += 1

@@ -97,6 +97,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from repro.iomodel.blockstore import DEFAULT_BLOCK_SIZE, BlockStore, FreedBlockError
 from repro.iomodel.counters import IOCounters
 from repro.iomodel.store import BlockId
@@ -227,6 +229,9 @@ class FileBlockStore:
         self._phys_pending: list[int] = []
         self._fresh_phys: set[int] = set()
         self._dirty = False
+        # The bytes written since the last msync, [lo, hi): what the
+        # next commit's msync covers.
+        self._unsynced = (_NIL, 0)
         self.recovery = RecoveryInfo(epoch=0, header_slot=0, rolled_back_blocks=0)
 
     # ------------------------------------------------------------------
@@ -659,6 +664,8 @@ class FileBlockStore:
         if end > len(self._map):
             self._map.resize(end)
         self._map[offset:end] = data
+        lo, hi = self._unsynced
+        self._unsynced = (min(lo, offset), max(hi, end))
 
     def _pwrite(self, offset: int, data: bytes) -> None:
         """One physical write, routed through the fault injector.
@@ -678,9 +685,16 @@ class FileBlockStore:
         self._raw_pwrite(offset, data)
 
     def _os_flush(self) -> None:
-        """Push written bytes to stable storage: ``msync`` the mapping,
-        then ``fsync`` the file (its size and metadata)."""
-        self._map.flush()
+        """Push written bytes to stable storage: ``msync`` the pages
+        written since the last flush, then ``fsync`` the file (its size
+        and metadata)."""
+        lo, hi = self._unsynced
+        if lo < hi:  # widened to whole pages, as msync takes them
+            page = mmap.PAGESIZE
+            lo -= lo % page
+            hi = min(-(-hi // page) * page, len(self._map))
+            self._map.flush(lo, hi - lo)
+            self._unsynced = (_NIL, 0)
         os.fsync(self._fd)
 
     # ------------------------------------------------------------------
@@ -883,26 +897,46 @@ class FileBlockStore:
             self._check_live(block_id)
             return self._read_bytes_locked(block_id)
 
-    def peek_many(self, block_ids: list[BlockId]) -> bytearray:
-        """:meth:`peek` every block of ``block_ids``: a fresh buffer of
-        their bytes end to end, in request order, each block copied once
-        out of the mapping.  A block past the end of the file raises
-        :class:`StorageError` as :meth:`peek` does."""
+    def peek_many(self, block_ids: list[BlockId]) -> bytes | bytearray | memoryview:
+        """:meth:`peek` every block of ``block_ids``: a fresh bytes-like
+        buffer of their bytes end to end, in request order.  Every id is
+        checked, in order and with :meth:`peek`'s errors, before a byte
+        is copied.  One block is one plain copy; more are gathered out
+        of the mapping in one fancy index over a ``(slots, block_size)``
+        view of it."""
         size = self.block_size
-        out = bytearray(len(block_ids) * size)  # an unwritten block reads as zeros
-        with self._lock, memoryview(self._map) as mapped:
-            for i, block_id in enumerate(block_ids):
-                self._check_live(block_id)
-                phys = self._l2p[block_id]
-                if phys == _UNWRITTEN:
-                    continue
-                start = self._phys_offset(phys)
-                if start + size > len(mapped):
-                    raise StorageError(
-                        f"short read at block {block_id}: file is truncated"
-                    )
-                out[i * size : (i + 1) * size] = mapped[start : start + size]
-        return out
+        with self._lock:
+            l2p, n = self._l2p, len(self._l2p)
+            limit = (len(self._map) - HEADER_REGION) // size  # slots mapped
+            slots: list[int] = []
+            unwritten: list[int] = []  # where reserved blocks read as zeros
+            for block_id in block_ids:
+                phys = l2p[block_id] if 0 <= block_id < n else _NIL
+                if phys >= limit:  # freed, unallocated, unwritten or cut off
+                    self._check_live(block_id)
+                    if phys != _UNWRITTEN:
+                        raise StorageError(
+                            f"short read at block {block_id}: file is truncated"
+                        )
+                    unwritten.append(len(slots))
+                    phys = 0
+                slots.append(phys)
+            if len(unwritten) == len(slots):
+                return bytearray(len(slots) * size)
+            if len(slots) == 1:
+                start = self._phys_offset(slots[0])
+                return self._map[start : start + size]  # a copy
+            # mmap.resize and close raise BufferError while a view lives.
+            mapped = np.frombuffer(
+                self._map, np.uint8, limit * size, HEADER_REGION
+            ).reshape(limit, size)
+            try:
+                out = mapped[slots]
+            finally:
+                del mapped
+        if unwritten:
+            out[unwritten] = 0
+        return memoryview(out.reshape(-1))
 
     #: No page cache here, so :meth:`peek` already leaves no trace.
     quiet_peek = peek

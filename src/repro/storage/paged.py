@@ -180,8 +180,8 @@ class PagedNodeStore(NodeWriteLog):
         self._pages: OrderedDict[BlockId, Node] = OrderedDict()
         self._dirty: set[BlockId] = set()
         # The current page stays pinned outside the LRU budget: a peek
-        # then a read of the same block (each id of a read_many) must
-        # cost one physical read even with capacity 0.
+        # then a read of the same block must cost one physical read even
+        # with capacity 0.
         self._mru: tuple[BlockId, Node] | None = None
         self._lock = threading.Lock()
         self._init_write_log()  # what the level table follows
@@ -205,80 +205,98 @@ class PagedNodeStore(NodeWriteLog):
 
     def _lookup_locked(
         self,
-        block_ids,
+        block_ids: Sequence[BlockId],
         tap: IOTap | None,
-        events: tuple[bool, ...],
+        peek: bool,
+        read: bool,
         physical: dict | None = None,
     ) -> list[Node]:
-        """Make each id's page-table lookups, in order: one per entry of
-        ``events``, a counted read (True) or a peek (False).
+        """Make each id's page-table lookups, in order: a peek then a
+        counted read, or either alone; one pass over the ids.
 
-        Every ``stats`` increment here (and in the helpers below) has a
-        matching tap increment so the active context's
-        :class:`~repro.obs.tap.IOTap` holds exactly its slice of the
-        shared :class:`PageCacheStats` — attribution, not re-counting.
-        A hit on a cached page pins it in the MRU slot (a read also
-        moves it to the LRU tail).  A hit on the pin alone, or a miss,
-        enters the table on a read (evicting as needed) and never on a
-        peek, which reads *around* the cache.  A missed page is an empty
-        node until :meth:`_fill_locked` reads and decodes every miss
-        together; the tracker's records, which need each page's kind,
-        follow.  ``physical`` maps each id to the misses it made.
+        A cached page is pinned in the MRU slot (a read also moves it to
+        the LRU tail).  Otherwise the id hits the pin or misses, and the
+        page is pinned; a read enters it in the table, evicting at once.
+        A peek never enters the table: it reads *around* the cache.  So
+        of a peek then a read, the read always hits, and an id misses at
+        most once.  A missed page is an empty node until
+        :meth:`_fill_locked` copies every miss out of the file in one
+        call and decodes them together.  The loop counts nothing but
+        misses and evictions: ``stats`` and the active context's
+        :class:`~repro.obs.tap.IOTap` (its slice of the shared
+        :class:`PageCacheStats` — attribution, not re-counting) are
+        summed once, hits being the lookups made less the misses.  The
+        tracker's records, which need each page's kind, follow the
+        fill; ``physical`` maps each id to the misses it made.
         """
-        pages, stats = self._pages, self.stats
-        record_read = self.counters.record_read
+        pages, capacity, dirty = self._pages, self.capacity, self._dirty
+        get, move_to_end, popitem = pages.get, pages.move_to_end, pages.popitem
+        pin_id, pin = self._mru or (None, None)
         nodes: list[Node] = []
-        missed: list[tuple[BlockId, Node]] = []
-        lookups = None if self.tracker is None else []
-        made = reads = 0  # lookups made, and counted reads; misses: len(missed)
+        missed_at: list[int] = []  # where in ``nodes`` the misses are
+        evicted = 0
+        if read:  # a counted read each, hit or miss
+            self.counters.record_reads(block_ids)
         try:
             for block_id in block_ids:
-                misses = 0
-                for read in events:
-                    made += 1
-                    miss = 0
-                    node = pages.get(block_id)
-                    if node is not None:
-                        if read:
-                            pages.move_to_end(block_id)
-                        self._mru = (block_id, node)
-                    else:
-                        if self._mru is not None and self._mru[0] == block_id:
-                            node = self._mru[1]
-                        else:
-                            miss = 1
-                            node = Node.__new__(Node)
-                            missed.append((block_id, node))
-                            self._mru = (block_id, node)
-                        if read:
-                            self._cache_locked(block_id, node, tap=tap)
+                node = get(block_id)
+                if node is not None:
+                    pin_id, pin = block_id, node
+                    nodes.append(node)
                     if read:
-                        record_read(block_id)
-                        reads += 1
-                    if lookups is not None:
-                        lookups.append((block_id, node, not miss))
-                    misses += miss
-                if physical is not None:
-                    physical[block_id] = misses
+                        move_to_end(block_id)
+                    continue
+                if block_id == pin_id:
+                    node = pin
+                else:
+                    node = Node.__new__(Node)
+                    missed_at.append(len(nodes))
+                    pin_id, pin = block_id, node  # the miss is pinned
                 nodes.append(node)
-            if missed:
-                self._fill_locked(missed)
+                if read and capacity:
+                    pages[block_id] = node
+                    while len(pages) > capacity:
+                        victim, page = popitem(last=False)
+                        if victim in dirty:
+                            self._flush_locked(victim, page, tap)
+                            dirty.discard(victim)
+                        evicted += 1
+            if physical is not None:
+                misses = set(missed_at)
+                for i, block_id in enumerate(block_ids):
+                    physical[block_id] = int(i in misses)
+            if missed_at:
+                self._fill_locked(
+                    [block_ids[i] for i in missed_at],
+                    [nodes[i] for i in missed_at],
+                )
         except BaseException:
-            for block_id, node in missed:  # no empty page may stay
-                if pages.get(block_id) is node:
-                    del pages[block_id]
-                if self._mru is not None and self._mru[1] is node:
-                    self._mru = None
+            for i in missed_at:  # no empty page may stay
+                if get(block_ids[i]) is nodes[i]:
+                    del pages[block_ids[i]]
+                if pin is nodes[i]:
+                    pin_id = pin = None
             raise
         finally:
-            stats.hits += made - len(missed)
-            stats.misses += len(missed)
+            self._mru = None if pin is None else (pin_id, pin)
+            lookups, misses = len(nodes) * (peek + read), len(missed_at)
+            stats = self.stats
+            stats.hits += lookups - misses
+            stats.misses += misses
+            stats.evictions += evicted
             if tap is not None:
-                tap.hits += made - len(missed)
-                tap.misses += len(missed)
-                tap.reads += reads
-        for block_id, node, hit in lookups or ():
-            self.tracker.record(block_id, node.is_leaf, hit=hit)
+                tap.hits += lookups - misses
+                tap.misses += misses
+                tap.evictions += evicted
+                if read:
+                    tap.reads += len(block_ids)
+        if self.tracker is not None:
+            record = self.tracker.record
+            misses = set(missed_at)
+            for i, (block_id, node) in enumerate(zip(block_ids, nodes)):
+                record(block_id, node.is_leaf, hit=i not in misses)
+                if peek and read:
+                    record(block_id, node.is_leaf, hit=True)
         return nodes
 
     def _decode_locked(self, block_id: BlockId, block=None) -> Node:
@@ -300,18 +318,18 @@ class PagedNodeStore(NodeWriteLog):
             ) from None
         return Node.from_frame(NodeFrame(is_leaf, box, ptrs))
 
-    def _fill_locked(self, missed: list[tuple[BlockId, Node]]) -> None:
-        """Copy one :meth:`read_many`'s misses out of the file in one
-        call and decode them in one pass into their empty nodes."""
-        buf = self.file_store.peek_many([block_id for block_id, _ in missed])
+    def _fill_locked(self, block_ids: list[BlockId], nodes: list[Node]) -> None:
+        """Copy one lookup's misses out of the file in one call and
+        decode them in one pass into their empty nodes."""
+        buf = self.file_store.peek_many(block_ids)
         try:
-            decoded = self.codec.decode_many(buf, len(missed))
+            decoded = self.codec.decode_many(buf, len(block_ids))
         except ValueError:
             size = self.block_size  # name the first hostile block
-            for b, (block_id, _) in enumerate(missed):
+            for b, block_id in enumerate(block_ids):
                 self._decode_locked(block_id, buf[b * size : (b + 1) * size])
             raise
-        for (_, node), (is_leaf, box, ptrs) in zip(missed, decoded):
+        for node, (is_leaf, box, ptrs) in zip(nodes, decoded):
             # The page layer made these nodes empty; they become pages
             # here, each on its slice of the batch table.
             node.is_leaf = is_leaf
@@ -405,7 +423,7 @@ class PagedNodeStore(NodeWriteLog):
         """Read a node, counting one logical I/O (cached page or not)."""
         tap = active_tap()
         with self._lock:
-            return self._lookup_locked((block_id,), tap, (True,))[0]
+            return self._lookup_locked((block_id,), tap, False, True)[0]
 
     def peek(self, block_id: BlockId) -> Node:
         """Read a node without counting I/O (validation/debugging).
@@ -416,7 +434,7 @@ class PagedNodeStore(NodeWriteLog):
         """
         tap = active_tap()
         with self._lock:
-            return self._lookup_locked((block_id,), tap, (False,))[0]
+            return self._lookup_locked((block_id,), tap, True, False)[0]
 
     def read_many(
         self, block_ids: Sequence[BlockId], physical: dict | None = None
@@ -427,7 +445,7 @@ class PagedNodeStore(NodeWriteLog):
         (EXPLAIN armed) maps each id to the page misses its access made."""
         tap = active_tap()
         with self._lock:
-            return self._lookup_locked(block_ids, tap, (False, True), physical)
+            return self._lookup_locked(block_ids, tap, True, True, physical)
 
     def quiet_peek(self, block_id: BlockId) -> Node:
         """Read a node with **zero** observable side effects.

@@ -402,17 +402,34 @@ MUTANTS = {
     # read_many makes only the read's lookup of each id, not its peek's.
     "batch-skips-peek-event": (
         PagedNodeStore, "read_many", PagedNodeStore.read_many,
-        "(False, True)", "(True,)",
+        "tap, True, True, physical", "tap, False, True, physical",
     ),
-    # Each miss is copied out of the mapping from the next slot.
+    # Evictions wait for the batch's last id instead of each insert.
+    "eviction-deferred-to-batch-end": (
+        PagedNodeStore, "_lookup_locked", PagedNodeStore._lookup_locked,
+        "while len(pages) > capacity:",
+        "while len(pages) > capacity and len(nodes) == len(block_ids):",
+    ),
+    # A miss leaves the MRU pin on the page pinned before it.
+    "pin-not-set-on-miss": (
+        PagedNodeStore, "_lookup_locked", PagedNodeStore._lookup_locked,
+        "pin_id, pin = block_id, node  # the miss is pinned", "pass",
+    ),
+    # A lone miss is copied out of the mapping from the next slot.
     "mapping-copies-next-slot": (
         FileBlockStore, "peek_many", FileBlockStore.peek_many,
-        "mapped[start : start + size]", "mapped[start + size : start + 2 * size]",
+        "self._map[start : start + size]",
+        "self._map[start + size : start + 2 * size]",
+    ),
+    # The gather reads each miss's next block (the first after the last).
+    "gather-reads-next-block": (
+        FileBlockStore, "peek_many", FileBlockStore.peek_many,
+        "mapped[slots]", "mapped[[(s + 1) % limit for s in slots]]",
     ),
     # The batch's pages are handed to the missed ids in reverse.
     "batch-decoded-out-of-order": (
         PagedNodeStore, "_fill_locked", PagedNodeStore._fill_locked,
-        "zip(missed, decoded)", "zip(missed, decoded[::-1])",
+        "zip(nodes, decoded)", "zip(nodes, decoded[::-1])",
     ),
 }
 

@@ -1,11 +1,12 @@
 """``read_many`` against the ``peek``/``read`` loop it replaced.
 
-The page layer's ``PagedNodeStore.read_many`` replays, under one lock
-hold, the page-table events of a ``peek`` then a ``read`` of each id,
-and fills its misses from one copy out of the file's mapping and one
-batch decode.  ``tests/peek_read_oracle.py`` keeps the engines' old
-per-block access path and the page layer's old ``peek`` and ``read``.
-On two identical writable stores — cache sizes 0, 1, 2 and 32,
+The page layer's ``PagedNodeStore.read_many`` makes, under one lock
+hold and in one pass over its ids, the page-table lookups of a ``peek``
+then a ``read`` of each id, and fills its misses from one gather out of
+the file's mapping and one batch decode.  ``tests/peek_read_oracle.py``
+keeps the engines' old per-block access path and the page layer's old
+``peek`` and ``read``, one event at a time.
+On two identical writable stores — cache sizes 0, 1, 2, 32 and 1024,
 ghost-LRU tracking on, dirty pages in the cache or committed —
 random id lists (duplicates, internal ids, adjacent and scattered
 slots), read in one ``read_many`` or as lone ``peek``s and ``read``s,
@@ -93,6 +94,7 @@ def page_state(tree):
         store.stats,
         store.counters.snapshot(),
         store.tracker.log,
+        store.tracker.observed_hits,
         list(store._pages),
         sorted(store._dirty),
         None if store._mru is None else store._mru[0],
@@ -163,6 +165,37 @@ class TestAgainstThePeekReadLoop:
                     assert physical[0] == physical[1]
                     assert page_state(got) == page_state(want)
             assert got.page_stats.misses > 0 and got.page_stats.hits > 0
+        finally:
+            got.close()
+            want.close()
+
+    @pytest.mark.parametrize("cache_pages", [0, 1, 32, 1024])
+    def test_tracker_and_explain_armed(self, tmp_path, cache_pages):
+        # Every batch with the ghost tracker recording and EXPLAIN's
+        # physical map armed, dirty pages flushed as they are evicted,
+        # and batches that come back to their first ids after turning
+        # the cache over (evictions are made at each insert).
+        rng = random.Random(40 + cache_pages)
+        got, want = twin_trees(tmp_path, cache_pages)
+        try:
+            insert_both((got, want), rng, 6)
+            ids = sorted(got.page_store.block_ids())
+            lists = list(id_lists(ids, rng, 20))
+            lists += [ids[:n] + ids[:n][::-1] for n in (2, 33, len(ids))]
+            for block_ids in lists:
+                physical = ({}, {})
+                with scoped_tap() as tap_got:
+                    nodes = got.page_store.read_many(block_ids, physical[0])
+                with scoped_tap() as tap_want:
+                    oracle = peek_read_each(want, block_ids, physical[1])
+                assert_same_frames(nodes, oracle)
+                assert tap_got.snapshot() == tap_want.snapshot()
+                assert physical[0] == physical[1]
+                assert page_state(got) == page_state(want)
+            # The tracker saw every lookup with its real outcome.
+            store = got.page_store
+            assert store.tracker.observed_hits == store.stats.hits > 0
+            assert store.tracker.accesses == store.stats.hits + store.stats.misses
         finally:
             got.close()
             want.close()

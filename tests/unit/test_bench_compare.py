@@ -63,6 +63,10 @@ class TestClassify:
         assert not classify("score").timing
         assert not classify("io_vs_fresh").timing
 
+    def test_pairs_is_an_exact_deterministic_count(self):
+        column = bench_compare.classify("pairs")
+        assert column.exact and not column.timing and not column.unknown
+
     def test_unknown_is_reported_not_gated(self):
         column = bench_compare.classify("flux_capacitance")
         assert column.unknown
@@ -110,6 +114,23 @@ class TestCompareAndGate:
             )
             == 1
         )
+
+    @pytest.mark.parametrize("pairs", [911, 913])
+    def test_any_change_in_pairs_is_a_gated_regression(self, trees, pairs):
+        # The join's answer size: one pair more or less is wrong, far
+        # inside the tolerance and under --ratio-only too.
+        base, cur = trees
+        (base / "a.json").write_text(
+            table_json(["workload", "pairs", "leaf_ios"], [["j", 912, 1028]])
+        )
+        (cur / "a.json").write_text(
+            table_json(["workload", "pairs", "leaf_ios"], [["j", pairs, 1028]])
+        )
+        assert bench_compare.main([str(base), str(cur), "--ratio-only"]) == 1
+        (cur / "a.json").write_text(
+            table_json(["workload", "pairs", "leaf_ios"], [["j", 912, 1028]])
+        )
+        assert bench_compare.main([str(base), str(cur), "--ratio-only"]) == 0
 
     def test_improvement_is_not_a_regression(self, trees):
         base, cur = trees

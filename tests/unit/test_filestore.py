@@ -497,6 +497,44 @@ class TestMmap:
         store.close()  # nothing uncommitted: no sync
         assert calls == []
 
+    def test_commit_msyncs_only_the_pages_it_wrote(self, path, monkeypatch):
+        # Each msync covers the bytes written since the last one, widened
+        # to whole pages: the shadow slots and map before the flip, the
+        # header slot after it.
+        ranges = []
+
+        class Recording(mmap.mmap):
+            def flush(self, *args):
+                ranges.append(args)
+                return super().flush(*args)
+
+        monkeypatch.setattr(mmap, "mmap", Recording)
+        page = mmap.PAGESIZE
+
+        def pages(lo, hi):  # whole pages, the last cut at the file's end
+            hi = min(-(-hi // page) * page, os.path.getsize(path))
+            return lo - lo % page, hi - lo + lo % page
+
+        size = 512
+        slot = lambda phys: HEADER_REGION + phys * size
+        with FileBlockStore.create(path, block_size=size) as store:
+            ids = [store.allocate(bytes([65 + i]) * 8) for i in range(40)]
+            store.flush()  # slots 0-39, then map block 40 and index 41
+            ranges.clear()
+            store.write(ids[3], b"w")  # shadowed to fresh slot 42
+            store.flush()  # map block 43 and index 44, then epoch 2's slot
+            assert store.commit_epoch == 2
+            assert ranges == [pages(slot(42), slot(45)), pages(0, HEADER_SLOT)]
+            ranges.clear()
+            store.write(ids[5], b"v")  # into slot 3, free since the flip
+            store.flush()  # map block 40 and index 41, then epoch 3's slot
+            assert ranges == [
+                pages(slot(3), slot(42)), pages(HEADER_SLOT, HEADER_REGION)
+            ]
+        with FileBlockStore.open(path, readonly=True) as reader:
+            assert reader.read(ids[3])[:1] == b"w"
+            assert reader.read(ids[5])[:1] == b"v"
+
     def test_family_commit_syncs_the_manifest_then_its_directory(
         self, tmp_path, monkeypatch
     ):
@@ -575,22 +613,32 @@ class TestMappingHazards:
         assert done.returncode == 0, (done.returncode, done.stderr)
 
     def test_results_outlive_growth_and_close(self, path):
+        # peek_many gathers out of a view of the mapping: the view must be
+        # gone when it returns, and when it raises too, since the error's
+        # traceback (kept here) holds the frame.
         with FileBlockStore.create(path, block_size=64) as store:
-            ids = [store.allocate(bytes([65 + i]) * 64) for i in range(3)]
+            ids = [store.allocate(bytes([65 + i]) * 64) for i in range(4)]
         store = FileBlockStore.open(path)
+        store.free(ids[3])
         peeked, read = store.peek(ids[0]), store.read(ids[1])
-        many = store.peek_many(ids)
+        many = store.peek_many(ids[:3] + ids[:1])
+        one = store.peek_many(ids[1:2])
+        with pytest.raises(FreedBlockError) as caught:
+            store.peek_many(ids)
         size = os.path.getsize(path)
         for _ in range(200):  # several pages past the mapped length
             store.allocate(b"g" * 64)
         store.write(ids[0], b"w" * 64)
         store.flush()
         assert os.path.getsize(path) > size + 200 * 64
-        held = lambda: (peeked, read, bytes(many))
-        want = (b"A" * 64, b"B" * 64, b"A" * 64 + b"B" * 64 + b"C" * 64)
+        held = lambda: (peeked, read, bytes(many), bytes(one))
+        want = (
+            b"A" * 64, b"B" * 64,
+            b"A" * 64 + b"B" * 64 + b"C" * 64 + b"A" * 64, b"B" * 64,
+        )
         assert held() == want
         store.close()  # no BufferError: nothing views the mapping
-        assert held() == want
+        assert held() == want and caught.traceback
 
 
 class TestOneWriter:

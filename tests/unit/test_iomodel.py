@@ -35,6 +35,23 @@ class TestCounters:
         snap = c.snapshot()
         assert snap.rand_reads == 2
 
+    @pytest.mark.parametrize("first", [None, 9, 3])
+    def test_record_reads_is_record_read_of_each(self, first):
+        ids = [10, 11, 12, 50, 51, 51, 7, 8]
+        one, many = IOCounters(), IOCounters()
+        if first is not None:  # a predecessor, sequential to 10 or not
+            one.record_write(first)
+            many.record_write(first)
+        for block_id in ids:
+            one.record_read(block_id)
+        many.record_reads(ids[:3])
+        many.record_reads(())
+        many.record_reads(ids[3:])
+        assert many.snapshot() == one.snapshot()
+        one.record_write(9)
+        many.record_write(9)  # both after block 8
+        assert many.snapshot() == one.snapshot() and one.seq_writes == 1
+
     def test_sequential_write_after_read(self):
         c = IOCounters()
         c.record_read(7)

@@ -17,7 +17,8 @@ Every numeric column is classified two ways:
 
 * **direction** — whether bigger is better (throughput, hit ratios,
   dedup), worse (latencies, I/Os, misses, flushes), or neither (sizes,
-  input parameters, row labels).  Only directional columns can regress.
+  input parameters, row labels).  Only directional columns can regress,
+  and answer sizes (``pairs``), which regress on any change at all.
 * **timing** — whether the number is wall-clock-derived (latency,
   throughput, build time) or deterministic (I/O counts, hit ratios,
   block counts).  Timing numbers are noisy on shared CI runners;
@@ -59,6 +60,9 @@ _HIGHER_COUNTS = {
     "hits", "dedup", "seq_frac", "dedup_hits",
 }
 
+#: Deterministic answer sizes: any change, either way, is a wrong answer.
+_EXACT_COUNTS = {"pairs"}
+
 
 @dataclass(frozen=True)
 class ColumnClass:
@@ -70,6 +74,8 @@ class ColumnClass:
     timing: bool
     #: True when the name matched no rule (reported, never gated).
     unknown: bool = False
+    #: An answer size: it regresses on any change, whatever the tolerance.
+    exact: bool = False
 
 
 def classify(header: str) -> ColumnClass:
@@ -77,6 +83,8 @@ def classify(header: str) -> ColumnClass:
     h = header.strip().lower()
     if h in _NEUTRAL:
         return ColumnClass(0, False)
+    if h in _EXACT_COUNTS:
+        return ColumnClass(0, False, exact=True)
     if h in _LOWER_COUNTS or h.endswith(("_ios", "_reads", "_misses")):
         return ColumnClass(-1, False)
     if h in _HIGHER_COUNTS or "hit_ratio" in h:
@@ -179,10 +187,11 @@ def compare_tables(
             else:
                 change = (cur_value - base_value) / abs(base_value)
             gated = (
-                column.direction != 0
-                and not (ratio_only and column.timing)
-            )
-            if column.direction == 0:
+                column.direction != 0 or column.exact
+            ) and not (ratio_only and column.timing)
+            if column.exact:
+                status = "regression" if change else "ok"
+            elif column.direction == 0:
                 status = "info"
             elif column.direction * change < -tolerance:
                 status = "regression"
