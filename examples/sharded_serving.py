@@ -51,10 +51,12 @@ def main() -> None:
             ShardedTree.open(tmp / "roads.manifest", values=values) as family,
         ):
             for i, info in enumerate(family.infos):
+                box = family.shard_mbr(i)
                 print(
                     f"  shard {i}: {info.size} rects, "
-                    f"{info.n_blocks} blocks, hilbert "
-                    f"[{info.hilbert_lo}..{info.hilbert_hi}]"
+                    f"{info.n_blocks} blocks, box "
+                    f"({box.xmin:.3f}, {box.ymin:.3f})-"
+                    f"({box.xmax:.3f}, {box.ymax:.3f})"
                 )
 
             server = QueryServer({"single": single, "family": family})

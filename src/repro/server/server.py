@@ -31,7 +31,9 @@ The catalog also accepts **sharded** indexes
 (:class:`~repro.storage.shard.ShardedTree`) transparently: a family is
 one tree to the same engines — window-style queries read only the
 shards whose box can contribute, kNN is one best-first search over
-every shard, writes route/broadcast by Hilbert rank.  A caller that
+every shard, and writes choose shards at its virtual root as a tree's
+writes choose children (insert by least enlargement, delete in the
+shards whose box contains the victim).  A caller that
 wants one batch's per-shard load diffs
 :meth:`~repro.storage.shard.ShardedTree.shard_loads` around
 :meth:`QueryServer.submit`.

@@ -222,19 +222,19 @@ class PagedNodeStore(NodeWriteLog):
         most once.  A missed page is an empty node until
         :meth:`_fill_locked` copies every miss out of the file in one
         call and decodes them together.  The loop counts nothing but
-        misses and evictions: ``stats`` and the active context's
+        misses: ``stats`` and the active context's
         :class:`~repro.obs.tap.IOTap` (its slice of the shared
         :class:`PageCacheStats` — attribution, not re-counting) are
-        summed once, hits being the lookups made less the misses.  The
+        summed once, hits being the lookups made less the misses
+        (:meth:`_evict_locked` counts its own evictions).  The
         tracker's records, which need each page's kind, follow the
         fill; ``physical`` maps each id to the misses it made.
         """
-        pages, capacity, dirty = self._pages, self.capacity, self._dirty
-        get, move_to_end, popitem = pages.get, pages.move_to_end, pages.popitem
+        pages, capacity = self._pages, self.capacity
+        get, move_to_end = pages.get, pages.move_to_end
         pin_id, pin = self._mru or (None, None)
         nodes: list[Node] = []
         missed_at: list[int] = []  # where in ``nodes`` the misses are
-        evicted = 0
         if read:  # a counted read each, hit or miss
             self.counters.record_reads(block_ids)
         try:
@@ -255,12 +255,8 @@ class PagedNodeStore(NodeWriteLog):
                 nodes.append(node)
                 if read and capacity:
                     pages[block_id] = node
-                    while len(pages) > capacity:
-                        victim, page = popitem(last=False)
-                        if victim in dirty:
-                            self._flush_locked(victim, page, tap)
-                            dirty.discard(victim)
-                        evicted += 1
+                    if len(pages) > capacity:
+                        self._evict_locked(tap)
             if physical is not None:
                 misses = set(missed_at)
                 for i, block_id in enumerate(block_ids):
@@ -283,11 +279,9 @@ class PagedNodeStore(NodeWriteLog):
             stats = self.stats
             stats.hits += lookups - misses
             stats.misses += misses
-            stats.evictions += evicted
             if tap is not None:
                 tap.hits += lookups - misses
                 tap.misses += misses
-                tap.evictions += evicted
                 if read:
                     tap.reads += len(block_ids)
         if self.tracker is not None:
@@ -352,11 +346,20 @@ class PagedNodeStore(NodeWriteLog):
         self._pages.move_to_end(block_id)
         if dirty:
             self._dirty.add(block_id)
-        while len(self._pages) > self.capacity:
-            victim, victim_node = self._pages.popitem(last=False)
-            if victim in self._dirty:
-                self._flush_locked(victim, victim_node, tap)
-                self._dirty.discard(victim)
+        self._evict_locked(tap)
+
+    def _evict_locked(self, tap: IOTap | None) -> None:
+        """Drop least-recently-used pages until the table fits its
+        budget.  A dirty victim is written back first and leaves the
+        table only once its write returned: a write that raises leaves
+        it cached and dirty, so :meth:`sync` still finds it."""
+        pages, dirty = self._pages, self._dirty
+        while len(pages) > self.capacity:
+            victim = next(iter(pages))
+            if victim in dirty:
+                self._flush_locked(victim, pages[victim], tap)
+                dirty.discard(victim)
+            del pages[victim]
             self.stats.evictions += 1
             if tap is not None:
                 tap.evictions += 1

@@ -6,14 +6,13 @@ answer (ROADMAP "sharding", and the partitioned-worker shape of the
 SIGMOD 2014 contest systems) is to split one logical index into K
 independent index files and read only the shards that can contribute.
 
-:func:`shard_pack` partitions a bulk-loaded tree's *leaf entries* by the
-Hilbert rank of their centers into K contiguous ranges — the same
-locality order the packed Hilbert loader already uses — packs each
-range as an independent index file with leaves 90 % full
+:func:`shard_pack` sorts a bulk-loaded tree's *leaf entries* by the
+Hilbert key of their centers, cuts that order into K contiguous ranges,
+packs each range as an independent index file with leaves 90 % full
 (:data:`LEAF_FILL`)
 (reusing :func:`~repro.storage.paged.pack_tree`), and writes a JSON
 *shard manifest* describing the family: per-shard file, entry count,
-MBR, Hilbert key range and block count (byte-for-byte layout in
+MBR, block count and committed epoch (byte-for-byte layout in
 ``docs/storage-format.md``).
 
 :class:`ShardedTree` opens every shard as a
@@ -25,11 +24,12 @@ and each shard's own pinned levels stack below it
 family's ``store`` sends each read to that shard's page store, so every
 engine — window, point, containment, count, kNN, join and EXPLAIN —
 runs on a family exactly as on one file, reads only shards whose box
-can contribute, and charges each shard's own counters.
-**Inserts** route to the shard owning the rectangle's Hilbert rank,
-**deletes** broadcast to the shards whose MBR intersects the victim,
-and :meth:`ShardedTree.sync` flushes every dirty shard then rewrites
-the manifest atomically (fsynced temp file + ``os.replace``).
+can contribute, and charges each shard's own counters.  Writes descend
+that root as a tree's do: an **insert** takes Guttman's ChooseLeaf over
+the live shard boxes (least enlargement, ties to the smaller box), a
+**delete** tries that shard and then every shard whose box contains the
+victim, and :meth:`ShardedTree.sync` flushes every dirty shard then
+rewrites the manifest atomically (fsynced temp file + ``os.replace``).
 
 Accounting follows the single-file contract exactly (see
 ``docs/io-accounting.md``): each shard has its own
@@ -54,11 +54,7 @@ from itertools import count, groupby
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.bulk.base import pack_leaf_level, pack_level
-from repro.geometry.hilbert import (
-    DEFAULT_ORDER,
-    hilbert_key_for_center,
-    hilbert_keys_for_centers,
-)
+from repro.geometry.hilbert import DEFAULT_ORDER, hilbert_keys_for_centers
 from repro.geometry import kernels
 from repro.geometry.rect import Rect, check_dim
 from repro.iomodel.blockstore import BlockStore, DEFAULT_BLOCK_SIZE
@@ -99,23 +95,18 @@ __all__ = [
 
 #: The manifest's ``format`` field; rejects arbitrary JSON files early.
 MANIFEST_FORMAT = "repro-shards"
-#: Manifest schema version this module writes.  Version 2 adds a
+#: Manifest schema version this module writes.  Version 2 added a
 #: family ``generation`` stamp and a per-shard committed store
 #: ``epoch``, so a crash between shard syncs and the manifest rewrite
-#: recovers to the consistent family cut the manifest names.
-MANIFEST_VERSION = 2
+#: recovers to the consistent family cut the manifest names.  Version 3
+#: drops the Hilbert routing fields: writes route by the live boxes.
+MANIFEST_VERSION = 3
 #: Top-level manifest fields, each a JSON integer.
 _INT_FIELDS = (
-    "dim", "fanout", "block_size", "order", "size", "next_oid", "shards",
-    "generation",
+    "dim", "fanout", "block_size", "size", "next_oid", "shards", "generation",
 )
-#: Hilbert key bits per axis a family may route on: at least one, and
-#: no finer than a ``uint64`` grid.
-_ORDER_RANGE = range(1, 65)
 #: Fields of each ``shard_files`` entry that are JSON integers.
-_SHARD_INT_FIELDS = (
-    "size", "height", "hilbert_lo", "hilbert_hi", "n_blocks", "epoch",
-)
+_SHARD_INT_FIELDS = ("size", "height", "n_blocks", "epoch")
 #: Share of the fan-out a packed family leaf holds: ⌊0.9·B⌋ rows, 101
 #: of 113 at 4 KB (PostgreSQL's default index fillfactor).  A family is
 #: the index that takes writes: a full leaf splits on its first insert,
@@ -138,12 +129,10 @@ class ShardError(StorageError):
 class ShardInfo:
     """One shard's entry in the manifest.
 
-    ``hilbert_lo``/``hilbert_hi`` are the inclusive Hilbert-key range
-    the shard owns for insert routing; ranges are contiguous across the
-    family in shard order.  ``mbr`` is the shard's root MBR at the last
-    sync (``None`` for an empty shard) — query fan-out uses the *live*
-    root MBR, the manifest copy exists so opening can cross-check the
-    file against the manifest.  ``epoch`` is the store commit epoch the
+    ``mbr`` is the shard's root MBR at the last sync (``None`` for an
+    empty shard) — reads and writes use the *live* root MBR, the
+    manifest copy exists so opening can cross-check the file against
+    the manifest.  ``epoch`` is the store commit epoch the
     shard held when the manifest was written; opening pins each shard to
     it, rolling back any shard commit the manifest never acknowledged.
     """
@@ -152,8 +141,6 @@ class ShardInfo:
     size: int
     height: int
     mbr: Rect | None
-    hilbert_lo: int
-    hilbert_hi: int
     n_blocks: int
     epoch: int
 
@@ -273,13 +260,13 @@ def shard_pack(
     path: str | os.PathLike,
     shards: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    order: int = DEFAULT_ORDER,
 ) -> ShardPackStats:
     """Split a bulk-loaded tree into K Hilbert-range shard files.
 
     The tree's leaf entries are sorted by the Hilbert key of their
-    centers (over the tree's bounding box, quantized at ``order`` bits
-    per axis), split into ``shards`` contiguous ranges of near-equal
+    centers (over the tree's bounding box, quantized at
+    :data:`~repro.geometry.hilbert.DEFAULT_ORDER` bits per axis; ties by
+    object id), split into ``shards`` contiguous ranges of near-equal
     cardinality, and each range is rebuilt bottom-up — *preserving the
     original object ids* — and written as its own index file next to
     the manifest with :func:`~repro.storage.paged.pack_tree`.  The
@@ -298,9 +285,7 @@ def shard_pack(
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    _check_order("shard_pack", order)
     manifest_path = pathlib.Path(path)
-    bounds = tree.root().mbr() if len(tree.root()) else None
 
     # Every leaf row in one frame, keyed in one column.
     leaves = NodeFrame.concat(
@@ -310,7 +295,9 @@ def shard_pack(
     n = len(oids)
     keys: list[int] = []
     if n:
-        keys = hilbert_keys_for_centers(leaves.lo, leaves.hi, bounds, order)
+        keys = hilbert_keys_for_centers(
+            leaves.lo, leaves.hi, tree.root().mbr(), DEFAULT_ORDER
+        )
     # Hilbert order with (key, oid) ties broken deterministically.
     rank = sorted(range(n), key=list(zip(keys, oids)).__getitem__)
 
@@ -347,8 +334,6 @@ def shard_pack(
                 size=len(rows),
                 height=shard_tree.height,
                 mbr=shard_tree.root().mbr() if rows else None,
-                hilbert_lo=keys[rows[0]] if rows else 0,
-                hilbert_hi=keys[rows[-1]] if rows else 0,
                 n_blocks=stats.n_blocks,
                 epoch=stats.commit_epoch,
             )
@@ -359,10 +344,8 @@ def shard_pack(
         dim=tree.dim,
         fanout=tree.fanout,
         block_size=block_size,
-        order=order,
         size=n,
         next_oid=next_oid,
-        bounds=bounds,
         infos=infos,
         health_baseline=health.quality_baseline(
             health.family_quality(shard_qualities)
@@ -421,10 +404,8 @@ def _write_manifest(
     dim: int,
     fanout: int,
     block_size: int,
-    order: int,
     size: int,
     next_oid: int,
-    bounds: Rect | None,
     infos: Sequence[ShardInfo],
     generation: int = 0,
     injector: "FaultInjector | None" = None,
@@ -437,19 +418,15 @@ def _write_manifest(
         "dim": dim,
         "fanout": fanout,
         "block_size": block_size,
-        "order": order,
         "size": size,
         "next_oid": next_oid,
         "shards": len(infos),
-        "bounds": _rect_to_json(bounds),
         "shard_files": [
             {
                 "file": info.file,
                 "size": info.size,
                 "height": info.height,
                 "mbr": _rect_to_json(info.mbr),
-                "hilbert_lo": info.hilbert_lo,
-                "hilbert_hi": info.hilbert_hi,
                 "n_blocks": info.n_blocks,
                 "epoch": info.epoch,
             }
@@ -488,7 +465,6 @@ def _load_manifest(path: pathlib.Path) -> dict:
             f"{path}: unsupported manifest version {doc.get('version')!r}"
         )
     _check_ints(str(path), doc, _INT_FIELDS)
-    _check_order(str(path), doc["order"])
     files = doc.get("shard_files")
     if not isinstance(files, list) or not files:
         raise ShardError(f"{path}: manifest lists no shard files")
@@ -527,15 +503,6 @@ def _check_ints(where: str, doc: dict, keys: Sequence[str]) -> None:
                 f"{where}: manifest field {key!r} is not an integer: "
                 f"{doc[key]!r}"
             )
-
-
-def _check_order(where: str, order: int) -> None:
-    """``order`` is a Hilbert resolution routing can key on."""
-    if order not in _ORDER_RANGE:
-        raise ShardError(
-            f"{where}: field 'order' must be in [{_ORDER_RANGE.start}, "
-            f"{_ORDER_RANGE.stop - 1}], got {order!r}"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -675,7 +642,7 @@ class _FamilyStore:
 
 
 class ShardedTree:
-    """One logical index served from K Hilbert-range shard files.
+    """One logical index served from K shard files, as one tree.
 
     Construct with :meth:`open` on a :func:`shard_pack` manifest; close
     (or use as a context manager) when done.  To the engines the family
@@ -687,8 +654,9 @@ class ShardedTree:
     :class:`~repro.queries.join.SpatialJoinEngine` serve it unchanged
     (measured experiments construct them directly; :meth:`query` and its
     siblings are one-off conveniences).  Updates go through
-    :meth:`insert` / :meth:`delete`; :meth:`sync` makes the family a
-    consistency point.
+    :meth:`insert` / :meth:`delete`, which choose shards at the virtual
+    root as a tree's writes choose children (:meth:`route`);
+    :meth:`sync` makes the family a consistency point.
     """
 
     #: The virtual family root's id (negative: no block stands behind
@@ -703,10 +671,8 @@ class ShardedTree:
         dim: int,
         fanout: int,
         block_size: int,
-        order: int,
         size: int,
         next_oid: int,
-        bounds: Rect | None,
         readonly: bool,
         generation: int = 0,
         injector: FaultInjector | None = None,
@@ -718,9 +684,7 @@ class ShardedTree:
         self.dim = dim
         self.fanout = fanout
         self.block_size = block_size
-        self.order = order
         self.size = size
-        self.bounds = bounds
         self.generation = generation
         #: The family's pack-time tree-quality baseline (or None on a
         #: pre-baseline manifest); preserved verbatim across syncs.
@@ -728,7 +692,6 @@ class ShardedTree:
         self._injector = injector
         self._next_oid = max(next_oid, size)
         self._readonly = readonly
-        self._route_his = [info.hilbert_hi for info in infos]
         self.store = _FamilyStore([shard.page_store for shard in shards])
         self._levels: LevelTable | None = None
         self.level_stats = LevelStats()
@@ -787,12 +750,6 @@ class ShardedTree:
         table = value_table(values)  # one table serves every shard
         manifest_path = pathlib.Path(path)
         doc = _load_manifest(manifest_path)
-        bounds = _rect_from_json(doc.get("bounds"), str(manifest_path))
-        if bounds is not None and bounds.dim != doc["dim"]:
-            raise ShardError(
-                f"{manifest_path}: field 'bounds' has {bounds.dim} "
-                f"dimensions, the family {doc['dim']}"
-            )
 
         shards: list[PagedTree] = []
         infos: list[ShardInfo] = []
@@ -804,8 +761,6 @@ class ShardedTree:
                     size=entry["size"],
                     height=entry["height"],
                     mbr=_rect_from_json(entry.get("mbr"), where),
-                    hilbert_lo=entry["hilbert_lo"],
-                    hilbert_hi=entry["hilbert_hi"],
                     n_blocks=entry["n_blocks"],
                     epoch=entry["epoch"],
                 )
@@ -845,10 +800,8 @@ class ShardedTree:
             dim=doc["dim"],
             fanout=doc["fanout"],
             block_size=doc["block_size"],
-            order=doc["order"],
             size=doc["size"],
             next_oid=doc["next_oid"],
-            bounds=bounds,
             readonly=readonly,
             generation=doc["generation"],
             injector=injector,
@@ -1052,7 +1005,8 @@ class ShardedTree:
         """A synthetic internal node with one entry per non-empty shard.
 
         Gives the facade the same ``root().mbr()`` surface the server
-        and the experiments use to learn an index's bounds.
+        and the experiments use to learn an index's bounds, and holds
+        the rows :meth:`route` chooses among.
         """
         return Node(
             is_leaf=False,
@@ -1089,29 +1043,29 @@ class ShardedTree:
     # -- routing -------------------------------------------------------
 
     def route(self, rect: Rect) -> int:
-        """Shard index owning ``rect``'s Hilbert rank.
+        """The shard an insert of ``rect`` goes to: Guttman's ChooseLeaf
+        at the virtual root.
 
-        Ranges are contiguous in shard order; keys above the last
-        shard's range (or in a gap between ranges) fall to the first
-        shard whose upper bound is not below them, keys above everything
-        to the last shard.  The routing bounds are the *pack-time*
-        dataset bounds, so the same rectangle always routes to the same
-        shard regardless of later growth.  A rectangle with an infinite
-        or NaN coordinate has no Hilbert rank: ``ValueError``, naming it.
+        The live shard box (:meth:`root`'s rows) that grows least to
+        cover ``rect`` wins, ties going to the smaller box, then to the
+        lower shard, exactly as an insert picks a child in a tree.  An
+        empty shard has no row, so it takes no insert while another
+        shard is live; a family with every shard empty refills shard 0.
+        A rectangle with an infinite or NaN coordinate has no
+        enlargement: ``ValueError``, naming it.
         """
         check_dim(rect, self.dim)
-        if self.bounds is None or len(self.shards) == 1:
-            return 0
         if not all(map(math.isfinite, rect.lo + rect.hi)):
             raise ValueError(
                 f"rectangle {rect.lo} to {rect.hi} has a non-finite "
-                "coordinate: Hilbert routing needs finite ones"
+                "coordinate: a family routes finite rectangles only"
             )
-        key = hilbert_key_for_center(rect, self.bounds, self.order)
-        for i, hi in enumerate(self._route_his):
-            if key <= hi:
-                return i
-        return len(self.shards) - 1
+        frame = self.root().frame()
+        if not len(frame):
+            return 0
+        return frame.ptrs.item(
+            kernels.frame_least_enlargement(frame.lo, frame.hi, rect.lo, rect.hi)
+        )
 
     # -- updates -------------------------------------------------------
 
@@ -1123,7 +1077,7 @@ class ShardedTree:
             )
 
     def insert(self, rect: Rect, value: Any) -> int:
-        """Insert a data rectangle into the shard owning its Hilbert rank.
+        """Insert a data rectangle into the shard :meth:`route` chooses.
 
         Returns the *family-wide* object id (ids keep incrementing from
         the packed tree's high-water mark, exactly like the single-file
@@ -1132,7 +1086,7 @@ class ShardedTree:
         merged object table serves the whole family on reopen.  Raises
         :class:`~repro.storage.filestore.StorageError` up front on a
         read-only family, and ``ValueError`` on a rectangle of another
-        dimension or one :meth:`route` cannot rank, before any shard is
+        dimension or one :meth:`route` refuses, before any shard is
         touched.
         """
         self._require_writable()
@@ -1150,14 +1104,14 @@ class ShardedTree:
         return oid
 
     def delete(self, rect: Rect, value: Any) -> bool:
-        """Delete one matching data rectangle, broadcasting to shards.
+        """Delete one matching data rectangle.
 
-        The owning shard (by Hilbert rank) is tried first, then every
-        other shard whose live MBR intersects ``rect``; the first shard
-        that finds a match wins.  Returns True when an entry was
-        removed.  Raises ``ValueError`` on a rectangle of another
-        dimension or one :meth:`route` cannot rank, before any shard is
-        tried.
+        An entry lies inside its shard's live box, so only shards whose
+        box contains ``rect`` are tried: the one :meth:`route` chooses
+        first, then the others in shard order; the first shard that
+        finds a match wins.  Returns True when an entry was removed.
+        Raises ``ValueError`` on a rectangle of another dimension or
+        one :meth:`route` refuses, before any shard is tried.
         """
         self._require_writable()
         check_dim(rect, self.dim)
@@ -1165,7 +1119,7 @@ class ShardedTree:
         order = [first] + [i for i in range(len(self.shards)) if i != first]
         for i in order:
             mbr = self._mbrs[i]
-            if mbr is None or not mbr.intersects(rect):
+            if mbr is None or not mbr.contains_rect(rect):
                 continue
             try:
                 found = self.shards[i].delete(rect, value)
@@ -1215,10 +1169,8 @@ class ShardedTree:
             dim=self.dim,
             fanout=self.fanout,
             block_size=self.block_size,
-            order=self.order,
             size=self.size,
             next_oid=self._next_oid,
-            bounds=self.bounds,
             infos=self.infos,
             generation=self.generation,
             injector=self._injector,

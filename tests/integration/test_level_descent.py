@@ -407,8 +407,8 @@ MUTANTS = {
     # Evictions wait for the batch's last id instead of each insert.
     "eviction-deferred-to-batch-end": (
         PagedNodeStore, "_lookup_locked", PagedNodeStore._lookup_locked,
-        "while len(pages) > capacity:",
-        "while len(pages) > capacity and len(nodes) == len(block_ids):",
+        "if len(pages) > capacity:",
+        "if len(pages) > capacity and len(nodes) == len(block_ids):",
     ),
     # A miss leaves the MRU pin on the page pinned before it.
     "pin-not-set-on-miss": (

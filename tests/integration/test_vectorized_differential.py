@@ -1479,14 +1479,14 @@ def oracle_pack_preserving_oids(entries, source, next_oid):
     return shard
 
 
-def oracle_shard_pack(tree, path, shards, block_size, order=hilbert.DEFAULT_ORDER):
+def oracle_shard_pack(tree, path, shards, block_size):
     manifest_path = pathlib.Path(path)
     bounds = tree.root().mbr() if tree.root().entries else None
 
     entries = []
     for _, leaf in tree.iter_leaves():
         for rect, oid in leaf.entries:
-            entries.append((oracle_key_for_center(rect, bounds, order), rect, oid))
+            entries.append((oracle_key_for_center(rect, bounds), rect, oid))
     entries.sort(key=lambda item: (item[0], item[2]))
 
     k = max(1, min(shards, len(entries)))
@@ -1516,8 +1516,6 @@ def oracle_shard_pack(tree, path, shards, block_size, order=hilbert.DEFAULT_ORDE
                 size=len(chunk),
                 height=shard_tree.height,
                 mbr=mbr_of(rect for _, rect, _ in chunk) if chunk else None,
-                hilbert_lo=chunk[0][0] if chunk else 0,
-                hilbert_hi=chunk[-1][0] if chunk else 0,
                 n_blocks=stats.n_blocks,
                 epoch=stats.commit_epoch,
             )
@@ -1528,10 +1526,8 @@ def oracle_shard_pack(tree, path, shards, block_size, order=hilbert.DEFAULT_ORDE
         dim=tree.dim,
         fanout=tree.fanout,
         block_size=block_size,
-        order=order,
         size=len(entries),
         next_oid=next_oid,
-        bounds=bounds,
         infos=infos,
         health_baseline=health.quality_baseline(
             health.family_quality(shard_qualities)

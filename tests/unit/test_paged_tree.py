@@ -1,5 +1,10 @@
 """Unit tests for pack_tree, PagedNodeStore, and PagedTree."""
 
+import errno
+import inspect
+import os
+import textwrap
+
 import pytest
 
 from repro.bulk.hilbert import build_hilbert
@@ -369,6 +374,100 @@ class TestWriteBack:
         with pytest.raises(StorageError, match="read-only"):
             ro.allocate(self._node())
         file_store.close()
+
+
+def fail_next_write_back(file_store):
+    """The store's next physical write-back raises ENOSPC, once."""
+    original = file_store.write_back
+
+    def full(block_id, payload):
+        file_store.write_back = original
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    file_store.write_back = full
+
+
+def evict_during_a_read(tree, path):
+    """Three inserts at a two-page cache, then a ``read_many`` of three
+    uncached ids whose first eviction's write-back fails: the dirty
+    victim stays, so ``sync`` commits it and the file reopens whole."""
+    fresh = [Rect((0.3 * i, 0.2), (0.3 * i + 0.01, 0.21)) for i in range(3)]
+    with PagedTree.open(
+        path, values=dict(tree.objects), cache_pages=2
+    ) as paged:
+        for i, rect in enumerate(fresh):
+            paged.insert(rect, ("fresh", i))
+        store = paged.page_store
+        assert store.dirty_pages() == 2
+        cold = [b for b in sorted(store.block_ids()) if b not in store._pages]
+        fail_next_write_back(store.file_store)
+        with pytest.raises(OSError) as failed:
+            store.read_many(cold[:3])
+        assert failed.value.errno == errno.ENOSPC
+        assert store.dirty_pages() == 2
+        paged.sync()
+        objects = dict(paged.objects)
+    with PagedTree.open(path, values=objects, readonly=True) as again:
+        validate_rtree(again, expect_size=tree.size + 3)
+        for i, rect in enumerate(fresh):
+            assert ("fresh", i) in list(again.query(rect).values)
+
+
+def evict_during_a_write(directory):
+    """A write into a full two-page cache whose eviction's write-back
+    fails: every written page is still dirty, and ``sync`` writes all
+    three."""
+    store = TestWriteBack()._store(directory / "w.pack", capacity=2)
+    node = TestWriteBack()._node
+    ids = list(store.block_ids())[:3]
+    store.write(ids[0], node(1))
+    store.write(ids[1], node(2))
+    fail_next_write_back(store.file_store)
+    with pytest.raises(OSError):
+        store.write(ids[2], node(3))
+    assert store.dirty_pages() == 3
+    assert store.sync() == 3
+    store.clear_cache()
+    for n, bid in enumerate(ids, 1):
+        assert store.peek(bid).entries == node(n).entries
+    store.file_store.close()
+
+
+def pop_before_flush():
+    """``_evict_locked`` as it was: the victim leaves the table before
+    its write-back runs."""
+    source = textwrap.dedent(inspect.getsource(PagedNodeStore._evict_locked))
+    for old, new in [
+        ("victim = next(iter(pages))", "victim, page = pages.popitem(False)"),
+        ("self._flush_locked(victim, pages[victim], tap)",
+         "self._flush_locked(victim, page, tap)"),
+        ("del pages[victim]", "pass"),
+    ]:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(PagedNodeStore._evict_locked.__globals__)
+    exec(compile(source, "<mutant>", "exec"), namespace)
+    return namespace["_evict_locked"]
+
+
+class TestFailedEviction:
+    """A write-back that raises during an eviction loses no page."""
+
+    def test_during_a_read(self, packed):
+        evict_during_a_read(*packed[:2])
+
+    def test_during_a_write(self, tmp_path):
+        evict_during_a_write(tmp_path)
+
+    def test_mutant_pop_before_flush_is_caught(
+        self, packed, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(PagedNodeStore, "_evict_locked", pop_before_flush())
+        # The dropped page is still listed dirty: sync cannot find it.
+        with pytest.raises(KeyError):
+            evict_during_a_read(*packed[:2])
+        with pytest.raises(KeyError):
+            evict_during_a_write(tmp_path)
 
 
 class TestPagedTree:

@@ -1,12 +1,13 @@
-"""Unit tests for Hilbert-range sharded indexes.
+"""Unit tests for sharded indexes.
 
 Covers :func:`repro.storage.shard.shard_pack` round-trips, the manifest
 hardening contract (corrupt / truncated manifests rejected with clear
 errors, hostile field types refused, shard-file count and MBR
 mismatches detected on open), read-only families
 rejecting updates up front, the single-tree engines on a family
-against brute-force oracles, and a family as one tree against the
-fan-out engines it replaced (``tests/sharded_oracle.py``).
+against brute-force oracles, writes routed by ChooseLeaf at the
+family's virtual root, and a family as one tree against the fan-out
+engines it replaced (``tests/sharded_oracle.py``).
 """
 
 import itertools
@@ -15,11 +16,14 @@ import pathlib
 import tempfile
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.synthetic import uniform_rects
+from repro.geometry import kernels
+from repro.geometry.hilbert import DEFAULT_ORDER, hilbert_keys_for_centers
 from repro.geometry.rect import Rect
 from repro.iomodel.blockstore import BlockStore
 from repro.prtree.prtree import build_prtree
@@ -86,12 +90,22 @@ class TestShardPack:
             )
 
     def test_hilbert_ranges_are_contiguous(self, manifest, tree):
+        # The pack cuts the Hilbert order of the tree's leaf entries:
+        # each shard's keys are one range, ranges in shard order.
+        bounds = tree.root().mbr()
         with open_family(manifest, tree) as family:
-            infos = family.infos
-            for info in infos:
-                assert info.hilbert_lo <= info.hilbert_hi
-            for prev, cur in zip(infos, infos[1:]):
-                assert prev.hilbert_hi <= cur.hilbert_lo
+            ranges = []
+            for shard in family.shards:
+                rects = [rect for rect, _ in shard.all_data()]
+                keys = hilbert_keys_for_centers(
+                    np.array([r.lo for r in rects]),
+                    np.array([r.hi for r in rects]),
+                    bounds,
+                    DEFAULT_ORDER,
+                )
+                ranges.append((min(keys), max(keys)))
+            for prev, cur in zip(ranges, ranges[1:]):
+                assert prev[1] <= cur[0]
 
     def test_shard_count_clamped_to_entries(self, tmp_path):
         small = uniform_rects(3, seed=1)
@@ -153,6 +167,21 @@ class TestManifestHardening:
         with pytest.raises(ShardError, match="version"):
             ShardedTree.open(manifest)
 
+    def test_version_2_manifest_rejected(self, manifest):
+        # Version 2 routed writes by a Hilbert key on a pack-time grid.
+        doc = json.loads(manifest.read_text())
+        doc["version"] = 2
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ShardError, match="unsupported manifest version 2"):
+            ShardedTree.open(manifest)
+
+    def test_written_manifest_has_no_routing_fields(self, manifest):
+        doc = json.loads(manifest.read_text())
+        assert doc["version"] == 3
+        assert not {"order", "bounds"} & set(doc)
+        for entry in doc["shard_files"]:
+            assert not {"hilbert_lo", "hilbert_hi"} & set(entry)
+
     def test_version_1_manifest_rejected(self, manifest):
         doc = json.loads(manifest.read_text())
         doc["version"] = 1
@@ -170,14 +199,14 @@ class TestManifestHardening:
             ("shards", [4]),
             ("health_baseline", [1, 2]),
             ("health_baseline", 5),
-            ("bounds", "everywhere"),
+            ("shard_files.0.mbr", "everywhere"),
             ("shard_files.0.file", 5),
             ("shard_files.0.file", None),
             ("shard_files.0.file", ""),
             ("shard_files.0.file", "a/b"),
             ("shard_files.0.file", ".."),
             ("shard_files.0.epoch", "1"),
-            ("shard_files.0.hilbert_hi", 1.5),
+            ("shard_files.0.n_blocks", 1.5),
             ("shard_files.0.mbr", {"lo": ["a", "b"], "hi": ["c", "d"]}),
             ("shard_files.0", "shard00"),
         ],
@@ -710,11 +739,11 @@ def raise_midway(directory):
     with ShardedTree.open(path, values=dict(tree.objects)) as family:
         assert [shard.height for shard in family.shards] == [1] * 4
         far = Rect((5.0, 5.0), (5.1, 5.1))
-        wider = Rect((4.9, 4.9), (5.2, 5.2))  # same center: same shard
+        wider = Rect((4.9, 4.9), (5.2, 5.2))
         s = family.route(far)
-        assert family.route(wider) == s
         family.insert(far, "far")  # the fourth row: no split
         assert_table_is_live(family)
+        assert family.route(wider) == s  # the box that reached far grows least
 
         def boom(*args):
             raise SplitFailed("splitter failed")
@@ -738,7 +767,19 @@ class TestRoutingTable:
         assert heights[3][0] > heights[0][0]  # shard 0's root split
         assert heights[3][1] > heights[4][1] == 1  # shard 1's root collapsed
         assert tables[4][1] is None  # ...down to an empty shard
-        assert tables[5][1] is not None  # which then took inserts
+        # An empty shard has no row at the virtual root, so it takes no
+        # insert while another shard is live.
+        assert all(table[1] is None for table in tables[4:])
+        assert all(table[2] is None for table in tables[9:])
+
+    def test_an_all_empty_family_refills_shard_zero(self, tmp_path):
+        drains = [("drain", i) for i in range(4)]
+        inserts = [("insert", (0.7, 0.2)), ("insert", (0.1, 0.9))]
+        heights, tables = run_script(tmp_path, drains + inserts)
+        assert tables[3] == [None] * 4 and heights[3] == [1] * 4
+        assert tables[4][0] is not None and tables[4][1:] == [None] * 3
+        assert tables[5][0].contains_rect(Rect((0.1, 0.2), (0.73, 0.93)))
+        assert tables[5][1:] == [None] * 3
 
     @settings(max_examples=20, deadline=None)
     @given(script=st.lists(ops, max_size=10))
@@ -779,6 +820,199 @@ class TestRoutingTable:
         )
         with pytest.raises(AssertionError):
             raise_midway(tmp_path)
+
+
+# ----------------------------------------------------------------------
+# Writes choose shards as a tree's writes choose children: an insert
+# takes ChooseLeaf over the live shard boxes, a delete tries only the
+# shards whose box contains the victim.
+# ----------------------------------------------------------------------
+
+
+def chooseleaf(family, rect):
+    """Guttman's ChooseLeaf over the family's live shard boxes, in
+    scalar arithmetic: least enlargement, then least area, then the
+    lowest shard; shard 0 when every shard is empty."""
+    live = [
+        i for i in range(family.n_shards) if family.shard_mbr(i) is not None
+    ]
+    if not live:
+        return 0
+
+    def cost(i):
+        box = family.shard_mbr(i)
+        return box.enlargement(rect), box.area(), i
+
+    return min(live, key=cost)
+
+
+#: Points on a grid over the data and past it, and boxes of three sizes
+#: centred on them: many lie in two or more shard boxes at once.
+GRID = [i / 10 - 0.1 for i in range(13)]
+ROUTE_PROBES = [
+    Rect((x - side, y - side), (x + side, y + side))
+    for x in GRID
+    for y in GRID
+    for side in (0.0, 0.01, 0.2)
+]
+
+
+def routing_family(directory, shards):
+    data = uniform_rects(300, max_side=0.05, seed=21)
+    tree = build_prtree(BlockStore(), data, 8)
+    path = pathlib.Path(directory) / f"route{shards}.manifest"
+    shard_pack(tree, path, shards=shards, block_size=1024)
+    return ShardedTree.open(path, values=dict(tree.objects)), data
+
+
+def assert_routes_by_chooseleaf(family):
+    """:meth:`ShardedTree.route` agrees with the oracle on every probe;
+    returns how many probes met a tie in enlargement between boxes of
+    different area (where the tie-break decides)."""
+    ties = 0
+    for probe in ROUTE_PROBES:
+        assert family.route(probe) == chooseleaf(family, probe), probe
+        costs = [
+            (box.enlargement(probe), box.area())
+            for box in map(family.shard_mbr, range(family.n_shards))
+            if box is not None
+        ]
+        least = min(costs)[0] if costs else None
+        ties += len({area for grown, area in costs if grown == least}) > 1
+    return ties
+
+
+def shard_meters(family):
+    return [
+        (shard.store.counters.snapshot(), shard.page_stats.snapshot())
+        for shard in family.shards
+    ]
+
+
+def assert_delete_reads_only_containing_shards(family, rect, value):
+    """Delete ``rect``; every shard whose live box did not contain it
+    keeps its counters and page-cache statistics."""
+    boxes = [family.shard_mbr(i) for i in range(family.n_shards)]
+    before = shard_meters(family)
+    found = family.delete(rect, value)
+    for box, was, now in zip(boxes, before, shard_meters(family)):
+        if box is None or not box.contains_rect(rect):
+            assert now == was, (rect, box)
+    return found
+
+
+def check_routing(directory, shards):
+    """Route every probe on a fresh family, then after far inserts that
+    stretch live boxes past their pack-time ones, deletes (present and
+    absent rectangles) and a drained shard."""
+    family, data = routing_family(directory, shards)
+    with family:
+        ties = assert_routes_by_chooseleaf(family)
+        assert shards == 1 or ties > 0
+        for n, corner in enumerate([(3.0, -2.0), (-1.5, 0.4), (0.5, 2.5)]):
+            far = Rect(corner, (corner[0] + 0.1, corner[1] + 0.1))
+            assert family.route(far) == chooseleaf(family, far)
+            family.insert(far, ("far", n))
+            assert_routes_by_chooseleaf(family)
+        absent = [
+            (Rect((0.3, 0.3), (0.7, 0.7)), "absent"),
+            (Rect((0.45, -0.2), (0.55, 1.2)), "absent"),
+            (Rect((9.0, 9.0), (9.5, 9.5)), "absent"),
+        ]
+        for rect, value in absent:
+            assert not assert_delete_reads_only_containing_shards(
+                family, rect, value
+            )
+        for rect, value in data[::20]:
+            assert assert_delete_reads_only_containing_shards(
+                family, rect, value
+            )
+        assert_routes_by_chooseleaf(family)
+        drained = shards // 2
+        for rect, value in list(family.shards[drained].all_data()):
+            assert assert_delete_reads_only_containing_shards(
+                family, rect, value
+            )
+        assert family.shard_mbr(drained) is None
+        assert_routes_by_chooseleaf(family)
+        if shards > 1:  # an empty shard takes no insert while one is live
+            assert drained not in {family.route(p) for p in ROUTE_PROBES}
+
+
+ROUTING_MUTANTS = {
+    # A delete tries every shard its victim meets, not only those
+    # whose box contains it.
+    "delete-tries-intersecting-shards": (
+        ShardedTree, "delete", ShardedTree.delete,
+        "mbr.contains_rect(rect)", "mbr.intersects(rect)",
+    ),
+    # Inserts route over the boxes the manifest recorded, not the live
+    # ones the family's writes keep.
+    "route-over-pack-time-boxes": (
+        ShardedTree, "route", ShardedTree.route,
+        "frame = self.root().frame()",
+        "frame = Node(False, [(info.mbr, i) for i, info in "
+        "enumerate(self.infos) if info.mbr is not None]).frame()",
+    ),
+    # A tie in enlargement goes to the larger box.
+    "ties-to-the-larger-box": (
+        kernels, "frame_least_enlargement", kernels.frame_least_enlargement,
+        "areas[rows].argmin()", "areas[rows].argmax()",
+    ),
+}
+
+
+class TestChooseLeafRouting:
+    @pytest.mark.parametrize("shards", [1, 2, 4, 7])
+    def test_route_is_chooseleaf_over_the_live_boxes(self, tmp_path, shards):
+        check_routing(tmp_path, shards)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        shards=st.sampled_from([1, 2, 4, 7]),
+        writes=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.floats(-1.0, 2.0),
+                st.floats(-1.0, 2.0),
+                st.floats(0.0, 0.5),
+            ),
+            max_size=8,
+        ),
+        probes=st.lists(
+            st.tuples(
+                st.floats(-1.5, 2.5), st.floats(-1.5, 2.5), st.floats(0.0, 1.0)
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_route_property(self, shards, writes, probes):
+        with tempfile.TemporaryDirectory() as directory:
+            family, data = routing_family(directory, shards)
+            with family:
+                live = list(data)
+                for insert, x, y, side in writes:
+                    if insert:
+                        rect = Rect((x, y), (x + side, y + side))
+                        assert family.route(rect) == chooseleaf(family, rect)
+                        family.insert(rect, ("new", len(live)))
+                        live.append((rect, ("new", len(live))))
+                    elif live:
+                        rect, value = live.pop(int(x * 1000) % len(live))
+                        assert assert_delete_reads_only_containing_shards(
+                            family, rect, value
+                        )
+                    for x0, y0, side0 in probes:
+                        probe = Rect((x0, y0), (x0 + side0, y0 + side0))
+                        assert family.route(probe) == chooseleaf(family, probe)
+
+    @pytest.mark.parametrize("name", sorted(ROUTING_MUTANTS))
+    def test_mutant_caught(self, tmp_path, monkeypatch, name):
+        owner, attribute, function, old, new = ROUTING_MUTANTS[name]
+        monkeypatch.setattr(owner, attribute, _mutant(function, old, new))
+        with pytest.raises(AssertionError):
+            check_routing(tmp_path, 4)
 
 
 # ----------------------------------------------------------------------
